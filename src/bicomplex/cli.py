@@ -9,10 +9,11 @@ Four subcommands over a shared expression argument:
                   identity diagnostic
 * check-bounds -- the two-sided log/norm comparison for one term value
 
-Exit codes: 0 success, 1 numeric failure or (with --strict) a verdict
-other than converged, 2 expression parse or usage error, 3 singular
-abort. JSON output uses full-precision floats; text output rounds to 6
-significant digits.
+Exit codes: 0 success, 1 numeric failure, an idempotent slot value with
+a second complex part or (with --strict) a verdict other than
+converged, 2 expression parse or usage error, 3 singular abort. JSON
+output uses full-precision floats; text output rounds to 6 significant
+digits.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .products import (
     log_sum_equivalence,
 )
 from .series import analyze_series
-from .seqspec import ParseError
+from .seqspec import IdempotentSlotError, ParseError
 from .transcendental import log_branch
 
 __all__ = ["main", "RunConfig"]
@@ -237,14 +238,14 @@ def _cmd_product(cfg: RunConfig, node) -> int:
                 seqspec.term_generator(node),
                 tol=cfg.tol, window=cfg.window, n_max=cfg.max_terms,
             )
-        except (SingularTerm, SingularOperand, NonFiniteError):
+        except (SingularTerm, SingularOperand, NonFiniteError, IdempotentSlotError):
             absolute_check = None
         try:
             identity = log_sum_equivalence(
                 seqspec.term_generator(node),
                 n_max=min(cfg.max_terms, LOG_SUM_CAP),
             )
-        except (SingularTerm, SingularOperand, NonFiniteError):
+        except (SingularTerm, SingularOperand, NonFiniteError, IdempotentSlotError):
             identity = None
 
     if absolute_check is not None:
@@ -372,6 +373,9 @@ def main(argv=None) -> int:
         return 3
     except NonFiniteError as err:
         print(f"non-finite abort: {err}", file=sys.stderr)
+        return 1
+    except IdempotentSlotError as err:
+        print(f"evaluation error at term {err.term_index}: {err}", file=sys.stderr)
         return 1
 
 

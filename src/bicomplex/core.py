@@ -161,15 +161,26 @@ class Bicomplex:
     def __init__(self, z1: complex = 0.0, z2: complex = 0.0):
         z1 = complex(z1)
         z2 = complex(z2)
-        if not (_isfinite(z1) and _isfinite(z2)):
-            raise NonFiniteError("bicomplex components must be finite")
-        object.__setattr__(self, "z1", z1)
-        object.__setattr__(self, "z2", z2)
+        _check_finite(z1, z2)
+        _set_z1(self, z1)
+        _set_z2(self, z2)
 
     def __setattr__(self, name, value):
         raise AttributeError("Bicomplex values are immutable")
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def _make(cls, z1: complex, z2: complex) -> "Bicomplex":
+        """Trusted constructor for components that are already complex.
+
+        Skips the coercion of ``__init__`` but keeps its finiteness check.
+        """
+        _check_finite(z1, z2)
+        self = object.__new__(cls)
+        _set_z1(self, z1)
+        _set_z2(self, z2)
+        return self
 
     @classmethod
     def from_four_reals(cls, x1: float, x2: float, x3: float, x4: float) -> "Bicomplex":
@@ -181,7 +192,7 @@ class Bicomplex:
         """Build ``p1*e1 + p2*e2`` from complex idempotent components."""
         p1 = complex(p1)
         p2 = complex(p2)
-        return cls((p1 + p2) / 2.0, 1j * (p1 - p2) / 2.0)
+        return cls._make((p1 + p2) / 2.0, 1j * (p1 - p2) / 2.0)
 
     # -- component views ----------------------------------------------
 
@@ -208,7 +219,7 @@ class Bicomplex:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return Bicomplex(self.z1 + other.z1, self.z2 + other.z2)
+        return Bicomplex._make(self.z1 + other.z1, self.z2 + other.z2)
 
     __radd__ = __add__
 
@@ -216,20 +227,20 @@ class Bicomplex:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return Bicomplex(self.z1 - other.z1, self.z2 - other.z2)
+        return Bicomplex._make(self.z1 - other.z1, self.z2 - other.z2)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return Bicomplex(other.z1 - self.z1, other.z2 - self.z2)
+        return Bicomplex._make(other.z1 - self.z1, other.z2 - self.z2)
 
     def __mul__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
         a1, a2, b1, b2 = self.z1, self.z2, other.z1, other.z2
-        return Bicomplex(a1 * b1 - a2 * b2, a1 * b2 + a2 * b1)
+        return Bicomplex._make(a1 * b1 - a2 * b2, a1 * b2 + a2 * b1)
 
     __rmul__ = __mul__
 
@@ -246,7 +257,7 @@ class Bicomplex:
         return other * self.inverse()
 
     def __neg__(self):
-        return Bicomplex(-self.z1, -self.z2)
+        return Bicomplex._make(-self.z1, -self.z2)
 
     def __pos__(self):
         return self
@@ -254,19 +265,7 @@ class Bicomplex:
     def __pow__(self, exponent):
         if not isinstance(exponent, int):
             return NotImplemented
-        base = self
-        if exponent < 0:
-            base = self.inverse()
-            exponent = -exponent
-        result = ONE
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            exponent >>= 1
-            if exponent:
-                # skip the last squaring so w**1 never overflows via base*base
-                base = base * base
-        return result
+        return Bicomplex._make(*_power_components(self.z1, self.z2, exponent))
 
     # -- equality and hashing -----------------------------------------
 
@@ -319,37 +318,18 @@ class Bicomplex:
 
         The magnitude |cn(w)| is compared against ``tol * max(1, ||w||**2)``
         so the test is relative at large scale and absolute near zero.
+        Where ``||w||**2`` overflows, both sides are compared for the value
+        scaled by a power of two, so huge values get the same verdict as
+        their scaled copies.
         """
-        if tol < 0:
-            raise ValueError("tolerance must be nonnegative")
-        q1 = self.z1 - 1j * self.z2
-        q2 = self.z1 + 1j * self.z2
-        m1 = abs(q1)
-        m2 = abs(q2)
-        cn_mag = m1 * m2
-        z1, z2 = self.z1, self.z2
-        norm_sq = z1.real * z1.real + z1.imag * z1.imag + z2.real * z2.real + z2.imag * z2.imag
-        threshold = tol * (norm_sq if norm_sq > 1.0 else 1.0)
-        return SingularityVerdict(
-            is_singular=cn_mag <= threshold,
-            cn_magnitude=cn_mag,
-            tolerance_used=threshold,
-            min_component_modulus=m1 if m1 < m2 else m2,
-        )
+        return SingularityVerdict(*_zero_divisor_test(self.z1, self.z2, tol)[:4])
 
     def inverse(self, tol: float = SINGULARITY_TOLERANCE) -> "Bicomplex":
         """Multiplicative inverse ``conj(w, 2) / cn(w)``.
 
         Raises SingularOperand when the zero-divisor test fires.
         """
-        verdict = self.is_singular(tol)
-        if verdict.is_singular:
-            raise SingularOperand(
-                f"value is a zero divisor within tolerance "
-                f"(|cn| = {verdict.cn_magnitude:.3e} <= {verdict.tolerance_used:.3e})"
-            )
-        c = self.cn()
-        return Bicomplex(self.z1 / c, -self.z2 / c)
+        return Bicomplex._make(*_inverse_components(self.z1, self.z2, tol))
 
     def norms(self) -> NormInfo:
         """All three square moduli plus the Euclidean norm.
@@ -401,6 +381,104 @@ class Bicomplex:
 
     def __str__(self):
         return self.format_four_real()
+
+
+_set_z1 = Bicomplex.z1.__set__
+_set_z2 = Bicomplex.z2.__set__
+
+
+def _zero_divisor_test(z1: complex, z2: complex, tol: float):
+    """The zero-divisor test on raw components.
+
+    Returns ``(is_singular, cn_magnitude, tolerance_used,
+    min_component_modulus, scaled)``, the first four as in
+    :class:`SingularityVerdict`. ``scaled`` is None, or, where ``||w||**2``
+    or ``|p1|*|p2|`` overflows, ``(scale, scale*z1, scale*z2)`` with the
+    power of two ``scale`` that brings the largest real coordinate into
+    [0.5, 1). The comparison is then made on the scaled components, so
+    the verdict does not depend on the overall scale of the value.
+    """
+    if tol < 0:
+        raise ValueError("tolerance must be nonnegative")
+    m1, m2, norm_sq = _moduli(z1, z2)
+    cn_mag = m1 * m2
+    threshold = tol * (norm_sq if norm_sq > 1.0 else 1.0)
+    compared = (cn_mag, threshold)
+    scaled = None
+    if norm_sq == math.inf or cn_mag == math.inf:
+        big = max(abs(z1.real), abs(z1.imag), abs(z2.real), abs(z2.imag))
+        scale = math.ldexp(1.0, -math.frexp(big)[1])
+        s1 = complex(z1.real * scale, z1.imag * scale)
+        s2 = complex(z2.real * scale, z2.imag * scale)
+        scaled = (scale, s1, s2)
+        # ||w||**2 > 1 here, so the threshold is relative and scales too
+        c1, c2, scaled_norm_sq = _moduli(s1, s2)
+        compared = (c1 * c2, tol * scaled_norm_sq)
+        m1, m2 = c1 / scale, c2 / scale
+    return compared[0] <= compared[1], cn_mag, threshold, m1 if m1 < m2 else m2, scaled
+
+
+def _moduli(z1: complex, z2: complex) -> tuple[float, float, float]:
+    """``|p1|``, ``|p2|`` (inf where they overflow) and ``||w||**2``."""
+    try:
+        m1 = abs(z1 - 1j * z2)
+        m2 = abs(z1 + 1j * z2)
+    except OverflowError:
+        m1 = m2 = math.inf
+    return m1, m2, z1.real * z1.real + z1.imag * z1.imag + z2.real * z2.real + z2.imag * z2.imag
+
+
+def _inverse_components(z1: complex, z2: complex, tol: float = SINGULARITY_TOLERANCE):
+    """Components of the inverse ``conj(w, 2) / cn(w)``, not yet checked
+    for finiteness. Raises SingularOperand when the zero-divisor test
+    fires."""
+    singular, cn_mag, threshold, _, scaled = _zero_divisor_test(z1, z2, tol)
+    if singular:
+        raise SingularOperand(
+            f"value is a zero divisor within tolerance "
+            f"(|cn| = {cn_mag:.3e} <= {threshold:.3e})"
+        )
+    if scaled is None:
+        c = (z1 - 1j * z2) * (z1 + 1j * z2)
+        return z1 / c, -z2 / c
+    # 1/w = scale * (1/(scale*w)), and cn(scale*w) stays finite
+    scale, s1, s2 = scaled
+    c = (s1 - 1j * s2) * (s1 + 1j * s2)
+    r1 = s1 / c
+    r2 = -s2 / c
+    return (
+        complex(r1.real * scale, r1.imag * scale),
+        complex(r2.real * scale, r2.imag * scale),
+    )
+
+
+def _power_components(z1: complex, z2: complex, exponent: int):
+    """Components of ``w**exponent`` by square-and-multiply from ONE.
+
+    A negative exponent inverts first. Every product is checked for
+    finiteness, as the ring operations check theirs.
+    """
+    b1, b2 = z1, z2
+    if exponent < 0:
+        b1, b2 = _inverse_components(z1, z2)
+        _check_finite(b1, b2)
+        exponent = -exponent
+    r1, r2 = 1 + 0j, 0j
+    while exponent:
+        if exponent & 1:
+            r1, r2 = r1 * b1 - r2 * b2, r1 * b2 + r2 * b1
+            _check_finite(r1, r2)
+        exponent >>= 1
+        if exponent:
+            # skip the last squaring so w**1 never overflows via base*base
+            b1, b2 = b1 * b1 - b2 * b2, b1 * b2 + b2 * b1
+            _check_finite(b1, b2)
+    return r1, r2
+
+
+def _check_finite(z1: complex, z2: complex) -> None:
+    if not (_isfinite(z1) and _isfinite(z2)):
+        raise NonFiniteError("bicomplex components must be finite")
 
 
 def _coerce(value) -> Bicomplex | None:

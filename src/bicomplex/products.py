@@ -132,6 +132,15 @@ def _coerce_term(term, index: int) -> Bicomplex:
     return value
 
 
+def _rms(a: complex, b: complex) -> float:
+    """``sqrt((|a|**2 + |b|**2)/2)``, or inf where the squares overflow,
+    so that the overflow guards see it."""
+    try:
+        return math.sqrt((abs(a) ** 2 + abs(b) ** 2) / 2.0)
+    except OverflowError:
+        return math.inf
+
+
 def partial_products(terms, n_max: int = 10**6) -> list[Bicomplex]:
     """Running products of the first ``n_max`` terms.
 
@@ -219,13 +228,13 @@ def evaluate_product(
         l1 += lg1
         l2 += lg2
 
-        pnorm = math.sqrt((abs(q1) ** 2 + abs(q2) ** 2) / 2.0)
-        dev = math.sqrt((abs(wp1 - 1.0) ** 2 + abs(wp2 - 1.0) ** 2) / 2.0)
+        pnorm = _rms(q1, q2)
+        dev = _rms(wp1 - 1.0, wp2 - 1.0)
         win1.append(q1)
         win2.append(q2)
         pnorms.append(pnorm)
         devs.append(dev)
-        log_track.push(math.sqrt((abs(lg1) ** 2 + abs(lg2) ** 2) / 2.0))
+        log_track.push(_rms(lg1, lg2))
         dev_track.push(dev)
 
         if pnorm > OVERFLOW_GUARD:
@@ -340,10 +349,12 @@ def log_sum_equivalence(
             raise NonFiniteError(
                 "exponential of log sum overflowed", term_index=used
             ) from None
-        den = math.sqrt((abs(q1) ** 2 + abs(q2) ** 2) / 2.0)
+        den = _rms(q1, q2)
         if den == 0.0:
             raise NonFiniteError("partial product underflowed to zero", term_index=used)
-        num = math.sqrt((abs(e1 - q1) ** 2 + abs(e2 - q2) ** 2) / 2.0)
+        if den == math.inf:
+            raise NonFiniteError("partial product overflowed", term_index=used)
+        num = _rms(e1 - q1, e2 - q2)
         disc = num / den
         if disc > max_disc:
             max_disc = disc
@@ -415,8 +426,8 @@ def absolute_convergence_check(
             )
         lg1 = cmath.log(wp1)
         lg2 = cmath.log(wp2)
-        log_track.push(math.sqrt((abs(lg1) ** 2 + abs(lg2) ** 2) / 2.0))
-        dev_track.push(math.sqrt((abs(wp1 - 1.0) ** 2 + abs(wp2 - 1.0) ** 2) / 2.0))
+        log_track.push(_rms(lg1, lg2))
+        dev_track.push(_rms(wp1 - 1.0, wp2 - 1.0))
         if log_track.verdict is not None and dev_track.verdict is not None:
             break
     via_log = log_track.verdict or "inconclusive"

@@ -13,12 +13,18 @@ variable ``n`` (1-based). The grammar, loosest binding first:
 Constants: i1, i2, j, e1, e2, pi. Functions: exp, log, sqrt (log is the
 componentwise principal branch). The bracket atom builds a value from
 its two idempotent components; each component expression must evaluate
-to a value with no second complex part.
+to a value with no second complex part. An expression nests at most
+``MAX_DEPTH`` levels deep, the whole expression and each bracket or
+function call counting one level, and its tree is at most ``MAX_DEPTH``
+nodes high.
 
 ``parse`` produces an immutable AST, ``render`` turns an AST back into
-canonical text (round-trips through ``parse``), ``eval_term``
-substitutes a concrete index. Numeric failures during evaluation carry
-the term index that produced them.
+canonical text (round-trips through ``parse``). ``compile_term`` turns
+an AST, once per expression, into nested closures over the component
+pairs ``(z1, z2)``; they give bit for bit the values and errors of the
+``Bicomplex`` operations. ``eval_term`` substitutes a concrete index
+into an AST or a compiled term. Failures during evaluation carry the
+term index that produced them.
 """
 
 from __future__ import annotations
@@ -26,21 +32,38 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import transcendental
-from .core import E1, E2, I1, I2, J, Bicomplex, NonFiniteError, SingularOperand
+from .core import (
+    E1,
+    E2,
+    I1,
+    I2,
+    J,
+    Bicomplex,
+    NonFiniteError,
+    SingularOperand,
+    _check_finite,
+    _inverse_components,
+    _power_components,
+)
 
 __all__ = [
-    "ParseError",
+    "ParseError", "IdempotentSlotError",
     "Num", "Const", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow",
-    "Call", "Idem",
-    "parse", "render", "eval_term", "term_generator",
-    "CONSTANT_NAMES", "FUNCTION_NAMES",
+    "Call", "Idem", "CompiledTerm",
+    "parse", "render", "compile_term", "eval_term", "term_generator",
+    "CONSTANT_NAMES", "FUNCTION_NAMES", "MAX_DEPTH",
 ]
 
 CONSTANT_NAMES = ("i1", "i2", "j", "e1", "e2", "pi")
 FUNCTION_NAMES = ("exp", "log", "sqrt")
+
+# Bound on bracket nesting and on tree height. It keeps parsing (four
+# frames per bracket), compiling and evaluating (about one frame per
+# tree level) well inside the interpreter's default recursion limit.
+MAX_DEPTH = 200
 
 
 class ParseError(ValueError):
@@ -53,6 +76,16 @@ class ParseError(ValueError):
         if self.expected:
             detail += " (expected: " + ", ".join(sorted(self.expected)) + ")"
         super().__init__(detail)
+
+
+class IdempotentSlotError(ValueError):
+    """A slot of ``[a | b]`` evaluated to a value with a second complex
+    part. ``term_index`` is set when the value came from an indexed term.
+    """
+
+    def __init__(self, message: str, term_index: int | None = None):
+        super().__init__(message)
+        self.term_index = term_index
 
 
 @dataclass(frozen=True)
@@ -153,9 +186,12 @@ _ATOM_EXPECTED = ("number", "name", "n", "'('", "'['", "'-'")
 
 
 class _Parser:
+    """Recursive descent; each parse method returns ``(node, height)``."""
+
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.i = 0
+        self.nesting = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -175,78 +211,97 @@ class _Parser:
             )
         return self.advance()
 
+    def check_depth(self, depth: int, tok: _Token) -> None:
+        if depth > MAX_DEPTH:
+            raise ParseError(f"expression nested more than {MAX_DEPTH} deep", tok.position)
+
     def parse_expr(self):
-        node = self.parse_term()
+        # the whole expression and each bracket level count one level
+        self.nesting += 1
+        self.check_depth(self.nesting, self.peek())
+        node, height = self.parse_term()
         while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            right = self.parse_term()
-            node = Add(node, right) if op == "+" else Sub(node, right)
-        return node
+            tok = self.advance()
+            right, right_height = self.parse_term()
+            node = Add(node, right) if tok.kind == "+" else Sub(node, right)
+            height = max(height, right_height) + 1
+            self.check_depth(height, tok)
+        self.nesting -= 1
+        return node, height
 
     def parse_term(self):
-        node = self.parse_factor()
+        node, height = self.parse_factor()
         while self.peek().kind in ("*", "/"):
-            op = self.advance().kind
-            right = self.parse_factor()
-            node = Mul(node, right) if op == "*" else Div(node, right)
-        return node
+            tok = self.advance()
+            right, right_height = self.parse_factor()
+            node = Mul(node, right) if tok.kind == "*" else Div(node, right)
+            height = max(height, right_height) + 1
+            self.check_depth(height, tok)
+        return node, height
 
     def parse_factor(self):
-        if self.peek().kind == "-":
+        signs = []
+        while self.peek().kind == "-":
+            signs.append(self.advance())
+        node, height = self.parse_atom()
+        if self.peek().kind == "^":
             self.advance()
-            return Neg(self.parse_factor())
-        return self.parse_power()
-
-    def parse_power(self):
-        base = self.parse_atom()
-        if self.peek().kind != "^":
-            return base
-        self.advance()
-        negative = False
-        if self.peek().kind == "-":
-            self.advance()
-            negative = True
-        tok = self.expect("num")
-        if not tok.text.isdigit():
-            raise ParseError(
-                "exponent must be an integer literal", tok.position,
-                expected={"integer"},
-            )
-        k = int(tok.text)
-        return Pow(base, -k if negative else k)
+            negative = False
+            if self.peek().kind == "-":
+                self.advance()
+                negative = True
+            tok = self.expect("num")
+            if not tok.text.isdigit():
+                raise ParseError(
+                    "exponent must be an integer literal", tok.position,
+                    expected={"integer"},
+                )
+            k = int(tok.text)
+            node = Pow(node, -k if negative else k)
+            height += 1
+            self.check_depth(height, tok)
+        for tok in reversed(signs):
+            node = Neg(node)
+            height += 1
+            self.check_depth(height, tok)
+        return node, height
 
     def parse_atom(self):
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
-            return Num(float(tok.text))
+            return Num(float(tok.text)), 1
         if tok.kind == "name":
             self.advance()
             if tok.text in FUNCTION_NAMES:
                 self.expect("(")
-                arg = self.parse_expr()
+                arg, height = self.parse_expr()
                 self.expect(")")
-                return Call(tok.text, arg)
+                height += 1
+                self.check_depth(height, tok)
+                return Call(tok.text, arg), height
             if tok.text == "n":
-                return Var()
+                return Var(), 1
             if tok.text in CONSTANT_NAMES:
-                return Const(tok.text)
+                return Const(tok.text), 1
             raise ParseError(
                 f"unknown name {tok.text!r}", tok.position,
                 expected=set(CONSTANT_NAMES) | set(FUNCTION_NAMES) | {"n"},
             )
         if tok.kind == "(":
             self.advance()
-            node = self.parse_expr()
+            node, height = self.parse_expr()
             self.expect(")")
-            return node
+            return node, height
         if tok.kind == "[":
             self.advance()
-            first = self.parse_expr()
+            first, first_height = self.parse_expr()
             self.expect("|")
-            second = self.parse_expr()
+            second, second_height = self.parse_expr()
             self.expect("]")
-            return Idem(first, second)
+            height = max(first_height, second_height) + 1
+            self.check_depth(height, tok)
+            return Idem(first, second), height
         raise ParseError(
             f"unexpected {tok.text!r}" if tok.kind != "end" else "unexpected end of input",
             tok.position,
@@ -257,7 +312,7 @@ class _Parser:
 def parse(text: str):
     """Parse a term expression into an AST. Raises ParseError."""
     parser = _Parser(_tokenize(text))
-    node = parser.parse_expr()
+    node, _ = parser.parse_expr()
     tail = parser.peek()
     if tail.kind != "end":
         raise ParseError(
@@ -334,65 +389,214 @@ _FUNCTIONS = {
 }
 
 
-def _eval(node, n: int) -> Bicomplex:
-    if isinstance(node, Num):
-        return Bicomplex(node.value)
-    if isinstance(node, Const):
-        return _CONSTANTS[node.name]
-    if isinstance(node, Var):
-        return Bicomplex(float(n))
-    if isinstance(node, Neg):
-        return -_eval(node.operand, n)
-    if isinstance(node, Add):
-        return _eval(node.left, n) + _eval(node.right, n)
-    if isinstance(node, Sub):
-        return _eval(node.left, n) - _eval(node.right, n)
-    if isinstance(node, Mul):
-        return _eval(node.left, n) * _eval(node.right, n)
-    if isinstance(node, Div):
-        return _eval(node.left, n) / _eval(node.right, n)
-    if isinstance(node, Pow):
-        return _eval(node.base, n) ** node.exponent
-    if isinstance(node, Call):
-        return _FUNCTIONS[node.func](_eval(node.arg, n))
-    if isinstance(node, Idem):
-        first = _eval(node.first, n)
-        second = _eval(node.second, n)
-        if first.z2 != 0 or second.z2 != 0:
-            raise ValueError(
+class CompiledTerm:
+    """A term expression compiled by :func:`compile_term`.
+
+    ``components(n)`` gives the components ``(z1, z2)`` of the term at
+    index ``n``; :func:`eval_term` validates ``n`` around it.
+    """
+
+    __slots__ = ("node", "components")
+
+    def __init__(self, node, components: Callable[[int], tuple[complex, complex]]):
+        self.node = node
+        self.components = components
+
+
+def compile_term(node) -> CompiledTerm:
+    """Compile an AST once into nested closures over component pairs.
+
+    Each closure does the float operations of the ``Bicomplex`` operation
+    it stands for, in the same order and with the same checks, so values
+    and errors are bit for bit those of the ring operations. Subtrees
+    that do not use ``n`` are evaluated here, except those that raise:
+    they stay in place, so their error comes from every evaluation.
+    """
+    return CompiledTerm(node, _compile(node)[0])
+
+
+def _compile(node):
+    """``(closure, value)``: ``value`` is the pair the closure always
+    returns, or None when it depends on ``n`` or raises."""
+    kind = type(node)
+    if kind is Var:
+        return _var, None
+    try:
+        operands, build = _COMPILERS[kind]
+    except KeyError:
+        raise TypeError(f"not an expression node: {node!r}") from None
+    compiled = [_compile(getattr(node, name)) for name in operands]
+    fn = build(node, *(closure for closure, _ in compiled))
+    if any(value is None for _, value in compiled):
+        return fn, None
+    try:
+        value = fn(1)
+    except (ArithmeticError, ValueError):
+        return fn, None
+    return _constant(value), value
+
+
+def _constant(value):
+    return lambda n: value
+
+
+def _var(n):
+    return complex(float(n)), 0j
+
+
+def _num(node):
+    value = node.value
+
+    def fn(n):
+        z1 = complex(value)
+        _check_finite(z1, 0j)
+        return z1, 0j
+
+    return fn
+
+
+def _const(node):
+    w = _CONSTANTS[node.name]
+    return _constant((w.z1, w.z2))
+
+
+def _neg(node, arg):
+    def fn(n):
+        a1, a2 = arg(n)
+        return -a1, -a2
+
+    return fn
+
+
+def _add(node, left, right):
+    def fn(n):
+        a1, a2 = left(n)
+        b1, b2 = right(n)
+        z1 = a1 + b1
+        z2 = a2 + b2
+        _check_finite(z1, z2)
+        return z1, z2
+
+    return fn
+
+
+def _sub(node, left, right):
+    def fn(n):
+        a1, a2 = left(n)
+        b1, b2 = right(n)
+        z1 = a1 - b1
+        z2 = a2 - b2
+        _check_finite(z1, z2)
+        return z1, z2
+
+    return fn
+
+
+def _mul(node, left, right):
+    def fn(n):
+        a1, a2 = left(n)
+        b1, b2 = right(n)
+        z1 = a1 * b1 - a2 * b2
+        z2 = a1 * b2 + a2 * b1
+        _check_finite(z1, z2)
+        return z1, z2
+
+    return fn
+
+
+def _div(node, left, right):
+    # left * right.inverse()
+    def inverse(n):
+        b1, b2 = _inverse_components(*right(n))
+        _check_finite(b1, b2)
+        return b1, b2
+
+    return _mul(node, left, inverse)
+
+
+def _pow(node, base):
+    exponent = node.exponent
+
+    def fn(n):
+        a1, a2 = base(n)
+        return _power_components(a1, a2, exponent)
+
+    return fn
+
+
+def _call(node, arg):
+    func = _FUNCTIONS[node.func]
+
+    def fn(n):
+        w = func(Bicomplex._make(*arg(n)))
+        return w.z1, w.z2
+
+    return fn
+
+
+def _idem(node, first, second):
+    # Bicomplex.from_idempotent on the first components of the slots
+    def fn(n):
+        f1, f2 = first(n)
+        s1, s2 = second(n)
+        if f2 != 0 or s2 != 0:
+            raise IdempotentSlotError(
                 "idempotent slot values must have no second complex part"
             )
-        return Bicomplex.from_idempotent(first.z1, second.z1)
-    raise TypeError(f"not an expression node: {node!r}")
+        z1 = (f1 + s1) / 2.0
+        z2 = 1j * (f1 - s1) / 2.0
+        _check_finite(z1, z2)
+        return z1, z2
+
+    return fn
 
 
-def eval_term(node, n: int) -> Bicomplex:
-    """Evaluate the term expression at index ``n`` (a 1-based integer).
+# node type -> (operand fields, closure builder)
+_COMPILERS = {
+    Num: ((), _num),
+    Const: ((), _const),
+    Neg: (("operand",), _neg),
+    Add: (("left", "right"), _add),
+    Sub: (("left", "right"), _sub),
+    Mul: (("left", "right"), _mul),
+    Div: (("left", "right"), _div),
+    Pow: (("base",), _pow),
+    Call: (("arg",), _call),
+    Idem: (("first", "second"), _idem),
+}
 
-    SingularOperand and NonFiniteError raised during evaluation are
-    re-raised carrying ``term_index=n``.
+
+def eval_term(term, n: int) -> Bicomplex:
+    """Evaluate a term expression at index ``n`` (a 1-based integer).
+
+    ``term`` is an AST or a :class:`CompiledTerm`; an AST is compiled
+    for this one call. SingularOperand, NonFiniteError and
+    IdempotentSlotError raised during evaluation are re-raised carrying
+    ``term_index=n``.
     """
     if not isinstance(n, int) or isinstance(n, bool):
         raise TypeError("term index must be an integer")
     if n < 1:
         raise ValueError("term index must be at least 1")
+    if not isinstance(term, CompiledTerm):
+        term = compile_term(term)
     try:
-        return _eval(node, n)
-    except SingularOperand as err:
-        raise SingularOperand(str(err), term_index=n) from None
-    except NonFiniteError as err:
-        raise NonFiniteError(str(err), term_index=n) from None
+        return Bicomplex._make(*term.components(n))
+    except (SingularOperand, NonFiniteError, IdempotentSlotError) as err:
+        raise type(err)(str(err), term_index=n) from None
 
 
 def term_generator(source, start: int = 1):
-    """Yield eval_term(source, n) for n = start, start+1, ...
+    """Yield eval_term(term, n) for n = start, start+1, ...
 
-    ``source`` may be an AST or expression text (parsed once up front).
+    ``source`` may be expression text, an AST or a compiled term; it is
+    parsed and compiled once up front.
     """
     node = parse(source) if isinstance(source, str) else source
     if start < 1:
         raise ValueError("start index must be at least 1")
+    term = node if isinstance(node, CompiledTerm) else compile_term(node)
     n = start
     while True:
-        yield eval_term(node, n)
+        yield eval_term(term, n)
         n += 1

@@ -151,3 +151,42 @@ def test_product_json_sections_present():
     assert doc["product"]["necessary_condition_ok"] is False
     assert doc["absolute_check"]["agree"] in (True, False)
     assert doc["log_sum_identity"]["terms_used"] <= 1000
+
+
+def _one_line(err: str) -> bool:
+    return err.endswith("\n") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_idempotent_slot_error_exits_1():
+    code, out, err = run_cli(["eval", "[i2 | 1]"])
+    assert code == 1 and out == ""
+    assert _one_line(err) and "term 1" in err
+    code, out, err = run_cli(["series", "[1 | n*i2]", "--json"])
+    assert code == 1 and out == ""
+    assert _one_line(err)
+
+
+def test_deep_expressions_exit_2():
+    for text in ("(" * 3000 + "1" + ")" * 3000, "+".join(["1"] * 5000)):
+        for command in ("eval", "product"):
+            code, out, err = run_cli([command, text])
+            assert code == 2 and out == ""
+            assert _one_line(err) and err.startswith("parse error:")
+
+
+def test_huge_values_are_invertible():
+    code, out, err = run_cli(["eval", "1/1e200", "--json"])
+    assert code == 0, err
+    assert json.loads(out)["value"]["four_reals"] == [1e-200, 0.0, 0.0, 0.0]
+    code, out, _ = run_cli(["product", "1e200", "--json"])
+    assert code == 0
+    assert json.loads(out)["product"]["verdict"] == "diverged"
+
+
+def test_overflowing_products_diverge():
+    for expr in ("1e10", "n"):
+        code, out, err = run_cli(["product", expr, "--json"])
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["product"]["verdict"] == "diverged"
+        assert doc["log_sum_identity"] is None

@@ -211,6 +211,29 @@ def test_singularity_threshold_scales_with_norm():
     assert big.is_singular().is_singular
 
 
+def test_singularity_verdict_does_not_depend_on_scale():
+    near = Bicomplex(1.0, 1j * (1.0 + 1e-13))
+    far = Bicomplex(1.0, 1j * (1.0 + 1e-5))
+    for scale in (1e154, 1e200, 1e300):
+        assert (scale * near).is_singular().is_singular
+        assert not (scale * far).is_singular().is_singular
+        assert not Bicomplex(scale).is_singular().is_singular
+        assert not Bicomplex(scale, 0.5 * scale).is_singular().is_singular
+        assert Bicomplex(scale, 1j * scale).is_singular().is_singular
+    # near the largest finite values even p1 and p2 overflow
+    c = complex(1e308, 1e308)
+    assert not Bicomplex(c, c).is_singular().is_singular
+    assert Bicomplex(c, 1j * c).is_singular().is_singular
+
+
+def test_inverse_of_huge_values():
+    assert Bicomplex(1e200).inverse() == Bicomplex(1e-200)
+    w = Bicomplex(3e250, -4e250j)
+    assert_close(w * w.inverse(), ONE, rel=1e-15)
+    with pytest.raises(SingularOperand):
+        Bicomplex(1e200, 1e200j).inverse()
+
+
 def test_norms_example():
     w = ONE + I2
     info = w.norms()

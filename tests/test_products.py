@@ -101,6 +101,26 @@ def test_growing_product_diverges():
     assert report.necessary_condition_ok is False
 
 
+def test_overflowing_partial_products_diverge():
+    # |q|**2 overflows long before q itself: the guard must still see it
+    report = evaluate_product(constant_terms(Bicomplex(1e10)))
+    assert report.verdict == "diverged"
+    assert report.terms_used == 16
+    report = evaluate_product(Bicomplex(float(n)) for n in range(1, 10**4))
+    assert report.verdict == "diverged"
+    report = evaluate_product(constant_terms(Bicomplex(1e200)))
+    assert report.verdict == "diverged"
+    assert report.terms_used == 1
+    absolute = absolute_convergence_check(constant_terms(Bicomplex(1e200)))
+    assert absolute.via_deviation_norms == "diverged"
+
+
+def test_log_sum_equivalence_reports_overflow_with_index():
+    with pytest.raises(NonFiniteError) as info:
+        log_sum_equivalence(constant_terms(Bicomplex(1e10)))
+    assert info.value.term_index == 16
+
+
 def test_harmonic_drift_is_inconclusive():
     report = evaluate_product(dev_power_family(1), n_max=10**4)
     assert report.verdict == "inconclusive"

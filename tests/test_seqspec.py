@@ -22,11 +22,13 @@ from bicomplex import (
     term_generator,
 )
 from bicomplex.seqspec import (
+    MAX_DEPTH,
     Add,
     Call,
     Const,
     Div,
     Idem,
+    IdempotentSlotError,
     Mul,
     Neg,
     Num,
@@ -170,6 +172,32 @@ def test_eval_idempotent_brackets():
     assert eval_term(parse("[1 + 2*i1 | 3]"), 1) == Bicomplex.from_idempotent(1 + 2j, 3.0)
     with pytest.raises(ValueError):
         eval_term(parse("[i2 | 1]"), 1)
+
+
+def test_parse_limits_nesting_and_tree_height():
+    inner = MAX_DEPTH - 1   # the whole expression is one level
+    assert parse("(" * inner + "n" + ")" * inner) == Var()
+    nested_calls = parse("sqrt(" * inner + "n" + ")" * inner)
+    assert abs(eval_term(nested_calls, 2) - Bicomplex(1.0)) < 1e-12
+    with pytest.raises(ParseError) as info:
+        parse("(" * MAX_DEPTH + "n" + ")" * MAX_DEPTH)
+    assert info.value.position == MAX_DEPTH
+    with pytest.raises(ParseError):
+        parse("[1 | " * MAX_DEPTH + "1" + "]" * MAX_DEPTH)
+    chain = "+".join(["1"] * MAX_DEPTH)
+    assert eval_term(parse(chain), 1) == Bicomplex(float(MAX_DEPTH))
+    assert eval_term(parse("-" * (MAX_DEPTH - 1) + "n"), 2) == Bicomplex(-2.0)
+    for text in (chain + "+1", "1/" * MAX_DEPTH + "n", "-" * MAX_DEPTH + "n"):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert "nested more than" in str(info.value)
+
+
+def test_slot_error_carries_term_index():
+    with pytest.raises(IdempotentSlotError) as info:
+        eval_term(parse("[n | i2/n]"), 4)
+    assert isinstance(info.value, ValueError)
+    assert info.value.term_index == 4
 
 
 def test_eval_error_carries_term_index():
