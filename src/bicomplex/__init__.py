@@ -28,9 +28,11 @@ from .products import (
     AbsoluteReport,
     BoundCheck,
     LogSumReport,
+    ProductAnalysis,
     ProductReport,
     SingularTerm,
     absolute_convergence_check,
+    analyze_product,
     evaluate_product,
     log_bound_check,
     log_sum_equivalence,
@@ -99,11 +101,13 @@ __all__ = [
     "ProductReport",
     "LogSumReport",
     "AbsoluteReport",
+    "ProductAnalysis",
     "BoundCheck",
     "partial_products",
     "evaluate_product",
     "log_sum_equivalence",
     "absolute_convergence_check",
+    "analyze_product",
     "log_bound_check",
     "parse",
     "render",

@@ -25,11 +25,13 @@ from dataclasses import dataclass
 
 from . import seqspec
 from .core import Bicomplex, NonFiniteError, SingularOperand
-from .products import (
-    SingularTerm,
+from .products import SingularTerm, analyze_product, log_bound_check
+
+# the single-analysis views stay importable here: bench/tracer.py wraps
+# them by name on this module
+from .products import (  # noqa: F401
     absolute_convergence_check,
     evaluate_product,
-    log_bound_check,
     log_sum_equivalence,
 )
 from .series import analyze_series
@@ -37,10 +39,6 @@ from .seqspec import IdempotentSlotError, ParseError
 from .transcendental import log_branch
 
 __all__ = ["main", "RunConfig"]
-
-# the identity diagnostic is quadratic-feeling in practice (an exp per
-# step), so it gets its own cap
-LOG_SUM_CAP = 1000
 
 
 @dataclass(frozen=True)
@@ -214,7 +212,7 @@ def _cmd_series(cfg: RunConfig, node) -> int:
 
 
 def _cmd_product(cfg: RunConfig, node) -> int:
-    report = evaluate_product(
+    report, absolute_check, identity = analyze_product(
         seqspec.term_generator(node),
         tol=cfg.tol, window=cfg.window, n_max=cfg.max_terms,
     )
@@ -229,25 +227,6 @@ def _cmd_product(cfg: RunConfig, node) -> int:
         lines.append(f"singular index: {report.singular_index}")
     lines += _bc_lines("limit estimate", report.limit_estimate)
     lines += _bc_lines("log sum", report.log_sum)
-
-    absolute_check = None
-    identity = None
-    if report.verdict != "singular_term":
-        try:
-            absolute_check = absolute_convergence_check(
-                seqspec.term_generator(node),
-                tol=cfg.tol, window=cfg.window, n_max=cfg.max_terms,
-            )
-        except (SingularTerm, SingularOperand, NonFiniteError, IdempotentSlotError):
-            absolute_check = None
-        try:
-            identity = log_sum_equivalence(
-                seqspec.term_generator(node),
-                n_max=min(cfg.max_terms, LOG_SUM_CAP),
-            )
-        except (SingularTerm, SingularOperand, NonFiniteError, IdempotentSlotError):
-            identity = None
-
     if absolute_check is not None:
         lines.append(
             "absolute check: "

@@ -27,6 +27,16 @@ the partial products and tracks the branch offset between the two,
 deviation-norm convergence criteria, and ``log_bound_check`` tests the
 two-sided norm comparison that justifies swapping one criterion for the
 other for small deviations.
+
+``analyze_product`` gives the product report, the absolute check and
+the log-sum identity from one pass that reads each term once and
+computes its idempotent components, logarithms and deviation norm once. Each report freezes at its own stop rule: the
+product at its verdict or the budget ``n_max``; the absolute check at
+the first term with a component real part <= 0 (tested before the term
+counts) or once both norm trackers, which the product report shares,
+have decided; the identity after ``min(n_max, LOG_SUM_CAP)`` terms.
+``evaluate_product``, ``absolute_convergence_check`` and
+``log_sum_equivalence`` run the same pass for one report each.
 """
 
 from __future__ import annotations
@@ -36,9 +46,17 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice, pairwise
+from typing import NamedTuple
 
-from .core import SINGULARITY_TOLERANCE, Bicomplex, NonFiniteError, _coerce
-from .series import OVERFLOW_GUARD, _evidence_floor, _NormTracker
+from .core import (
+    SINGULARITY_TOLERANCE, Bicomplex, NonFiniteError, SingularOperand, _coerce,
+    _zero_divisor_test,
+)
+from .seqspec import IdempotentSlotError
+from .series import (
+    _FIRST_CHECKPOINT, _FLAT_RATIO, _FLOOR_FACTOR, _HARMONIC_RATIO, OVERFLOW_GUARD,
+    _coerce_term, _diameter, _stalled, _Tracker, _validate,
+)
 from .transcendental import log1p
 
 __all__ = [
@@ -46,11 +64,14 @@ __all__ = [
     "ProductReport",
     "LogSumReport",
     "AbsoluteReport",
+    "ProductAnalysis",
     "BoundCheck",
+    "LOG_SUM_CAP",
     "partial_products",
     "evaluate_product",
     "log_sum_equivalence",
     "absolute_convergence_check",
+    "analyze_product",
     "log_bound_check",
 ]
 
@@ -59,11 +80,16 @@ __all__ = [
 # a legitimately convergent product passes through.
 ZERO_COLLAPSE = 1e-30
 
+# the identity diagnostic is quadratic-feeling in practice (an exp per
+# step), so it gets its own cap
+LOG_SUM_CAP = 1000
+
 _TWO_PI = 2.0 * math.pi
-_FIRST_CHECKPOINT = 16   # dyadic schedule, matches the series module
-_FLAT_RATIO = 0.99
-_RATIO_SLACK = 1.0 - 1e-9
-_FLOOR_FACTOR = 10.0
+
+# What evaluating a term may raise (see seqspec.eval_term). Once the
+# product verdict is frozen, such a term ends the consumers still live
+# without a report instead of propagating.
+_TERM_ERRORS = (SingularOperand, NonFiniteError, IdempotentSlotError)
 
 
 class SingularTerm(ArithmeticError):
@@ -113,6 +139,15 @@ class AbsoluteReport:
     terms_used: int
 
 
+class ProductAnalysis(NamedTuple):
+    """The three reports of :func:`analyze_product`; ``absolute`` and
+    ``identity`` are None where a failure ended them."""
+
+    product: ProductReport
+    absolute: AbsoluteReport | None
+    identity: LogSumReport | None
+
+
 @dataclass(frozen=True)
 class BoundCheck:
     norm: float
@@ -120,16 +155,6 @@ class BoundCheck:
     ratio: float
     lower_ok: bool
     upper_ok: bool
-
-
-def _coerce_term(term, index: int) -> Bicomplex:
-    try:
-        value = _coerce(term)
-    except NonFiniteError as err:
-        raise NonFiniteError(str(err), term_index=index) from None
-    if value is None:
-        raise TypeError(f"cannot interpret term as Bicomplex: {term!r}")
-    return value
 
 
 def _rms(a: complex, b: complex) -> float:
@@ -147,8 +172,7 @@ def partial_products(terms, n_max: int = 10**6) -> list[Bicomplex]:
     Raises NonFiniteError (with the 1-based position) if a term is
     non-finite or the accumulation overflows.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+    _validate(1.0, 2, n_max)
     out: list[Bicomplex] = []
     total = Bicomplex(1.0)
     for k, term in enumerate(islice(terms, n_max), start=1):
@@ -161,16 +185,275 @@ def partial_products(terms, n_max: int = 10**6) -> list[Bicomplex]:
     return out
 
 
-def _window_diameter(values: deque[complex]) -> float:
-    items = list(values)
-    worst = 0.0
-    for i in range(len(items)):
-        vi = items[i]
-        for vj in items[i + 1 :]:
-            d = abs(vi - vj)
-            if d > worst:
-                worst = d
-    return worst
+def _shrinking(pnorms: deque[float]) -> bool:
+    return all(b <= a * (1.0 + 1e-12) for a, b in pairwise(pnorms))
+
+
+def _pair_or_none(p1: complex, p2: complex) -> Bicomplex | None:
+    try:
+        return Bicomplex.from_idempotent(p1, p2)
+    except NonFiniteError:
+        return None
+
+
+def _product_report(
+    verdict, q1, q2, l1, l2, used, nc_ok, log_track, dev_track
+) -> ProductReport:
+    tri_log = log_track.verdict or "inconclusive"
+    tri_dev = dev_track.verdict or "inconclusive"
+    return ProductReport(
+        verdict=verdict,
+        limit_estimate=_pair_or_none(q1, q2),
+        terms_used=used,
+        necessary_condition_ok=nc_ok and verdict != "diverged_to_zero",
+        absolute=tri_log == "converged",
+        log_sum=_pair_or_none(l1, l2),
+        criteria_agreement=tri_log == tri_dev,
+        singular_index=used if verdict == "singular_term" else None,
+    )
+
+
+def _absolute_report(log_track, dev_track, used) -> AbsoluteReport:
+    via_log = log_track.verdict or "inconclusive"
+    via_dev = dev_track.verdict or "inconclusive"
+    return AbsoluteReport(
+        via_log_norms=via_log,
+        via_deviation_norms=via_dev,
+        agree=via_log == via_dev,
+        hypothesis_violation_index=None,
+        terms_used=used,
+    )
+
+
+def _identity_step(q1, q2, l1, l2, used) -> tuple[float, tuple[int, int]]:
+    """Discrepancy between exp(log sum) and the partial product, and the
+    branch offset between the log sum and the principal log of the
+    product, after ``used`` terms."""
+    try:
+        e1 = cmath.exp(l1)
+        e2 = cmath.exp(l2)
+    except OverflowError:
+        raise NonFiniteError(
+            "exponential of log sum overflowed", term_index=used
+        ) from None
+    den = _rms(q1, q2)
+    if den == 0.0:
+        raise NonFiniteError("partial product underflowed to zero", term_index=used)
+    if den == math.inf:
+        raise NonFiniteError("partial product overflowed", term_index=used)
+    if q1 == 0.0 or q2 == 0.0:
+        raise NonFiniteError(
+            "partial product component underflowed to zero", term_index=used
+        )
+    disc = _rms(e1 - q1, e2 - q2) / den
+    a = (l1 - cmath.log(q1)) / complex(0.0, _TWO_PI)
+    b = (l2 - cmath.log(q2)) / complex(0.0, _TWO_PI)
+    return disc, (round(a.real), round(b.real))
+
+
+def _identity_report(q1, q2, l1, l2, max_disc, offset, changes, used) -> LogSumReport:
+    try:
+        exp_of_log_sum = _pair_or_none(cmath.exp(l1), cmath.exp(l2))
+    except OverflowError:
+        exp_of_log_sum = None
+    return LogSumReport(
+        product_limit=_pair_or_none(q1, q2),
+        exp_of_log_sum=exp_of_log_sum,
+        max_discrepancy=max_disc,
+        branch_offset=offset,
+        branch_offset_changes=changes,
+        terms_used=used,
+    )
+
+
+def _product_pass(
+    terms,
+    n_max: int,
+    singularity_tol: float,
+    *,
+    tol: float = 1e-10,
+    window: int = 8,
+    product: bool = False,
+    absolute: bool = False,
+    identity_terms: int = 0,
+) -> ProductAnalysis:
+    """The one loop over the terms behind every product analysis.
+
+    Feeds the requested consumers (the identity over the first
+    ``identity_terms <= n_max`` terms) while any is live. With the
+    product consumer, failures are routed as ``analyze_product`` states;
+    without it, they propagate and a singular term raises SingularTerm.
+    """
+    prod_live, abs_live, id_live = product, absolute, identity_terms > 0
+    prod_report = abs_report = id_report = verdict = None
+    # shared accumulators: partial products, log sums, norm trackers
+    q1 = 1.0 + 0j
+    q2 = 1.0 + 0j
+    l1 = 0j
+    l2 = 0j
+    log_track = _Tracker(tol, window, _HARMONIC_RATIO)
+    dev_track = _Tracker(tol, window, _HARMONIC_RATIO)
+    # product verdict state
+    win1: deque[complex] = deque(maxlen=window)
+    win2: deque[complex] = deque(maxlen=window)
+    pnorms: deque[float] = deque(maxlen=window)
+    devs: deque[float] = deque(maxlen=window)
+    nc_ok = True
+    next_checkpoint = _FIRST_CHECKPOINT
+    prev_floor: float | None = None
+    # identity state
+    max_disc = 0.0
+    offset = (0, 0)
+    changes = 0
+    used = 0
+
+    terms = islice(terms, n_max)
+    while prod_live or abs_live or id_live:
+        try:
+            w = _coerce_term(next(terms), used + 1)
+        except StopIteration:
+            break
+        except _TERM_ERRORS:
+            if prod_live or not product:
+                raise
+            abs_live = id_live = False
+            break
+        used += 1
+        z1 = w.z1
+        z2 = w.z2
+        if _zero_divisor_test(z1, z2, singularity_tol)[0]:
+            if not product:
+                raise SingularTerm(f"singular term at position {used}", index=used)
+            if prod_live:
+                verdict = "singular_term"
+                abs_report = id_report = None
+            abs_live = id_live = False
+            break
+
+        wp1 = z1 - 1j * z2
+        wp2 = z1 + 1j * z2
+        if abs_live and (wp1.real <= 0.0 or wp2.real <= 0.0):
+            abs_report = AbsoluteReport(
+                via_log_norms="hypothesis_violated",
+                via_deviation_norms="hypothesis_violated",
+                agree=True,
+                hypothesis_violation_index=used,
+                terms_used=used,
+            )
+            abs_live = False
+        q1 *= wp1
+        q2 *= wp2
+        lg1 = cmath.log(wp1)
+        lg2 = cmath.log(wp2)
+        l1 += lg1
+        l2 += lg2
+
+        if prod_live or abs_live:
+            dev = _rms(wp1 - 1.0, wp2 - 1.0)
+            log_track.push(_rms(lg1, lg2))
+            dev_track.push(dev)
+            if abs_live and log_track.verdict is not None and dev_track.verdict is not None:
+                abs_report = _absolute_report(log_track, dev_track, used)
+                abs_live = False
+
+        if prod_live:
+            pnorm = _rms(q1, q2)
+            win1.append(q1)
+            win2.append(q2)
+            pnorms.append(pnorm)
+            devs.append(dev)
+            if pnorm > OVERFLOW_GUARD:
+                verdict = "diverged"
+            elif pnorm < ZERO_COLLAPSE and _shrinking(pnorms):
+                verdict = "diverged_to_zero"
+            elif (
+                len(win1) == window
+                and abs(q1 - win1[0]) < tol
+                and abs(q2 - win2[0]) < tol
+                and _diameter(win1) < tol
+                and _diameter(win2) < tol
+            ):
+                # stable; classification depends on whether the recent
+                # terms actually sit near 1
+                if max(devs) < _FLOOR_FACTOR * tol:
+                    limit = Bicomplex.from_idempotent(q1, q2)
+                    if limit.is_singular(singularity_tol).is_singular:
+                        verdict = "diverged"
+                    else:
+                        verdict = "converged_nonsingular"
+                elif pnorm < _FLOOR_FACTOR * tol and _shrinking(pnorms):
+                    verdict = "diverged_to_zero"
+                # stable partial products under far-from-1 terms with no
+                # drain toward zero: keep consuming evidence
+            if verdict is None and used == next_checkpoint:
+                floor = min(devs)
+                if _stalled(floor, prev_floor, tol, _FLAT_RATIO):
+                    nc_ok = False
+                    if pnorms[-1] >= pnorms[0] * (1.0 - 1e-12):
+                        verdict = "diverged"
+                prev_floor = floor
+                next_checkpoint *= 2
+            if verdict is not None:
+                prod_report = _product_report(
+                    verdict, q1, q2, l1, l2, used, nc_ok, log_track, dev_track
+                )
+                prod_live = False
+
+        if id_live:
+            try:
+                disc, current = _identity_step(q1, q2, l1, l2, used)
+            except NonFiniteError:
+                if not product:
+                    raise
+                id_live = False
+            else:
+                if disc > max_disc:
+                    max_disc = disc
+                if current != offset:
+                    changes += 1
+                    offset = current
+                if used == identity_terms:
+                    id_report = _identity_report(
+                        q1, q2, l1, l2, max_disc, offset, changes, used
+                    )
+                    id_live = False
+
+    # a singular term, or the terms ran out: every consumer still live
+    # reports what it has
+    if prod_live:
+        if verdict is None:
+            verdict = "diverged" if not nc_ok else "inconclusive"
+        prod_report = _product_report(
+            verdict, q1, q2, l1, l2, used, nc_ok, log_track, dev_track
+        )
+    if abs_live:
+        abs_report = _absolute_report(log_track, dev_track, used)
+    if id_live:
+        id_report = _identity_report(q1, q2, l1, l2, max_disc, offset, changes, used)
+    return ProductAnalysis(prod_report, abs_report, id_report)
+
+
+def analyze_product(
+    terms,
+    *,
+    tol: float = 1e-10,
+    window: int = 8,
+    n_max: int = 10**6,
+) -> ProductAnalysis:
+    """Product verdict, absolute check and log-sum identity in one pass.
+
+    The reports equal those of the three views given the terms afresh
+    (the identity over ``min(n_max, LOG_SUM_CAP)`` terms). While the
+    verdict is open, failures propagate as from ``evaluate_product``
+    and a singular term gives singular_term with the other two None.
+    Once it is frozen, a singular or failing term, or the identity's
+    own NonFiniteError, sets each report it ends to None.
+    """
+    _validate(tol, window, n_max)
+    return _product_pass(
+        terms, n_max, SINGULARITY_TOLERANCE, tol=tol, window=window,
+        product=True, absolute=True, identity_terms=min(n_max, LOG_SUM_CAP),
+    )
 
 
 def evaluate_product(
@@ -188,119 +471,10 @@ def evaluate_product(
     catalogue. Raises NonFiniteError with the term position if a term
     itself is non-finite.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    if window < 2:
-        raise ValueError("window must be at least 2")
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-
-    q1 = 1.0 + 0j
-    q2 = 1.0 + 0j
-    l1 = 0j
-    l2 = 0j
-    win1: deque[complex] = deque(maxlen=window)
-    win2: deque[complex] = deque(maxlen=window)
-    pnorms: deque[float] = deque(maxlen=window)
-    devs: deque[float] = deque(maxlen=window)
-    log_track = _NormTracker(tol, window)
-    dev_track = _NormTracker(tol, window)
-    nc_ok = True
-    next_checkpoint = _FIRST_CHECKPOINT
-    prev_floor: float | None = None
-    used = 0
-    verdict: str | None = None
-
-    for term in islice(terms, n_max):
-        used += 1
-        w = _coerce_term(term, used)
-        sing = w.is_singular(singularity_tol)
-        if sing.is_singular:
-            verdict = "singular_term"
-            break
-
-        wp1 = w.z1 - 1j * w.z2
-        wp2 = w.z1 + 1j * w.z2
-        q1 *= wp1
-        q2 *= wp2
-        lg1 = cmath.log(wp1)
-        lg2 = cmath.log(wp2)
-        l1 += lg1
-        l2 += lg2
-
-        pnorm = _rms(q1, q2)
-        dev = _rms(wp1 - 1.0, wp2 - 1.0)
-        win1.append(q1)
-        win2.append(q2)
-        pnorms.append(pnorm)
-        devs.append(dev)
-        log_track.push(_rms(lg1, lg2))
-        dev_track.push(dev)
-
-        if pnorm > OVERFLOW_GUARD:
-            verdict = "diverged"
-            break
-        shrinking = all(b <= a * (1.0 + 1e-12) for a, b in pairwise(pnorms))
-        if pnorm < ZERO_COLLAPSE and shrinking:
-            verdict = "diverged_to_zero"
-            break
-
-        if len(win1) == window and abs(q1 - win1[0]) < tol and abs(q2 - win2[0]) < tol:
-            if _window_diameter(win1) < tol and _window_diameter(win2) < tol:
-                # stable; classification depends on whether the recent
-                # terms actually sit near 1
-                if max(devs) < _FLOOR_FACTOR * tol:
-                    limit = Bicomplex.from_idempotent(q1, q2)
-                    if limit.is_singular(singularity_tol).is_singular:
-                        verdict = "diverged"
-                    else:
-                        verdict = "converged_nonsingular"
-                    break
-                if shrinking and pnorm < _FLOOR_FACTOR * tol:
-                    verdict = "diverged_to_zero"
-                    break
-                # stable partial products under far-from-1 terms with no
-                # drain toward zero: keep consuming evidence
-
-        if used == next_checkpoint:
-            floor = min(devs)
-            if (
-                prev_floor is not None
-                and floor >= _evidence_floor(tol)
-                and floor >= _FLAT_RATIO * prev_floor * _RATIO_SLACK
-            ):
-                nc_ok = False
-                if pnorms[-1] >= pnorms[0] * (1.0 - 1e-12):
-                    verdict = "diverged"
-                    break
-            prev_floor = floor
-            next_checkpoint *= 2
-
-    if verdict is None:
-        verdict = "diverged" if not nc_ok else "inconclusive"
-    if verdict in ("diverged_to_zero",):
-        nc_ok = False
-
-    try:
-        limit_estimate = Bicomplex.from_idempotent(q1, q2)
-    except NonFiniteError:
-        limit_estimate = None
-    try:
-        log_sum = Bicomplex.from_idempotent(l1, l2)
-    except NonFiniteError:
-        log_sum = None
-    tri_log = log_track.verdict or "inconclusive"
-    tri_dev = dev_track.verdict or "inconclusive"
-    return ProductReport(
-        verdict=verdict,
-        limit_estimate=limit_estimate,
-        terms_used=used,
-        necessary_condition_ok=nc_ok,
-        absolute=tri_log == "converged",
-        log_sum=log_sum,
-        criteria_agreement=tri_log == tri_dev,
-        singular_index=used if verdict == "singular_term" else None,
-    )
+    _validate(tol, window, n_max)
+    return _product_pass(
+        terms, n_max, singularity_tol, tol=tol, window=window, product=True
+    ).product
 
 
 def log_sum_equivalence(
@@ -319,68 +493,11 @@ def log_sum_equivalence(
     with how many times it changed along the way.
 
     Raises SingularTerm for a singular term, NonFiniteError if the
-    accumulation leaves the finite range; both carry the 1-based index.
+    accumulation leaves the finite range or a component of the partial
+    product underflows to zero; both carry the 1-based index.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    q1 = 1.0 + 0j
-    q2 = 1.0 + 0j
-    l1 = 0j
-    l2 = 0j
-    max_disc = 0.0
-    offset = (0, 0)
-    changes = 0
-    used = 0
-    for term in islice(terms, n_max):
-        used += 1
-        w = _coerce_term(term, used)
-        if w.is_singular(singularity_tol).is_singular:
-            raise SingularTerm(f"singular term at position {used}", index=used)
-        wp1 = w.z1 - 1j * w.z2
-        wp2 = w.z1 + 1j * w.z2
-        q1 *= wp1
-        q2 *= wp2
-        l1 += cmath.log(wp1)
-        l2 += cmath.log(wp2)
-        try:
-            e1 = cmath.exp(l1)
-            e2 = cmath.exp(l2)
-        except OverflowError:
-            raise NonFiniteError(
-                "exponential of log sum overflowed", term_index=used
-            ) from None
-        den = _rms(q1, q2)
-        if den == 0.0:
-            raise NonFiniteError("partial product underflowed to zero", term_index=used)
-        if den == math.inf:
-            raise NonFiniteError("partial product overflowed", term_index=used)
-        num = _rms(e1 - q1, e2 - q2)
-        disc = num / den
-        if disc > max_disc:
-            max_disc = disc
-        a = (l1 - cmath.log(q1)) / complex(0.0, _TWO_PI)
-        b = (l2 - cmath.log(q2)) / complex(0.0, _TWO_PI)
-        current = (round(a.real), round(b.real))
-        if current != offset:
-            changes += 1
-            offset = current
-
-    try:
-        product_limit = Bicomplex.from_idempotent(q1, q2)
-    except NonFiniteError:
-        product_limit = None
-    try:
-        exp_of_log_sum = Bicomplex.from_idempotent(cmath.exp(l1), cmath.exp(l2))
-    except (NonFiniteError, OverflowError):
-        exp_of_log_sum = None
-    return LogSumReport(
-        product_limit=product_limit,
-        exp_of_log_sum=exp_of_log_sum,
-        max_discrepancy=max_disc,
-        branch_offset=offset,
-        branch_offset_changes=changes,
-        terms_used=used,
-    )
+    _validate(1.0, 2, n_max)
+    return _product_pass(terms, n_max, singularity_tol, identity_terms=n_max).identity
 
 
 def absolute_convergence_check(
@@ -400,45 +517,10 @@ def absolute_convergence_check(
     comparison with verdict "hypothesis_violated" on both sides and
     records the index. Raises SingularTerm for singular terms.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    if window < 2:
-        raise ValueError("window must be at least 2")
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    log_track = _NormTracker(tol, window)
-    dev_track = _NormTracker(tol, window)
-    used = 0
-    for term in islice(terms, n_max):
-        used += 1
-        w = _coerce_term(term, used)
-        if w.is_singular(singularity_tol).is_singular:
-            raise SingularTerm(f"singular term at position {used}", index=used)
-        wp1 = w.z1 - 1j * w.z2
-        wp2 = w.z1 + 1j * w.z2
-        if wp1.real <= 0.0 or wp2.real <= 0.0:
-            return AbsoluteReport(
-                via_log_norms="hypothesis_violated",
-                via_deviation_norms="hypothesis_violated",
-                agree=True,
-                hypothesis_violation_index=used,
-                terms_used=used,
-            )
-        lg1 = cmath.log(wp1)
-        lg2 = cmath.log(wp2)
-        log_track.push(_rms(lg1, lg2))
-        dev_track.push(_rms(wp1 - 1.0, wp2 - 1.0))
-        if log_track.verdict is not None and dev_track.verdict is not None:
-            break
-    via_log = log_track.verdict or "inconclusive"
-    via_dev = dev_track.verdict or "inconclusive"
-    return AbsoluteReport(
-        via_log_norms=via_log,
-        via_deviation_norms=via_dev,
-        agree=via_log == via_dev,
-        hypothesis_violation_index=None,
-        terms_used=used,
-    )
+    _validate(tol, window, n_max)
+    return _product_pass(
+        terms, n_max, singularity_tol, tol=tol, window=window, absolute=True
+    ).absolute
 
 
 def log_bound_check(w) -> BoundCheck:

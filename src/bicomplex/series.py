@@ -55,8 +55,28 @@ _FLOOR_FACTOR = 10.0
 _DIVERGENCE_FLOOR = 1e-6
 
 
-def _evidence_floor(tol: float) -> float:
-    return max(_FLOOR_FACTOR * tol, _DIVERGENCE_FLOOR)
+def _stalled(floor: float, prev_floor: float | None, tol: float, ratio: float) -> bool:
+    """The checkpoint test: the floor of the windowed term magnitudes is
+    above the evidence floor and at least ``ratio`` times the floor at
+    the previous checkpoint."""
+    return (
+        prev_floor is not None
+        and floor >= max(_FLOOR_FACTOR * tol, _DIVERGENCE_FLOOR)
+        and floor >= ratio * prev_floor * _RATIO_SLACK
+    )
+
+
+def _diameter(values) -> float:
+    """Largest pairwise distance among a window of complex values."""
+    items = list(values)
+    worst = 0.0
+    for i in range(len(items)):
+        vi = items[i]
+        for vj in items[i + 1 :]:
+            d = abs(vi - vj)
+            if d > worst:
+                worst = d
+    return worst
 
 
 @dataclass(frozen=True)
@@ -84,26 +104,36 @@ class SeriesReport:
     absolute_component_verdicts: tuple[str, str]
 
 
-class _ComponentTracker:
-    """Cauchy-window tracker for one complex component series."""
+class _Tracker:
+    """Cauchy-window tracker for one series of complex terms, or of
+    nonnegative terms (a norm series).
+
+    Converged once the last ``window`` partial sums lie within ``tol``
+    of each other. Diverged when a partial sum passes the overflow
+    guard, or when ``_stalled`` holds at a checkpoint with ``ratio``:
+    _FLAT_RATIO for a general series, _HARMONIC_RATIO for a norm series.
+    Partial sums of a norm series are monotone, so there the window
+    test comes down to the gap between newest and oldest.
+    """
 
     __slots__ = (
-        "tol", "window", "total", "sums", "mags", "verdict",
+        "tol", "window", "ratio", "total", "sums", "mags", "verdict",
         "next_checkpoint", "prev_floor", "count",
     )
 
-    def __init__(self, tol: float, window: int):
+    def __init__(self, tol: float, window: int, ratio: float = _FLAT_RATIO):
         self.tol = tol
         self.window = window
-        self.total = 0j
-        self.sums: deque[complex] = deque(maxlen=window)
+        self.ratio = ratio
+        self.total = 0.0
+        self.sums: deque = deque(maxlen=window)
         self.mags: deque[float] = deque(maxlen=window)
         self.verdict: str | None = None
         self.next_checkpoint = _FIRST_CHECKPOINT
         self.prev_floor: float | None = None
         self.count = 0
 
-    def push(self, term: complex) -> None:
+    def push(self, term) -> None:
         if self.verdict is not None:
             return
         self.count += 1
@@ -114,77 +144,12 @@ class _ComponentTracker:
             self.verdict = "diverged"
             return
         if len(self.sums) == self.window:
-            if abs(self.total - self.sums[0]) < self.tol and self.diameter() < self.tol:
+            if abs(self.total - self.sums[0]) < self.tol and _diameter(self.sums) < self.tol:
                 self.verdict = "converged"
                 return
         if self.count == self.next_checkpoint:
             floor = min(self.mags)
-            if (
-                self.prev_floor is not None
-                and floor >= _evidence_floor(self.tol)
-                and floor >= _FLAT_RATIO * self.prev_floor * _RATIO_SLACK
-            ):
-                self.verdict = "diverged"
-            self.prev_floor = floor
-            self.next_checkpoint *= 2
-
-    def diameter(self) -> float:
-        """Largest pairwise distance among the windowed partial sums."""
-        values = list(self.sums)
-        worst = 0.0
-        for i in range(len(values)):
-            vi = values[i]
-            for vj in values[i + 1 :]:
-                d = abs(vi - vj)
-                if d > worst:
-                    worst = d
-        return worst
-
-
-class _NormTracker:
-    """Tracker for a nonnegative term series (norm series).
-
-    Partial sums are monotone, so the Cauchy window reduces to the gap
-    between the newest and oldest windowed sums, and sub-harmonic term
-    decay between dyadic checkpoints is treated as divergence evidence.
-    """
-
-    __slots__ = (
-        "tol", "window", "total", "sums", "terms", "verdict",
-        "next_checkpoint", "prev_floor", "count",
-    )
-
-    def __init__(self, tol: float, window: int):
-        self.tol = tol
-        self.window = window
-        self.total = 0.0
-        self.sums: deque[float] = deque(maxlen=window)
-        self.terms: deque[float] = deque(maxlen=window)
-        self.verdict: str | None = None
-        self.next_checkpoint = _FIRST_CHECKPOINT
-        self.prev_floor: float | None = None
-        self.count = 0
-
-    def push(self, x: float) -> None:
-        if self.verdict is not None:
-            return
-        self.count += 1
-        self.total += x
-        self.sums.append(self.total)
-        self.terms.append(x)
-        if self.total > OVERFLOW_GUARD:
-            self.verdict = "diverged"
-            return
-        if len(self.sums) == self.window and self.total - self.sums[0] < self.tol:
-            self.verdict = "converged"
-            return
-        if self.count == self.next_checkpoint:
-            floor = min(self.terms)
-            if (
-                self.prev_floor is not None
-                and floor >= _evidence_floor(self.tol)
-                and floor >= _HARMONIC_RATIO * self.prev_floor * _RATIO_SLACK
-            ):
+            if _stalled(floor, self.prev_floor, self.tol, self.ratio):
                 self.verdict = "diverged"
             self.prev_floor = floor
             self.next_checkpoint *= 2
@@ -210,10 +175,8 @@ def partial_sums(terms, n_max: int = 10**6) -> list[Bicomplex]:
     out: list[Bicomplex] = []
     total = Bicomplex()
     for k, term in enumerate(islice(terms, n_max), start=1):
+        value = _coerce_term(term, k)
         try:
-            value = _coerce(term)
-            if value is None:
-                raise TypeError(f"cannot interpret term as Bicomplex: {term!r}")
             total = total + value
         except NonFiniteError as err:
             raise NonFiniteError(str(err), term_index=k) from None
@@ -233,11 +196,11 @@ def _coerce_term(term, index: int) -> Bicomplex:
 
 def _analyze_pairs(pairs, tol: float, window: int, n_max: int) -> SeriesReport:
     """Run the component and norm trackers over (p1, p2) term pairs."""
-    c1 = _ComponentTracker(tol, window)
-    c2 = _ComponentTracker(tol, window)
-    a1 = _NormTracker(tol, window)
-    a2 = _NormTracker(tol, window)
-    ae = _NormTracker(tol, window)
+    c1 = _Tracker(tol, window)
+    c2 = _Tracker(tol, window)
+    a1 = _Tracker(tol, window, _HARMONIC_RATIO)
+    a2 = _Tracker(tol, window, _HARMONIC_RATIO)
+    ae = _Tracker(tol, window, _HARMONIC_RATIO)
     used = 0
     for p1, p2 in islice(pairs, n_max):
         used += 1
@@ -278,7 +241,7 @@ def _analyze_pairs(pairs, tol: float, window: int, n_max: int) -> SeriesReport:
         verdict=verdict,
         limit_estimate=limit,
         terms_used=used,
-        tail_delta=max(c1.diameter(), c2.diameter()),
+        tail_delta=max(_diameter(c1.sums), _diameter(c2.sums)),
         absolute=ae.verdict == "converged",
         component_verdicts=(v1, v2),
         absolute_component_verdicts=(

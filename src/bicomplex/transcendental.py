@@ -100,8 +100,7 @@ def sqrt(w: Bicomplex, tol: float = SINGULARITY_TOLERANCE) -> Bicomplex:
     """
     if w.is_singular(tol).is_singular:
         raise SingularOperand("square root requires an invertible value")
-    pair = w.idempotent()
-    return Bicomplex.from_idempotent(cmath.sqrt(pair.p1), cmath.sqrt(pair.p2))
+    return Bicomplex.from_idempotent(cmath.sqrt(w.p1), cmath.sqrt(w.p2))
 
 
 def trig_form(w: Bicomplex, tol: float = SINGULARITY_TOLERANCE) -> TrigForm:
@@ -197,6 +196,5 @@ def exp_lattice_coords(d: Bicomplex) -> tuple[complex, complex]:
     integers. Integer pairs of equal parity correspond to the
     ``2*pi*(m*i1 + n*i2)`` sublattice with ``m = (a+b)/2, n = (b-a)/2``.
     """
-    pair = d.idempotent()
     scale = complex(0.0, TWO_PI)
-    return (pair.p1 / scale, pair.p2 / scale)
+    return (d.p1 / scale, d.p2 / scale)

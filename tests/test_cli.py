@@ -190,3 +190,19 @@ def test_overflowing_products_diverge():
         doc = json.loads(out)
         assert doc["product"]["verdict"] == "diverged"
         assert doc["log_sum_identity"] is None
+
+
+def test_product_identity_drops_on_component_underflow():
+    # one partial-product component underflows to exactly 0, so the
+    # log-sum identity has no principal log to compare with
+    for argv in (
+        ["product", "--max-terms", "63", "--window", "9", "--", "[sqrt(n) | (n^-2)^3]"],
+        ["product", "--max-terms", "73", "--", "(n/((1e3^3)*i2)) - e1"],
+    ):
+        code, out, err = run_cli(argv)
+        assert code == 0 and err == ""
+        assert "verdict: diverged" in out
+        assert "absolute check:" in out and "log-sum identity" not in out
+        code, out, err = run_cli(["product", "--json", *argv[1:]])
+        assert code == 0 and err == ""
+        assert json.loads(out)["log_sum_identity"] is None

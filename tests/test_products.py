@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -10,15 +12,22 @@ from bicomplex import (
     ONE,
     Bicomplex,
     NonFiniteError,
+    SingularOperand,
     SingularTerm,
     absolute_convergence_check,
+    analyze_product,
     evaluate_product,
     exp,
     log_bound_check,
     log_principal,
     log_sum_equivalence,
     partial_products,
+    render,
+    seqspec,
+    term_generator,
 )
+from bicomplex.products import LOG_SUM_CAP
+from bicomplex.seqspec import IdempotentSlotError
 from helpers import (
     C,
     assert_close,
@@ -28,7 +37,9 @@ from helpers import (
     mp_components,
     mp_partial_product,
     mp_rel_diff,
+    run_cli,
 )
+from test_seqspec import _random_ast
 
 
 def constant_terms(w: Bicomplex):
@@ -194,6 +205,19 @@ def test_log_sum_equivalence_rejects_singular_terms():
     assert info.value.index == 2
 
 
+def test_log_sum_equivalence_reports_component_underflow():
+    # one idempotent component of the partial product underflows to
+    # exactly 0 while the other stays finite, so the product has no
+    # principal logarithm to compare the log sum with
+    for text, n_max, index in (
+        ("[sqrt(n) | (n^-2)^3]", 63, 44),
+        ("(n/((1e3^3)*i2)) - e1", 73, 42),
+    ):
+        with pytest.raises(NonFiniteError, match="component underflowed") as info:
+            log_sum_equivalence(term_generator(text), n_max=n_max)
+        assert info.value.term_index == index
+
+
 def test_absolute_check_agreement_on_families():
     expectations = [
         (dev_power_family(2), "converged"),
@@ -263,3 +287,124 @@ def test_log_bound_check_upper_fails_near_edge():
     assert check.lower_ok is True
     assert check.upper_ok is False
     assert check.ratio > 1.5
+
+
+# -- one pass: analyze_product against the three views run separately --
+
+# the errors on which `bicomplex product` drops the absolute check or
+# the identity section
+_SECTION_ERRORS = (SingularTerm, SingularOperand, NonFiniteError, IdempotentSlotError)
+
+
+def _separate_passes(source, tol, window, n_max):
+    report = evaluate_product(term_generator(source), tol=tol, window=window, n_max=n_max)
+    if report.verdict == "singular_term":
+        return report, None, None
+    try:
+        absolute = absolute_convergence_check(
+            term_generator(source), tol=tol, window=window, n_max=n_max
+        )
+    except _SECTION_ERRORS:
+        absolute = None
+    try:
+        identity = log_sum_equivalence(
+            term_generator(source), n_max=min(n_max, LOG_SUM_CAP)
+        )
+    except _SECTION_ERRORS:
+        identity = None
+    return report, absolute, identity
+
+
+def _one_pass(source, tol, window, n_max):
+    return analyze_product(term_generator(source), tol=tol, window=window, n_max=n_max)
+
+
+def _bits(value):
+    """A report field by field, every float by its bit pattern."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, Bicomplex):
+        return tuple(x.hex() for x in value.four_reals)
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    if dataclasses.is_dataclass(value):
+        return (type(value).__name__,) + tuple(
+            _bits(getattr(value, f.name)) for f in dataclasses.fields(value)
+        )
+    return value
+
+
+def _outcome(run, source, tol, window, n_max):
+    try:
+        return _bits(tuple(run(source, tol, window, n_max)))
+    except (ArithmeticError, ValueError) as err:
+        return ("raised", type(err).__name__, str(err), getattr(err, "term_index", None))
+
+
+# (expression, tol, window, n_max)
+PASS_EDGE_CASES = [
+    ("1e10", 1e-10, 8, 1000),                        # overflow guard
+    ("n", 1e-10, 8, 1000),
+    ("1e200", 1e-10, 8, 1000),
+    ("0.9", 1e-10, 8, 1000),                         # diverged_to_zero
+    ("1 + (3/10 + 2/5*i2)/n^2", 1e-6, 8, 20000),     # the three stop apart
+    ("1+1/n", 1e-10, 8, 3000),                       # budget runs out
+    ("(n - 200)*e1 + 2*e2", 1e-10, 8, 1000),         # singular after the verdict
+    ("1/(n-100)", 1e-10, 8, 1000),                   # evaluation fails after it
+    ("[1e10 | 1e10 + exp(-20000/n)*i2]", 1e-10, 8, 1000),  # slot error after it
+    ("[sqrt(n) | (n^-2)^3]", 1e-10, 9, 63),          # component underflow
+    ("(n/((1e3^3)*i2)) - e1", 1e-10, 8, 73),
+    ("e1 + 1/n", 1e-10, 8, 1000),
+    ("-2 + 1/n^2", 1e-10, 8, 1000),                  # hypothesis violations
+    ("1 + (-3/2)/n^2", 1e-6, 8, 3000),
+    ("e1", 1e-10, 8, 100),                           # singular while the verdict is open
+    ("[1 | n*i2]", 1e-10, 8, 100),                   # evaluation fails while it is open
+    ("1 + 1/n^2", 1e-10, 8, 5),
+]
+
+
+def test_one_pass_matches_separate_passes_on_edge_cases():
+    for case in PASS_EDGE_CASES:
+        assert _outcome(_one_pass, *case) == _outcome(_separate_passes, *case), case
+
+
+def test_one_pass_matches_separate_passes_on_random_expressions():
+    rng = np.random.default_rng(505)
+    outcomes = set()
+    for _ in range(300):
+        text = render(_random_ast(rng, int(rng.integers(1, 4))))
+        case = (
+            text,
+            float(rng.choice([1e-10, 1e-6, 1e-3])),
+            int(rng.integers(2, 10)),
+            int(rng.integers(1, 120)),
+        )
+        one = _outcome(_one_pass, *case)
+        assert one == _outcome(_separate_passes, *case), case
+        outcomes.add(one[0] if one[0] == "raised" else one[0][1])
+    # the sample reaches failures and several verdicts
+    assert "raised" in outcomes and len(outcomes) >= 4
+
+
+def test_cli_product_evaluates_each_term_once(monkeypatch):
+    calls = []
+    original = seqspec.eval_term
+
+    def counting(term, n):
+        calls.append(n)
+        return original(term, n)
+
+    monkeypatch.setattr(seqspec, "eval_term", counting)
+    code, out, _ = run_cli([
+        "product", "1 + (3/10 + 2/5*i2)/n^2",
+        "--tol", "1e-6", "--max-terms", "20000", "--json",
+    ])
+    assert code == 0
+    doc = json.loads(out)
+    used = [
+        doc["product"]["terms_used"],
+        doc["absolute_check"]["terms_used"],
+        doc["log_sum_identity"]["terms_used"],
+    ]
+    assert len(set(used)) == 3
+    assert calls == list(range(1, max(used) + 1))
