@@ -34,7 +34,7 @@ from .products import (  # noqa: F401
     evaluate_product,
     log_sum_equivalence,
 )
-from .series import analyze_series
+from .series import _validate, analyze_series
 from .seqspec import IdempotentSlotError, ParseError
 from .transcendental import log_branch
 
@@ -92,13 +92,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parameter of series._validate -> the option that sets it
+_OPTIONS = {"tol": "--tol", "window": "--window", "n_max": "--max-terms"}
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    if not args.tol > 0.0:
-        raise ValueError("--tol must be positive")
-    if args.window < 2:
-        raise ValueError("--window must be at least 2")
-    if args.max_terms < 1:
-        raise ValueError("--max-terms must be at least 1")
+    try:
+        _validate(args.tol, args.window, args.max_terms)
+    except ValueError as err:
+        name, rule = str(err).split(" ", 1)
+        raise ValueError(f"{_OPTIONS[name]} {rule}") from None
     at = getattr(args, "at", 1)
     if at < 1:
         raise ValueError("--at must be at least 1")

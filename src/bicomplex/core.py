@@ -352,9 +352,11 @@ class Bicomplex:
     def __abs__(self) -> float:
         """Euclidean norm ``sqrt(|z1|**2 + |z2|**2)``."""
         z1, z2 = self.z1, self.z2
-        return math.sqrt(
-            z1.real * z1.real + z1.imag * z1.imag + z2.real * z2.real + z2.imag * z2.imag
-        )
+        square = z1.real * z1.real + z1.imag * z1.imag + z2.real * z2.real + z2.imag * z2.imag
+        if square == math.inf:
+            # a square overflowed, but the norm may still be finite
+            return math.hypot(z1.real, z1.imag, z2.real, z2.imag)
+        return math.sqrt(square)
 
     # -- rendering ----------------------------------------------------
 

@@ -350,8 +350,9 @@ def _product_pass(
 
         if prod_live or abs_live:
             dev = _rms(wp1 - 1.0, wp2 - 1.0)
-            log_track.push(_rms(lg1, lg2))
-            dev_track.push(dev)
+            log_norm = _rms(lg1, lg2)
+            log_track.push(log_norm, log_norm)
+            dev_track.push(dev, dev)
             if abs_live and log_track.verdict is not None and dev_track.verdict is not None:
                 abs_report = _absolute_report(log_track, dev_track, used)
                 abs_live = False

@@ -13,10 +13,11 @@ variable ``n`` (1-based). The grammar, loosest binding first:
 Constants: i1, i2, j, e1, e2, pi. Functions: exp, log, sqrt (log is the
 componentwise principal branch). The bracket atom builds a value from
 its two idempotent components; each component expression must evaluate
-to a value with no second complex part. An expression nests at most
-``MAX_DEPTH`` levels deep, the whole expression and each bracket or
-function call counting one level, and its tree is at most ``MAX_DEPTH``
-nodes high.
+to a value with no second complex part. Two caps apply, both
+``MAX_DEPTH``: brackets and function calls nest at most that many levels
+deep, the whole expression counting one level, which limits the input
+only; and the tree is at most that many nodes high, which bounds the
+recursion of ``compile_term``, ``eval_term`` and ``render``.
 
 ``parse`` produces an immutable AST, ``render`` turns an AST back into
 canonical text (round-trips through ``parse``). ``compile_term`` turns
@@ -60,9 +61,10 @@ __all__ = [
 CONSTANT_NAMES = ("i1", "i2", "j", "e1", "e2", "pi")
 FUNCTION_NAMES = ("exp", "log", "sqrt")
 
-# Bound on bracket nesting and on tree height. It keeps parsing (four
-# frames per bracket), compiling and evaluating (about one frame per
-# tree level) well inside the interpreter's default recursion limit.
+# Bound on bracket nesting, an input limit (the parser keeps open
+# brackets on a stack), and on tree height, which keeps compiling,
+# evaluating and rendering (about one frame per tree level) well inside
+# the interpreter's default recursion limit.
 MAX_DEPTH = 200
 
 
@@ -157,169 +159,142 @@ class _Token(NamedTuple):
 
 
 _TOKEN_RE = re.compile(
-    r"(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"\s+"
+    r"|(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<op>[+\-*/^()\[\]|])"
+    r"|(?P<bad>.)",
+    re.DOTALL,
 )
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i = 0
-    while i < len(text):
-        if text[i].isspace():
-            i += 1
-            continue
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise ParseError(f"unexpected character {text[i]!r}", i)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind == "op":
-            kind = m.group()
-        tokens.append(_Token(kind, m.group(), i))
-        i = m.end()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        if kind is not None:   # None: whitespace
+            tokens.append(_Token(m.group() if kind == "op" else kind, m.group(), m.start()))
     tokens.append(_Token("end", "", len(text)))
     return tokens
 
 
-_ATOM_EXPECTED = ("number", "name", "n", "'('", "'['", "'-'")
+_ATOM_EXPECTED = frozenset({"number", "name", "n", "'('", "'['", "'-'"})
+_NAME_EXPECTED = frozenset(CONSTANT_NAMES + FUNCTION_NAMES + ("n",))
+_BINARY = {"+": Add, "-": Sub, "*": Mul, "/": Div}
+# open bracket kind on the stack -> the token that closes it
+_CLOSERS = {"(": ")", "call": ")", "[": "|", "|": "]"}
 
 
-class _Parser:
-    """Recursive descent; each parse method returns ``(node, height)``."""
+def _unexpected(tok: _Token, expected) -> ParseError:
+    what = "unexpected end of input" if tok.kind == "end" else f"unexpected {tok.text!r}"
+    return ParseError(what, tok.position, expected)
 
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.i = 0
-        self.nesting = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(
-                f"unexpected {tok.text!r}" if tok.kind != "end" else "unexpected end of input",
-                tok.position,
-                expected={f"'{kind}'"},
-            )
-        return self.advance()
-
-    def check_depth(self, depth: int, tok: _Token) -> None:
-        if depth > MAX_DEPTH:
-            raise ParseError(f"expression nested more than {MAX_DEPTH} deep", tok.position)
-
-    def parse_expr(self):
-        # the whole expression and each bracket level count one level
-        self.nesting += 1
-        self.check_depth(self.nesting, self.peek())
-        node, height = self.parse_term()
-        while self.peek().kind in ("+", "-"):
-            tok = self.advance()
-            right, right_height = self.parse_term()
-            node = Add(node, right) if tok.kind == "+" else Sub(node, right)
-            height = max(height, right_height) + 1
-            self.check_depth(height, tok)
-        self.nesting -= 1
-        return node, height
-
-    def parse_term(self):
-        node, height = self.parse_factor()
-        while self.peek().kind in ("*", "/"):
-            tok = self.advance()
-            right, right_height = self.parse_factor()
-            node = Mul(node, right) if tok.kind == "*" else Div(node, right)
-            height = max(height, right_height) + 1
-            self.check_depth(height, tok)
-        return node, height
-
-    def parse_factor(self):
-        signs = []
-        while self.peek().kind == "-":
-            signs.append(self.advance())
-        node, height = self.parse_atom()
-        if self.peek().kind == "^":
-            self.advance()
-            negative = False
-            if self.peek().kind == "-":
-                self.advance()
-                negative = True
-            tok = self.expect("num")
-            if not tok.text.isdigit():
-                raise ParseError(
-                    "exponent must be an integer literal", tok.position,
-                    expected={"integer"},
-                )
-            k = int(tok.text)
-            node = Pow(node, -k if negative else k)
-            height += 1
-            self.check_depth(height, tok)
-        for tok in reversed(signs):
-            node = Neg(node)
-            height += 1
-            self.check_depth(height, tok)
-        return node, height
-
-    def parse_atom(self):
-        tok = self.peek()
-        if tok.kind == "num":
-            self.advance()
-            return Num(float(tok.text)), 1
-        if tok.kind == "name":
-            self.advance()
-            if tok.text in FUNCTION_NAMES:
-                self.expect("(")
-                arg, height = self.parse_expr()
-                self.expect(")")
-                height += 1
-                self.check_depth(height, tok)
-                return Call(tok.text, arg), height
-            if tok.text == "n":
-                return Var(), 1
-            if tok.text in CONSTANT_NAMES:
-                return Const(tok.text), 1
-            raise ParseError(
-                f"unknown name {tok.text!r}", tok.position,
-                expected=set(CONSTANT_NAMES) | set(FUNCTION_NAMES) | {"n"},
-            )
-        if tok.kind == "(":
-            self.advance()
-            node, height = self.parse_expr()
-            self.expect(")")
-            return node, height
-        if tok.kind == "[":
-            self.advance()
-            first, first_height = self.parse_expr()
-            self.expect("|")
-            second, second_height = self.parse_expr()
-            self.expect("]")
-            height = max(first_height, second_height) + 1
-            self.check_depth(height, tok)
-            return Idem(first, second), height
-        raise ParseError(
-            f"unexpected {tok.text!r}" if tok.kind != "end" else "unexpected end of input",
-            tok.position,
-            expected=set(_ATOM_EXPECTED),
-        )
+def _check_depth(depth: int, tok: _Token) -> None:
+    if depth > MAX_DEPTH:
+        raise ParseError(f"expression nested more than {MAX_DEPTH} deep", tok.position)
 
 
 def parse(text: str):
-    """Parse a term expression into an AST. Raises ParseError."""
-    parser = _Parser(_tokenize(text))
-    node, _ = parser.parse_expr()
-    tail = parser.peek()
-    if tail.kind != "end":
-        raise ParseError(
-            f"unexpected trailing {tail.text!r}", tail.position,
-            expected={"end of input"},
-        )
-    return node
+    """Parse a term expression into an AST. Raises ParseError.
+
+    Precedence climbing on an explicit stack, so brackets cost no
+    interpreter frames. Each node is built, and its height checked, at
+    the token where recursive descent over the grammar would build it.
+    """
+    tokens = _tokenize(text)
+    # pending entries (kind, token, left node, left height): binary
+    # operators, unary minuses ("neg") and open brackets ("(", "call",
+    # "[" and "|", the second slot of a bracket atom)
+    stack: list[tuple] = []
+    depth = 1   # the whole expression and each open bracket count one level
+    node = None
+    i = 0
+    while True:
+        tok = tokens[i]
+        if node is None:
+            # an operand: unary minuses, then an atom or an open bracket
+            i += 1
+            kind = tok.kind
+            if kind == "num":
+                node, height = Num(float(tok.text)), 1
+            elif tok.text == "n":
+                node, height = Var(), 1
+            elif tok.text in CONSTANT_NAMES:
+                node, height = Const(tok.text), 1
+            elif kind == "-":
+                stack.append(("neg", tok, None, 0))
+            elif kind in ("(", "[") or tok.text in FUNCTION_NAMES:
+                if kind == "name":
+                    if tokens[i].kind != "(":
+                        raise _unexpected(tokens[i], {"'('"})
+                    i += 1
+                    kind = "call"
+                stack.append((kind, tok, None, 0))
+                depth += 1
+                _check_depth(depth, tokens[i])
+            elif kind == "name":
+                raise ParseError(f"unknown name {tok.text!r}", tok.position, _NAME_EXPECTED)
+            else:
+                raise _unexpected(tok, _ATOM_EXPECTED)
+            continue
+
+        # `node` is a complete atom and `tok` the token after it
+        if tok.kind == "^":
+            negative = tokens[i + 1].kind == "-"
+            i += 2 + negative
+            tok = tokens[i - 1]
+            if tok.kind != "num":
+                raise _unexpected(tok, {"'num'"})
+            if not tok.text.isdigit():
+                raise ParseError("exponent must be an integer literal", tok.position, {"integer"})
+            k = int(tok.text)
+            node = Pow(node, -k if negative else k)
+            height += 1
+            _check_depth(height, tok)
+            tok = tokens[i]
+        while stack and stack[-1][0] == "neg":
+            node = Neg(node)
+            height += 1
+            _check_depth(height, stack.pop()[1])
+        # reduce the pending product, then the pending sum once the term ends
+        for ops in (("*", "/"), ("+", "-")):
+            if stack and stack[-1][0] in ops:
+                op, op_tok, left, left_height = stack.pop()
+                node = _BINARY[op](left, node)
+                height = max(left_height, height) + 1
+                _check_depth(height, op_tok)
+            if tok.kind in ops:
+                stack.append((tok.kind, tok, node, height))
+                node = None
+                i += 1
+                break
+        if node is None:
+            continue
+
+        # the expression at this bracket level is complete
+        if not stack:
+            if tok.kind != "end":
+                raise ParseError(
+                    f"unexpected trailing {tok.text!r}", tok.position,
+                    expected={"end of input"},
+                )
+            return node
+        kind, opener, left, left_height = stack.pop()
+        if tok.kind != _CLOSERS[kind]:
+            raise _unexpected(tok, {f"'{_CLOSERS[kind]}'"})
+        i += 1
+        if kind == "[":
+            stack.append(("|", opener, node, height))
+            node = None
+            continue
+        depth -= 1
+        if kind != "(":
+            node = Call(opener.text, node) if kind == "call" else Idem(left, node)
+            height = max(left_height, height) + 1
+            _check_depth(height, opener)
 
 
 def _fmt_number(value: float) -> str:

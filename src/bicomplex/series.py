@@ -133,13 +133,14 @@ class _Tracker:
         self.prev_floor: float | None = None
         self.count = 0
 
-    def push(self, term) -> None:
+    def push(self, term, mag: float) -> None:
+        """Add ``term``; ``mag`` is ``abs(term)``, which the caller holds."""
         if self.verdict is not None:
             return
         self.count += 1
         self.total += term
         self.sums.append(self.total)
-        self.mags.append(abs(term))
+        self.mags.append(mag)
         if abs(self.total) > OVERFLOW_GUARD:
             self.verdict = "diverged"
             return
@@ -156,6 +157,8 @@ class _Tracker:
 
 
 def _validate(tol: float, window: int, n_max: int) -> None:
+    """The one check of the analysis arguments. Each message starts with
+    the parameter's name, which the CLI maps to its option."""
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     if window < 2:
@@ -204,13 +207,14 @@ def _analyze_pairs(pairs, tol: float, window: int, n_max: int) -> SeriesReport:
     used = 0
     for p1, p2 in islice(pairs, n_max):
         used += 1
-        c1.push(p1)
-        c2.push(p2)
         m1 = abs(p1)
         m2 = abs(p2)
-        a1.push(m1)
-        a2.push(m2)
-        ae.push(math.sqrt((m1 * m1 + m2 * m2) / 2.0))
+        me = math.sqrt((m1 * m1 + m2 * m2) / 2.0)
+        c1.push(p1, m1)
+        c2.push(p2, m2)
+        a1.push(m1, m1)
+        a2.push(m2, m2)
+        ae.push(me, me)
         main_done = (
             c1.verdict == "diverged"
             or c2.verdict == "diverged"

@@ -1,4 +1,5 @@
 import json
+import math
 
 from helpers import GOLDEN_DIR, run_cli
 
@@ -76,6 +77,8 @@ def test_bad_config_exits_2():
     assert code == 2 and "--tol" in err
     code, _, err = run_cli(["series", "n", "--window", "1"])
     assert code == 2 and "--window" in err
+    code, _, err = run_cli(["product", "n", "--max-terms", "0"])
+    assert code == 2 and err == "error: --max-terms must be at least 1\n"
     code, _, err = run_cli(["eval", "n", "--at", "0"])
     assert code == 2 and "--at" in err
 
@@ -127,6 +130,18 @@ def test_check_bounds_precondition_failure():
     assert doc["bounds"]["ratio"] is None
     code, _, _ = run_cli(["check-bounds", "1 + i1", "--strict"])
     assert code == 1
+
+
+def test_check_bounds_norm_past_squared_overflow():
+    # the squared coordinates overflow, the norm exp(400) does not
+    code, out, _ = run_cli(["check-bounds", "--at", "47", "--json", "--", "exp(1e2)^4"])
+    assert code == 0
+
+    def reject(name):
+        raise ValueError(f"not JSON: {name}")
+
+    norm = json.loads(out, parse_constant=reject)["bounds"]["norm"]
+    assert abs(norm / math.exp(400) - 1) < 1e-14
 
 
 def test_check_bounds_upper_violation():

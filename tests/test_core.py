@@ -333,6 +333,8 @@ def test_isclose():
     assert a.isclose(a + Bicomplex(1e-12))
     assert not a.isclose(a + Bicomplex(1e-3))
     assert ZERO.isclose(Bicomplex(1e-300), abs_tol=1e-200)
+    assert not Bicomplex(1e200).isclose(Bicomplex(-1e200))
+    assert abs(Bicomplex(3e200, 4e200j)) == pytest.approx(5e200, rel=1e-15)
     with pytest.raises(TypeError):
         a.isclose("nope")
 

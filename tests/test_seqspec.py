@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -191,6 +192,80 @@ def test_parse_limits_nesting_and_tree_height():
         with pytest.raises(ParseError) as info:
             parse(text)
         assert "nested more than" in str(info.value)
+
+
+_NESTED = "expression nested more than 200 deep at offset "
+_ATOM = ["'('", "'-'", "'['", "n", "name", "number"]
+
+# (text, str(err), err.position, sorted(err.expected)): one row per error
+# the parser raises, both caps once per way of reaching them
+PARSE_ERROR_CASES = [
+    ("1 + $", "unexpected character '$' at offset 4", 4, []),
+    ("1 + * n", "unexpected '*' at offset 4 (expected: '(', '-', '[', n, name, number)",
+     4, _ATOM),
+    ("1 +", "unexpected end of input at offset 3 (expected: '(', '-', '[', n, name, number)",
+     3, _ATOM),
+    ("exp n", "unexpected 'n' at offset 4 (expected: '(')", 4, ["'('"]),
+    ("sqrt", "unexpected end of input at offset 4 (expected: '(')", 4, ["'('"]),
+    ("(1 + n]", "unexpected ']' at offset 6 (expected: ')')", 6, ["')'"]),
+    ("exp(n", "unexpected end of input at offset 5 (expected: ')')", 5, ["')'"]),
+    ("[1 2]", "unexpected '2' at offset 3 (expected: '|')", 3, ["'|'"]),
+    ("[1 | 2", "unexpected end of input at offset 6 (expected: ']')", 6, ["']'"]),
+    ("n^x", "unexpected 'x' at offset 2 (expected: 'num')", 2, ["'num'"]),
+    ("n^-", "unexpected end of input at offset 3 (expected: 'num')", 3, ["'num'"]),
+    ("n^1.5", "exponent must be an integer literal at offset 2 (expected: integer)",
+     2, ["integer"]),
+    ("2*foo", "unknown name 'foo' at offset 2"
+     " (expected: e1, e2, exp, i1, i2, j, log, n, pi, sqrt)",
+     2, ["e1", "e2", "exp", "i1", "i2", "j", "log", "n", "pi", "sqrt"]),
+    ("n)", "unexpected trailing ')' at offset 1 (expected: end of input)", 1, ["end of input"]),
+    # bracket nesting
+    ("(" * MAX_DEPTH + "n" + ")" * MAX_DEPTH, _NESTED + "200", 200, []),
+    ("[1 | " * MAX_DEPTH + "1" + "]" * MAX_DEPTH, _NESTED + "996", 996, []),
+    ("[1 | " + "(" * (MAX_DEPTH - 1) + "n" + ")" * (MAX_DEPTH - 1) + "]",
+     _NESTED + "204", 204, []),
+    ("sqrt(" * MAX_DEPTH + "n" + ")" * MAX_DEPTH, _NESTED + "1000", 1000, []),
+    # tree height
+    ("+".join(["1"] * (MAX_DEPTH + 1)), _NESTED + "399", 399, []),
+    ("*".join(["n"] * (MAX_DEPTH + 1)), _NESTED + "399", 399, []),
+    ("(" + "-" * (MAX_DEPTH - 1) + "n)^2", _NESTED + "203", 203, []),
+    ("-" * MAX_DEPTH + "n", _NESTED + "0", 0, []),
+    ("sqrt(" + "-" * (MAX_DEPTH - 1) + "n)", _NESTED + "0", 0, []),
+    ("[1 | " + "-" * (MAX_DEPTH - 1) + "n]", _NESTED + "0", 0, []),
+]
+
+
+def test_parse_errors_are_pinned():
+    for text, message, position, expected in PARSE_ERROR_CASES:
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        err = info.value
+        assert (str(err), err.position, sorted(err.expected)) == (message, position, expected)
+
+
+def test_parse_does_not_recurse_per_bracket():
+    # 199 open brackets (the whole expression makes 200 levels) parse
+    # within a few dozen frames
+    openers = [("(", ")"), ("[1 | ", "]"), ("sqrt(", ")")] * 66 + [("(", ")")]
+    text = "".join(o for o, _ in openers) + "n" + "".join(c for _, c in reversed(openers))
+    frames = 0
+    frame = sys._getframe()
+    while frame is not None:
+        frames += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(frames + 40)
+    try:
+        node = parse(text)
+    finally:
+        sys.setrecursionlimit(limit)
+    want = Var()
+    for opener, _ in reversed(openers):
+        if opener == "[1 | ":
+            want = Idem(Num(1.0), want)
+        elif opener == "sqrt(":
+            want = Call("sqrt", want)
+    assert node == want
 
 
 def test_slot_error_carries_term_index():
