@@ -190,9 +190,7 @@ class Bicomplex:
     @classmethod
     def from_idempotent(cls, p1: complex, p2: complex) -> "Bicomplex":
         """Build ``p1*e1 + p2*e2`` from complex idempotent components."""
-        p1 = complex(p1)
-        p2 = complex(p2)
-        return cls._make((p1 + p2) / 2.0, 1j * (p1 - p2) / 2.0)
+        return cls._make(*_join(complex(p1), complex(p2)))
 
     # -- component views ----------------------------------------------
 
@@ -203,15 +201,15 @@ class Bicomplex:
     @property
     def p1(self) -> complex:
         """First idempotent component, ``z1 - i1*z2``."""
-        return self.z1 - 1j * self.z2
+        return _split(self.z1, self.z2)[0]
 
     @property
     def p2(self) -> complex:
         """Second idempotent component, ``z1 + i1*z2``."""
-        return self.z1 + 1j * self.z2
+        return _split(self.z1, self.z2)[1]
 
     def idempotent(self) -> IdempotentPair:
-        return IdempotentPair(self.z1 - 1j * self.z2, self.z1 + 1j * self.z2)
+        return IdempotentPair(*_split(self.z1, self.z2))
 
     # -- ring operations ----------------------------------------------
 
@@ -311,7 +309,8 @@ class Bicomplex:
         exact algebraically and avoids cancellation near the null cone.
         Multiplicative: cn(a*b) == cn(a)*cn(b).
         """
-        return (self.z1 - 1j * self.z2) * (self.z1 + 1j * self.z2)
+        p1, p2 = _split(self.z1, self.z2)
+        return p1 * p2
 
     def is_singular(self, tol: float = SINGULARITY_TOLERANCE) -> SingularityVerdict:
         """Test whether the value is numerically a zero divisor.
@@ -322,7 +321,8 @@ class Bicomplex:
         scaled by a power of two, so huge values get the same verdict as
         their scaled copies.
         """
-        return SingularityVerdict(*_zero_divisor_test(self.z1, self.z2, tol)[:4])
+        z1, z2 = self.z1, self.z2
+        return SingularityVerdict(*_zero_divisor_test(z1, z2, *_split(z1, z2), tol)[:4])
 
     def inverse(self, tol: float = SINGULARITY_TOLERANCE) -> "Bicomplex":
         """Multiplicative inverse ``conj(w, 2) / cn(w)``.
@@ -352,9 +352,9 @@ class Bicomplex:
     def __abs__(self) -> float:
         """Euclidean norm ``sqrt(|z1|**2 + |z2|**2)``."""
         z1, z2 = self.z1, self.z2
-        square = z1.real * z1.real + z1.imag * z1.imag + z2.real * z2.real + z2.imag * z2.imag
-        if square == math.inf:
-            # a square overflowed, but the norm may still be finite
+        square = _norm_sq(z1, z2)
+        if square == math.inf or square < 2.0**-1022:
+            # the squares overflowed or left the normal range; the norm may not
             return math.hypot(z1.real, z1.imag, z2.real, z2.imag)
         return math.sqrt(square)
 
@@ -376,7 +376,8 @@ class Bicomplex:
 
     def format_idempotent(self, digits: int | None = None) -> str:
         """Render as ``[p1 | p2]`` with complex components (reparseable)."""
-        return f"[{_fmt_complex(self.p1, digits)} | {_fmt_complex(self.p2, digits)}]"
+        p1, p2 = _split(self.z1, self.z2)
+        return f"[{_fmt_complex(p1, digits)} | {_fmt_complex(p2, digits)}]"
 
     def __repr__(self):
         return f"Bicomplex({self.z1!r}, {self.z2!r})"
@@ -389,20 +390,42 @@ _set_z1 = Bicomplex.z1.__set__
 _set_z2 = Bicomplex.z2.__set__
 
 
-def _zero_divisor_test(z1: complex, z2: complex, tol: float):
-    """The zero-divisor test on raw components.
+def _split(z1: complex, z2: complex) -> tuple[complex, complex]:
+    """Idempotent components ``(p1, p2) = (z1 - i1*z2, z1 + i1*z2)``, in
+    complex arithmetic: the four-real form would flip signed zeros."""
+    t = 1j * z2
+    return z1 - t, z1 + t
+
+
+def _join(p1: complex, p2: complex) -> tuple[complex, complex]:
+    """Components ``(z1, z2)`` of ``p1*e1 + p2*e2``; inverse of _split."""
+    return (p1 + p2) / 2.0, 1j * (p1 - p2) / 2.0
+
+
+def _norm_sq(z1: complex, z2: complex) -> float:
+    """``||w||**2``; inf or subnormal where the squares over- or underflow."""
+    return z1.real * z1.real + z1.imag * z1.imag + z2.real * z2.real + z2.imag * z2.imag
+
+
+def _zero_divisor_test(z1: complex, z2: complex, p1: complex, p2: complex, tol: float):
+    """The zero-divisor test on raw components and their split.
 
     Returns ``(is_singular, cn_magnitude, tolerance_used,
     min_component_modulus, scaled)``, the first four as in
     :class:`SingularityVerdict`. ``scaled`` is None, or, where ``||w||**2``
-    or ``|p1|*|p2|`` overflows, ``(scale, scale*z1, scale*z2)`` with the
-    power of two ``scale`` that brings the largest real coordinate into
-    [0.5, 1). The comparison is then made on the scaled components, so
-    the verdict does not depend on the overall scale of the value.
+    or ``|p1|*|p2|`` overflows, ``(scale, s1, s2, cn(s))``: ``s_k =
+    scale*z_k`` for the power of two ``scale`` that brings the largest
+    real coordinate into [0.5, 1). The comparison is then made on the
+    scaled components, so the verdict does not depend on the overall
+    scale of the value.
     """
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
-    m1, m2, norm_sq = _moduli(z1, z2)
+    try:
+        m1, m2 = abs(p1), abs(p2)
+    except OverflowError:
+        m1 = m2 = math.inf
+    norm_sq = _norm_sq(z1, z2)
     cn_mag = m1 * m2
     threshold = tol * (norm_sq if norm_sq > 1.0 else 1.0)
     compared = (cn_mag, threshold)
@@ -412,40 +435,32 @@ def _zero_divisor_test(z1: complex, z2: complex, tol: float):
         scale = math.ldexp(1.0, -math.frexp(big)[1])
         s1 = complex(z1.real * scale, z1.imag * scale)
         s2 = complex(z2.real * scale, z2.imag * scale)
-        scaled = (scale, s1, s2)
-        # ||w||**2 > 1 here, so the threshold is relative and scales too
-        c1, c2, scaled_norm_sq = _moduli(s1, s2)
-        compared = (c1 * c2, tol * scaled_norm_sq)
+        sp1, sp2 = _split(s1, s2)
+        scaled = (scale, s1, s2, sp1 * sp2)
+        # coordinates below 1 cannot overflow abs; ||w||**2 > 1 here, so
+        # the threshold is relative and scales too
+        c1, c2 = abs(sp1), abs(sp2)
+        compared = (c1 * c2, tol * _norm_sq(s1, s2))
         m1, m2 = c1 / scale, c2 / scale
     return compared[0] <= compared[1], cn_mag, threshold, m1 if m1 < m2 else m2, scaled
-
-
-def _moduli(z1: complex, z2: complex) -> tuple[float, float, float]:
-    """``|p1|``, ``|p2|`` (inf where they overflow) and ``||w||**2``."""
-    try:
-        m1 = abs(z1 - 1j * z2)
-        m2 = abs(z1 + 1j * z2)
-    except OverflowError:
-        m1 = m2 = math.inf
-    return m1, m2, z1.real * z1.real + z1.imag * z1.imag + z2.real * z2.real + z2.imag * z2.imag
 
 
 def _inverse_components(z1: complex, z2: complex, tol: float = SINGULARITY_TOLERANCE):
     """Components of the inverse ``conj(w, 2) / cn(w)``, not yet checked
     for finiteness. Raises SingularOperand when the zero-divisor test
     fires."""
-    singular, cn_mag, threshold, _, scaled = _zero_divisor_test(z1, z2, tol)
+    p1, p2 = _split(z1, z2)
+    singular, cn_mag, threshold, _, scaled = _zero_divisor_test(z1, z2, p1, p2, tol)
     if singular:
         raise SingularOperand(
             f"value is a zero divisor within tolerance "
             f"(|cn| = {cn_mag:.3e} <= {threshold:.3e})"
         )
     if scaled is None:
-        c = (z1 - 1j * z2) * (z1 + 1j * z2)
+        c = p1 * p2
         return z1 / c, -z2 / c
     # 1/w = scale * (1/(scale*w)), and cn(scale*w) stays finite
-    scale, s1, s2 = scaled
-    c = (s1 - 1j * s2) * (s1 + 1j * s2)
+    scale, s1, s2, c = scaled
     r1 = s1 / c
     r2 = -s2 / c
     return (

@@ -50,14 +50,14 @@ from typing import NamedTuple
 
 from .core import (
     SINGULARITY_TOLERANCE, Bicomplex, NonFiniteError, SingularOperand, _coerce,
-    _zero_divisor_test,
+    _split, _zero_divisor_test,
 )
 from .seqspec import IdempotentSlotError
 from .series import (
     _FIRST_CHECKPOINT, _FLAT_RATIO, _FLOOR_FACTOR, _HARMONIC_RATIO, OVERFLOW_GUARD,
-    _coerce_term, _diameter, _stalled, _Tracker, _validate,
+    _coerce_term, _diameter, _pair_or_none, _running, _stalled, _Tracker, _validate,
 )
-from .transcendental import log1p
+from .transcendental import TWO_PI, log1p
 
 __all__ = [
     "SingularTerm",
@@ -83,8 +83,6 @@ ZERO_COLLAPSE = 1e-30
 # the identity diagnostic is quadratic-feeling in practice (an exp per
 # step), so it gets its own cap
 LOG_SUM_CAP = 1000
-
-_TWO_PI = 2.0 * math.pi
 
 # What evaluating a term may raise (see seqspec.eval_term). Once the
 # product verdict is frozen, such a term ends the consumers still live
@@ -172,28 +170,11 @@ def partial_products(terms, n_max: int = 10**6) -> list[Bicomplex]:
     Raises NonFiniteError (with the 1-based position) if a term is
     non-finite or the accumulation overflows.
     """
-    _validate(1.0, 2, n_max)
-    out: list[Bicomplex] = []
-    total = Bicomplex(1.0)
-    for k, term in enumerate(islice(terms, n_max), start=1):
-        value = _coerce_term(term, k)
-        try:
-            total = total * value
-        except NonFiniteError as err:
-            raise NonFiniteError(str(err), term_index=k) from None
-        out.append(total)
-    return out
+    return _running(terms, n_max, Bicomplex(1.0), Bicomplex.__mul__)
 
 
 def _shrinking(pnorms: deque[float]) -> bool:
     return all(b <= a * (1.0 + 1e-12) for a, b in pairwise(pnorms))
-
-
-def _pair_or_none(p1: complex, p2: complex) -> Bicomplex | None:
-    try:
-        return Bicomplex.from_idempotent(p1, p2)
-    except NonFiniteError:
-        return None
 
 
 def _product_report(
@@ -246,8 +227,8 @@ def _identity_step(q1, q2, l1, l2, used) -> tuple[float, tuple[int, int]]:
             "partial product component underflowed to zero", term_index=used
         )
     disc = _rms(e1 - q1, e2 - q2) / den
-    a = (l1 - cmath.log(q1)) / complex(0.0, _TWO_PI)
-    b = (l2 - cmath.log(q2)) / complex(0.0, _TWO_PI)
+    a = (l1 - cmath.log(q1)) / complex(0.0, TWO_PI)
+    b = (l2 - cmath.log(q2)) / complex(0.0, TWO_PI)
     return disc, (round(a.real), round(b.real))
 
 
@@ -319,9 +300,9 @@ def _product_pass(
             abs_live = id_live = False
             break
         used += 1
-        z1 = w.z1
-        z2 = w.z2
-        if _zero_divisor_test(z1, z2, singularity_tol)[0]:
+        z1, z2 = w.z1, w.z2
+        wp1, wp2 = _split(z1, z2)
+        if _zero_divisor_test(z1, z2, wp1, wp2, singularity_tol)[0]:
             if not product:
                 raise SingularTerm(f"singular term at position {used}", index=used)
             if prod_live:
@@ -330,8 +311,6 @@ def _product_pass(
             abs_live = id_live = False
             break
 
-        wp1 = z1 - 1j * z2
-        wp2 = z1 + 1j * z2
         if abs_live and (wp1.real <= 0.0 or wp2.real <= 0.0):
             abs_report = AbsoluteReport(
                 via_log_norms="hypothesis_violated",

@@ -46,7 +46,9 @@ from .core import (
     NonFiniteError,
     SingularOperand,
     _check_finite,
+    _fmt_real,
     _inverse_components,
+    _join,
     _power_components,
 )
 
@@ -297,11 +299,6 @@ def parse(text: str):
             _check_depth(height, opener)
 
 
-def _fmt_number(value: float) -> str:
-    text = repr(value)
-    return text[:-2] if text.endswith(".0") else text
-
-
 # binding strength per node type; atoms bind tightest
 _PRECEDENCE = {
     Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, Pow: 4,
@@ -320,7 +317,7 @@ def render(node) -> str:
 
 def _render(node, context: int) -> str:
     if isinstance(node, Num):
-        text = _fmt_number(node.value)
+        text = _fmt_real(node.value, None)
     elif isinstance(node, Const):
         text = node.name
     elif isinstance(node, Var):
@@ -518,8 +515,7 @@ def _idem(node, first, second):
             raise IdempotentSlotError(
                 "idempotent slot values must have no second complex part"
             )
-        z1 = (f1 + s1) / 2.0
-        z2 = 1j * (f1 - s1) / 2.0
+        z1, z2 = _join(f1, s1)
         _check_finite(z1, z2)
         return z1, z2
 

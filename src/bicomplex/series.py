@@ -26,12 +26,13 @@ over a doubling) count as divergence evidence.
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 
-from .core import Bicomplex, NonFiniteError, _coerce
+from .core import Bicomplex, NonFiniteError, _coerce, _split
 
 __all__ = [
     "SeriesReport",
@@ -174,13 +175,17 @@ def partial_sums(terms, n_max: int = 10**6) -> list[Bicomplex]:
     the offending 1-based position) if a term is non-finite or the
     accumulation overflows.
     """
+    return _running(terms, n_max, Bicomplex(), Bicomplex.__add__)
+
+
+def _running(terms, n_max: int, total: Bicomplex, op) -> list[Bicomplex]:
+    """``total = op(total, term)`` after each of the first ``n_max`` terms."""
     _validate(1.0, 2, n_max)
     out: list[Bicomplex] = []
-    total = Bicomplex()
     for k, term in enumerate(islice(terms, n_max), start=1):
         value = _coerce_term(term, k)
         try:
-            total = total + value
+            total = op(total, value)
         except NonFiniteError as err:
             raise NonFiniteError(str(err), term_index=k) from None
         out.append(total)
@@ -195,6 +200,14 @@ def _coerce_term(term, index: int) -> Bicomplex:
     if value is None:
         raise TypeError(f"cannot interpret term as Bicomplex: {term!r}")
     return value
+
+
+def _pair_or_none(p1: complex, p2: complex) -> Bicomplex | None:
+    """``Bicomplex.from_idempotent(p1, p2)``, or None where not finite."""
+    try:
+        return Bicomplex.from_idempotent(p1, p2)
+    except NonFiniteError:
+        return None
 
 
 def _analyze_pairs(pairs, tol: float, window: int, n_max: int) -> SeriesReport:
@@ -237,13 +250,9 @@ def _analyze_pairs(pairs, tol: float, window: int, n_max: int) -> SeriesReport:
     else:
         verdict = "inconclusive"
 
-    try:
-        limit = Bicomplex.from_idempotent(c1.total, c2.total)
-    except NonFiniteError:
-        limit = None
     return SeriesReport(
         verdict=verdict,
-        limit_estimate=limit,
+        limit_estimate=_pair_or_none(c1.total, c2.total),
         terms_used=used,
         tail_delta=max(_diameter(c1.sums), _diameter(c2.sums)),
         absolute=ae.verdict == "converged",
@@ -274,7 +283,7 @@ def analyze_series(
     def pairs():
         for k, term in enumerate(terms, start=1):
             w = _coerce_term(term, k)
-            yield (w.z1 - 1j * w.z2, w.z1 + 1j * w.z2)
+            yield _split(w.z1, w.z2)
 
     return _analyze_pairs(pairs(), tol, window, n_max)
 
@@ -296,24 +305,18 @@ def eval_power_series(
     """
     _validate(tol, window, n_max)
     w = _coerce_term(w, 0)
-    w1 = w.z1 - 1j * w.z2
-    w2 = w.z1 + 1j * w.z2
+    w1, w2 = _split(w.z1, w.z2)
 
     def pairs():
         wp1 = 1.0 + 0j
         wp2 = 1.0 + 0j
         for k, coeff in enumerate(coeffs, start=1):
             c = _coerce_term(coeff, k)
-            yield (
-                (c.z1 - 1j * c.z2) * wp1,
-                (c.z1 + 1j * c.z2) * wp2,
-            )
+            c1, c2 = _split(c.z1, c.z2)
+            yield (c1 * wp1, c2 * wp2)
             wp1 *= w1
             wp2 *= w2
-            if not (
-                math.isfinite(wp1.real) and math.isfinite(wp1.imag)
-                and math.isfinite(wp2.real) and math.isfinite(wp2.imag)
-            ):
+            if not (cmath.isfinite(wp1) and cmath.isfinite(wp2)):
                 # power overflow: any remaining evidence is already in the
                 # trackers; stop producing terms
                 return

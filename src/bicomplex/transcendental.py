@@ -25,6 +25,8 @@ from .core import (
     Bicomplex,
     NonFiniteError,
     SingularOperand,
+    _split,
+    _zero_divisor_test,
 )
 
 __all__ = [
@@ -78,15 +80,24 @@ class TrigForm:
         )
 
 
+def _invertible_split(w: Bicomplex, tol: float, what: str) -> tuple[complex, complex]:
+    """``w``'s idempotent components; SingularOperand on a zero divisor."""
+    p1, p2 = _split(w.z1, w.z2)
+    if _zero_divisor_test(w.z1, w.z2, p1, p2, tol)[0]:
+        raise SingularOperand(f"{what} requires an invertible value")
+    return p1, p2
+
+
 def exp(w: Bicomplex) -> Bicomplex:
     """Bicomplex exponential, computed componentwise.
 
     Never lands on the null cone (both components of the result are
     nonzero). Raises NonFiniteError on overflow.
     """
+    p1, p2 = _split(w.z1, w.z2)
     try:
-        r1 = cmath.exp(w.z1 - 1j * w.z2)
-        r2 = cmath.exp(w.z1 + 1j * w.z2)
+        r1 = cmath.exp(p1)
+        r2 = cmath.exp(p2)
     except OverflowError as err:
         raise NonFiniteError(f"exp overflow: {err}") from None
     return Bicomplex.from_idempotent(r1, r2)
@@ -98,9 +109,8 @@ def sqrt(w: Bicomplex, tol: float = SINGULARITY_TOLERANCE) -> Bicomplex:
     Restricted to invertible values so the principal choice is stable;
     raises SingularOperand on the null cone.
     """
-    if w.is_singular(tol).is_singular:
-        raise SingularOperand("square root requires an invertible value")
-    return Bicomplex.from_idempotent(cmath.sqrt(w.p1), cmath.sqrt(w.p2))
+    p1, p2 = _invertible_split(w, tol, "square root")
+    return Bicomplex.from_idempotent(cmath.sqrt(p1), cmath.sqrt(p2))
 
 
 def trig_form(w: Bicomplex, tol: float = SINGULARITY_TOLERANCE) -> TrigForm:
@@ -110,10 +120,9 @@ def trig_form(w: Bicomplex, tol: float = SINGULARITY_TOLERANCE) -> TrigForm:
     recovered from the second idempotent component, ``p2 = r_c *
     exp(i1*theta)``, so that reconstruct() is exact up to rounding.
     """
-    if w.is_singular(tol).is_singular:
-        raise SingularOperand("trigonometric form requires an invertible value")
-    r_c = cmath.sqrt(w.cn())
-    theta = -1j * cmath.log(w.p2 / r_c)
+    p1, p2 = _invertible_split(w, tol, "trigonometric form")
+    r_c = cmath.sqrt(p1 * p2)
+    theta = -1j * cmath.log(p2 / r_c)
     return TrigForm(r_c=r_c, theta_c0=theta)
 
 
@@ -123,11 +132,8 @@ def log_principal(w: Bicomplex, tol: float = SINGULARITY_TOLERANCE) -> Bicomplex
     Inverse of exp up to the period lattice; raises SingularOperand on
     the null cone, where no logarithm exists.
     """
-    if w.is_singular(tol).is_singular:
-        raise SingularOperand("logarithm requires an invertible value")
-    return Bicomplex.from_idempotent(
-        cmath.log(w.z1 - 1j * w.z2), cmath.log(w.z1 + 1j * w.z2)
-    )
+    p1, p2 = _invertible_split(w, tol, "logarithm")
+    return Bicomplex.from_idempotent(cmath.log(p1), cmath.log(p2))
 
 
 def log_principal_direct(w: Bicomplex, tol: float = SINGULARITY_TOLERANCE) -> Bicomplex:
@@ -167,8 +173,7 @@ def log1p(w: Bicomplex) -> Bicomplex:
     directly; SingularOperand propagates when 1 + w is a zero divisor.
     """
     if abs(w) < _SERIES_RADIUS:
-        u1 = w.z1 - 1j * w.z2
-        u2 = w.z1 + 1j * w.z2
+        u1, u2 = _split(w.z1, w.z2)
         acc1 = t1 = u1
         acc2 = t2 = u2
         sign = -1.0
@@ -197,4 +202,5 @@ def exp_lattice_coords(d: Bicomplex) -> tuple[complex, complex]:
     ``2*pi*(m*i1 + n*i2)`` sublattice with ``m = (a+b)/2, n = (b-a)/2``.
     """
     scale = complex(0.0, TWO_PI)
-    return (d.p1 / scale, d.p2 / scale)
+    p1, p2 = _split(d.z1, d.z2)
+    return (p1 / scale, p2 / scale)

@@ -133,15 +133,19 @@ def test_check_bounds_precondition_failure():
 
 
 def test_check_bounds_norm_past_squared_overflow():
-    # the squared coordinates overflow, the norm exp(400) does not
-    code, out, _ = run_cli(["check-bounds", "--at", "47", "--json", "--", "exp(1e2)^4"])
-    assert code == 0
-
+    # the squared coordinates overflow (underflow), the norm exp(400)
+    # (1e-170) does not
     def reject(name):
         raise ValueError(f"not JSON: {name}")
 
-    norm = json.loads(out, parse_constant=reject)["bounds"]["norm"]
-    assert abs(norm / math.exp(400) - 1) < 1e-14
+    for argv, expected in (
+        (["--at", "47", "--json", "--", "exp(1e2)^4"], math.exp(400)),
+        (["--json", "--", "1e-170"], 1e-170),
+    ):
+        code, out, _ = run_cli(["check-bounds", *argv])
+        assert code == 0
+        norm = json.loads(out, parse_constant=reject)["bounds"]["norm"]
+        assert abs(norm / expected - 1) < 1e-14
 
 
 def test_check_bounds_upper_violation():

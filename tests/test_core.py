@@ -69,6 +69,26 @@ def test_idempotent_component_formula():
         w = Bicomplex.from_four_reals(x1, x2, x3, x4)
         assert w.p1 == complex(x1 + x4, x2 - x3)
         assert w.p2 == complex(x1 - x4, x2 + x3)
+    # == cannot tell -0.0 from 0.0, so signed zeros are pinned by repr:
+    # (z1, z2) -> p1, p2, from_idempotent(p1, p2), from_idempotent(z1, z2)
+    rows = [
+        ((-0.0, 1.0), (2.0, 0.0), "(-0-1j)", "3j", "Bicomplex(1j, (2-0j))",
+         "Bicomplex((1+0.5j), (-0.5-1j))"),
+        ((0.0, -0.0), (-0.0, 0.0), "-0j", "0j", "Bicomplex(0j, 0j)", "Bicomplex(0j, 0j)"),
+        ((-0.0, -0.0), (-0.0, -0.0), "(-0+0j)", "-0j", "Bicomplex(0j, 0j)",
+         "Bicomplex((-0+0j), 0j)"),
+        ((0.0, 0.0), (0.0, -0.0), "0j", "0j", "Bicomplex(0j, 0j)", "Bicomplex(0j, 0j)"),
+        ((-0.0, 0.0), (1.0, -0.0), "(-0-1j)", "1j", "Bicomplex(0j, (1-0j))",
+         "Bicomplex((0.5+0j), (-0-0.5j))"),
+        ((1.0, -0.0), (-0.0, 1.0), "(2-0j)", "0j", "Bicomplex((1+0j), 1j)",
+         "Bicomplex((0.5+0.5j), (0.5+0.5j))"),
+    ]
+    for z1, z2, p1, p2, round_trip, joined in rows:
+        w = Bicomplex(complex(*z1), complex(*z2))
+        assert (repr(w.p1), repr(w.p2)) == (p1, p2)
+        assert repr(w.idempotent()) == f"IdempotentPair(p1={p1}, p2={p2})"
+        assert repr(Bicomplex.from_idempotent(w.p1, w.p2)) == round_trip
+        assert repr(Bicomplex.from_idempotent(complex(*z1), complex(*z2))) == joined
 
 
 def test_conjugation_example():
@@ -335,6 +355,10 @@ def test_isclose():
     assert ZERO.isclose(Bicomplex(1e-300), abs_tol=1e-200)
     assert not Bicomplex(1e200).isclose(Bicomplex(-1e200))
     assert abs(Bicomplex(3e200, 4e200j)) == pytest.approx(5e200, rel=1e-15)
+    # the squares underflow; the norm does not
+    assert abs(Bicomplex(1e-170)) == 1e-170
+    assert abs(Bicomplex(3e-170, 4e-170j)) == pytest.approx(5e-170, rel=1e-15)
+    assert not Bicomplex(1e-170).isclose(Bicomplex(-1e-170))
     with pytest.raises(TypeError):
         a.isclose("nope")
 
