@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import seqspec
 from .core import Bicomplex, NonFiniteError, SingularOperand
@@ -38,20 +37,7 @@ from .series import _validate, analyze_series
 from .seqspec import IdempotentSlotError, ParseError
 from .transcendental import log_branch
 
-__all__ = ["main", "RunConfig"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    expr: str
-    tol: float
-    window: int
-    max_terms: int
-    at: int
-    branch: tuple[int, int] | None
-    json_output: bool
-    strict: bool
+__all__ = ["main"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -72,23 +58,23 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="emit JSON instead of text")
     common.add_argument("--strict", action="store_true",
                         help="exit 1 unless the verdict is a clean convergence")
+    # the JSON envelope reports both for every command
+    common.set_defaults(at=1, branch=None)
 
-    p_eval = sub.add_parser("eval", parents=[common],
-                            help="evaluate the expression at one index")
-    p_eval.add_argument("--at", type=int, default=1, metavar="N",
-                        help="term index (default 1)")
-    p_eval.add_argument("--branch", type=int, nargs=2, metavar=("M", "N"),
-                        help="also print the (M, N) branch logarithm of the value")
-
-    sub.add_parser("series", parents=[common],
-                   help="convergence report for the term series")
-    sub.add_parser("product", parents=[common],
-                   help="convergence report for the infinite product")
-
-    p_bounds = sub.add_parser("check-bounds", parents=[common],
-                              help="two-sided log/norm comparison for one term value")
-    p_bounds.add_argument("--at", type=int, default=1, metavar="N",
-                          help="term index (default 1)")
+    for name, run, text in (
+        ("eval", _cmd_eval, "evaluate the expression at one index"),
+        ("series", _cmd_series, "convergence report for the term series"),
+        ("product", _cmd_product, "convergence report for the infinite product"),
+        ("check-bounds", _cmd_check_bounds, "two-sided log/norm comparison for one term value"),
+    ):
+        command = sub.add_parser(name, parents=[common], help=text)
+        command.set_defaults(run=run)
+        if name in ("eval", "check-bounds"):
+            command.add_argument("--at", type=int, default=1, metavar="N",
+                                 help="term index (default 1)")
+        if name == "eval":
+            command.add_argument("--branch", type=int, nargs=2, metavar=("M", "N"),
+                                 help="also print the (M, N) branch logarithm of the value")
     return parser
 
 
@@ -96,27 +82,15 @@ def _build_parser() -> argparse.ArgumentParser:
 _OPTIONS = {"tol": "--tol", "window": "--window", "n_max": "--max-terms"}
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
+def _check_args(args: argparse.Namespace) -> None:
+    """The checks argparse cannot make; ValueError names the option."""
     try:
         _validate(args.tol, args.window, args.max_terms)
     except ValueError as err:
         name, rule = str(err).split(" ", 1)
         raise ValueError(f"{_OPTIONS[name]} {rule}") from None
-    at = getattr(args, "at", 1)
-    if at < 1:
+    if args.at < 1:
         raise ValueError("--at must be at least 1")
-    branch = getattr(args, "branch", None)
-    return RunConfig(
-        command=args.command,
-        expr=args.expr,
-        tol=args.tol,
-        window=args.window,
-        max_terms=args.max_terms,
-        at=at,
-        branch=tuple(branch) if branch is not None else None,
-        json_output=args.json,
-        strict=args.strict,
-    )
 
 
 def _f(x: float) -> str:
@@ -145,22 +119,28 @@ def _bc_lines(label: str, w: Bicomplex | None) -> list[str]:
     ]
 
 
-def _emit(cfg: RunConfig, payload: dict, text_lines: list[str]) -> None:
-    if cfg.json_output:
+def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
+    """Print the JSON envelope with ``--json``, else the text lines. JSON
+    has no infinity or NaN: a report holding one is a NonFiniteError."""
+    if args.json:
         envelope = {
-            "command": cfg.command,
-            "expr": cfg.expr,
+            "command": args.command,
+            "expr": args.expr,
             "config": {
-                "tol": cfg.tol,
-                "window": cfg.window,
-                "max_terms": cfg.max_terms,
-                "at": cfg.at,
-                "branch": list(cfg.branch) if cfg.branch is not None else None,
-                "strict": cfg.strict,
+                "tol": args.tol,
+                "window": args.window,
+                "max_terms": args.max_terms,
+                "at": args.at,
+                "branch": args.branch,
+                "strict": args.strict,
             },
         }
         envelope.update(payload)
-        print(json.dumps(envelope, indent=2))
+        try:
+            text = json.dumps(envelope, indent=2, allow_nan=False)
+        except ValueError as err:
+            raise NonFiniteError(f"JSON output: {err}") from None
+        print(text)
     else:
         for line in text_lines:
             print(line)
@@ -170,16 +150,13 @@ def _yn(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _cmd_eval(cfg: RunConfig, node) -> int:
-    value = seqspec.eval_term(node, cfg.at)
-    branch_log = None
-    if cfg.branch is not None:
-        branch_log = log_branch(value, cfg.branch)
+def _cmd_eval(args: argparse.Namespace, node) -> int:
+    value = seqspec.eval_term(node, args.at)
+    branch_log = None if args.branch is None else log_branch(value, args.branch)
     lines = _bc_lines("value", value)
     if branch_log is not None:
-        m, n = cfg.branch
-        lines += _bc_lines(f"branch ({m}, {n}) log", branch_log)
-    _emit(cfg, {"value": _bc_json(value), "branch_log": _bc_json(branch_log)}, lines)
+        lines += _bc_lines("branch ({}, {}) log".format(*args.branch), branch_log)
+    _emit(args, {"value": _bc_json(value), "branch_log": _bc_json(branch_log)}, lines)
     return 0
 
 
@@ -195,10 +172,10 @@ def _series_json(report) -> dict:
     }
 
 
-def _cmd_series(cfg: RunConfig, node) -> int:
+def _cmd_series(args: argparse.Namespace, node) -> int:
     report = analyze_series(
         seqspec.term_generator(node),
-        tol=cfg.tol, window=cfg.window, n_max=cfg.max_terms,
+        tol=args.tol, window=args.window, n_max=args.max_terms,
     )
     lines = [
         f"verdict: {report.verdict}",
@@ -208,16 +185,16 @@ def _cmd_series(cfg: RunConfig, node) -> int:
         "component verdicts: " + ", ".join(report.component_verdicts),
     ]
     lines += _bc_lines("limit estimate", report.limit_estimate)
-    _emit(cfg, {"report": _series_json(report)}, lines)
-    if cfg.strict and report.verdict != "converged":
+    _emit(args, {"report": _series_json(report)}, lines)
+    if args.strict and report.verdict != "converged":
         return 1
     return 0
 
 
-def _cmd_product(cfg: RunConfig, node) -> int:
+def _cmd_product(args: argparse.Namespace, node) -> int:
     report, absolute_check, identity = analyze_product(
         seqspec.term_generator(node),
-        tol=cfg.tol, window=cfg.window, n_max=cfg.max_terms,
+        tol=args.tol, window=args.window, n_max=args.max_terms,
     )
     lines = [
         f"verdict: {report.verdict}",
@@ -275,81 +252,56 @@ def _cmd_product(cfg: RunConfig, node) -> int:
             "exp_of_log_sum": _bc_json(identity.exp_of_log_sum),
         },
     }
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     if report.verdict == "singular_term":
         return 3
-    if cfg.strict and report.verdict != "converged_nonsingular":
+    if args.strict and report.verdict != "converged_nonsingular":
         return 1
     return 0
 
 
-def _cmd_check_bounds(cfg: RunConfig, node) -> int:
-    value = seqspec.eval_term(node, cfg.at)
+def _cmd_check_bounds(args: argparse.Namespace, node) -> int:
+    value = seqspec.eval_term(node, args.at)
     try:
         check = log_bound_check(value)
     except ValueError:
-        payload = {
-            "bounds": {
-                "norm": abs(value),
-                "precondition_ok": False,
-                "ratio": None,
-                "log_norm": None,
-                "lower_ok": None,
-                "upper_ok": None,
-            }
-        }
-        lines = [
-            f"norm: {_f(abs(value))}",
-            "precondition: failed (norm must be below 0.5)",
+        check = None  # the precondition ||w|| < 1/2 failed
+    # abs(value) is check.norm whenever the check ran
+    bounds = dict(norm=abs(value), precondition_ok=check is not None,
+                  ratio=None, log_norm=None, lower_ok=None, upper_ok=None)
+    lines = [f"norm: {_f(bounds['norm'])}"]
+    if check is None:
+        lines.append("precondition: failed (norm must be below 0.5)")
+    else:
+        bounds.update(ratio=check.ratio, log_norm=check.log_norm,
+                      lower_ok=check.lower_ok, upper_ok=check.upper_ok)
+        lines += [
+            "precondition: ok",
+            f"ratio: {_f(check.ratio)}",
+            f"lower bound: {'ok' if check.lower_ok else 'violated'}",
+            f"upper bound: {'ok' if check.upper_ok else 'violated'}",
         ]
-        _emit(cfg, payload, lines)
-        return 1 if cfg.strict else 0
-    payload = {
-        "bounds": {
-            "norm": check.norm,
-            "precondition_ok": True,
-            "ratio": check.ratio,
-            "log_norm": check.log_norm,
-            "lower_ok": check.lower_ok,
-            "upper_ok": check.upper_ok,
-        }
-    }
-    lines = [
-        f"norm: {_f(check.norm)}",
-        "precondition: ok",
-        f"ratio: {_f(check.ratio)}",
-        f"lower bound: {'ok' if check.lower_ok else 'violated'}",
-        f"upper bound: {'ok' if check.upper_ok else 'violated'}",
-    ]
-    _emit(cfg, payload, lines)
-    if cfg.strict and not (check.lower_ok and check.upper_ok):
+    _emit(args, {"bounds": bounds}, lines)
+    if args.strict and not (check is not None and check.lower_ok and check.upper_ok):
         return 1
     return 0
-
-
-_DISPATCH = {
-    "eval": _cmd_eval,
-    "series": _cmd_series,
-    "product": _cmd_product,
-    "check-bounds": _cmd_check_bounds,
-}
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
+        _check_args(args)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     try:
-        node = seqspec.parse(cfg.expr)
+        node = seqspec.parse(args.expr)
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 2
     try:
-        return _DISPATCH[cfg.command](cfg, node)
+        return args.run(args, node)
     except (SingularOperand, SingularTerm) as err:
         print(f"singular abort: {err}", file=sys.stderr)
         return 3

@@ -336,11 +336,18 @@ class Bicomplex:
 
         Each modulus is the product of the value with one of its
         conjugates; closed forms are used here and the defining products
-        are exercised by the test suite.
+        are exercised by the test suite. Raises NonFiniteError where a
+        square modulus overflows.
         """
         z1, z2 = self.z1, self.z2
-        a = abs(z1) ** 2
-        b = abs(z2) ** 2
+        try:
+            a = abs(z1) ** 2
+            b = abs(z2) ** 2
+        except OverflowError:
+            a = b = math.inf
+        if a + b == math.inf:
+            # every other part is at most a + b in modulus
+            raise NonFiniteError("a square modulus overflows")
         cross = z1 * z2.conjugate()
         return NormInfo(
             mod_i1_sq=self.cn(),
@@ -407,6 +414,13 @@ def _norm_sq(z1: complex, z2: complex) -> float:
     return z1.real * z1.real + z1.imag * z1.imag + z2.real * z2.real + z2.imag * z2.imag
 
 
+def _unit_scale(a: complex, b: complex) -> float:
+    """The power of two that brings the largest real coordinate of ``a``
+    and ``b`` into [0.5, 1)."""
+    big = max(abs(a.real), abs(a.imag), abs(b.real), abs(b.imag))
+    return math.ldexp(1.0, -math.frexp(big)[1])
+
+
 def _zero_divisor_test(z1: complex, z2: complex, p1: complex, p2: complex, tol: float):
     """The zero-divisor test on raw components and their split.
 
@@ -431,8 +445,7 @@ def _zero_divisor_test(z1: complex, z2: complex, p1: complex, p2: complex, tol: 
     compared = (cn_mag, threshold)
     scaled = None
     if norm_sq == math.inf or cn_mag == math.inf:
-        big = max(abs(z1.real), abs(z1.imag), abs(z2.real), abs(z2.imag))
-        scale = math.ldexp(1.0, -math.frexp(big)[1])
+        scale = _unit_scale(z1, z2)
         s1 = complex(z1.real * scale, z1.imag * scale)
         s2 = complex(z2.real * scale, z2.imag * scale)
         sp1, sp2 = _split(s1, s2)

@@ -68,15 +68,19 @@ def _stalled(floor: float, prev_floor: float | None, tol: float, ratio: float) -
 
 
 def _diameter(values) -> float:
-    """Largest pairwise distance among a window of complex values."""
+    """Largest pairwise distance among a window of complex values; inf
+    where a distance is past the float range."""
     items = list(values)
     worst = 0.0
-    for i in range(len(items)):
-        vi = items[i]
-        for vj in items[i + 1 :]:
-            d = abs(vi - vj)
-            if d > worst:
-                worst = d
+    try:
+        for i in range(len(items)):
+            vi = items[i]
+            for vj in items[i + 1 :]:
+                d = abs(vi - vj)
+                if d > worst:
+                    worst = d
+    except OverflowError:
+        return math.inf
     return worst
 
 
@@ -142,7 +146,11 @@ class _Tracker:
         self.total += term
         self.sums.append(self.total)
         self.mags.append(mag)
-        if abs(self.total) > OVERFLOW_GUARD:
+        try:
+            overflowed = abs(self.total) > OVERFLOW_GUARD
+        except OverflowError:  # the modulus is past the float range
+            overflowed = True
+        if overflowed:
             self.verdict = "diverged"
             return
         if len(self.sums) == self.window:
@@ -202,6 +210,15 @@ def _coerce_term(term, index: int) -> Bicomplex:
     return value
 
 
+def _modulus(z: complex) -> float:
+    """``abs(z)``, or inf where the modulus is past the float range, so
+    that the overflow guard sees it."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
 def _pair_or_none(p1: complex, p2: complex) -> Bicomplex | None:
     """``Bicomplex.from_idempotent(p1, p2)``, or None where not finite."""
     try:
@@ -220,8 +237,11 @@ def _analyze_pairs(pairs, tol: float, window: int, n_max: int) -> SeriesReport:
     used = 0
     for p1, p2 in islice(pairs, n_max):
         used += 1
-        m1 = abs(p1)
-        m2 = abs(p2)
+        try:
+            m1 = abs(p1)
+            m2 = abs(p2)
+        except OverflowError:
+            m1, m2 = _modulus(p1), _modulus(p2)
         me = math.sqrt((m1 * m1 + m2 * m2) / 2.0)
         c1.push(p1, m1)
         c2.push(p2, m2)

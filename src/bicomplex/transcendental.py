@@ -25,7 +25,9 @@ from .core import (
     Bicomplex,
     NonFiniteError,
     SingularOperand,
+    _isfinite,
     _split,
+    _unit_scale,
     _zero_divisor_test,
 )
 
@@ -98,7 +100,8 @@ def exp(w: Bicomplex) -> Bicomplex:
     try:
         r1 = cmath.exp(p1)
         r2 = cmath.exp(p2)
-    except OverflowError as err:
+    except (OverflowError, ValueError) as err:
+        # ValueError: the split of a value near the float limit has an infinite part
         raise NonFiniteError(f"exp overflow: {err}") from None
     return Bicomplex.from_idempotent(r1, r2)
 
@@ -119,11 +122,21 @@ def trig_form(w: Bicomplex, tol: float = SINGULARITY_TOLERANCE) -> TrigForm:
     The modulus is the principal square root of cn(w); the angle is
     recovered from the second idempotent component, ``p2 = r_c *
     exp(i1*theta)``, so that reconstruct() is exact up to rounding.
+    Where ``p1*p2`` overflows, r_c is ``sqrt(cn(s*w))/s`` for a power of
+    two ``s``; raises NonFiniteError where the split itself does.
     """
     p1, p2 = _invertible_split(w, tol, "trigonometric form")
-    r_c = cmath.sqrt(p1 * p2)
-    theta = -1j * cmath.log(p2 / r_c)
-    return TrigForm(r_c=r_c, theta_c0=theta)
+    s = 1.0
+    if not _isfinite(p1 * p2):
+        if not (_isfinite(p1) and _isfinite(p2)):
+            raise NonFiniteError("trigonometric form: the idempotent split overflows")
+        # work on s*w, for the power of two s that keeps cn(s*w) finite
+        s = _unit_scale(p1, p2)
+        p1 = complex(p1.real * s, p1.imag * s)
+        p2 = complex(p2.real * s, p2.imag * s)
+    r = cmath.sqrt(p1 * p2)
+    theta = -1j * cmath.log(p2 / r)
+    return TrigForm(r_c=complex(r.real / s, r.imag / s), theta_c0=theta)
 
 
 def log_principal(w: Bicomplex, tol: float = SINGULARITY_TOLERANCE) -> Bicomplex:

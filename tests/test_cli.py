@@ -225,3 +225,34 @@ def test_product_identity_drops_on_component_underflow():
         code, out, err = run_cli(["product", "--json", *argv[1:]])
         assert code == 0 and err == ""
         assert json.loads(out)["log_sum_identity"] is None
+
+
+def test_usage_errors_from_argparse_exit_2():
+    # --at belongs to eval and check-bounds only; --branch takes two indices
+    code, out, err = run_cli(["series", "n", "--at", "3"])
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --at 3" in err
+    code, out, err = run_cli(["eval", "j", "--branch", "1"])
+    assert code == 2 and out == ""
+    assert "argument --branch: expected 2 arguments" in err
+
+
+def test_json_output_cannot_hold_infinity():
+    # an idempotent component of 1e308 + 1e308*j, and the norm of the
+    # other value, are past the float range: text prints inf, --json
+    # exits 1 with nothing on stdout
+    for argv in (
+        ["eval", "--", "1e308 + 1e308*j"],
+        ["check-bounds", "--", "1.5e308-1.5e308*i2"],
+    ):
+        code, out, err = run_cli(argv)
+        assert code == 0 and err == "" and "inf" in out
+        code, out, err = run_cli([argv[0], "--json", *argv[1:]])
+        assert code == 1 and out == ""
+        assert _one_line(err) and err.startswith("non-finite abort:")
+
+
+def test_series_term_past_the_float_range_diverges():
+    code, out, err = run_cli(["series", "--", "1.5e308-1.5e308*i2"])
+    assert code == 0 and err == ""
+    assert "verdict: diverged" in out

@@ -208,3 +208,10 @@ def test_power_series_survives_power_overflow():
     # float range; the verdict must still resolve from earlier evidence
     report = eval_power_series((ONE for _ in range(10**4)), Bicomplex(10.0))
     assert report.verdict == "diverged"
+
+
+def test_power_series_past_the_float_range_diverges():
+    # the second term's modulus is past the float range
+    report = eval_power_series([1.0] * 5, Bicomplex(1.5e308, -1.5e308))
+    assert report.verdict == "diverged"
+    assert report.limit_estimate is None

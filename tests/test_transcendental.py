@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -279,3 +280,44 @@ def test_log1p_upper_ratio_can_cross_outside_safe_radius():
     ratio = abs(log1p(w)) / abs(w)
     assert ratio > 1.5
     assert ratio == pytest.approx(1.5145, abs=1e-3)
+
+
+# every four-real value over these coordinates: squares, splits and
+# moduli leave the float range in all the ways they can
+EDGE_GRID = [
+    Bicomplex.from_four_reals(*xs)
+    for xs in itertools.product([0.0, 0.5, 1.0, 1e154, 1e200, 1e308, -1e308], repeat=4)
+]
+
+
+def _finite_result(f, w):
+    """``f(w)``, or None when it raises one of the library's errors."""
+    try:
+        return f(w)
+    except (SingularOperand, NonFiniteError):
+        return None
+
+
+def test_float_edge_raises_only_library_errors():
+    for w in EDGE_GRID:
+        info = _finite_result(Bicomplex.norms, w)
+        if info is not None:
+            parts = (*info.mod_i2_sq, info.mod_j_sq.x, info.mod_j_sq.y, info.euclid)
+            assert cmath.isfinite(info.mod_i1_sq) and all(map(math.isfinite, parts)), w
+        form = _finite_result(trig_form, w)
+        if form is not None:
+            assert cmath.isfinite(form.r_c) and cmath.isfinite(form.theta_c0), w
+        _finite_result(log_principal_direct, w)
+        _finite_result(exp, w)
+
+
+def test_trig_form_where_cn_overflows():
+    # p1 = 1e308 and p2 = -1e308: cn overflows, the split does not
+    form = trig_form(Bicomplex(0.0, 1e308j))
+    assert form.r_c == 1e308j
+    assert abs(form.theta_c0 - PI / 2) < 1e-15
+    log_w = log_principal_direct(Bicomplex(0.0, 1e308j))
+    assert abs(log_w.z1 - complex(math.log(1e308), PI / 2)) < 1e-12
+    # the split of 1e308*(1 + i1) + 1e308*i2 overflows
+    with pytest.raises(NonFiniteError):
+        trig_form(Bicomplex(1e308 + 1e308j, 1e308))
