@@ -24,16 +24,17 @@ import sys
 
 from . import seqspec
 from .core import Bicomplex, NonFiniteError, SingularOperand
-from .products import SingularTerm, analyze_product, log_bound_check
+from .products import SingularTerm, _analyze_product_pairs, log_bound_check
 
-# the single-analysis views stay importable here: bench/tracer.py wraps
-# them by name on this module
+# the library analyzers stay importable here: bench/tracer.py wraps them
+# by name on this module
 from .products import (  # noqa: F401
     absolute_convergence_check,
     evaluate_product,
     log_sum_equivalence,
 )
-from .series import _validate, analyze_series
+from .series import analyze_series  # noqa: F401
+from .series import _analyze_pairs, _validate
 from .seqspec import IdempotentSlotError, ParseError
 from .transcendental import log_branch
 
@@ -173,9 +174,8 @@ def _series_json(report) -> dict:
 
 
 def _cmd_series(args: argparse.Namespace, node) -> int:
-    report = analyze_series(
-        seqspec.term_generator(node),
-        tol=args.tol, window=args.window, n_max=args.max_terms,
+    report = _analyze_pairs(
+        seqspec._pair_generator(node), args.tol, args.window, args.max_terms
     )
     lines = [
         f"verdict: {report.verdict}",
@@ -192,9 +192,8 @@ def _cmd_series(args: argparse.Namespace, node) -> int:
 
 
 def _cmd_product(args: argparse.Namespace, node) -> int:
-    report, absolute_check, identity = analyze_product(
-        seqspec.term_generator(node),
-        tol=args.tol, window=args.window, n_max=args.max_terms,
+    report, absolute_check, identity = _analyze_product_pairs(
+        seqspec._pair_generator(node), args.tol, args.window, args.max_terms
     )
     lines = [
         f"verdict: {report.verdict}",

@@ -382,8 +382,14 @@ class Bicomplex:
         return " ".join(parts)
 
     def format_idempotent(self, digits: int | None = None) -> str:
-        """Render as ``[p1 | p2]`` with complex components (reparseable)."""
+        """Render as ``[p1 | p2]`` with complex components (reparseable).
+
+        Raises NonFiniteError where the split overflows, which no
+        reparseable text can show.
+        """
         p1, p2 = _split(self.z1, self.z2)
+        if not (_isfinite(p1) and _isfinite(p2)):
+            raise NonFiniteError("the idempotent split overflows")
         return f"[{_fmt_complex(p1, digits)} | {_fmt_complex(p2, digits)}]"
 
     def __repr__(self):
@@ -405,8 +411,16 @@ def _split(z1: complex, z2: complex) -> tuple[complex, complex]:
 
 
 def _join(p1: complex, p2: complex) -> tuple[complex, complex]:
-    """Components ``(z1, z2)`` of ``p1*e1 + p2*e2``; inverse of _split."""
-    return (p1 + p2) / 2.0, 1j * (p1 - p2) / 2.0
+    """Components ``(z1, z2)`` of ``p1*e1 + p2*e2``; inverse of _split.
+
+    Halves first only where ``p1 ± p2`` overflows, so every finite
+    result of the plain formula keeps its bits.
+    """
+    z1, z2 = (p1 + p2) / 2.0, 1j * (p1 - p2) / 2.0
+    if _isfinite(z1) and _isfinite(z2):
+        return z1, z2
+    h1, h2 = p1 / 2.0, p2 / 2.0
+    return h1 + h2, 1j * (h1 - h2)
 
 
 def _norm_sq(z1: complex, z2: complex) -> float:
@@ -465,10 +479,7 @@ def _inverse_components(z1: complex, z2: complex, tol: float = SINGULARITY_TOLER
     p1, p2 = _split(z1, z2)
     singular, cn_mag, threshold, _, scaled = _zero_divisor_test(z1, z2, p1, p2, tol)
     if singular:
-        raise SingularOperand(
-            f"value is a zero divisor within tolerance "
-            f"(|cn| = {cn_mag:.3e} <= {threshold:.3e})"
-        )
+        raise _zero_divisor_error(cn_mag, threshold)
     if scaled is None:
         c = p1 * p2
         return z1 / c, -z2 / c
@@ -503,6 +514,78 @@ def _power_components(z1: complex, z2: complex, exponent: int):
             # skip the last squaring so w**1 never overflows via base*base
             b1, b2 = b1 * b1 - b2 * b2, b1 * b2 + b2 * b1
             _check_finite(b1, b2)
+    return r1, r2
+
+
+def _zero_divisor_error(cn_mag: float, threshold: float) -> SingularOperand:
+    return SingularOperand(
+        f"value is a zero divisor within tolerance "
+        f"(|cn| = {cn_mag:.3e} <= {threshold:.3e})"
+    )
+
+
+# -- the same operations on idempotent components (p1, p2) ------------
+
+
+def _pair_zero_divisor_test(p1: complex, p2: complex, tol: float):
+    """The zero-divisor test on the idempotent components alone:
+    ``|p1|*|p2| <= tol*max(1, (|p1|**2 + |p2|**2)/2)``, the right side
+    being ``tol*max(1, ||w||**2)``.
+
+    Returns ``(is_singular, cn_magnitude, tolerance_used)``. Where a side
+    overflows, both are compared for copies scaled by the power of two
+    ``_unit_scale(p1, p2)``, so the verdict does not depend on the
+    overall scale of the value.
+    """
+    if tol < 0:
+        raise ValueError("tolerance must be nonnegative")
+    try:
+        m1, m2 = abs(p1), abs(p2)
+    except OverflowError:
+        m1 = m2 = math.inf
+    cn_mag = m1 * m2
+    norm_sq = (m1 * m1 + m2 * m2) / 2.0
+    threshold = tol * (norm_sq if norm_sq > 1.0 else 1.0)
+    if norm_sq == math.inf or cn_mag == math.inf:
+        scale = _unit_scale(p1, p2)
+        # coordinates below 1 cannot overflow abs; ||w||**2 > 1 here, so
+        # the threshold is relative and scales too
+        c1 = abs(complex(p1.real * scale, p1.imag * scale))
+        c2 = abs(complex(p2.real * scale, p2.imag * scale))
+        return c1 * c2 <= tol * ((c1 * c1 + c2 * c2) / 2.0), cn_mag, threshold
+    return cn_mag <= threshold, cn_mag, threshold
+
+
+def _pair_inverse(p1: complex, p2: complex, tol: float = SINGULARITY_TOLERANCE):
+    """Components ``(1/p1, 1/p2)`` of the inverse. Raises SingularOperand
+    when the pair test fires, NonFiniteError where a reciprocal is not
+    finite."""
+    singular, cn_mag, threshold = _pair_zero_divisor_test(p1, p2, tol)
+    if singular:
+        raise _zero_divisor_error(cn_mag, threshold)
+    r1 = 1.0 / p1
+    r2 = 1.0 / p2
+    _check_finite(r1, r2)
+    return r1, r2
+
+
+def _pair_power(p1: complex, p2: complex, exponent: int):
+    """Components of ``w**exponent``: square-and-multiply from ONE on
+    each component, with the inversion and checks of _power_components."""
+    if exponent < 0:
+        p1, p2 = _pair_inverse(p1, p2)
+        exponent = -exponent
+    r1 = r2 = 1 + 0j
+    while exponent:
+        if exponent & 1:
+            r1 *= p1
+            r2 *= p2
+            _check_finite(r1, r2)
+        exponent >>= 1
+        if exponent:
+            p1 *= p1
+            p2 *= p2
+            _check_finite(p1, p2)
     return r1, r2
 
 

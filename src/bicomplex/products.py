@@ -29,14 +29,19 @@ two-sided norm comparison that justifies swapping one criterion for the
 other for small deviations.
 
 ``analyze_product`` gives the product report, the absolute check and
-the log-sum identity from one pass that reads each term once and
-computes its idempotent components, logarithms and deviation norm once. Each report freezes at its own stop rule: the
+the log-sum identity from one pass that reads each term once, as its
+idempotent components ``(p1, p2)``, and computes its logarithms and
+deviation norm once. Each report freezes at its own stop rule: the
 product at its verdict or the budget ``n_max``; the absolute check at
 the first term with a component real part <= 0 (tested before the term
 counts) or once both norm trackers, which the product report shares,
 have decided; the identity after ``min(n_max, LOG_SUM_CAP)`` terms.
 ``evaluate_product``, ``absolute_convergence_check`` and
-``log_sum_equivalence`` run the same pass for one report each.
+``log_sum_equivalence`` run the same pass for one report each. The
+public analyzers split each Bicomplex term once on its way in; the
+CLI's ``product`` feeds the pairs of compiled terms straight in, with
+no ``Bicomplex`` and no split. Zero divisors are found with the
+zero-divisor test on the pair.
 """
 
 from __future__ import annotations
@@ -50,12 +55,12 @@ from typing import NamedTuple
 
 from .core import (
     SINGULARITY_TOLERANCE, Bicomplex, NonFiniteError, SingularOperand, _coerce,
-    _split, _zero_divisor_test,
+    _pair_zero_divisor_test,
 )
 from .seqspec import IdempotentSlotError
 from .series import (
     _FIRST_CHECKPOINT, _FLAT_RATIO, _FLOOR_FACTOR, _HARMONIC_RATIO, OVERFLOW_GUARD,
-    _coerce_term, _diameter, _pair_or_none, _running, _stalled, _Tracker, _validate,
+    _diameter, _pair_or_none, _running, _split_terms, _stalled, _Tracker, _validate,
 )
 from .transcendental import TWO_PI, log1p
 
@@ -84,9 +89,10 @@ ZERO_COLLAPSE = 1e-30
 # step), so it gets its own cap
 LOG_SUM_CAP = 1000
 
-# What evaluating a term may raise (see seqspec.eval_term). Once the
-# product verdict is frozen, such a term ends the consumers still live
-# without a report instead of propagating.
+# What evaluating a term may raise (see seqspec.eval_term and
+# seqspec._pair_generator). Once the product verdict is frozen, such a
+# term ends the consumers still live without a report instead of
+# propagating.
 _TERM_ERRORS = (SingularOperand, NonFiniteError, IdempotentSlotError)
 
 
@@ -248,7 +254,7 @@ def _identity_report(q1, q2, l1, l2, max_disc, offset, changes, used) -> LogSumR
 
 
 def _product_pass(
-    terms,
+    pairs,
     n_max: int,
     singularity_tol: float,
     *,
@@ -258,7 +264,8 @@ def _product_pass(
     absolute: bool = False,
     identity_terms: int = 0,
 ) -> ProductAnalysis:
-    """The one loop over the terms behind every product analysis.
+    """The one loop over the terms, given as (p1, p2) pairs, behind
+    every product analysis.
 
     Feeds the requested consumers (the identity over the first
     ``identity_terms <= n_max`` terms) while any is live. With the
@@ -288,10 +295,10 @@ def _product_pass(
     changes = 0
     used = 0
 
-    terms = islice(terms, n_max)
+    pairs = islice(pairs, n_max)
     while prod_live or abs_live or id_live:
         try:
-            w = _coerce_term(next(terms), used + 1)
+            wp1, wp2 = next(pairs)
         except StopIteration:
             break
         except _TERM_ERRORS:
@@ -300,9 +307,7 @@ def _product_pass(
             abs_live = id_live = False
             break
         used += 1
-        z1, z2 = w.z1, w.z2
-        wp1, wp2 = _split(z1, z2)
-        if _zero_divisor_test(z1, z2, wp1, wp2, singularity_tol)[0]:
+        if _pair_zero_divisor_test(wp1, wp2, singularity_tol)[0]:
             if not product:
                 raise SingularTerm(f"singular term at position {used}", index=used)
             if prod_live:
@@ -356,8 +361,7 @@ def _product_pass(
                 # stable; classification depends on whether the recent
                 # terms actually sit near 1
                 if max(devs) < _FLOOR_FACTOR * tol:
-                    limit = Bicomplex.from_idempotent(q1, q2)
-                    if limit.is_singular(singularity_tol).is_singular:
+                    if _pair_zero_divisor_test(q1, q2, singularity_tol)[0]:
                         verdict = "diverged"
                     else:
                         verdict = "converged_nonsingular"
@@ -430,8 +434,14 @@ def analyze_product(
     own NonFiniteError, sets each report it ends to None.
     """
     _validate(tol, window, n_max)
+    return _analyze_product_pairs(_split_terms(terms), tol, window, n_max)
+
+
+def _analyze_product_pairs(pairs, tol: float, window: int, n_max: int) -> ProductAnalysis:
+    """analyze_product over (p1, p2) term pairs, with arguments already
+    checked by _validate; the CLI's ``product`` enters here."""
     return _product_pass(
-        terms, n_max, SINGULARITY_TOLERANCE, tol=tol, window=window,
+        pairs, n_max, SINGULARITY_TOLERANCE, tol=tol, window=window,
         product=True, absolute=True, identity_terms=min(n_max, LOG_SUM_CAP),
     )
 
@@ -453,7 +463,7 @@ def evaluate_product(
     """
     _validate(tol, window, n_max)
     return _product_pass(
-        terms, n_max, singularity_tol, tol=tol, window=window, product=True
+        _split_terms(terms), n_max, singularity_tol, tol=tol, window=window, product=True
     ).product
 
 
@@ -477,7 +487,9 @@ def log_sum_equivalence(
     product underflows to zero; both carry the 1-based index.
     """
     _validate(1.0, 2, n_max)
-    return _product_pass(terms, n_max, singularity_tol, identity_terms=n_max).identity
+    return _product_pass(
+        _split_terms(terms), n_max, singularity_tol, identity_terms=n_max
+    ).identity
 
 
 def absolute_convergence_check(
@@ -499,7 +511,7 @@ def absolute_convergence_check(
     """
     _validate(tol, window, n_max)
     return _product_pass(
-        terms, n_max, singularity_tol, tol=tol, window=window, absolute=True
+        _split_terms(terms), n_max, singularity_tol, tol=tol, window=window, absolute=True
     ).absolute
 
 

@@ -20,12 +20,21 @@ only; and the tree is at most that many nodes high, which bounds the
 recursion of ``compile_term``, ``eval_term`` and ``render``.
 
 ``parse`` produces an immutable AST, ``render`` turns an AST back into
-canonical text (round-trips through ``parse``). ``compile_term`` turns
-an AST, once per expression, into nested closures over the component
-pairs ``(z1, z2)``; they give bit for bit the values and errors of the
-``Bicomplex`` operations. ``eval_term`` substitutes a concrete index
-into an AST or a compiled term. Failures during evaluation carry the
-term index that produced them.
+canonical text (round-trips through ``parse``). An AST compiles, once
+per expression, to one of two targets:
+
+* ``compile_term``: nested closures over the components ``(z1, z2)``,
+  which give bit for bit the values and errors of the ``Bicomplex``
+  operations. ``eval_term`` substitutes a concrete index into an AST or
+  a compiled term and ``term_generator`` walks the indices; the library
+  and the CLI's ``eval`` and ``check-bounds`` use them.
+* ``_compile_pairs``: nested closures over the idempotent components
+  ``(p1, p2)``, in which each ring operation is a complex operation per
+  component and no value is split. ``_pair_generator`` walks the
+  indices; the CLI's ``series`` and ``product`` feed its pairs straight
+  to the analysis passes, which read pairs.
+
+Failures during evaluation carry the term index that produced them.
 """
 
 from __future__ import annotations
@@ -42,6 +51,7 @@ from .core import (
     I1,
     I2,
     J,
+    SINGULARITY_TOLERANCE,
     Bicomplex,
     NonFiniteError,
     SingularOperand,
@@ -49,7 +59,11 @@ from .core import (
     _fmt_real,
     _inverse_components,
     _join,
+    _pair_inverse,
+    _pair_power,
+    _pair_zero_divisor_test,
     _power_components,
+    _split,
 )
 
 __all__ = [
@@ -365,7 +379,11 @@ class CompiledTerm:
     """A term expression compiled by :func:`compile_term`.
 
     ``components(n)`` gives the components ``(z1, z2)`` of the term at
-    index ``n``; :func:`eval_term` validates ``n`` around it.
+    index ``n``; :func:`eval_term` validates ``n`` around it. This is
+    the target of ``eval_term`` and ``term_generator``, and so of the
+    CLI's ``eval`` and ``check-bounds``. The CLI's ``series`` and
+    ``product`` use the other target, closures over the idempotent
+    components ``(p1, p2)`` (:func:`_pair_generator`).
     """
 
     __slots__ = ("node", "components")
@@ -384,22 +402,36 @@ def compile_term(node) -> CompiledTerm:
     that do not use ``n`` are evaluated here, except those that raise:
     they stay in place, so their error comes from every evaluation.
     """
-    return CompiledTerm(node, _compile(node)[0])
+    return CompiledTerm(node, _compile(node, _COMPONENT_BUILDERS)[0])
 
 
-def _compile(node):
-    """``(closure, value)``: ``value`` is the pair the closure always
-    returns, or None when it depends on ``n`` or raises."""
+def _compile_pairs(node) -> Callable[[int], tuple[complex, complex]]:
+    """Compile an AST once into nested closures over the idempotent
+    components ``(p1, p2)``, where every ring operation but inversion is
+    one complex operation per component.
+
+    Each closure keeps the finiteness checks of the operation it stands
+    for, and a division, negative power or ``log``/``sqrt`` makes the
+    zero-divisor test on the pair (``core._pair_zero_divisor_test``).
+    Values may differ from ``compile_term``'s in their last bits, and
+    the values whose split or join overflows differ between the two.
+    Constant subtrees are folded as in :func:`compile_term`.
+    """
+    return _compile(node, _PAIR_BUILDERS)[0]
+
+
+def _compile(node, builders):
+    """``(closure, value)`` over one basis, with the closure builders
+    of that basis: ``value`` is the pair the closure always returns, or
+    None when it depends on ``n`` or raises."""
     kind = type(node)
-    if kind is Var:
-        return _var, None
     try:
-        operands, build = _COMPILERS[kind]
+        operands, build = builders[kind]
     except KeyError:
         raise TypeError(f"not an expression node: {node!r}") from None
-    compiled = [_compile(getattr(node, name)) for name in operands]
+    compiled = [_compile(getattr(node, name), builders) for name in operands]
     fn = build(node, *(closure for closure, _ in compiled))
-    if any(value is None for _, value in compiled):
+    if kind is Var or any(value is None for _, value in compiled):
         return fn, None
     try:
         value = fn(1)
@@ -412,8 +444,14 @@ def _constant(value):
     return lambda n: value
 
 
-def _var(n):
-    return complex(float(n)), 0j
+# -- closures over (z1, z2) ---------------------------------------------
+
+
+def _var(node):
+    def fn(n):
+        return complex(float(n)), 0j
+
+    return fn
 
 
 def _num(node):
@@ -430,6 +468,9 @@ def _num(node):
 def _const(node):
     w = _CONSTANTS[node.name]
     return _constant((w.z1, w.z2))
+
+
+# Neg, Add and Sub act on each component alike in both bases
 
 
 def _neg(node, arg):
@@ -522,10 +563,101 @@ def _idem(node, first, second):
     return fn
 
 
-# node type -> (operand fields, closure builder)
-_COMPILERS = {
+# -- closures over (p1, p2) ---------------------------------------------
+
+
+def _pair_var(node):
+    def fn(n):
+        x = complex(float(n))
+        return x, x
+
+    return fn
+
+
+def _pair_num(node):
+    value = node.value
+
+    def fn(n):
+        x = complex(value)
+        _check_finite(x, x)
+        return x, x
+
+    return fn
+
+
+def _pair_const(node):
+    w = _CONSTANTS[node.name]
+    return _constant(_split(w.z1, w.z2))
+
+
+def _pair_mul(node, left, right):
+    def fn(n):
+        a1, a2 = left(n)
+        b1, b2 = right(n)
+        p1 = a1 * b1
+        p2 = a2 * b2
+        _check_finite(p1, p2)
+        return p1, p2
+
+    return fn
+
+
+def _pair_div(node, left, right):
+    def inverse(n):
+        return _pair_inverse(*right(n))
+
+    return _pair_mul(node, left, inverse)
+
+
+def _pair_pow(node, base):
+    exponent = node.exponent
+
+    def fn(n):
+        a1, a2 = base(n)
+        return _pair_power(a1, a2, exponent)
+
+    return fn
+
+
+def _pair_call(node, arg):
+    func, what = _PAIR_FUNCTIONS[node.func]
+
+    def fn(n):
+        p1, p2 = arg(n)
+        if what is not None and _pair_zero_divisor_test(p1, p2, SINGULARITY_TOLERANCE)[0]:
+            raise SingularOperand(f"{what} requires an invertible value")
+        return func(p1, p2)
+
+    return fn
+
+
+def _pair_idem(node, first, second):
+    # a slot value has no second complex part when its components agree
+    def fn(n):
+        f1, f2 = first(n)
+        s1, s2 = second(n)
+        if f1 != f2 or s1 != s2:
+            raise IdempotentSlotError(
+                "idempotent slot values must have no second complex part"
+            )
+        return f1, s1
+
+    return fn
+
+
+# function -> (componentwise function, what it refuses a zero divisor
+# for, as the transcendental functions name it, or None)
+_PAIR_FUNCTIONS = {
+    "exp": (transcendental._exp_pair, None),
+    "log": (transcendental._log_pair, "logarithm"),
+    "sqrt": (transcendental._sqrt_pair, "square root"),
+}
+
+# node type -> (operand fields, closure builder), one table per basis
+_COMPONENT_BUILDERS = {
     Num: ((), _num),
     Const: ((), _const),
+    Var: ((), _var),
     Neg: (("operand",), _neg),
     Add: (("left", "right"), _add),
     Sub: (("left", "right"), _sub),
@@ -534,6 +666,19 @@ _COMPILERS = {
     Pow: (("base",), _pow),
     Call: (("arg",), _call),
     Idem: (("first", "second"), _idem),
+}
+_PAIR_BUILDERS = {
+    Num: ((), _pair_num),
+    Const: ((), _pair_const),
+    Var: ((), _pair_var),
+    Neg: (("operand",), _neg),
+    Add: (("left", "right"), _add),
+    Sub: (("left", "right"), _sub),
+    Mul: (("left", "right"), _pair_mul),
+    Div: (("left", "right"), _pair_div),
+    Pow: (("base",), _pair_pow),
+    Call: (("arg",), _pair_call),
+    Idem: (("first", "second"), _pair_idem),
 }
 
 
@@ -571,3 +716,17 @@ def term_generator(source, start: int = 1):
     while True:
         yield eval_term(term, n)
         n += 1
+
+
+def _pair_generator(node, start: int = 1):
+    """Yield the idempotent components ``(p1, p2)`` of the term at
+    n = start, start+1, ... from the pair closures of an AST, compiled
+    once. Errors carry ``term_index=n``, as eval_term's do."""
+    pairs = _compile_pairs(node)
+    n = start
+    try:
+        while True:
+            yield pairs(n)
+            n += 1
+    except (SingularOperand, NonFiniteError, IdempotentSlotError) as err:
+        raise type(err)(str(err), term_index=n) from None

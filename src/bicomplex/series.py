@@ -2,7 +2,10 @@
 
 A bicomplex series converges exactly when both of its idempotent
 component series converge, so every verdict here is the conjunction of
-two scalar complex verdicts produced by the same machinery.
+two scalar complex verdicts produced by the same machinery. The pass
+reads the terms as idempotent pairs ``(p1, p2)``: ``analyze_series``
+splits each Bicomplex term once, and the CLI feeds the pairs of
+compiled terms straight in, with no ``Bicomplex`` and no split.
 
 Verdicts are heuristic, not proofs. The rules, applied per component:
 
@@ -32,7 +35,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 
-from .core import Bicomplex, NonFiniteError, _coerce, _split
+from .core import Bicomplex, NonFiniteError, _coerce, _isfinite, _split
 
 __all__ = [
     "SeriesReport",
@@ -210,6 +213,20 @@ def _coerce_term(term, index: int) -> Bicomplex:
     return value
 
 
+def _split_terms(terms):
+    """Yield the idempotent components ``(p1, p2)`` of each term, which
+    is lifted to Bicomplex first: how the analyzers' Bicomplex terms
+    reach the passes, which read pairs. A term whose split overflows
+    raises NonFiniteError with its 1-based position, as it does where
+    compiled terms are evaluated as pairs."""
+    for k, term in enumerate(terms, start=1):
+        w = _coerce_term(term, k)
+        p1, p2 = _split(w.z1, w.z2)
+        if not (_isfinite(p1) and _isfinite(p2)):
+            raise NonFiniteError("the idempotent split of the term overflows", term_index=k)
+        yield p1, p2
+
+
 def _modulus(z: complex) -> float:
     """``abs(z)``, or inf where the modulus is past the float range, so
     that the overflow guard sees it."""
@@ -228,7 +245,9 @@ def _pair_or_none(p1: complex, p2: complex) -> Bicomplex | None:
 
 
 def _analyze_pairs(pairs, tol: float, window: int, n_max: int) -> SeriesReport:
-    """Run the component and norm trackers over (p1, p2) term pairs."""
+    """Run the component and norm trackers over (p1, p2) term pairs; the
+    pass behind analyze_series, eval_power_series and the CLI's
+    ``series``, with arguments already checked by _validate."""
     c1 = _Tracker(tol, window)
     c2 = _Tracker(tol, window)
     a1 = _Tracker(tol, window, _HARMONIC_RATIO)
@@ -299,13 +318,7 @@ def analyze_series(
     if a term is non-finite.
     """
     _validate(tol, window, n_max)
-
-    def pairs():
-        for k, term in enumerate(terms, start=1):
-            w = _coerce_term(term, k)
-            yield _split(w.z1, w.z2)
-
-    return _analyze_pairs(pairs(), tol, window, n_max)
+    return _analyze_pairs(_split_terms(terms), tol, window, n_max)
 
 
 def eval_power_series(

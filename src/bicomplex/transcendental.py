@@ -90,20 +90,34 @@ def _invertible_split(w: Bicomplex, tol: float, what: str) -> tuple[complex, com
     return p1, p2
 
 
+# The componentwise functions on idempotent components, shared by the
+# functions below and by compiled terms (seqspec). log and sqrt expect
+# an invertible argument; their callers test that first.
+
+
+def _exp_pair(p1: complex, p2: complex) -> tuple[complex, complex]:
+    try:
+        return cmath.exp(p1), cmath.exp(p2)
+    except (OverflowError, ValueError) as err:
+        # ValueError: the split of a value near the float limit has an infinite part
+        raise NonFiniteError(f"exp overflow: {err}") from None
+
+
+def _log_pair(p1: complex, p2: complex) -> tuple[complex, complex]:
+    return cmath.log(p1), cmath.log(p2)
+
+
+def _sqrt_pair(p1: complex, p2: complex) -> tuple[complex, complex]:
+    return cmath.sqrt(p1), cmath.sqrt(p2)
+
+
 def exp(w: Bicomplex) -> Bicomplex:
     """Bicomplex exponential, computed componentwise.
 
     Never lands on the null cone (both components of the result are
     nonzero). Raises NonFiniteError on overflow.
     """
-    p1, p2 = _split(w.z1, w.z2)
-    try:
-        r1 = cmath.exp(p1)
-        r2 = cmath.exp(p2)
-    except (OverflowError, ValueError) as err:
-        # ValueError: the split of a value near the float limit has an infinite part
-        raise NonFiniteError(f"exp overflow: {err}") from None
-    return Bicomplex.from_idempotent(r1, r2)
+    return Bicomplex.from_idempotent(*_exp_pair(*_split(w.z1, w.z2)))
 
 
 def sqrt(w: Bicomplex, tol: float = SINGULARITY_TOLERANCE) -> Bicomplex:
@@ -112,8 +126,7 @@ def sqrt(w: Bicomplex, tol: float = SINGULARITY_TOLERANCE) -> Bicomplex:
     Restricted to invertible values so the principal choice is stable;
     raises SingularOperand on the null cone.
     """
-    p1, p2 = _invertible_split(w, tol, "square root")
-    return Bicomplex.from_idempotent(cmath.sqrt(p1), cmath.sqrt(p2))
+    return Bicomplex.from_idempotent(*_sqrt_pair(*_invertible_split(w, tol, "square root")))
 
 
 def trig_form(w: Bicomplex, tol: float = SINGULARITY_TOLERANCE) -> TrigForm:
@@ -145,8 +158,7 @@ def log_principal(w: Bicomplex, tol: float = SINGULARITY_TOLERANCE) -> Bicomplex
     Inverse of exp up to the period lattice; raises SingularOperand on
     the null cone, where no logarithm exists.
     """
-    p1, p2 = _invertible_split(w, tol, "logarithm")
-    return Bicomplex.from_idempotent(cmath.log(p1), cmath.log(p2))
+    return Bicomplex.from_idempotent(*_log_pair(*_invertible_split(w, tol, "logarithm")))
 
 
 def log_principal_direct(w: Bicomplex, tol: float = SINGULARITY_TOLERANCE) -> Bicomplex:

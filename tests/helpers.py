@@ -124,3 +124,92 @@ def run_cli(argv: list[str]) -> tuple[int, str, str]:
             # argparse usage errors exit this way
             code = exc.code if isinstance(exc.code, int) else 2
     return code, out.getvalue(), err.getvalue()
+
+
+# -- term expressions --------------------------------------------------
+
+def mp_term_pairs(node, n: int, prec: int = 256):
+    """The idempotent components ``(p1, p2)`` of a term AST at index ``n``,
+    evaluated in ``prec``-bit mpmath arithmetic from the same float
+    literals and constants as the program.
+
+    Raises ZeroDivisionError where a divisor has a zero component,
+    OverflowError where an ``exp`` argument is past the float range, and
+    ValueError where a ``log`` or ``sqrt`` argument has a component on
+    the branch cut: there the principal value depends on the sign of a
+    zero that the exact value does not have.
+    """
+    import mpmath as mp
+
+    from bicomplex.seqspec import (
+        _CONSTANTS, Add, Call, Const, Div, Idem, Mul, Neg, Num, Pow, Sub, Var,
+    )
+
+    functions = {"exp": mp.exp, "log": mp.log, "sqrt": mp.sqrt}
+
+    def walk(node):
+        kind = type(node)
+        if kind is Num or kind is Var:
+            x = mp.mpc(node.value if kind is Num else n)
+            return x, x
+        if kind is Const:
+            w = _CONSTANTS[node.name]
+            z1, z2 = mp.mpc(w.z1), mp.mpc(w.z2)
+            return z1 - 1j * z2, z1 + 1j * z2
+        if kind is Neg:
+            a1, a2 = walk(node.operand)
+            return -a1, -a2
+        if kind is Pow:
+            a1, a2 = walk(node.base)
+            if node.exponent < 0 and (a1 == 0 or a2 == 0):
+                raise ZeroDivisionError("power of a zero divisor")
+            return a1**node.exponent, a2**node.exponent
+        if kind is Call:
+            a = walk(node.arg)
+            if node.func == "exp" and any(abs(x.real) > 1000 for x in a):
+                # past the float range either way; exact evaluation
+                # would need as many bits as the argument is large
+                raise OverflowError("exp argument out of the float range")
+            if node.func != "exp" and any(x.imag == 0 and x.real <= 0 for x in a):
+                raise ValueError("argument on the branch cut")
+            return tuple(functions[node.func](x) for x in a)
+        if kind is Idem:
+            return walk(node.first)[0], walk(node.second)[0]
+        (a1, a2), (b1, b2) = walk(node.left), walk(node.right)
+        if kind is Add:
+            return a1 + b1, a2 + b2
+        if kind is Sub:
+            return a1 - b1, a2 - b2
+        if kind is Mul:
+            return a1 * b1, a2 * b2
+        if kind is Div:
+            if b1 == 0 or b2 == 0:
+                raise ZeroDivisionError("division by a zero divisor")
+            return a1 / b1, a2 / b2
+        raise TypeError(f"not an expression node: {node!r}")
+
+    with mp.workprec(prec):
+        return walk(node)
+
+
+def mp_pair_error(p, q, prec: int = 256) -> float:
+    """Relative Euclidean distance from the pair ``p`` (complex or
+    mpmath values) to the mpmath pair ``q``: 0 when both are zero, inf
+    when only ``q`` is."""
+    import mpmath as mp
+
+    with mp.workprec(prec):
+        num = mp.sqrt(abs(mp.mpc(p[0]) - q[0]) ** 2 + abs(mp.mpc(p[1]) - q[1]) ** 2)
+        den = mp.sqrt(abs(q[0]) ** 2 + abs(q[1]) ** 2)
+        if den == 0:
+            return 0.0 if num == 0 else math.inf
+        return float(num / den)
+
+
+def mp_split(w: Bicomplex, prec: int = 256):
+    """The idempotent components of ``w``, split exactly in mpmath."""
+    import mpmath as mp
+
+    with mp.workprec(prec):
+        z1, z2 = mp.mpc(w.z1), mp.mpc(w.z2)
+        return z1 - 1j * z2, z1 + 1j * z2

@@ -238,18 +238,23 @@ def test_usage_errors_from_argparse_exit_2():
 
 
 def test_json_output_cannot_hold_infinity():
-    # an idempotent component of 1e308 + 1e308*j, and the norm of the
-    # other value, are past the float range: text prints inf, --json
-    # exits 1 with nothing on stdout
+    # the norm of this value is past the float range: text prints inf,
+    # --json exits 1 with nothing on stdout
+    argv = ["check-bounds", "--", "1.5e308-1.5e308*i2"]
+    code, out, err = run_cli(argv)
+    assert code == 0 and err == "" and "inf" in out
+    # an idempotent component of 1e308 + 1e308*j is past the float range,
+    # and `[inf | 0]` would not parse: both modes exit 1
     for argv in (
+        argv,
         ["eval", "--", "1e308 + 1e308*j"],
-        ["check-bounds", "--", "1.5e308-1.5e308*i2"],
     ):
-        code, out, err = run_cli(argv)
-        assert code == 0 and err == "" and "inf" in out
         code, out, err = run_cli([argv[0], "--json", *argv[1:]])
         assert code == 1 and out == ""
         assert _one_line(err) and err.startswith("non-finite abort:")
+    code, out, err = run_cli(["eval", "--", "1e308 + 1e308*j"])
+    assert code == 1 and out == ""
+    assert _one_line(err) and err.startswith("non-finite abort:")
 
 
 def test_series_term_past_the_float_range_diverges():

@@ -74,6 +74,7 @@ def edge_argvs(draw):
 @example(["series", "--", "1.5e308-1.5e308*i2"])
 @example(["eval", "--", "exp(1e308*i1 + 1e308*i2)"])
 @example(["eval", "--json", "--", "1e308 + 1e308*j"])
+@example(["eval", "--", "1e308 + 1e308*j"])
 @example(["check-bounds", "--json", "--", "1.5e308-1.5e308*i2"])
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(edge_argvs())

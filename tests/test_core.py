@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -16,12 +17,15 @@ from bicomplex import (
     NonFiniteError,
     SingularOperand,
 )
+from bicomplex.core import _join, _pair_zero_divisor_test, _split
+from bicomplex.transcendental import trig_form
 from helpers import (
     assert_close,
     gauss_bicomplex,
     nonsingular_bicomplex,
     null_cone_bicomplex,
 )
+from test_transcendental import EDGE_GRID
 
 
 def test_construction_and_views():
@@ -381,3 +385,71 @@ def test_formatting():
     w = Bicomplex(1 / 3, 2j / 3)
     assert w.format_four_real(3) == "0.333 + 0*i1 + 0*i2 + 0.667*j"
     assert repr(w) == f"Bicomplex({w.z1!r}, {w.z2!r})"
+
+
+def test_format_idempotent_where_the_split_overflows():
+    # `[inf | 0]` would not parse
+    with pytest.raises(NonFiniteError):
+        Bicomplex(1e308, 1e308j).format_idempotent()
+
+
+def test_join_where_the_sum_of_components_overflows():
+    assert Bicomplex.from_idempotent(1e308, -1e308) == Bicomplex(0.0, 1e308j)
+    assert Bicomplex.from_idempotent(1e308, 1e308) == Bicomplex(1e308)
+    w = Bicomplex(0.0, 1e308j)
+    assert_close(trig_form(w).reconstruct(), w)
+    # every finite result of the plain formula keeps its bits
+    rng = np.random.default_rng(11)
+    values = [0.0, -0.0, 1.0, -2.5, 1e-320, 1e300, -1e300]
+    pairs = [
+        (complex(*rng.choice(values, 2)), complex(*rng.choice(values, 2)))
+        for _ in range(2000)
+    ] + [(complex(*rng.normal(size=2)), complex(*rng.normal(size=2))) for _ in range(2000)]
+    for p1, p2 in pairs:
+        plain = ((p1 + p2) / 2.0, 1j * (p1 - p2) / 2.0)
+        if all(map(math.isfinite, (plain[0].real, plain[0].imag, plain[1].real, plain[1].imag))):
+            assert repr(_join(p1, p2)) == repr(plain), (p1, p2)
+
+
+def _pair_singular(w: Bicomplex) -> bool:
+    return _pair_zero_divisor_test(*_split(w.z1, w.z2), 1e-12)[0]
+
+
+def test_pair_zero_divisor_test_matches_is_singular():
+    rng = np.random.default_rng(2401)
+    samples = [null_cone_bicomplex(rng, sign=(-1) ** k) for k in range(5000)]
+    samples += [nonsingular_bicomplex(rng) for _ in range(5000)]
+    assert sum(_pair_singular(w) != w.is_singular().is_singular for w in samples) == 0
+    # the edge grid, where the split is finite: the pair basis cannot
+    # hold the others (376 of the 2,401)
+    held = [w for w in EDGE_GRID if all(map(cmath.isfinite, _split(w.z1, w.z2)))]
+    assert len(held) == 2025
+    assert sum(_pair_singular(w) != w.is_singular().is_singular for w in held) == 0
+
+
+def test_pair_zero_divisor_verdict_does_not_depend_on_scale():
+    near = Bicomplex(1.0, 1j * (1.0 + 1e-13))
+    far = Bicomplex(1.0, 1j * (1.0 + 1e-5))
+    rng = np.random.default_rng(500)
+    values = [near, far, Bicomplex(1.0), Bicomplex(1.0, 0.5), Bicomplex(1.0, 1j)]
+    values += [nonsingular_bicomplex(rng) for _ in range(20)]
+    values += [null_cone_bicomplex(rng) for _ in range(20)]
+    for w in values:
+        p1, p2 = _split(w.z1, w.z2)
+        unscaled = _pair_zero_divisor_test(p1, p2, 1e-12)[0]
+        for k in range(-500, 501):
+            s = math.ldexp(1.0, k)
+            scaled = Bicomplex(w.z1 * s, w.z2 * s)
+            verdict = _pair_zero_divisor_test(p1 * s, p2 * s, 1e-12)[0]
+            # the same verdict as the Bicomplex test on the scaled value,
+            # and, where the threshold is relative, as on the value itself
+            assert verdict == scaled.is_singular().is_singular, (w, k)
+            if abs(w) >= 1.0 and k >= 0:
+                assert verdict == unscaled, (w, k)
+    assert _pair_zero_divisor_test(*_split(near.z1, near.z2), 1e-12)[0]
+    assert not _pair_zero_divisor_test(*_split(far.z1, far.z2), 1e-12)[0]
+    # near the largest finite values the moduli overflow
+    c = complex(1e308, 1e308)
+    assert not _pair_zero_divisor_test(c, c, 1e-12)[0]
+    assert _pair_zero_divisor_test(c, c * 1e-300, 1e-12)[0]
+

@@ -386,15 +386,27 @@ def test_one_pass_matches_separate_passes_on_random_expressions():
     assert "raised" in outcomes and len(outcomes) >= 4
 
 
-def test_cli_product_evaluates_each_term_once(monkeypatch):
+def _count_pair_evaluations(monkeypatch) -> list[int]:
+    """Record the index of every evaluation of a compiled pair closure,
+    the seam through which the CLI's product and series read terms."""
     calls = []
-    original = seqspec.eval_term
+    original = seqspec._compile_pairs
 
-    def counting(term, n):
-        calls.append(n)
-        return original(term, n)
+    def compile_counting(node):
+        pairs = original(node)
 
-    monkeypatch.setattr(seqspec, "eval_term", counting)
+        def counting(n):
+            calls.append(n)
+            return pairs(n)
+
+        return counting
+
+    monkeypatch.setattr(seqspec, "_compile_pairs", compile_counting)
+    return calls
+
+
+def test_cli_product_evaluates_each_term_once(monkeypatch):
+    calls = _count_pair_evaluations(monkeypatch)
     code, out, _ = run_cli([
         "product", "1 + (3/10 + 2/5*i2)/n^2",
         "--tol", "1e-6", "--max-terms", "20000", "--json",
@@ -408,3 +420,12 @@ def test_cli_product_evaluates_each_term_once(monkeypatch):
     ]
     assert len(set(used)) == 3
     assert calls == list(range(1, max(used) + 1))
+
+
+def test_cli_series_evaluates_each_term_once(monkeypatch):
+    calls = _count_pair_evaluations(monkeypatch)
+    code, out, _ = run_cli(["series", "[exp(-n) | exp(-2*n)]", "--json"])
+    assert code == 0
+    used = json.loads(out)["report"]["terms_used"]
+    assert 1 < used < 10**6
+    assert calls == list(range(1, used + 1))

@@ -132,11 +132,15 @@ def test_overflow_guard_marks_divergence():
     assert report.verdict == "diverged"
 
 
-def test_limit_estimate_none_when_reconstruction_overflows():
-    # components stay individually finite, their midpoint does not
+def test_limit_estimate_where_the_sum_of_components_overflows():
+    # p1 + p2 overflows, but their midpoint formed from the halves does not
     report = analyze_series(iter([Bicomplex(1.7e308)]))
     assert report.verdict == "diverged"
-    assert report.limit_estimate is None
+    assert report.limit_estimate == Bicomplex(1.7e308)
+    # a term whose split overflows has no finite components to sum
+    with pytest.raises(NonFiniteError) as info:
+        analyze_series(iter([ONE, Bicomplex(1e308, 1e308j)]))
+    assert info.value.term_index == 2
 
 
 def test_validation_errors():
@@ -214,4 +218,5 @@ def test_power_series_past_the_float_range_diverges():
     # the second term's modulus is past the float range
     report = eval_power_series([1.0] * 5, Bicomplex(1.5e308, -1.5e308))
     assert report.verdict == "diverged"
-    assert report.limit_estimate is None
+    # 1 + w, in which the 1 is lost to rounding
+    assert report.limit_estimate == Bicomplex(1.5e308, -1.5e308)
