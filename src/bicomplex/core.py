@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 __all__ = [
     "Bicomplex",
@@ -77,8 +76,149 @@ class NonFiniteError(ArithmeticError):
         self.term_index = term_index
 
 
-@dataclass(frozen=True)
-class SingularityVerdict:
+# __init__ templates by field count, over the slot setters they close
+# over. _RecordType renames a template's parameters to the field names,
+# so fields can also be passed by keyword. Nothing is built from source
+# text with exec, as dataclasses builds its methods: a CLI run pays for
+# every class at import.
+
+
+def _init0():
+    def __init__(self):
+        pass
+    return __init__
+
+
+def _init1(s0):
+    def __init__(self, a):
+        s0(self, a)
+    return __init__
+
+
+def _init2(s0, s1):
+    def __init__(self, a, b):
+        s0(self, a)
+        s1(self, b)
+    return __init__
+
+
+def _init3(s0, s1, s2):
+    def __init__(self, a, b, c):
+        s0(self, a)
+        s1(self, b)
+        s2(self, c)
+    return __init__
+
+
+def _init4(s0, s1, s2, s3):
+    def __init__(self, a, b, c, d):
+        s0(self, a)
+        s1(self, b)
+        s2(self, c)
+        s3(self, d)
+    return __init__
+
+
+def _init5(s0, s1, s2, s3, s4):
+    def __init__(self, a, b, c, d, e):
+        s0(self, a)
+        s1(self, b)
+        s2(self, c)
+        s3(self, d)
+        s4(self, e)
+    return __init__
+
+
+def _init6(s0, s1, s2, s3, s4, s5):
+    def __init__(self, a, b, c, d, e, f):
+        s0(self, a)
+        s1(self, b)
+        s2(self, c)
+        s3(self, d)
+        s4(self, e)
+        s5(self, f)
+    return __init__
+
+
+def _init7(s0, s1, s2, s3, s4, s5, s6):
+    def __init__(self, a, b, c, d, e, f, g):
+        s0(self, a)
+        s1(self, b)
+        s2(self, c)
+        s3(self, d)
+        s4(self, e)
+        s5(self, f)
+        s6(self, g)
+    return __init__
+
+
+def _init8(s0, s1, s2, s3, s4, s5, s6, s7):
+    def __init__(self, a, b, c, d, e, f, g, h):
+        s0(self, a)
+        s1(self, b)
+        s2(self, c)
+        s3(self, d)
+        s4(self, e)
+        s5(self, f)
+        s6(self, g)
+        s7(self, h)
+    return __init__
+
+
+_INITS = (_init0, _init1, _init2, _init3, _init4, _init5, _init6, _init7, _init8)
+
+
+class _RecordType(type):
+    """Metaclass of :class:`_Record`: the annotated names of a class body,
+    in order, become the class's slots, its ``_fields`` and
+    ``__match_args__``, and the parameters of its ``__init__``."""
+
+    def __new__(mcls, name, bases, namespace):
+        fields = tuple(namespace.get("__annotations__", ()))
+        namespace["__slots__"] = namespace["_fields"] = namespace["__match_args__"] = fields
+        cls = super().__new__(mcls, name, bases, namespace)
+        init = _INITS[len(fields)](*(getattr(cls, field).__set__ for field in fields))
+        init.__code__ = init.__code__.replace(co_varnames=("self", *fields))
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = init
+        return cls
+
+
+class _Record(metaclass=_RecordType):
+    """Frozen record: a class body lists its fields as annotations.
+
+    Behaves as a frozen dataclass does: fields by position or keyword,
+    ``Name(field=value, ...)`` repr, equality only with the same type,
+    a hash of the field values, AttributeError on assignment or
+    deletion, positional ``match``, and pickling and copying.
+    """
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, field) for field in self._fields])
+
+    def __repr__(self):
+        inner = ", ".join(f"{field}={getattr(self, field)!r}" for field in self._fields)
+        return f"{type(self).__qualname__}({inner})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class SingularityVerdict(_Record):
     """Outcome of the zero-divisor test.
 
     is_singular         -- True when the value is numerically a zero divisor
@@ -97,8 +237,7 @@ class SingularityVerdict:
     min_component_modulus: float
 
 
-@dataclass(frozen=True)
-class IdempotentPair:
+class IdempotentPair(_Record):
     """Complex components of a bicomplex number over the basis (e1, e2)."""
 
     p1: complex
@@ -109,8 +248,7 @@ class IdempotentPair:
         return Bicomplex.from_idempotent(self.p1, self.p2)
 
 
-@dataclass(frozen=True)
-class Duplex:
+class Duplex(_Record):
     """Hyperbolic number ``x + y*j`` with real x, y (j*j == 1).
 
     The duplex plane embeds into the bicomplex ring as
@@ -136,8 +274,7 @@ class Duplex:
         return cls(w.z1.real, w.z2.imag)
 
 
-@dataclass(frozen=True)
-class NormInfo:
+class NormInfo(_Record):
     """The three square moduli and the Euclidean norm of one value.
 
     mod_i1_sq -- w * conj(w, 2), a complex number; equals cn(w)

@@ -48,14 +48,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from itertools import islice, pairwise
-from typing import NamedTuple
 
 from .core import (
     SINGULARITY_TOLERANCE, Bicomplex, NonFiniteError, SingularOperand, _coerce,
-    _pair_zero_divisor_test,
+    _pair_zero_divisor_test, _Record,
 )
 from .seqspec import IdempotentSlotError
 from .series import (
@@ -104,8 +102,7 @@ class SingularTerm(ArithmeticError):
         self.index = index
 
 
-@dataclass(frozen=True)
-class ProductReport:
+class ProductReport(_Record):
     """Outcome of an infinite-product evaluation.
 
     limit_estimate and log_sum are None when accumulation left the
@@ -124,8 +121,7 @@ class ProductReport:
     singular_index: int | None
 
 
-@dataclass(frozen=True)
-class LogSumReport:
+class LogSumReport(_Record):
     product_limit: Bicomplex | None
     exp_of_log_sum: Bicomplex | None
     max_discrepancy: float
@@ -134,8 +130,7 @@ class LogSumReport:
     terms_used: int
 
 
-@dataclass(frozen=True)
-class AbsoluteReport:
+class AbsoluteReport(_Record):
     via_log_norms: str
     via_deviation_norms: str
     agree: bool
@@ -143,17 +138,15 @@ class AbsoluteReport:
     terms_used: int
 
 
-class ProductAnalysis(NamedTuple):
-    """The three reports of :func:`analyze_product`; ``absolute`` and
-    ``identity`` are None where a failure ended them."""
+class ProductAnalysis(namedtuple("ProductAnalysis", "product absolute identity")):
+    """The three reports of :func:`analyze_product`: a ProductReport, an
+    AbsoluteReport and a LogSumReport; ``absolute`` and ``identity`` are
+    None where a failure ended them."""
 
-    product: ProductReport
-    absolute: AbsoluteReport | None
-    identity: LogSumReport | None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(_Record):
     norm: float
     log_norm: float
     ratio: float
@@ -334,12 +327,14 @@ def _product_pass(
 
         if prod_live or abs_live:
             dev = _rms(wp1 - 1.0, wp2 - 1.0)
-            log_norm = _rms(lg1, lg2)
-            log_track.push(log_norm, log_norm)
-            dev_track.push(dev, dev)
-            if abs_live and log_track.verdict is not None and dev_track.verdict is not None:
-                abs_report = _absolute_report(log_track, dev_track, used)
-                abs_live = False
+            # a tracker with a verdict ignores its pushes
+            if log_track.verdict is None or dev_track.verdict is None:
+                log_norm = _rms(lg1, lg2)
+                log_track.push(log_norm, log_norm)
+                dev_track.push(dev, dev)
+                if abs_live and log_track.verdict is not None and dev_track.verdict is not None:
+                    abs_report = _absolute_report(log_track, dev_track, used)
+                    abs_live = False
 
         if prod_live:
             pnorm = _rms(q1, q2)

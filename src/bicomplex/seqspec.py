@@ -41,8 +41,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from collections import namedtuple
+from collections.abc import Callable
 
 from . import transcendental
 from .core import (
@@ -63,6 +63,7 @@ from .core import (
     _pair_power,
     _pair_zero_divisor_test,
     _power_components,
+    _Record,
     _split,
 )
 
@@ -106,72 +107,59 @@ class IdempotentSlotError(ValueError):
         self.term_index = term_index
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(_Record):
     value: float
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(_Record):
     name: str
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(_Record):
     pass
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(_Record):
     operand: object
 
 
-@dataclass(frozen=True)
-class Add:
+class Add(_Record):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Sub:
+class Sub(_Record):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Mul:
+class Mul(_Record):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Div:
+class Div(_Record):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(_Record):
     base: object
     exponent: int
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(_Record):
     func: str
     arg: object
 
 
-@dataclass(frozen=True)
-class Idem:
+class Idem(_Record):
     first: object
     second: object
 
 
-class _Token(NamedTuple):
-    kind: str     # "num", "name", "end", or the operator character
-    text: str
-    position: int
+# kind: "num", "name", "end", or the operator character
+_Token = namedtuple("_Token", "kind text position")
 
 
 _TOKEN_RE = re.compile(

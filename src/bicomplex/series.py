@@ -32,10 +32,9 @@ from __future__ import annotations
 import cmath
 import math
 from collections import deque
-from dataclasses import dataclass
 from itertools import islice
 
-from .core import Bicomplex, NonFiniteError, _coerce, _isfinite, _split
+from .core import Bicomplex, NonFiniteError, _coerce, _isfinite, _Record, _split
 
 __all__ = [
     "SeriesReport",
@@ -87,8 +86,7 @@ def _diameter(values) -> float:
     return worst
 
 
-@dataclass(frozen=True)
-class SeriesReport:
+class SeriesReport(_Record):
     """Outcome of a series analysis.
 
     verdict             -- "converged" | "diverged" | "inconclusive"

@@ -17,8 +17,7 @@ full period lattice is twice as fine, which is why
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 from .core import (
     SINGULARITY_TOLERANCE,
@@ -26,6 +25,7 @@ from .core import (
     NonFiniteError,
     SingularOperand,
     _isfinite,
+    _Record,
     _split,
     _unit_scale,
     _zero_divisor_test,
@@ -52,16 +52,14 @@ _SERIES_STOP = 1e-17
 _SERIES_MAX_TERMS = 64
 
 
-class BranchIndex(NamedTuple):
+class BranchIndex(namedtuple("BranchIndex", "m n")):
     """Branch of the logarithm: the principal value shifted by
-    ``2*pi*(m*i1 + n*i2)``."""
+    ``2*pi*(m*i1 + n*i2)``, for integers m and n."""
 
-    m: int
-    n: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TrigForm:
+class TrigForm(_Record):
     """Polar-style decomposition ``w = r_c * (cos(theta) + i2*sin(theta))``.
 
     r_c      -- principal complex square root of cn(w) (nonnegative real

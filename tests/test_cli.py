@@ -1,6 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import bicomplex
 from helpers import GOLDEN_DIR, run_cli
 
 GOLDEN_CASES = {
@@ -261,3 +266,21 @@ def test_series_term_past_the_float_range_diverges():
     code, out, err = run_cli(["series", "--", "1.5e308-1.5e308*i2"])
     assert code == 0 and err == ""
     assert "verdict: diverged" in out
+
+
+def test_start_up_imports_no_dataclasses_typing_or_inspect():
+    # every CLI run pays for its imports; these three cost about 20 ms
+    code = (
+        "import sys\n"
+        "import bicomplex.cli\n"
+        "bicomplex.cli._build_parser()\n"
+        "print(sorted({'dataclasses', 'typing', 'inspect'} & set(sys.modules)))\n"
+    )
+    src = Path(bicomplex.__file__).resolve().parents[1]
+    child = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "[]\n"

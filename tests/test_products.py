@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -26,6 +25,7 @@ from bicomplex import (
     seqspec,
     term_generator,
 )
+from bicomplex.core import _Record
 from bicomplex.products import LOG_SUM_CAP
 from bicomplex.seqspec import IdempotentSlotError
 from helpers import (
@@ -327,9 +327,9 @@ def _bits(value):
         return tuple(x.hex() for x in value.four_reals)
     if isinstance(value, tuple):
         return tuple(_bits(v) for v in value)
-    if dataclasses.is_dataclass(value):
+    if isinstance(value, _Record):
         return (type(value).__name__,) + tuple(
-            _bits(getattr(value, f.name)) for f in dataclasses.fields(value)
+            _bits(getattr(value, name)) for name in value._fields
         )
     return value
 
