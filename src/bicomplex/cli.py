@@ -101,13 +101,9 @@ def _f(x: float) -> str:
 def _bc_json(w: Bicomplex | None):
     if w is None:
         return None
-    pair = w.idempotent()
     return {
         "four_reals": list(w.four_reals),
-        "idempotent": [
-            [pair.p1.real, pair.p1.imag],
-            [pair.p2.real, pair.p2.imag],
-        ],
+        "idempotent": [[w.p1.real, w.p1.imag], [w.p2.real, w.p2.imag]],
     }
 
 

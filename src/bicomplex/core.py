@@ -18,8 +18,17 @@ as ``w = p1*e1 + p2*e2`` with complex components ``p1 = z1 - i1*z2`` and
 componentwise in that basis, which is what makes the function theory
 tractable.
 
-Values are treated as immutable. Operations that would produce NaN or
-infinity raise :class:`NonFiniteError` instead of propagating them.
+:class:`Bicomplex` stores that pair ``(p1, p2)`` and nothing else. Each
+ring operation is one complex operation per component, except inversion
+and the zero-divisor test, which read both. ``Bicomplex(z1, z2)`` splits
+its arguments once (``_split``), and the views ``z1``, ``z2`` and
+``four_reals`` join the pair back (``_join``); these two functions are
+the only places the basis formulas appear. Equality and hashing compare
+the pair.
+
+Values are immutable. Operations that would produce NaN or infinity
+raise :class:`NonFiniteError` instead of propagating them, and so does
+building a value whose split leaves the float range.
 """
 
 from __future__ import annotations
@@ -269,9 +278,10 @@ class Duplex(_Record):
         Raises ValueError if ``w`` has components outside the duplex
         subring (nonzero i1 or i2 parts).
         """
-        if w.z1.imag != 0.0 or w.z2.real != 0.0:
+        x1, x2, x3, x4 = w.four_reals
+        if x2 != 0.0 or x3 != 0.0:
             raise ValueError("value is not in the duplex subring")
-        return cls(w.z1.real, w.z2.imag)
+        return cls(x1, x4)
 
 
 class NormInfo(_Record):
@@ -291,32 +301,33 @@ class NormInfo(_Record):
 
 
 class Bicomplex:
-    """An immutable bicomplex number stored as two complex components."""
+    """An immutable bicomplex number, stored as its idempotent components
+    ``(p1, p2)``; the components ``(z1, z2)`` are views."""
 
-    __slots__ = ("z1", "z2")
+    __slots__ = ("p1", "p2")
 
     def __init__(self, z1: complex = 0.0, z2: complex = 0.0):
-        z1 = complex(z1)
-        z2 = complex(z2)
-        _check_finite(z1, z2)
-        _set_z1(self, z1)
-        _set_z2(self, z2)
+        p1, p2 = _split(complex(z1), complex(z2))
+        _check_finite(p1, p2)
+        _set_p1(self, p1)
+        _set_p2(self, p2)
 
     def __setattr__(self, name, value):
         raise AttributeError("Bicomplex values are immutable")
 
+    def __reduce__(self):
+        return type(self)._make, (self.p1, self.p2)
+
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def _make(cls, z1: complex, z2: complex) -> "Bicomplex":
-        """Trusted constructor for components that are already complex.
-
-        Skips the coercion of ``__init__`` but keeps its finiteness check.
-        """
-        _check_finite(z1, z2)
+    def _make(cls, p1: complex, p2: complex) -> "Bicomplex":
+        """Trusted constructor for idempotent components that are already
+        complex. Skips coercion but keeps the finiteness check."""
+        _check_finite(p1, p2)
         self = object.__new__(cls)
-        _set_z1(self, z1)
-        _set_z2(self, z2)
+        _set_p1(self, p1)
+        _set_p2(self, p2)
         return self
 
     @classmethod
@@ -327,26 +338,27 @@ class Bicomplex:
     @classmethod
     def from_idempotent(cls, p1: complex, p2: complex) -> "Bicomplex":
         """Build ``p1*e1 + p2*e2`` from complex idempotent components."""
-        return cls._make(*_join(complex(p1), complex(p2)))
+        return cls._make(complex(p1), complex(p2))
 
     # -- component views ----------------------------------------------
 
     @property
+    def z1(self) -> complex:
+        """First complex component, ``(p1 + p2)/2``."""
+        return _join(self.p1, self.p2)[0]
+
+    @property
+    def z2(self) -> complex:
+        """Second complex component, the i2 part, ``i1*(p1 - p2)/2``."""
+        return _join(self.p1, self.p2)[1]
+
+    @property
     def four_reals(self) -> tuple[float, float, float, float]:
-        return (self.z1.real, self.z1.imag, self.z2.real, self.z2.imag)
-
-    @property
-    def p1(self) -> complex:
-        """First idempotent component, ``z1 - i1*z2``."""
-        return _split(self.z1, self.z2)[0]
-
-    @property
-    def p2(self) -> complex:
-        """Second idempotent component, ``z1 + i1*z2``."""
-        return _split(self.z1, self.z2)[1]
+        z1, z2 = _join(self.p1, self.p2)
+        return (z1.real, z1.imag, z2.real, z2.imag)
 
     def idempotent(self) -> IdempotentPair:
-        return IdempotentPair(*_split(self.z1, self.z2))
+        return IdempotentPair(self.p1, self.p2)
 
     # -- ring operations ----------------------------------------------
 
@@ -354,7 +366,7 @@ class Bicomplex:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return Bicomplex._make(self.z1 + other.z1, self.z2 + other.z2)
+        return Bicomplex._make(self.p1 + other.p1, self.p2 + other.p2)
 
     __radd__ = __add__
 
@@ -362,20 +374,19 @@ class Bicomplex:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return Bicomplex._make(self.z1 - other.z1, self.z2 - other.z2)
+        return Bicomplex._make(self.p1 - other.p1, self.p2 - other.p2)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return Bicomplex._make(other.z1 - self.z1, other.z2 - self.z2)
+        return Bicomplex._make(other.p1 - self.p1, other.p2 - self.p2)
 
     def __mul__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        a1, a2, b1, b2 = self.z1, self.z2, other.z1, other.z2
-        return Bicomplex._make(a1 * b1 - a2 * b2, a1 * b2 + a2 * b1)
+        return Bicomplex._make(self.p1 * other.p1, self.p2 * other.p2)
 
     __rmul__ = __mul__
 
@@ -392,7 +403,7 @@ class Bicomplex:
         return other * self.inverse()
 
     def __neg__(self):
-        return Bicomplex._make(-self.z1, -self.z2)
+        return Bicomplex._make(-self.p1, -self.p2)
 
     def __pos__(self):
         return self
@@ -400,7 +411,7 @@ class Bicomplex:
     def __pow__(self, exponent):
         if not isinstance(exponent, int):
             return NotImplemented
-        return Bicomplex._make(*_power_components(self.z1, self.z2, exponent))
+        return Bicomplex._make(*_pair_power(self.p1, self.p2, exponent))
 
     # -- equality and hashing -----------------------------------------
 
@@ -408,10 +419,10 @@ class Bicomplex:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return self.z1 == other.z1 and self.z2 == other.z2
+        return self.p1 == other.p1 and self.p2 == other.p2
 
     def __hash__(self):
-        return hash((self.z1, self.z2))
+        return hash((self.p1, self.p2))
 
     def isclose(self, other: "Bicomplex", rel_tol: float = 1e-9, abs_tol: float = 0.0) -> bool:
         """Approximate equality in the Euclidean metric."""
@@ -426,47 +437,46 @@ class Bicomplex:
     def conj(self, kind: int) -> "Bicomplex":
         """One of the three bicomplex conjugations.
 
-        kind 1 conjugates both complex components; kind 2 negates z2;
-        kind 3 composes the two. All are ring involutions.
+        kind 1 conjugates both complex components z1 and z2; kind 2
+        negates z2; kind 3 composes the two. All are ring involutions.
+        On the idempotent components they are exact: kind 1 gives
+        ``(conj(p2), conj(p1))``, kind 2 swaps them, kind 3 conjugates
+        each.
         """
+        p1, p2 = self.p1, self.p2
         if kind == 1:
-            return Bicomplex(self.z1.conjugate(), self.z2.conjugate())
+            return Bicomplex._make(p2.conjugate(), p1.conjugate())
         if kind == 2:
-            return Bicomplex(self.z1, -self.z2)
+            return Bicomplex._make(p2, p1)
         if kind == 3:
-            return Bicomplex(self.z1.conjugate(), -self.z2.conjugate())
+            return Bicomplex._make(p1.conjugate(), p2.conjugate())
         raise ValueError(f"conjugation kind must be 1, 2 or 3, got {kind!r}")
 
     # -- norms and singularity ----------------------------------------
 
     def cn(self) -> complex:
-        """Complex square norm ``z1**2 + z2**2``.
-
-        Computed in the factored form (z1 - i1*z2)*(z1 + i1*z2), which is
-        exact algebraically and avoids cancellation near the null cone.
-        Multiplicative: cn(a*b) == cn(a)*cn(b).
+        """Complex square norm ``z1**2 + z2**2``, which is ``p1*p2``: no
+        cancellation near the null cone. Multiplicative: cn(a*b) ==
+        cn(a)*cn(b).
         """
-        p1, p2 = _split(self.z1, self.z2)
-        return p1 * p2
+        return self.p1 * self.p2
 
     def is_singular(self, tol: float = SINGULARITY_TOLERANCE) -> SingularityVerdict:
         """Test whether the value is numerically a zero divisor.
 
-        The magnitude |cn(w)| is compared against ``tol * max(1, ||w||**2)``
-        so the test is relative at large scale and absolute near zero.
-        Where ``||w||**2`` overflows, both sides are compared for the value
-        scaled by a power of two, so huge values get the same verdict as
-        their scaled copies.
+        The magnitude |cn(w)| = |p1|*|p2| is compared against
+        ``tol * max(1, ||w||**2)`` so the test is relative at large scale
+        and absolute near zero (see _pair_zero_divisor_test).
         """
-        z1, z2 = self.z1, self.z2
-        return SingularityVerdict(*_zero_divisor_test(z1, z2, *_split(z1, z2), tol)[:4])
+        return SingularityVerdict(*_pair_zero_divisor_test(self.p1, self.p2, tol))
 
     def inverse(self, tol: float = SINGULARITY_TOLERANCE) -> "Bicomplex":
-        """Multiplicative inverse ``conj(w, 2) / cn(w)``.
+        """Multiplicative inverse ``(1/p1, 1/p2)``, which is
+        ``conj(w, 2) / cn(w)``.
 
         Raises SingularOperand when the zero-divisor test fires.
         """
-        return Bicomplex._make(*_inverse_components(self.z1, self.z2, tol))
+        return Bicomplex._make(*_pair_inverse(self.p1, self.p2, tol))
 
     def norms(self) -> NormInfo:
         """All three square moduli plus the Euclidean norm.
@@ -476,7 +486,7 @@ class Bicomplex:
         are exercised by the test suite. Raises NonFiniteError where a
         square modulus overflows.
         """
-        z1, z2 = self.z1, self.z2
+        z1, z2 = _join(self.p1, self.p2)
         try:
             a = abs(z1) ** 2
             b = abs(z2) ** 2
@@ -495,11 +505,11 @@ class Bicomplex:
 
     def __abs__(self) -> float:
         """Euclidean norm ``sqrt(|z1|**2 + |z2|**2)``."""
-        z1, z2 = self.z1, self.z2
-        square = _norm_sq(z1, z2)
+        x1, x2, x3, x4 = self.four_reals
+        square = x1 * x1 + x2 * x2 + x3 * x3 + x4 * x4
         if square == math.inf or square < 2.0**-1022:
             # the squares overflowed or left the normal range; the norm may not
-            return math.hypot(z1.real, z1.imag, z2.real, z2.imag)
+            return math.hypot(x1, x2, x3, x4)
         return math.sqrt(square)
 
     # -- rendering ----------------------------------------------------
@@ -509,7 +519,7 @@ class Bicomplex:
 
         With ``digits`` the coefficients are rounded to that many
         significant digits; otherwise the shortest exact representation
-        is used.
+        of the four-real view is used.
         """
         x1, x2, x3, x4 = self.four_reals
         parts = [_fmt_real(x1, digits)]
@@ -519,25 +529,19 @@ class Bicomplex:
         return " ".join(parts)
 
     def format_idempotent(self, digits: int | None = None) -> str:
-        """Render as ``[p1 | p2]`` with complex components (reparseable).
-
-        Raises NonFiniteError where the split overflows, which no
-        reparseable text can show.
-        """
-        p1, p2 = _split(self.z1, self.z2)
-        if not (_isfinite(p1) and _isfinite(p2)):
-            raise NonFiniteError("the idempotent split overflows")
-        return f"[{_fmt_complex(p1, digits)} | {_fmt_complex(p2, digits)}]"
+        """Render as ``[p1 | p2]`` with complex components. Without
+        ``digits`` the text reparses to the same value exactly."""
+        return f"[{_fmt_complex(self.p1, digits)} | {_fmt_complex(self.p2, digits)}]"
 
     def __repr__(self):
-        return f"Bicomplex({self.z1!r}, {self.z2!r})"
+        return "Bicomplex({!r}, {!r})".format(*_join(self.p1, self.p2))
 
     def __str__(self):
         return self.format_four_real()
 
 
-_set_z1 = Bicomplex.z1.__set__
-_set_z2 = Bicomplex.z2.__set__
+_set_p1 = Bicomplex.p1.__set__
+_set_p2 = Bicomplex.p2.__set__
 
 
 def _split(z1: complex, z2: complex) -> tuple[complex, complex]:
@@ -560,98 +564,11 @@ def _join(p1: complex, p2: complex) -> tuple[complex, complex]:
     return h1 + h2, 1j * (h1 - h2)
 
 
-def _norm_sq(z1: complex, z2: complex) -> float:
-    """``||w||**2``; inf or subnormal where the squares over- or underflow."""
-    return z1.real * z1.real + z1.imag * z1.imag + z2.real * z2.real + z2.imag * z2.imag
-
-
 def _unit_scale(a: complex, b: complex) -> float:
     """The power of two that brings the largest real coordinate of ``a``
     and ``b`` into [0.5, 1)."""
     big = max(abs(a.real), abs(a.imag), abs(b.real), abs(b.imag))
     return math.ldexp(1.0, -math.frexp(big)[1])
-
-
-def _zero_divisor_test(z1: complex, z2: complex, p1: complex, p2: complex, tol: float):
-    """The zero-divisor test on raw components and their split.
-
-    Returns ``(is_singular, cn_magnitude, tolerance_used,
-    min_component_modulus, scaled)``, the first four as in
-    :class:`SingularityVerdict`. ``scaled`` is None, or, where ``||w||**2``
-    or ``|p1|*|p2|`` overflows, ``(scale, s1, s2, cn(s))``: ``s_k =
-    scale*z_k`` for the power of two ``scale`` that brings the largest
-    real coordinate into [0.5, 1). The comparison is then made on the
-    scaled components, so the verdict does not depend on the overall
-    scale of the value.
-    """
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
-    try:
-        m1, m2 = abs(p1), abs(p2)
-    except OverflowError:
-        m1 = m2 = math.inf
-    norm_sq = _norm_sq(z1, z2)
-    cn_mag = m1 * m2
-    threshold = tol * (norm_sq if norm_sq > 1.0 else 1.0)
-    compared = (cn_mag, threshold)
-    scaled = None
-    if norm_sq == math.inf or cn_mag == math.inf:
-        scale = _unit_scale(z1, z2)
-        s1 = complex(z1.real * scale, z1.imag * scale)
-        s2 = complex(z2.real * scale, z2.imag * scale)
-        sp1, sp2 = _split(s1, s2)
-        scaled = (scale, s1, s2, sp1 * sp2)
-        # coordinates below 1 cannot overflow abs; ||w||**2 > 1 here, so
-        # the threshold is relative and scales too
-        c1, c2 = abs(sp1), abs(sp2)
-        compared = (c1 * c2, tol * _norm_sq(s1, s2))
-        m1, m2 = c1 / scale, c2 / scale
-    return compared[0] <= compared[1], cn_mag, threshold, m1 if m1 < m2 else m2, scaled
-
-
-def _inverse_components(z1: complex, z2: complex, tol: float = SINGULARITY_TOLERANCE):
-    """Components of the inverse ``conj(w, 2) / cn(w)``, not yet checked
-    for finiteness. Raises SingularOperand when the zero-divisor test
-    fires."""
-    p1, p2 = _split(z1, z2)
-    singular, cn_mag, threshold, _, scaled = _zero_divisor_test(z1, z2, p1, p2, tol)
-    if singular:
-        raise _zero_divisor_error(cn_mag, threshold)
-    if scaled is None:
-        c = p1 * p2
-        return z1 / c, -z2 / c
-    # 1/w = scale * (1/(scale*w)), and cn(scale*w) stays finite
-    scale, s1, s2, c = scaled
-    r1 = s1 / c
-    r2 = -s2 / c
-    return (
-        complex(r1.real * scale, r1.imag * scale),
-        complex(r2.real * scale, r2.imag * scale),
-    )
-
-
-def _power_components(z1: complex, z2: complex, exponent: int):
-    """Components of ``w**exponent`` by square-and-multiply from ONE.
-
-    A negative exponent inverts first. Every product is checked for
-    finiteness, as the ring operations check theirs.
-    """
-    b1, b2 = z1, z2
-    if exponent < 0:
-        b1, b2 = _inverse_components(z1, z2)
-        _check_finite(b1, b2)
-        exponent = -exponent
-    r1, r2 = 1 + 0j, 0j
-    while exponent:
-        if exponent & 1:
-            r1, r2 = r1 * b1 - r2 * b2, r1 * b2 + r2 * b1
-            _check_finite(r1, r2)
-        exponent >>= 1
-        if exponent:
-            # skip the last squaring so w**1 never overflows via base*base
-            b1, b2 = b1 * b1 - b2 * b2, b1 * b2 + b2 * b1
-            _check_finite(b1, b2)
-    return r1, r2
 
 
 def _zero_divisor_error(cn_mag: float, threshold: float) -> SingularOperand:
@@ -661,17 +578,18 @@ def _zero_divisor_error(cn_mag: float, threshold: float) -> SingularOperand:
     )
 
 
-# -- the same operations on idempotent components (p1, p2) ------------
+# -- the ring operations that are not one complex operation per component
 
 
 def _pair_zero_divisor_test(p1: complex, p2: complex, tol: float):
-    """The zero-divisor test on the idempotent components alone:
+    """The zero-divisor test on the idempotent components:
     ``|p1|*|p2| <= tol*max(1, (|p1|**2 + |p2|**2)/2)``, the right side
     being ``tol*max(1, ||w||**2)``.
 
-    Returns ``(is_singular, cn_magnitude, tolerance_used)``. Where a side
-    overflows, both are compared for copies scaled by the power of two
-    ``_unit_scale(p1, p2)``, so the verdict does not depend on the
+    Returns ``(is_singular, cn_magnitude, tolerance_used,
+    min_component_modulus)``, as in :class:`SingularityVerdict`. Where a
+    side overflows, both are compared for copies scaled by the power of
+    two ``_unit_scale(p1, p2)``, so the verdict does not depend on the
     overall scale of the value.
     """
     if tol < 0:
@@ -689,15 +607,17 @@ def _pair_zero_divisor_test(p1: complex, p2: complex, tol: float):
         # the threshold is relative and scales too
         c1 = abs(complex(p1.real * scale, p1.imag * scale))
         c2 = abs(complex(p2.real * scale, p2.imag * scale))
-        return c1 * c2 <= tol * ((c1 * c1 + c2 * c2) / 2.0), cn_mag, threshold
-    return cn_mag <= threshold, cn_mag, threshold
+        m1, m2 = c1 / scale, c2 / scale
+        return (c1 * c2 <= tol * ((c1 * c1 + c2 * c2) / 2.0), cn_mag, threshold,
+                m1 if m1 < m2 else m2)
+    return cn_mag <= threshold, cn_mag, threshold, m1 if m1 < m2 else m2
 
 
 def _pair_inverse(p1: complex, p2: complex, tol: float = SINGULARITY_TOLERANCE):
     """Components ``(1/p1, 1/p2)`` of the inverse. Raises SingularOperand
     when the pair test fires, NonFiniteError where a reciprocal is not
     finite."""
-    singular, cn_mag, threshold = _pair_zero_divisor_test(p1, p2, tol)
+    singular, cn_mag, threshold, _ = _pair_zero_divisor_test(p1, p2, tol)
     if singular:
         raise _zero_divisor_error(cn_mag, threshold)
     r1 = 1.0 / p1
@@ -707,8 +627,9 @@ def _pair_inverse(p1: complex, p2: complex, tol: float = SINGULARITY_TOLERANCE):
 
 
 def _pair_power(p1: complex, p2: complex, exponent: int):
-    """Components of ``w**exponent``: square-and-multiply from ONE on
-    each component, with the inversion and checks of _power_components."""
+    """Components of ``w**exponent`` by square-and-multiply from ONE on
+    each component. A negative exponent inverts first. Every product is
+    checked for finiteness, as the ring operations check theirs."""
     if exponent < 0:
         p1, p2 = _pair_inverse(p1, p2)
         exponent = -exponent
@@ -720,14 +641,15 @@ def _pair_power(p1: complex, p2: complex, exponent: int):
             _check_finite(r1, r2)
         exponent >>= 1
         if exponent:
+            # skip the last squaring so w**1 never overflows via base*base
             p1 *= p1
             p2 *= p2
             _check_finite(p1, p2)
     return r1, r2
 
 
-def _check_finite(z1: complex, z2: complex) -> None:
-    if not (_isfinite(z1) and _isfinite(z2)):
+def _check_finite(a: complex, b: complex) -> None:
+    if not (_isfinite(a) and _isfinite(b)):
         raise NonFiniteError("bicomplex components must be finite")
 
 

@@ -38,10 +38,10 @@ counts) or once both norm trackers, which the product report shares,
 have decided; the identity after ``min(n_max, LOG_SUM_CAP)`` terms.
 ``evaluate_product``, ``absolute_convergence_check`` and
 ``log_sum_equivalence`` run the same pass for one report each. The
-public analyzers split each Bicomplex term once on its way in; the
-CLI's ``product`` feeds the pairs of compiled terms straight in, with
-no ``Bicomplex`` and no split. Zero divisors are found with the
-zero-divisor test on the pair.
+public analyzers read the pair a Bicomplex term stores; the CLI's
+``product`` feeds the pairs of compiled terms straight in, with no
+``Bicomplex``. Zero divisors are found with the zero-divisor test on
+the pair.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from .core import (
 from .seqspec import IdempotentSlotError
 from .series import (
     _FIRST_CHECKPOINT, _FLAT_RATIO, _FLOOR_FACTOR, _HARMONIC_RATIO, OVERFLOW_GUARD,
-    _diameter, _pair_or_none, _running, _split_terms, _stalled, _Tracker, _validate,
+    _diameter, _pair_or_none, _running, _stalled, _term_pairs, _Tracker, _validate,
 )
 from .transcendental import TWO_PI, log1p
 
@@ -429,7 +429,7 @@ def analyze_product(
     own NonFiniteError, sets each report it ends to None.
     """
     _validate(tol, window, n_max)
-    return _analyze_product_pairs(_split_terms(terms), tol, window, n_max)
+    return _analyze_product_pairs(_term_pairs(terms), tol, window, n_max)
 
 
 def _analyze_product_pairs(pairs, tol: float, window: int, n_max: int) -> ProductAnalysis:
@@ -458,7 +458,7 @@ def evaluate_product(
     """
     _validate(tol, window, n_max)
     return _product_pass(
-        _split_terms(terms), n_max, singularity_tol, tol=tol, window=window, product=True
+        _term_pairs(terms), n_max, singularity_tol, tol=tol, window=window, product=True
     ).product
 
 
@@ -483,7 +483,7 @@ def log_sum_equivalence(
     """
     _validate(1.0, 2, n_max)
     return _product_pass(
-        _split_terms(terms), n_max, singularity_tol, identity_terms=n_max
+        _term_pairs(terms), n_max, singularity_tol, identity_terms=n_max
     ).identity
 
 
@@ -506,7 +506,7 @@ def absolute_convergence_check(
     """
     _validate(tol, window, n_max)
     return _product_pass(
-        _split_terms(terms), n_max, singularity_tol, tol=tol, window=window, absolute=True
+        _term_pairs(terms), n_max, singularity_tol, tol=tol, window=window, absolute=True
     ).absolute
 
 

@@ -21,18 +21,17 @@ recursion of ``compile_term``, ``eval_term`` and ``render``.
 
 ``parse`` produces an immutable AST, ``render`` turns an AST back into
 canonical text (round-trips through ``parse``). An AST compiles, once
-per expression, to one of two targets:
+per expression, to nested closures over the idempotent components
+``(p1, p2)``, the pair a ``Bicomplex`` stores: each ring operation is a
+complex operation per component, and values and errors are bit for bit
+those of the ``Bicomplex`` operations. Two walkers share that compile:
 
-* ``compile_term``: nested closures over the components ``(z1, z2)``,
-  which give bit for bit the values and errors of the ``Bicomplex``
-  operations. ``eval_term`` substitutes a concrete index into an AST or
-  a compiled term and ``term_generator`` walks the indices; the library
-  and the CLI's ``eval`` and ``check-bounds`` use them.
-* ``_compile_pairs``: nested closures over the idempotent components
-  ``(p1, p2)``, in which each ring operation is a complex operation per
-  component and no value is split. ``_pair_generator`` walks the
-  indices; the CLI's ``series`` and ``product`` feed its pairs straight
-  to the analysis passes, which read pairs.
+* ``eval_term`` substitutes a concrete index into an AST or a compiled
+  term (``compile_term``), and ``term_generator`` walks the indices;
+  the library and the CLI's ``eval`` and ``check-bounds`` use them.
+* ``_pair_generator`` walks the indices and yields bare pairs; the
+  CLI's ``series`` and ``product`` feed them straight to the analysis
+  passes, which read pairs.
 
 Failures during evaluation carry the term index that produced them.
 """
@@ -57,14 +56,10 @@ from .core import (
     SingularOperand,
     _check_finite,
     _fmt_real,
-    _inverse_components,
-    _join,
     _pair_inverse,
     _pair_power,
     _pair_zero_divisor_test,
-    _power_components,
     _Record,
-    _split,
 )
 
 __all__ = [
@@ -356,22 +351,13 @@ _CONSTANTS = {
     "pi": Bicomplex(math.pi),
 }
 
-_FUNCTIONS = {
-    "exp": transcendental.exp,
-    "log": transcendental.log_principal,
-    "sqrt": transcendental.sqrt,
-}
-
 
 class CompiledTerm:
     """A term expression compiled by :func:`compile_term`.
 
-    ``components(n)`` gives the components ``(z1, z2)`` of the term at
-    index ``n``; :func:`eval_term` validates ``n`` around it. This is
-    the target of ``eval_term`` and ``term_generator``, and so of the
-    CLI's ``eval`` and ``check-bounds``. The CLI's ``series`` and
-    ``product`` use the other target, closures over the idempotent
-    components ``(p1, p2)`` (:func:`_pair_generator`).
+    ``components(n)`` gives the idempotent components ``(p1, p2)`` of
+    the term at index ``n``; :func:`eval_term` validates ``n`` around it
+    and wraps the pair in a ``Bicomplex``.
     """
 
     __slots__ = ("node", "components")
@@ -382,15 +368,9 @@ class CompiledTerm:
 
 
 def compile_term(node) -> CompiledTerm:
-    """Compile an AST once into nested closures over component pairs.
-
-    Each closure does the float operations of the ``Bicomplex`` operation
-    it stands for, in the same order and with the same checks, so values
-    and errors are bit for bit those of the ring operations. Subtrees
-    that do not use ``n`` are evaluated here, except those that raise:
-    they stay in place, so their error comes from every evaluation.
-    """
-    return CompiledTerm(node, _compile(node, _COMPONENT_BUILDERS)[0])
+    """Compile an AST once into nested closures over the idempotent
+    components ``(p1, p2)`` (see :func:`_compile_pairs`)."""
+    return CompiledTerm(node, _compile_pairs(node))
 
 
 def _compile_pairs(node) -> Callable[[int], tuple[complex, complex]]:
@@ -398,26 +378,26 @@ def _compile_pairs(node) -> Callable[[int], tuple[complex, complex]]:
     components ``(p1, p2)``, where every ring operation but inversion is
     one complex operation per component.
 
-    Each closure keeps the finiteness checks of the operation it stands
-    for, and a division, negative power or ``log``/``sqrt`` makes the
-    zero-divisor test on the pair (``core._pair_zero_divisor_test``).
-    Values may differ from ``compile_term``'s in their last bits, and
-    the values whose split or join overflows differ between the two.
-    Constant subtrees are folded as in :func:`compile_term`.
+    Each closure does the float operations of the ``Bicomplex`` operation
+    it stands for, in the same order and with the same checks, so values
+    and errors are bit for bit those of the ring operations; a division,
+    negative power or ``log``/``sqrt`` makes the zero-divisor test on the
+    pair (``core._pair_zero_divisor_test``). Subtrees that do not use
+    ``n`` are evaluated here, except those that raise: they stay in
+    place, so their error comes from every evaluation.
     """
-    return _compile(node, _PAIR_BUILDERS)[0]
+    return _compile(node)[0]
 
 
-def _compile(node, builders):
-    """``(closure, value)`` over one basis, with the closure builders
-    of that basis: ``value`` is the pair the closure always returns, or
-    None when it depends on ``n`` or raises."""
+def _compile(node):
+    """``(closure, value)``: ``value`` is the pair the closure always
+    returns, or None when it depends on ``n`` or raises."""
     kind = type(node)
     try:
-        operands, build = builders[kind]
+        operands, build = _BUILDERS[kind]
     except KeyError:
         raise TypeError(f"not an expression node: {node!r}") from None
-    compiled = [_compile(getattr(node, name), builders) for name in operands]
+    compiled = [_compile(getattr(node, name)) for name in operands]
     fn = build(node, *(closure for closure, _ in compiled))
     if kind is Var or any(value is None for _, value in compiled):
         return fn, None
@@ -432,12 +412,10 @@ def _constant(value):
     return lambda n: value
 
 
-# -- closures over (z1, z2) ---------------------------------------------
-
-
 def _var(node):
     def fn(n):
-        return complex(float(n)), 0j
+        x = complex(float(n))
+        return x, x
 
     return fn
 
@@ -446,19 +424,16 @@ def _num(node):
     value = node.value
 
     def fn(n):
-        z1 = complex(value)
-        _check_finite(z1, 0j)
-        return z1, 0j
+        x = complex(value)
+        _check_finite(x, x)
+        return x, x
 
     return fn
 
 
 def _const(node):
     w = _CONSTANTS[node.name]
-    return _constant((w.z1, w.z2))
-
-
-# Neg, Add and Sub act on each component alike in both bases
+    return _constant((w.p1, w.p2))
 
 
 def _neg(node, arg):
@@ -473,10 +448,10 @@ def _add(node, left, right):
     def fn(n):
         a1, a2 = left(n)
         b1, b2 = right(n)
-        z1 = a1 + b1
-        z2 = a2 + b2
-        _check_finite(z1, z2)
-        return z1, z2
+        p1 = a1 + b1
+        p2 = a2 + b2
+        _check_finite(p1, p2)
+        return p1, p2
 
     return fn
 
@@ -485,100 +460,15 @@ def _sub(node, left, right):
     def fn(n):
         a1, a2 = left(n)
         b1, b2 = right(n)
-        z1 = a1 - b1
-        z2 = a2 - b2
-        _check_finite(z1, z2)
-        return z1, z2
+        p1 = a1 - b1
+        p2 = a2 - b2
+        _check_finite(p1, p2)
+        return p1, p2
 
     return fn
 
 
 def _mul(node, left, right):
-    def fn(n):
-        a1, a2 = left(n)
-        b1, b2 = right(n)
-        z1 = a1 * b1 - a2 * b2
-        z2 = a1 * b2 + a2 * b1
-        _check_finite(z1, z2)
-        return z1, z2
-
-    return fn
-
-
-def _div(node, left, right):
-    # left * right.inverse()
-    def inverse(n):
-        b1, b2 = _inverse_components(*right(n))
-        _check_finite(b1, b2)
-        return b1, b2
-
-    return _mul(node, left, inverse)
-
-
-def _pow(node, base):
-    exponent = node.exponent
-
-    def fn(n):
-        a1, a2 = base(n)
-        return _power_components(a1, a2, exponent)
-
-    return fn
-
-
-def _call(node, arg):
-    func = _FUNCTIONS[node.func]
-
-    def fn(n):
-        w = func(Bicomplex._make(*arg(n)))
-        return w.z1, w.z2
-
-    return fn
-
-
-def _idem(node, first, second):
-    # Bicomplex.from_idempotent on the first components of the slots
-    def fn(n):
-        f1, f2 = first(n)
-        s1, s2 = second(n)
-        if f2 != 0 or s2 != 0:
-            raise IdempotentSlotError(
-                "idempotent slot values must have no second complex part"
-            )
-        z1, z2 = _join(f1, s1)
-        _check_finite(z1, z2)
-        return z1, z2
-
-    return fn
-
-
-# -- closures over (p1, p2) ---------------------------------------------
-
-
-def _pair_var(node):
-    def fn(n):
-        x = complex(float(n))
-        return x, x
-
-    return fn
-
-
-def _pair_num(node):
-    value = node.value
-
-    def fn(n):
-        x = complex(value)
-        _check_finite(x, x)
-        return x, x
-
-    return fn
-
-
-def _pair_const(node):
-    w = _CONSTANTS[node.name]
-    return _constant(_split(w.z1, w.z2))
-
-
-def _pair_mul(node, left, right):
     def fn(n):
         a1, a2 = left(n)
         b1, b2 = right(n)
@@ -590,14 +480,14 @@ def _pair_mul(node, left, right):
     return fn
 
 
-def _pair_div(node, left, right):
+def _div(node, left, right):
     def inverse(n):
         return _pair_inverse(*right(n))
 
-    return _pair_mul(node, left, inverse)
+    return _mul(node, left, inverse)
 
 
-def _pair_pow(node, base):
+def _pow(node, base):
     exponent = node.exponent
 
     def fn(n):
@@ -607,7 +497,7 @@ def _pair_pow(node, base):
     return fn
 
 
-def _pair_call(node, arg):
+def _call(node, arg):
     func, what = _PAIR_FUNCTIONS[node.func]
 
     def fn(n):
@@ -619,7 +509,7 @@ def _pair_call(node, arg):
     return fn
 
 
-def _pair_idem(node, first, second):
+def _idem(node, first, second):
     # a slot value has no second complex part when its components agree
     def fn(n):
         f1, f2 = first(n)
@@ -641,8 +531,8 @@ _PAIR_FUNCTIONS = {
     "sqrt": (transcendental._sqrt_pair, "square root"),
 }
 
-# node type -> (operand fields, closure builder), one table per basis
-_COMPONENT_BUILDERS = {
+# node type -> (operand fields, closure builder)
+_BUILDERS = {
     Num: ((), _num),
     Const: ((), _const),
     Var: ((), _var),
@@ -654,19 +544,6 @@ _COMPONENT_BUILDERS = {
     Pow: (("base",), _pow),
     Call: (("arg",), _call),
     Idem: (("first", "second"), _idem),
-}
-_PAIR_BUILDERS = {
-    Num: ((), _pair_num),
-    Const: ((), _pair_const),
-    Var: ((), _pair_var),
-    Neg: (("operand",), _neg),
-    Add: (("left", "right"), _add),
-    Sub: (("left", "right"), _sub),
-    Mul: (("left", "right"), _pair_mul),
-    Div: (("left", "right"), _pair_div),
-    Pow: (("base",), _pair_pow),
-    Call: (("arg",), _pair_call),
-    Idem: (("first", "second"), _pair_idem),
 }
 
 

@@ -3,9 +3,10 @@
 A bicomplex series converges exactly when both of its idempotent
 component series converge, so every verdict here is the conjunction of
 two scalar complex verdicts produced by the same machinery. The pass
-reads the terms as idempotent pairs ``(p1, p2)``: ``analyze_series``
-splits each Bicomplex term once, and the CLI feeds the pairs of
-compiled terms straight in, with no ``Bicomplex`` and no split.
+reads the terms as idempotent pairs ``(p1, p2)``, which is how a
+Bicomplex stores them: ``analyze_series`` reads them off each term, and
+the CLI feeds the pairs of compiled terms straight in, with no
+``Bicomplex``.
 
 Verdicts are heuristic, not proofs. The rules, applied per component:
 
@@ -34,7 +35,7 @@ import math
 from collections import deque
 from itertools import islice
 
-from .core import Bicomplex, NonFiniteError, _coerce, _isfinite, _Record, _split
+from .core import Bicomplex, NonFiniteError, _coerce, _Record
 
 __all__ = [
     "SeriesReport",
@@ -211,18 +212,13 @@ def _coerce_term(term, index: int) -> Bicomplex:
     return value
 
 
-def _split_terms(terms):
+def _term_pairs(terms):
     """Yield the idempotent components ``(p1, p2)`` of each term, which
     is lifted to Bicomplex first: how the analyzers' Bicomplex terms
-    reach the passes, which read pairs. A term whose split overflows
-    raises NonFiniteError with its 1-based position, as it does where
-    compiled terms are evaluated as pairs."""
+    reach the passes, which read pairs."""
     for k, term in enumerate(terms, start=1):
         w = _coerce_term(term, k)
-        p1, p2 = _split(w.z1, w.z2)
-        if not (_isfinite(p1) and _isfinite(p2)):
-            raise NonFiniteError("the idempotent split of the term overflows", term_index=k)
-        yield p1, p2
+        yield w.p1, w.p2
 
 
 def _modulus(z: complex) -> float:
@@ -316,7 +312,7 @@ def analyze_series(
     if a term is non-finite.
     """
     _validate(tol, window, n_max)
-    return _analyze_pairs(_split_terms(terms), tol, window, n_max)
+    return _analyze_pairs(_term_pairs(terms), tol, window, n_max)
 
 
 def eval_power_series(
@@ -336,15 +332,14 @@ def eval_power_series(
     """
     _validate(tol, window, n_max)
     w = _coerce_term(w, 0)
-    w1, w2 = _split(w.z1, w.z2)
+    w1, w2 = w.p1, w.p2
 
     def pairs():
         wp1 = 1.0 + 0j
         wp2 = 1.0 + 0j
         for k, coeff in enumerate(coeffs, start=1):
             c = _coerce_term(coeff, k)
-            c1, c2 = _split(c.z1, c.z2)
-            yield (c1 * wp1, c2 * wp2)
+            yield (c.p1 * wp1, c.p2 * wp2)
             wp1 *= w1
             wp2 *= w2
             if not (cmath.isfinite(wp1) and cmath.isfinite(wp2)):

@@ -24,11 +24,9 @@ from .core import (
     Bicomplex,
     NonFiniteError,
     SingularOperand,
-    _isfinite,
+    _pair_zero_divisor_test,
     _Record,
-    _split,
     _unit_scale,
-    _zero_divisor_test,
 )
 
 __all__ = [
@@ -80,10 +78,10 @@ class TrigForm(_Record):
         )
 
 
-def _invertible_split(w: Bicomplex, tol: float, what: str) -> tuple[complex, complex]:
+def _invertible_pair(w: Bicomplex, tol: float, what: str) -> tuple[complex, complex]:
     """``w``'s idempotent components; SingularOperand on a zero divisor."""
-    p1, p2 = _split(w.z1, w.z2)
-    if _zero_divisor_test(w.z1, w.z2, p1, p2, tol)[0]:
+    p1, p2 = w.p1, w.p2
+    if _pair_zero_divisor_test(p1, p2, tol)[0]:
         raise SingularOperand(f"{what} requires an invertible value")
     return p1, p2
 
@@ -96,8 +94,7 @@ def _invertible_split(w: Bicomplex, tol: float, what: str) -> tuple[complex, com
 def _exp_pair(p1: complex, p2: complex) -> tuple[complex, complex]:
     try:
         return cmath.exp(p1), cmath.exp(p2)
-    except (OverflowError, ValueError) as err:
-        # ValueError: the split of a value near the float limit has an infinite part
+    except OverflowError as err:
         raise NonFiniteError(f"exp overflow: {err}") from None
 
 
@@ -115,7 +112,7 @@ def exp(w: Bicomplex) -> Bicomplex:
     Never lands on the null cone (both components of the result are
     nonzero). Raises NonFiniteError on overflow.
     """
-    return Bicomplex.from_idempotent(*_exp_pair(*_split(w.z1, w.z2)))
+    return Bicomplex._make(*_exp_pair(w.p1, w.p2))
 
 
 def sqrt(w: Bicomplex, tol: float = SINGULARITY_TOLERANCE) -> Bicomplex:
@@ -124,7 +121,7 @@ def sqrt(w: Bicomplex, tol: float = SINGULARITY_TOLERANCE) -> Bicomplex:
     Restricted to invertible values so the principal choice is stable;
     raises SingularOperand on the null cone.
     """
-    return Bicomplex.from_idempotent(*_sqrt_pair(*_invertible_split(w, tol, "square root")))
+    return Bicomplex._make(*_sqrt_pair(*_invertible_pair(w, tol, "square root")))
 
 
 def trig_form(w: Bicomplex, tol: float = SINGULARITY_TOLERANCE) -> TrigForm:
@@ -134,13 +131,11 @@ def trig_form(w: Bicomplex, tol: float = SINGULARITY_TOLERANCE) -> TrigForm:
     recovered from the second idempotent component, ``p2 = r_c *
     exp(i1*theta)``, so that reconstruct() is exact up to rounding.
     Where ``p1*p2`` overflows, r_c is ``sqrt(cn(s*w))/s`` for a power of
-    two ``s``; raises NonFiniteError where the split itself does.
+    two ``s``.
     """
-    p1, p2 = _invertible_split(w, tol, "trigonometric form")
+    p1, p2 = _invertible_pair(w, tol, "trigonometric form")
     s = 1.0
-    if not _isfinite(p1 * p2):
-        if not (_isfinite(p1) and _isfinite(p2)):
-            raise NonFiniteError("trigonometric form: the idempotent split overflows")
+    if not cmath.isfinite(p1 * p2):
         # work on s*w, for the power of two s that keeps cn(s*w) finite
         s = _unit_scale(p1, p2)
         p1 = complex(p1.real * s, p1.imag * s)
@@ -156,7 +151,7 @@ def log_principal(w: Bicomplex, tol: float = SINGULARITY_TOLERANCE) -> Bicomplex
     Inverse of exp up to the period lattice; raises SingularOperand on
     the null cone, where no logarithm exists.
     """
-    return Bicomplex.from_idempotent(*_log_pair(*_invertible_split(w, tol, "logarithm")))
+    return Bicomplex._make(*_log_pair(*_invertible_pair(w, tol, "logarithm")))
 
 
 def log_principal_direct(w: Bicomplex, tol: float = SINGULARITY_TOLERANCE) -> Bicomplex:
@@ -183,7 +178,10 @@ def log_branch(
     ``2*pi*(m*i1 + n*i2)``."""
     m, n = branch
     base = log_principal(w, tol)
-    return Bicomplex(base.z1 + complex(0.0, TWO_PI * m), base.z2 + TWO_PI * n)
+    # 2*pi*(m*i1 + n*i2) has the idempotent components 2*pi*i1*(m - n, m + n)
+    return Bicomplex._make(
+        base.p1 + complex(0.0, TWO_PI * (m - n)), base.p2 + complex(0.0, TWO_PI * (m + n))
+    )
 
 
 def log1p(w: Bicomplex) -> Bicomplex:
@@ -196,7 +194,7 @@ def log1p(w: Bicomplex) -> Bicomplex:
     directly; SingularOperand propagates when 1 + w is a zero divisor.
     """
     if abs(w) < _SERIES_RADIUS:
-        u1, u2 = _split(w.z1, w.z2)
+        u1, u2 = w.p1, w.p2
         acc1 = t1 = u1
         acc2 = t2 = u2
         sign = -1.0
@@ -211,7 +209,7 @@ def log1p(w: Bicomplex) -> Bicomplex:
             ):
                 break
         return Bicomplex.from_idempotent(acc1, acc2)
-    return log_principal(Bicomplex(w.z1 + 1.0, w.z2))
+    return log_principal(w + 1.0)
 
 
 def exp_lattice_coords(d: Bicomplex) -> tuple[complex, complex]:
@@ -225,5 +223,4 @@ def exp_lattice_coords(d: Bicomplex) -> tuple[complex, complex]:
     ``2*pi*(m*i1 + n*i2)`` sublattice with ``m = (a+b)/2, n = (b-a)/2``.
     """
     scale = complex(0.0, TWO_PI)
-    p1, p2 = _split(d.z1, d.z2)
-    return (p1 / scale, p2 / scale)
+    return (d.p1 / scale, d.p2 / scale)

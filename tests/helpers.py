@@ -205,11 +205,3 @@ def mp_pair_error(p, q, prec: int = 256) -> float:
             return 0.0 if num == 0 else math.inf
         return float(num / den)
 
-
-def mp_split(w: Bicomplex, prec: int = 256):
-    """The idempotent components of ``w``, split exactly in mpmath."""
-    import mpmath as mp
-
-    with mp.workprec(prec):
-        z1, z2 = mp.mpc(w.z1), mp.mpc(w.z2)
-        return z1 - 1j * z2, z1 + 1j * z2

@@ -190,6 +190,16 @@ def test_idempotent_slot_error_exits_1():
     assert _one_line(err)
 
 
+def test_real_slot_values_on_either_side_of_the_cut():
+    # sqrt(-4.01) is real in both components whichever side of the cut it
+    # lands on, so the slot holds a value with no second complex part
+    code, out, err = run_cli(
+        ["check-bounds", "--at", "2", "--", "exp([sqrt(pi*3.17) | sqrt(-4.01)])"]
+    )
+    assert code == 0 and err == ""
+    assert out.startswith("norm: ")
+
+
 def test_deep_expressions_exit_2():
     for text in ("(" * 3000 + "1" + ")" * 3000, "+".join(["1"] * 5000)):
         for command in ("eval", "product"):

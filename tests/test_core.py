@@ -244,10 +244,19 @@ def test_singularity_verdict_does_not_depend_on_scale():
         assert not Bicomplex(scale).is_singular().is_singular
         assert not Bicomplex(scale, 0.5 * scale).is_singular().is_singular
         assert Bicomplex(scale, 1j * scale).is_singular().is_singular
-    # near the largest finite values even p1 and p2 overflow
+    # near the largest finite values the split overflows, and such a value
+    # cannot be built; from its idempotent components it can, and there
+    # the moduli and their products overflow
     c = complex(1e308, 1e308)
-    assert not Bicomplex(c, c).is_singular().is_singular
-    assert Bicomplex(c, 1j * c).is_singular().is_singular
+    with pytest.raises(NonFiniteError):
+        Bicomplex(c, c)
+    with pytest.raises(NonFiniteError):
+        Bicomplex(c, 1j * c)
+    for p in (c, 1j * c, -c):
+        assert not Bicomplex.from_idempotent(p, p).is_singular().is_singular
+        assert not Bicomplex.from_idempotent(p, 1e-5 * p).is_singular().is_singular
+        assert Bicomplex.from_idempotent(p, 1e-13 * p).is_singular().is_singular
+        assert Bicomplex.from_idempotent(p, 0).is_singular().is_singular
 
 
 def test_inverse_of_huge_values():

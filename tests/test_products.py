@@ -15,6 +15,7 @@ from bicomplex import (
     SingularTerm,
     absolute_convergence_check,
     analyze_product,
+    analyze_series,
     evaluate_product,
     exp,
     log_bound_check,
@@ -429,3 +430,52 @@ def test_cli_series_evaluates_each_term_once(monkeypatch):
     used = json.loads(out)["report"]["terms_used"]
     assert 1 < used < 10**6
     assert calls == list(range(1, used + 1))
+
+
+# -- swap symmetry: conj(2) swaps the idempotent components exactly ----
+
+# component shifts of the families: products converge, drain to zero or
+# grow, and series converge, stall or diverge
+SWAP_SHIFTS = (0.0, 0.0, 1.0, 1.0, 0.9, 1.1)
+
+
+def _swap_family(rng):
+    """Terms ``w_n = a + c/n^k`` for n = 1..budget, with the two
+    components of ``a`` drawn apart, so that swapping them changes the
+    family."""
+    a = Bicomplex.from_idempotent(*rng.choice(SWAP_SHIFTS, size=2))
+    c = Bicomplex.from_idempotent(*(complex(*rng.normal(size=2)) for _ in range(2)))
+    k = int(rng.integers(0, 4))
+    budget = int(rng.integers(100, 3001))
+    return [a + c / float(n) ** k for n in range(1, budget + 1)], budget
+
+
+def _swapped(w):
+    return None if w is None else w.conj(2)
+
+
+def test_swapping_the_components_swaps_the_reports():
+    rng = np.random.default_rng(1706)
+    product_verdicts, series_verdicts = set(), set()
+    for _ in range(30):
+        terms, budget = _swap_family(rng)
+        swapped = [w.conj(2) for w in terms]
+        assert all(w.conj(2).conj(2) == w for w in swapped)
+
+        p = analyze_product(iter(terms), tol=1e-6, n_max=budget).product
+        q = analyze_product(iter(swapped), tol=1e-6, n_max=budget).product
+        assert (q.verdict, q.terms_used) == (p.verdict, p.terms_used)
+        assert q.limit_estimate == _swapped(p.limit_estimate)
+        assert q.log_sum == _swapped(p.log_sum)
+        product_verdicts.add(p.verdict)
+
+        s = analyze_series(iter(terms), tol=1e-6, n_max=budget)
+        t = analyze_series(iter(swapped), tol=1e-6, n_max=budget)
+        assert (t.verdict, t.terms_used) == (s.verdict, s.terms_used)
+        assert t.component_verdicts == s.component_verdicts[::-1]
+        assert t.absolute_component_verdicts == s.absolute_component_verdicts[::-1]
+        assert t.limit_estimate == _swapped(s.limit_estimate)
+        series_verdicts.add(s.verdict)
+    # the families reach every verdict but singular_term, and all three
+    # series verdicts
+    assert len(product_verdicts) == 4 and len(series_verdicts) == 3

@@ -93,9 +93,31 @@ def test_record_contract(cls, args, text):
     assert repr(record) == text
 
     assert copy.copy(record) == record
-    if not any(isinstance(value, Bicomplex) for value in args):
-        # a Bicomplex value does not unpickle: its __setattr__ refuses
-        assert pickle.loads(pickle.dumps(record)) == record
+    assert copy.deepcopy(record) == record
+    assert pickle.loads(pickle.dumps(record)) == record
+
+
+def _pair_bits(w: Bicomplex) -> tuple[str, ...]:
+    return tuple(x.hex() for x in (w.p1.real, w.p1.imag, w.p2.real, w.p2.imag))
+
+
+def test_bicomplex_copies_and_pickles_bit_for_bit():
+    values = [
+        Bicomplex(1.5, -2j),
+        Bicomplex.from_idempotent(complex(-0.0, 0.0), complex(0.1, -0.0)),
+        Bicomplex.from_idempotent(1.7e308, -1.7e308),
+        Bicomplex(1e-320, 1j / 3),
+    ]
+    for w in values:
+        for again in (copy.copy(w), copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
+            assert type(again) is Bicomplex
+            assert _pair_bits(again) == _pair_bits(w)
+    # a report that holds one pickles too
+    report = SeriesReport("converged", values[1], 30, 1e-11, True,
+                          ("converged", "converged"), ("converged", "inconclusive"))
+    again = pickle.loads(pickle.dumps(report))
+    assert again == report
+    assert _pair_bits(again.limit_estimate) == _pair_bits(values[1])
 
 
 def test_equality_needs_the_same_type():

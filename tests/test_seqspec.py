@@ -308,13 +308,26 @@ def test_term_generator():
     assert next(gen) == Bicomplex(10.0)
 
 
+def test_small_component_beside_a_large_one_keeps_its_bits():
+    # the pair is evaluated and stored as such, so no split of large
+    # components (z1, z2) cancels the small one
+    w = eval_term(parse("[pi | exp(n)]"), 33)
+    assert (w.p1.real.hex(), w.p1.imag.hex()) == (math.pi.hex(), (0.0).hex())
+    assert w.p2 == complex(math.exp(33))
+
+
 def test_formatted_values_reparse_and_evaluate():
-    # both renderings of a value are valid expressions that evaluate
-    # back to the value exactly
+    # both renderings of a value are valid expressions. The idempotent
+    # one evaluates back to the stored pair exactly; the four-real one
+    # shows the joined view, whose split may round, so it evaluates back
+    # within a few ulps, and exactly where the split is exact
     rng = np.random.default_rng(419)
     for _ in range(100):
         w = gauss_bicomplex(rng)
-        again = eval_term(parse(w.format_four_real()), 1)
-        assert again == w
         again = eval_term(parse(w.format_idempotent()), 1)
+        assert again == w
+        again = eval_term(parse(w.format_four_real()), 1)
         assert abs(again - w) <= 1e-15 * max(1.0, abs(w))
+    for _ in range(100):
+        w = Bicomplex.from_four_reals(*map(float, rng.integers(-1000, 1000, size=4)))
+        assert eval_term(parse(w.format_four_real()), 1) == w

@@ -137,9 +137,12 @@ def test_limit_estimate_where_the_sum_of_components_overflows():
     report = analyze_series(iter([Bicomplex(1.7e308)]))
     assert report.verdict == "diverged"
     assert report.limit_estimate == Bicomplex(1.7e308)
-    # a term whose split overflows has no finite components to sum
+    # a value whose split overflows cannot be built
+    with pytest.raises(NonFiniteError):
+        Bicomplex(1e308, 1e308j)
+    # a term that cannot be lifted raises with its position
     with pytest.raises(NonFiniteError) as info:
-        analyze_series(iter([ONE, Bicomplex(1e308, 1e308j)]))
+        analyze_series(iter([ONE, complex("inf")]))
     assert info.value.term_index == 2
 
 

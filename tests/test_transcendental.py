@@ -282,23 +282,32 @@ def test_log1p_upper_ratio_can_cross_outside_safe_radius():
     assert ratio == pytest.approx(1.5145, abs=1e-3)
 
 
-# every four-real value over these coordinates: squares, splits and
-# moduli leave the float range in all the ways they can
-EDGE_GRID = [
-    Bicomplex.from_four_reals(*xs)
-    for xs in itertools.product([0.0, 0.5, 1.0, 1e154, 1e200, 1e308, -1e308], repeat=4)
-]
-
-
-def _finite_result(f, w):
-    """``f(w)``, or None when it raises one of the library's errors."""
+def _finite_result(f, *args):
+    """``f(*args)``, or None when it raises one of the library's errors."""
     try:
-        return f(w)
+        return f(*args)
     except (SingularOperand, NonFiniteError):
         return None
 
 
+# every four-real value over these coordinates whose idempotent split is
+# finite, so that it can be built: squares, products and moduli leave the
+# float range in all the ways they can
+EDGE_COORDS = list(
+    itertools.product([0.0, 0.5, 1.0, 1e154, 1e200, 1e308, -1e308], repeat=4)
+)
+EDGE_VALUES = [_finite_result(Bicomplex.from_four_reals, *xs) for xs in EDGE_COORDS]
+EDGE_GRID = [w for w in EDGE_VALUES if w is not None]
+
+
 def test_float_edge_raises_only_library_errors():
+    assert len(EDGE_GRID) == 2025
+    # the split of each of the other 376 overflows, and building it raises
+    unbuilt = [xs for xs, w in zip(EDGE_COORDS, EDGE_VALUES) if w is None]
+    assert len(unbuilt) == 376
+    for xs in unbuilt:
+        with pytest.raises(NonFiniteError):
+            Bicomplex.from_four_reals(*xs)
     for w in EDGE_GRID:
         info = _finite_result(Bicomplex.norms, w)
         if info is not None:

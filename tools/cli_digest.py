@@ -6,7 +6,9 @@ over every job's argv, exit code, stdout and stderr. Two checkouts that
 print the same digest behave identically on those jobs; ``--dump PATH``
 also writes one JSON record per job, and ``--compare OLD NEW`` lists the
 jobs that differ between two dumps, grouped by which of exit code,
-stdout and stderr changed (exit status 1 when any differ).
+stdout and stderr changed (exit status 1 when any differ). Jobs whose
+stdout differs only in the sign of zeros (``-0.0`` and ``0.0``, ``- 0*``
+and ``+ 0*``) form a group of their own.
 
 Usage, from any directory (the checkout is the parent of ``tools/``)::
 
@@ -22,6 +24,7 @@ import argparse
 import hashlib
 import io
 import json
+import re
 import shlex
 import sys
 import traceback
@@ -61,6 +64,14 @@ def records(seeds: list[int], count: int):
 
 
 FIELDS = ("code", "stdout", "stderr")
+SIGN_OF_ZEROS = "stdout (sign of zeros only)"
+
+# the minus of a zero: a number -0.0 or -0, or a text coefficient "- 0*"
+_ZERO_SIGN = re.compile(r"-(?=0(?:\.0)?(?![\w.]))|- (?=0\*)")
+
+
+def _unsigned_zeros(text: str) -> str:
+    return _ZERO_SIGN.sub(lambda m: "" if m.group() == "-" else "+ ", text)
 
 
 def load(path: Path) -> dict:
@@ -83,6 +94,10 @@ def compare(old_path: Path, new_path: Path) -> int:
             if not changed:
                 continue
             label = "+".join(changed)
+            if changed == ["stdout"] and (
+                _unsigned_zeros(a["stdout"]) == _unsigned_zeros(b["stdout"])
+            ):
+                label = SIGN_OF_ZEROS
             if "code" in changed:
                 line += f" (exit {a['code']} -> {b['code']})"
         groups.setdefault(label, []).append(line)
