@@ -58,6 +58,8 @@ __all__ = [
 SINGULARITY_TOLERANCE = 1e-12
 
 _isfinite = cmath.isfinite
+# stores a slot past the __setattr__ that frozen values refuse
+_set_field = object.__setattr__
 
 
 class SingularOperand(ArithmeticError):
@@ -85,112 +87,15 @@ class NonFiniteError(ArithmeticError):
         self.term_index = term_index
 
 
-# __init__ templates by field count, over the slot setters they close
-# over. _RecordType renames a template's parameters to the field names,
-# so fields can also be passed by keyword. Nothing is built from source
-# text with exec, as dataclasses builds its methods: a CLI run pays for
-# every class at import.
-
-
-def _init0():
-    def __init__(self):
-        pass
-    return __init__
-
-
-def _init1(s0):
-    def __init__(self, a):
-        s0(self, a)
-    return __init__
-
-
-def _init2(s0, s1):
-    def __init__(self, a, b):
-        s0(self, a)
-        s1(self, b)
-    return __init__
-
-
-def _init3(s0, s1, s2):
-    def __init__(self, a, b, c):
-        s0(self, a)
-        s1(self, b)
-        s2(self, c)
-    return __init__
-
-
-def _init4(s0, s1, s2, s3):
-    def __init__(self, a, b, c, d):
-        s0(self, a)
-        s1(self, b)
-        s2(self, c)
-        s3(self, d)
-    return __init__
-
-
-def _init5(s0, s1, s2, s3, s4):
-    def __init__(self, a, b, c, d, e):
-        s0(self, a)
-        s1(self, b)
-        s2(self, c)
-        s3(self, d)
-        s4(self, e)
-    return __init__
-
-
-def _init6(s0, s1, s2, s3, s4, s5):
-    def __init__(self, a, b, c, d, e, f):
-        s0(self, a)
-        s1(self, b)
-        s2(self, c)
-        s3(self, d)
-        s4(self, e)
-        s5(self, f)
-    return __init__
-
-
-def _init7(s0, s1, s2, s3, s4, s5, s6):
-    def __init__(self, a, b, c, d, e, f, g):
-        s0(self, a)
-        s1(self, b)
-        s2(self, c)
-        s3(self, d)
-        s4(self, e)
-        s5(self, f)
-        s6(self, g)
-    return __init__
-
-
-def _init8(s0, s1, s2, s3, s4, s5, s6, s7):
-    def __init__(self, a, b, c, d, e, f, g, h):
-        s0(self, a)
-        s1(self, b)
-        s2(self, c)
-        s3(self, d)
-        s4(self, e)
-        s5(self, f)
-        s6(self, g)
-        s7(self, h)
-    return __init__
-
-
-_INITS = (_init0, _init1, _init2, _init3, _init4, _init5, _init6, _init7, _init8)
-
-
 class _RecordType(type):
     """Metaclass of :class:`_Record`: the annotated names of a class body,
     in order, become the class's slots, its ``_fields`` and
-    ``__match_args__``, and the parameters of its ``__init__``."""
+    ``__match_args__``, which ``_Record.__init__`` binds arguments to."""
 
     def __new__(mcls, name, bases, namespace):
         fields = tuple(namespace.get("__annotations__", ()))
         namespace["__slots__"] = namespace["_fields"] = namespace["__match_args__"] = fields
-        cls = super().__new__(mcls, name, bases, namespace)
-        init = _INITS[len(fields)](*(getattr(cls, field).__set__ for field in fields))
-        init.__code__ = init.__code__.replace(co_varnames=("self", *fields))
-        init.__qualname__ = f"{cls.__qualname__}.__init__"
-        cls.__init__ = init
-        return cls
+        return super().__new__(mcls, name, bases, namespace)
 
 
 class _Record(metaclass=_RecordType):
@@ -201,6 +106,20 @@ class _Record(metaclass=_RecordType):
     a hash of the field values, AttributeError on assignment or
     deletion, positional ``match``, and pickling and copying.
     """
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{type(self).__qualname__}() takes {len(fields)} arguments")
+        for field, value in zip(fields, args):
+            _set_field(self, field, value)
+        for field in fields[len(args):]:
+            if field not in kwargs:
+                raise TypeError(f"{type(self).__qualname__}() missing argument {field!r}")
+            _set_field(self, field, kwargs.pop(field))
+        for name in kwargs:
+            problem = "multiple values for" if name in fields else "an unexpected keyword"
+            raise TypeError(f"{type(self).__qualname__}() got {problem} argument {name!r}")
 
     def _values(self) -> tuple:
         return tuple([getattr(self, field) for field in self._fields])
@@ -429,8 +348,12 @@ class Bicomplex:
         other = _coerce(other)
         if other is None:
             raise TypeError("cannot compare Bicomplex with that type")
-        d = abs(self - other)
-        return d <= max(rel_tol * max(abs(self), abs(other)), abs_tol)
+        threshold = max(rel_tol * max(abs(self), abs(other)), abs_tol)
+        try:
+            return abs(self - other) <= threshold
+        except NonFiniteError:
+            # the difference leaves the float range; halving both is exact here
+            return abs(self * 0.5 - other * 0.5) <= threshold * 0.5
 
     # -- conjugations -------------------------------------------------
 

@@ -52,10 +52,10 @@ from collections import deque, namedtuple
 from itertools import islice, pairwise
 
 from .core import (
-    SINGULARITY_TOLERANCE, Bicomplex, NonFiniteError, SingularOperand, _coerce,
+    SINGULARITY_TOLERANCE, Bicomplex, NonFiniteError, _coerce,
     _pair_zero_divisor_test, _Record,
 )
-from .seqspec import IdempotentSlotError
+from .seqspec import _TERM_ERRORS
 from .series import (
     _FIRST_CHECKPOINT, _FLAT_RATIO, _FLOOR_FACTOR, _HARMONIC_RATIO, OVERFLOW_GUARD,
     _diameter, _pair_or_none, _running, _stalled, _term_pairs, _Tracker, _validate,
@@ -86,13 +86,6 @@ ZERO_COLLAPSE = 1e-30
 # the identity diagnostic is quadratic-feeling in practice (an exp per
 # step), so it gets its own cap
 LOG_SUM_CAP = 1000
-
-# What evaluating a term may raise (see seqspec.eval_term and
-# seqspec._pair_generator). Once the product verdict is frozen, such a
-# term ends the consumers still live without a report instead of
-# propagating.
-_TERM_ERRORS = (SingularOperand, NonFiniteError, IdempotentSlotError)
-
 
 class SingularTerm(ArithmeticError):
     """A term of the sequence was a zero divisor (1-based index)."""
@@ -295,6 +288,8 @@ def _product_pass(
         except StopIteration:
             break
         except _TERM_ERRORS:
+            # once the product verdict is frozen, a term that cannot be
+            # evaluated ends the consumers still live without a report
             if prod_live or not product:
                 raise
             abs_live = id_live = False

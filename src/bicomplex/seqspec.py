@@ -58,9 +58,9 @@ from .core import (
     _fmt_real,
     _pair_inverse,
     _pair_power,
-    _pair_zero_divisor_test,
     _Record,
 )
+from .transcendental import _invertible_pair
 
 __all__ = [
     "ParseError", "IdempotentSlotError",
@@ -100,6 +100,11 @@ class IdempotentSlotError(ValueError):
     def __init__(self, message: str, term_index: int | None = None):
         super().__init__(message)
         self.term_index = term_index
+
+
+# What evaluating a term may raise; eval_term and _pair_generator re-raise
+# each with the term's index.
+_TERM_ERRORS = (SingularOperand, NonFiniteError, IdempotentSlotError)
 
 
 class Num(_Record):
@@ -502,8 +507,8 @@ def _call(node, arg):
 
     def fn(n):
         p1, p2 = arg(n)
-        if what is not None and _pair_zero_divisor_test(p1, p2, SINGULARITY_TOLERANCE)[0]:
-            raise SingularOperand(f"{what} requires an invertible value")
+        if what is not None:
+            _invertible_pair(p1, p2, SINGULARITY_TOLERANCE, what)
         return func(p1, p2)
 
     return fn
@@ -563,7 +568,7 @@ def eval_term(term, n: int) -> Bicomplex:
         term = compile_term(term)
     try:
         return Bicomplex._make(*term.components(n))
-    except (SingularOperand, NonFiniteError, IdempotentSlotError) as err:
+    except _TERM_ERRORS as err:
         raise type(err)(str(err), term_index=n) from None
 
 
@@ -593,5 +598,5 @@ def _pair_generator(node, start: int = 1):
         while True:
             yield pairs(n)
             n += 1
-    except (SingularOperand, NonFiniteError, IdempotentSlotError) as err:
+    except _TERM_ERRORS as err:
         raise type(err)(str(err), term_index=n) from None

@@ -78,9 +78,9 @@ class TrigForm(_Record):
         )
 
 
-def _invertible_pair(w: Bicomplex, tol: float, what: str) -> tuple[complex, complex]:
-    """``w``'s idempotent components; SingularOperand on a zero divisor."""
-    p1, p2 = w.p1, w.p2
+def _invertible_pair(p1: complex, p2: complex, tol: float, what: str) -> tuple[complex, complex]:
+    """``(p1, p2)`` unchanged, or SingularOperand ("``what`` requires an
+    invertible value") when the pair is a zero divisor within ``tol``."""
     if _pair_zero_divisor_test(p1, p2, tol)[0]:
         raise SingularOperand(f"{what} requires an invertible value")
     return p1, p2
@@ -121,7 +121,7 @@ def sqrt(w: Bicomplex, tol: float = SINGULARITY_TOLERANCE) -> Bicomplex:
     Restricted to invertible values so the principal choice is stable;
     raises SingularOperand on the null cone.
     """
-    return Bicomplex._make(*_sqrt_pair(*_invertible_pair(w, tol, "square root")))
+    return Bicomplex._make(*_sqrt_pair(*_invertible_pair(w.p1, w.p2, tol, "square root")))
 
 
 def trig_form(w: Bicomplex, tol: float = SINGULARITY_TOLERANCE) -> TrigForm:
@@ -133,7 +133,7 @@ def trig_form(w: Bicomplex, tol: float = SINGULARITY_TOLERANCE) -> TrigForm:
     Where ``p1*p2`` overflows, r_c is ``sqrt(cn(s*w))/s`` for a power of
     two ``s``.
     """
-    p1, p2 = _invertible_pair(w, tol, "trigonometric form")
+    p1, p2 = _invertible_pair(w.p1, w.p2, tol, "trigonometric form")
     s = 1.0
     if not cmath.isfinite(p1 * p2):
         # work on s*w, for the power of two s that keeps cn(s*w) finite
@@ -151,7 +151,7 @@ def log_principal(w: Bicomplex, tol: float = SINGULARITY_TOLERANCE) -> Bicomplex
     Inverse of exp up to the period lattice; raises SingularOperand on
     the null cone, where no logarithm exists.
     """
-    return Bicomplex._make(*_log_pair(*_invertible_pair(w, tol, "logarithm")))
+    return Bicomplex._make(*_log_pair(*_invertible_pair(w.p1, w.p2, tol, "logarithm")))
 
 
 def log_principal_direct(w: Bicomplex, tol: float = SINGULARITY_TOLERANCE) -> Bicomplex:

@@ -372,6 +372,10 @@ def test_isclose():
     assert abs(Bicomplex(1e-170)) == 1e-170
     assert abs(Bicomplex(3e-170, 4e-170j)) == pytest.approx(5e-170, rel=1e-15)
     assert not Bicomplex(1e-170).isclose(Bicomplex(-1e-170))
+    # the difference leaves the float range; the comparison does not
+    assert not Bicomplex(1e308).isclose(Bicomplex(-1e308))
+    assert not Bicomplex(1e308, 1e308).isclose(Bicomplex(-1e308, -1e308), rel_tol=1.0)
+    assert Bicomplex(1e308).isclose(Bicomplex(-1e308), rel_tol=2.0)
     with pytest.raises(TypeError):
         a.isclose("nope")
 

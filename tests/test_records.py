@@ -3,10 +3,13 @@ the repr, construction, equality, hashing, immutability and ``match``
 behaviour they had as frozen dataclasses."""
 
 import copy
+import importlib
 import pickle
+import pkgutil
 
 import pytest
 
+import bicomplex
 from bicomplex import (
     AbsoluteReport,
     Bicomplex,
@@ -22,6 +25,7 @@ from bicomplex import (
     SingularityVerdict,
     TrigForm,
 )
+from bicomplex.core import _Record
 from bicomplex.seqspec import Add, Call, Const, Div, Idem, Mul, Neg, Num, Pow, Sub, Var
 
 # one instance of every record type, by its positional fields, and the
@@ -84,6 +88,14 @@ def test_record_contract(cls, args, text):
     assert record != args
     with pytest.raises(TypeError):
         cls(*args, None)
+    with pytest.raises(TypeError):
+        cls(*args, other=None)
+    if cls._fields:
+        # a missing field, and a field given by position and by keyword
+        with pytest.raises(TypeError):
+            cls(*args[:-1])
+        with pytest.raises(TypeError):
+            cls(*args, **{cls._fields[0]: args[0]})
 
     for name in (*cls._fields, "other"):
         with pytest.raises(AttributeError):
@@ -95,6 +107,20 @@ def test_record_contract(cls, args, text):
     assert copy.copy(record) == record
     assert copy.deepcopy(record) == record
     assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_every_record_type_is_in_the_contract():
+    for module in pkgutil.iter_modules(bicomplex.__path__):
+        importlib.import_module(f"bicomplex.{module.name}")
+    found, stack = set(), [_Record]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            if sub.__module__.startswith("bicomplex."):
+                found.add(sub)
+            stack.append(sub)
+    assert found == {cls for cls, _, _ in RECORDS}
+    # each takes _Record's constructor, so the cases above cover them all
+    assert not [cls for cls in found if "__init__" in vars(cls)]
 
 
 def _pair_bits(w: Bicomplex) -> tuple[str, ...]:
