@@ -348,12 +348,16 @@ class Bicomplex:
         other = _coerce(other)
         if other is None:
             raise TypeError("cannot compare Bicomplex with that type")
-        threshold = max(rel_tol * max(abs(self), abs(other)), abs_tol)
-        try:
-            return abs(self - other) <= threshold
-        except NonFiniteError:
-            # the difference leaves the float range; halving both is exact here
-            return abs(self * 0.5 - other * 0.5) <= threshold * 0.5
+        big = max(abs(self), abs(other))
+        if big < math.inf:
+            try:
+                return abs(self - other) <= max(rel_tol * big, abs_tol)
+            except NonFiniteError:
+                pass
+        # a norm or the difference leaves the float range: compare copies
+        # scaled by one power of two, which brings every coordinate below 1
+        s = min(_unit_scale(self.p1, self.p2), _unit_scale(other.p1, other.p2))
+        return (self * s).isclose(other * s, rel_tol, abs_tol * s)
 
     # -- conjugations -------------------------------------------------
 

@@ -419,7 +419,10 @@ def _constant(value):
 
 def _var(node):
     def fn(n):
-        x = complex(float(n))
+        try:
+            x = complex(float(n))
+        except OverflowError:
+            raise NonFiniteError("term index n is past the float range") from None
         return x, x
 
     return fn

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections import deque
 from itertools import islice
 
@@ -172,10 +173,17 @@ def _validate(tol: float, window: int, n_max: int) -> None:
     the parameter's name, which the CLI maps to its option."""
     if not tol > 0.0:
         raise ValueError("tol must be positive")
+    if tol == math.inf:
+        raise ValueError("tol must be finite")
+    # deque and islice take sizes up to sys.maxsize
     if window < 2:
         raise ValueError("window must be at least 2")
+    if window > sys.maxsize:
+        raise ValueError(f"window must be at most {sys.maxsize}")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    if n_max > sys.maxsize:
+        raise ValueError(f"n_max must be at most {sys.maxsize}")
 
 
 def partial_sums(terms, n_max: int = 10**6) -> list[Bicomplex]:

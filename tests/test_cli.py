@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import bicomplex
 from helpers import GOLDEN_DIR, run_cli
 
@@ -56,6 +58,17 @@ def test_eval_at_index():
     assert "49 + 1*i1 + 0*i2 + 0*j" in out
 
 
+def test_eval_index_past_the_float_range():
+    at = str(2**1024)
+    for command in ("eval", "check-bounds"):
+        code, out, err = run_cli([command, "--at", at, "--", "n"])
+        assert code == 1 and out == ""
+        assert err == "non-finite abort: term index n is past the float range\n"
+    code, out, err = run_cli(["eval", "--at", at, "--", "1"])
+    assert code == 0 and err == ""
+    assert out.splitlines()[0] == "value (four-real): 1 + 0*i1 + 0*i2 + 0*j"
+
+
 def test_eval_branch_text():
     code, out, _ = run_cli(["eval", "j", "--branch", "0", "1"])
     assert code == 0
@@ -86,6 +99,14 @@ def test_bad_config_exits_2():
     assert code == 2 and err == "error: --max-terms must be at least 1\n"
     code, _, err = run_cli(["eval", "n", "--at", "0"])
     assert code == 2 and "--at" in err
+    big = str(10**20)
+    for command in ("series", "product"):
+        code, _, err = run_cli([command, "--max-terms", big, "--", "1/n^2"])
+        assert code == 2 and err == f"error: --max-terms must be at most {sys.maxsize}\n"
+        code, _, err = run_cli([command, "--window", big, "--", "1/n^2"])
+        assert code == 2 and err == f"error: --window must be at most {sys.maxsize}\n"
+        code, _, err = run_cli([command, "--tol", "inf", "--", "n"])
+        assert code == 2 and err == "error: --tol must be finite\n"
 
 
 def test_unknown_subcommand_exits_2():
@@ -278,6 +299,19 @@ def test_series_term_past_the_float_range_diverges():
     assert "verdict: diverged" in out
 
 
+def _fresh_python(code: str) -> str:
+    """Run ``code`` in a fresh ``python -S`` process on this source tree;
+    returns its stdout."""
+    src = Path(bicomplex.__file__).resolve().parents[1]
+    child = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    return child.stdout
+
+
 def test_start_up_imports_no_dataclasses_typing_or_inspect():
     # every CLI run pays for its imports; these three cost about 20 ms
     code = (
@@ -286,11 +320,53 @@ def test_start_up_imports_no_dataclasses_typing_or_inspect():
         "bicomplex.cli._build_parser()\n"
         "print(sorted({'dataclasses', 'typing', 'inspect'} & set(sys.modules)))\n"
     )
-    src = Path(bicomplex.__file__).resolve().parents[1]
-    child = subprocess.run(
-        [sys.executable, "-S", "-c", code],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True, text=True, timeout=60,
+    assert _fresh_python(code) == "[]\n"
+
+
+MODULES = ("core", "transcendental", "series", "products", "seqspec")
+
+PUBLIC_NAMES = [
+    "AbsoluteReport", "Bicomplex", "BoundCheck", "BranchIndex", "Duplex", "E1", "E2",
+    "I1", "I2", "IdempotentPair", "J", "LogSumReport", "NonFiniteError", "NormInfo",
+    "ONE", "ParseError", "ProductAnalysis", "ProductReport", "SINGULARITY_TOLERANCE",
+    "SeriesReport", "SingularOperand", "SingularTerm", "SingularityVerdict", "TrigForm",
+    "ZERO", "__version__", "absolute_convergence_check", "analyze_product",
+    "analyze_series", "eval_power_series", "eval_term", "evaluate_product", "exp",
+    "exp_lattice_coords", "log1p", "log_bound_check", "log_branch", "log_principal",
+    "log_principal_direct", "log_sum_equivalence", "parse", "partial_products",
+    "partial_sums", "render", "sqrt", "term_generator", "trig_form",
+]
+
+
+def test_import_bicomplex_loads_a_module_on_first_use():
+    loaded = "print(sorted(m for m in sys.modules if m.startswith('bicomplex.')))\n"
+    code = (
+        "import sys\n"
+        "import bicomplex\n"
+        + loaded
+        + "from bicomplex import Bicomplex\n"
+        + loaded
+        + f"print([getattr(bicomplex, m).__name__ for m in {MODULES!r}])\n"
+        "from bicomplex import cli\n"
+        "print(cli.__name__)\n"
     )
-    assert child.returncode == 0, child.stderr
-    assert child.stdout == "[]\n"
+    assert _fresh_python(code).splitlines() == [
+        "[]",
+        "['bicomplex.core']",
+        str([f"bicomplex.{m}" for m in MODULES]),
+        "bicomplex.cli",
+    ]
+
+
+def test_exports_resolve_to_their_home_modules():
+    assert sorted(bicomplex.__all__) == PUBLIC_NAMES
+    for name in bicomplex.__all__:
+        namespace = {}
+        exec(f"from bicomplex import {name}", namespace)
+        if name != "__version__":
+            home = bicomplex._HOME[name]
+            assert home in MODULES, name
+            assert namespace[name] is getattr(sys.modules[f"bicomplex.{home}"], name), name
+    assert set(dir(bicomplex)) >= {"__all__", *PUBLIC_NAMES, *MODULES}
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        bicomplex.no_such_name

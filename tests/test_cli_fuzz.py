@@ -7,6 +7,7 @@ with its traceback.
 """
 
 import json
+import sys
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -84,3 +85,48 @@ def test_cli_exits_cleanly_at_the_float_edge(argv):
     assert err.count("\n") <= 1 and "Traceback" not in err, (argv, err)
     if "--json" in argv and out:
         json.loads(out, parse_constant=_reject)
+
+
+# option values at the edges of the option checks: past the float range
+# (--at), past sys.maxsize (sizes) and the non-finite tolerances
+AT_EDGES = [1, 2**53, sys.maxsize + 1, 2**1024, 10**400]
+SIZE_EDGES = [sys.maxsize, sys.maxsize + 1, 10**20]
+TOL_EDGES = ["5e-324", "1e308", "inf", "-inf", "nan"]
+# series and product decide these early: exp(n) reaches the overflow
+# guard near n = 346, so a huge budget still makes a short run
+EARLY_EXPRS = ["exp(n)", "-exp(n)*i1", "n*exp(n)", "exp(n)*e1", "exp(n) + exp(n)*j"]
+
+
+@st.composite
+def option_edge_argvs(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    text = render(_random_ast(rng, draw(st.integers(1, 3))))
+    small_budget = ["--max-terms", str(draw(st.integers(1, 50)))]
+    option = draw(st.sampled_from(["--at", "--max-terms", "--window", "--tol"]))
+    if option == "--at":
+        command = draw(st.sampled_from(["eval", "check-bounds"]))
+        options = ["--at", str(draw(st.sampled_from(AT_EDGES)))]
+    else:
+        command = draw(st.sampled_from(["eval", "series", "product", "check-bounds"]))
+        if option == "--max-terms":
+            options = ["--max-terms", str(draw(st.sampled_from(SIZE_EDGES)))]
+            text = draw(st.sampled_from(EARLY_EXPRS))
+        elif option == "--window":
+            options = ["--window", str(draw(st.sampled_from(SIZE_EDGES))), *small_budget]
+        else:
+            options = [f"--tol={draw(st.sampled_from(TOL_EDGES))}", *small_budget]
+    if draw(st.booleans()):
+        options.append("--json")
+    return [command, *options, "--", text]
+
+
+@example(["series", "--max-terms", str(10**20), "--", "1/n^2"])
+@example(["product", "--window", str(10**20), "--max-terms", "50", "--", "1+1/n^2"])
+@example(["product", "--tol=inf", "--", "n"])
+@example(["eval", "--at", str(2**1024), "--", "n"])
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(option_edge_argvs())
+def test_cli_exits_cleanly_at_the_option_edges(argv):
+    code, out, err = run_cli(argv)
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert err.count("\n") <= 1 and "Traceback" not in err, (argv, err)

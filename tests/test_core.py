@@ -376,6 +376,14 @@ def test_isclose():
     assert not Bicomplex(1e308).isclose(Bicomplex(-1e308))
     assert not Bicomplex(1e308, 1e308).isclose(Bicomplex(-1e308, -1e308), rel_tol=1.0)
     assert Bicomplex(1e308).isclose(Bicomplex(-1e308), rel_tol=2.0)
+    # the norms leave the float range; the comparison does not
+    w = Bicomplex.from_idempotent(1.7e308 + 1.7e308j, -1.7e308 - 1.7e308j)
+    v = Bicomplex.from_idempotent(1.7e308 + 1.7e308j, 1.7e308 + 1.7e308j)
+    assert abs(w) == abs(v) == math.inf
+    assert not w.isclose(-w)
+    assert w.isclose(w)
+    assert not v.isclose(v * 0.5)
+    assert v.isclose(v * 0.5, rel_tol=0.6)
     with pytest.raises(TypeError):
         a.isclose("nope")
 

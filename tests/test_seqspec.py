@@ -298,6 +298,18 @@ def test_eval_index_validation():
         eval_term(node, 1.5)
 
 
+def test_index_past_the_float_range():
+    # float(n) overflows; only an expression that reads n fails
+    for n in (2**1024, 10**400):
+        with pytest.raises(NonFiniteError) as info:
+            eval_term(parse("n"), n)
+        assert info.value.term_index == n
+        with pytest.raises(NonFiniteError):
+            eval_term(parse("1 + 0*n"), n)
+        assert eval_term(parse("1"), n) == ONE
+    assert eval_term(parse("n"), 2**1023) == Bicomplex(2.0**1023)
+
+
 def test_term_generator():
     gen = term_generator("1 + 1/n^2")
     values = [next(gen) for _ in range(3)]

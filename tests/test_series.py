@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -153,6 +154,17 @@ def test_validation_errors():
         analyze_series(iter([ONE]), window=1)
     with pytest.raises(ValueError):
         analyze_series(iter([ONE]), n_max=0)
+    # an infinite tolerance settles every window; sizes past sys.maxsize
+    # are more than deque and islice can take
+    with pytest.raises(ValueError, match="^tol must be finite$"):
+        analyze_series(iter([ONE]), tol=math.inf)
+    with pytest.raises(ValueError, match=f"^window must be at most {sys.maxsize}$"):
+        analyze_series(iter([ONE]), window=sys.maxsize + 1)
+    with pytest.raises(ValueError, match=f"^n_max must be at most {sys.maxsize}$"):
+        analyze_series(iter([ONE]), n_max=10**20)
+    with pytest.raises(ValueError, match="^n_max must be at most"):
+        partial_sums(iter([ONE]), n_max=sys.maxsize + 1)
+    assert analyze_series(iter([ONE]), window=sys.maxsize, n_max=sys.maxsize).terms_used == 1
     with pytest.raises(TypeError):
         analyze_series(iter(["x"]))
 
