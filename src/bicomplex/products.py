@@ -57,8 +57,8 @@ from .core import (
 )
 from .seqspec import _TERM_ERRORS
 from .series import (
-    _FIRST_CHECKPOINT, _FLAT_RATIO, _FLOOR_FACTOR, _HARMONIC_RATIO, OVERFLOW_GUARD,
-    _diameter, _pair_or_none, _running, _stalled, _term_pairs, _Tracker, _validate,
+    _FLAT_RATIO, _FLOOR_FACTOR, _HARMONIC_RATIO, OVERFLOW_GUARD, _Checkpoints,
+    _diameter, _pair_or_none, _running, _term_pairs, _Tracker, _validate,
 )
 from .transcendental import TWO_PI, log1p
 
@@ -271,10 +271,8 @@ def _product_pass(
     win1: deque[complex] = deque(maxlen=window)
     win2: deque[complex] = deque(maxlen=window)
     pnorms: deque[float] = deque(maxlen=window)
-    devs: deque[float] = deque(maxlen=window)
+    checks = _Checkpoints(tol, window, _FLAT_RATIO)  # over the deviations
     nc_ok = True
-    next_checkpoint = _FIRST_CHECKPOINT
-    prev_floor: float | None = None
     # identity state
     max_disc = 0.0
     offset = (0, 0)
@@ -336,7 +334,7 @@ def _product_pass(
             win1.append(q1)
             win2.append(q2)
             pnorms.append(pnorm)
-            devs.append(dev)
+            checks.mags.append(dev)
             if pnorm > OVERFLOW_GUARD:
                 verdict = "diverged"
             elif pnorm < ZERO_COLLAPSE and _shrinking(pnorms):
@@ -350,7 +348,7 @@ def _product_pass(
             ):
                 # stable; classification depends on whether the recent
                 # terms actually sit near 1
-                if max(devs) < _FLOOR_FACTOR * tol:
+                if max(checks.mags) < _FLOOR_FACTOR * tol:
                     if _pair_zero_divisor_test(q1, q2, singularity_tol)[0]:
                         verdict = "diverged"
                     else:
@@ -359,14 +357,10 @@ def _product_pass(
                     verdict = "diverged_to_zero"
                 # stable partial products under far-from-1 terms with no
                 # drain toward zero: keep consuming evidence
-            if verdict is None and used == next_checkpoint:
-                floor = min(devs)
-                if _stalled(floor, prev_floor, tol, _FLAT_RATIO):
-                    nc_ok = False
-                    if pnorms[-1] >= pnorms[0] * (1.0 - 1e-12):
-                        verdict = "diverged"
-                prev_floor = floor
-                next_checkpoint *= 2
+            if verdict is None and used == checks.due and checks.stalled():
+                nc_ok = False
+                if pnorms[-1] >= pnorms[0] * (1.0 - 1e-12):
+                    verdict = "diverged"
             if verdict is not None:
                 prod_report = _product_report(
                     verdict, q1, q2, l1, l2, used, nc_ok, log_track, dev_track

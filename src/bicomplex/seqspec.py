@@ -70,8 +70,16 @@ __all__ = [
     "CONSTANT_NAMES", "FUNCTION_NAMES", "MAX_DEPTH",
 ]
 
-CONSTANT_NAMES = ("i1", "i2", "j", "e1", "e2", "pi")
-FUNCTION_NAMES = ("exp", "log", "sqrt")
+_CONSTANTS = {"i1": I1, "i2": I2, "j": J, "e1": E1, "e2": E2, "pi": Bicomplex(math.pi)}
+# function -> (componentwise function, what it refuses a zero divisor
+# for, as the transcendental functions name it, or None)
+_PAIR_FUNCTIONS = {
+    "exp": (transcendental._exp_pair, None),
+    "log": (transcendental._log_pair, "logarithm"),
+    "sqrt": (transcendental._sqrt_pair, "square root"),
+}
+CONSTANT_NAMES = tuple(_CONSTANTS)
+FUNCTION_NAMES = tuple(_PAIR_FUNCTIONS)
 
 # Bound on bracket nesting, an input limit (the parser keeps open
 # brackets on a stack), and on tree height, which keeps compiling,
@@ -301,13 +309,6 @@ def parse(text: str):
             _check_depth(height, opener)
 
 
-# binding strength per node type; atoms bind tightest
-_PRECEDENCE = {
-    Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, Pow: 4,
-    Num: 9, Const: 9, Var: 9, Call: 9, Idem: 9,
-}
-
-
 def render(node) -> str:
     """Canonical text for an AST; ``parse(render(node))`` recovers it.
 
@@ -318,43 +319,16 @@ def render(node) -> str:
 
 
 def _render(node, context: int) -> str:
-    if isinstance(node, Num):
+    """``node``'s text, in parentheses where it binds looser than
+    ``context``, the binding strength its place requires."""
+    operands, _, strength, form = _node_row(node)
+    if form is None:
         text = _fmt_real(node.value, None)
-    elif isinstance(node, Const):
-        text = node.name
-    elif isinstance(node, Var):
-        text = "n"
-    elif isinstance(node, Add):
-        text = f"{_render(node.left, 1)} + {_render(node.right, 2)}"
-    elif isinstance(node, Sub):
-        text = f"{_render(node.left, 1)} - {_render(node.right, 2)}"
-    elif isinstance(node, Mul):
-        text = f"{_render(node.left, 2)}*{_render(node.right, 3)}"
-    elif isinstance(node, Div):
-        text = f"{_render(node.left, 2)}/{_render(node.right, 3)}"
-    elif isinstance(node, Neg):
-        text = f"-{_render(node.operand, 3)}"
-    elif isinstance(node, Pow):
-        text = f"{_render(node.base, 9)}^{node.exponent}"
-    elif isinstance(node, Call):
-        text = f"{node.func}({_render(node.arg, 0)})"
-    elif isinstance(node, Idem):
-        text = f"[{_render(node.first, 0)} | {_render(node.second, 0)}]"
     else:
-        raise TypeError(f"not an expression node: {node!r}")
-    if _PRECEDENCE[type(node)] < context:
-        return f"({text})"
-    return text
-
-
-_CONSTANTS = {
-    "i1": I1,
-    "i2": I2,
-    "j": J,
-    "e1": E1,
-    "e2": E2,
-    "pi": Bicomplex(math.pi),
-}
+        text = form.format(
+            *(_render(getattr(node, name), inner) for name, inner in operands), node=node
+        )
+    return f"({text})" if strength < context else text
 
 
 class CompiledTerm:
@@ -397,14 +371,10 @@ def _compile_pairs(node) -> Callable[[int], tuple[complex, complex]]:
 def _compile(node):
     """``(closure, value)``: ``value`` is the pair the closure always
     returns, or None when it depends on ``n`` or raises."""
-    kind = type(node)
-    try:
-        operands, build = _BUILDERS[kind]
-    except KeyError:
-        raise TypeError(f"not an expression node: {node!r}") from None
-    compiled = [_compile(getattr(node, name)) for name in operands]
+    operands, build = _node_row(node)[:2]
+    compiled = [_compile(getattr(node, name)) for name, _ in operands]
     fn = build(node, *(closure for closure, _ in compiled))
-    if kind is Var or any(value is None for _, value in compiled):
+    if type(node) is Var or any(value is None for _, value in compiled):
         return fn, None
     try:
         value = fn(1)
@@ -531,28 +501,29 @@ def _idem(node, first, second):
     return fn
 
 
-# function -> (componentwise function, what it refuses a zero divisor
-# for, as the transcendental functions name it, or None)
-_PAIR_FUNCTIONS = {
-    "exp": (transcendental._exp_pair, None),
-    "log": (transcendental._log_pair, "logarithm"),
-    "sqrt": (transcendental._sqrt_pair, "square root"),
+# node type -> (operands as (field, the binding strength its place
+# requires), closure builder, binding strength, text form); atoms bind
+# tightest, and a Num renders through _fmt_real
+_NODES = {
+    Num: ((), _num, 9, None),
+    Const: ((), _const, 9, "{node.name}"),
+    Var: ((), _var, 9, "n"),
+    Neg: ((("operand", 3),), _neg, 3, "-{0}"),
+    Add: ((("left", 1), ("right", 2)), _add, 1, "{0} + {1}"),
+    Sub: ((("left", 1), ("right", 2)), _sub, 1, "{0} - {1}"),
+    Mul: ((("left", 2), ("right", 3)), _mul, 2, "{0}*{1}"),
+    Div: ((("left", 2), ("right", 3)), _div, 2, "{0}/{1}"),
+    Pow: ((("base", 9),), _pow, 4, "{0}^{node.exponent}"),
+    Call: ((("arg", 0),), _call, 9, "{node.func}({0})"),
+    Idem: ((("first", 0), ("second", 0)), _idem, 9, "[{0} | {1}]"),
 }
 
-# node type -> (operand fields, closure builder)
-_BUILDERS = {
-    Num: ((), _num),
-    Const: ((), _const),
-    Var: ((), _var),
-    Neg: (("operand",), _neg),
-    Add: (("left", "right"), _add),
-    Sub: (("left", "right"), _sub),
-    Mul: (("left", "right"), _mul),
-    Div: (("left", "right"), _div),
-    Pow: (("base",), _pow),
-    Call: (("arg",), _call),
-    Idem: (("first", "second"), _idem),
-}
+
+def _node_row(node):
+    try:
+        return _NODES[type(node)]
+    except KeyError:
+        raise TypeError(f"not an expression node: {node!r}") from None
 
 
 def eval_term(term, n: int) -> Bicomplex:

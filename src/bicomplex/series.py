@@ -60,17 +60,6 @@ _FLOOR_FACTOR = 10.0
 _DIVERGENCE_FLOOR = 1e-6
 
 
-def _stalled(floor: float, prev_floor: float | None, tol: float, ratio: float) -> bool:
-    """The checkpoint test: the floor of the windowed term magnitudes is
-    above the evidence floor and at least ``ratio`` times the floor at
-    the previous checkpoint."""
-    return (
-        prev_floor is not None
-        and floor >= max(_FLOOR_FACTOR * tol, _DIVERGENCE_FLOOR)
-        and floor >= ratio * prev_floor * _RATIO_SLACK
-    )
-
-
 def _diameter(values) -> float:
     """Largest pairwise distance among a window of complex values; inf
     where a distance is past the float range."""
@@ -112,33 +101,54 @@ class SeriesReport(_Record):
     absolute_component_verdicts: tuple[str, str]
 
 
-class _Tracker:
+class _Checkpoints:
+    """The dyadic checkpoint rule over the last ``window`` term
+    magnitudes ``mags``; its owner counts the terms and calls
+    ``stalled`` at term ``due``."""
+
+    __slots__ = ("tol", "ratio", "mags", "due", "prev_floor")
+
+    def __init__(self, tol: float, window: int, ratio: float):
+        self.tol = tol
+        self.ratio = ratio
+        self.mags: deque[float] = deque(maxlen=window)
+        self.due = _FIRST_CHECKPOINT
+        self.prev_floor: float | None = None
+
+    def stalled(self) -> bool:
+        """The checkpoint test: the floor of ``mags`` is above the
+        evidence floor and at least ``ratio`` times the floor at the
+        previous checkpoint. Moves ``due`` to the next checkpoint."""
+        floor = min(self.mags)
+        prev_floor, self.prev_floor = self.prev_floor, floor
+        self.due *= 2
+        return (
+            prev_floor is not None
+            and floor >= max(_FLOOR_FACTOR * self.tol, _DIVERGENCE_FLOOR)
+            and floor >= self.ratio * prev_floor * _RATIO_SLACK
+        )
+
+
+class _Tracker(_Checkpoints):
     """Cauchy-window tracker for one series of complex terms, or of
     nonnegative terms (a norm series).
 
     Converged once the last ``window`` partial sums lie within ``tol``
     of each other. Diverged when a partial sum passes the overflow
-    guard, or when ``_stalled`` holds at a checkpoint with ``ratio``:
+    guard, or when ``stalled`` holds at a checkpoint with ``ratio``:
     _FLAT_RATIO for a general series, _HARMONIC_RATIO for a norm series.
     Partial sums of a norm series are monotone, so there the window
     test comes down to the gap between newest and oldest.
     """
 
-    __slots__ = (
-        "tol", "window", "ratio", "total", "sums", "mags", "verdict",
-        "next_checkpoint", "prev_floor", "count",
-    )
+    __slots__ = ("window", "total", "sums", "verdict", "count")
 
     def __init__(self, tol: float, window: int, ratio: float = _FLAT_RATIO):
-        self.tol = tol
+        super().__init__(tol, window, ratio)
         self.window = window
-        self.ratio = ratio
         self.total = 0.0
         self.sums: deque = deque(maxlen=window)
-        self.mags: deque[float] = deque(maxlen=window)
         self.verdict: str | None = None
-        self.next_checkpoint = _FIRST_CHECKPOINT
-        self.prev_floor: float | None = None
         self.count = 0
 
     def push(self, term, mag: float) -> None:
@@ -160,12 +170,8 @@ class _Tracker:
             if abs(self.total - self.sums[0]) < self.tol and _diameter(self.sums) < self.tol:
                 self.verdict = "converged"
                 return
-        if self.count == self.next_checkpoint:
-            floor = min(self.mags)
-            if _stalled(floor, self.prev_floor, self.tol, self.ratio):
-                self.verdict = "diverged"
-            self.prev_floor = floor
-            self.next_checkpoint *= 2
+        if self.count == self.due and self.stalled():
+            self.verdict = "diverged"
 
 
 def _validate(tol: float, window: int, n_max: int) -> None:

@@ -17,6 +17,7 @@ full period lattice is twice as fine, which is why
 from __future__ import annotations
 
 import cmath
+import operator
 from collections import namedtuple
 
 from .core import (
@@ -175,13 +176,18 @@ def log_branch(
     tol: float = SINGULARITY_TOLERANCE,
 ) -> Bicomplex:
     """Logarithm on the (m, n) branch: principal value plus
-    ``2*pi*(m*i1 + n*i2)``."""
-    m, n = branch
+    ``2*pi*(m*i1 + n*i2)``, for integers m and n (TypeError otherwise).
+    Raises NonFiniteError where that shift is past the float range."""
+    m, n = map(operator.index, branch)
     base = log_principal(w, tol)
     # 2*pi*(m*i1 + n*i2) has the idempotent components 2*pi*i1*(m - n, m + n)
-    return Bicomplex._make(
-        base.p1 + complex(0.0, TWO_PI * (m - n)), base.p2 + complex(0.0, TWO_PI * (m + n))
-    )
+    try:
+        shift1, shift2 = TWO_PI * (m - n), TWO_PI * (m + n)
+    except OverflowError:  # m - n or m + n too large for a float
+        shift1 = cmath.inf
+    if not (cmath.isfinite(shift1) and cmath.isfinite(shift2)):
+        raise NonFiniteError("branch index is past the float range")
+    return Bicomplex._make(base.p1 + complex(0.0, shift1), base.p2 + complex(0.0, shift2))
 
 
 def log1p(w: Bicomplex) -> Bicomplex:

@@ -75,6 +75,14 @@ def test_eval_branch_text():
     assert "branch (0, 1) log (four-real):" in out
 
 
+def test_eval_branch_past_the_float_range():
+    for branch in ([str(10**400), "0"], ["0", str(-(10**400))], [str(10**308), "0"]):
+        for mode in ([], ["--json"]):
+            code, out, err = run_cli(["eval", "--branch", *branch, *mode, "--", "2"])
+            assert code == 1 and out == ""
+            assert err == "non-finite abort: branch index is past the float range\n"
+
+
 def test_series_text_output():
     code, out, _ = run_cli(["series", "[exp(-n) | exp(-2*n)]"])
     assert code == 0

@@ -22,7 +22,11 @@ from bicomplex import (
     sqrt,
     term_generator,
 )
+from bicomplex import seqspec
+from bicomplex.core import _Record
 from bicomplex.seqspec import (
+    CONSTANT_NAMES,
+    FUNCTION_NAMES,
     MAX_DEPTH,
     Add,
     Call,
@@ -36,6 +40,7 @@ from bicomplex.seqspec import (
     Pow,
     Sub,
     Var,
+    compile_term,
 )
 from helpers import gauss_bicomplex
 
@@ -74,6 +79,69 @@ def test_golden_asts():
 def test_golden_round_trips():
     for text, want in GOLDEN_CASES:
         assert parse(render(want)) == want, text
+
+
+# the exact canonical text: one AST per node type, then the precedence
+# traps (a round trip alone would pass with extra parentheses)
+RENDER_CASES = [
+    (Num(2.5), "2.5"),
+    (Num(3.0), "3"),
+    (Const("i2"), "i2"),
+    (Var(), "n"),
+    (Neg(Var()), "-n"),
+    (Add(Num(1.0), Var()), "1 + n"),
+    (Sub(Var(), Num(2.0)), "n - 2"),
+    (Mul(Num(2.0), Var()), "2*n"),
+    (Div(Var(), Num(4.0)), "n/4"),
+    (Pow(Var(), -2), "n^-2"),
+    (Call("sqrt", Var()), "sqrt(n)"),
+    (Idem(Var(), Num(2.0)), "[n | 2]"),
+    (Sub(Num(1.0), Sub(Num(2.0), Num(3.0))), "1 - (2 - 3)"),
+    (Sub(Sub(Num(1.0), Num(2.0)), Num(3.0)), "1 - 2 - 3"),
+    (Add(Num(1.0), Add(Var(), Num(2.0))), "1 + (n + 2)"),
+    (Neg(Add(Num(1.0), Var())), "-(1 + n)"),
+    (Neg(Pow(Var(), 2)), "-n^2"),
+    (Neg(Neg(Var())), "--n"),
+    (Pow(Neg(Var()), 2), "(-n)^2"),
+    (Pow(Pow(Var(), 2), 3), "(n^2)^3"),
+    (Pow(Call("exp", Var()), 2), "exp(n)^2"),
+    (Div(Num(2.0), Mul(Num(3.0), Var())), "2/(3*n)"),
+    (Mul(Div(Num(2.0), Num(3.0)), Var()), "2/3*n"),
+    (Mul(Num(2.0), Neg(Var())), "2*-n"),
+    (Mul(Add(Num(1.0), Var()), Sub(Var(), Num(2.0))), "(1 + n)*(n - 2)"),
+    (Sub(Idem(Div(Num(1.0), Var()), Num(2.0)), Neg(Num(1.0))), "[1/n | 2] - -1"),
+    (Idem(Add(Num(1.0), Var()), Neg(Var())), "[1 + n | -n]"),
+    (Call("exp", Neg(Var())), "exp(-n)"),
+    (Call("log", Add(Num(1.0), Var())), "log(1 + n)"),
+]
+
+
+def test_render_text_is_pinned():
+    for ast, text in RENDER_CASES:
+        assert render(ast) == text
+        assert parse(text) == ast, text
+
+
+def test_every_node_type_has_one_table_row():
+    assert CONSTANT_NAMES == ("i1", "i2", "j", "e1", "e2", "pi")
+    assert FUNCTION_NAMES == ("exp", "log", "sqrt")
+    node_types = {
+        value for value in vars(seqspec).values()
+        if isinstance(value, type) and issubclass(value, _Record)
+        and value.__module__ == seqspec.__name__
+    }
+    assert node_types == set(seqspec._NODES)
+    samples = {type(ast): (ast, text) for ast, text in RENDER_CASES}
+    assert set(samples) == node_types
+    for ast, text in samples.values():
+        p1, p2 = compile_term(ast).components(3)
+        assert isinstance(p1, complex) and isinstance(p2, complex)
+        assert render(ast) == text
+    for bad in (1.5, Add(Var(), "n")):
+        with pytest.raises(TypeError, match="^not an expression node"):
+            render(bad)
+        with pytest.raises(TypeError, match="^not an expression node"):
+            compile_term(bad)
 
 
 def test_whitespace_insensitive():

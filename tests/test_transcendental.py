@@ -137,6 +137,20 @@ def test_log_branch_roundtrip_and_shift():
     assert log_branch(ONE, (0, 0)) == log_principal(ONE)
 
 
+def test_log_branch_takes_integer_indices_within_the_float_range():
+    w = Bicomplex(2, 1)
+    # a half-integer index gave a value whose exp is -w
+    with pytest.raises(TypeError):
+        log_branch(w, (0.5, 0))
+    assert log_branch(w, (np.int64(1), np.int32(-2))) == log_branch(w, (1, -2))
+    assert isinstance(log_branch(w, (2**53, -(2**53))), Bicomplex)
+    # the shift 2*pi*(m -/+ n) past the float range: an int too large for
+    # a float, or a float product that overflows
+    for branch in [(10**400, 0), (0, -(10**400)), (2**1023, 2**1023), (10**308, 0)]:
+        with pytest.raises(NonFiniteError, match="^branch index is past the float range$"):
+            log_branch(w, branch)
+
+
 def test_log_principal_direct_is_a_logarithm():
     rng = np.random.default_rng(139)
     for _ in range(500):
