@@ -170,9 +170,8 @@ def _series_json(report) -> dict:
 
 
 def _cmd_series(args: argparse.Namespace, node) -> int:
-    report = _analyze_pairs(
-        seqspec._pair_generator(node), args.tol, args.window, args.max_terms
-    )
+    scalar, terms = seqspec._lane_terms(node)
+    report = _analyze_pairs(terms, args.tol, args.window, args.max_terms, scalar)
     lines = [
         f"verdict: {report.verdict}",
         f"terms used: {report.terms_used}",
@@ -188,8 +187,9 @@ def _cmd_series(args: argparse.Namespace, node) -> int:
 
 
 def _cmd_product(args: argparse.Namespace, node) -> int:
+    scalar, terms = seqspec._lane_terms(node)
     report, absolute_check, identity = _analyze_product_pairs(
-        seqspec._pair_generator(node), args.tol, args.window, args.max_terms
+        terms, args.tol, args.window, args.max_terms, scalar
     )
     lines = [
         f"verdict: {report.verdict}",

@@ -553,26 +553,43 @@ def _pair_inverse(p1: complex, p2: complex, tol: float = SINGULARITY_TOLERANCE):
     return r1, r2
 
 
+def _inverse(p: complex, tol: float = SINGULARITY_TOLERANCE) -> complex:
+    """One component of ``_pair_inverse(p, p, tol)``, with its errors."""
+    singular, cn_mag, threshold, _ = _pair_zero_divisor_test(p, p, tol)
+    if singular:
+        raise _zero_divisor_error(cn_mag, threshold)
+    r = 1.0 / p
+    _check_finite(r, r)
+    return r
+
+
 def _pair_power(p1: complex, p2: complex, exponent: int):
-    """Components of ``w**exponent`` by square-and-multiply from ONE on
-    each component. A negative exponent inverts first. Every product is
-    checked for finiteness, as the ring operations check theirs."""
+    """Components of ``w**exponent``: a negative exponent inverts the
+    pair first, then each component is raised by :func:`_power`."""
     if exponent < 0:
         p1, p2 = _pair_inverse(p1, p2)
         exponent = -exponent
-    r1 = r2 = 1 + 0j
+    return _power(p1, exponent), _power(p2, exponent)
+
+
+def _power(p: complex, exponent: int) -> complex:
+    """``p**exponent`` by square-and-multiply from 1, a negative exponent
+    inverting first. Each product is checked for finiteness, as the ring
+    operations check theirs; no message names a component."""
+    if exponent < 0:
+        p = _inverse(p)
+        exponent = -exponent
+    r = 1 + 0j
     while exponent:
         if exponent & 1:
-            r1 *= p1
-            r2 *= p2
-            _check_finite(r1, r2)
+            r *= p
+            _check_finite(r, r)
         exponent >>= 1
         if exponent:
             # skip the last squaring so w**1 never overflows via base*base
-            p1 *= p1
-            p2 *= p2
-            _check_finite(p1, p2)
-    return r1, r2
+            p *= p
+            _check_finite(p, p)
+    return r
 
 
 def _check_finite(a: complex, b: complex) -> None:

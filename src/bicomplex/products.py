@@ -39,9 +39,9 @@ have decided; the identity after ``min(n_max, LOG_SUM_CAP)`` terms.
 ``evaluate_product``, ``absolute_convergence_check`` and
 ``log_sum_equivalence`` run the same pass for one report each. The
 public analyzers read the pair a Bicomplex term stores; the CLI's
-``product`` feeds the pairs of compiled terms straight in, with no
-``Bicomplex``. Zero divisors are found with the zero-divisor test on
-the pair.
+``product`` feeds compiled terms straight in, with no ``Bicomplex``,
+and a scalar term as one complex, both components (``_product_pass``).
+Zero divisors are found with the zero-divisor test on the pair.
 """
 
 from __future__ import annotations
@@ -249,9 +249,13 @@ def _product_pass(
     product: bool = False,
     absolute: bool = False,
     identity_terms: int = 0,
+    scalar: bool = False,
 ) -> ProductAnalysis:
     """The one loop over the terms, given as (p1, p2) pairs, behind
     every product analysis.
+
+    With ``scalar``, each term is one complex, both of its components:
+    one accumulator, log sum and window run; the norms stay ``_rms(x, x)``.
 
     Feeds the requested consumers (the identity over the first
     ``identity_terms <= n_max`` terms) while any is live. With the
@@ -269,7 +273,7 @@ def _product_pass(
     dev_track = _Tracker(tol, window, _HARMONIC_RATIO)
     # product verdict state
     win1: deque[complex] = deque(maxlen=window)
-    win2: deque[complex] = deque(maxlen=window)
+    win2 = win1 if scalar else deque(maxlen=window)
     pnorms: deque[float] = deque(maxlen=window)
     checks = _Checkpoints(tol, window, _FLAT_RATIO)  # over the deviations
     nc_ok = True
@@ -282,7 +286,7 @@ def _product_pass(
     pairs = islice(pairs, n_max)
     while prod_live or abs_live or id_live:
         try:
-            wp1, wp2 = next(pairs)
+            term = next(pairs)
         except StopIteration:
             break
         except _TERM_ERRORS:
@@ -293,6 +297,7 @@ def _product_pass(
             abs_live = id_live = False
             break
         used += 1
+        wp1, wp2 = (term, term) if scalar else term
         if _pair_zero_divisor_test(wp1, wp2, singularity_tol)[0]:
             if not product:
                 raise SingularTerm(f"singular term at position {used}", index=used)
@@ -312,11 +317,14 @@ def _product_pass(
             )
             abs_live = False
         q1 *= wp1
-        q2 *= wp2
         lg1 = cmath.log(wp1)
-        lg2 = cmath.log(wp2)
         l1 += lg1
-        l2 += lg2
+        if scalar:
+            q2, lg2, l2 = q1, lg1, l1
+        else:
+            q2 *= wp2
+            lg2 = cmath.log(wp2)
+            l2 += lg2
 
         if prod_live or abs_live:
             dev = _rms(wp1 - 1.0, wp2 - 1.0)
@@ -332,7 +340,8 @@ def _product_pass(
         if prod_live:
             pnorm = _rms(q1, q2)
             win1.append(q1)
-            win2.append(q2)
+            if not scalar:
+                win2.append(q2)
             pnorms.append(pnorm)
             checks.mags.append(dev)
             if pnorm > OVERFLOW_GUARD:
@@ -421,12 +430,14 @@ def analyze_product(
     return _analyze_product_pairs(_term_pairs(terms), tol, window, n_max)
 
 
-def _analyze_product_pairs(pairs, tol: float, window: int, n_max: int) -> ProductAnalysis:
-    """analyze_product over (p1, p2) term pairs, with arguments already
-    checked by _validate; the CLI's ``product`` enters here."""
+def _analyze_product_pairs(pairs, tol, window, n_max, scalar=False) -> ProductAnalysis:
+    """analyze_product over (p1, p2) term pairs, or one complex per term
+    with ``scalar``, with arguments already checked by _validate; the
+    CLI's ``product`` enters here."""
     return _product_pass(
         pairs, n_max, SINGULARITY_TOLERANCE, tol=tol, window=window,
         product=True, absolute=True, identity_terms=min(n_max, LOG_SUM_CAP),
+        scalar=scalar,
     )
 
 

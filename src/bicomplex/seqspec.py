@@ -24,21 +24,24 @@ canonical text (round-trips through ``parse``). An AST compiles, once
 per expression, to nested closures over the idempotent components
 ``(p1, p2)``, the pair a ``Bicomplex`` stores: each ring operation is a
 complex operation per component, and values and errors are bit for bit
-those of the ``Bicomplex`` operations. Two walkers share that compile:
+those of the ``Bicomplex`` operations; a scalar subtree (the lane rule
+is in ``_compile``) gets closures over one complex. Two walkers share it:
 
 * ``eval_term`` substitutes a concrete index into an AST or a compiled
   term (``compile_term``), and ``term_generator`` walks the indices;
   the library and the CLI's ``eval`` and ``check-bounds`` use them.
-* ``_pair_generator`` walks the indices and yields bare pairs; the
-  CLI's ``series`` and ``product`` feed them straight to the analysis
-  passes, which read pairs.
+* ``_lane_terms`` walks the indices and yields bare values, one complex
+  each for a scalar term, else pairs; the CLI's ``series`` and
+  ``product`` feed them straight to the analysis passes on that lane.
 
 Failures during evaluation carry the term index that produced them.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import operator
 import re
 from collections import namedtuple
 from collections.abc import Callable
@@ -56,8 +59,10 @@ from .core import (
     SingularOperand,
     _check_finite,
     _fmt_real,
+    _inverse,
     _pair_inverse,
     _pair_power,
+    _power,
     _Record,
 )
 from .transcendental import _invertible_pair
@@ -71,15 +76,17 @@ __all__ = [
 ]
 
 _CONSTANTS = {"i1": I1, "i2": I2, "j": J, "e1": E1, "e2": E2, "pi": Bicomplex(math.pi)}
-# function -> (componentwise function, what it refuses a zero divisor
-# for, as the transcendental functions name it, or None)
-_PAIR_FUNCTIONS = {
-    "exp": (transcendental._exp_pair, None),
-    "log": (transcendental._log_pair, "logarithm"),
-    "sqrt": (transcendental._sqrt_pair, "square root"),
+# function -> (the function on one idempotent component, what it refuses
+# a zero divisor for, as the transcendental functions name it, or None)
+_FUNCTIONS = {
+    "exp": (transcendental._exp, None),
+    "log": (cmath.log, "logarithm"),
+    "sqrt": (cmath.sqrt, "square root"),
 }
+# the constants whose two idempotent components are equal bit for bit
+_SCALAR_CONSTANTS = ("pi", "i1")
 CONSTANT_NAMES = tuple(_CONSTANTS)
-FUNCTION_NAMES = tuple(_PAIR_FUNCTIONS)
+FUNCTION_NAMES = tuple(_FUNCTIONS)
 
 # Bound on bracket nesting, an input limit (the parser keeps open
 # brackets on a stack), and on tree height, which keeps compiling,
@@ -110,7 +117,7 @@ class IdempotentSlotError(ValueError):
         self.term_index = term_index
 
 
-# What evaluating a term may raise; eval_term and _pair_generator re-raise
+# What evaluating a term may raise; eval_term and _lane_terms re-raise
 # each with the term's index.
 _TERM_ERRORS = (SingularOperand, NonFiniteError, IdempotentSlotError)
 
@@ -321,7 +328,7 @@ def render(node) -> str:
 def _render(node, context: int) -> str:
     """``node``'s text, in parentheses where it binds looser than
     ``context``, the binding strength its place requires."""
-    operands, _, strength, form = _node_row(node)
+    operands, _, _, _, strength, form = _node_row(node)
     if form is None:
         text = _fmt_real(node.value, None)
     else:
@@ -347,40 +354,67 @@ class CompiledTerm:
 
 
 def compile_term(node) -> CompiledTerm:
-    """Compile an AST once into nested closures over the idempotent
-    components ``(p1, p2)`` (see :func:`_compile_pairs`)."""
-    return CompiledTerm(node, _compile_pairs(node))
+    """Compile an AST once into nested closures (see :func:`_compile`)
+    whose root returns the idempotent components ``(p1, p2)``."""
+    return CompiledTerm(node, _as_pair(*_compile(node)))
 
 
-def _compile_pairs(node) -> Callable[[int], tuple[complex, complex]]:
-    """Compile an AST once into nested closures over the idempotent
-    components ``(p1, p2)``, where every ring operation but inversion is
-    one complex operation per component.
+def _compile(node):
+    """``(closure, value, scalar)``: ``value`` is what the closure always
+    returns, or None when it depends on ``n`` or raises.
 
     Each closure does the float operations of the ``Bicomplex`` operation
-    it stands for, in the same order and with the same checks, so values
-    and errors are bit for bit those of the ring operations; a division,
+    it stands for, one complex operation per component but for
+    inversion, in the same order and with the same checks, so values and
+    errors are bit for bit those of the ring operations; a division,
     negative power or ``log``/``sqrt`` makes the zero-divisor test on the
     pair (``core._pair_zero_divisor_test``). Subtrees that do not use
     ``n`` are evaluated here, except those that raise: they stay in
     place, so their error comes from every evaluation.
+
+    The lane rule: a node is scalar when it is ``n``, a number, ``pi``
+    or ``i1``, or an operation other than ``[a | b]`` on scalar operands.
+    Its value has ``p1 == p2`` bit for bit (``n`` and numbers are
+    ``(x, x)``, ``pi`` and ``i1`` are stored so, and every operation
+    applies the same float operations to equal components), so its
+    closure returns one complex and does the pair closure's work once,
+    with the same checks; the zero-divisor test stays the pair test on
+    ``(x, x)``. A pair node reads a scalar operand as ``(x, x)``, and a
+    pair over a scalar multiplies each component by the one inverse.
     """
-    return _compile(node)[0]
-
-
-def _compile(node):
-    """``(closure, value)``: ``value`` is the pair the closure always
-    returns, or None when it depends on ``n`` or raises."""
-    operands, build = _node_row(node)[:2]
+    operands, build, build_scalar, build_scaled = _node_row(node)[:4]
     compiled = [_compile(getattr(node, name)) for name, _ in operands]
-    fn = build(node, *(closure for closure, _ in compiled))
-    if type(node) is Var or any(value is None for _, value in compiled):
-        return fn, None
+    lanes = [scalar for _, _, scalar in compiled]
+    fn = None
+    if build_scalar is not None and all(lanes):
+        # None for a constant whose components differ
+        fn = build_scalar(node, *(closure for closure, _, _ in compiled))
+    scalar = fn is not None
+    if fn is None and build_scaled is not None and lanes == [False, True]:
+        fn = build_scaled(node, compiled[0][0], compiled[1][0])
+    if fn is None:
+        fn = build(node, *(_as_pair(*operand) for operand in compiled))
+    if type(node) is Var or any(value is None for _, value, _ in compiled):
+        return fn, None, scalar
     try:
         value = fn(1)
     except (ArithmeticError, ValueError):
-        return fn, None
-    return _constant(value), value
+        return fn, None, scalar
+    return _constant(value), value, scalar
+
+
+def _as_pair(fn, value, scalar):
+    """The pair closure of a compiled node: a scalar one broadcast."""
+    if not scalar:
+        return fn
+    if value is not None:
+        return _constant((value, value))
+
+    def pair(n):
+        x = fn(n)
+        return x, x
+
+    return pair
 
 
 def _constant(value):
@@ -390,10 +424,9 @@ def _constant(value):
 def _var(node):
     def fn(n):
         try:
-            x = complex(float(n))
+            return complex(float(n))
         except OverflowError:
             raise NonFiniteError("term index n is past the float range") from None
-        return x, x
 
     return fn
 
@@ -404,7 +437,62 @@ def _num(node):
     def fn(n):
         x = complex(value)
         _check_finite(x, x)
-        return x, x
+        return x
+
+    return fn
+
+
+def _const_scalar(node):
+    return _constant(_CONSTANTS[node.name].p1) if node.name in _SCALAR_CONSTANTS else None
+
+
+def _neg_scalar(node, arg):
+    def fn(n):
+        return -arg(n)
+
+    return fn
+
+
+def _ring_scalar(op):
+    """The scalar builder of a ring operation that is ``op`` per component."""
+
+    def build(node, left, right):
+        def fn(n):
+            p = op(left(n), right(n))
+            _check_finite(p, p)
+            return p
+
+        return fn
+
+    return build
+
+
+def _div_scalar(node, left, right):
+    def fn(n):
+        p = left(n) * _inverse(right(n))
+        _check_finite(p, p)
+        return p
+
+    return fn
+
+
+def _pow_scalar(node, base):
+    exponent = node.exponent
+
+    def fn(n):
+        return _power(base(n), exponent)
+
+    return fn
+
+
+def _call_scalar(node, arg):
+    func, what = _FUNCTIONS[node.func]
+
+    def fn(n):
+        p = arg(n)
+        if what is not None:
+            _invertible_pair(p, p, SINGULARITY_TOLERANCE, what)
+        return func(p)
 
     return fn
 
@@ -465,6 +553,18 @@ def _div(node, left, right):
     return _mul(node, left, inverse)
 
 
+def _div_scaled(node, left, right):
+    def fn(n):
+        a1, a2 = left(n)
+        r = _inverse(right(n))
+        p1 = a1 * r
+        p2 = a2 * r
+        _check_finite(p1, p2)
+        return p1, p2
+
+    return fn
+
+
 def _pow(node, base):
     exponent = node.exponent
 
@@ -476,13 +576,13 @@ def _pow(node, base):
 
 
 def _call(node, arg):
-    func, what = _PAIR_FUNCTIONS[node.func]
+    func, what = _FUNCTIONS[node.func]
 
     def fn(n):
         p1, p2 = arg(n)
         if what is not None:
             _invertible_pair(p1, p2, SINGULARITY_TOLERANCE, what)
-        return func(p1, p2)
+        return func(p1), func(p2)
 
     return fn
 
@@ -502,20 +602,22 @@ def _idem(node, first, second):
 
 
 # node type -> (operands as (field, the binding strength its place
-# requires), closure builder, binding strength, text form); atoms bind
-# tightest, and a Num renders through _fmt_real
+# requires), pair closure builder, scalar closure builder, builder for
+# a pair left operand over a scalar right one, binding strength, text
+# form); atoms bind tightest, a Num renders through _fmt_real, and n
+# and numbers are always scalar
 _NODES = {
-    Num: ((), _num, 9, None),
-    Const: ((), _const, 9, "{node.name}"),
-    Var: ((), _var, 9, "n"),
-    Neg: ((("operand", 3),), _neg, 3, "-{0}"),
-    Add: ((("left", 1), ("right", 2)), _add, 1, "{0} + {1}"),
-    Sub: ((("left", 1), ("right", 2)), _sub, 1, "{0} - {1}"),
-    Mul: ((("left", 2), ("right", 3)), _mul, 2, "{0}*{1}"),
-    Div: ((("left", 2), ("right", 3)), _div, 2, "{0}/{1}"),
-    Pow: ((("base", 9),), _pow, 4, "{0}^{node.exponent}"),
-    Call: ((("arg", 0),), _call, 9, "{node.func}({0})"),
-    Idem: ((("first", 0), ("second", 0)), _idem, 9, "[{0} | {1}]"),
+    Num: ((), None, _num, None, 9, None),
+    Const: ((), _const, _const_scalar, None, 9, "{node.name}"),
+    Var: ((), None, _var, None, 9, "n"),
+    Neg: ((("operand", 3),), _neg, _neg_scalar, None, 3, "-{0}"),
+    Add: ((("left", 1), ("right", 2)), _add, _ring_scalar(operator.add), None, 1, "{0} + {1}"),
+    Sub: ((("left", 1), ("right", 2)), _sub, _ring_scalar(operator.sub), None, 1, "{0} - {1}"),
+    Mul: ((("left", 2), ("right", 3)), _mul, _ring_scalar(operator.mul), None, 2, "{0}*{1}"),
+    Div: ((("left", 2), ("right", 3)), _div, _div_scalar, _div_scaled, 2, "{0}/{1}"),
+    Pow: ((("base", 9),), _pow, _pow_scalar, None, 4, "{0}^{node.exponent}"),
+    Call: ((("arg", 0),), _call, _call_scalar, None, 9, "{node.func}({0})"),
+    Idem: ((("first", 0), ("second", 0)), _idem, None, None, 9, "[{0} | {1}]"),
 }
 
 
@@ -562,15 +664,19 @@ def term_generator(source, start: int = 1):
         n += 1
 
 
-def _pair_generator(node, start: int = 1):
-    """Yield the idempotent components ``(p1, p2)`` of the term at
-    n = start, start+1, ... from the pair closures of an AST, compiled
-    once. Errors carry ``term_index=n``, as eval_term's do."""
-    pairs = _compile_pairs(node)
+def _lane_terms(node, start: int = 1):
+    """``(scalar, terms)``: the lane of an AST compiled once, and its values
+    at n = start, start+1, ...: one complex each on the scalar lane, else
+    ``(p1, p2)``. Errors carry ``term_index=n``, as eval_term's do."""
+    fn, _, scalar = _compile(node)
+    return scalar, _indexed(fn, start)
+
+
+def _indexed(fn, start: int):
     n = start
     try:
         while True:
-            yield pairs(n)
+            yield fn(n)
             n += 1
     except _TERM_ERRORS as err:
         raise type(err)(str(err), term_index=n) from None

@@ -5,8 +5,8 @@ component series converge, so every verdict here is the conjunction of
 two scalar complex verdicts produced by the same machinery. The pass
 reads the terms as idempotent pairs ``(p1, p2)``, which is how a
 Bicomplex stores them: ``analyze_series`` reads them off each term, and
-the CLI feeds the pairs of compiled terms straight in, with no
-``Bicomplex``.
+the CLI feeds compiled terms straight in, with no ``Bicomplex``; a
+scalar term is one complex, both components (see ``_analyze_pairs``).
 
 Verdicts are heuristic, not proofs. The rules, applied per component:
 
@@ -252,40 +252,66 @@ def _pair_or_none(p1: complex, p2: complex) -> Bicomplex | None:
         return None
 
 
-def _analyze_pairs(pairs, tol: float, window: int, n_max: int) -> SeriesReport:
+def _analyze_pairs(pairs, tol, window, n_max, scalar=False) -> SeriesReport:
     """Run the component and norm trackers over (p1, p2) term pairs; the
     pass behind analyze_series, eval_power_series and the CLI's
-    ``series``, with arguments already checked by _validate."""
+    ``series``, with arguments already checked by _validate.
+
+    With ``scalar``, each term is one complex, both of its components:
+    one component tracker and one modulus tracker run, and the report
+    reads each for both components. The RMS tracker ``ae`` is the
+    modulus tracker while every modulus ``m`` lies in [2**-511, 2**511],
+    where ``m*m`` is a normal float and ``sqrt((m*m + m*m)/2) == m``
+    exactly; at the first term outside, it splits off as a copy.
+    """
     c1 = _Tracker(tol, window)
-    c2 = _Tracker(tol, window)
     a1 = _Tracker(tol, window, _HARMONIC_RATIO)
-    a2 = _Tracker(tol, window, _HARMONIC_RATIO)
-    ae = _Tracker(tol, window, _HARMONIC_RATIO)
+    if scalar:
+        c2 = c1
+        a2 = ae = a1
+    else:
+        c2 = _Tracker(tol, window)
+        a2 = _Tracker(tol, window, _HARMONIC_RATIO)
+        ae = _Tracker(tol, window, _HARMONIC_RATIO)
     used = 0
-    for p1, p2 in islice(pairs, n_max):
+    for term in islice(pairs, n_max):
         used += 1
-        try:
-            m1 = abs(p1)
-            m2 = abs(p2)
-        except OverflowError:
-            m1, m2 = _modulus(p1), _modulus(p2)
-        me = math.sqrt((m1 * m1 + m2 * m2) / 2.0)
-        c1.push(p1, m1)
-        c2.push(p2, m2)
-        a1.push(m1, m1)
-        a2.push(m2, m2)
-        ae.push(me, me)
+        if scalar:
+            try:
+                m1 = abs(term)
+            except OverflowError:
+                m1 = math.inf
+            if ae is a1 and not 2.0**-511 <= m1 <= 2.0**511:
+                import copy  # once per pass at most: not worth start-up time
+                ae = copy.deepcopy(a1)
+            c1.push(term, m1)
+            a1.push(m1, m1)
+            if ae is not a1:
+                me = math.sqrt((m1 * m1 + m1 * m1) / 2.0)
+                ae.push(me, me)
+        else:
+            p1, p2 = term
+            try:
+                m1 = abs(p1)
+                m2 = abs(p2)
+            except OverflowError:
+                m1, m2 = _modulus(p1), _modulus(p2)
+            me = math.sqrt((m1 * m1 + m2 * m2) / 2.0)
+            c1.push(p1, m1)
+            c2.push(p2, m2)
+            a1.push(m1, m1)
+            a2.push(m2, m2)
+            ae.push(me, me)
         main_done = (
             c1.verdict == "diverged"
             or c2.verdict == "diverged"
             or (c1.verdict is not None and c2.verdict is not None)
         )
-        abs_done = (
+        if main_done and (
             a1.verdict == "diverged"
             or a2.verdict == "diverged"
             or (a1.verdict is not None and a2.verdict is not None and ae.verdict is not None)
-        )
-        if main_done and abs_done:
+        ):
             break
 
     v1 = c1.verdict or "inconclusive"

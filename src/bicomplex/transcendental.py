@@ -87,24 +87,14 @@ def _invertible_pair(p1: complex, p2: complex, tol: float, what: str) -> tuple[c
     return p1, p2
 
 
-# The componentwise functions on idempotent components, shared by the
-# functions below and by compiled terms (seqspec). log and sqrt expect
-# an invertible argument; their callers test that first.
+# exp of one idempotent component, shared with compiled terms (seqspec)
 
 
-def _exp_pair(p1: complex, p2: complex) -> tuple[complex, complex]:
+def _exp(p: complex) -> complex:
     try:
-        return cmath.exp(p1), cmath.exp(p2)
+        return cmath.exp(p)
     except OverflowError as err:
         raise NonFiniteError(f"exp overflow: {err}") from None
-
-
-def _log_pair(p1: complex, p2: complex) -> tuple[complex, complex]:
-    return cmath.log(p1), cmath.log(p2)
-
-
-def _sqrt_pair(p1: complex, p2: complex) -> tuple[complex, complex]:
-    return cmath.sqrt(p1), cmath.sqrt(p2)
 
 
 def exp(w: Bicomplex) -> Bicomplex:
@@ -113,7 +103,7 @@ def exp(w: Bicomplex) -> Bicomplex:
     Never lands on the null cone (both components of the result are
     nonzero). Raises NonFiniteError on overflow.
     """
-    return Bicomplex._make(*_exp_pair(w.p1, w.p2))
+    return Bicomplex._make(_exp(w.p1), _exp(w.p2))
 
 
 def sqrt(w: Bicomplex, tol: float = SINGULARITY_TOLERANCE) -> Bicomplex:
@@ -122,7 +112,7 @@ def sqrt(w: Bicomplex, tol: float = SINGULARITY_TOLERANCE) -> Bicomplex:
     Restricted to invertible values so the principal choice is stable;
     raises SingularOperand on the null cone.
     """
-    return Bicomplex._make(*_sqrt_pair(*_invertible_pair(w.p1, w.p2, tol, "square root")))
+    return Bicomplex._make(*map(cmath.sqrt, _invertible_pair(w.p1, w.p2, tol, "square root")))
 
 
 def trig_form(w: Bicomplex, tol: float = SINGULARITY_TOLERANCE) -> TrigForm:
@@ -152,7 +142,7 @@ def log_principal(w: Bicomplex, tol: float = SINGULARITY_TOLERANCE) -> Bicomplex
     Inverse of exp up to the period lattice; raises SingularOperand on
     the null cone, where no logarithm exists.
     """
-    return Bicomplex._make(*_log_pair(*_invertible_pair(w.p1, w.p2, tol, "logarithm")))
+    return Bicomplex._make(*map(cmath.log, _invertible_pair(w.p1, w.p2, tol, "logarithm")))
 
 
 def log_principal_direct(w: Bicomplex, tol: float = SINGULARITY_TOLERANCE) -> Bicomplex:

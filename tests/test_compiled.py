@@ -7,7 +7,9 @@ or the same exception type, message and term index. The second walker
 applies one complex operation per idempotent component and node, and
 the pair closures must agree with it in the same way. An mpmath oracle
 checks that evaluation over the pair is no less accurate than the
-evaluation over the components (z1, z2) that it replaced.
+evaluation over the components (z1, z2) that it replaced. Scalar-lane
+closures, which return one complex for both components, must agree bit
+for bit with the pair closures the same tree gets on the pair lane.
 """
 
 import statistics
@@ -26,7 +28,9 @@ from bicomplex.core import (
 )
 from bicomplex.seqspec import (
     _CONSTANTS,
-    _PAIR_FUNCTIONS,
+    _NODES,
+    _FUNCTIONS,
+    _SCALAR_CONSTANTS,
     Add,
     Call,
     Const,
@@ -39,10 +43,12 @@ from bicomplex.seqspec import (
     Pow,
     Sub,
     Var,
+    _as_pair,
+    _compile,
     compile_term,
     eval_term,
     parse,
-    _pair_generator,
+    _lane_terms,
     render,
     term_generator,
 )
@@ -202,10 +208,10 @@ def _walk_pairs(node, n: int) -> tuple[complex, complex]:
         return _pair_power(*_walk_pairs(node.base, n), node.exponent)
     if isinstance(node, Call):
         p1, p2 = _walk_pairs(node.arg, n)
-        func, what = _PAIR_FUNCTIONS[node.func]
+        func, what = _FUNCTIONS[node.func]
         if what is not None and _pair_zero_divisor_test(p1, p2, SINGULARITY_TOLERANCE)[0]:
             raise SingularOperand(f"{what} requires an invertible value")
-        return func(p1, p2)
+        return func(p1), func(p2)
     if isinstance(node, Idem):
         f1, f2 = _walk_pairs(node.first, n)
         s1, s2 = _walk_pairs(node.second, n)
@@ -246,8 +252,15 @@ def _pair_outcome(evaluate, node, n: int):
     return ("value", p1.real.hex(), p1.imag.hex(), p2.real.hex(), p2.imag.hex())
 
 
+def _pair_terms(node, start: int = 1):
+    """The values of the CLI's compiled route from index ``start``, each
+    read as a pair: a scalar-lane value is both components."""
+    scalar, terms = _lane_terms(node, start)
+    return ((x, x) for x in terms) if scalar else terms
+
+
 def _compiled_pairs(node, n: int) -> tuple[complex, complex]:
-    return next(_pair_generator(node, start=n))
+    return next(_pair_terms(node, start=n))
 
 
 def test_pair_closures_match_pair_walker_on_random_asts():
@@ -267,14 +280,14 @@ def test_pair_closures_match_pair_walker_on_random_asts():
 @pytest.mark.parametrize("text", NAMED)
 def test_pair_closures_match_pair_walker_on_named_expressions(text):
     node = parse(text)
-    gen = _pair_generator(node)
+    gen = _pair_terms(node)
     for n in range(1, 2001):
         want = _pair_outcome(_reference_pairs, node, n)
         try:
             p1, p2 = next(gen)
         except (ArithmeticError, ValueError) as err:
             got = ("raised", type(err), str(err), err.term_index)
-            gen = _pair_generator(node, start=n + 1)
+            gen = _pair_terms(node, start=n + 1)
         else:
             got = ("value", p1.real.hex(), p1.imag.hex(), p2.real.hex(), p2.imag.hex())
         assert got == want, (text, n)
@@ -330,3 +343,129 @@ def test_pair_route_no_less_accurate_on_random_asts():
     errors, used = _route_errors(nodes, INDICES)
     assert used >= 300
     _assert_no_less_accurate(errors, COMPONENT_ROUTE_RANDOM)
+
+
+# -- lanes: scalar closures against the pair closures of the same tree --
+
+SCALAR_LEAVES = (0.0, 0.5, 1.0, 3.0, 1e-160, 1e155, 1e200)
+
+
+def _random_scalar_ast(rng: np.random.Generator, depth: int):
+    """A random tree over n, numbers (among them magnitudes whose squares
+    leave the float range), pi, i1, the ring operations, integer powers
+    and exp, log, sqrt: scalar throughout."""
+    if depth <= 0:
+        leaf = rng.integers(0, 4)
+        if leaf == 0:
+            return Num(float(rng.choice(SCALAR_LEAVES)))
+        if leaf == 1:
+            return Num(round(float(rng.uniform(0, 5)), 3))
+        if leaf == 2:
+            return Var()
+        return Const(("pi", "i1")[rng.integers(0, 2)])
+    kind = rng.integers(0, 7)
+    if kind < 4:
+        ctor = (Add, Sub, Mul, Div)[kind]
+        return ctor(_random_scalar_ast(rng, depth - 1), _random_scalar_ast(rng, depth - 1))
+    if kind == 4:
+        return Neg(_random_scalar_ast(rng, depth - 1))
+    if kind == 5:
+        return Pow(_random_scalar_ast(rng, depth - 1), int(rng.integers(-4, 5)))
+    func = ("exp", "log", "sqrt")[rng.integers(0, 3)]
+    return Call(func, _random_scalar_ast(rng, depth - 1))
+
+
+def _pair_lane(node):
+    """The closure the pair builders alone give a tree: every node on the
+    pair lane, n and numbers broadcast, nothing folded."""
+    operands, build, build_scalar = _NODES[type(node)][:3]
+    if build is None:  # n and numbers have no pair builder
+        return _as_pair(build_scalar(node), None, True)
+    return build(node, *(_pair_lane(getattr(node, name)) for name, _ in operands))
+
+
+def _closure_outcome(fn, n: int, scalar: bool):
+    try:
+        value = fn(n)
+    except (ArithmeticError, ValueError) as err:
+        # the index the walkers attach
+        return ("raised", type(err), str(err), n)
+    p1, p2 = (value, value) if scalar else value
+    return ("value", p1.real.hex(), p1.imag.hex(), p2.real.hex(), p2.imag.hex())
+
+
+def _assert_lanes_agree(node, indices) -> set:
+    fn, _, scalar = _compile(node)
+    reference = _pair_lane(node)
+    kinds = set()
+    for n in indices:
+        got = _closure_outcome(fn, n, scalar)
+        assert got == _closure_outcome(reference, n, False), (render(node), n)
+        kinds.add(got[1].__name__ if got[0] == "raised" else "value")
+    return kinds
+
+
+def test_scalar_closures_match_pair_closures_on_random_scalar_asts():
+    rng = np.random.default_rng(1515)
+    kinds = set()
+    signed_zeros = 0
+    for _ in range(1500):
+        node = _random_scalar_ast(rng, int(rng.integers(1, 6)))
+        assert _compile(node)[2], render(node)
+        kinds |= _assert_lanes_agree(node, INDICES)
+        value = _closure_outcome(_compile(node)[0], 2, True)
+        signed_zeros += value[0] == "value" and "-0x0.0p+0" in value
+    assert kinds == {"value", "SingularOperand", "NonFiniteError"}
+    # the sample reaches negative zeros, whose bits the comparison checks
+    assert signed_zeros > 0
+
+
+LANE_NAMED = NAMED + [
+    "1+1/n",
+    "log(-1.73)",
+    "-(n - n)",
+    "exp(-n)",
+    "[exp(-n) | exp(-2*n)]",
+    "sqrt(n) - pi*i1/n^3",
+    "(1 + i1/n)^-3",
+    "1e155/n",
+    "1e-160/n^2",
+    "exp(800 - n)",
+    "1/(n - 3)",
+    "(3/10 + 2/5*i2)*exp(-n)",
+    "(n*j)/(n - 2)",
+]
+
+
+@pytest.mark.parametrize("text", LANE_NAMED)
+def test_lanes_match_pair_closures_on_named_expressions(text):
+    _assert_lanes_agree(parse(text), range(1, 2001))
+
+
+@pytest.mark.parametrize(
+    "text, scalar",
+    [
+        ("n", True),
+        ("2.5", True),
+        ("pi", True),
+        ("i1", True),
+        ("-(n^-2 + exp(i1*pi/n))/sqrt(n) - log(3)*n", True),
+        ("i2", False),
+        ("j", False),
+        ("e1", False),
+        ("e2", False),
+        ("[n | 1]", False),
+        ("[1 | 1]", False),
+        ("n + i2", False),
+        ("exp(j*n)", False),
+        ("1 + (3/10 + 2/5*i2)/n^2", False),
+    ],
+)
+def test_lane_classification(text, scalar):
+    assert _compile(parse(text))[2] is scalar
+
+
+def test_scalar_constants_have_equal_components():
+    for name, w in _CONSTANTS.items():
+        same = (w.p1.real.hex(), w.p1.imag.hex()) == (w.p2.real.hex(), w.p2.imag.hex())
+        assert same is (name in _SCALAR_CONSTANTS), name

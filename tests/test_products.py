@@ -24,10 +24,11 @@ from bicomplex import (
     partial_products,
     render,
     seqspec,
+    series,
     term_generator,
 )
 from bicomplex.core import _Record
-from bicomplex.products import LOG_SUM_CAP
+from bicomplex.products import LOG_SUM_CAP, _analyze_product_pairs
 from bicomplex.seqspec import IdempotentSlotError
 from helpers import (
     C,
@@ -388,21 +389,20 @@ def test_one_pass_matches_separate_passes_on_random_expressions():
 
 
 def _count_pair_evaluations(monkeypatch) -> list[int]:
-    """Record the index of every evaluation of a compiled pair closure,
-    the seam through which the CLI's product and series read terms."""
+    """Record the index of every evaluation of a compiled closure by the
+    index walker ``seqspec._indexed``, the seam through which the CLI's
+    product and series read terms on either lane."""
     calls = []
-    original = seqspec._compile_pairs
+    original = seqspec._indexed
 
-    def compile_counting(node):
-        pairs = original(node)
-
+    def indexed_counting(fn, start):
         def counting(n):
             calls.append(n)
-            return pairs(n)
+            return fn(n)
 
-        return counting
+        return original(counting, start)
 
-    monkeypatch.setattr(seqspec, "_compile_pairs", compile_counting)
+    monkeypatch.setattr(seqspec, "_indexed", indexed_counting)
     return calls
 
 
@@ -422,6 +422,15 @@ def test_cli_product_evaluates_each_term_once(monkeypatch):
     assert len(set(used)) == 3
     assert calls == list(range(1, max(used) + 1))
 
+    # the scalar lane: the budget runs out, the absolute check stops early
+    calls.clear()
+    code, out, _ = run_cli(["product", "1+1/n", "--max-terms", "3000", "--json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["product"]["terms_used"] == 3000
+    assert doc["absolute_check"]["terms_used"] < 3000
+    assert calls == list(range(1, 3001))
+
 
 def test_cli_series_evaluates_each_term_once(monkeypatch):
     calls = _count_pair_evaluations(monkeypatch)
@@ -430,6 +439,122 @@ def test_cli_series_evaluates_each_term_once(monkeypatch):
     used = json.loads(out)["report"]["terms_used"]
     assert 1 < used < 10**6
     assert calls == list(range(1, used + 1))
+
+    # the scalar lane: the budget runs out
+    calls.clear()
+    code, out, _ = run_cli(["series", "1/n^2", "--max-terms", "5000", "--json"])
+    assert code == 0
+    assert json.loads(out)["report"]["terms_used"] == 5000
+    assert calls == list(range(1, 5001))
+
+
+@pytest.mark.parametrize(
+    "argv, scalar",
+    [
+        (["series", "1/n^2", "--max-terms", "100"], True),
+        (["product", "1+1/n", "--max-terms", "100"], True),
+        (["product", "1 + (3/10 + 2/5*i2)/n^2", "--max-terms", "100"], False),
+        (["series", "[exp(-n) | exp(-2*n)]", "--max-terms", "100"], False),
+    ],
+)
+def test_cli_passes_take_the_lane_of_the_expression(monkeypatch, argv, scalar):
+    from bicomplex import cli
+
+    lanes = []
+
+    def recording(original):
+        def run(terms, tol, window, n_max, lane):
+            lanes.append(lane)
+            return original(terms, tol, window, n_max, lane)
+
+        return run
+
+    monkeypatch.setattr(cli, "_analyze_pairs", recording(cli._analyze_pairs))
+    monkeypatch.setattr(cli, "_analyze_product_pairs", recording(cli._analyze_product_pairs))
+    code, _, _ = run_cli(argv)
+    assert code == 0
+    assert lanes == [scalar]
+
+
+# -- lanes: the scalar passes against the pair passes on the same terms --
+
+
+def _lane_reports(text, tol, window, n_max):
+    """The series and product reports of the CLI's passes over a scalar
+    expression, on the scalar lane and on the pair lane (each value read
+    as both components), field by field in bits, or the error raised."""
+    node = seqspec.parse(text)
+    scalar, _ = seqspec._lane_terms(node)
+    assert scalar, text
+    outcomes = []
+    for lane in (True, False):
+        for run in (series._analyze_pairs, _analyze_product_pairs):
+            terms = seqspec._lane_terms(node)[1]
+            if not lane:
+                terms = ((x, x) for x in terms)
+            try:
+                outcomes.append(_bits(run(terms, tol, window, n_max, lane)))
+            except (ArithmeticError, ValueError) as err:
+                outcomes.append(("raised", type(err).__name__, str(err), err.term_index))
+    return outcomes[:2], outcomes[2:]
+
+
+# (expression, tol, window, n_max): moduli whose squares leave the float
+# range, where the RMS tracker splits off the modulus tracker
+LANE_EDGE_CASES = [
+    ("1e-160/n^2", 1e-300, 8, 3000),
+    ("1e-155*(1+1/n)", 1e-300, 8, 3000),
+    # m*m of 1e-161 is subnormal: the RMS value is 9.94e-162, so only the
+    # RMS tracker's seven increments stay below tol
+    ("1e-161", 6.99e-161, 8, 100),
+    ("1e155/n", 1e-10, 8, 3000),
+    ("1e-160/n^2", 1e-10, 8, 3000),
+    ("1e160 - n", 1e-10, 8, 300),
+    ("exp(-n)", 1e-300, 8, 2000),
+    ("1 - 1e-160/n", 1e-300, 8, 300),
+    ("n - n", 1e-10, 8, 300),
+    ("1/(n - 40)", 1e-10, 8, 300),
+    ("1/n^2", 1e-10, 8, 5000),
+    ("1+1/n", 1e-10, 8, 3000),
+    ("0.9", 1e-10, 8, 1000),
+    ("log(-1.73)", 1e-10, 8, 50),
+]
+
+
+def test_scalar_lane_passes_match_pair_lane_on_edge_cases():
+    for case in LANE_EDGE_CASES:
+        scalar_lane, pair_lane = _lane_reports(*case)
+        assert scalar_lane == pair_lane, case
+
+
+def test_scalar_lane_rms_tracker_splits_where_squares_leave_the_float_range():
+    # every m*m of 1e-160/n^2 underflows to 0, so the RMS tracker sums
+    # zeros and converges at tol 1e-300 while both modulus trackers stay
+    # open: read as the modulus tracker, it would report absolute False
+    report = series._analyze_pairs(
+        seqspec._lane_terms(seqspec.parse("1e-160/n^2"))[1], 1e-300, 8, 3000, True
+    )
+    assert report.absolute_component_verdicts == ("inconclusive", "inconclusive")
+    assert report.absolute is True
+
+
+def test_scalar_lane_passes_match_pair_lane_on_random_expressions():
+    from test_compiled import _random_scalar_ast
+
+    rng = np.random.default_rng(1515)
+    verdicts = set()
+    for _ in range(300):
+        case = (
+            render(_random_scalar_ast(rng, int(rng.integers(1, 4)))),
+            float(rng.choice([1e-300, 1e-10, 1e-6, 1e-3])),
+            int(rng.integers(2, 10)),
+            int(rng.integers(1, 300)),
+        )
+        scalar_lane, pair_lane = _lane_reports(*case)
+        assert scalar_lane == pair_lane, case
+        verdicts.update(o[1] if o[0] != "raised" else "raised" for o in scalar_lane)
+    # the sample reaches failures and every series verdict
+    assert {"raised", "converged", "diverged", "inconclusive"} <= verdicts
 
 
 # -- swap symmetry: conj(2) swaps the idempotent components exactly ----
