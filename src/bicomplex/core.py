@@ -322,7 +322,9 @@ class Bicomplex:
         return other * self.inverse()
 
     def __neg__(self):
-        return Bicomplex._make(-self.p1, -self.p2)
+        # 0j - p keeps a zero part +0.0 where -p would flip it, so a
+        # negated real stays on the upper side of the log/sqrt branch cut
+        return Bicomplex._make(0j - self.p1, 0j - self.p2)
 
     def __pos__(self):
         return self

@@ -448,7 +448,7 @@ def _const_scalar(node):
 
 def _neg_scalar(node, arg):
     def fn(n):
-        return -arg(n)
+        return 0j - arg(n)
 
     return fn
 
@@ -505,7 +505,7 @@ def _const(node):
 def _neg(node, arg):
     def fn(n):
         a1, a2 = arg(n)
-        return -a1, -a2
+        return 0j - a1, 0j - a2
 
     return fn
 

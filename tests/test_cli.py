@@ -69,6 +69,23 @@ def test_eval_index_past_the_float_range():
     assert out.splitlines()[0] == "value (four-real): 1 + 0*i1 + 0*i2 + 0*j"
 
 
+def test_log_of_a_negated_real_is_principal():
+    # unary minus keeps a zero imaginary part +0.0, so log(-x) lies on
+    # the upper side of the cut in both components, as log(0 - x) does
+    for expr in ("log(-1.73)", "log(0-1.73)", "log(-(1.73))"):
+        code, out, _ = run_cli(["eval", "--", expr])
+        assert code == 0
+        assert out.splitlines()[1] == (
+            "value (idempotent): [0.548121 + 3.14159*i1 | 0.548121 + 3.14159*i1]"
+        )
+    code, out, _ = run_cli(["series", "--max-terms", "3", "--", "log(-1.73)"])
+    assert code == 0
+    assert "limit estimate (idempotent): [1.64436 + 9.42478*i1 | 1.64436 + 9.42478*i1]" in out
+    code, out, _ = run_cli(["product", "--max-terms", "3", "--json", "--", "-5"])
+    assert code == 0
+    assert json.loads(out)["product"]["log_sum"]["idempotent"][0][1] == 3 * math.pi
+
+
 def test_eval_branch_text():
     code, out, _ = run_cli(["eval", "j", "--branch", "0", "1"])
     assert code == 0

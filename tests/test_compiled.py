@@ -203,7 +203,7 @@ def _walk_pairs(node, n: int) -> tuple[complex, complex]:
         return x, x
     if isinstance(node, Neg):
         a1, a2 = _walk_pairs(node.operand, n)
-        return -a1, -a2
+        return 0j - a1, 0j - a2
     if isinstance(node, Pow):
         return _pair_power(*_walk_pairs(node.base, n), node.exponent)
     if isinstance(node, Call):

@@ -16,6 +16,7 @@ from bicomplex import (
     Duplex,
     NonFiniteError,
     SingularOperand,
+    log_principal,
 )
 from bicomplex.core import _join, _pair_zero_divisor_test, _split
 from bicomplex.transcendental import trig_form
@@ -474,3 +475,18 @@ def test_pair_zero_divisor_verdict_does_not_depend_on_scale():
     assert not _pair_zero_divisor_test(c, c, 1e-12)[0]
     assert _pair_zero_divisor_test(c, c * 1e-300, 1e-12)[0]
 
+
+
+def test_negation_keeps_zero_parts_positive():
+    # 0j - p: a zero part becomes +0.0, every other part flips exactly
+    for w in (Bicomplex(1.73), Bicomplex(0.0), Bicomplex(-0.0, -0.0), I1, J,
+              Bicomplex.from_idempotent(complex(2, -0.0), complex(-0.0, 3))):
+        neg = -w
+        for before, after in zip((w.p1, w.p2), (neg.p1, neg.p2)):
+            for x, y in ((before.real, after.real), (before.imag, after.imag)):
+                if x == 0.0:
+                    assert math.copysign(1.0, y) == 1.0 and y == 0.0
+                else:
+                    assert y == -x
+    assert (-Bicomplex(-1.73)).p1.imag == 0.0
+    assert log_principal(-Bicomplex(1.73)).p1.imag == math.pi
