@@ -92,12 +92,25 @@ def test_eval_branch_text():
     assert "branch (0, 1) log (four-real):" in out
 
 
+def test_eval_branch_at_the_precision_limit():
+    k = 2**29
+    code, out, err = run_cli(["eval", "--branch", str(k), str(-k), "--", "2"])
+    assert code == 0 and err == ""
+    assert "branch (536870912, -536870912) log (four-real):" in out
+    code, out, err = run_cli(["eval", "--branch", str(k + 1), str(-k), "--", "2"])
+    assert code == 1 and out == ""
+    assert err.startswith("non-finite abort: branch index is past the precision limit")
+
+
 def test_eval_branch_past_the_float_range():
     for branch in ([str(10**400), "0"], ["0", str(-(10**400))], [str(10**308), "0"]):
         for mode in ([], ["--json"]):
             code, out, err = run_cli(["eval", "--branch", *branch, *mode, "--", "2"])
             assert code == 1 and out == ""
-            assert err == "non-finite abort: branch index is past the float range\n"
+            assert err == (
+                "non-finite abort: branch index is past the precision limit:"
+                " |m - n| and |m + n| must be at most 2**30\n"
+            )
 
 
 def test_series_text_output():

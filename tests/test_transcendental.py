@@ -143,11 +143,35 @@ def test_log_branch_takes_integer_indices_within_the_float_range():
     with pytest.raises(TypeError):
         log_branch(w, (0.5, 0))
     assert log_branch(w, (np.int64(1), np.int32(-2))) == log_branch(w, (1, -2))
-    assert isinstance(log_branch(w, (2**53, -(2**53))), Bicomplex)
     # the shift 2*pi*(m -/+ n) past the float range: an int too large for
-    # a float, or a float product that overflows
+    # a float, or a float product that overflows; both are far past the
+    # precision limit
     for branch in [(10**400, 0), (0, -(10**400)), (2**1023, 2**1023), (10**308, 0)]:
-        with pytest.raises(NonFiniteError, match="^branch index is past the float range$"):
+        with pytest.raises(NonFiniteError, match=f"^{PRECISION_LIMIT}$"):
+            log_branch(w, branch)
+
+
+PRECISION_LIMIT = (
+    r"branch index is past the precision limit: \|m - n\| and \|m \+ n\| must be at most 2\*\*30"
+)
+
+
+def _round_trip_error(w, branch) -> float:
+    v = exp(log_branch(w, branch))
+    return max(abs(v.p1 - w.p1) / abs(w.p1), abs(v.p2 - w.p2) / abs(w.p2))
+
+
+def test_log_branch_stops_at_the_precision_limit():
+    w = Bicomplex(2, 1)
+    k = 2**29
+    # |m - n| or |m + n| at 2**30: the round trip is still within 1e-6
+    for branch in [(k, -k), (-k, k), (2**30, 0), (0, -(2**30)), (k, k), (k + 5, k - 5)]:
+        assert _round_trip_error(w, branch) < 1e-6, branch
+    # one past it, on either side, and far past it, where the index
+    # still fits a float (2**53) but the value is no logarithm
+    for branch in [(k + 1, -k), (-k, k + 1), (2**30 + 1, 0), (0, 2**30 + 1), (k, k + 1),
+                   (2**53, -(2**53)), (2**40, 0)]:
+        with pytest.raises(NonFiniteError, match=f"^{PRECISION_LIMIT}$"):
             log_branch(w, branch)
 
 
