@@ -89,10 +89,8 @@ def _invertible_pair(p1: complex, p2: complex, tol: float, what: str) -> tuple[c
     return p1, p2
 
 
-# exp of one idempotent component, shared with compiled terms (seqspec)
-
-
 def _exp(p: complex) -> complex:
+    """exp of one idempotent component, shared with compiled terms."""
     try:
         return cmath.exp(p)
     except OverflowError as err:

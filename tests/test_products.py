@@ -495,7 +495,9 @@ def _lane_reports(text, tol, window, n_max):
             try:
                 outcomes.append(_bits(run(terms, tol, window, n_max, lane)))
             except (ArithmeticError, ValueError) as err:
-                outcomes.append(("raised", type(err).__name__, str(err), err.term_index))
+                outcomes.append(
+                    ("raised", type(err).__name__, str(err), getattr(err, "term_index", None))
+                )
     return outcomes[:2], outcomes[2:]
 
 
