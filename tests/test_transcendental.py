@@ -137,6 +137,11 @@ def test_log_branch_roundtrip_and_shift():
     assert log_branch(ONE, (0, 0)) == log_principal(ONE)
 
 
+PRECISION_LIMIT = (
+    r"branch index is past the precision limit: \|m - n\| and \|m \+ n\| must be at most 2\*\*30"
+)
+
+
 def test_log_branch_takes_integer_indices_within_the_float_range():
     w = Bicomplex(2, 1)
     # a half-integer index gave a value whose exp is -w
@@ -149,11 +154,6 @@ def test_log_branch_takes_integer_indices_within_the_float_range():
     for branch in [(10**400, 0), (0, -(10**400)), (2**1023, 2**1023), (10**308, 0)]:
         with pytest.raises(NonFiniteError, match=f"^{PRECISION_LIMIT}$"):
             log_branch(w, branch)
-
-
-PRECISION_LIMIT = (
-    r"branch index is past the precision limit: \|m - n\| and \|m \+ n\| must be at most 2\*\*30"
-)
 
 
 def _round_trip_error(w, branch) -> float:
