@@ -24,7 +24,7 @@ and the zero-divisor test, which read both. ``Bicomplex(z1, z2)`` splits
 its arguments once (``_split``), and the views ``z1``, ``z2`` and
 ``four_reals`` join the pair back (``_join``); these two functions are
 the only places the basis formulas appear. Equality and hashing compare
-the pair.
+the pair; a pair of equal components hashes as the scalar it equals.
 
 Values are immutable. Operations that would produce NaN or infinity
 raise :class:`NonFiniteError` instead of propagating them, and so does
@@ -343,7 +343,11 @@ class Bicomplex:
         return self.p1 == other.p1 and self.p2 == other.p2
 
     def __hash__(self):
-        return hash((self.p1, self.p2))
+        """Agrees with ``==`` on int, float and complex: a value with
+        ``p1 == p2`` equals that scalar and hashes as it. A ``Duplex``,
+        which ``==`` lifts, keeps its own record hash."""
+        p1, p2 = self.p1, self.p2
+        return hash(p1) if p1 == p2 else hash((p1, p2))
 
     def isclose(self, other: "Bicomplex", rel_tol: float = 1e-9, abs_tol: float = 0.0) -> bool:
         """Approximate equality in the Euclidean metric."""

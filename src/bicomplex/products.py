@@ -225,13 +225,11 @@ def _identity_step(q1, q2, l1, l2, used) -> tuple[float, tuple[int, int]]:
 
 
 def _identity_report(q1, q2, l1, l2, max_disc, offset, changes, used) -> LogSumReport:
-    try:
-        exp_of_log_sum = _pair_or_none(cmath.exp(l1), cmath.exp(l2))
-    except OverflowError:
-        exp_of_log_sum = None
+    # cannot overflow: built before any term (sums 0) or just after
+    # _identity_step took cmath.exp of the same sums
     return LogSumReport(
         product_limit=_pair_or_none(q1, q2),
-        exp_of_log_sum=exp_of_log_sum,
+        exp_of_log_sum=_pair_or_none(cmath.exp(l1), cmath.exp(l2)),
         max_discrepancy=max_disc,
         branch_offset=offset,
         branch_offset_changes=changes,

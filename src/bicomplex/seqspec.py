@@ -25,16 +25,17 @@ per expression, to nested closures over the idempotent components
 ``(p1, p2)``, the pair a ``Bicomplex`` stores: each ring operation is a
 complex operation per component, and values and errors are bit for bit
 those of the ``Bicomplex`` operations; a scalar subtree (the lane rule
-is in ``_compile``) gets closures over one complex. Two walkers share it:
+is in ``_compile``) gets closures over one complex. One index walker,
+``_indexed``, runs every evaluation and attaches the term index to its
+failures:
 
 * ``eval_term`` substitutes a concrete index into an AST or a compiled
-  term (``compile_term``), and ``term_generator`` walks the indices;
-  the library and the CLI's ``eval`` and ``check-bounds`` use them.
-* ``_lane_terms`` walks the indices and yields bare values, one complex
-  each for a scalar term, else pairs; the CLI's ``series`` and
-  ``product`` feed them straight to the analysis passes on that lane.
-
-Failures during evaluation carry the term index that produced them.
+  term (``compile_term``), and ``term_generator`` walks the indices,
+  each value a ``Bicomplex``; the library and the CLI's ``eval`` and
+  ``check-bounds`` use them.
+* ``_lane_terms`` yields bare values, one complex each for a scalar
+  term, else pairs; the CLI's ``series`` and ``product`` feed them
+  straight to the analysis passes on that lane.
 """
 
 from __future__ import annotations
@@ -117,8 +118,8 @@ class IdempotentSlotError(ValueError):
         self.term_index = term_index
 
 
-# What evaluating a term may raise; eval_term and _lane_terms re-raise
-# each with the term's index.
+# What evaluating a term may raise; _indexed re-raises each with the
+# term's index.
 _TERM_ERRORS = (SingularOperand, NonFiniteError, IdempotentSlotError)
 
 
@@ -320,7 +321,9 @@ def render(node) -> str:
     """Canonical text for an AST; ``parse(render(node))`` recovers it.
 
     Canonical form keeps numeric literals nonnegative (the parser never
-    produces a negative literal; negation is an explicit node).
+    produces a negative literal; negation is an explicit node) and
+    writes an infinite one, which an overflowing literal parses to, as
+    ``1e999``.
     """
     return _render(node, 0)
 
@@ -330,7 +333,8 @@ def _render(node, context: int) -> str:
     ``context``, the binding strength its place requires."""
     operands, _, _, _, strength, form = _node_row(node)
     if form is None:
-        text = _fmt_real(node.value, None)
+        # a literal past the float range parses as inf, so write one back
+        text = _fmt_real(node.value, None).replace("inf", "1e999")
     else:
         text = form.format(
             *(_render(getattr(node, name), inner) for name, inner in operands), node=node
@@ -446,27 +450,6 @@ def _const_scalar(node):
     return _constant(_CONSTANTS[node.name].p1) if node.name in _SCALAR_CONSTANTS else None
 
 
-def _neg_scalar(node, arg):
-    def fn(n):
-        return 0j - arg(n)
-
-    return fn
-
-
-def _ring_scalar(op):
-    """The scalar builder of a ring operation that is ``op`` per component."""
-
-    def build(node, left, right):
-        def fn(n):
-            p = op(left(n), right(n))
-            _check_finite(p, p)
-            return p
-
-        return fn
-
-    return build
-
-
 def _div_scalar(node, left, right):
     def fn(n):
         p = left(n) * _inverse(right(n))
@@ -502,55 +485,52 @@ def _const(node):
     return _constant((w.p1, w.p2))
 
 
-def _neg(node, arg):
-    def fn(n):
-        a1, a2 = arg(n)
-        return 0j - a1, 0j - a2
+def _ring(op):
+    """The pair and the scalar builder of a ring operation that is ``op``
+    on each idempotent component."""
 
-    return fn
+    def pair(node, left, right):
+        def fn(n):
+            a1, a2 = left(n)
+            b1, b2 = right(n)
+            p1 = op(a1, b1)
+            p2 = op(a2, b2)
+            _check_finite(p1, p2)
+            return p1, p2
 
+        return fn
 
-def _add(node, left, right):
-    def fn(n):
-        a1, a2 = left(n)
-        b1, b2 = right(n)
-        p1 = a1 + b1
-        p2 = a2 + b2
-        _check_finite(p1, p2)
-        return p1, p2
+    def scalar(node, left, right):
+        def fn(n):
+            p = op(left(n), right(n))
+            _check_finite(p, p)
+            return p
 
-    return fn
+        return fn
 
-
-def _sub(node, left, right):
-    def fn(n):
-        a1, a2 = left(n)
-        b1, b2 = right(n)
-        p1 = a1 - b1
-        p2 = a2 - b2
-        _check_finite(p1, p2)
-        return p1, p2
-
-    return fn
+    return pair, scalar
 
 
-def _mul(node, left, right):
-    def fn(n):
-        a1, a2 = left(n)
-        b1, b2 = right(n)
-        p1 = a1 * b1
-        p2 = a2 * b2
-        _check_finite(p1, p2)
-        return p1, p2
+_ADD = _ring(operator.add)
+_SUB = _ring(operator.sub)
+_MUL = _ring(operator.mul)
 
-    return fn
+
+def _zero_minus(sub, zero):
+    """A negation builder: ``0 - x`` through ``sub``, Sub's builder, which
+    keeps a zero part +0.0 where ``-x`` would flip it."""
+    zero = _constant(zero)
+    return lambda node, arg: sub(node, zero, arg)
+
+
+_NEG = _zero_minus(_SUB[0], (0j, 0j)), _zero_minus(_SUB[1], 0j)
 
 
 def _div(node, left, right):
     def inverse(n):
         return _pair_inverse(*right(n))
 
-    return _mul(node, left, inverse)
+    return _MUL[0](node, left, inverse)
 
 
 def _div_scaled(node, left, right):
@@ -610,10 +590,10 @@ _NODES = {
     Num: ((), None, _num, None, 9, None),
     Const: ((), _const, _const_scalar, None, 9, "{node.name}"),
     Var: ((), None, _var, None, 9, "n"),
-    Neg: ((("operand", 3),), _neg, _neg_scalar, None, 3, "-{0}"),
-    Add: ((("left", 1), ("right", 2)), _add, _ring_scalar(operator.add), None, 1, "{0} + {1}"),
-    Sub: ((("left", 1), ("right", 2)), _sub, _ring_scalar(operator.sub), None, 1, "{0} - {1}"),
-    Mul: ((("left", 2), ("right", 3)), _mul, _ring_scalar(operator.mul), None, 2, "{0}*{1}"),
+    Neg: ((("operand", 3),), *_NEG, None, 3, "-{0}"),
+    Add: ((("left", 1), ("right", 2)), *_ADD, None, 1, "{0} + {1}"),
+    Sub: ((("left", 1), ("right", 2)), *_SUB, None, 1, "{0} - {1}"),
+    Mul: ((("left", 2), ("right", 3)), *_MUL, None, 2, "{0}*{1}"),
     Div: ((("left", 2), ("right", 3)), _div, _div_scalar, _div_scaled, 2, "{0}/{1}"),
     Pow: ((("base", 9),), _pow, _pow_scalar, None, 4, "{0}^{node.exponent}"),
     Call: ((("arg", 0),), _call, _call_scalar, None, 9, "{node.func}({0})"),
@@ -636,16 +616,10 @@ def eval_term(term, n: int) -> Bicomplex:
     IdempotentSlotError raised during evaluation are re-raised carrying
     ``term_index=n``.
     """
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise TypeError("term index must be an integer")
-    if n < 1:
-        raise ValueError("term index must be at least 1")
+    _check_index(n, "term")
     if not isinstance(term, CompiledTerm):
         term = compile_term(term)
-    try:
-        return Bicomplex._make(*term.components(n))
-    except _TERM_ERRORS as err:
-        raise type(err)(str(err), term_index=n) from None
+    return Bicomplex._make(*next(_indexed(term.components, n)))
 
 
 def term_generator(source, start: int = 1):
@@ -655,13 +629,17 @@ def term_generator(source, start: int = 1):
     parsed and compiled once up front.
     """
     node = parse(source) if isinstance(source, str) else source
-    if start < 1:
-        raise ValueError("start index must be at least 1")
+    _check_index(start, "start")
     term = node if isinstance(node, CompiledTerm) else compile_term(node)
-    n = start
-    while True:
-        yield eval_term(term, n)
-        n += 1
+    for p1, p2 in _indexed(term.components, start):
+        yield Bicomplex._make(p1, p2)
+
+
+def _check_index(n, what: str) -> None:
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError("term index must be an integer")
+    if n < 1:
+        raise ValueError(f"{what} index must be at least 1")
 
 
 def _lane_terms(node, start: int = 1):
@@ -673,6 +651,8 @@ def _lane_terms(node, start: int = 1):
 
 
 def _indexed(fn, start: int):
+    """``fn(n)`` for n = start, start+1, ...: the one index walker, which
+    re-raises a term's failure carrying ``term_index=n``."""
     n = start
     try:
         while True:

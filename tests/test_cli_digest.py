@@ -1,7 +1,7 @@
-"""tools/cli_digest.py: its digest repeats, and --compare finds a change.
+"""tools/cli_digest.py: its digest repeats, --compare finds a change, and
+the CLI's output on the first 300 generated jobs of seed 1 is pinned.
 
-The tool is run as a script, as it is used, on the first 40 generated
-jobs of seed 1.
+The tool is run as a script, as it is used.
 """
 
 import json
@@ -46,3 +46,15 @@ def test_digest_repeats_and_compare_names_the_changed_job(tmp_path):
     assert lines[0] == "40 jobs compared, 1 differ"
     assert lines[1] == "stdout: 1 jobs"
     assert lines[2].startswith(f"  seed 1 job {changed['job']}: ")
+
+
+# sha256 over argv, exit code, stdout and stderr of the first 300 jobs of
+# bench.jobs.generate(1). A change that alters CLI output on purpose, or
+# the job stream, updates it and says so in CHANGES.md.
+DIGEST_SEED_1_300 = "0418821361c1e604781ecb3b1edf9408ae30b6bc3589227c10a31bd82e6635ae"
+
+
+def test_cli_output_on_300_generated_jobs_is_pinned():
+    run = _tool("--seeds", "1", "--jobs", "300")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == DIGEST_SEED_1_300

@@ -362,6 +362,22 @@ def test_eq_and_hash():
     assert {a: "x"}[b] == "x"
 
 
+def test_hash_agrees_with_equality_on_scalars():
+    # a value with p1 == p2 equals the scalar it embeds, so hashes alike
+    for x in (2, -7, 0, 2.0, -0.0, 0.0, 0.5, 1e300, 1j, 1 + 2j, -0.0j,
+              complex(-0.0, -0.0), complex(3, -0.0), complex(-2.5, 1e-300)):
+        w = Bicomplex(x)
+        assert w == x
+        assert hash(w) == hash(x), x
+        assert w in {x} and x in {w}, x
+    assert Bicomplex(2) in {2} and Bicomplex(1j) in {1j}
+    assert Bicomplex(0.0) in {-0.0} and Bicomplex(-0.0) in {0}
+    # values with two different components still hash their pair
+    a = Bicomplex(1 + 2j, 3j)
+    assert hash(a) == hash((a.p1, a.p2))
+    assert hash(Bicomplex.from_idempotent(2, 3)) == hash((2 + 0j, 3 + 0j))
+
+
 def test_isclose():
     a = Bicomplex(1.0, 1.0)
     assert a.isclose(a + Bicomplex(1e-12))

@@ -384,6 +384,9 @@ def test_one_pass_matches_separate_passes_on_random_expressions():
         one = _outcome(_one_pass, *case)
         assert one == _outcome(_separate_passes, *case), case
         outcomes.add(one[0] if one[0] == "raised" else one[0][1])
+        if one[0] != "raised":
+            identity = _one_pass(*case).identity
+            assert identity is None or identity.exp_of_log_sum is not None, case
     # the sample reaches failures and several verdicts
     assert "raised" in outcomes and len(outcomes) >= 4
 

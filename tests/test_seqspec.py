@@ -388,6 +388,37 @@ def test_term_generator():
     assert next(gen) == Bicomplex(10.0)
 
 
+def test_term_generator_checks_its_start_and_indexes_its_errors():
+    # the checks run at the first next(), as the generator's body starts
+    gen = term_generator("n", start=0)
+    with pytest.raises(ValueError, match="^start index must be at least 1$"):
+        next(gen)
+    for start in (1.5, 0.5, True):
+        gen = term_generator("n", start=start)
+        with pytest.raises(TypeError, match="^term index must be an integer$"):
+            next(gen)
+    gen = term_generator("1/(n - 3)", start=2)
+    assert next(gen) == Bicomplex(-1.0)
+    with pytest.raises(SingularOperand) as info:
+        next(gen)
+    assert info.value.term_index == 3
+
+
+def test_render_writes_an_overflowing_literal_back():
+    # 1e999 parses to Num(inf); its text must parse back to the same tree
+    # and fail the same way when evaluated
+    for text in ("n + 1e999", "1e999", "-1e999*n", "[1e999 | 1]"):
+        tree = parse(text)
+        assert parse(render(tree)) == tree, text
+        errors = []
+        for node in (tree, parse(render(tree))):
+            with pytest.raises(NonFiniteError) as info:
+                eval_term(node, 2)
+            errors.append((str(info.value), info.value.term_index))
+        assert errors[0] == errors[1] == ("bicomplex components must be finite", 2)
+    assert render(Num(math.inf)) == "1e999"
+
+
 def test_small_component_beside_a_large_one_keeps_its_bits():
     # the pair is evaluated and stored as such, so no split of large
     # components (z1, z2) cancels the small one
