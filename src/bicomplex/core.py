@@ -337,15 +337,15 @@ class Bicomplex:
     # -- equality and hashing -----------------------------------------
 
     def __eq__(self, other):
-        other = _coerce(other)
+        # a Duplex is not lifted, as it equals no number: == stays transitive
+        other = None if isinstance(other, Duplex) else _coerce(other)
         if other is None:
             return NotImplemented
         return self.p1 == other.p1 and self.p2 == other.p2
 
     def __hash__(self):
         """Agrees with ``==`` on int, float and complex: a value with
-        ``p1 == p2`` equals that scalar and hashes as it. A ``Duplex``,
-        which ``==`` lifts, keeps its own record hash."""
+        ``p1 == p2`` equals that scalar and hashes as it."""
         p1, p2 = self.p1, self.p2
         return hash(p1) if p1 == p2 else hash((p1, p2))
 
@@ -546,6 +546,21 @@ def _pair_zero_divisor_test(p1: complex, p2: complex, tol: float):
     return cn_mag <= threshold, cn_mag, threshold, m1 if m1 < m2 else m2
 
 
+def _zero_divisor_test(p: complex, tol: float):
+    """``_pair_zero_divisor_test(p, p, tol)`` bit for bit, from one modulus
+    ``m``: while ``m*m < 2**1023``, the pair's ``(m*m + m*m)/2.0`` is ``m*m``
+    exactly. Elsewhere, and for ``tol < 0``, the pair test itself runs."""
+    try:
+        m = abs(p)
+    except OverflowError:
+        m = math.inf
+    cn_mag = m * m
+    if tol < 0 or not cn_mag < 2.0**1023:
+        return _pair_zero_divisor_test(p, p, tol)
+    threshold = tol * (cn_mag if cn_mag > 1.0 else 1.0)
+    return cn_mag <= threshold, cn_mag, threshold, m
+
+
 def _pair_inverse(p1: complex, p2: complex, tol: float = SINGULARITY_TOLERANCE):
     """Components ``(1/p1, 1/p2)`` of the inverse. Raises SingularOperand
     when the pair test fires, NonFiniteError where a reciprocal is not
@@ -561,11 +576,11 @@ def _pair_inverse(p1: complex, p2: complex, tol: float = SINGULARITY_TOLERANCE):
 
 def _inverse(p: complex, tol: float = SINGULARITY_TOLERANCE) -> complex:
     """One component of ``_pair_inverse(p, p, tol)``, with its errors."""
-    singular, cn_mag, threshold, _ = _pair_zero_divisor_test(p, p, tol)
+    singular, cn_mag, threshold, _ = _zero_divisor_test(p, tol)
     if singular:
         raise _zero_divisor_error(cn_mag, threshold)
     r = 1.0 / p
-    _check_finite(r, r)
+    _check_finite_one(r)
     return r
 
 
@@ -589,18 +604,24 @@ def _power(p: complex, exponent: int) -> complex:
     while exponent:
         if exponent & 1:
             r *= p
-            _check_finite(r, r)
+            _check_finite_one(r)
         exponent >>= 1
         if exponent:
             # skip the last squaring so w**1 never overflows via base*base
             p *= p
-            _check_finite(p, p)
+            _check_finite_one(p)
     return r
 
 
 def _check_finite(a: complex, b: complex) -> None:
     if not (_isfinite(a) and _isfinite(b)):
         raise NonFiniteError("bicomplex components must be finite")
+
+
+def _check_finite_one(p: complex) -> None:
+    """``_check_finite(p, p)`` with one ``isfinite``."""
+    if not _isfinite(p):
+        _check_finite(p, p)
 
 
 def _coerce(value) -> Bicomplex | None:

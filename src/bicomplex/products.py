@@ -53,12 +53,13 @@ from itertools import islice, pairwise
 
 from .core import (
     SINGULARITY_TOLERANCE, Bicomplex, NonFiniteError, _coerce,
-    _pair_zero_divisor_test, _Record,
+    _pair_zero_divisor_test, _Record, _zero_divisor_test,
 )
 from .seqspec import _TERM_ERRORS
 from .series import (
-    _FLAT_RATIO, _FLOOR_FACTOR, _HARMONIC_RATIO, OVERFLOW_GUARD, _Checkpoints,
-    _diameter, _pair_or_none, _running, _term_pairs, _Tracker, _validate,
+    _EXACT_RMS_MAX, _EXACT_RMS_MIN, _FLAT_RATIO, _FLOOR_FACTOR, _HARMONIC_RATIO,
+    OVERFLOW_GUARD, _Checkpoints, _diameter, _pair_or_none, _running, _term_pairs,
+    _Tracker, _validate,
 )
 from .transcendental import TWO_PI, log1p
 
@@ -154,6 +155,15 @@ def _rms(a: complex, b: complex) -> float:
         return math.sqrt((abs(a) ** 2 + abs(b) ** 2) / 2.0)
     except OverflowError:
         return math.inf
+
+
+def _modulus_rms(x: complex) -> float:
+    """``_rms(x, x)``: ``abs(x)`` itself in the exact-RMS range."""
+    try:
+        m = abs(x)
+    except OverflowError:
+        return math.inf
+    return m if _EXACT_RMS_MIN <= m <= _EXACT_RMS_MAX else _rms(x, x)
 
 
 def partial_products(terms, n_max: int = 10**6) -> list[Bicomplex]:
@@ -253,7 +263,9 @@ def _product_pass(
     every product analysis.
 
     With ``scalar``, each term is one complex, both of its components:
-    one accumulator, log sum and window run; the norms stay ``_rms(x, x)``.
+    one accumulator, log sum and window run, the zero-divisor tests read
+    the one component, and each norm ``_rms(x, x)`` is ``abs(x)`` where
+    that is exact (``_modulus_rms``).
 
     Feeds the requested consumers (the identity over the first
     ``identity_terms <= n_max`` terms) while any is live. With the
@@ -296,7 +308,10 @@ def _product_pass(
             break
         used += 1
         wp1, wp2 = (term, term) if scalar else term
-        if _pair_zero_divisor_test(wp1, wp2, singularity_tol)[0]:
+        if (
+            _zero_divisor_test(term, singularity_tol) if scalar
+            else _pair_zero_divisor_test(wp1, wp2, singularity_tol)
+        )[0]:
             if not product:
                 raise SingularTerm(f"singular term at position {used}", index=used)
             if prod_live:
@@ -325,10 +340,10 @@ def _product_pass(
             l2 += lg2
 
         if prod_live or abs_live:
-            dev = _rms(wp1 - 1.0, wp2 - 1.0)
+            dev = _modulus_rms(wp1 - 1.0) if scalar else _rms(wp1 - 1.0, wp2 - 1.0)
             # a tracker with a verdict ignores its pushes
             if log_track.verdict is None or dev_track.verdict is None:
-                log_norm = _rms(lg1, lg2)
+                log_norm = _modulus_rms(lg1) if scalar else _rms(lg1, lg2)
                 log_track.push(log_norm, log_norm)
                 dev_track.push(dev, dev)
                 if abs_live and log_track.verdict is not None and dev_track.verdict is not None:
@@ -336,7 +351,7 @@ def _product_pass(
                     abs_live = False
 
         if prod_live:
-            pnorm = _rms(q1, q2)
+            pnorm = _modulus_rms(q1) if scalar else _rms(q1, q2)
             win1.append(q1)
             if not scalar:
                 win2.append(q2)
@@ -356,7 +371,10 @@ def _product_pass(
                 # stable; classification depends on whether the recent
                 # terms actually sit near 1
                 if max(checks.mags) < _FLOOR_FACTOR * tol:
-                    if _pair_zero_divisor_test(q1, q2, singularity_tol)[0]:
+                    if (
+                        _zero_divisor_test(q1, singularity_tol) if scalar
+                        else _pair_zero_divisor_test(q1, q2, singularity_tol)
+                    )[0]:
                         verdict = "diverged"
                     else:
                         verdict = "converged_nonsingular"

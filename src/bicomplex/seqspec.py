@@ -59,14 +59,16 @@ from .core import (
     NonFiniteError,
     SingularOperand,
     _check_finite,
+    _check_finite_one,
     _fmt_real,
     _inverse,
     _pair_inverse,
     _pair_power,
     _power,
     _Record,
+    _zero_divisor_test,
 )
-from .transcendental import _invertible_pair
+from .transcendental import _invertible_pair, _not_invertible
 
 __all__ = [
     "ParseError", "IdempotentSlotError",
@@ -382,8 +384,9 @@ def _compile(node):
     ``(x, x)``, ``pi`` and ``i1`` are stored so, and every operation
     applies the same float operations to equal components), so its
     closure returns one complex and does the pair closure's work once,
-    with the same checks; the zero-divisor test stays the pair test on
-    ``(x, x)``. A pair node reads a scalar operand as ``(x, x)``, and a
+    with the same checks made on the one component: ``_zero_divisor_test``
+    and ``_check_finite_one`` give the bits and errors of the pair checks
+    on ``(x, x)``. A pair node reads a scalar operand as ``(x, x)``, and a
     pair over a scalar multiplies each component by the one inverse.
     """
     operands, build, build_scalar, build_scaled = _node_row(node)[:4]
@@ -440,7 +443,7 @@ def _num(node):
 
     def fn(n):
         x = complex(value)
-        _check_finite(x, x)
+        _check_finite_one(x)
         return x
 
     return fn
@@ -453,7 +456,7 @@ def _const_scalar(node):
 def _div_scalar(node, left, right):
     def fn(n):
         p = left(n) * _inverse(right(n))
-        _check_finite(p, p)
+        _check_finite_one(p)
         return p
 
     return fn
@@ -473,8 +476,8 @@ def _call_scalar(node, arg):
 
     def fn(n):
         p = arg(n)
-        if what is not None:
-            _invertible_pair(p, p, SINGULARITY_TOLERANCE, what)
+        if what is not None and _zero_divisor_test(p, SINGULARITY_TOLERANCE)[0]:
+            raise _not_invertible(what)
         return func(p)
 
     return fn
@@ -503,7 +506,7 @@ def _ring(op):
     def scalar(node, left, right):
         def fn(n):
             p = op(left(n), right(n))
-            _check_finite(p, p)
+            _check_finite_one(p)
             return p
 
         return fn

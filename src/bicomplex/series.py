@@ -59,6 +59,10 @@ _RATIO_SLACK = 1.0 - 1e-9
 _FLOOR_FACTOR = 10.0
 _DIVERGENCE_FLOOR = 1e-6
 
+# the moduli m whose m*m is normal, so that sqrt((m*m + m*m)/2) == m exactly
+_EXACT_RMS_MIN = 2.0**-511
+_EXACT_RMS_MAX = 2.0**511
+
 
 def _diameter(values) -> float:
     """Largest pairwise distance among a window of complex values; inf
@@ -260,9 +264,9 @@ def _analyze_pairs(pairs, tol, window, n_max, scalar=False) -> SeriesReport:
     With ``scalar``, each term is one complex, both of its components:
     one component tracker and one modulus tracker run, and the report
     reads each for both components. The RMS tracker ``ae`` is the
-    modulus tracker while every modulus ``m`` lies in [2**-511, 2**511],
-    where ``m*m`` is a normal float and ``sqrt((m*m + m*m)/2) == m``
-    exactly; at the first term outside, it splits off as a copy.
+    modulus tracker while every modulus lies in the exact-RMS range
+    [_EXACT_RMS_MIN, _EXACT_RMS_MAX]; at the first term outside, it
+    splits off as a copy.
     """
     c1 = _Tracker(tol, window)
     a1 = _Tracker(tol, window, _HARMONIC_RATIO)
@@ -281,7 +285,7 @@ def _analyze_pairs(pairs, tol, window, n_max, scalar=False) -> SeriesReport:
                 m1 = abs(term)
             except OverflowError:
                 m1 = math.inf
-            if ae is a1 and not 2.0**-511 <= m1 <= 2.0**511:
+            if ae is a1 and not _EXACT_RMS_MIN <= m1 <= _EXACT_RMS_MAX:
                 import copy  # once per pass at most: not worth start-up time
                 ae = copy.deepcopy(a1)
             c1.push(term, m1)

@@ -85,8 +85,12 @@ def _invertible_pair(p1: complex, p2: complex, tol: float, what: str) -> tuple[c
     """``(p1, p2)`` unchanged, or SingularOperand ("``what`` requires an
     invertible value") when the pair is a zero divisor within ``tol``."""
     if _pair_zero_divisor_test(p1, p2, tol)[0]:
-        raise SingularOperand(f"{what} requires an invertible value")
+        raise _not_invertible(what)
     return p1, p2
+
+
+def _not_invertible(what: str) -> SingularOperand:
+    return SingularOperand(f"{what} requires an invertible value")
 
 
 def _exp(p: complex) -> complex:

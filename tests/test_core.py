@@ -18,7 +18,7 @@ from bicomplex import (
     SingularOperand,
     log_principal,
 )
-from bicomplex.core import _join, _pair_zero_divisor_test, _split
+from bicomplex.core import _join, _pair_zero_divisor_test, _split, _zero_divisor_test
 from bicomplex.transcendental import trig_form
 from helpers import (
     assert_close,
@@ -378,6 +378,18 @@ def test_hash_agrees_with_equality_on_scalars():
     assert hash(Bicomplex.from_idempotent(2, 3)) == hash((2 + 0j, 3 + 0j))
 
 
+def test_duplex_equals_no_bicomplex():
+    # == lifts no Duplex, as a Duplex equals no number: equality stays
+    # transitive and agrees with hashing, while arithmetic still lifts it
+    d, w = Duplex(1.0, 0.0), Bicomplex(1)
+    assert w == 1 and d != 1
+    assert d != w and w != d
+    assert not d == w and not w == d
+    assert d not in {w} and w not in {d}
+    assert d.to_bicomplex() == w
+    assert d + ZERO == w and w * d == w
+
+
 def test_isclose():
     a = Bicomplex(1.0, 1.0)
     assert a.isclose(a + Bicomplex(1e-12))
@@ -491,6 +503,39 @@ def test_pair_zero_divisor_verdict_does_not_depend_on_scale():
     assert not _pair_zero_divisor_test(c, c, 1e-12)[0]
     assert _pair_zero_divisor_test(c, c * 1e-300, 1e-12)[0]
 
+
+def _verdict_bits(verdict):
+    return tuple(x.hex() if isinstance(x, float) else x for x in verdict)
+
+
+def test_zero_divisor_test_is_the_pair_test_on_equal_components():
+    # no float m has m*m == 2**1023: the neighbours of sqrt(2**1023)
+    # square to either side, where the pair's m*m + m*m stays finite or
+    # overflows into its scaled branch
+    above = math.sqrt(2.0**1023)
+    below = math.nextafter(above, 0.0)
+    assert below * below < 2.0**1023 < above * above < math.inf
+    edge = 2.0**511
+    grid = [
+        0j, 1 + 0j, -2.5 + 3j, 1 + 1e-7j,
+        5e-324 + 0j, complex(5e-324, 5e-324), complex(3e-320, -4e-320),
+        1e-310j, 1e-160 + 0j, complex(1e-170, 1e-170),
+        complex(2.0**-511), complex(0.0, edge), complex(math.nextafter(edge, math.inf)),
+        complex(below), complex(above), complex(0.0, above), 1e154 + 0j,
+        complex(1.3e154, 1e150), complex(1e154, 1e154), 1e155j, 1e300 + 0j,
+        complex(1.5e308, 1.5e308), complex(1.7e308, -1.7e308),
+    ]
+    grid += [-x for x in grid] + [complex(x.imag, x.real) for x in grid]
+    for x in grid:
+        for tol in (0.0, 1e-300, 1e-12, 1.0, 2.0):
+            expected = _verdict_bits(_pair_zero_divisor_test(x, x, tol))
+            assert _verdict_bits(_zero_divisor_test(x, tol)) == expected, (x, tol)
+    for x in (0j, 1 + 0j, complex(below), complex(1.5e308, 1.5e308)):
+        with pytest.raises(ValueError) as pair_error:
+            _pair_zero_divisor_test(x, x, -1e-12)
+        with pytest.raises(ValueError) as one_error:
+            _zero_divisor_test(x, -1e-12)
+        assert str(one_error.value) == str(pair_error.value)
 
 
 def test_negation_keeps_zero_parts_positive():

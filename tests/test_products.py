@@ -1,5 +1,7 @@
+import cmath
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -27,8 +29,8 @@ from bicomplex import (
     series,
     term_generator,
 )
-from bicomplex.core import _Record
-from bicomplex.products import LOG_SUM_CAP, _analyze_product_pairs
+from bicomplex.core import _pair_zero_divisor_test, _Record
+from bicomplex.products import LOG_SUM_CAP, _analyze_product_pairs, _modulus_rms, _rms
 from bicomplex.seqspec import IdempotentSlotError
 from helpers import (
     C,
@@ -451,6 +453,37 @@ def test_cli_series_evaluates_each_term_once(monkeypatch):
     assert calls == list(range(1, 5001))
 
 
+def _count_pair_zero_divisor_tests(monkeypatch) -> list[tuple]:
+    """Record the arguments of every call of
+    ``core._pair_zero_divisor_test``, through each package module that
+    binds the name."""
+    calls = []
+
+    def counting(p1, p2, tol):
+        calls.append((p1, p2, tol))
+        return _pair_zero_divisor_test(p1, p2, tol)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("bicomplex.") and "_pair_zero_divisor_test" in vars(module):
+            monkeypatch.setattr(module, "_pair_zero_divisor_test", counting)
+    return calls
+
+
+def test_cli_scalar_lane_makes_no_pair_zero_divisor_test(monkeypatch):
+    calls = _count_pair_zero_divisor_tests(monkeypatch)
+    for argv in (
+        ["series", "1/n^2", "--max-terms", "5000"],
+        ["product", "1+1/n", "--max-terms", "3000"],
+    ):
+        code, _, _ = run_cli(argv)
+        assert code == 0
+        assert calls == [], argv
+    # the pair lane tests each term as a pair
+    code, _, _ = run_cli(["product", "1 + (3/10 + 2/5*i2)/n^2", "--max-terms", "100"])
+    assert code == 0
+    assert len(calls) >= 100
+
+
 @pytest.mark.parametrize(
     "argv, scalar",
     [
@@ -523,6 +556,14 @@ LANE_EDGE_CASES = [
     ("1+1/n", 1e-10, 8, 3000),
     ("0.9", 1e-10, 8, 1000),
     ("log(-1.73)", 1e-10, 8, 50),
+    # deviations and partial products on both sides of the exact-RMS
+    # range, where the product pass takes abs(x) or _rms(x, x)
+    ("1+1e155/n", 1e-10, 8, 3000),
+    ("1+1e155/n", 1e-300, 8, 3000),
+    ("1+1e-300/n", 1e-10, 8, 3000),
+    ("1+1e-300/n", 1e-300, 8, 3000),
+    ("1+1e-160/n^2", 1e-10, 8, 3000),
+    ("1+1e-160/n^2", 1e-300, 8, 3000),
 ]
 
 
@@ -541,6 +582,23 @@ def test_scalar_lane_rms_tracker_splits_where_squares_leave_the_float_range():
     )
     assert report.absolute_component_verdicts == ("inconclusive", "inconclusive")
     assert report.absolute is True
+
+
+def test_rms_of_equal_components_is_the_modulus_in_the_exact_range():
+    # _rms squares with abs(x) ** 2, a C pow that need not round
+    # correctly, so the identity is checked, not assumed
+    rng = np.random.default_rng(1717)
+    moduli = np.ldexp(rng.uniform(1.0, 2.0, 100_000), rng.integers(-511, 511, 100_000))
+    angles = rng.uniform(-math.pi, math.pi, 100_000)
+    values = [cmath.rect(m, a) for m, a in zip(moduli.tolist(), angles.tolist())]
+    values += [complex(2.0**-511), complex(0.0, 2.0**511), complex(-(2.0**511), 0.0)]
+    inside = [x for x in values if series._EXACT_RMS_MIN <= abs(x) <= series._EXACT_RMS_MAX]
+    assert len(inside) > 99_000
+    assert [x for x in inside if _rms(x, x) != abs(x)] == []
+    # _modulus_rms is _rms(x, x) inside the range and outside it
+    for x in inside[:1000] + [0j, 5e-324j, 1e-160 + 0j, 1e155 + 0j,
+                              complex(1.5e308, 1.5e308), complex(math.inf, 0.0)]:
+        assert _modulus_rms(x).hex() == _rms(x, x).hex(), x
 
 
 def test_scalar_lane_passes_match_pair_lane_on_random_expressions():
