@@ -350,8 +350,9 @@ class Bicomplex:
         return hash(p1) if p1 == p2 else hash((p1, p2))
 
     def isclose(self, other: "Bicomplex", rel_tol: float = 1e-9, abs_tol: float = 0.0) -> bool:
-        """Approximate equality in the Euclidean metric."""
-        other = _coerce(other)
+        """Approximate equality in the Euclidean metric; as ``==`` does, it
+        refuses a Duplex."""
+        other = None if isinstance(other, Duplex) else _coerce(other)
         if other is None:
             raise TypeError("cannot compare Bicomplex with that type")
         big = max(abs(self), abs(other))
@@ -580,7 +581,8 @@ def _inverse(p: complex, tol: float = SINGULARITY_TOLERANCE) -> complex:
     if singular:
         raise _zero_divisor_error(cn_mag, threshold)
     r = 1.0 / p
-    _check_finite_one(r)
+    if not _isfinite(r):
+        _check_finite_one(r)
     return r
 
 
@@ -604,12 +606,14 @@ def _power(p: complex, exponent: int) -> complex:
     while exponent:
         if exponent & 1:
             r *= p
-            _check_finite_one(r)
+            if not _isfinite(r):
+                _check_finite_one(r)
         exponent >>= 1
         if exponent:
             # skip the last squaring so w**1 never overflows via base*base
             p *= p
-            _check_finite_one(p)
+            if not _isfinite(p):
+                _check_finite_one(p)
     return r
 
 

@@ -34,7 +34,7 @@ idempotent components ``(p1, p2)``, and computes its logarithms and
 deviation norm once. Each report freezes at its own stop rule: the
 product at its verdict or the budget ``n_max``; the absolute check at
 the first term with a component real part <= 0 (tested before the term
-counts) or once both norm trackers, which the product report shares,
+counts) or once both norm series, which the product report shares,
 have decided; the identity after ``min(n_max, LOG_SUM_CAP)`` terms.
 ``evaluate_product``, ``absolute_convergence_check`` and
 ``log_sum_equivalence`` run the same pass for one report each. The
@@ -59,7 +59,7 @@ from .seqspec import _TERM_ERRORS
 from .series import (
     _EXACT_RMS_MAX, _EXACT_RMS_MIN, _FLAT_RATIO, _FLOOR_FACTOR, _HARMONIC_RATIO,
     OVERFLOW_GUARD, _Checkpoints, _diameter, _pair_or_none, _running, _term_pairs,
-    _Tracker, _validate,
+    _validate,
 )
 from .transcendental import TWO_PI, log1p
 
@@ -179,30 +179,27 @@ def _shrinking(pnorms: deque[float]) -> bool:
     return all(b <= a * (1.0 + 1e-12) for a, b in pairwise(pnorms))
 
 
+# the norm series' verdicts: "converged", "diverged", or None while open
 def _product_report(
-    verdict, q1, q2, l1, l2, used, nc_ok, log_track, dev_track
+    verdict, q1, q2, l1, l2, used, nc_ok, log_verdict, dev_verdict
 ) -> ProductReport:
-    tri_log = log_track.verdict or "inconclusive"
-    tri_dev = dev_track.verdict or "inconclusive"
     return ProductReport(
         verdict=verdict,
         limit_estimate=_pair_or_none(q1, q2),
         terms_used=used,
         necessary_condition_ok=nc_ok and verdict != "diverged_to_zero",
-        absolute=tri_log == "converged",
+        absolute=log_verdict == "converged",
         log_sum=_pair_or_none(l1, l2),
-        criteria_agreement=tri_log == tri_dev,
+        criteria_agreement=log_verdict == dev_verdict,
         singular_index=used if verdict == "singular_term" else None,
     )
 
 
-def _absolute_report(log_track, dev_track, used) -> AbsoluteReport:
-    via_log = log_track.verdict or "inconclusive"
-    via_dev = dev_track.verdict or "inconclusive"
+def _absolute_report(log_verdict, dev_verdict, used) -> AbsoluteReport:
     return AbsoluteReport(
-        via_log_norms=via_log,
-        via_deviation_norms=via_dev,
-        agree=via_log == via_dev,
+        via_log_norms=log_verdict or "inconclusive",
+        via_deviation_norms=dev_verdict or "inconclusive",
+        agree=log_verdict == dev_verdict,
         hypothesis_violation_index=None,
         terms_used=used,
     )
@@ -267,6 +264,12 @@ def _product_pass(
     the one component, and each norm ``_rms(x, x)`` is ``abs(x)`` where
     that is exact (``_modulus_rms``).
 
+    The norm series of the absolute check, of ``||log w_n||`` and of
+    ``||w_n - 1||``, run in lockstep as local state (a total, a window of
+    partial sums and a ``_Checkpoints`` each; the product verdict shares
+    the deviations' magnitudes) under the rules of ``series._Tracker.push``,
+    written inline so that a term makes no call for bookkeeping.
+
     Feeds the requested consumers (the identity over the first
     ``identity_terms <= n_max`` terms) while any is live. With the
     product consumer, failures are routed as ``analyze_product`` states;
@@ -274,142 +277,168 @@ def _product_pass(
     """
     prod_live, abs_live, id_live = product, absolute, identity_terms > 0
     prod_report = abs_report = id_report = verdict = None
-    # shared accumulators: partial products, log sums, norm trackers
+    # shared accumulators: partial products and log sums
     q1 = 1.0 + 0j
     q2 = 1.0 + 0j
     l1 = 0j
     l2 = 0j
-    log_track = _Tracker(tol, window, _HARMONIC_RATIO)
-    dev_track = _Tracker(tol, window, _HARMONIC_RATIO)
+    # the norm series, each with a verdict that is None while open
+    log_verdict = dev_verdict = None
+    log_total = dev_total = 0.0
+    log_sums: deque[float] = deque(maxlen=window)
+    dev_sums: deque[float] = deque(maxlen=window)
+    log_checks = _Checkpoints(tol, window, _HARMONIC_RATIO)
+    dev_checks = _Checkpoints(tol, window, _HARMONIC_RATIO)
     # product verdict state
     win1: deque[complex] = deque(maxlen=window)
     win2 = win1 if scalar else deque(maxlen=window)
     pnorms: deque[float] = deque(maxlen=window)
     checks = _Checkpoints(tol, window, _FLAT_RATIO)  # over the deviations
+    checks.mags = dev_checks.mags
     nc_ok = True
     # identity state
     max_disc = 0.0
     offset = (0, 0)
     changes = 0
     used = 0
+    log_sum_push, dev_sum_push = log_sums.append, dev_sums.append
+    log_mag_push, dev_mag_push = log_checks.mags.append, checks.mags.append
+    win1_push, win2_push, pnorm_push = win1.append, win2.append, pnorms.append
 
-    pairs = islice(pairs, n_max)
-    while prod_live or abs_live or id_live:
-        try:
-            term = next(pairs)
-        except StopIteration:
-            break
-        except _TERM_ERRORS:
-            # once the product verdict is frozen, a term that cannot be
-            # evaluated ends the consumers still live without a report
-            if prod_live or not product:
-                raise
-            abs_live = id_live = False
-            break
-        used += 1
-        wp1, wp2 = (term, term) if scalar else term
-        if (
-            _zero_divisor_test(term, singularity_tol) if scalar
-            else _pair_zero_divisor_test(wp1, wp2, singularity_tol)
-        )[0]:
-            if not product:
-                raise SingularTerm(f"singular term at position {used}", index=used)
-            if prod_live:
-                verdict = "singular_term"
-                abs_report = id_report = None
-            abs_live = id_live = False
-            break
+    try:
+        for term in islice(pairs, n_max):
+            used += 1
+            wp1, wp2 = (term, term) if scalar else term
+            if (
+                _zero_divisor_test(term, singularity_tol) if scalar
+                else _pair_zero_divisor_test(wp1, wp2, singularity_tol)
+            )[0]:
+                if not product:
+                    raise SingularTerm(f"singular term at position {used}", index=used)
+                if prod_live:
+                    verdict = "singular_term"
+                    abs_report = id_report = None
+                abs_live = id_live = False
+                break
 
-        if abs_live and (wp1.real <= 0.0 or wp2.real <= 0.0):
-            abs_report = AbsoluteReport(
-                via_log_norms="hypothesis_violated",
-                via_deviation_norms="hypothesis_violated",
-                agree=True,
-                hypothesis_violation_index=used,
-                terms_used=used,
-            )
-            abs_live = False
-        q1 *= wp1
-        lg1 = cmath.log(wp1)
-        l1 += lg1
-        if scalar:
-            q2, lg2, l2 = q1, lg1, l1
-        else:
-            q2 *= wp2
-            lg2 = cmath.log(wp2)
-            l2 += lg2
+            if abs_live and (wp1.real <= 0.0 or wp2.real <= 0.0):
+                abs_report = AbsoluteReport(
+                    via_log_norms="hypothesis_violated",
+                    via_deviation_norms="hypothesis_violated",
+                    agree=True,
+                    hypothesis_violation_index=used,
+                    terms_used=used,
+                )
+                abs_live = False
+            q1 *= wp1
+            lg1 = cmath.log(wp1)
+            l1 += lg1
+            if scalar:
+                q2, lg2, l2 = q1, lg1, l1
+            else:
+                q2 *= wp2
+                lg2 = cmath.log(wp2)
+                l2 += lg2
 
-        if prod_live or abs_live:
-            dev = _modulus_rms(wp1 - 1.0) if scalar else _rms(wp1 - 1.0, wp2 - 1.0)
-            # a tracker with a verdict ignores its pushes
-            if log_track.verdict is None or dev_track.verdict is None:
-                log_norm = _modulus_rms(lg1) if scalar else _rms(lg1, lg2)
-                log_track.push(log_norm, log_norm)
-                dev_track.push(dev, dev)
-                if abs_live and log_track.verdict is not None and dev_track.verdict is not None:
-                    abs_report = _absolute_report(log_track, dev_track, used)
+            if prod_live or abs_live:
+                dev = _modulus_rms(wp1 - 1.0) if scalar else _rms(wp1 - 1.0, wp2 - 1.0)
+                dev_mag_push(dev)
+                # a norm series reads every term up to its verdict: ``used``
+                # is its count, and its rising sums make newest - oldest the
+                # window pre-test
+                if log_verdict is None:
+                    log_norm = _modulus_rms(lg1) if scalar else _rms(lg1, lg2)
+                    log_total += log_norm
+                    log_sum_push(log_total)
+                    log_mag_push(log_norm)
+                    if log_total > OVERFLOW_GUARD:
+                        log_verdict = "diverged"
+                    elif (used >= window and log_total - log_sums[0] < tol
+                          and _diameter(log_sums) < tol):
+                        log_verdict = "converged"
+                    elif used == log_checks.due and log_checks.stalled():
+                        log_verdict = "diverged"
+                if dev_verdict is None:
+                    dev_total += dev
+                    dev_sum_push(dev_total)
+                    if dev_total > OVERFLOW_GUARD:
+                        dev_verdict = "diverged"
+                    elif (used >= window and dev_total - dev_sums[0] < tol
+                          and _diameter(dev_sums) < tol):
+                        dev_verdict = "converged"
+                    elif used == dev_checks.due and dev_checks.stalled():
+                        dev_verdict = "diverged"
+                if abs_live and log_verdict is not None and dev_verdict is not None:
+                    abs_report = _absolute_report(log_verdict, dev_verdict, used)
                     abs_live = False
 
-        if prod_live:
-            pnorm = _modulus_rms(q1) if scalar else _rms(q1, q2)
-            win1.append(q1)
-            if not scalar:
-                win2.append(q2)
-            pnorms.append(pnorm)
-            checks.mags.append(dev)
-            if pnorm > OVERFLOW_GUARD:
-                verdict = "diverged"
-            elif pnorm < ZERO_COLLAPSE and _shrinking(pnorms):
-                verdict = "diverged_to_zero"
-            elif (
-                len(win1) == window
-                and abs(q1 - win1[0]) < tol
-                and abs(q2 - win2[0]) < tol
-                and _diameter(win1) < tol
-                and _diameter(win2) < tol
-            ):
-                # stable; classification depends on whether the recent
-                # terms actually sit near 1
-                if max(checks.mags) < _FLOOR_FACTOR * tol:
-                    if (
-                        _zero_divisor_test(q1, singularity_tol) if scalar
-                        else _pair_zero_divisor_test(q1, q2, singularity_tol)
-                    )[0]:
-                        verdict = "diverged"
-                    else:
-                        verdict = "converged_nonsingular"
-                elif pnorm < _FLOOR_FACTOR * tol and _shrinking(pnorms):
-                    verdict = "diverged_to_zero"
-                # stable partial products under far-from-1 terms with no
-                # drain toward zero: keep consuming evidence
-            if verdict is None and used == checks.due and checks.stalled():
-                nc_ok = False
-                if pnorms[-1] >= pnorms[0] * (1.0 - 1e-12):
+            if prod_live:
+                pnorm = _modulus_rms(q1) if scalar else _rms(q1, q2)
+                win1_push(q1)
+                if not scalar:
+                    win2_push(q2)
+                pnorm_push(pnorm)
+                if pnorm > OVERFLOW_GUARD:
                     verdict = "diverged"
-            if verdict is not None:
-                prod_report = _product_report(
-                    verdict, q1, q2, l1, l2, used, nc_ok, log_track, dev_track
-                )
-                prod_live = False
-
-        if id_live:
-            try:
-                disc, current = _identity_step(q1, q2, l1, l2, used)
-            except NonFiniteError:
-                if not product:
-                    raise
-                id_live = False
-            else:
-                if disc > max_disc:
-                    max_disc = disc
-                if current != offset:
-                    changes += 1
-                    offset = current
-                if used == identity_terms:
-                    id_report = _identity_report(
-                        q1, q2, l1, l2, max_disc, offset, changes, used
+                elif pnorm < ZERO_COLLAPSE and _shrinking(pnorms):
+                    verdict = "diverged_to_zero"
+                elif (
+                    used >= window
+                    and abs(q1 - win1[0]) < tol
+                    and abs(q2 - win2[0]) < tol
+                    and _diameter(win1) < tol
+                    and _diameter(win2) < tol
+                ):
+                    # stable; classification depends on whether the recent
+                    # terms actually sit near 1
+                    if max(checks.mags) < _FLOOR_FACTOR * tol:
+                        if (
+                            _zero_divisor_test(q1, singularity_tol) if scalar
+                            else _pair_zero_divisor_test(q1, q2, singularity_tol)
+                        )[0]:
+                            verdict = "diverged"
+                        else:
+                            verdict = "converged_nonsingular"
+                    elif pnorm < _FLOOR_FACTOR * tol and _shrinking(pnorms):
+                        verdict = "diverged_to_zero"
+                    # stable partial products under far-from-1 terms with no
+                    # drain toward zero: keep consuming evidence
+                if verdict is None and used == checks.due and checks.stalled():
+                    nc_ok = False
+                    if pnorms[-1] >= pnorms[0] * (1.0 - 1e-12):
+                        verdict = "diverged"
+                if verdict is not None:
+                    prod_report = _product_report(
+                        verdict, q1, q2, l1, l2, used, nc_ok, log_verdict, dev_verdict
                     )
+                    prod_live = False
+
+            if id_live:
+                try:
+                    disc, current = _identity_step(q1, q2, l1, l2, used)
+                except NonFiniteError:
+                    if not product:
+                        raise
                     id_live = False
+                else:
+                    if disc > max_disc:
+                        max_disc = disc
+                    if current != offset:
+                        changes += 1
+                        offset = current
+                    if used == identity_terms:
+                        id_report = _identity_report(
+                            q1, q2, l1, l2, max_disc, offset, changes, used
+                        )
+                        id_live = False
+            if not (prod_live or abs_live or id_live):
+                break
+    except _TERM_ERRORS:
+        # once the product verdict is frozen, a term that cannot be
+        # evaluated ends the consumers still live without a report
+        if prod_live or not product:
+            raise
+        abs_live = id_live = False
 
     # a singular term, or the terms ran out: every consumer still live
     # reports what it has
@@ -417,10 +446,10 @@ def _product_pass(
         if verdict is None:
             verdict = "diverged" if not nc_ok else "inconclusive"
         prod_report = _product_report(
-            verdict, q1, q2, l1, l2, used, nc_ok, log_track, dev_track
+            verdict, q1, q2, l1, l2, used, nc_ok, log_verdict, dev_verdict
         )
     if abs_live:
-        abs_report = _absolute_report(log_track, dev_track, used)
+        abs_report = _absolute_report(log_verdict, dev_verdict, used)
     if id_live:
         id_report = _identity_report(q1, q2, l1, l2, max_disc, offset, changes, used)
     return ProductAnalysis(prod_report, abs_report, id_report)

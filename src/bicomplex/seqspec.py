@@ -62,6 +62,7 @@ from .core import (
     _check_finite_one,
     _fmt_real,
     _inverse,
+    _isfinite,
     _pair_inverse,
     _pair_power,
     _power,
@@ -443,7 +444,8 @@ def _num(node):
 
     def fn(n):
         x = complex(value)
-        _check_finite_one(x)
+        if not _isfinite(x):
+            _check_finite_one(x)
         return x
 
     return fn
@@ -456,7 +458,8 @@ def _const_scalar(node):
 def _div_scalar(node, left, right):
     def fn(n):
         p = left(n) * _inverse(right(n))
-        _check_finite_one(p)
+        if not _isfinite(p):
+            _check_finite_one(p)
         return p
 
     return fn
@@ -498,7 +501,8 @@ def _ring(op):
             b1, b2 = right(n)
             p1 = op(a1, b1)
             p2 = op(a2, b2)
-            _check_finite(p1, p2)
+            if not (_isfinite(p1) and _isfinite(p2)):
+                _check_finite(p1, p2)
             return p1, p2
 
         return fn
@@ -506,7 +510,8 @@ def _ring(op):
     def scalar(node, left, right):
         def fn(n):
             p = op(left(n), right(n))
-            _check_finite_one(p)
+            if not _isfinite(p):
+                _check_finite_one(p)
             return p
 
         return fn
@@ -542,7 +547,8 @@ def _div_scaled(node, left, right):
         r = _inverse(right(n))
         p1 = a1 * r
         p2 = a2 * r
-        _check_finite(p1, p2)
+        if not (_isfinite(p1) and _isfinite(p2)):
+            _check_finite(p1, p2)
         return p1, p2
 
     return fn

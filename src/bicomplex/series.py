@@ -142,7 +142,8 @@ class _Tracker(_Checkpoints):
     guard, or when ``stalled`` holds at a checkpoint with ``ratio``:
     _FLAT_RATIO for a general series, _HARMONIC_RATIO for a norm series.
     Partial sums of a norm series are monotone, so there the window
-    test comes down to the gap between newest and oldest.
+    test comes down to the gap between newest and oldest. The product
+    pass writes these rules out inline for its two norm series.
     """
 
     __slots__ = ("window", "total", "sums", "verdict", "count")

@@ -390,6 +390,18 @@ def test_duplex_equals_no_bicomplex():
     assert d + ZERO == w and w * d == w
 
 
+def test_isclose_refuses_a_duplex_as_equality_does():
+    # a value is not "close" to one it never equals: isclose raises for a
+    # Duplex the TypeError it raises for any other type it cannot compare
+    w = Bicomplex(1)
+    for other in (Duplex(1.0, 0.0), Duplex(0.0, 1.0), "1", None):
+        with pytest.raises(TypeError, match="cannot compare Bicomplex with that type"):
+            w.isclose(other)
+    # numbers and bicomplex values are still lifted
+    assert w.isclose(1) and w.isclose(1.0 + 1e-12) and w.isclose(1 + 0j)
+    assert Duplex(0.0, 1.0).to_bicomplex().isclose(J)
+
+
 def test_isclose():
     a = Bicomplex(1.0, 1.0)
     assert a.isclose(a + Bicomplex(1e-12))

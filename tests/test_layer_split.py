@@ -1,0 +1,46 @@
+"""tools/layer_split.py runs on a small term budget and prints one row
+per long workload, with its lane, term count and two costs.
+
+The tool is run as a script, as it is used.
+"""
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "layer_split.py"
+
+
+def _tool(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, str(TOOL), *args], capture_output=True, text=True, timeout=300
+    )
+
+
+def test_layer_split_prints_one_row_per_long_workload():
+    run = _tool("--max-terms", "300", "--repeats", "1")
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[:2] == [
+        "| term | lane | terms | eval ns/term | pass ns/term |",
+        "|---|---|---:|---:|---:|",
+    ]
+    rows = [re.fullmatch(r"\| `(.+)` \| (\w+) \| ([\d,]+) \| ([\d,]+) \| ([\d,]+) \|", line)
+            for line in lines[2:]]
+    assert all(rows), lines
+    got = [(m[1], m[2], int(m[3].replace(",", ""))) for m in rows]
+    # on 300 terms no verdict is reached: each pass reads the whole budget
+    assert got == [
+        ('product "1 + (3/10 + 2/5*i2)/n^2"', "pair", 300),
+        ('product "1+1/n"', "scalar", 300),
+        ('series "1/n^2"', "scalar", 300),
+    ]
+    assert all(int(m[4].replace(",", "")) > 0 and int(m[5].replace(",", "")) > 0 for m in rows)
+
+
+def test_layer_split_refuses_bad_sizes():
+    for args in (["--repeats", "0"], ["--max-terms", "0"]):
+        run = _tool(*args)
+        assert run.returncode == 2, args
+        assert "must be at least 1" in run.stderr

@@ -667,3 +667,91 @@ def test_swapping_the_components_swaps_the_reports():
     # the families reach every verdict but singular_term, and all three
     # series verdicts
     assert len(product_verdicts) == 4 and len(series_verdicts) == 3
+
+
+# -- the product pass's norm series against series._Tracker -----------
+
+# (family, tol, n_max, the absolute check's (via_log_norms,
+# via_deviation_norms, terms_used); None: the family's own budget)
+NORM_FAMILIES = [
+    # 1 + c/n^2: both norm series converge, at different terms
+    ("converge", 1e-6, 20000, ("converged", "converged", None)),
+    # 1 + c/n: both stall at the second checkpoint
+    ("stall", 1e-10, 1000, ("diverged", "diverged", 32)),
+    # 1e200*(1 + c/n): every deviation norm overflows to inf, so that
+    # series passes the guard at term 1, while the log norms stall
+    ("overflow", 1e-10, 1000, ("diverged", "diverged", 32)),
+    # 1 + c/n^2 on a short budget: neither decides
+    ("budget", 1e-10, 500, ("inconclusive", "inconclusive", 500)),
+]
+
+
+def _norm_family(family, c1, c2, scalar, n_max):
+    k = 2 if family in ("converge", "budget") else 1
+    scale = 1e200 if family == "overflow" else 1.0
+    for n in range(1, n_max + 1):
+        w1 = scale * (1.0 + c1 / n**k)
+        yield w1 if scalar else (w1, scale * (1.0 + c2 / n**k))
+
+
+def _tracked_norm_series(terms, scalar, tol, window, product_used):
+    """Two ``series._Tracker`` fed the log and deviation norms that the
+    product pass takes of each term: the absolute check's
+    ``(via_log_norms, via_deviation_norms, terms_used)``, and the two
+    verdicts (None while open) after ``product_used`` terms."""
+    log_track, dev_track = (
+        series._Tracker(tol, window, series._HARMONIC_RATIO) for _ in range(2)
+    )
+    absolute = at_product = None
+    for used, term in enumerate(terms, start=1):
+        w1, w2 = (term, term) if scalar else term
+        if scalar:
+            log_norm, dev = _modulus_rms(cmath.log(w1)), _modulus_rms(w1 - 1.0)
+        else:
+            log_norm = _rms(cmath.log(w1), cmath.log(w2))
+            dev = _rms(w1 - 1.0, w2 - 1.0)
+        log_track.push(log_norm, log_norm)
+        dev_track.push(dev, dev)
+        if used == product_used:
+            at_product = (log_track.verdict, dev_track.verdict)
+        if absolute is None and None not in (log_track.verdict, dev_track.verdict):
+            absolute = (log_track.verdict, dev_track.verdict, used)
+    if absolute is None:
+        absolute = ("inconclusive", "inconclusive", used)
+    return absolute, at_product
+
+
+def test_product_pass_norm_series_match_the_tracker():
+    # the pass keeps both norm series inline; series._Tracker.push is the
+    # rule they must follow, term for term, on both lanes
+    rng = np.random.default_rng(1818)
+    for scalar in (True, False):
+        for family, tol, n_max, expected in NORM_FAMILIES:
+            for _ in range(4):
+                # Re c > 0 keeps every real part positive and makes the
+                # log norms of 1 + c/n decay no faster than harmonically
+                c1, c2 = (complex(rng.uniform(0.1, 0.5), rng.uniform(-0.5, 0.5))
+                          for _ in range(2))
+                terms = list(_norm_family(family, c1, c2, scalar, n_max))
+                case = (family, scalar, c1, c2)
+                report = _analyze_product_pairs(iter(terms), tol, 8, n_max, scalar)
+                absolute, (log_verdict, dev_verdict) = _tracked_norm_series(
+                    terms, scalar, tol, 8, report.product.terms_used
+                )
+                got = report.absolute
+                assert (got.via_log_norms, got.via_deviation_norms, got.terms_used) == absolute, case
+                assert got.agree == (absolute[0] == absolute[1]), case
+                assert report.product.absolute == (log_verdict == "converged"), case
+                assert report.product.criteria_agreement == (
+                    (log_verdict or "inconclusive") == (dev_verdict or "inconclusive")
+                ), case
+                # each family reaches the outcome it is there for
+                assert absolute[:2] == expected[:2], case
+                assert expected[2] in (None, absolute[2]), case
+                if family == "overflow":
+                    assert (report.product.terms_used, log_verdict, dev_verdict) == (
+                        1, None, "diverged"
+                    ), case
+                    assert not report.product.criteria_agreement, case
+                if family == "converge":
+                    assert report.product.absolute, case

@@ -404,19 +404,51 @@ def test_term_generator_checks_its_start_and_indexes_its_errors():
     assert info.value.term_index == 3
 
 
+# (text, scalar lane): each overflows at n = 2 inside the closure named,
+# whose finiteness guard must raise; a literal 1e999 parses to Num(inf)
+OVERFLOW_AT_2 = [
+    ("n + 1e999", True),                       # _num
+    ("1e999", True),
+    ("-1e999*n", True),
+    ("[1e999 | 1]", False),
+    ("1.6e308 + 1e307*n", True),               # _ring(+)
+    ("i2 + 1.6e308 + 1e307*n", False),
+    ("-1.6e308 - 1e307*n", True),              # _ring(-)
+    ("i2 - 1.6e308 - 1e307*n", False),
+    ("1e308*n", True),                         # _ring(*)
+    ("i2*1e308*n", False),
+    ("[1e308 | 1]/[1/n | 1]", False),          # pair division through _ring(*)
+    ("1e308/(1/n)", True),                     # _div_scalar
+    ("[1e308 | 1]/(1/n)", False),              # _div_scaled
+    ("(1e200*n)^2", True),                     # _power, squaring
+    ("[1e200*n | 1]^2", False),
+    ("(1e120*n)^3", True),                     # _power, multiplying
+    ("[1e120*n | 1]^3", False),
+]
+
+
 def test_render_writes_an_overflowing_literal_back():
-    # 1e999 parses to Num(inf); its text must parse back to the same tree
-    # and fail the same way when evaluated
-    for text in ("n + 1e999", "1e999", "-1e999*n", "[1e999 | 1]"):
+    # an overflowing literal's text must parse back to the same tree, and
+    # every overflow must fail the same way when evaluated: the guard of
+    # the closure it happens in raises, and the walker gives the index
+    for text, scalar in OVERFLOW_AT_2:
         tree = parse(text)
         assert parse(render(tree)) == tree, text
+        assert seqspec._lane_terms(tree)[0] is scalar, text
         errors = []
         for node in (tree, parse(render(tree))):
             with pytest.raises(NonFiniteError) as info:
                 eval_term(node, 2)
             errors.append((str(info.value), info.value.term_index))
-        assert errors[0] == errors[1] == ("bicomplex components must be finite", 2)
+            with pytest.raises(NonFiniteError) as info:
+                next(seqspec._lane_terms(node, 2)[1])
+            errors.append((str(info.value), info.value.term_index))
+        assert set(errors) == {("bicomplex components must be finite", 2)}, text
     assert render(Num(math.inf)) == "1e999"
+    # no finite operand takes the inverse past the float range, so its
+    # guard is reached only from a value that is not finite
+    with pytest.raises(NonFiniteError, match="^bicomplex components must be finite$"):
+        seqspec._inverse(complex(math.nan, 0.0))
 
 
 def test_small_component_beside_a_large_one_keeps_its_bits():
