@@ -35,6 +35,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
+from itertools import repeat
 
 __all__ = [
     "Bicomplex",
@@ -562,6 +564,42 @@ def _zero_divisor_test(p: complex, tol: float):
     return cn_mag <= threshold, cn_mag, threshold, m
 
 
+def _none_singular(ps, tol: float) -> bool:
+    """Whether ``_zero_divisor_test(p, tol)`` passes every ``p`` in ``ps``,
+    for ``0 <= tol < 1``, in one scan: ``min(m*m) > tol`` over the moduli.
+
+    Exact: a square ``cn = m*m`` below ``2**1023`` is singular when
+    ``cn <= tol*max(1, cn)``, which is ``cn <= tol`` for ``cn <= 1``, and
+    never holds for ``cn > 1``, where ``tol*cn`` rounds below ``cn``; a
+    larger square goes to the pair test, whose scaled copies are never
+    singular for ``tol < 1`` either. False also where a modulus leaves
+    the float range, so that the per-element test decides.
+    """
+    try:
+        ms = list(map(abs, ps))
+    except OverflowError:
+        return False
+    return min(map(operator.mul, ms, ms)) > tol
+
+
+def _pairs_none_singular(p1s, p2s, tol: float) -> bool:
+    """True only when ``_pair_zero_divisor_test(p1, p2, tol)`` passes every
+    pair of ``p1s`` and ``p2s``, for ``tol > 0``, in one scan of its
+    unscaled comparison: where a side overflows, the threshold is inf and
+    the scan fails, so that the per-element test decides."""
+    try:
+        m1s = list(map(abs, p1s))
+        m2s = list(map(abs, p2s))
+    except OverflowError:
+        return False
+    mul = operator.mul
+    squares = map(operator.add, map(mul, m1s, m1s), map(mul, m2s, m2s))
+    norm_sqs = map(operator.truediv, squares, repeat(2.0))
+    # max(x, 1.0) is x if x > 1.0 else 1.0, the bits the test takes
+    thresholds = map(mul, repeat(tol), map(max, norm_sqs, repeat(1.0)))
+    return not any(map(operator.le, map(mul, m1s, m2s), thresholds))
+
+
 def _pair_inverse(p1: complex, p2: complex, tol: float = SINGULARITY_TOLERANCE):
     """Components ``(1/p1, 1/p2)`` of the inverse. Raises SingularOperand
     when the pair test fires, NonFiniteError where a reciprocal is not
@@ -597,8 +635,9 @@ def _pair_power(p1: complex, p2: complex, exponent: int):
 
 def _power(p: complex, exponent: int) -> complex:
     """``p**exponent`` by square-and-multiply from 1, a negative exponent
-    inverting first. Each product is checked for finiteness, as the ring
-    operations check theirs; no message names a component."""
+    inverting first. Each product into the result is checked for
+    finiteness, as the ring operations check theirs; no message names a
+    component."""
     if exponent < 0:
         p = _inverse(p)
         exponent = -exponent
@@ -610,10 +649,11 @@ def _power(p: complex, exponent: int) -> complex:
                 _check_finite_one(r)
         exponent >>= 1
         if exponent:
-            # skip the last squaring so w**1 never overflows via base*base
+            # skip the last squaring so w**1 never overflows via base*base.
+            # A square is not checked: each one reaches r through a later
+            # r *= p, whose check raises the same NonFiniteError, and inf
+            # or nan never turns finite under multiplication
             p *= p
-            if not _isfinite(p):
-                _check_finite_one(p)
     return r
 
 

@@ -21,21 +21,34 @@ recursion of ``compile_term``, ``eval_term`` and ``render``.
 
 ``parse`` produces an immutable AST, ``render`` turns an AST back into
 canonical text (round-trips through ``parse``). An AST compiles, once
-per expression, to nested closures over the idempotent components
-``(p1, p2)``, the pair a ``Bicomplex`` stores: each ring operation is a
-complex operation per component, and values and errors are bit for bit
-those of the ``Bicomplex`` operations; a scalar subtree (the lane rule
-is in ``_compile``) gets closures over one complex. One index walker,
-``_indexed``, runs every evaluation and attaches the term index to its
-failures:
+per expression, to nested block closures over the idempotent components
+``(p1, p2)``, the pair a ``Bicomplex`` stores: each takes a ``range`` of
+indices and does its node's float operations over the whole block with
+C-level iterators, one complex operation per component, so values and
+errors are bit for bit those of the ``Bicomplex`` operations; a scalar
+subtree (the lane rule is in ``_compile``) gets closures over one
+complex per index. Each check is one scan per block; where a scan
+fails, the node's per-element helper runs over the block in element
+order, so a block of one index raises exactly the ring operation's
+error.
+
+One index walker, ``_indexed``, runs every evaluation and attaches the
+term index to its failures (``_at``, its one-index step, evaluates
+``eval_term``'s index). It evaluates blocks of 1, 2, 4, ... indices,
+at most ``_BLOCK_CAP`` (1,024) and never past the ``stop`` its caller
+gives. Where a block of several indices raises, it evaluates that block
+again one index at a time as its terms are read, so a failure surfaces
+only when its term is read: one among the at most 1,023 indices
+evaluated ahead of the last term read never does.
 
 * ``eval_term`` substitutes a concrete index into an AST or a compiled
   term (``compile_term``), and ``term_generator`` walks the indices,
-  each value a ``Bicomplex``; the library and the CLI's ``eval`` and
-  ``check-bounds`` use them.
+  each value a ``Bicomplex``; both evaluate one index at a time. The
+  library and the CLI's ``eval`` and ``check-bounds`` use them.
 * ``_lane_terms`` yields bare values, one complex each for a scalar
-  term, else pairs; the CLI's ``series`` and ``product`` feed them
-  straight to the analysis passes on that lane.
+  term, else pairs, in blocks; the CLI's ``series`` and ``product`` feed
+  them straight to the analysis passes on that lane, with the term
+  budget as the walker's ``stop``.
 """
 
 from __future__ import annotations
@@ -45,7 +58,7 @@ import math
 import operator
 import re
 from collections import namedtuple
-from collections.abc import Callable
+from itertools import chain, count, repeat
 
 from . import transcendental
 from .core import (
@@ -58,13 +71,13 @@ from .core import (
     Bicomplex,
     NonFiniteError,
     SingularOperand,
-    _check_finite,
     _check_finite_one,
     _fmt_real,
     _inverse,
     _isfinite,
+    _none_singular,
     _pair_inverse,
-    _pair_power,
+    _pairs_none_singular,
     _power,
     _Record,
     _zero_divisor_test,
@@ -350,41 +363,54 @@ class CompiledTerm:
 
     ``components(n)`` gives the idempotent components ``(p1, p2)`` of
     the term at index ``n``; :func:`eval_term` validates ``n`` around it
-    and wraps the pair in a ``Bicomplex``.
+    and wraps the pair in a ``Bicomplex``. ``values`` is the compiled
+    block closure: given a ``range`` of indices, an iterator over their
+    ``(p1, p2)`` pairs.
     """
 
-    __slots__ = ("node", "components")
+    __slots__ = ("node", "values")
 
-    def __init__(self, node, components: Callable[[int], tuple[complex, complex]]):
+    def __init__(self, node, values):
         self.node = node
-        self.components = components
+        self.values = values
+
+    def components(self, n: int) -> tuple[complex, complex]:
+        return next(self.values(range(n, n + 1)))
 
 
 def compile_term(node) -> CompiledTerm:
-    """Compile an AST once into nested closures (see :func:`_compile`)
-    whose root returns the idempotent components ``(p1, p2)``."""
-    return CompiledTerm(node, _as_pair(*_compile(node)))
+    """Compile an AST once into nested block closures (see
+    :func:`_compile`) whose root gives the idempotent components
+    ``(p1, p2)``."""
+    return CompiledTerm(node, _zipped(_as_pair(*_compile(node))))
 
 
 def _compile(node):
     """``(closure, value, scalar)``: ``value`` is what the closure always
-    returns, or None when it depends on ``n`` or raises.
+    gives at one index, or None when it depends on ``n`` or raises.
 
-    Each closure does the float operations of the ``Bicomplex`` operation
-    it stands for, one complex operation per component but for
-    inversion, in the same order and with the same checks, so values and
-    errors are bit for bit those of the ring operations; a division,
-    negative power or ``log``/``sqrt`` makes the zero-divisor test on the
-    pair (``core._pair_zero_divisor_test``). Subtrees that do not use
-    ``n`` are evaluated here, except those that raise: they stay in
-    place, so their error comes from every evaluation.
+    Each closure is a block closure: given a ``range`` of indices, it
+    returns the node's values there, one list on the scalar lane, two
+    (the ``p1`` and the ``p2`` of each index) on the pair lane. It does
+    the float operations of the ``Bicomplex`` operation it stands for,
+    one complex operation per component but for inversion, in the same
+    order, each as one C-level ``map`` over the block, so values are bit
+    for bit those of the ring operations. Each check is one scan per
+    block; where a scan fails, the node runs the per-element helper
+    (``core._check_finite_one``, ``_inverse``, ``_power`` and the like) over
+    the block in element order, so a block of one index raises exactly
+    the ring operation's error. A division, negative power or
+    ``log``/``sqrt`` makes the zero-divisor test on the pair
+    (``core._pair_zero_divisor_test``). Subtrees that do not use ``n``
+    are evaluated here, at one index, except those that raise: they stay
+    in place, so their error comes from every evaluation.
 
     The lane rule: a node is scalar when it is ``n``, a number, ``pi``
     or ``i1``, or an operation other than ``[a | b]`` on scalar operands.
     Its value has ``p1 == p2`` bit for bit (``n`` and numbers are
     ``(x, x)``, ``pi`` and ``i1`` are stored so, and every operation
     applies the same float operations to equal components), so its
-    closure returns one complex and does the pair closure's work once,
+    closure returns one list and does the pair closure's work once,
     with the same checks made on the one component: ``_zero_divisor_test``
     and ``_check_finite_one`` give the bits and errors of the pair checks
     on ``(x, x)``. A pair node reads a scalar operand as ``(x, x)``, and a
@@ -405,10 +431,11 @@ def _compile(node):
     if type(node) is Var or any(value is None for _, value, _ in compiled):
         return fn, None, scalar
     try:
-        value = fn(1)
+        block = fn(range(1, 2))
     except (ArithmeticError, ValueError):
         return fn, None, scalar
-    return _constant(value), value, scalar
+    value = block[0] if scalar else (block[0][0], block[1][0])
+    return _constant(value, scalar), value, scalar
 
 
 def _as_pair(fn, value, scalar):
@@ -416,23 +443,85 @@ def _as_pair(fn, value, scalar):
     if not scalar:
         return fn
     if value is not None:
-        return _constant((value, value))
+        return _constant((value, value), False)
 
-    def pair(n):
-        x = fn(n)
-        return x, x
+    def pair(ns):
+        xs = fn(ns)
+        return xs, xs
 
     return pair
 
 
-def _constant(value):
-    return lambda n: value
+def _zipped(fn):
+    """A pair closure whose block is read as ``(p1, p2)`` values."""
+
+    def values(ns):
+        p1s, p2s = fn(ns)
+        return zip(p1s, p2s)
+
+    return values
+
+
+def _constant(value, scalar):
+    if scalar:
+        return lambda ns: [value] * len(ns)
+    v1, v2 = value
+    return lambda ns: ([v1] * len(ns), [v2] * len(ns))
+
+
+def _checked(ps):
+    """``ps`` after one finiteness scan; where it fails, ``_check_finite_one``
+    raises at the first value that is not finite."""
+    if not all(map(_isfinite, ps)):
+        for p in ps:
+            _check_finite_one(p)
+    return ps
+
+
+def _inverses(ps):
+    """``_inverse`` of each value, its zero-divisor test and finiteness
+    check one scan each."""
+    if _none_singular(ps, SINGULARITY_TOLERANCE):
+        rs = list(map(operator.truediv, repeat(1.0), ps))
+        if all(map(_isfinite, rs)):
+            return rs
+    return list(map(_inverse, ps))
+
+
+def _pair_inverses(p1s, p2s):
+    """``_pair_inverse`` of each pair, as the list of ``r1`` and of ``r2``."""
+    if _pairs_none_singular(p1s, p2s, SINGULARITY_TOLERANCE):
+        r1s = list(map(operator.truediv, repeat(1.0), p1s))
+        r2s = list(map(operator.truediv, repeat(1.0), p2s))
+        if all(map(_isfinite, r1s)) and all(map(_isfinite, r2s)):
+            return r1s, r2s
+    pairs = list(map(_pair_inverse, p1s, p2s))
+    return [r1 for r1, _ in pairs], [r2 for _, r2 in pairs]
+
+
+def _powers(ps, exponent: int):
+    """``_power`` of each value: square-and-multiply list-wise, each
+    product into the result scanned once."""
+    base, k = ps, exponent
+    if k < 0:
+        base, k = _inverses(ps), -k
+    rs = [1 + 0j] * len(ps)
+    while k:
+        if k & 1:
+            rs = list(map(operator.mul, rs, base))
+            if not all(map(_isfinite, rs)):
+                return list(map(_power, ps, repeat(exponent)))
+        k >>= 1
+        if k:
+            base = list(map(operator.mul, base, base))
+    return rs
 
 
 def _var(node):
-    def fn(n):
+    def fn(ns):
         try:
-            return complex(float(n))
+            # complex(n) rounds n to a float as float(n) does
+            return list(map(complex, ns))
         except OverflowError:
             raise NonFiniteError("term index n is past the float range") from None
 
@@ -442,53 +531,38 @@ def _var(node):
 def _num(node):
     value = node.value
 
-    def fn(n):
-        x = complex(value)
-        if not _isfinite(x):
-            _check_finite_one(x)
-        return x
+    def fn(ns):
+        return _checked([complex(value)]) * len(ns)
 
     return fn
 
 
 def _const_scalar(node):
-    return _constant(_CONSTANTS[node.name].p1) if node.name in _SCALAR_CONSTANTS else None
-
-
-def _div_scalar(node, left, right):
-    def fn(n):
-        p = left(n) * _inverse(right(n))
-        if not _isfinite(p):
-            _check_finite_one(p)
-        return p
-
-    return fn
+    return _constant(_CONSTANTS[node.name].p1, True) if node.name in _SCALAR_CONSTANTS else None
 
 
 def _pow_scalar(node, base):
     exponent = node.exponent
-
-    def fn(n):
-        return _power(base(n), exponent)
-
-    return fn
+    return lambda ns: _powers(base(ns), exponent)
 
 
 def _call_scalar(node, arg):
     func, what = _FUNCTIONS[node.func]
 
-    def fn(n):
-        p = arg(n)
-        if what is not None and _zero_divisor_test(p, SINGULARITY_TOLERANCE)[0]:
-            raise _not_invertible(what)
-        return func(p)
+    def fn(ns):
+        ps = arg(ns)
+        if what is not None and not _none_singular(ps, SINGULARITY_TOLERANCE):
+            for p in ps:
+                if _zero_divisor_test(p, SINGULARITY_TOLERANCE)[0]:
+                    raise _not_invertible(what)
+        return list(map(func, ps))
 
     return fn
 
 
 def _const(node):
     w = _CONSTANTS[node.name]
-    return _constant((w.p1, w.p2))
+    return _constant((w.p1, w.p2), False)
 
 
 def _ring(op):
@@ -496,25 +570,17 @@ def _ring(op):
     on each idempotent component."""
 
     def pair(node, left, right):
-        def fn(n):
-            a1, a2 = left(n)
-            b1, b2 = right(n)
-            p1 = op(a1, b1)
-            p2 = op(a2, b2)
-            if not (_isfinite(p1) and _isfinite(p2)):
-                _check_finite(p1, p2)
-            return p1, p2
+        def fn(ns):
+            a1s, a2s = left(ns)
+            b1s, b2s = right(ns)
+            # each component checked alone: _check_finite_one raises the
+            # error of _check_finite(p1, p2)
+            return _checked(list(map(op, a1s, b1s))), _checked(list(map(op, a2s, b2s)))
 
         return fn
 
     def scalar(node, left, right):
-        def fn(n):
-            p = op(left(n), right(n))
-            if not _isfinite(p):
-                _check_finite_one(p)
-            return p
-
-        return fn
+        return lambda ns: _checked(list(map(op, left(ns), right(ns))))
 
     return pair, scalar
 
@@ -527,39 +593,42 @@ _MUL = _ring(operator.mul)
 def _zero_minus(sub, zero):
     """A negation builder: ``0 - x`` through ``sub``, Sub's builder, which
     keeps a zero part +0.0 where ``-x`` would flip it."""
-    zero = _constant(zero)
     return lambda node, arg: sub(node, zero, arg)
 
 
-_NEG = _zero_minus(_SUB[0], (0j, 0j)), _zero_minus(_SUB[1], 0j)
+_NEG = (
+    _zero_minus(_SUB[0], _constant((0j, 0j), False)),
+    _zero_minus(_SUB[1], _constant(0j, True)),
+)
+
+
+def _inverted(right):
+    """The block closure of the inverse of a scalar operand."""
+    return lambda ns: _inverses(right(ns))
+
+
+def _div_scalar(node, left, right):
+    return _MUL[1](node, left, _inverted(right))
 
 
 def _div(node, left, right):
-    def inverse(n):
-        return _pair_inverse(*right(n))
-
-    return _MUL[0](node, left, inverse)
+    return _MUL[0](node, left, lambda ns: _pair_inverses(*right(ns)))
 
 
 def _div_scaled(node, left, right):
-    def fn(n):
-        a1, a2 = left(n)
-        r = _inverse(right(n))
-        p1 = a1 * r
-        p2 = a2 * r
-        if not (_isfinite(p1) and _isfinite(p2)):
-            _check_finite(p1, p2)
-        return p1, p2
-
-    return fn
+    # each component times the one inverse of the scalar
+    return _MUL[0](node, left, _as_pair(_inverted(right), None, True))
 
 
 def _pow(node, base):
     exponent = node.exponent
 
-    def fn(n):
-        a1, a2 = base(n)
-        return _pair_power(a1, a2, exponent)
+    def fn(ns):
+        p1s, p2s = base(ns)
+        k = exponent
+        if k < 0:
+            (p1s, p2s), k = _pair_inverses(p1s, p2s), -k
+        return _powers(p1s, k), _powers(p2s, k)
 
     return fn
 
@@ -567,25 +636,26 @@ def _pow(node, base):
 def _call(node, arg):
     func, what = _FUNCTIONS[node.func]
 
-    def fn(n):
-        p1, p2 = arg(n)
-        if what is not None:
-            _invertible_pair(p1, p2, SINGULARITY_TOLERANCE, what)
-        return func(p1), func(p2)
+    def fn(ns):
+        p1s, p2s = arg(ns)
+        if what is not None and not _pairs_none_singular(p1s, p2s, SINGULARITY_TOLERANCE):
+            for p1, p2 in zip(p1s, p2s):
+                _invertible_pair(p1, p2, SINGULARITY_TOLERANCE, what)
+        return list(map(func, p1s)), list(map(func, p2s))
 
     return fn
 
 
 def _idem(node, first, second):
     # a slot value has no second complex part when its components agree
-    def fn(n):
-        f1, f2 = first(n)
-        s1, s2 = second(n)
-        if f1 != f2 or s1 != s2:
+    def fn(ns):
+        f1s, f2s = first(ns)
+        s1s, s2s = second(ns)
+        if f1s != f2s or s1s != s2s:
             raise IdempotentSlotError(
                 "idempotent slot values must have no second complex part"
             )
-        return f1, s1
+        return f1s, s1s
 
     return fn
 
@@ -628,20 +698,21 @@ def eval_term(term, n: int) -> Bicomplex:
     _check_index(n, "term")
     if not isinstance(term, CompiledTerm):
         term = compile_term(term)
-    return Bicomplex._make(*next(_indexed(term.components, n)))
+    return Bicomplex._make(*next(_at(term.values, n)))
 
 
 def term_generator(source, start: int = 1):
     """Yield eval_term(term, n) for n = start, start+1, ...
 
     ``source`` may be expression text, an AST or a compiled term; it is
-    parsed and compiled once up front.
+    parsed and compiled once up front. Each term is evaluated when it is
+    read, none ahead.
     """
     node = parse(source) if isinstance(source, str) else source
     _check_index(start, "start")
     term = node if isinstance(node, CompiledTerm) else compile_term(node)
-    for p1, p2 in _indexed(term.components, start):
-        yield Bicomplex._make(p1, p2)
+    for n in count(start):
+        yield eval_term(term, n)
 
 
 def _check_index(n, what: str) -> None:
@@ -651,21 +722,58 @@ def _check_index(n, what: str) -> None:
         raise ValueError(f"{what} index must be at least 1")
 
 
-def _lane_terms(node, start: int = 1):
+def _lane_terms(node, start: int = 1, stop: int | None = None):
     """``(scalar, terms)``: the lane of an AST compiled once, and its values
-    at n = start, start+1, ...: one complex each on the scalar lane, else
-    ``(p1, p2)``. Errors carry ``term_index=n``, as eval_term's do."""
+    at n = start, start+1, ..., short of ``stop`` if given: one complex
+    each on the scalar lane, else ``(p1, p2)``. Errors carry
+    ``term_index=n``, as eval_term's do."""
     fn, _, scalar = _compile(node)
-    return scalar, _indexed(fn, start)
+    return scalar, _indexed(fn if scalar else _zipped(fn), start, stop)
 
 
-def _indexed(fn, start: int):
-    """``fn(n)`` for n = start, start+1, ...: the one index walker, which
-    re-raises a term's failure carrying ``term_index=n``."""
-    n = start
+# The largest block the walker evaluates at once. Blocks double from one
+# index up to it, so a pass that stops reading at term k has had at most
+# _BLOCK_CAP - 1 indices past k evaluated.
+_BLOCK_CAP = 1024
+
+
+def _indexed(fn, start: int, stop: int | None = None):
+    """The values the block closure ``fn`` gives at n = start, start+1,
+    ..., short of ``stop`` if given: the one index walker.
+
+    It evaluates blocks of 1, 2, 4, ... indices, at most ``_BLOCK_CAP``
+    and never past ``stop``, and hands their values on at C speed. Where
+    a block of several indices raises, it is evaluated again one index at
+    a time as its terms are read: the terms before the failing index are
+    read as usual, and the failure, re-raised carrying ``term_index=n``,
+    surfaces only when term n is read. A failure in indices evaluated
+    ahead of the last term read never surfaces.
+    """
+    return chain.from_iterable(_blocks(fn, start, stop))
+
+
+def _blocks(fn, n: int, stop: int | None):
+    size = 1
+    while stop is None or n < stop:
+        end = n + size if stop is None else min(n + size, stop)
+        values = None
+        if end - n > 1:
+            try:
+                values = fn(range(n, end))
+            except (ArithmeticError, ValueError):
+                pass  # some index fails: evaluate one at a time
+        if values is None:
+            yield from map(_at, repeat(fn), range(n, end))
+        else:
+            yield values
+        n = end
+        size = min(size + size, _BLOCK_CAP)
+
+
+def _at(fn, n: int):
+    """``fn`` on the one index ``n``; a term's failure is re-raised
+    carrying ``term_index=n``."""
     try:
-        while True:
-            yield fn(n)
-            n += 1
+        return fn(range(n, n + 1))
     except _TERM_ERRORS as err:
         raise type(err)(str(err), term_index=n) from None

@@ -159,6 +159,68 @@ def test_singular_eval_exits_3():
     assert err.startswith("singular abort:")
 
 
+# `series` on exp(-n) plus a zero term that is singular at one index: the
+# pass converges at term 30, before that index
+READ_AHEAD_TEXT = """\
+verdict: converged
+terms used: 30
+tail delta: 5.96673e-11
+absolute: yes
+component verdicts: converged, converged
+limit estimate (four-real): 0.581977 + 0*i1 + 0*i2 + 0*j
+limit estimate (idempotent): [0.581977 | 0.581977]
+"""
+READ_AHEAD_REPORT = {
+    "verdict": "converged",
+    "terms_used": 30,
+    "tail_delta": 5.96672711239421e-11,
+    "absolute": True,
+    "component_verdicts": ["converged", "converged"],
+    "absolute_component_verdicts": ["converged", "converged"],
+    "limit_estimate": {
+        "four_reals": [0.5819767068692718, 0.0, 0.0, 0.0],
+        "idempotent": [[0.5819767068692718, 0.0], [0.5819767068692718, 0.0]],
+    },
+}
+
+
+def test_a_failure_in_read_ahead_never_surfaces(monkeypatch):
+    from bicomplex import seqspec
+
+    blocks = []
+    original = seqspec._indexed
+
+    def recording(fn, start, stop=None):
+        def block(ns):
+            blocks.append(list(ns))
+            return fn(ns)
+
+        return original(block, start, stop)
+
+    monkeypatch.setattr(seqspec, "_indexed", recording)
+    doubling = [[1], [2, 3], list(range(4, 8)), list(range(8, 16)), list(range(16, 32))]
+    # index 31 ends the block that holds term 30: the block fails, and
+    # its indices are evaluated again one at a time as they are read, up
+    # to term 30. Index 40 lies in the next block, which is never read.
+    for singular, evaluated in (
+        (31, doubling + [[n] for n in range(16, 31)]),
+        (40, doubling),
+    ):
+        text = f"exp(-n) + 0/(n - {singular})"
+        blocks.clear()
+        assert run_cli(["series", "--", text]) == (0, READ_AHEAD_TEXT, "")
+        assert blocks == evaluated, singular
+        code, out, err = run_cli(["series", "--json", "--", text])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["report"] == READ_AHEAD_REPORT
+        assert run_cli(["eval", "--at", str(singular), "--", text]) == (
+            3,
+            "",
+            "singular abort: value is a zero divisor within tolerance"
+            " (|cn| = 0.000e+00 <= 1.000e-12)\n",
+        )
+
+
 def test_product_singular_term_exits_3():
     code, out, err = run_cli(["product", "1 - 1/n", "--json"])
     assert code == 3

@@ -45,6 +45,8 @@ from bicomplex.seqspec import (
     Var,
     _as_pair,
     _compile,
+    _indexed,
+    _zipped,
     compile_term,
     eval_term,
     parse,
@@ -384,13 +386,18 @@ def _pair_lane(node):
     return build(node, *(_pair_lane(getattr(node, name)) for name, _ in operands))
 
 
+def _at(fn, n: int):
+    """A block closure's values at the one index ``n``."""
+    return fn(range(n, n + 1))
+
+
 def _closure_outcome(fn, n: int, scalar: bool):
     try:
-        value = fn(n)
+        value = _at(fn, n)
     except (ArithmeticError, ValueError) as err:
         # the index the walkers attach
         return ("raised", type(err), str(err), n)
-    p1, p2 = (value, value) if scalar else value
+    (p1,), (p2,) = (value, value) if scalar else value
     return ("value", p1.real.hex(), p1.imag.hex(), p2.real.hex(), p2.imag.hex())
 
 
@@ -469,3 +476,84 @@ def test_scalar_constants_have_equal_components():
     for name, w in _CONSTANTS.items():
         same = (w.p1.real.hex(), w.p1.imag.hex()) == (w.p2.real.hex(), w.p2.imag.hex())
         assert same is (name in _SCALAR_CONSTANTS), name
+
+
+# -- blocks: a block of indices against each index alone --
+
+# indices scanned for failures: the small ones where n - c vanishes, and
+# those where exp(n) leaves the float range
+BLOCK_SCAN = list(range(1, 130)) + list(range(690, 760))
+
+
+def _block_hex(block, scalar: bool) -> list[tuple]:
+    """The bits of a block's values, one tuple per index."""
+    p1s, p2s = (block, block) if scalar else block
+    return [
+        ("value", p1.real.hex(), p1.imag.hex(), p2.real.hex(), p2.imag.hex())
+        for p1, p2 in zip(p1s, p2s)
+    ]
+
+
+def _assert_blocks_match_one_index(fn, scalar: bool, rng, label) -> set:
+    """Blocks of 1..70 indices, from starts on both sides of the failing
+    indices, against each index evaluated alone: a block gives the same
+    bits, or fails where an index does, with that index's error; the
+    walker hands on the values up to the first failing index, then raises
+    its error carrying its index. Returns what the blocks did."""
+    alone = {}
+
+    def one(n):
+        if n not in alone:
+            try:
+                alone[n] = _block_hex(_at(fn, n), scalar)[0]
+            except (ArithmeticError, ValueError) as err:
+                alone[n] = ("raised", type(err), str(err), n)
+        return alone[n]
+
+    failing = [n for n in BLOCK_SCAN if one(n)[0] == "raised"]
+    starts = {1, int(rng.integers(1, 760))}
+    for n in failing[:3]:
+        starts |= {max(1, n - int(rng.integers(1, 70))), n + 1}
+    seen = set()
+    for start in sorted(starts):
+        k = int(rng.integers(1, 71))
+        want = [one(n) for n in range(start, start + k)]
+        try:
+            got = _block_hex(fn(range(start, start + k)), scalar)
+        except (ArithmeticError, ValueError) as err:
+            errors = {w[1:3] for w in want if w[0] == "raised"}
+            assert (type(err), str(err)) in errors, (label, start, k)
+            seen.add("block failed")
+        else:
+            assert got == want, (label, start, k)
+        walked = []
+        try:
+            for value in _indexed(fn if scalar else _zipped(fn), start, start + k):
+                walked += _block_hex([value] if scalar else ([value[0]], [value[1]]), scalar)
+        except (ArithmeticError, ValueError) as err:
+            walked.append(("raised", type(err), str(err), err.term_index))
+            seen.add("prefix then error" if len(walked) > 1 else "error")
+        first = next((i for i, w in enumerate(want) if w[0] == "raised"), k - 1)
+        assert walked == want[: first + 1], (label, start, k)
+    return seen
+
+
+def _assert_lanes_block_match(node, rng) -> set:
+    fn, _, scalar = _compile(node)
+    seen = _assert_blocks_match_one_index(fn, scalar, rng, render(node))
+    return seen | _assert_blocks_match_one_index(_pair_lane(node), False, rng, render(node))
+
+
+def test_blocks_match_one_index_on_random_asts():
+    rng = np.random.default_rng(1919)
+    seen = set()
+    for _ in range(150):
+        seen |= _assert_lanes_block_match(_random_ast(rng, int(rng.integers(1, 6))), rng)
+        seen |= _assert_lanes_block_match(_random_scalar_ast(rng, int(rng.integers(1, 6))), rng)
+    # the sample reaches failing blocks, and failures after good terms
+    assert seen == {"block failed", "prefix then error", "error"}
+
+
+@pytest.mark.parametrize("text", LANE_NAMED)
+def test_blocks_match_one_index_on_named_expressions(text):
+    _assert_lanes_block_match(parse(text), np.random.default_rng(2020))

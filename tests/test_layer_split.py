@@ -1,5 +1,6 @@
 """tools/layer_split.py runs on a small term budget and prints one row
-per long workload, with its lane, term count and two costs.
+per long workload, with its lane, term count, evaluated indices and two
+costs.
 
 The tool is run as a script, as it is used.
 """
@@ -23,11 +24,13 @@ def test_layer_split_prints_one_row_per_long_workload():
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
     assert lines[:2] == [
-        "| term | lane | terms | eval ns/term | pass ns/term |",
-        "|---|---|---:|---:|---:|",
+        "| term | lane | terms | evaluated | eval ns/term | pass ns/term |",
+        "|---|---|---:|---:|---:|---:|",
     ]
-    rows = [re.fullmatch(r"\| `(.+)` \| (\w+) \| ([\d,]+) \| ([\d,]+) \| ([\d,]+) \|", line)
-            for line in lines[2:]]
+    rows = [
+        re.fullmatch(r"\| `(.+)` \| (\w+)" + r" \| ([\d,]+)" * 4 + r" \|", line)
+        for line in lines[2:]
+    ]
     assert all(rows), lines
     got = [(m[1], m[2], int(m[3].replace(",", ""))) for m in rows]
     # on 300 terms no verdict is reached: each pass reads the whole budget
@@ -36,7 +39,11 @@ def test_layer_split_prints_one_row_per_long_workload():
         ('product "1+1/n"', "scalar", 300),
         ('series "1/n^2"', "scalar", 300),
     ]
-    assert all(int(m[4].replace(",", "")) > 0 and int(m[5].replace(",", "")) > 0 for m in rows)
+    for m in rows:
+        terms, evaluated, eval_ns, pass_ns = (int(m[i].replace(",", "")) for i in range(3, 7))
+        # read-ahead reaches at most to the end of the last term's block
+        assert terms <= evaluated < terms + 1024
+        assert eval_ns > 0 and pass_ns > 0
 
 
 def test_layer_split_refuses_bad_sizes():

@@ -394,21 +394,30 @@ def test_one_pass_matches_separate_passes_on_random_expressions():
 
 
 def _count_pair_evaluations(monkeypatch) -> list[int]:
-    """Record the index of every evaluation of a compiled closure by the
-    index walker ``seqspec._indexed``, the seam through which the CLI's
-    product and series read terms on either lane."""
+    """Record the indices of every block a compiled closure is evaluated
+    on by the index walker ``seqspec._indexed``, the seam through which
+    the CLI's product and series read terms on either lane."""
     calls = []
     original = seqspec._indexed
 
-    def indexed_counting(fn, start):
-        def counting(n):
-            calls.append(n)
-            return fn(n)
+    def indexed_counting(fn, start, stop=None):
+        def counting(ns):
+            calls.extend(ns)
+            return fn(ns)
 
-        return original(counting, start)
+        return original(counting, start, stop)
 
     monkeypatch.setattr(seqspec, "_indexed", indexed_counting)
     return calls
+
+
+def _assert_read_ahead(calls: list[int], used: int) -> None:
+    """Where a verdict ends the pass, the walker has evaluated indices 1..k,
+    each once and in order, k reaching at most to the end of the block
+    that holds the last term read."""
+    k = len(calls)
+    assert calls == list(range(1, k + 1))
+    assert used <= k < used + seqspec._BLOCK_CAP
 
 
 def test_cli_product_evaluates_each_term_once(monkeypatch):
@@ -425,7 +434,7 @@ def test_cli_product_evaluates_each_term_once(monkeypatch):
         doc["log_sum_identity"]["terms_used"],
     ]
     assert len(set(used)) == 3
-    assert calls == list(range(1, max(used) + 1))
+    _assert_read_ahead(calls, max(used))
 
     # the scalar lane: the budget runs out, the absolute check stops early
     calls.clear()
@@ -443,7 +452,7 @@ def test_cli_series_evaluates_each_term_once(monkeypatch):
     assert code == 0
     used = json.loads(out)["report"]["terms_used"]
     assert 1 < used < 10**6
-    assert calls == list(range(1, used + 1))
+    _assert_read_ahead(calls, used)
 
     # the scalar lane: the budget runs out
     calls.clear()

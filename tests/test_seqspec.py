@@ -405,7 +405,9 @@ def test_term_generator_checks_its_start_and_indexes_its_errors():
 
 
 # (text, scalar lane): each overflows at n = 2 inside the closure named,
-# whose finiteness guard must raise; a literal 1e999 parses to Num(inf)
+# whose finiteness guard must raise (an overflowing square raises at the
+# product into the result that reads it); a literal 1e999 parses to
+# Num(inf)
 OVERFLOW_AT_2 = [
     ("n + 1e999", True),                       # _num
     ("1e999", True),
@@ -424,6 +426,8 @@ OVERFLOW_AT_2 = [
     ("[1e200*n | 1]^2", False),
     ("(1e120*n)^3", True),                     # _power, multiplying
     ("[1e120*n | 1]^3", False),
+    ("(1e77*n)^4", True),                      # _power, two squarings
+    ("(1e77*n + 0*i2)^4", False),
 ]
 
 

@@ -6,8 +6,12 @@ For each of the three long workloads -- ``product "1 + (3/10 +
 
 * the lane the CLI runs the expression on (scalar or pair);
 * the number of terms its pass reads;
-* evaluation ns/term: the compiled term evaluated at n = 1 .. terms
-  through the index walker, as the CLI evaluates it;
+* the number of indices the index walker evaluates in that run, its
+  read-ahead to the end of the block that holds the last term read
+  included;
+* evaluation ns/term: the compiled term evaluated through the index
+  walker, with the CLI's term budget, until the pass's terms are read
+  (read-ahead included), per term read;
 * pass ns/term: the CLI's pass (``_analyze_product_pairs`` or
   ``_analyze_pairs``) over those terms prebuilt in a list.
 
@@ -59,24 +63,53 @@ def _min_ns(run, repeats: int) -> int:
     return best
 
 
-def split(command: str, text: str, n_max: int, repeats: int) -> tuple[str, int, float, float]:
-    """``(lane, terms, eval ns/term, pass ns/term)`` of one CLI run."""
+def _evaluated(run) -> int:
+    """The number of indices the index walker evaluates during ``run()``:
+    its block closures are counted at the walker's seam."""
+    total = 0
+    original = seqspec._indexed
+
+    def counting_indexed(fn, start, stop=None):
+        def counting(ns):
+            nonlocal total
+            total += len(ns)
+            return fn(ns)
+
+        return original(counting, start, stop)
+
+    seqspec._indexed = counting_indexed
+    try:
+        run()
+    finally:
+        seqspec._indexed = original
+    return total
+
+
+def split(
+    command: str, text: str, n_max: int, repeats: int
+) -> tuple[str, int, int, float, float]:
+    """``(lane, terms, evaluated, eval ns/term, pass ns/term)`` of one CLI
+    run."""
     node = seqspec.parse(text)
-    scalar, terms = seqspec._lane_terms(node)
     run_pass = PASSES[command]
+    scalar = seqspec._lane_terms(node)[0]
     # the pass reads exactly the terms it needs: keep those
     read = []
-    run_pass(
-        (read.append(term) or term for term in terms), TOL, WINDOW, n_max, scalar
-    )
+
+    def cli_run():
+        terms = seqspec._lane_terms(node, 1, n_max + 1)[1]
+        run_pass((read.append(term) or term for term in terms), TOL, WINDOW, n_max, scalar)
+
+    evaluated = _evaluated(cli_run)
     count = len(read)
 
     def evaluate():
-        deque(islice(seqspec._lane_terms(node)[1], count), maxlen=0)
+        deque(islice(seqspec._lane_terms(node, 1, n_max + 1)[1], count), maxlen=0)
 
     eval_ns = _min_ns(evaluate, repeats)
     pass_ns = _min_ns(lambda: run_pass(iter(read), TOL, WINDOW, n_max, scalar), repeats)
-    return "scalar" if scalar else "pair", count, eval_ns / count, pass_ns / count
+    lane = "scalar" if scalar else "pair"
+    return lane, count, evaluated, eval_ns / count, pass_ns / count
 
 
 def main(argv=None) -> int:
@@ -89,13 +122,16 @@ def main(argv=None) -> int:
     if args.max_terms is not None and args.max_terms < 1:
         parser.error("--max-terms must be at least 1")
 
-    print("| term | lane | terms | eval ns/term | pass ns/term |")
-    print("|---|---|---:|---:|---:|")
+    print("| term | lane | terms | evaluated | eval ns/term | pass ns/term |")
+    print("|---|---|---:|---:|---:|---:|")
     for command, text, budget in WORKLOADS:
         n_max = budget if args.max_terms is None else min(budget, args.max_terms)
-        lane, count, eval_ns, pass_ns = split(command, text, n_max, args.repeats)
+        lane, count, evaluated, eval_ns, pass_ns = split(command, text, n_max, args.repeats)
         term = f'{command} "{text}"'
-        print(f"| `{term}` | {lane} | {count:,} | {eval_ns:,.0f} | {pass_ns:,.0f} |")
+        print(
+            f"| `{term}` | {lane} | {count:,} | {evaluated:,}"
+            f" | {eval_ns:,.0f} | {pass_ns:,.0f} |"
+        )
     return 0
 
 
