@@ -170,8 +170,8 @@ def _series_json(report) -> dict:
 
 
 def _cmd_series(args: argparse.Namespace, node) -> int:
-    scalar, terms = seqspec._lane_terms(node, 1, args.max_terms + 1)
-    report = _analyze_pairs(terms, args.tol, args.window, args.max_terms, scalar)
+    scalar, blocks = seqspec._lane_blocks(node, 1, args.max_terms + 1)
+    report = _analyze_pairs(blocks, args.tol, args.window, args.max_terms, scalar)
     lines = [
         f"verdict: {report.verdict}",
         f"terms used: {report.terms_used}",
@@ -187,9 +187,9 @@ def _cmd_series(args: argparse.Namespace, node) -> int:
 
 
 def _cmd_product(args: argparse.Namespace, node) -> int:
-    scalar, terms = seqspec._lane_terms(node, 1, args.max_terms + 1)
+    scalar, blocks = seqspec._lane_blocks(node, 1, args.max_terms + 1)
     report, absolute_check, identity = _analyze_product_pairs(
-        terms, args.tol, args.window, args.max_terms, scalar
+        blocks, args.tol, args.window, args.max_terms, scalar
     )
     lines = [
         f"verdict: {report.verdict}",

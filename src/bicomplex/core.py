@@ -36,7 +36,6 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from itertools import repeat
 
 __all__ = [
     "Bicomplex",
@@ -572,32 +571,41 @@ def _none_singular(ps, tol: float) -> bool:
     ``cn <= tol*max(1, cn)``, which is ``cn <= tol`` for ``cn <= 1``, and
     never holds for ``cn > 1``, where ``tol*cn`` rounds below ``cn``; a
     larger square goes to the pair test, whose scaled copies are never
-    singular for ``tol < 1`` either. False also where a modulus leaves
-    the float range, so that the per-element test decides.
+    singular for ``tol < 1`` either. Where a modulus leaves the float
+    range, the per-element test decides.
     """
     try:
         ms = list(map(abs, ps))
     except OverflowError:
-        return False
+        return not any(_zero_divisor_test(p, tol)[0] for p in ps)
     return min(map(operator.mul, ms, ms)) > tol
 
 
 def _pairs_none_singular(p1s, p2s, tol: float) -> bool:
     """True only when ``_pair_zero_divisor_test(p1, p2, tol)`` passes every
-    pair of ``p1s`` and ``p2s``, for ``tol > 0``, in one scan of its
-    unscaled comparison: where a side overflows, the threshold is inf and
-    the scan fails, so that the per-element test decides."""
+    pair of ``p1s`` and ``p2s``, for ``tol >= 0``, from the extremes of the
+    moduli: ``min(m1s)*min(m2s) > tol*max(1, (M1*M1 + M2*M2)/2.0)``, where
+    ``M1`` and ``M2`` are the largest moduli.
+
+    A sufficient bound, because rounding is monotone: each float
+    operation of the test gives a result no smaller for operands no
+    smaller. So each pair's ``|p1|*|p2|`` rounds to at least the product
+    of the smallest moduli, and its threshold, built from moduli no larger
+    than ``M1`` and ``M2`` by the same operations, to at most the right
+    side. Where the right side is inf (``M1*M1 + M2*M2`` overflows), the
+    bound fails; elsewhere no pair's products overflow either, so no pair
+    takes the test's scaled branch. Where a modulus leaves the float
+    range, it fails too, and the per-element test decides.
+    """
     try:
         m1s = list(map(abs, p1s))
         m2s = list(map(abs, p2s))
     except OverflowError:
         return False
-    mul = operator.mul
-    squares = map(operator.add, map(mul, m1s, m1s), map(mul, m2s, m2s))
-    norm_sqs = map(operator.truediv, squares, repeat(2.0))
-    # max(x, 1.0) is x if x > 1.0 else 1.0, the bits the test takes
-    thresholds = map(mul, repeat(tol), map(max, norm_sqs, repeat(1.0)))
-    return not any(map(operator.le, map(mul, m1s, m2s), thresholds))
+    big1 = max(m1s)
+    big2 = max(m2s)
+    norm_sq = (big1 * big1 + big2 * big2) / 2.0
+    return min(m1s) * min(m2s) > tol * (norm_sq if norm_sq > 1.0 else 1.0)
 
 
 def _pair_inverse(p1: complex, p2: complex, tol: float = SINGULARITY_TOLERANCE):

@@ -38,10 +38,37 @@ counts) or once both norm series, which the product report shares,
 have decided; the identity after ``min(n_max, LOG_SUM_CAP)`` terms.
 ``evaluate_product``, ``absolute_convergence_check`` and
 ``log_sum_equivalence`` run the same pass for one report each. The
-public analyzers read the pair a Bicomplex term stores; the CLI's
-``product`` feeds compiled terms straight in, with no ``Bicomplex``,
-and a scalar term as one complex, both components (``_product_pass``).
-Zero divisors are found with the zero-divisor test on the pair.
+pass reads its terms in blocks: the public analyzers hand it the pair a
+Bicomplex term stores, one term per block, as each is read; the CLI's
+``product`` hands it the index walker's blocks of compiled terms, with
+no ``Bicomplex``, and a scalar term as one complex, both components.
+A run of terms where no rule can fire is taken in one block step
+(``_product_pass``). Zero divisors are found with the zero-divisor test
+on the pair.
+
+The paper's decomposition: the product of ``[a | b]`` converges exactly
+when the complex products of ``a`` and of ``b`` both converge to nonzero
+limits. The verdict of ``[a | b]`` against the verdicts of ``a`` and
+``b`` run as complex products (``converged`` is converged_nonsingular;
+either order):
+
+=========================================  ===========================
+component verdicts                         product verdict
+=========================================  ===========================
+(converged, converged)                     converged
+(converged, diverged_to_zero)              diverged: the stable limit
+                                           is a zero divisor
+(diverged, any)                            diverged
+(diverged_to_zero, diverged_to_zero)       diverged_to_zero
+(diverged_to_zero, inconclusive)           diverged where the drained
+                                           component's terms stay away
+                                           from 1 (flat checkpoint),
+                                           else inconclusive
+(converged or inconclusive, inconclusive)  inconclusive
+=========================================  ===========================
+
+The inconclusive rows are conservative: a component without evidence
+either way keeps the product open unless the other gives evidence.
 """
 
 from __future__ import annotations
@@ -49,17 +76,19 @@ from __future__ import annotations
 import cmath
 import math
 from collections import deque, namedtuple
-from itertools import islice, pairwise
+from functools import reduce
+from itertools import pairwise, repeat
+from operator import add, mul, sub, truediv
 
 from .core import (
-    SINGULARITY_TOLERANCE, Bicomplex, NonFiniteError, _coerce,
-    _pair_zero_divisor_test, _Record, _zero_divisor_test,
+    SINGULARITY_TOLERANCE, Bicomplex, NonFiniteError, _coerce, _none_singular,
+    _pair_zero_divisor_test, _pairs_none_singular, _Record, _zero_divisor_test,
 )
 from .seqspec import _TERM_ERRORS
 from .series import (
     _EXACT_RMS_MAX, _EXACT_RMS_MIN, _FLAT_RATIO, _FLOOR_FACTOR, _HARMONIC_RATIO,
-    OVERFLOW_GUARD, _Checkpoints, _diameter, _pair_or_none, _running, _term_pairs,
-    _validate,
+    _MIN_RUN, OVERFLOW_GUARD, _Checkpoints, _diameter, _gaps, _pair_or_none,
+    _partials, _rising_quiet, _running, _runs, _term_pairs, _validate,
 )
 from .transcendental import TWO_PI, log1p
 
@@ -166,6 +195,21 @@ def _modulus_rms(x: complex) -> float:
     return m if _EXACT_RMS_MIN <= m <= _EXACT_RMS_MAX else _rms(x, x)
 
 
+def _norms(m1s, m2s, scalar: bool):
+    """``_rms(a, b)`` of each pair of values whose moduli are ``m1s`` and
+    ``m2s``, or with ``scalar`` ``_modulus_rms(a)`` of each value whose
+    modulus is in ``m1s``, at C speed with the same float operations; None
+    where one would leave the float range (``_rms`` gives inf there) or,
+    with ``scalar``, a modulus lies outside the exact-RMS range."""
+    if scalar:
+        return m1s if _EXACT_RMS_MIN <= min(m1s) and max(m1s) <= _EXACT_RMS_MAX else None
+    try:
+        squares = map(add, map(pow, m1s, repeat(2)), map(pow, m2s, repeat(2)))
+        return list(map(math.sqrt, map(truediv, squares, repeat(2.0))))
+    except OverflowError:
+        return None
+
+
 def partial_products(terms, n_max: int = 10**6) -> list[Bicomplex]:
     """Running products of the first ``n_max`` terms.
 
@@ -245,7 +289,7 @@ def _identity_report(q1, q2, l1, l2, max_disc, offset, changes, used) -> LogSumR
 
 
 def _product_pass(
-    pairs,
+    blocks,
     n_max: int,
     singularity_tol: float,
     *,
@@ -256,19 +300,39 @@ def _product_pass(
     identity_terms: int = 0,
     scalar: bool = False,
 ) -> ProductAnalysis:
-    """The one loop over the terms, given as (p1, p2) pairs, behind
+    """The one loop over the terms, given in blocks ``(p1s, p2s)``, behind
     every product analysis.
 
-    With ``scalar``, each term is one complex, both of its components:
-    one accumulator, log sum and window run, the zero-divisor tests read
-    the one component, and each norm ``_rms(x, x)`` is ``abs(x)`` where
-    that is exact (``_modulus_rms``).
+    With ``scalar``, each block is one list, each term one complex, both
+    of its components: one accumulator, log sum and window run, the
+    zero-divisor tests read the one component, and each norm
+    ``_rms(x, x)`` is ``abs(x)`` where that is exact (``_modulus_rms``).
 
     The norm series of the absolute check, of ``||log w_n||`` and of
     ``||w_n - 1||``, run in lockstep as local state (a total, a window of
     partial sums and a ``_Checkpoints`` each; the product verdict shares
     the deviations' magnitudes) under the rules of ``series._Tracker.push``,
     written inline so that a term makes no call for bookkeeping.
+
+    The block step: once the identity is over, a run of ``_MIN_RUN`` or
+    more terms, none of them a checkpoint (``series._runs``), is taken at
+    once where C-level scans show that no rule can fire at any of its
+    terms:
+
+    * no zero divisor (``_none_singular``, ``_pairs_none_singular``; both
+      need ``0 <= singularity_tol < 1``, which the CLI's tolerance is);
+    * while the absolute check is live, every ``|w - 1| < 1`` in each
+      component, which makes every real part positive;
+    * the norm series' partial sums pass ``series._rising_quiet``;
+    * while the product is live, its norms lie inside the overflow guard
+      and above the zero-collapse floor, bounded by the component moduli
+      on the pair lane, and no window pre-test passes.
+
+    Accumulators, windows and magnitude deques then advance with the
+    float operations of the per-term body, in its order; the deques take
+    only the last ``window`` values, which is all they keep. Any other run
+    is read one term at a time by the per-term body, the one spelling of
+    every rule.
 
     Feeds the requested consumers (the identity over the first
     ``identity_terms <= n_max`` terms) while any is live. With the
@@ -306,133 +370,215 @@ def _product_pass(
     win1_push, win2_push, pnorm_push = win1.append, win2.append, pnorms.append
 
     try:
-        for term in islice(pairs, n_max):
-            used += 1
-            wp1, wp2 = (term, term) if scalar else term
-            if (
-                _zero_divisor_test(term, singularity_tol) if scalar
-                else _pair_zero_divisor_test(wp1, wp2, singularity_tol)
-            )[0]:
-                if not product:
-                    raise SingularTerm(f"singular term at position {used}", index=used)
-                if prod_live:
-                    verdict = "singular_term"
-                    abs_report = id_report = None
-                abs_live = id_live = False
-                break
-
-            if abs_live and (wp1.real <= 0.0 or wp2.real <= 0.0):
-                abs_report = AbsoluteReport(
-                    via_log_norms="hypothesis_violated",
-                    via_deviation_norms="hypothesis_violated",
-                    agree=True,
-                    hypothesis_violation_index=used,
-                    terms_used=used,
-                )
-                abs_live = False
-            q1 *= wp1
-            lg1 = cmath.log(wp1)
-            l1 += lg1
-            if scalar:
-                q2, lg2, l2 = q1, lg1, l1
-            else:
-                q2 *= wp2
-                lg2 = cmath.log(wp2)
-                l2 += lg2
-
-            if prod_live or abs_live:
-                dev = _modulus_rms(wp1 - 1.0) if scalar else _rms(wp1 - 1.0, wp2 - 1.0)
-                dev_mag_push(dev)
-                # a norm series reads every term up to its verdict: ``used``
-                # is its count, and its rising sums make newest - oldest the
-                # window pre-test
-                if log_verdict is None:
-                    log_norm = _modulus_rms(lg1) if scalar else _rms(lg1, lg2)
-                    log_total += log_norm
-                    log_sum_push(log_total)
-                    log_mag_push(log_norm)
-                    if log_total > OVERFLOW_GUARD:
-                        log_verdict = "diverged"
-                    elif (used >= window and log_total - log_sums[0] < tol
-                          and _diameter(log_sums) < tol):
-                        log_verdict = "converged"
-                    elif used == log_checks.due and log_checks.stalled():
-                        log_verdict = "diverged"
-                if dev_verdict is None:
-                    dev_total += dev
-                    dev_sum_push(dev_total)
-                    if dev_total > OVERFLOW_GUARD:
-                        dev_verdict = "diverged"
-                    elif (used >= window and dev_total - dev_sums[0] < tol
-                          and _diameter(dev_sums) < tol):
-                        dev_verdict = "converged"
-                    elif used == dev_checks.due and dev_checks.stalled():
-                        dev_verdict = "diverged"
-                if abs_live and log_verdict is not None and dev_verdict is not None:
-                    abs_report = _absolute_report(log_verdict, dev_verdict, used)
-                    abs_live = False
-
-            if prod_live:
-                pnorm = _modulus_rms(q1) if scalar else _rms(q1, q2)
-                win1_push(q1)
-                if not scalar:
-                    win2_push(q2)
-                pnorm_push(pnorm)
-                if pnorm > OVERFLOW_GUARD:
-                    verdict = "diverged"
-                elif pnorm < ZERO_COLLAPSE and _shrinking(pnorms):
-                    verdict = "diverged_to_zero"
-                elif (
-                    used >= window
-                    and abs(q1 - win1[0]) < tol
-                    and abs(q2 - win2[0]) < tol
-                    and _diameter(win1) < tol
-                    and _diameter(win2) < tol
-                ):
-                    # stable; classification depends on whether the recent
-                    # terms actually sit near 1
-                    if max(checks.mags) < _FLOOR_FACTOR * tol:
-                        if (
-                            _zero_divisor_test(q1, singularity_tol) if scalar
-                            else _pair_zero_divisor_test(q1, q2, singularity_tol)
-                        )[0]:
-                            verdict = "diverged"
-                        else:
-                            verdict = "converged_nonsingular"
-                    elif pnorm < _FLOOR_FACTOR * tol and _shrinking(pnorms):
-                        verdict = "diverged_to_zero"
-                    # stable partial products under far-from-1 terms with no
-                    # drain toward zero: keep consuming evidence
-                if verdict is None and used == checks.due and checks.stalled():
-                    nc_ok = False
-                    if pnorms[-1] >= pnorms[0] * (1.0 - 1e-12):
-                        verdict = "diverged"
-                if verdict is not None:
-                    prod_report = _product_report(
-                        verdict, q1, q2, l1, l2, used, nc_ok, log_verdict, dev_verdict
-                    )
-                    prod_live = False
-
-            if id_live:
+        for p1s, p2s in _runs(blocks, n_max, scalar):
+            if len(p1s) >= _MIN_RUN and not id_live and (
+                _none_singular(p1s, singularity_tol) if scalar
+                else _pairs_none_singular(p1s, p2s, singularity_tol)
+            ):
+                # the block step
                 try:
-                    disc, current = _identity_step(q1, q2, l1, l2, used)
-                except NonFiniteError:
-                    if not product:
-                        raise
-                    id_live = False
-                else:
-                    if disc > max_disc:
-                        max_disc = disc
-                    if current != offset:
-                        changes += 1
-                        offset = current
-                    if used == identity_terms:
-                        id_report = _identity_report(
-                            q1, q2, l1, l2, max_disc, offset, changes, used
+                    q1s = _partials(p1s, mul, q1)
+                    lg1s = list(map(cmath.log, p1s))
+                    if scalar:
+                        q2s, lg2s = q1s, lg1s
+                    else:
+                        q2s = _partials(p2s, mul, q2)
+                        lg2s = list(map(cmath.log, p2s))
+                    # every deviation feeds the deviation series, and its
+                    # modulus screens the hypothesis: |w - 1| < 1 makes the
+                    # real part positive; else the magnitudes keep only the
+                    # last window of them
+                    tail = (slice(None) if dev_verdict is None or abs_live
+                            else slice(-window, None))
+                    d1s = list(map(abs, map(sub, p1s[tail], repeat(1.0))))
+                    d2s = d1s if scalar else list(map(abs, map(sub, p2s[tail], repeat(1.0))))
+                    devs = _norms(d1s, d2s, scalar)
+                    quiet = devs is not None and not (
+                        abs_live and (max(d1s) >= 1.0 or max(d2s) >= 1.0)
+                    )
+                    if quiet and dev_verdict is None:
+                        dev_totals = _partials(devs, add, dev_total)
+                        quiet = _rising_quiet(dev_sums, dev_totals, window, tol)
+                    if quiet and log_verdict is None:
+                        lm1s = list(map(abs, lg1s))
+                        log_norms = _norms(lm1s, lm1s if scalar else list(map(abs, lg2s)), scalar)
+                        quiet = log_norms is not None
+                        if quiet:
+                            log_totals = _partials(log_norms, add, log_total)
+                            quiet = _rising_quiet(log_sums, log_totals, window, tol)
+                    if quiet and prod_live:
+                        m1s = list(map(abs, q1s))
+                        if scalar:
+                            # inside the guard and the floor, the norms are
+                            # the moduli: the exact-RMS range holds both
+                            quiet = ZERO_COLLAPSE <= min(m1s) and max(m1s) <= OVERFLOW_GUARD
+                            qnorms = m1s
+                        else:
+                            # m/sqrt(2) <= _rms(a, b) <= m, m the larger
+                            # modulus, up to a few ulps: halve the margins
+                            m2s = list(map(abs, q2s))
+                            quiet = (2.0 * ZERO_COLLAPSE <= max(min(m1s), min(m2s))
+                                     and max(max(m1s), max(m2s)) <= 0.5 * OVERFLOW_GUARD)
+                            qnorms = list(map(_rms, q1s[-window:], q2s[-window:]))
+                        # no window pre-test passes: at every term, one
+                        # component has moved by tol or more
+                        quiet = quiet and (
+                            min(map(abs, _gaps(win1, q1s, window)), default=math.inf) >= tol
+                            or not scalar
+                            and min(map(abs, _gaps(win2, q2s, window)), default=math.inf) >= tol
                         )
+                except OverflowError:
+                    quiet = False
+                if quiet:
+                    used += len(p1s)
+                    q1 = q1s[-1]
+                    q2 = q2s[-1]
+                    l1 = reduce(add, lg1s, l1)
+                    l2 = l1 if scalar else reduce(add, lg2s, l2)
+                    checks.mags.extend(devs[-window:])
+                    if dev_verdict is None:
+                        dev_total = dev_totals[-1]
+                        dev_sums.extend(dev_totals[-window:])
+                    if log_verdict is None:
+                        log_total = log_totals[-1]
+                        log_sums.extend(log_totals[-window:])
+                        log_checks.mags.extend(log_norms[-window:])
+                    if prod_live:
+                        win1.extend(q1s[-window:])
+                        if not scalar:
+                            win2.extend(q2s[-window:])
+                        pnorms.extend(qnorms[-window:])
+                    continue
+
+            for wp1, wp2 in zip(p1s, p2s):
+                used += 1
+                if (
+                    _zero_divisor_test(wp1, singularity_tol) if scalar
+                    else _pair_zero_divisor_test(wp1, wp2, singularity_tol)
+                )[0]:
+                    if not product:
+                        raise SingularTerm(f"singular term at position {used}", index=used)
+                    if prod_live:
+                        verdict = "singular_term"
+                        abs_report = id_report = None
+                    abs_live = id_live = False
+                    break
+
+                if abs_live and (wp1.real <= 0.0 or wp2.real <= 0.0):
+                    abs_report = AbsoluteReport(
+                        via_log_norms="hypothesis_violated",
+                        via_deviation_norms="hypothesis_violated",
+                        agree=True,
+                        hypothesis_violation_index=used,
+                        terms_used=used,
+                    )
+                    abs_live = False
+                q1 *= wp1
+                lg1 = cmath.log(wp1)
+                l1 += lg1
+                if scalar:
+                    q2, lg2, l2 = q1, lg1, l1
+                else:
+                    q2 *= wp2
+                    lg2 = cmath.log(wp2)
+                    l2 += lg2
+
+                if prod_live or abs_live:
+                    dev = _modulus_rms(wp1 - 1.0) if scalar else _rms(wp1 - 1.0, wp2 - 1.0)
+                    dev_mag_push(dev)
+                    # a norm series reads every term up to its verdict: ``used``
+                    # is its count, and its rising sums make newest - oldest the
+                    # window pre-test
+                    if log_verdict is None:
+                        log_norm = _modulus_rms(lg1) if scalar else _rms(lg1, lg2)
+                        log_total += log_norm
+                        log_sum_push(log_total)
+                        log_mag_push(log_norm)
+                        if log_total > OVERFLOW_GUARD:
+                            log_verdict = "diverged"
+                        elif (used >= window and log_total - log_sums[0] < tol
+                              and _diameter(log_sums) < tol):
+                            log_verdict = "converged"
+                        elif used == log_checks.due and log_checks.stalled():
+                            log_verdict = "diverged"
+                    if dev_verdict is None:
+                        dev_total += dev
+                        dev_sum_push(dev_total)
+                        if dev_total > OVERFLOW_GUARD:
+                            dev_verdict = "diverged"
+                        elif (used >= window and dev_total - dev_sums[0] < tol
+                              and _diameter(dev_sums) < tol):
+                            dev_verdict = "converged"
+                        elif used == dev_checks.due and dev_checks.stalled():
+                            dev_verdict = "diverged"
+                    if abs_live and log_verdict is not None and dev_verdict is not None:
+                        abs_report = _absolute_report(log_verdict, dev_verdict, used)
+                        abs_live = False
+
+                if prod_live:
+                    pnorm = _modulus_rms(q1) if scalar else _rms(q1, q2)
+                    win1_push(q1)
+                    if not scalar:
+                        win2_push(q2)
+                    pnorm_push(pnorm)
+                    if pnorm > OVERFLOW_GUARD:
+                        verdict = "diverged"
+                    elif pnorm < ZERO_COLLAPSE and _shrinking(pnorms):
+                        verdict = "diverged_to_zero"
+                    elif (
+                        used >= window
+                        and abs(q1 - win1[0]) < tol
+                        and abs(q2 - win2[0]) < tol
+                        and _diameter(win1) < tol
+                        and _diameter(win2) < tol
+                    ):
+                        # stable; classification depends on whether the recent
+                        # terms actually sit near 1
+                        if max(checks.mags) < _FLOOR_FACTOR * tol:
+                            if (
+                                _zero_divisor_test(q1, singularity_tol) if scalar
+                                else _pair_zero_divisor_test(q1, q2, singularity_tol)
+                            )[0]:
+                                verdict = "diverged"
+                            else:
+                                verdict = "converged_nonsingular"
+                        elif pnorm < _FLOOR_FACTOR * tol and _shrinking(pnorms):
+                            verdict = "diverged_to_zero"
+                        # stable partial products under far-from-1 terms with no
+                        # drain toward zero: keep consuming evidence
+                    if verdict is None and used == checks.due and checks.stalled():
+                        nc_ok = False
+                        if pnorms[-1] >= pnorms[0] * (1.0 - 1e-12):
+                            verdict = "diverged"
+                    if verdict is not None:
+                        prod_report = _product_report(
+                            verdict, q1, q2, l1, l2, used, nc_ok, log_verdict, dev_verdict
+                        )
+                        prod_live = False
+
+                if id_live:
+                    try:
+                        disc, current = _identity_step(q1, q2, l1, l2, used)
+                    except NonFiniteError:
+                        if not product:
+                            raise
                         id_live = False
-            if not (prod_live or abs_live or id_live):
-                break
+                    else:
+                        if disc > max_disc:
+                            max_disc = disc
+                        if current != offset:
+                            changes += 1
+                            offset = current
+                        if used == identity_terms:
+                            id_report = _identity_report(
+                                q1, q2, l1, l2, max_disc, offset, changes, used
+                            )
+                            id_live = False
+                if not (prod_live or abs_live or id_live):
+                    break
+            else:
+                continue
+            break
     except _TERM_ERRORS:
         # once the product verdict is frozen, a term that cannot be
         # evaluated ends the consumers still live without a report

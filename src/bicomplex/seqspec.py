@@ -32,7 +32,7 @@ fails, the node's per-element helper runs over the block in element
 order, so a block of one index raises exactly the ring operation's
 error.
 
-One index walker, ``_indexed``, runs every evaluation and attaches the
+One index walker, ``_blocks``, runs every evaluation and attaches the
 term index to its failures (``_at``, its one-index step, evaluates
 ``eval_term``'s index). It evaluates blocks of 1, 2, 4, ... indices,
 at most ``_BLOCK_CAP`` (1,024) and never past the ``stop`` its caller
@@ -45,10 +45,11 @@ evaluated ahead of the last term read never does.
   term (``compile_term``), and ``term_generator`` walks the indices,
   each value a ``Bicomplex``; both evaluate one index at a time. The
   library and the CLI's ``eval`` and ``check-bounds`` use them.
-* ``_lane_terms`` yields bare values, one complex each for a scalar
-  term, else pairs, in blocks; the CLI's ``series`` and ``product`` feed
-  them straight to the analysis passes on that lane, with the term
-  budget as the walker's ``stop``.
+* ``_lane_blocks`` gives the walker's blocks of bare values, one list
+  per block for a scalar term, else the lists of ``p1`` and of ``p2``;
+  the CLI's ``series`` and ``product`` feed them straight to the
+  analysis passes on that lane, with the term budget as the walker's
+  ``stop``.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ import math
 import operator
 import re
 from collections import namedtuple
-from itertools import chain, count, repeat
+from itertools import count, repeat
 
 from . import transcendental
 from .core import (
@@ -134,7 +135,7 @@ class IdempotentSlotError(ValueError):
         self.term_index = term_index
 
 
-# What evaluating a term may raise; _indexed re-raises each with the
+# What evaluating a term may raise; _blocks re-raises each with the
 # term's index.
 _TERM_ERRORS = (SingularOperand, NonFiniteError, IdempotentSlotError)
 
@@ -722,13 +723,14 @@ def _check_index(n, what: str) -> None:
         raise ValueError(f"{what} index must be at least 1")
 
 
-def _lane_terms(node, start: int = 1, stop: int | None = None):
-    """``(scalar, terms)``: the lane of an AST compiled once, and its values
-    at n = start, start+1, ..., short of ``stop`` if given: one complex
-    each on the scalar lane, else ``(p1, p2)``. Errors carry
-    ``term_index=n``, as eval_term's do."""
+def _lane_blocks(node, start: int = 1, stop: int | None = None):
+    """``(scalar, blocks)``: the lane of an AST compiled once, and the
+    walker's blocks of its values at n = start, start+1, ..., short of
+    ``stop`` if given: one list per block on the scalar lane, else the
+    lists ``(p1s, p2s)``; a block that fails comes as one-index blocks.
+    Errors carry ``term_index=n``, as eval_term's do."""
     fn, _, scalar = _compile(node)
-    return scalar, _indexed(fn if scalar else _zipped(fn), start, stop)
+    return scalar, _blocks(fn, start, stop)
 
 
 # The largest block the walker evaluates at once. Blocks double from one
@@ -737,22 +739,19 @@ def _lane_terms(node, start: int = 1, stop: int | None = None):
 _BLOCK_CAP = 1024
 
 
-def _indexed(fn, start: int, stop: int | None = None):
-    """The values the block closure ``fn`` gives at n = start, start+1,
-    ..., short of ``stop`` if given: the one index walker.
+def _blocks(fn, n: int, stop: int | None):
+    """The blocks of values the block closure ``fn`` gives at n, n+1, ...,
+    short of ``stop`` if given: the one index walker.
 
     It evaluates blocks of 1, 2, 4, ... indices, at most ``_BLOCK_CAP``
-    and never past ``stop``, and hands their values on at C speed. Where
+    and never past ``stop``, and hands each on as ``fn`` returns it. Where
     a block of several indices raises, it is evaluated again one index at
-    a time as its terms are read: the terms before the failing index are
-    read as usual, and the failure, re-raised carrying ``term_index=n``,
-    surfaces only when term n is read. A failure in indices evaluated
-    ahead of the last term read never surfaces.
+    a time, each index a block of its own, as its terms are read: the
+    terms before the failing index are read as usual, and the failure,
+    re-raised carrying ``term_index=n``, surfaces only when term n is
+    read. A failure in indices evaluated ahead of the last term read
+    never surfaces.
     """
-    return chain.from_iterable(_blocks(fn, start, stop))
-
-
-def _blocks(fn, n: int, stop: int | None):
     size = 1
     while stop is None or n < stop:
         end = n + size if stop is None else min(n + size, stop)

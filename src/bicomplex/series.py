@@ -4,9 +4,14 @@ A bicomplex series converges exactly when both of its idempotent
 component series converge, so every verdict here is the conjunction of
 two scalar complex verdicts produced by the same machinery. The pass
 reads the terms as idempotent pairs ``(p1, p2)``, which is how a
-Bicomplex stores them: ``analyze_series`` reads them off each term, and
-the CLI feeds compiled terms straight in, with no ``Bicomplex``; a
-scalar term is one complex, both components (see ``_analyze_pairs``).
+Bicomplex stores them, in blocks, the lists ``(p1s, p2s)``:
+``analyze_series`` reads them off each term, one term per block, and
+the CLI feeds the index walker's blocks of compiled terms straight in,
+with no ``Bicomplex``; a scalar term is one complex, both components.
+A run of terms where no rule can fire is taken in one block step, with
+the sums the per-term rules would make (see ``_analyze_pairs``); the
+screens and the cut of blocks into runs here serve the product pass
+too.
 
 Verdicts are heuristic, not proofs. The rules, applied per component:
 
@@ -34,7 +39,8 @@ import cmath
 import math
 import sys
 from collections import deque
-from itertools import islice
+from itertools import accumulate, islice, repeat
+from operator import add, mul, sub, truediv
 
 from .core import Bicomplex, NonFiniteError, _coerce, _Record
 
@@ -62,6 +68,78 @@ _DIVERGENCE_FLOOR = 1e-6
 # the moduli m whose m*m is normal, so that sqrt((m*m + m*m)/2) == m exactly
 _EXACT_RMS_MIN = 2.0**-511
 _EXACT_RMS_MAX = 2.0**511
+
+# The block step takes runs of at least this many terms: its screens and
+# lists cost about as much as a dozen terms of the per-term body, whatever
+# the run's length, so a shorter run is read term by term.
+_MIN_RUN = 16
+
+
+def _partials(terms, op, start) -> list:
+    """The running values after each of ``terms``: ``start`` combined with
+    each in turn by ``op``, the float operations of ``start = op(start,
+    term)`` in the same order."""
+    values = list(accumulate(terms, op, initial=start))
+    del values[0]
+    return values
+
+
+def _gaps(sums, totals, window: int):
+    """The window pre-test's distances: newest minus oldest partial sum of
+    each full window of ``window`` sums that ends at one of ``totals``,
+    the partial sums that follow the window ``sums``."""
+    seq = [*sums, *totals]
+    first = max(len(sums), window - 1)
+    return map(sub, seq[first:], seq[first - window + 1 : len(seq) - window + 1])
+
+
+def _rising_quiet(sums, totals, window: int, tol: float) -> bool:
+    """The block step's screen of a norm series: neither its overflow guard
+    nor its window pre-test fires at any of ``totals``, the partial sums
+    that follow the window ``sums``. The terms are nonnegative, so the
+    sums rise: the last is the largest (a NaN there fails the screen,
+    and it stays in every later sum), and a window's spread is newest
+    minus oldest."""
+    return totals[-1] <= OVERFLOW_GUARD and min(
+        _gaps(sums, totals, window), default=math.inf
+    ) >= tol
+
+
+def _runs(blocks, n_max: int, scalar: bool):
+    """The terms of ``blocks`` as ``(p1s, p2s)`` runs for a pass to read in
+    order: at most ``n_max`` terms in all, and each checkpoint index (16,
+    32, 64, ...) a run of its own, so that a run of several terms holds
+    none. On the scalar lane a block is one list, both components. No
+    block is read past the run that ends the pass."""
+    used = 0
+    due = _FIRST_CHECKPOINT
+    for block in blocks:
+        p1s, p2s = (block, block) if scalar else block
+        k = len(p1s)
+        if k > n_max - used:
+            k = n_max - used
+            p1s, p2s = p1s[:k], p2s[:k]
+        while used + k >= due:
+            cut = due - used - 1  # the checkpoint term's place in the block
+            if cut:
+                yield p1s[:cut], p2s[:cut]
+            yield p1s[cut : cut + 1], p2s[cut : cut + 1]
+            p1s, p2s = p1s[cut + 1 :], p2s[cut + 1 :]
+            k -= cut + 1
+            used = due
+            due += due
+        if k:
+            yield p1s, p2s
+            used += k
+        if used == n_max:
+            return
+
+
+def _rms_moduli(m1s, m2s) -> list[float]:
+    """``sqrt((m1*m1 + m2*m2)/2.0)`` of each pair of moduli, the RMS tracker's
+    term, at C speed."""
+    squares = map(add, map(mul, m1s, m1s), map(mul, m2s, m2s))
+    return list(map(math.sqrt, map(truediv, squares, repeat(2.0))))
 
 
 def _diameter(values) -> float:
@@ -143,7 +221,12 @@ class _Tracker(_Checkpoints):
     _FLAT_RATIO for a general series, _HARMONIC_RATIO for a norm series.
     Partial sums of a norm series are monotone, so there the window
     test comes down to the gap between newest and oldest. The product
-    pass writes these rules out inline for its two norm series.
+    pass writes these rules out inline for its two norm series, per term
+    and in its block step.
+
+    ``run_sums`` and ``take`` are the block step: the first screens a run
+    of terms that holds no checkpoint, the second advances the tracker
+    over it with the sums ``push`` would make, in the same order.
     """
 
     __slots__ = ("window", "total", "sums", "verdict", "count")
@@ -177,6 +260,43 @@ class _Tracker(_Checkpoints):
                 return
         if self.count == self.due and self.stalled():
             self.verdict = "diverged"
+
+    def run_sums(self, terms, rising: bool):
+        """The partial sums after each of ``terms``, or None where a rule
+        of ``push`` could fire at one of them. ``rising``: the terms are
+        moduli, so ``_rising_quiet`` screens them. Raises OverflowError
+        where a modulus leaves the float range."""
+        totals = _partials(terms, add, self.total)
+        if rising:
+            quiet = _rising_quiet(self.sums, totals, self.window, self.tol)
+        else:
+            quiet = max(map(abs, totals)) <= OVERFLOW_GUARD and min(
+                map(abs, _gaps(self.sums, totals, self.window)), default=math.inf
+            ) >= self.tol
+        return totals if quiet else None
+
+    def take(self, totals, mags) -> None:
+        """Advance over a run that ``run_sums`` cleared, as ``push`` would."""
+        self.count += len(totals)
+        self.total = totals[-1]
+        self.sums.extend(totals[-self.window :])
+        self.mags.extend(mags[-self.window :])
+
+
+def _take_run(steps) -> bool:
+    """The block step over one run: ``steps`` holds ``(tracker, terms,
+    mags, rising)`` for each tracker. Where ``run_sums`` clears the run
+    for every live tracker, each takes it; else none changes."""
+    runs = []
+    for tracker, terms, mags, rising in steps:
+        if tracker.verdict is None:
+            totals = tracker.run_sums(terms, rising)
+            if totals is None:
+                return False
+            runs.append((tracker, totals, mags))
+    for tracker, totals, mags in runs:
+        tracker.take(totals, mags)
+    return True
 
 
 def _validate(tol: float, window: int, n_max: int) -> None:
@@ -232,12 +352,12 @@ def _coerce_term(term, index: int) -> Bicomplex:
 
 
 def _term_pairs(terms):
-    """Yield the idempotent components ``(p1, p2)`` of each term, which
-    is lifted to Bicomplex first: how the analyzers' Bicomplex terms
-    reach the passes, which read pairs."""
+    """The terms as one-term blocks ``([p1], [p2])`` of their idempotent
+    components, each term lifted to Bicomplex first when it is read: how
+    the analyzers' Bicomplex terms reach the passes, which read blocks."""
     for k, term in enumerate(terms, start=1):
         w = _coerce_term(term, k)
-        yield w.p1, w.p2
+        yield [w.p1], [w.p2]
 
 
 def _modulus(z: complex) -> float:
@@ -257,17 +377,25 @@ def _pair_or_none(p1: complex, p2: complex) -> Bicomplex | None:
         return None
 
 
-def _analyze_pairs(pairs, tol, window, n_max, scalar=False) -> SeriesReport:
-    """Run the component and norm trackers over (p1, p2) term pairs; the
-    pass behind analyze_series, eval_power_series and the CLI's
-    ``series``, with arguments already checked by _validate.
+def _analyze_pairs(blocks, tol, window, n_max, scalar=False) -> SeriesReport:
+    """Run the component and norm trackers over blocks of terms given as
+    ``(p1s, p2s)``; the pass behind analyze_series, eval_power_series and
+    the CLI's ``series``, with arguments already checked by _validate.
 
-    With ``scalar``, each term is one complex, both of its components:
-    one component tracker and one modulus tracker run, and the report
-    reads each for both components. The RMS tracker ``ae`` is the
-    modulus tracker while every modulus lies in the exact-RMS range
-    [_EXACT_RMS_MIN, _EXACT_RMS_MAX]; at the first term outside, it
-    splits off as a copy.
+    With ``scalar``, each block is one list, each term one complex, both
+    of its components: one component tracker and one modulus tracker run,
+    and the report reads each for both components. The RMS tracker ``ae``
+    is the modulus tracker while every modulus lies in the exact-RMS range
+    [_EXACT_RMS_MIN, _EXACT_RMS_MAX]; at the first term outside, it splits
+    off as a copy.
+
+    The block step: a run of ``_MIN_RUN`` or more terms, none of them a
+    checkpoint (``_runs``), advances every live tracker at once (``_Tracker.take``)
+    where the screens show that no rule fires at any of its terms
+    (``_Tracker.run_sums``; on the scalar lane, while ``ae`` is the
+    modulus tracker, every modulus in the exact-RMS range too). Any other
+    run is read one term at a time by the per-term body, the one spelling
+    of every rule.
     """
     c1 = _Tracker(tol, window)
     a1 = _Tracker(tol, window, _HARMONIC_RATIO)
@@ -279,45 +407,73 @@ def _analyze_pairs(pairs, tol, window, n_max, scalar=False) -> SeriesReport:
         a2 = _Tracker(tol, window, _HARMONIC_RATIO)
         ae = _Tracker(tol, window, _HARMONIC_RATIO)
     used = 0
-    for term in islice(pairs, n_max):
-        used += 1
-        if scalar:
+    for p1s, p2s in _runs(blocks, n_max, scalar):
+        if len(p1s) >= _MIN_RUN:
             try:
-                m1 = abs(term)
+                m1s = list(map(abs, p1s))
+                if not scalar:
+                    m2s = list(map(abs, p2s))
+                    mes = _rms_moduli(m1s, m2s)
+                    cleared = _take_run([
+                        (c1, p1s, m1s, False), (c2, p2s, m2s, False),
+                        (a1, m1s, m1s, True), (a2, m2s, m2s, True), (ae, mes, mes, True),
+                    ])
+                elif ae is not a1:
+                    mes = _rms_moduli(m1s, m1s)
+                    cleared = _take_run([
+                        (c1, p1s, m1s, False), (a1, m1s, m1s, True), (ae, mes, mes, True),
+                    ])
+                else:
+                    cleared = (
+                        _EXACT_RMS_MIN <= min(m1s) and max(m1s) <= _EXACT_RMS_MAX
+                        and _take_run([(c1, p1s, m1s, False), (a1, m1s, m1s, True)])
+                    )
             except OverflowError:
-                m1 = math.inf
-            if ae is a1 and not _EXACT_RMS_MIN <= m1 <= _EXACT_RMS_MAX:
-                import copy  # once per pass at most: not worth start-up time
-                ae = copy.deepcopy(a1)
-            c1.push(term, m1)
-            a1.push(m1, m1)
-            if ae is not a1:
-                me = math.sqrt((m1 * m1 + m1 * m1) / 2.0)
+                cleared = False
+            if cleared:
+                used += len(p1s)
+                continue
+        for p1, p2 in zip(p1s, p2s):
+            used += 1
+            if scalar:
+                try:
+                    m1 = abs(p1)
+                except OverflowError:
+                    m1 = math.inf
+                if ae is a1 and not _EXACT_RMS_MIN <= m1 <= _EXACT_RMS_MAX:
+                    import copy  # once per pass at most: not worth start-up time
+                    ae = copy.deepcopy(a1)
+                c1.push(p1, m1)
+                a1.push(m1, m1)
+                if ae is not a1:
+                    me = math.sqrt((m1 * m1 + m1 * m1) / 2.0)
+                    ae.push(me, me)
+            else:
+                try:
+                    m1 = abs(p1)
+                    m2 = abs(p2)
+                except OverflowError:
+                    m1, m2 = _modulus(p1), _modulus(p2)
+                me = math.sqrt((m1 * m1 + m2 * m2) / 2.0)
+                c1.push(p1, m1)
+                c2.push(p2, m2)
+                a1.push(m1, m1)
+                a2.push(m2, m2)
                 ae.push(me, me)
+            main_done = (
+                c1.verdict == "diverged"
+                or c2.verdict == "diverged"
+                or (c1.verdict is not None and c2.verdict is not None)
+            )
+            if main_done and (
+                a1.verdict == "diverged"
+                or a2.verdict == "diverged"
+                or (a1.verdict is not None and a2.verdict is not None and ae.verdict is not None)
+            ):
+                break
         else:
-            p1, p2 = term
-            try:
-                m1 = abs(p1)
-                m2 = abs(p2)
-            except OverflowError:
-                m1, m2 = _modulus(p1), _modulus(p2)
-            me = math.sqrt((m1 * m1 + m2 * m2) / 2.0)
-            c1.push(p1, m1)
-            c2.push(p2, m2)
-            a1.push(m1, m1)
-            a2.push(m2, m2)
-            ae.push(me, me)
-        main_done = (
-            c1.verdict == "diverged"
-            or c2.verdict == "diverged"
-            or (c1.verdict is not None and c2.verdict is not None)
-        )
-        if main_done and (
-            a1.verdict == "diverged"
-            or a2.verdict == "diverged"
-            or (a1.verdict is not None and a2.verdict is not None and ae.verdict is not None)
-        ):
-            break
+            continue
+        break
 
     v1 = c1.verdict or "inconclusive"
     v2 = c2.verdict or "inconclusive"
@@ -384,7 +540,7 @@ def eval_power_series(
         wp2 = 1.0 + 0j
         for k, coeff in enumerate(coeffs, start=1):
             c = _coerce_term(coeff, k)
-            yield (c.p1 * wp1, c.p2 * wp2)
+            yield [c.p1 * wp1], [c.p2 * wp2]
             wp1 *= w1
             wp2 *= w2
             if not (cmath.isfinite(wp1) and cmath.isfinite(wp2)):

@@ -126,6 +126,37 @@ def run_cli(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+# -- blocks of terms, as the passes read them -------------------------
+
+def walker_blocks(terms: list, scalar: bool):
+    """``terms`` (one complex each with ``scalar``, else ``(p1, p2)``) in
+    the blocks the CLI's index walker hands the passes: 1, 2, 4, ...,
+    1,024 terms, one list each with ``scalar``, else ``(p1s, p2s)``."""
+    from bicomplex import seqspec
+
+    def fn(ns):
+        if scalar:
+            return [terms[n - 1] for n in ns]
+        return [terms[n - 1][0] for n in ns], [terms[n - 1][1] for n in ns]
+
+    return seqspec._blocks(fn, 1, len(terms) + 1)
+
+
+def flat_terms(blocks, scalar: bool):
+    """The walker's blocks read one term at a time: one complex each with
+    ``scalar``, else ``(p1, p2)``."""
+    from itertools import chain, starmap
+
+    return chain.from_iterable(blocks if scalar else starmap(zip, blocks))
+
+
+def one_term_blocks(terms, scalar: bool):
+    """``terms`` one block per term, as the public analyzers hand them on."""
+    if scalar:
+        return ([x] for x in terms)
+    return (([p1], [p2]) for p1, p2 in terms)
+
+
 # -- term expressions --------------------------------------------------
 
 def mp_term_pairs(node, n: int, prec: int = 256):

@@ -188,16 +188,16 @@ def test_a_failure_in_read_ahead_never_surfaces(monkeypatch):
     from bicomplex import seqspec
 
     blocks = []
-    original = seqspec._indexed
+    original = seqspec._blocks
 
-    def recording(fn, start, stop=None):
+    def recording(fn, start, stop):
         def block(ns):
             blocks.append(list(ns))
             return fn(ns)
 
         return original(block, start, stop)
 
-    monkeypatch.setattr(seqspec, "_indexed", recording)
+    monkeypatch.setattr(seqspec, "_blocks", recording)
     doubling = [[1], [2, 3], list(range(4, 8)), list(range(8, 16)), list(range(16, 32))]
     # index 31 ends the block that holds term 30: the block fails, and
     # its indices are evaluated again one at a time as they are read, up

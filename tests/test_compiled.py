@@ -44,17 +44,16 @@ from bicomplex.seqspec import (
     Sub,
     Var,
     _as_pair,
+    _blocks,
     _compile,
-    _indexed,
-    _zipped,
+    _lane_blocks,
     compile_term,
     eval_term,
     parse,
-    _lane_terms,
     render,
     term_generator,
 )
-from helpers import mp_pair_error, mp_term_pairs
+from helpers import flat_terms, mp_pair_error, mp_term_pairs
 from test_cli import GOLDEN_CASES
 from test_seqspec import _random_ast
 
@@ -257,7 +256,8 @@ def _pair_outcome(evaluate, node, n: int):
 def _pair_terms(node, start: int = 1):
     """The values of the CLI's compiled route from index ``start``, each
     read as a pair: a scalar-lane value is both components."""
-    scalar, terms = _lane_terms(node, start)
+    scalar, blocks = _lane_blocks(node, start)
+    terms = flat_terms(blocks, scalar)
     return ((x, x) for x in terms) if scalar else terms
 
 
@@ -528,7 +528,7 @@ def _assert_blocks_match_one_index(fn, scalar: bool, rng, label) -> set:
             assert got == want, (label, start, k)
         walked = []
         try:
-            for value in _indexed(fn if scalar else _zipped(fn), start, start + k):
+            for value in flat_terms(_blocks(fn, start, start + k), scalar):
                 walked += _block_hex([value] if scalar else ([value[0]], [value[1]]), scalar)
         except (ArithmeticError, ValueError) as err:
             walked.append(("raised", type(err), str(err), err.term_index))

@@ -18,7 +18,14 @@ from bicomplex import (
     SingularOperand,
     log_principal,
 )
-from bicomplex.core import _join, _pair_zero_divisor_test, _split, _zero_divisor_test
+from bicomplex.core import (
+    _join,
+    _none_singular,
+    _pair_zero_divisor_test,
+    _pairs_none_singular,
+    _split,
+    _zero_divisor_test,
+)
 from bicomplex.transcendental import trig_form
 from helpers import (
     assert_close,
@@ -548,6 +555,71 @@ def test_zero_divisor_test_is_the_pair_test_on_equal_components():
         with pytest.raises(ValueError) as one_error:
             _zero_divisor_test(x, -1e-12)
         assert str(one_error.value) == str(pair_error.value)
+
+
+def _screen_moduli(tol: float) -> list[list[float]]:
+    """Groups of moduli where the zero-divisor test turns or its
+    arithmetic changes: at the threshold sqrt(tol), on both sides of 1,
+    squares near 2**1023, past the float range of abs (inf here),
+    subnormal, and zero."""
+    root = math.sqrt(tol)
+    big = math.sqrt(2.0**1023)
+    return [
+        [root, math.nextafter(root, 0.0), math.nextafter(root, 1.0), root * (1 + 1e-9)],
+        [1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), 0.5, 3.0],
+        [big, math.nextafter(big, 0.0), math.nextafter(big, math.inf), 2.0**511, 1e300],
+        [math.inf],
+        [5e-324, 1e-310, 2.0**-1060, 1e-160],
+        [0.0],
+    ]
+
+
+def _screen_value(rng, modulus: float) -> complex:
+    """A value of about that modulus; inf stands for a value whose abs
+    overflows, a few on the real or imaginary axis keep the modulus
+    exact."""
+    if modulus == math.inf:
+        return complex(1.5e308, -1.5e308) if rng.random() < 0.5 else complex(1.7e308, 1e308)
+    kind = rng.integers(0, 3)
+    if kind == 0:
+        return complex(modulus, 0.0)
+    if kind == 1:
+        return complex(0.0, -modulus)
+    return cmath.rect(modulus, float(rng.uniform(-math.pi, math.pi)))
+
+
+def _screen_block(rng, groups, size: int) -> list[complex]:
+    chosen = [groups[i] for i in rng.choice(len(groups), size=int(rng.integers(1, 3)))]
+    pool = [m for group in chosen for m in group]
+    return [_screen_value(rng, pool[rng.integers(0, len(pool))]) for _ in range(size)]
+
+
+def test_block_zero_divisor_screens_against_the_tests():
+    # _none_singular is exact; _pairs_none_singular may refuse a block
+    # the per-element test passes, never the reverse
+    rng = np.random.default_rng(2020)
+    for tol in (1e-12, 1e-6, 0.5):
+        groups = _screen_moduli(tol)
+        scalar_outcomes = set()
+        pair_cleared = pair_refused = 0
+        for _ in range(1000):
+            size = int(rng.integers(1, 9))
+            ps = _screen_block(rng, groups, size)
+            every = not any(_zero_divisor_test(p, tol)[0] for p in ps)
+            assert _none_singular(ps, tol) == every, (ps, tol)
+            scalar_outcomes.add(every)
+
+            p1s, p2s = _screen_block(rng, groups, size), _screen_block(rng, groups, size)
+            if _pairs_none_singular(p1s, p2s, tol):
+                pair_cleared += 1
+                assert not any(
+                    _pair_zero_divisor_test(a, b, tol)[0] for a, b in zip(p1s, p2s)
+                ), (p1s, p2s, tol)
+            else:
+                pair_refused += 1
+        # both outcomes are reached at every tolerance
+        assert scalar_outcomes == {True, False}, tol
+        assert pair_cleared > 20 and pair_refused > 20, (tol, pair_cleared, pair_refused)
 
 
 def test_negation_keeps_zero_parts_positive():

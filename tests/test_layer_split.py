@@ -1,6 +1,6 @@
 """tools/layer_split.py runs on a small term budget and prints one row
-per long workload, with its lane, term count, evaluated indices and two
-costs.
+per long workload, with its lane, term count, evaluated indices, two
+costs and the share of terms the block step screened.
 
 The tool is run as a script, as it is used.
 """
@@ -20,30 +20,36 @@ def _tool(*args: str) -> subprocess.CompletedProcess:
 
 
 def test_layer_split_prints_one_row_per_long_workload():
-    run = _tool("--max-terms", "300", "--repeats", "1")
+    run = _tool("--max-terms", "2000", "--repeats", "1")
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
     assert lines[:2] == [
-        "| term | lane | terms | evaluated | eval ns/term | pass ns/term |",
-        "|---|---|---:|---:|---:|---:|",
+        "| term | lane | terms | evaluated | eval ns/term | pass ns/term | screened |",
+        "|---|---|---:|---:|---:|---:|---:|",
     ]
     rows = [
-        re.fullmatch(r"\| `(.+)` \| (\w+)" + r" \| ([\d,]+)" * 4 + r" \|", line)
+        re.fullmatch(r"\| `(.+)` \| (\w+)" + r" \| ([\d,]+)" * 4 + r" \| ([\d.]+)% \|", line)
         for line in lines[2:]
     ]
     assert all(rows), lines
     got = [(m[1], m[2], int(m[3].replace(",", ""))) for m in rows]
-    # on 300 terms no verdict is reached: each pass reads the whole budget
+    # on 2,000 terms no verdict is reached: each pass reads the whole budget
     assert got == [
-        ('product "1 + (3/10 + 2/5*i2)/n^2"', "pair", 300),
-        ('product "1+1/n"', "scalar", 300),
-        ('series "1/n^2"', "scalar", 300),
+        ('product "1 + (3/10 + 2/5*i2)/n^2"', "pair", 2000),
+        ('product "1+1/n"', "scalar", 2000),
+        ('series "1/n^2"', "scalar", 2000),
     ]
     for m in rows:
         terms, evaluated, eval_ns, pass_ns = (int(m[i].replace(",", "")) for i in range(3, 7))
         # read-ahead reaches at most to the end of the last term's block
         assert terms <= evaluated < terms + 1024
         assert eval_ns > 0 and pass_ns > 0
+    # the block step takes runs of every workload; the product pass reads
+    # the identity's 1,000 terms one at a time, and every pass the
+    # checkpoint terms
+    screened = [float(m[7]) for m in rows]
+    assert 0.0 < screened[0] <= 50.0 and 0.0 < screened[1] <= 50.0
+    assert 0.0 < screened[2] < 100.0
 
 
 def test_layer_split_refuses_bad_sizes():

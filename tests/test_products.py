@@ -41,7 +41,9 @@ from helpers import (
     mp_components,
     mp_partial_product,
     mp_rel_diff,
+    one_term_blocks,
     run_cli,
+    walker_blocks,
 )
 from test_seqspec import _random_ast
 
@@ -395,19 +397,19 @@ def test_one_pass_matches_separate_passes_on_random_expressions():
 
 def _count_pair_evaluations(monkeypatch) -> list[int]:
     """Record the indices of every block a compiled closure is evaluated
-    on by the index walker ``seqspec._indexed``, the seam through which
-    the CLI's product and series read terms on either lane."""
+    on by the index walker's blocks ``seqspec._blocks``, the seam through
+    which the CLI's product and series read terms on either lane."""
     calls = []
-    original = seqspec._indexed
+    original = seqspec._blocks
 
-    def indexed_counting(fn, start, stop=None):
+    def blocks_counting(fn, start, stop):
         def counting(ns):
             calls.extend(ns)
             return fn(ns)
 
         return original(counting, start, stop)
 
-    monkeypatch.setattr(seqspec, "_indexed", indexed_counting)
+    monkeypatch.setattr(seqspec, "_blocks", blocks_counting)
     return calls
 
 
@@ -529,16 +531,16 @@ def _lane_reports(text, tol, window, n_max):
     expression, on the scalar lane and on the pair lane (each value read
     as both components), field by field in bits, or the error raised."""
     node = seqspec.parse(text)
-    scalar, _ = seqspec._lane_terms(node)
+    scalar, _ = seqspec._lane_blocks(node)
     assert scalar, text
     outcomes = []
     for lane in (True, False):
         for run in (series._analyze_pairs, _analyze_product_pairs):
-            terms = seqspec._lane_terms(node)[1]
+            blocks = seqspec._lane_blocks(node, 1, n_max + 1)[1]
             if not lane:
-                terms = ((x, x) for x in terms)
+                blocks = ((xs, xs) for xs in blocks)
             try:
-                outcomes.append(_bits(run(terms, tol, window, n_max, lane)))
+                outcomes.append(_bits(run(blocks, tol, window, n_max, lane)))
             except (ArithmeticError, ValueError) as err:
                 outcomes.append(
                     ("raised", type(err).__name__, str(err), getattr(err, "term_index", None))
@@ -587,7 +589,7 @@ def test_scalar_lane_rms_tracker_splits_where_squares_leave_the_float_range():
     # zeros and converges at tol 1e-300 while both modulus trackers stay
     # open: read as the modulus tracker, it would report absolute False
     report = series._analyze_pairs(
-        seqspec._lane_terms(seqspec.parse("1e-160/n^2"))[1], 1e-300, 8, 3000, True
+        seqspec._lane_blocks(seqspec.parse("1e-160/n^2"))[1], 1e-300, 8, 3000, True
     )
     assert report.absolute_component_verdicts == ("inconclusive", "inconclusive")
     assert report.absolute is True
@@ -743,7 +745,7 @@ def test_product_pass_norm_series_match_the_tracker():
                           for _ in range(2))
                 terms = list(_norm_family(family, c1, c2, scalar, n_max))
                 case = (family, scalar, c1, c2)
-                report = _analyze_product_pairs(iter(terms), tol, 8, n_max, scalar)
+                report = _analyze_product_pairs(walker_blocks(terms, scalar), tol, 8, n_max, scalar)
                 absolute, (log_verdict, dev_verdict) = _tracked_norm_series(
                     terms, scalar, tol, 8, report.product.terms_used
                 )

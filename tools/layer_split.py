@@ -10,12 +10,16 @@ For each of the three long workloads -- ``product "1 + (3/10 +
   read-ahead to the end of the block that holds the last term read
   included;
 * evaluation ns/term: the compiled term evaluated through the index
-  walker, with the CLI's term budget, until the pass's terms are read
-  (read-ahead included), per term read;
+  walker's blocks, with the CLI's term budget, until the blocks the pass
+  reads are built (read-ahead included), per term read;
 * pass ns/term: the CLI's pass (``_analyze_product_pairs`` or
-  ``_analyze_pairs``) over those terms prebuilt in a list.
+  ``_analyze_pairs``) over those blocks, prebuilt in a list, as the CLI
+  feeds them;
+* screened: the share of the terms read that the pass's block step took
+  a run at a time. The rest went through its per-term body, which reads
+  a run through ``zip``; the tool counts them there.
 
-Each figure is the minimum of ``--repeats`` runs, in-process. Compare
+Each time is the minimum of ``--repeats`` runs, in-process. Compare
 figures taken on one machine in one session: the speed of a shared box
 drifts between runs.
 
@@ -38,9 +42,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from bicomplex import seqspec  # noqa: E402
-from bicomplex.products import _analyze_product_pairs  # noqa: E402
-from bicomplex.series import _analyze_pairs  # noqa: E402
+from bicomplex import products, seqspec, series  # noqa: E402
 
 TOL = 1e-10
 WINDOW = 8
@@ -50,7 +52,7 @@ WORKLOADS = (
     ("product", "1+1/n", 100_000),
     ("series", "1/n^2", 10**6),
 )
-PASSES = {"product": _analyze_product_pairs, "series": _analyze_pairs}
+PASSES = {"product": products._analyze_product_pairs, "series": series._analyze_pairs}
 
 
 def _min_ns(run, repeats: int) -> int:
@@ -67,9 +69,9 @@ def _evaluated(run) -> int:
     """The number of indices the index walker evaluates during ``run()``:
     its block closures are counted at the walker's seam."""
     total = 0
-    original = seqspec._indexed
+    original = seqspec._blocks
 
-    def counting_indexed(fn, start, stop=None):
+    def counting_blocks(fn, start, stop):
         def counting(ns):
             nonlocal total
             total += len(ns)
@@ -77,39 +79,72 @@ def _evaluated(run) -> int:
 
         return original(counting, start, stop)
 
-    seqspec._indexed = counting_indexed
+    seqspec._blocks = counting_blocks
     try:
         run()
     finally:
-        seqspec._indexed = original
+        seqspec._blocks = original
     return total
+
+
+def _per_term(run) -> int:
+    """The number of terms the passes' per-term bodies read during
+    ``run()``, counted at the ``zip`` each reads a run through."""
+    total = 0
+
+    def counting_zip(*runs):
+        nonlocal total
+        for term in zip(*runs):
+            total += 1
+            yield term
+
+    for module in (products, series):
+        module.zip = counting_zip
+    try:
+        run()
+    finally:
+        for module in (products, series):
+            del module.zip
+    return total
+
+
+def _terms_read(report) -> int:
+    """The terms a pass read: a product's is the largest ``terms_used`` of
+    its reports."""
+    if isinstance(report, tuple):
+        return max(part.terms_used for part in report if part is not None)
+    return report.terms_used
 
 
 def split(
     command: str, text: str, n_max: int, repeats: int
-) -> tuple[str, int, int, float, float]:
-    """``(lane, terms, evaluated, eval ns/term, pass ns/term)`` of one CLI
-    run."""
+) -> tuple[str, int, int, float, float, float]:
+    """``(lane, terms, evaluated, eval ns/term, pass ns/term, screened)`` of
+    one CLI run."""
     node = seqspec.parse(text)
     run_pass = PASSES[command]
-    scalar = seqspec._lane_terms(node)[0]
-    # the pass reads exactly the terms it needs: keep those
+    scalar = seqspec._lane_blocks(node)[0]
+    # the pass reads exactly the blocks it needs: keep those
     read = []
 
     def cli_run():
-        terms = seqspec._lane_terms(node, 1, n_max + 1)[1]
-        run_pass((read.append(term) or term for term in terms), TOL, WINDOW, n_max, scalar)
+        blocks = seqspec._lane_blocks(node, 1, n_max + 1)[1]
+        run_pass((read.append(block) or block for block in blocks), TOL, WINDOW, n_max, scalar)
 
     evaluated = _evaluated(cli_run)
-    count = len(read)
 
     def evaluate():
-        deque(islice(seqspec._lane_terms(node, 1, n_max + 1)[1], count), maxlen=0)
+        deque(islice(seqspec._lane_blocks(node, 1, n_max + 1)[1], len(read)), maxlen=0)
 
+    def run_read():
+        return run_pass(iter(read), TOL, WINDOW, n_max, scalar)
+
+    count = _terms_read(run_read())
     eval_ns = _min_ns(evaluate, repeats)
-    pass_ns = _min_ns(lambda: run_pass(iter(read), TOL, WINDOW, n_max, scalar), repeats)
+    pass_ns = _min_ns(run_read, repeats)
+    screened = 1.0 - _per_term(run_read) / count
     lane = "scalar" if scalar else "pair"
-    return lane, count, evaluated, eval_ns / count, pass_ns / count
+    return lane, count, evaluated, eval_ns / count, pass_ns / count, screened
 
 
 def main(argv=None) -> int:
@@ -122,15 +157,17 @@ def main(argv=None) -> int:
     if args.max_terms is not None and args.max_terms < 1:
         parser.error("--max-terms must be at least 1")
 
-    print("| term | lane | terms | evaluated | eval ns/term | pass ns/term |")
-    print("|---|---|---:|---:|---:|---:|")
+    print("| term | lane | terms | evaluated | eval ns/term | pass ns/term | screened |")
+    print("|---|---|---:|---:|---:|---:|---:|")
     for command, text, budget in WORKLOADS:
         n_max = budget if args.max_terms is None else min(budget, args.max_terms)
-        lane, count, evaluated, eval_ns, pass_ns = split(command, text, n_max, args.repeats)
+        lane, count, evaluated, eval_ns, pass_ns, screened = split(
+            command, text, n_max, args.repeats
+        )
         term = f'{command} "{text}"'
         print(
             f"| `{term}` | {lane} | {count:,} | {evaluated:,}"
-            f" | {eval_ns:,.0f} | {pass_ns:,.0f} |"
+            f" | {eval_ns:,.0f} | {pass_ns:,.0f} | {screened:.1%} |"
         )
     return 0
 
