@@ -410,24 +410,17 @@ def _analyze_pairs(blocks, tol, window, n_max, scalar=False) -> SeriesReport:
     for p1s, p2s in _runs(blocks, n_max, scalar):
         if len(p1s) >= _MIN_RUN:
             try:
-                m1s = list(map(abs, p1s))
+                m1s = m2s = list(map(abs, p1s))
+                steps = [(c1, p1s, m1s, False), (a1, m1s, m1s, True)]
                 if not scalar:
                     m2s = list(map(abs, p2s))
+                    steps += [(c2, p2s, m2s, False), (a2, m2s, m2s, True)]
+                if ae is not a1:
                     mes = _rms_moduli(m1s, m2s)
-                    cleared = _take_run([
-                        (c1, p1s, m1s, False), (c2, p2s, m2s, False),
-                        (a1, m1s, m1s, True), (a2, m2s, m2s, True), (ae, mes, mes, True),
-                    ])
-                elif ae is not a1:
-                    mes = _rms_moduli(m1s, m1s)
-                    cleared = _take_run([
-                        (c1, p1s, m1s, False), (a1, m1s, m1s, True), (ae, mes, mes, True),
-                    ])
-                else:
-                    cleared = (
-                        _EXACT_RMS_MIN <= min(m1s) and max(m1s) <= _EXACT_RMS_MAX
-                        and _take_run([(c1, p1s, m1s, False), (a1, m1s, m1s, True)])
-                    )
+                    steps.append((ae, mes, mes, True))
+                cleared = (
+                    ae is not a1 or _EXACT_RMS_MIN <= min(m1s) and max(m1s) <= _EXACT_RMS_MAX
+                ) and _take_run(steps)
             except OverflowError:
                 cleared = False
             if cleared:

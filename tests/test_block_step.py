@@ -70,8 +70,8 @@ SHRINKING = -0.3 - 0.4j
 
 
 def _mid_block(index: int) -> bool:
-    """Past the block that holds terms 1,024 to 2,047, which the block step
-    then has taken whole, and not the first term of a block."""
+    """Past term 2,048, so that the run of terms 1,025 to 2,047 lies
+    before the deciding one, and not the first term of a block."""
     return index > 2048 and index not in BLOCK_STARTS
 
 
