@@ -384,10 +384,10 @@ def _product_pass(
                     else:
                         q2s = _partials(p2s, mul, q2)
                         lg2s = list(map(cmath.log, p2s))
-                    # every deviation feeds the deviation series, and its
-                    # modulus screens the hypothesis: |w - 1| < 1 makes the
-                    # real part positive; else the magnitudes keep only the
-                    # last window of them
+                    # the deviations: all of them while the deviation series
+                    # or the absolute check is open (|w - 1| < 1 makes the
+                    # real part positive: the hypothesis screen), else the
+                    # last window, all that the magnitudes keep
                     tail = (slice(None) if dev_verdict is None or abs_live
                             else slice(-window, None))
                     d1s = list(map(abs, map(sub, p1s[tail], repeat(1.0))))
@@ -420,8 +420,8 @@ def _product_pass(
                             quiet = (2.0 * ZERO_COLLAPSE <= max(min(m1s), min(m2s))
                                      and max(max(m1s), max(m2s)) <= 0.5 * OVERFLOW_GUARD)
                             qnorms = list(map(_rms, q1s[-window:], q2s[-window:]))
-                        # no window pre-test passes: at every term, one
-                        # component has moved by tol or more
+                        # no window pre-test passes: one component moves by
+                        # tol or more across every window
                         quiet = quiet and (
                             min(map(abs, _gaps(win1, q1s, window)), default=math.inf) >= tol
                             or not scalar
