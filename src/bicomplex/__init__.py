@@ -14,13 +14,13 @@ the first time it is read.
 # home module -> the public names the package takes from it
 _EXPORTS = {
     "core": "Bicomplex Duplex IdempotentPair NormInfo SingularityVerdict SingularOperand"
-            " NonFiniteError ZERO ONE I1 I2 J E1 E2 SINGULARITY_TOLERANCE",
+            " SingularTerm NonFiniteError ZERO ONE I1 I2 J E1 E2 SINGULARITY_TOLERANCE",
     "transcendental": "exp sqrt log_principal log_principal_direct log_branch log1p"
-                      " trig_form TrigForm BranchIndex exp_lattice_coords",
+                      " trig_form TrigForm BranchIndex exp_lattice_coords BoundCheck"
+                      " log_bound_check",
     "series": "SeriesReport partial_sums analyze_series eval_power_series",
-    "products": "SingularTerm ProductReport LogSumReport AbsoluteReport ProductAnalysis"
-                " BoundCheck partial_products evaluate_product log_sum_equivalence"
-                " absolute_convergence_check analyze_product log_bound_check",
+    "products": "ProductReport LogSumReport AbsoluteReport ProductAnalysis partial_products"
+                " evaluate_product log_sum_equivalence absolute_convergence_check analyze_product",
     "seqspec": "ParseError parse render eval_term term_generator",
 }
 _HOME = {name: home for home, names in _EXPORTS.items() for name in names.split()}

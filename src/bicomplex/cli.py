@@ -19,26 +19,26 @@ digits.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import seqspec
-from .core import Bicomplex, NonFiniteError, SingularOperand
-from .products import SingularTerm, _analyze_product_pairs, log_bound_check
-
-# the library analyzers stay importable here: bench/tracer.py wraps them
-# by name on this module
-from .products import (  # noqa: F401
-    absolute_convergence_check,
-    evaluate_product,
-    log_sum_equivalence,
-)
-from .series import analyze_series  # noqa: F401
-from .series import _analyze_pairs, _validate
+from .core import Bicomplex, NonFiniteError, SingularOperand, SingularTerm, _validate
 from .seqspec import IdempotentSlotError, ParseError
-from .transcendental import log_branch
+from .transcendental import log_bound_check, log_branch
 
 __all__ = ["main"]
+
+# The library analyzers stay readable here, as bench/tracer.py wraps them
+# by name on this module. Each loads its home module on first read only
+# (PEP 562), so eval and check-bounds load neither products nor series.
+_ANALYZERS = {"evaluate_product": "products", "absolute_convergence_check": "products",
+              "log_sum_equivalence": "products", "analyze_series": "series"}
+
+
+def __getattr__(name):
+    if name not in _ANALYZERS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(__import__(_ANALYZERS[name], globals(), level=1), name)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -79,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# parameter of series._validate -> the option that sets it
+# parameter of core._validate -> the option that sets it
 _OPTIONS = {"tol": "--tol", "window": "--window", "n_max": "--max-terms"}
 
 
@@ -120,6 +120,7 @@ def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> Non
     """Print the JSON envelope with ``--json``, else the text lines. JSON
     has no infinity or NaN: a report holding one is a NonFiniteError."""
     if args.json:
+        import json
         envelope = {
             "command": args.command,
             "expr": args.expr,
@@ -170,6 +171,7 @@ def _series_json(report) -> dict:
 
 
 def _cmd_series(args: argparse.Namespace, node) -> int:
+    from .series import _analyze_pairs
     scalar, blocks = seqspec._lane_blocks(node, 1, args.max_terms + 1)
     report = _analyze_pairs(blocks, args.tol, args.window, args.max_terms, scalar)
     lines = [
@@ -187,6 +189,7 @@ def _cmd_series(args: argparse.Namespace, node) -> int:
 
 
 def _cmd_product(args: argparse.Namespace, node) -> int:
+    from .products import _analyze_product_pairs
     scalar, blocks = seqspec._lane_blocks(node, 1, args.max_terms + 1)
     report, absolute_check, identity = _analyze_product_pairs(
         blocks, args.tol, args.window, args.max_terms, scalar

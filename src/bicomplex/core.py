@@ -36,6 +36,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+import sys
 
 __all__ = [
     "Bicomplex",
@@ -44,6 +45,7 @@ __all__ = [
     "NormInfo",
     "SingularityVerdict",
     "SingularOperand",
+    "SingularTerm",
     "NonFiniteError",
     "SINGULARITY_TOLERANCE",
     "ZERO",
@@ -74,6 +76,14 @@ class SingularOperand(ArithmeticError):
     def __init__(self, message: str, term_index: int | None = None):
         super().__init__(message)
         self.term_index = term_index
+
+
+class SingularTerm(ArithmeticError):
+    """A term of the sequence was a zero divisor (1-based index)."""
+
+    def __init__(self, message: str = "singular term", index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class NonFiniteError(ArithmeticError):
@@ -685,6 +695,24 @@ def _coerce(value) -> Bicomplex | None:
     if isinstance(value, Duplex):
         return value.to_bicomplex()
     return None
+
+
+def _validate(tol: float, window: int, n_max: int) -> None:
+    """The one check of the analysis arguments. Each message starts with
+    the parameter's name, which the CLI maps to its option."""
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    if tol == math.inf:
+        raise ValueError("tol must be finite")
+    # deque and islice take sizes up to sys.maxsize
+    if window < 2:
+        raise ValueError("window must be at least 2")
+    if window > sys.maxsize:
+        raise ValueError(f"window must be at most {sys.maxsize}")
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    if n_max > sys.maxsize:
+        raise ValueError(f"n_max must be at most {sys.maxsize}")
 
 
 def _fmt_real(x: float, digits: int | None) -> str:

@@ -26,7 +26,9 @@ the partial products and tracks the branch offset between the two,
 ``absolute_convergence_check`` compares the log-norm and the
 deviation-norm convergence criteria, and ``log_bound_check`` tests the
 two-sided norm comparison that justifies swapping one criterion for the
-other for small deviations.
+other for small deviations. ``SingularTerm`` (from ``core``),
+``log_bound_check`` and ``BoundCheck`` (from ``transcendental``) are
+re-exported here.
 
 ``analyze_product`` gives the product report, the absolute check and
 the log-sum identity from one pass that reads each term once, as its
@@ -81,16 +83,16 @@ from itertools import pairwise, repeat
 from operator import add, mul, sub, truediv
 
 from .core import (
-    SINGULARITY_TOLERANCE, Bicomplex, NonFiniteError, _coerce, _none_singular,
-    _pair_zero_divisor_test, _pairs_none_singular, _Record, _zero_divisor_test,
+    SINGULARITY_TOLERANCE, Bicomplex, NonFiniteError, SingularTerm, _none_singular,
+    _pair_zero_divisor_test, _pairs_none_singular, _Record, _validate, _zero_divisor_test,
 )
 from .seqspec import _TERM_ERRORS
 from .series import (
     _EXACT_RMS_MAX, _EXACT_RMS_MIN, _FLAT_RATIO, _FLOOR_FACTOR, _HARMONIC_RATIO,
     _MIN_RUN, OVERFLOW_GUARD, _Checkpoints, _diameter, _gaps, _pair_or_none,
-    _partials, _rising_quiet, _running, _runs, _term_pairs, _validate,
+    _partials, _rising_quiet, _running, _runs, _term_pairs,
 )
-from .transcendental import TWO_PI, log1p
+from .transcendental import TWO_PI, BoundCheck, log1p, log_bound_check
 
 __all__ = [
     "SingularTerm",
@@ -116,14 +118,6 @@ ZERO_COLLAPSE = 1e-30
 # the identity diagnostic is quadratic-feeling in practice (an exp per
 # step), so it gets its own cap
 LOG_SUM_CAP = 1000
-
-class SingularTerm(ArithmeticError):
-    """A term of the sequence was a zero divisor (1-based index)."""
-
-    def __init__(self, message: str = "singular term", index: int | None = None):
-        super().__init__(message)
-        self.index = index
-
 
 class ProductReport(_Record):
     """Outcome of an infinite-product evaluation.
@@ -167,14 +161,6 @@ class ProductAnalysis(namedtuple("ProductAnalysis", "product absolute identity")
     None where a failure ended them."""
 
     __slots__ = ()
-
-
-class BoundCheck(_Record):
-    norm: float
-    log_norm: float
-    ratio: float
-    lower_ok: bool
-    upper_ok: bool
 
 
 def _rms(a: complex, b: complex) -> float:
@@ -699,39 +685,3 @@ def absolute_convergence_check(
     return _product_pass(
         _term_pairs(terms), n_max, singularity_tol, tol=tol, window=window, absolute=True
     ).absolute
-
-
-def log_bound_check(w) -> BoundCheck:
-    """Test the two-sided comparison between ||log(1+w)|| and ||w||.
-
-    Requires ||w|| < 1/2 (ValueError otherwise). Checks
-    (1/2)*||w|| <= ||log(1+w)|| <= (3/2)*||w||. The lower comparison
-    holds throughout the half-ball. The upper one can fail near the
-    outer edge: an idempotent component of modulus up to sqrt(2)*||w||
-    can push the componentwise ratio toward -log(1-r)/r, which crosses
-    3/2 once a component modulus exceeds about 0.583. The hypothesis
-    under which both comparisons hold is that of the complex lemma on
-    each component: both idempotent moduli below 1/2. Since each is at
-    most sqrt(2)*||w||, ||w|| < 1/(2*sqrt(2)) implies it; so does
-    ||w|| <= 0.41. On the whole half-ball the sharp ceiling is
-    ratio <= f(max(|p1|, |p2|)) with f(s) = -log(1-s)/s, at most
-    -sqrt(2)*log(1 - 1/sqrt(2)) ~= 1.7366. The booleans report what was
-    actually measured.
-    """
-    value = _coerce(w)
-    if value is None:
-        raise TypeError(f"cannot interpret argument as Bicomplex: {w!r}")
-    norm = abs(value)
-    if not norm < 0.5:
-        raise ValueError("log_bound_check requires Euclidean norm < 1/2")
-    if norm == 0.0:
-        return BoundCheck(norm=0.0, log_norm=0.0, ratio=1.0, lower_ok=True, upper_ok=True)
-    log_norm = abs(log1p(value))
-    ratio = log_norm / norm
-    return BoundCheck(
-        norm=norm,
-        log_norm=log_norm,
-        ratio=ratio,
-        lower_ok=ratio >= 0.5,
-        upper_ok=ratio <= 1.5,
-    )

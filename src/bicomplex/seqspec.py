@@ -521,8 +521,8 @@ def _powers(ps, exponent: int):
 def _var(node):
     def fn(ns):
         try:
-            # complex(n) rounds n to a float as float(n) does
-            return list(map(complex, ns))
+            # n + 0j is complex(n) in bits, at about half the cost
+            return list(map(operator.add, ns, repeat(0j)))
         except OverflowError:
             raise NonFiniteError("term index n is past the float range") from None
 

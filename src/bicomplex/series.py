@@ -37,12 +37,11 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from collections import deque
 from itertools import accumulate, islice, repeat
 from operator import add, mul, sub, truediv
 
-from .core import Bicomplex, NonFiniteError, _coerce, _Record
+from .core import Bicomplex, NonFiniteError, _coerce, _Record, _validate
 
 __all__ = [
     "SeriesReport",
@@ -297,24 +296,6 @@ def _take_run(steps) -> bool:
     for tracker, totals, mags in runs:
         tracker.take(totals, mags)
     return True
-
-
-def _validate(tol: float, window: int, n_max: int) -> None:
-    """The one check of the analysis arguments. Each message starts with
-    the parameter's name, which the CLI maps to its option."""
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    if tol == math.inf:
-        raise ValueError("tol must be finite")
-    # deque and islice take sizes up to sys.maxsize
-    if window < 2:
-        raise ValueError("window must be at least 2")
-    if window > sys.maxsize:
-        raise ValueError(f"window must be at most {sys.maxsize}")
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    if n_max > sys.maxsize:
-        raise ValueError(f"n_max must be at most {sys.maxsize}")
 
 
 def partial_sums(terms, n_max: int = 10**6) -> list[Bicomplex]:

@@ -1,4 +1,4 @@
-"""Exponential, logarithm branches, square root, and trigonometric form.
+"""Exponential, logarithm branches, square root, trig form, log1p norm check.
 
 All functions act componentwise over the idempotent basis: for
 ``w = p1*e1 + p2*e2`` and a complex function f, the bicomplex extension
@@ -25,6 +25,7 @@ from .core import (
     Bicomplex,
     NonFiniteError,
     SingularOperand,
+    _coerce,
     _pair_zero_divisor_test,
     _Record,
     _unit_scale,
@@ -40,6 +41,8 @@ __all__ = [
     "log_principal_direct",
     "log_branch",
     "log1p",
+    "BoundCheck",
+    "log_bound_check",
     "exp_lattice_coords",
 ]
 
@@ -218,6 +221,50 @@ def log1p(w: Bicomplex) -> Bicomplex:
                 break
         return Bicomplex.from_idempotent(acc1, acc2)
     return log_principal(w + 1.0)
+
+
+class BoundCheck(_Record):
+    norm: float
+    log_norm: float
+    ratio: float
+    lower_ok: bool
+    upper_ok: bool
+
+
+def log_bound_check(w) -> BoundCheck:
+    """Test the two-sided comparison between ||log(1+w)|| and ||w||.
+
+    Requires ||w|| < 1/2 (ValueError otherwise). Checks
+    (1/2)*||w|| <= ||log(1+w)|| <= (3/2)*||w||. The lower comparison
+    holds throughout the half-ball. The upper one can fail near the
+    outer edge: an idempotent component of modulus up to sqrt(2)*||w||
+    can push the componentwise ratio toward -log(1-r)/r, which crosses
+    3/2 once a component modulus exceeds about 0.583. The hypothesis
+    under which both comparisons hold is that of the complex lemma on
+    each component: both idempotent moduli below 1/2. Since each is at
+    most sqrt(2)*||w||, ||w|| < 1/(2*sqrt(2)) implies it; so does
+    ||w|| <= 0.41. On the whole half-ball the sharp ceiling is
+    ratio <= f(max(|p1|, |p2|)) with f(s) = -log(1-s)/s, at most
+    -sqrt(2)*log(1 - 1/sqrt(2)) ~= 1.7366. The booleans report what was
+    actually measured.
+    """
+    value = _coerce(w)
+    if value is None:
+        raise TypeError(f"cannot interpret argument as Bicomplex: {w!r}")
+    norm = abs(value)
+    if not norm < 0.5:
+        raise ValueError("log_bound_check requires Euclidean norm < 1/2")
+    if norm == 0.0:
+        return BoundCheck(norm=0.0, log_norm=0.0, ratio=1.0, lower_ok=True, upper_ok=True)
+    log_norm = abs(log1p(value))
+    ratio = log_norm / norm
+    return BoundCheck(
+        norm=norm,
+        log_norm=log_norm,
+        ratio=ratio,
+        lower_ok=ratio >= 0.5,
+        upper_ok=ratio <= 1.5,
+    )
 
 
 def exp_lattice_coords(d: Bicomplex) -> tuple[complex, complex]:

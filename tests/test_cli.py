@@ -423,6 +423,55 @@ def test_start_up_imports_no_dataclasses_typing_or_inspect():
     assert _fresh_python(code) == "[]\n"
 
 
+def _loaded_by(argv: list[str]) -> str:
+    """The pass modules and ``json`` that one CLI run of ``argv`` loads in
+    a fresh ``python -S`` process."""
+    code = (
+        "import sys\n"
+        "from bicomplex import cli\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "print(sorted({'bicomplex.products', 'bicomplex.series', 'json'} & set(sys.modules)))\n"
+    )
+    return _fresh_python(code).splitlines()[-1]
+
+
+def test_commands_load_only_the_modules_they_use():
+    # eval and check-bounds read one value: compiling the passes would
+    # cost every run of theirs several ms
+    assert _loaded_by(["eval", "1+i2"]) == "[]"
+    assert _loaded_by(["check-bounds", "(1+i1)/10"]) == "[]"
+    assert _loaded_by(["eval", "1+i2", "--json"]) == "['json']"
+    assert _loaded_by(["series", "--max-terms", "64", "1/n^2"]) == "['bicomplex.series']"
+    assert _loaded_by(["product", "--max-terms", "64", "1+1/n^2"]) == str(
+        ["bicomplex.products", "bicomplex.series"]
+    )
+
+
+def test_cli_reads_the_analyzers_from_their_home_modules():
+    # bench/tracer.py wraps these four by name on the cli module
+    from bicomplex import cli, products, series
+
+    for name, home in (
+        ("evaluate_product", products),
+        ("absolute_convergence_check", products),
+        ("log_sum_equivalence", products),
+        ("analyze_series", series),
+    ):
+        assert getattr(cli, name) is getattr(home, name), name
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        cli.no_such_name
+
+
+def test_moved_names_keep_their_old_home_and_package_names():
+    from bicomplex import BoundCheck, SingularTerm, core, log_bound_check, products, transcendental
+
+    assert products.SingularTerm is core.SingularTerm is SingularTerm
+    assert products.log_bound_check is transcendental.log_bound_check is log_bound_check
+    assert products.BoundCheck is transcendental.BoundCheck is BoundCheck
+    assert bicomplex._HOME["SingularTerm"] == "core"
+    assert bicomplex._HOME["log_bound_check"] == bicomplex._HOME["BoundCheck"] == "transcendental"
+
+
 MODULES = ("core", "transcendental", "series", "products", "seqspec")
 
 PUBLIC_NAMES = [

@@ -24,6 +24,7 @@ from bicomplex import (
     log_principal,
     log_sum_equivalence,
     partial_products,
+    products,
     render,
     seqspec,
     series,
@@ -505,8 +506,6 @@ def test_cli_scalar_lane_makes_no_pair_zero_divisor_test(monkeypatch):
     ],
 )
 def test_cli_passes_take_the_lane_of_the_expression(monkeypatch, argv, scalar):
-    from bicomplex import cli
-
     lanes = []
 
     def recording(original):
@@ -516,8 +515,10 @@ def test_cli_passes_take_the_lane_of_the_expression(monkeypatch, argv, scalar):
 
         return run
 
-    monkeypatch.setattr(cli, "_analyze_pairs", recording(cli._analyze_pairs))
-    monkeypatch.setattr(cli, "_analyze_product_pairs", recording(cli._analyze_product_pairs))
+    # the CLI imports its pass from the pass's module when the command runs
+    monkeypatch.setattr(series, "_analyze_pairs", recording(series._analyze_pairs))
+    monkeypatch.setattr(products, "_analyze_product_pairs",
+                        recording(products._analyze_product_pairs))
     code, _, _ = run_cli(argv)
     assert code == 0
     assert lanes == [scalar]

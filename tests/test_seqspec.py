@@ -378,6 +378,14 @@ def test_index_past_the_float_range():
     assert eval_term(parse("n"), 2**1023) == Bicomplex(2.0**1023)
 
 
+def test_index_converts_to_complex_as_complex_does():
+    # the compiled ``n`` adds 0j to each index: the same bits as complex(n)
+    ns = [*range(1, 5001), 2**53 - 1, 2**53 + 1, 2**1023, 10**308]
+    got = seqspec._var(parse("n"))(ns)
+    for n, z in zip(ns, got, strict=True):
+        assert (z.real.hex(), z.imag.hex()) == (complex(n).real.hex(), complex(n).imag.hex()), n
+
+
 def test_term_generator():
     gen = term_generator("1 + 1/n^2")
     values = [next(gen) for _ in range(3)]
