@@ -24,11 +24,12 @@ The companion checks relate the product to the series of term
 logarithms: ``log_sum_equivalence`` verifies exp(sum of logs) against
 the partial products and tracks the branch offset between the two,
 ``absolute_convergence_check`` compares the log-norm and the
-deviation-norm convergence criteria, and ``log_bound_check`` tests the
-two-sided norm comparison that justifies swapping one criterion for the
-other for small deviations. ``SingularTerm`` (from ``core``),
-``log_bound_check`` and ``BoundCheck`` (from ``transcendental``) are
-re-exported here.
+deviation-norm convergence criteria, two norm series run on
+``series._Tracker`` as the series pass runs its own, and
+``log_bound_check`` tests the two-sided norm comparison that justifies
+swapping one criterion for the other for small deviations.
+``SingularTerm`` (from ``core``), ``log_bound_check`` and ``BoundCheck``
+(from ``transcendental``) are re-exported here.
 
 ``analyze_product`` gives the product report, the absolute check and
 the log-sum identity from one pass that reads each term once, as its
@@ -80,7 +81,7 @@ import math
 from collections import deque, namedtuple
 from functools import reduce
 from itertools import pairwise, repeat
-from operator import add, mul, sub, truediv
+from operator import add, mul, sub
 
 from .core import (
     SINGULARITY_TOLERANCE, Bicomplex, NonFiniteError, SingularTerm, _none_singular,
@@ -89,8 +90,8 @@ from .core import (
 from .seqspec import _TERM_ERRORS
 from .series import (
     _EXACT_RMS_MAX, _EXACT_RMS_MIN, _FLAT_RATIO, _FLOOR_FACTOR, _HARMONIC_RATIO,
-    _MIN_RUN, OVERFLOW_GUARD, _Checkpoints, _diameter, _gaps, _pair_or_none,
-    _partials, _rising_quiet, _running, _runs, _term_pairs,
+    _MIN_RUN, OVERFLOW_GUARD, _Checkpoints, _diameter, _gaps, _modulus, _pair_or_none,
+    _partials, _rms_moduli, _running, _runs, _term_pairs, _Tracker,
 )
 from .transcendental import TWO_PI, BoundCheck, log1p, log_bound_check
 
@@ -164,36 +165,26 @@ class ProductAnalysis(namedtuple("ProductAnalysis", "product absolute identity")
 
 
 def _rms(a: complex, b: complex) -> float:
-    """``sqrt((|a|**2 + |b|**2)/2)``, or inf where the squares overflow,
-    so that the overflow guards see it."""
+    """``sqrt((|a|**2 + |b|**2)/2)``, squared as ``m*m``; inf where a
+    square overflows, so that the overflow guards see it. ``_rms(x, x)``
+    is ``abs(x)`` across the exact-RMS range: doubling and halving are
+    exact there, and a correctly rounded ``sqrt(m*m)`` is ``m`` while
+    ``m*m`` is normal."""
     try:
-        return math.sqrt((abs(a) ** 2 + abs(b) ** 2) / 2.0)
-    except OverflowError:
-        return math.inf
-
-
-def _modulus_rms(x: complex) -> float:
-    """``_rms(x, x)``: ``abs(x)`` itself in the exact-RMS range."""
-    try:
-        m = abs(x)
-    except OverflowError:
-        return math.inf
-    return m if _EXACT_RMS_MIN <= m <= _EXACT_RMS_MAX else _rms(x, x)
+        m1, m2 = abs(a), abs(b)
+    except OverflowError:  # a modulus past the float range: inf
+        m1, m2 = _modulus(a), _modulus(b)
+    return math.sqrt((m1 * m1 + m2 * m2) / 2.0)
 
 
 def _norms(m1s, m2s, scalar: bool):
     """``_rms(a, b)`` of each pair of values whose moduli are ``m1s`` and
-    ``m2s``, or with ``scalar`` ``_modulus_rms(a)`` of each value whose
-    modulus is in ``m1s``, at C speed with the same float operations; None
-    where one would leave the float range (``_rms`` gives inf there) or,
-    with ``scalar``, a modulus lies outside the exact-RMS range."""
-    if scalar:
-        return m1s if _EXACT_RMS_MIN <= min(m1s) and max(m1s) <= _EXACT_RMS_MAX else None
-    try:
-        squares = map(add, map(pow, m1s, repeat(2)), map(pow, m2s, repeat(2)))
-        return list(map(math.sqrt, map(truediv, squares, repeat(2.0))))
-    except OverflowError:
-        return None
+    ``m2s``, at C speed with the same float operations; with ``scalar``
+    (``m2s`` is ``m1s``), the moduli themselves where all lie in the
+    exact-RMS range."""
+    if scalar and _EXACT_RMS_MIN <= min(m1s) and max(m1s) <= _EXACT_RMS_MAX:
+        return m1s
+    return _rms_moduli(m1s, m2s)
 
 
 def partial_products(terms, n_max: int = 10**6) -> list[Bicomplex]:
@@ -290,15 +281,13 @@ def _product_pass(
     every product analysis.
 
     With ``scalar``, each block is one list, each term one complex, both
-    of its components: one accumulator, log sum and window run, the
-    zero-divisor tests read the one component, and each norm
-    ``_rms(x, x)`` is ``abs(x)`` where that is exact (``_modulus_rms``).
+    of its components: one accumulator, log sum and window run, and the
+    zero-divisor tests read the one component.
 
     The norm series of the absolute check, of ``||log w_n||`` and of
-    ``||w_n - 1||``, run in lockstep as local state (a total, a window of
-    partial sums and a ``_Checkpoints`` each; the product verdict shares
-    the deviations' magnitudes) under the rules of ``series._Tracker.push``,
-    written inline so that a term makes no call for bookkeeping.
+    ``||w_n - 1||``, run on two ``series._Tracker``s in lockstep. The
+    product verdict's checkpoints keep their own deque of the deviations,
+    which they read after the deviation series has decided.
 
     The block step: once the identity is over, a run of ``_MIN_RUN`` or
     more terms, none of them a checkpoint (``series._runs``), is taken at
@@ -309,16 +298,17 @@ def _product_pass(
       need ``0 <= singularity_tol < 1``, which the CLI's tolerance is);
     * while the absolute check is live, every ``|w - 1| < 1`` in each
       component, which makes every real part positive;
-    * the norm series' partial sums pass ``series._rising_quiet``;
+    * the norm series' trackers clear the run (``_Tracker.run_sums``);
     * while the product is live, its norms lie inside the overflow guard
       and above the zero-collapse floor, bounded by the component moduli
       on the pair lane, and no window pre-test passes.
 
     Accumulators, windows and magnitude deques then advance with the
-    float operations of the per-term body, in its order; the deques take
-    only the last ``window`` values, which is all they keep. Any other run
-    is read one term at a time by the per-term body, the one spelling of
-    every rule.
+    float operations of the per-term body, in its order (``_Tracker.take``
+    for the norm series); the deques take only the last ``window``
+    values, which is all they keep. Any other run is read one term at a
+    time by the per-term body, which with ``_Tracker.push`` is the one
+    spelling of every rule.
 
     Feeds the requested consumers (the identity over the first
     ``identity_terms <= n_max`` terms) while any is live. With the
@@ -332,27 +322,24 @@ def _product_pass(
     q2 = 1.0 + 0j
     l1 = 0j
     l2 = 0j
-    # the norm series, each with a verdict that is None while open
-    log_verdict = dev_verdict = None
-    log_total = dev_total = 0.0
-    log_sums: deque[float] = deque(maxlen=window)
-    dev_sums: deque[float] = deque(maxlen=window)
-    log_checks = _Checkpoints(tol, window, _HARMONIC_RATIO)
-    dev_checks = _Checkpoints(tol, window, _HARMONIC_RATIO)
+    # the norm series: each reads every term up to its verdict, so its
+    # count is ``used``
+    log_track = _Tracker(tol, window, _HARMONIC_RATIO)
+    dev_track = _Tracker(tol, window, _HARMONIC_RATIO)
     # product verdict state
     win1: deque[complex] = deque(maxlen=window)
     win2 = win1 if scalar else deque(maxlen=window)
     pnorms: deque[float] = deque(maxlen=window)
-    checks = _Checkpoints(tol, window, _FLAT_RATIO)  # over the deviations
-    checks.mags = dev_checks.mags
+    # over the deviations, in a deque of its own: the product reads them
+    # past the deviation tracker's verdict
+    checks = _Checkpoints(tol, window, _FLAT_RATIO)
     nc_ok = True
     # identity state
     max_disc = 0.0
     offset = (0, 0)
     changes = 0
     used = 0
-    log_sum_push, dev_sum_push = log_sums.append, dev_sums.append
-    log_mag_push, dev_mag_push = log_checks.mags.append, checks.mags.append
+    log_push, dev_push, dev_mag_push = log_track.push, dev_track.push, checks.mags.append
     win1_push, win2_push, pnorm_push = win1.append, win2.append, pnorms.append
 
     try:
@@ -373,25 +360,21 @@ def _product_pass(
                     # the deviations: all of them while the deviation series
                     # or the absolute check is open (|w - 1| < 1 makes the
                     # real part positive: the hypothesis screen), else the
-                    # last window, all that the magnitudes keep
-                    tail = (slice(None) if dev_verdict is None or abs_live
+                    # last window, all that the checkpoints keep
+                    tail = (slice(None) if dev_track.verdict is None or abs_live
                             else slice(-window, None))
                     d1s = list(map(abs, map(sub, p1s[tail], repeat(1.0))))
                     d2s = d1s if scalar else list(map(abs, map(sub, p2s[tail], repeat(1.0))))
                     devs = _norms(d1s, d2s, scalar)
-                    quiet = devs is not None and not (
-                        abs_live and (max(d1s) >= 1.0 or max(d2s) >= 1.0)
-                    )
-                    if quiet and dev_verdict is None:
-                        dev_totals = _partials(devs, add, dev_total)
-                        quiet = _rising_quiet(dev_sums, dev_totals, window, tol)
-                    if quiet and log_verdict is None:
+                    quiet = not (abs_live and (max(d1s) >= 1.0 or max(d2s) >= 1.0))
+                    if quiet and dev_track.verdict is None:
+                        dev_totals = dev_track.run_sums(devs, True)
+                        quiet = dev_totals is not None
+                    if quiet and log_track.verdict is None:
                         lm1s = list(map(abs, lg1s))
                         log_norms = _norms(lm1s, lm1s if scalar else list(map(abs, lg2s)), scalar)
-                        quiet = log_norms is not None
-                        if quiet:
-                            log_totals = _partials(log_norms, add, log_total)
-                            quiet = _rising_quiet(log_sums, log_totals, window, tol)
+                        log_totals = log_track.run_sums(log_norms, True)
+                        quiet = log_totals is not None
                     if quiet and prod_live:
                         m1s = list(map(abs, q1s))
                         if scalar:
@@ -422,13 +405,10 @@ def _product_pass(
                     l1 = reduce(add, lg1s, l1)
                     l2 = l1 if scalar else reduce(add, lg2s, l2)
                     checks.mags.extend(devs[-window:])
-                    if dev_verdict is None:
-                        dev_total = dev_totals[-1]
-                        dev_sums.extend(dev_totals[-window:])
-                    if log_verdict is None:
-                        log_total = log_totals[-1]
-                        log_sums.extend(log_totals[-window:])
-                        log_checks.mags.extend(log_norms[-window:])
+                    if dev_track.verdict is None:
+                        dev_track.take(dev_totals, devs)
+                    if log_track.verdict is None:
+                        log_track.take(log_totals, log_norms)
                     if prod_live:
                         win1.extend(q1s[-window:])
                         if not scalar:
@@ -436,6 +416,7 @@ def _product_pass(
                         pnorms.extend(qnorms[-window:])
                     continue
 
+            # on the scalar lane wp2 is wp1, and so lg2 is lg1 and q2 is q1
             for wp1, wp2 in zip(p1s, p2s):
                 used += 1
                 if (
@@ -470,39 +451,18 @@ def _product_pass(
                     l2 += lg2
 
                 if prod_live or abs_live:
-                    dev = _modulus_rms(wp1 - 1.0) if scalar else _rms(wp1 - 1.0, wp2 - 1.0)
+                    dev = _rms(wp1 - 1.0, wp2 - 1.0)
                     dev_mag_push(dev)
-                    # a norm series reads every term up to its verdict: ``used``
-                    # is its count, and its rising sums make newest - oldest the
-                    # window pre-test
-                    if log_verdict is None:
-                        log_norm = _modulus_rms(lg1) if scalar else _rms(lg1, lg2)
-                        log_total += log_norm
-                        log_sum_push(log_total)
-                        log_mag_push(log_norm)
-                        if log_total > OVERFLOW_GUARD:
-                            log_verdict = "diverged"
-                        elif (used >= window and log_total - log_sums[0] < tol
-                              and _diameter(log_sums) < tol):
-                            log_verdict = "converged"
-                        elif used == log_checks.due and log_checks.stalled():
-                            log_verdict = "diverged"
-                    if dev_verdict is None:
-                        dev_total += dev
-                        dev_sum_push(dev_total)
-                        if dev_total > OVERFLOW_GUARD:
-                            dev_verdict = "diverged"
-                        elif (used >= window and dev_total - dev_sums[0] < tol
-                              and _diameter(dev_sums) < tol):
-                            dev_verdict = "converged"
-                        elif used == dev_checks.due and dev_checks.stalled():
-                            dev_verdict = "diverged"
-                    if abs_live and log_verdict is not None and dev_verdict is not None:
-                        abs_report = _absolute_report(log_verdict, dev_verdict, used)
+                    dev_push(dev, dev)
+                    if log_track.verdict is None:
+                        log_norm = _rms(lg1, lg2)
+                        log_push(log_norm, log_norm)
+                    if abs_live and log_track.verdict is not None and dev_track.verdict is not None:
+                        abs_report = _absolute_report(log_track.verdict, dev_track.verdict, used)
                         abs_live = False
 
                 if prod_live:
-                    pnorm = _modulus_rms(q1) if scalar else _rms(q1, q2)
+                    pnorm = _rms(q1, q2)
                     win1_push(q1)
                     if not scalar:
                         win2_push(q2)
@@ -538,7 +498,8 @@ def _product_pass(
                             verdict = "diverged"
                     if verdict is not None:
                         prod_report = _product_report(
-                            verdict, q1, q2, l1, l2, used, nc_ok, log_verdict, dev_verdict
+                            verdict, q1, q2, l1, l2, used, nc_ok,
+                            log_track.verdict, dev_track.verdict,
                         )
                         prod_live = False
 
@@ -578,10 +539,10 @@ def _product_pass(
         if verdict is None:
             verdict = "diverged" if not nc_ok else "inconclusive"
         prod_report = _product_report(
-            verdict, q1, q2, l1, l2, used, nc_ok, log_verdict, dev_verdict
+            verdict, q1, q2, l1, l2, used, nc_ok, log_track.verdict, dev_track.verdict
         )
     if abs_live:
-        abs_report = _absolute_report(log_verdict, dev_verdict, used)
+        abs_report = _absolute_report(log_track.verdict, dev_track.verdict, used)
     if id_live:
         id_report = _identity_report(q1, q2, l1, l2, max_disc, offset, changes, used)
     return ProductAnalysis(prod_report, abs_report, id_report)

@@ -480,12 +480,10 @@ def _checked(ps):
 
 
 def _inverses(ps):
-    """``_inverse`` of each value, its zero-divisor test and finiteness
-    check one scan each."""
+    """``_inverse`` of each value, its zero-divisor test one scan."""
     if _none_singular(ps, SINGULARITY_TOLERANCE):
-        rs = list(map(operator.truediv, repeat(1.0), ps))
-        if all(map(_isfinite, rs)):
-            return rs
+        # no finiteness scan, for the reason in ``_inverse``
+        return list(map(operator.truediv, repeat(1.0), ps))
     return list(map(_inverse, ps))
 
 

@@ -92,18 +92,6 @@ def _gaps(sums, totals, window: int):
     return map(sub, seq[first:], seq[first - window + 1 : len(seq) - window + 1])
 
 
-def _rising_quiet(sums, totals, window: int, tol: float) -> bool:
-    """The block step's screen of a norm series: neither its overflow guard
-    nor its window pre-test fires at any of ``totals``, the partial sums
-    that follow the window ``sums``. The terms are nonnegative, so the
-    sums rise: the last is the largest (a NaN there fails the screen,
-    and it stays in every later sum), and a window's spread is newest
-    minus oldest."""
-    return totals[-1] <= OVERFLOW_GUARD and min(
-        _gaps(sums, totals, window), default=math.inf
-    ) >= tol
-
-
 def _runs(blocks, n_max: int, scalar: bool):
     """The terms of ``blocks`` as ``(p1s, p2s)`` runs for a pass to read in
     order: at most ``n_max`` terms in all, and each checkpoint index (16,
@@ -219,9 +207,10 @@ class _Tracker(_Checkpoints):
     guard, or when ``stalled`` holds at a checkpoint with ``ratio``:
     _FLAT_RATIO for a general series, _HARMONIC_RATIO for a norm series.
     Partial sums of a norm series are monotone, so there the window
-    test comes down to the gap between newest and oldest. The product
-    pass writes these rules out inline for its two norm series, per term
-    and in its block step.
+    test comes down to the gap between newest and oldest. The series
+    pass runs its component and modulus series on trackers, and the
+    product pass its two norm series, of ``||log w_n||`` and of
+    ``||w_n - 1||``.
 
     ``run_sums`` and ``take`` are the block step: the first screens a run
     of terms that holds no checkpoint, the second advances the tracker
@@ -263,14 +252,17 @@ class _Tracker(_Checkpoints):
     def run_sums(self, terms, rising: bool):
         """The partial sums after each of ``terms``, or None where a rule
         of ``push`` could fire at one of them. ``rising``: the terms are
-        moduli, so ``_rising_quiet`` screens them. Raises OverflowError
-        where a modulus leaves the float range."""
+        nonnegative, so the sums rise: the last is the largest (a NaN
+        there fails the screen, and it stays in every later sum), and a
+        window's spread is newest minus oldest. Raises OverflowError where
+        a modulus leaves the float range."""
         totals = _partials(terms, add, self.total)
+        gaps = _gaps(self.sums, totals, self.window)
         if rising:
-            quiet = _rising_quiet(self.sums, totals, self.window, self.tol)
+            quiet = totals[-1] <= OVERFLOW_GUARD and min(gaps, default=math.inf) >= self.tol
         else:
             quiet = max(map(abs, totals)) <= OVERFLOW_GUARD and min(
-                map(abs, _gaps(self.sums, totals, self.window)), default=math.inf
+                map(abs, gaps), default=math.inf
             ) >= self.tol
         return totals if quiet else None
 

@@ -99,6 +99,15 @@ def mp_partial_product(dev, n_terms: int, dps: int = 40):
         return q1, q2
 
 
+def mp_rms(a: complex, b: complex, dps: int = 40):
+    """``sqrt((|a|**2 + |b|**2)/2)`` of two float complexes, in mpmath."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        parts = (mp.mpf(a.real), mp.mpf(a.imag), mp.mpf(b.real), mp.mpf(b.imag))
+        return mp.sqrt(sum(x * x for x in parts) / 2)
+
+
 def mp_rel_diff(w: Bicomplex, q1, q2) -> float:
     """Relative Euclidean distance from w to the mpmath pair (q1, q2)."""
     import mpmath as mp

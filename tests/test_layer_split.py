@@ -1,6 +1,7 @@
 """tools/layer_split.py runs on a small term budget and prints one row
 per long workload, with its lane, term count, evaluated indices, two
-costs and the share of terms the block step screened.
+costs and the share of terms the block step screened, then one row per
+public analyzer on prebuilt terms, with its term count and cost.
 
 The tool is run as a script, as it is used.
 """
@@ -29,7 +30,7 @@ def test_layer_split_prints_one_row_per_long_workload():
     ]
     rows = [
         re.fullmatch(r"\| `(.+)` \| (\w+)" + r" \| ([\d,]+)" * 4 + r" \| ([\d.]+)% \|", line)
-        for line in lines[2:]
+        for line in lines[2:5]
     ]
     assert all(rows), lines
     got = [(m[1], m[2], int(m[3].replace(",", ""))) for m in rows]
@@ -50,6 +51,19 @@ def test_layer_split_prints_one_row_per_long_workload():
     screened = [float(m[7]) for m in rows]
     assert 0.0 < screened[0] <= 50.0 and 0.0 < screened[1] <= 50.0
     assert 0.0 < screened[2] < 100.0
+
+    assert lines[5:8] == ["", "| analyzer | terms | ns/term |", "|---|---:|---:|"]
+    analyzers = [re.fullmatch(r'\| `(\w+)` on "(.+)" \| ([\d,]+) \| ([\d,]+) \|', line)
+                 for line in lines[8:]]
+    assert all(analyzers), lines
+    got = [(m[1], m[2], int(m[3].replace(",", ""))) for m in analyzers]
+    # the prebuilt terms are capped too, and no verdict comes within 2,000
+    assert got == [
+        ("evaluate_product", "1 + (3/10 + 2/5*i2)/n^2", 2000),
+        ("absolute_convergence_check", "1 + (3/10 + 2/5*i2)/n^2", 2000),
+        ("analyze_series", "1/n^2", 2000),
+    ]
+    assert all(int(m[4].replace(",", "")) > 0 for m in analyzers)
 
 
 def test_layer_split_refuses_bad_sizes():

@@ -31,7 +31,7 @@ from bicomplex import (
     term_generator,
 )
 from bicomplex.core import _pair_zero_divisor_test, _Record
-from bicomplex.products import LOG_SUM_CAP, _analyze_product_pairs, _modulus_rms, _rms
+from bicomplex.products import LOG_SUM_CAP, _analyze_product_pairs, _norms, _rms
 from bicomplex.seqspec import IdempotentSlotError
 from helpers import (
     C,
@@ -42,6 +42,7 @@ from helpers import (
     mp_components,
     mp_partial_product,
     mp_rel_diff,
+    mp_rms,
     one_term_blocks,
     run_cli,
     walker_blocks,
@@ -597,8 +598,9 @@ def test_scalar_lane_rms_tracker_splits_where_squares_leave_the_float_range():
 
 
 def test_rms_of_equal_components_is_the_modulus_in_the_exact_range():
-    # _rms squares with abs(x) ** 2, a C pow that need not round
-    # correctly, so the identity is checked, not assumed
+    # _rms squares as m*m: in the exact-RMS range doubling and halving are
+    # exact and a correctly rounded sqrt(m*m) is m, so this holds by proof;
+    # the sample checks the proof's premises on this platform
     rng = np.random.default_rng(1717)
     moduli = np.ldexp(rng.uniform(1.0, 2.0, 100_000), rng.integers(-511, 511, 100_000))
     angles = rng.uniform(-math.pi, math.pi, 100_000)
@@ -607,10 +609,64 @@ def test_rms_of_equal_components_is_the_modulus_in_the_exact_range():
     inside = [x for x in values if series._EXACT_RMS_MIN <= abs(x) <= series._EXACT_RMS_MAX]
     assert len(inside) > 99_000
     assert [x for x in inside if _rms(x, x) != abs(x)] == []
-    # _modulus_rms is _rms(x, x) inside the range and outside it
-    for x in inside[:1000] + [0j, 5e-324j, 1e-160 + 0j, 1e155 + 0j,
-                              complex(1.5e308, 1.5e308), complex(math.inf, 0.0)]:
-        assert _modulus_rms(x).hex() == _rms(x, x).hex(), x
+    # the scalar block step's norms are _rms(x, x) inside the range and
+    # outside it; a modulus past the float range gives inf
+    for x in inside[:1000] + [0j, 5e-324j, 1e-160 + 0j, 1e155 + 0j, complex(math.inf, 0.0)]:
+        assert _norms([abs(x)], [abs(x)], True)[0].hex() == _rms(x, x).hex(), x
+    assert _rms(complex(1.5e308, 1.5e308), 0j) == math.inf
+
+
+def test_rms_is_no_less_accurate_than_squaring_with_pow():
+    # _rms squares each modulus as m*m, which rounds correctly; the C pow
+    # behind abs(a) ** 2 need not. Against mpmath, on moduli inside the
+    # exact-RMS range and on both sides of it (squares that lose bits as
+    # subnormals or underflow, and squares that overflow):
+    import mpmath as mp
+
+    def pow_rms(a, b):
+        try:
+            return math.sqrt((abs(a) ** 2 + abs(b) ** 2) / 2.0)
+        except OverflowError:
+            return math.inf
+
+    rng = np.random.default_rng(2222)
+    k = 20_000
+    e1 = rng.integers(-1070, 1015, k)
+    # half the pairs close in scale, so both squares count
+    e2 = np.where(rng.random(k) < 0.5, e1 + rng.integers(-8, 9, k), rng.integers(-1070, 1015, k))
+    m1 = np.ldexp(rng.uniform(1.0, 2.0, k), e1).tolist()
+    m2 = np.ldexp(rng.uniform(1.0, 2.0, k), e2).tolist()
+    angles = rng.uniform(-math.pi, math.pi, (k, 2)).tolist()
+    pairs = [(cmath.rect(a, t), cmath.rect(b, u)) for a, b, (t, u) in zip(m1, m2, angles)]
+
+    # each square m*m is at least as close to the exact square as pow's,
+    # and the two differ on some of the sample
+    differ = 0
+    for m in map(abs, (x for pair in pairs for x in pair)):
+        if m < 2.0**511 and m * m != m**2:
+            differ += 1
+            exact = mp.mpf(m) ** 2
+            assert abs(m * m - exact) < abs(m**2 - exact), m
+    assert differ > 0
+
+    # the RMS: no worse by max relative error inside the range or outside
+    # it, nor by median relative error over the whole sample. (Where the
+    # two differ, the last roundings can favour either, so the median of
+    # one side alone moves with the sample either way.)
+    inside = [all(series._EXACT_RMS_MIN <= abs(x) <= series._EXACT_RMS_MAX for x in pair)
+              for pair in pairs]
+    assert 0.2 * k < sum(inside) < 0.8 * k
+    errors = {True: ([], []), False: ([], [])}
+    for (a, b), side in zip(pairs, inside):
+        exact = mp_rms(a, b)
+        for got, errs in zip((_rms(a, b), pow_rms(a, b)), errors[side]):
+            errs.append(float(abs(got - exact) / exact))
+    for side, (ours, theirs) in errors.items():
+        assert max(ours) <= max(theirs), side
+    ours, theirs = (errors[True][i] + errors[False][i] for i in (0, 1))
+    assert np.median(ours) <= np.median(theirs)
+    # inside the range both are within a few ulps
+    assert max(errors[True][0]) < 4 * 2.0**-53
 
 
 def test_scalar_lane_passes_match_pair_lane_on_random_expressions():
@@ -717,11 +773,8 @@ def _tracked_norm_series(terms, scalar, tol, window, product_used):
     absolute = at_product = None
     for used, term in enumerate(terms, start=1):
         w1, w2 = (term, term) if scalar else term
-        if scalar:
-            log_norm, dev = _modulus_rms(cmath.log(w1)), _modulus_rms(w1 - 1.0)
-        else:
-            log_norm = _rms(cmath.log(w1), cmath.log(w2))
-            dev = _rms(w1 - 1.0, w2 - 1.0)
+        log_norm = _rms(cmath.log(w1), cmath.log(w2))
+        dev = _rms(w1 - 1.0, w2 - 1.0)
         log_track.push(log_norm, log_norm)
         dev_track.push(dev, dev)
         if used == product_used:
@@ -734,8 +787,9 @@ def _tracked_norm_series(terms, scalar, tol, window, product_used):
 
 
 def test_product_pass_norm_series_match_the_tracker():
-    # the pass keeps both norm series inline; series._Tracker.push is the
-    # rule they must follow, term for term, on both lanes
+    # the pass runs both norm series on series._Tracker, with a block
+    # step and a separate deviation deque for the product's checkpoints;
+    # trackers fed term by term must agree, on both lanes
     rng = np.random.default_rng(1818)
     for scalar in (True, False):
         for family, tol, n_max, expected in NORM_FAMILIES:

@@ -1,3 +1,4 @@
+import cmath
 import math
 import sys
 
@@ -457,10 +458,34 @@ def test_render_writes_an_overflowing_literal_back():
             errors.append((str(info.value), info.value.term_index))
         assert set(errors) == {("bicomplex components must be finite", 2)}, text
     assert render(Num(math.inf)) == "1e999"
-    # no finite operand takes the inverse past the float range, so its
-    # guard is reached only from a value that is not finite
-    with pytest.raises(NonFiniteError, match="^bicomplex components must be finite$"):
-        seqspec._inverse(complex(math.nan, 0.0))
+
+
+def test_inverse_of_a_finite_value_is_finite_or_singular():
+    # why the inverse checks no reciprocal for finiteness: at the default
+    # tolerance a finite operand that passes the zero-divisor test has
+    # |p| > 1e-6, so |1/p| < 1e6, from the smallest modulus it accepts to
+    # the largest finite one
+    big = sys.float_info.max
+    values = [1e-6 * (1 + 2.0**-52), 1e-6 * (1 + 2.0**-40), complex(0.0, -1e-6 * (1 + 2.0**-40)),
+              complex(big, 0.0), complex(-big, big), complex(big / 2, -big / 2),
+              complex(5e-324, 0.0), complex(5e-324, -5e-324), complex(2.0**-1022, 1.0)]
+    rng = np.random.default_rng(2323)
+    moduli = np.ldexp(rng.uniform(1.0, 2.0, 5000), rng.integers(-1074, 1024, 5000)).tolist()
+    values += [complex(m * math.cos(t), m * math.sin(t))
+               for m, t in zip(moduli, rng.uniform(-math.pi, math.pi, 5000).tolist())]
+    assert all(map(cmath.isfinite, values))
+    inverted = 0
+    for p in values:
+        try:
+            r = seqspec._inverse(p)
+        except SingularOperand:
+            assert abs(p) <= 1e-6, p
+            continue
+        inverted += 1
+        assert cmath.isfinite(r) and abs(r) < 1e6, p
+        # the block route scans no reciprocal either
+        assert seqspec._inverses([p] * 16) == [r] * 16, p
+    assert 0 < inverted < len(values)
 
 
 def test_small_component_beside_a_large_one_keeps_its_bits():

@@ -19,6 +19,14 @@ For each of the three long workloads -- ``product "1 + (3/10 +
   a run at a time. The rest went through its per-term body, which reads
   a run through ``zip``; the tool counts them there.
 
+A second table gives one row per public analyzer --
+``evaluate_product`` and ``absolute_convergence_check`` on the default
+product's terms, ``analyze_series`` on ``1/n^2``'s -- with the terms it
+read and its ns/term on 20,000 prebuilt ``Bicomplex`` terms fed as
+``iter(list)``, the inputs of the harness's prebuilt analyzer rows.
+These reach the passes one term per block, so the per-term body reads
+every term.
+
 Each time is the minimum of ``--repeats`` runs, in-process. Compare
 figures taken on one machine in one session: the speed of a shared box
 drifts between runs.
@@ -27,8 +35,9 @@ Usage, from any directory (the checkout is the parent of ``tools/``)::
 
     python tools/layer_split.py [--repeats K] [--max-terms N]
 
-``--max-terms`` lowers every workload's term budget to at most N, for a
-quick run. Only the standard library and ``src/`` are used.
+``--max-terms`` lowers every workload's term budget, and the number of
+prebuilt terms, to at most N, for a quick run. Only the standard library
+and ``src/`` are used.
 """
 
 from __future__ import annotations
@@ -53,6 +62,14 @@ WORKLOADS = (
     ("series", "1/n^2", 10**6),
 )
 PASSES = {"product": products._analyze_product_pairs, "series": series._analyze_pairs}
+# (analyzer, expression of its prebuilt terms), at the default tolerance
+# and window
+ANALYZERS = (
+    (products.evaluate_product, WORKLOADS[0][1]),
+    (products.absolute_convergence_check, WORKLOADS[0][1]),
+    (series.analyze_series, WORKLOADS[2][1]),
+)
+PREBUILT_TERMS = 20_000
 
 
 def _min_ns(run, repeats: int) -> int:
@@ -147,6 +164,19 @@ def split(
     return lane, count, evaluated, eval_ns / count, pass_ns / count, screened
 
 
+def analyzer_cost(analyzer, text: str, n: int, repeats: int) -> tuple[int, float]:
+    """``(terms, ns/term)`` of ``analyzer`` on the first ``n`` terms of
+    ``text``, prebuilt as ``Bicomplex`` values and fed as ``iter(list)``."""
+    node = seqspec.parse(text)
+    terms = [seqspec.eval_term(node, i) for i in range(1, n + 1)]
+
+    def run():
+        return analyzer(iter(terms), n_max=n)
+
+    count = run().terms_used
+    return count, _min_ns(run, repeats) / count
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=3, help="runs per figure (min taken)")
@@ -169,6 +199,14 @@ def main(argv=None) -> int:
             f"| `{term}` | {lane} | {count:,} | {evaluated:,}"
             f" | {eval_ns:,.0f} | {pass_ns:,.0f} | {screened:.1%} |"
         )
+
+    n = PREBUILT_TERMS if args.max_terms is None else min(PREBUILT_TERMS, args.max_terms)
+    print()
+    print("| analyzer | terms | ns/term |")
+    print("|---|---:|---:|")
+    for analyzer, text in ANALYZERS:
+        count, ns = analyzer_cost(analyzer, text, n, args.repeats)
+        print(f'| `{analyzer.__name__}` on "{text}" | {count:,} | {ns:,.0f} |')
     return 0
 
 
