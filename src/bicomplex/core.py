@@ -537,7 +537,7 @@ def _pair_zero_divisor_test(p1: complex, p2: complex, tol: float):
     two ``_unit_scale(p1, p2)``, so the verdict does not depend on the
     overall scale of the value.
     """
-    if tol < 0:
+    if not tol >= 0:  # NaN too
         raise ValueError("tolerance must be nonnegative")
     try:
         m1, m2 = abs(p1), abs(p2)
@@ -561,13 +561,14 @@ def _pair_zero_divisor_test(p1: complex, p2: complex, tol: float):
 def _zero_divisor_test(p: complex, tol: float):
     """``_pair_zero_divisor_test(p, p, tol)`` bit for bit, from one modulus
     ``m``: while ``m*m < 2**1023``, the pair's ``(m*m + m*m)/2.0`` is ``m*m``
-    exactly. Elsewhere, and for ``tol < 0``, the pair test itself runs."""
+    exactly. Elsewhere, and for a ``tol`` below 0 or NaN, the pair test
+    itself runs."""
     try:
         m = abs(p)
     except OverflowError:
         m = math.inf
     cn_mag = m * m
-    if tol < 0 or not cn_mag < 2.0**1023:
+    if not tol >= 0 or not cn_mag < 2.0**1023:
         return _pair_zero_divisor_test(p, p, tol)
     threshold = tol * (cn_mag if cn_mag > 1.0 else 1.0)
     return cn_mag <= threshold, cn_mag, threshold, m

@@ -44,7 +44,7 @@ have decided; the identity after ``min(n_max, LOG_SUM_CAP)`` terms.
 pass reads its terms in blocks: the public analyzers hand it the pair a
 Bicomplex term stores, one term per block, as each is read; the CLI's
 ``product`` hands it the index walker's blocks of compiled terms, with
-no ``Bicomplex``, and a scalar term as one complex, both components.
+no ``Bicomplex``, and a scalar term's block as one list, both components.
 A run of terms where no rule can fire is taken in one block step
 (``_product_pass``). Zero divisors are found with the zero-divisor test
 on the pair.
@@ -280,8 +280,8 @@ def _product_pass(
     """The one loop over the terms, given in blocks ``(p1s, p2s)``, behind
     every product analysis.
 
-    With ``scalar``, each block is one list, each term one complex, both
-    of its components: one accumulator, log sum and window run, and the
+    With ``scalar``, each block's components are one list, read through
+    ``p1s``: one accumulator, log sum and window run, and the
     zero-divisor tests read the one component.
 
     The norm series of the absolute check, of ``||log w_n||`` and of
@@ -343,7 +343,7 @@ def _product_pass(
     win1_push, win2_push, pnorm_push = win1.append, win2.append, pnorms.append
 
     try:
-        for p1s, p2s in _runs(blocks, n_max, scalar):
+        for p1s, p2s in _runs(blocks, n_max):
             if len(p1s) >= _MIN_RUN and not id_live and (
                 _none_singular(p1s, singularity_tol) if scalar
                 else _pairs_none_singular(p1s, p2s, singularity_tol)
@@ -569,9 +569,9 @@ def analyze_product(
 
 
 def _analyze_product_pairs(pairs, tol, window, n_max, scalar=False) -> ProductAnalysis:
-    """analyze_product over (p1, p2) term pairs, or one complex per term
-    with ``scalar``, with arguments already checked by _validate; the
-    CLI's ``product`` enters here."""
+    """analyze_product over blocks of (p1, p2) term pairs, one list as
+    both components with ``scalar``, with arguments already checked by
+    _validate; the CLI's ``product`` enters here."""
     return _product_pass(
         pairs, n_max, SINGULARITY_TOLERANCE, tol=tol, window=window,
         product=True, absolute=True, identity_terms=min(n_max, LOG_SUM_CAP),

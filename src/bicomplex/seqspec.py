@@ -25,12 +25,13 @@ per expression, to nested block closures over the idempotent components
 ``(p1, p2)``, the pair a ``Bicomplex`` stores: each takes a ``range`` of
 indices and does its node's float operations over the whole block with
 C-level iterators, one complex operation per component, so values and
-errors are bit for bit those of the ``Bicomplex`` operations; a scalar
-subtree (the lane rule is in ``_compile``) gets closures over one
-complex per index. Each check is one scan per block; where a scan
-fails, the node's per-element helper runs over the block in element
-order, so a block of one index raises exactly the ring operation's
-error.
+errors are bit for bit those of the ``Bicomplex`` operations. Each node
+type has one closure builder. A scalar subtree (the lane rule is in
+``_compile``) has ``p1 == p2``, and its closures return one list
+object as both components, each operation doing its work once. Each
+check is one scan per block; where a scan fails, the node's per-element
+helper runs over the block in element order, so a block of one index
+raises exactly the ring operation's error.
 
 One index walker, ``_blocks``, runs every evaluation and attaches the
 term index to its failures (``_at``, its one-index step, evaluates
@@ -45,11 +46,10 @@ evaluated ahead of the last term read never does.
   term (``compile_term``), and ``term_generator`` walks the indices,
   each value a ``Bicomplex``; both evaluate one index at a time. The
   library and the CLI's ``eval`` and ``check-bounds`` use them.
-* ``_lane_blocks`` gives the walker's blocks of bare values, one list
-  per block for a scalar term, else the lists of ``p1`` and of ``p2``;
-  the CLI's ``series`` and ``product`` feed them straight to the
-  analysis passes on that lane, with the term budget as the walker's
-  ``stop``.
+* ``_lane_blocks`` gives the walker's blocks of bare values, the lists
+  of ``p1`` and of ``p2`` (one list twice for a scalar term); the CLI's
+  ``series`` and ``product`` feed them straight to the analysis passes
+  on that lane, with the term budget as the walker's ``stop``.
 """
 
 from __future__ import annotations
@@ -81,9 +81,8 @@ from .core import (
     _pairs_none_singular,
     _power,
     _Record,
-    _zero_divisor_test,
 )
-from .transcendental import _invertible_pair, _not_invertible
+from .transcendental import _invertible_pair
 
 __all__ = [
     "ParseError", "IdempotentSlotError",
@@ -348,7 +347,7 @@ def render(node) -> str:
 def _render(node, context: int) -> str:
     """``node``'s text, in parentheses where it binds looser than
     ``context``, the binding strength its place requires."""
-    operands, _, _, _, strength, form = _node_row(node)
+    operands, _, strength, form = _node_row(node)
     if form is None:
         # a literal past the float range parses as inf, so write one back
         text = _fmt_real(node.value, None).replace("inf", "1e999")
@@ -365,8 +364,8 @@ class CompiledTerm:
     ``components(n)`` gives the idempotent components ``(p1, p2)`` of
     the term at index ``n``; :func:`eval_term` validates ``n`` around it
     and wraps the pair in a ``Bicomplex``. ``values`` is the compiled
-    block closure: given a ``range`` of indices, an iterator over their
-    ``(p1, p2)`` pairs.
+    block closure: given a ``range`` of indices, the lists ``(p1s, p2s)``
+    of their components.
     """
 
     __slots__ = ("node", "values")
@@ -376,31 +375,34 @@ class CompiledTerm:
         self.values = values
 
     def components(self, n: int) -> tuple[complex, complex]:
-        return next(self.values(range(n, n + 1)))
+        (p1,), (p2,) = self.values(range(n, n + 1))
+        return p1, p2
 
 
 def compile_term(node) -> CompiledTerm:
     """Compile an AST once into nested block closures (see
     :func:`_compile`) whose root gives the idempotent components
     ``(p1, p2)``."""
-    return CompiledTerm(node, _zipped(_as_pair(*_compile(node))))
+    return CompiledTerm(node, _compile(node)[0])
 
 
 def _compile(node):
-    """``(closure, value, scalar)``: ``value`` is what the closure always
-    gives at one index, or None when it depends on ``n`` or raises.
+    """``(closure, value, scalar)``: ``value`` is the pair ``(p1, p2)`` the
+    closure always gives at one index, or None when it depends on ``n`` or
+    raises.
 
     Each closure is a block closure: given a ``range`` of indices, it
-    returns the node's values there, one list on the scalar lane, two
-    (the ``p1`` and the ``p2`` of each index) on the pair lane. It does
-    the float operations of the ``Bicomplex`` operation it stands for,
-    one complex operation per component but for inversion, in the same
-    order, each as one C-level ``map`` over the block, so values are bit
-    for bit those of the ring operations. Each check is one scan per
-    block; where a scan fails, the node runs the per-element helper
-    (``core._check_finite_one``, ``_inverse``, ``_power`` and the like) over
-    the block in element order, so a block of one index raises exactly
-    the ring operation's error. A division, negative power or
+    returns the node's values there, the lists ``(p1s, p2s)`` of the
+    ``p1`` and of the ``p2`` of each index. Each node type has one closure
+    builder (``_NODES``). A closure does the float operations of the
+    ``Bicomplex`` operation it stands for, one complex operation per
+    component but for inversion, in the same order, each as one C-level
+    ``map`` over the block, so values are bit for bit those of the ring
+    operations. Each check is one scan per block; where a scan fails, the
+    node runs the per-element helper (``core._check_finite_one``,
+    ``_inverse``, ``_pair_inverse``, ``_power`` and the like) over the
+    block in element order, so a block of one index raises exactly the
+    ring operation's error. A division, negative power or
     ``log``/``sqrt`` makes the zero-divisor test on the pair
     (``core._pair_zero_divisor_test``). Subtrees that do not use ``n``
     are evaluated here, at one index, except those that raise: they stay
@@ -410,63 +412,39 @@ def _compile(node):
     or ``i1``, or an operation other than ``[a | b]`` on scalar operands.
     Its value has ``p1 == p2`` bit for bit (``n`` and numbers are
     ``(x, x)``, ``pi`` and ``i1`` are stored so, and every operation
-    applies the same float operations to equal components), so its
-    closure returns one list and does the pair closure's work once,
-    with the same checks made on the one component: ``_zero_divisor_test``
-    and ``_check_finite_one`` give the bits and errors of the pair checks
-    on ``(x, x)``. A pair node reads a scalar operand as ``(x, x)``, and a
-    pair over a scalar multiplies each component by the one inverse.
+    applies the same float operations to equal components), and its
+    closure returns one list object as both components: where its
+    operands' components are the same lists, a closure does its work and
+    its checks once, on the one list (``_zero_divisor_test`` and
+    ``_check_finite_one`` give the bits and errors of the pair checks on
+    ``(x, x)``). A scalar operand beside a pair one is ``(xs, xs)`` as it
+    stands, so a pair over a scalar divides by one list of inverses. The
+    lane is read from the tree, since the passes choose their state
+    before the first block, and read only ``p1s`` on the scalar lane.
     """
-    operands, build, build_scalar, build_scaled = _node_row(node)[:4]
+    operands, build = _node_row(node)[:2]
     compiled = [_compile(getattr(node, name)) for name, _ in operands]
-    lanes = [scalar for _, _, scalar in compiled]
-    fn = None
-    if build_scalar is not None and all(lanes):
-        # None for a constant whose components differ
-        fn = build_scalar(node, *(closure for closure, _, _ in compiled))
-    scalar = fn is not None
-    if fn is None and build_scaled is not None and lanes == [False, True]:
-        fn = build_scaled(node, compiled[0][0], compiled[1][0])
-    if fn is None:
-        fn = build(node, *(_as_pair(*operand) for operand in compiled))
+    fn = build(node, *(closure for closure, _, _ in compiled))
+    if type(node) is Const:
+        scalar = node.name in _SCALAR_CONSTANTS
+    else:
+        scalar = type(node) is not Idem and all(lane for _, _, lane in compiled)
     if type(node) is Var or any(value is None for _, value, _ in compiled):
         return fn, None, scalar
     try:
-        block = fn(range(1, 2))
+        (p1,), (p2,) = fn(range(1, 2))
     except (ArithmeticError, ValueError):
         return fn, None, scalar
-    value = block[0] if scalar else (block[0][0], block[1][0])
-    return _constant(value, scalar), value, scalar
+    return _constant(p1, p2, scalar), (p1, p2), scalar
 
 
-def _as_pair(fn, value, scalar):
-    """The pair closure of a compiled node: a scalar one broadcast."""
-    if not scalar:
-        return fn
-    if value is not None:
-        return _constant((value, value), False)
-
-    def pair(ns):
-        xs = fn(ns)
-        return xs, xs
-
-    return pair
-
-
-def _zipped(fn):
-    """A pair closure whose block is read as ``(p1, p2)`` values."""
-
-    def values(ns):
-        p1s, p2s = fn(ns)
-        return zip(p1s, p2s)
-
-    return values
-
-
-def _constant(value, scalar):
+def _constant(v1, v2, scalar):
     if scalar:
-        return lambda ns: [value] * len(ns)
-    v1, v2 = value
+        def fn(ns):
+            xs = [v1] * len(ns)
+            return xs, xs
+
+        return fn
     return lambda ns: ([v1] * len(ns), [v2] * len(ns))
 
 
@@ -479,16 +457,17 @@ def _checked(ps):
     return ps
 
 
-def _inverses(ps):
-    """``_inverse`` of each value, its zero-divisor test one scan."""
-    if _none_singular(ps, SINGULARITY_TOLERANCE):
-        # no finiteness scan, for the reason in ``_inverse``
-        return list(map(operator.truediv, repeat(1.0), ps))
-    return list(map(_inverse, ps))
-
-
-def _pair_inverses(p1s, p2s):
-    """``_pair_inverse`` of each pair, as the list of ``r1`` and of ``r2``."""
+def _inverses(p1s, p2s):
+    """``_pair_inverse`` of each pair, as the lists of ``r1`` and of ``r2``,
+    its zero-divisor test one scan; where ``p1s is p2s``, one list of
+    ``_inverse`` of each value, as both components."""
+    if p1s is p2s:
+        if _none_singular(p1s, SINGULARITY_TOLERANCE):
+            # no finiteness scan, for the reason in ``_inverse``
+            rs = list(map(operator.truediv, repeat(1.0), p1s))
+        else:
+            rs = list(map(_inverse, p1s))
+        return rs, rs
     if _pairs_none_singular(p1s, p2s, SINGULARITY_TOLERANCE):
         r1s = list(map(operator.truediv, repeat(1.0), p1s))
         r2s = list(map(operator.truediv, repeat(1.0), p2s))
@@ -498,12 +477,10 @@ def _pair_inverses(p1s, p2s):
     return [r1 for r1, _ in pairs], [r2 for _, r2 in pairs]
 
 
-def _powers(ps, exponent: int):
-    """``_power`` of each value: square-and-multiply list-wise, each
-    product into the result scanned once."""
-    base, k = ps, exponent
-    if k < 0:
-        base, k = _inverses(ps), -k
+def _powers(ps, k: int):
+    """``_power(p, k)`` of each value, for ``k >= 0``: square-and-multiply
+    list-wise, each product into the result scanned once."""
+    base, exponent = ps, k
     rs = [1 + 0j] * len(ps)
     while k:
         if k & 1:
@@ -520,9 +497,10 @@ def _var(node):
     def fn(ns):
         try:
             # n + 0j is complex(n) in bits, at about half the cost
-            return list(map(operator.add, ns, repeat(0j)))
+            xs = list(map(operator.add, ns, repeat(0j)))
         except OverflowError:
             raise NonFiniteError("term index n is past the float range") from None
+        return xs, xs
 
     return fn
 
@@ -531,103 +509,62 @@ def _num(node):
     value = node.value
 
     def fn(ns):
-        return _checked([complex(value)]) * len(ns)
-
-    return fn
-
-
-def _const_scalar(node):
-    return _constant(_CONSTANTS[node.name].p1, True) if node.name in _SCALAR_CONSTANTS else None
-
-
-def _pow_scalar(node, base):
-    exponent = node.exponent
-    return lambda ns: _powers(base(ns), exponent)
-
-
-def _call_scalar(node, arg):
-    func, what = _FUNCTIONS[node.func]
-
-    def fn(ns):
-        ps = arg(ns)
-        if what is not None and not _none_singular(ps, SINGULARITY_TOLERANCE):
-            for p in ps:
-                if _zero_divisor_test(p, SINGULARITY_TOLERANCE)[0]:
-                    raise _not_invertible(what)
-        return list(map(func, ps))
+        xs = _checked([complex(value)]) * len(ns)
+        return xs, xs
 
     return fn
 
 
 def _const(node):
     w = _CONSTANTS[node.name]
-    return _constant((w.p1, w.p2), False)
+    return _constant(w.p1, w.p2, node.name in _SCALAR_CONSTANTS)
 
 
 def _ring(op):
-    """The pair and the scalar builder of a ring operation that is ``op``
-    on each idempotent component."""
+    """The builder of a ring operation that is ``op`` on each idempotent
+    component."""
 
-    def pair(node, left, right):
+    def build(node, left, right):
         def fn(ns):
             a1s, a2s = left(ns)
             b1s, b2s = right(ns)
             # each component checked alone: _check_finite_one raises the
             # error of _check_finite(p1, p2)
-            return _checked(list(map(op, a1s, b1s))), _checked(list(map(op, a2s, b2s)))
+            r1s = _checked(list(map(op, a1s, b1s)))
+            if a1s is a2s and b1s is b2s:
+                return r1s, r1s
+            return r1s, _checked(list(map(op, a2s, b2s)))
 
         return fn
 
-    def scalar(node, left, right):
-        return lambda ns: _checked(list(map(op, left(ns), right(ns))))
-
-    return pair, scalar
+    return build
 
 
 _ADD = _ring(operator.add)
 _SUB = _ring(operator.sub)
 _MUL = _ring(operator.mul)
+_ZERO = _constant(0j, 0j, True)
 
 
-def _zero_minus(sub, zero):
-    """A negation builder: ``0 - x`` through ``sub``, Sub's builder, which
-    keeps a zero part +0.0 where ``-x`` would flip it."""
-    return lambda node, arg: sub(node, zero, arg)
-
-
-_NEG = (
-    _zero_minus(_SUB[0], _constant((0j, 0j), False)),
-    _zero_minus(_SUB[1], _constant(0j, True)),
-)
-
-
-def _inverted(right):
-    """The block closure of the inverse of a scalar operand."""
-    return lambda ns: _inverses(right(ns))
-
-
-def _div_scalar(node, left, right):
-    return _MUL[1](node, left, _inverted(right))
+def _neg(node, arg):
+    # 0 - x, which keeps a zero part +0.0 where -x would flip it
+    return _SUB(node, _ZERO, arg)
 
 
 def _div(node, left, right):
-    return _MUL[0](node, left, lambda ns: _pair_inverses(*right(ns)))
-
-
-def _div_scaled(node, left, right):
-    # each component times the one inverse of the scalar
-    return _MUL[0](node, left, _as_pair(_inverted(right), None, True))
+    return _MUL(node, left, lambda ns: _inverses(*right(ns)))
 
 
 def _pow(node, base):
     exponent = node.exponent
+    k = abs(exponent)
 
     def fn(ns):
         p1s, p2s = base(ns)
-        k = exponent
-        if k < 0:
-            (p1s, p2s), k = _pair_inverses(p1s, p2s), -k
-        return _powers(p1s, k), _powers(p2s, k)
+        if exponent < 0:
+            p1s, p2s = _inverses(p1s, p2s)
+        r1s = _powers(p1s, k)
+        return (r1s, r1s) if p1s is p2s else (r1s, _powers(p2s, k))
 
     return fn
 
@@ -637,10 +574,16 @@ def _call(node, arg):
 
     def fn(ns):
         p1s, p2s = arg(ns)
-        if what is not None and not _pairs_none_singular(p1s, p2s, SINGULARITY_TOLERANCE):
+        shared = p1s is p2s
+        if what is not None and not (
+            _none_singular(p1s, SINGULARITY_TOLERANCE) if shared
+            else _pairs_none_singular(p1s, p2s, SINGULARITY_TOLERANCE)
+        ):
+            # on (x, x), the verdict and message of _zero_divisor_test(x)
             for p1, p2 in zip(p1s, p2s):
                 _invertible_pair(p1, p2, SINGULARITY_TOLERANCE, what)
-        return list(map(func, p1s)), list(map(func, p2s))
+        r1s = list(map(func, p1s))
+        return (r1s, r1s) if shared else (r1s, list(map(func, p2s)))
 
     return fn
 
@@ -660,22 +603,20 @@ def _idem(node, first, second):
 
 
 # node type -> (operands as (field, the binding strength its place
-# requires), pair closure builder, scalar closure builder, builder for
-# a pair left operand over a scalar right one, binding strength, text
-# form); atoms bind tightest, a Num renders through _fmt_real, and n
-# and numbers are always scalar
+# requires), closure builder, binding strength, text form); atoms bind
+# tightest, and a Num renders through _fmt_real
 _NODES = {
-    Num: ((), None, _num, None, 9, None),
-    Const: ((), _const, _const_scalar, None, 9, "{node.name}"),
-    Var: ((), None, _var, None, 9, "n"),
-    Neg: ((("operand", 3),), *_NEG, None, 3, "-{0}"),
-    Add: ((("left", 1), ("right", 2)), *_ADD, None, 1, "{0} + {1}"),
-    Sub: ((("left", 1), ("right", 2)), *_SUB, None, 1, "{0} - {1}"),
-    Mul: ((("left", 2), ("right", 3)), *_MUL, None, 2, "{0}*{1}"),
-    Div: ((("left", 2), ("right", 3)), _div, _div_scalar, _div_scaled, 2, "{0}/{1}"),
-    Pow: ((("base", 9),), _pow, _pow_scalar, None, 4, "{0}^{node.exponent}"),
-    Call: ((("arg", 0),), _call, _call_scalar, None, 9, "{node.func}({0})"),
-    Idem: ((("first", 0), ("second", 0)), _idem, None, None, 9, "[{0} | {1}]"),
+    Num: ((), _num, 9, None),
+    Const: ((), _const, 9, "{node.name}"),
+    Var: ((), _var, 9, "n"),
+    Neg: ((("operand", 3),), _neg, 3, "-{0}"),
+    Add: ((("left", 1), ("right", 2)), _ADD, 1, "{0} + {1}"),
+    Sub: ((("left", 1), ("right", 2)), _SUB, 1, "{0} - {1}"),
+    Mul: ((("left", 2), ("right", 3)), _MUL, 2, "{0}*{1}"),
+    Div: ((("left", 2), ("right", 3)), _div, 2, "{0}/{1}"),
+    Pow: ((("base", 9),), _pow, 4, "{0}^{node.exponent}"),
+    Call: ((("arg", 0),), _call, 9, "{node.func}({0})"),
+    Idem: ((("first", 0), ("second", 0)), _idem, 9, "[{0} | {1}]"),
 }
 
 
@@ -697,7 +638,8 @@ def eval_term(term, n: int) -> Bicomplex:
     _check_index(n, "term")
     if not isinstance(term, CompiledTerm):
         term = compile_term(term)
-    return Bicomplex._make(*next(_at(term.values, n)))
+    (p1,), (p2,) = _at(term.values, n)
+    return Bicomplex._make(p1, p2)
 
 
 def term_generator(source, start: int = 1):
@@ -724,9 +666,9 @@ def _check_index(n, what: str) -> None:
 def _lane_blocks(node, start: int = 1, stop: int | None = None):
     """``(scalar, blocks)``: the lane of an AST compiled once, and the
     walker's blocks of its values at n = start, start+1, ..., short of
-    ``stop`` if given: one list per block on the scalar lane, else the
-    lists ``(p1s, p2s)``; a block that fails comes as one-index blocks.
-    Errors carry ``term_index=n``, as eval_term's do."""
+    ``stop`` if given, each the lists ``(p1s, p2s)``, one list object
+    twice on the scalar lane; a block that fails comes as one-index
+    blocks. Errors carry ``term_index=n``, as eval_term's do."""
     fn, _, scalar = _compile(node)
     return scalar, _blocks(fn, start, stop)
 

@@ -7,7 +7,7 @@ reads the terms as idempotent pairs ``(p1, p2)``, which is how a
 Bicomplex stores them, in blocks, the lists ``(p1s, p2s)``:
 ``analyze_series`` reads them off each term, one term per block, and
 the CLI feeds the index walker's blocks of compiled terms straight in,
-with no ``Bicomplex``; a scalar term is one complex, both components.
+with no ``Bicomplex``; a scalar term's block is one list, both components.
 A run of terms where no rule can fire is taken in one block step, with
 the sums the per-term rules would make (see ``_analyze_pairs``); the
 screens and the cut of blocks into runs here serve the product pass
@@ -92,16 +92,15 @@ def _gaps(sums, totals, window: int):
     return map(sub, seq[first:], seq[first - window + 1 : len(seq) - window + 1])
 
 
-def _runs(blocks, n_max: int, scalar: bool):
-    """The terms of ``blocks`` as ``(p1s, p2s)`` runs for a pass to read in
-    order: at most ``n_max`` terms in all, and each checkpoint index (16,
-    32, 64, ...) a run of its own, so that a run of several terms holds
-    none. On the scalar lane a block is one list, both components. No
-    block is read past the run that ends the pass."""
+def _runs(blocks, n_max: int):
+    """The terms of ``blocks``, each the lists ``(p1s, p2s)``, as runs for a
+    pass to read in order: at most ``n_max`` terms in all, and each
+    checkpoint index (16, 32, 64, ...) a run of its own, so that a run of
+    several terms holds none. No block is read past the run that ends the
+    pass."""
     used = 0
     due = _FIRST_CHECKPOINT
-    for block in blocks:
-        p1s, p2s = (block, block) if scalar else block
+    for p1s, p2s in blocks:
         k = len(p1s)
         if k > n_max - used:
             k = n_max - used
@@ -355,8 +354,8 @@ def _analyze_pairs(blocks, tol, window, n_max, scalar=False) -> SeriesReport:
     ``(p1s, p2s)``; the pass behind analyze_series, eval_power_series and
     the CLI's ``series``, with arguments already checked by _validate.
 
-    With ``scalar``, each block is one list, each term one complex, both
-    of its components: one component tracker and one modulus tracker run,
+    With ``scalar``, each block's components are one list, read through
+    ``p1s``: one component tracker and one modulus tracker run,
     and the report reads each for both components. The RMS tracker ``ae``
     is the modulus tracker while every modulus lies in the exact-RMS range
     [_EXACT_RMS_MIN, _EXACT_RMS_MAX]; at the first term outside, it splits
@@ -380,7 +379,7 @@ def _analyze_pairs(blocks, tol, window, n_max, scalar=False) -> SeriesReport:
         a2 = _Tracker(tol, window, _HARMONIC_RATIO)
         ae = _Tracker(tol, window, _HARMONIC_RATIO)
     used = 0
-    for p1s, p2s in _runs(blocks, n_max, scalar):
+    for p1s, p2s in _runs(blocks, n_max):
         if len(p1s) >= _MIN_RUN:
             try:
                 m1s = m2s = list(map(abs, p1s))

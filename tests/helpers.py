@@ -140,30 +140,34 @@ def run_cli(argv: list[str]) -> tuple[int, str, str]:
 def walker_blocks(terms: list, scalar: bool):
     """``terms`` (one complex each with ``scalar``, else ``(p1, p2)``) in
     the blocks the CLI's index walker hands the passes: 1, 2, 4, ...,
-    1,024 terms, one list each with ``scalar``, else ``(p1s, p2s)``."""
+    1,024 terms, each ``(p1s, p2s)``, one list twice with ``scalar``."""
     from bicomplex import seqspec
 
     def fn(ns):
         if scalar:
-            return [terms[n - 1] for n in ns]
+            xs = [terms[n - 1] for n in ns]
+            return xs, xs
         return [terms[n - 1][0] for n in ns], [terms[n - 1][1] for n in ns]
 
     return seqspec._blocks(fn, 1, len(terms) + 1)
 
 
-def flat_terms(blocks, scalar: bool):
-    """The walker's blocks read one term at a time: one complex each with
-    ``scalar``, else ``(p1, p2)``."""
+def flat_terms(blocks):
+    """The walker's blocks read one term at a time, each ``(p1, p2)``."""
     from itertools import chain, starmap
 
-    return chain.from_iterable(blocks if scalar else starmap(zip, blocks))
+    return chain.from_iterable(starmap(zip, blocks))
 
 
 def one_term_blocks(terms, scalar: bool):
-    """``terms`` one block per term, as the public analyzers hand them on."""
-    if scalar:
-        return ([x] for x in terms)
-    return (([p1], [p2]) for p1, p2 in terms)
+    """``terms`` one block per term, as the public analyzers hand them on;
+    with ``scalar``, each block one list twice."""
+    for term in terms:
+        if scalar:
+            xs = [term]
+            yield xs, xs
+        else:
+            yield [term[0]], [term[1]]
 
 
 # -- term expressions --------------------------------------------------

@@ -8,8 +8,9 @@ applies one complex operation per idempotent component and node, and
 the pair closures must agree with it in the same way. An mpmath oracle
 checks that evaluation over the pair is no less accurate than the
 evaluation over the components (z1, z2) that it replaced. Scalar-lane
-closures, which return one complex for both components, must agree bit
-for bit with the pair closures the same tree gets on the pair lane.
+closures, which return one list for both components, must agree bit for
+bit with the closures the same tree gets when every node takes its pair
+path.
 """
 
 import statistics
@@ -43,7 +44,6 @@ from bicomplex.seqspec import (
     Pow,
     Sub,
     Var,
-    _as_pair,
     _blocks,
     _compile,
     _lane_blocks,
@@ -255,10 +255,8 @@ def _pair_outcome(evaluate, node, n: int):
 
 def _pair_terms(node, start: int = 1):
     """The values of the CLI's compiled route from index ``start``, each
-    read as a pair: a scalar-lane value is both components."""
-    scalar, blocks = _lane_blocks(node, start)
-    terms = flat_terms(blocks, scalar)
-    return ((x, x) for x in terms) if scalar else terms
+    read as a pair: a scalar-lane block's one list is both components."""
+    return flat_terms(_lane_blocks(node, start)[1])
 
 
 def _compiled_pairs(node, n: int) -> tuple[complex, complex]:
@@ -378,12 +376,12 @@ def _random_scalar_ast(rng: np.random.Generator, depth: int):
 
 
 def _pair_lane(node):
-    """The closure the pair builders alone give a tree: every node on the
-    pair lane, n and numbers broadcast, nothing folded."""
-    operands, build, build_scalar = _NODES[type(node)][:3]
-    if build is None:  # n and numbers have no pair builder
-        return _as_pair(build_scalar(node), None, True)
-    return build(node, *(_pair_lane(getattr(node, name)) for name, _ in operands))
+    """The closure the builders give a tree with every node on the pair
+    lane: each node's component lists are copied, so no operation sees one
+    list as both components and each takes its pair path; nothing folded."""
+    operands, build = _NODES[type(node)][:2]
+    fn = build(node, *(_pair_lane(getattr(node, name)) for name, _ in operands))
+    return lambda ns: tuple(map(list, fn(ns)))
 
 
 def _at(fn, n: int):
@@ -391,23 +389,22 @@ def _at(fn, n: int):
     return fn(range(n, n + 1))
 
 
-def _closure_outcome(fn, n: int, scalar: bool):
+def _closure_outcome(fn, n: int):
     try:
-        value = _at(fn, n)
+        (p1,), (p2,) = _at(fn, n)
     except (ArithmeticError, ValueError) as err:
         # the index the walkers attach
         return ("raised", type(err), str(err), n)
-    (p1,), (p2,) = (value, value) if scalar else value
     return ("value", p1.real.hex(), p1.imag.hex(), p2.real.hex(), p2.imag.hex())
 
 
 def _assert_lanes_agree(node, indices) -> set:
-    fn, _, scalar = _compile(node)
+    fn = _compile(node)[0]
     reference = _pair_lane(node)
     kinds = set()
     for n in indices:
-        got = _closure_outcome(fn, n, scalar)
-        assert got == _closure_outcome(reference, n, False), (render(node), n)
+        got = _closure_outcome(fn, n)
+        assert got == _closure_outcome(reference, n), (render(node), n)
         kinds.add(got[1].__name__ if got[0] == "raised" else "value")
     return kinds
 
@@ -420,7 +417,7 @@ def test_scalar_closures_match_pair_closures_on_random_scalar_asts():
         node = _random_scalar_ast(rng, int(rng.integers(1, 6)))
         assert _compile(node)[2], render(node)
         kinds |= _assert_lanes_agree(node, INDICES)
-        value = _closure_outcome(_compile(node)[0], 2, True)
+        value = _closure_outcome(_compile(node)[0], 2)
         signed_zeros += value[0] == "value" and "-0x0.0p+0" in value
     assert kinds == {"value", "SingularOperand", "NonFiniteError"}
     # the sample reaches negative zeros, whose bits the comparison checks
@@ -478,6 +475,80 @@ def test_scalar_constants_have_equal_components():
         assert same is (name in _SCALAR_CONSTANTS), name
 
 
+# -- the lane invariant: a scalar closure gives one list as both components --
+
+# blocks that fail at some index, and come again one index at a time: a
+# singular inverse, an overflowing power, a singular log; and a folded
+# constant
+LANE_FALLBACKS = ["1/(n - 3)", "(n - 5)^-2", "(1e153*n)^2", "log(n - 4)", "2*pi - i1/3"]
+
+
+def _walked_blocks(fn, stop: int):
+    """The walker's blocks of ``fn`` from index 1 short of ``stop``,
+    started again past each failing index."""
+    start = 1
+    while start < stop:
+        try:
+            for block in _blocks(fn, start, stop):
+                yield block
+                start += len(block[0])
+        except (ArithmeticError, ValueError) as err:
+            start = err.term_index + 1
+
+
+def _assert_one_list_on_the_scalar_lane(node) -> list:
+    """Every block of the tree's closure is one list twice on the scalar
+    lane, two lists on the pair lane: the walker's blocks of 1 to 64
+    indices, one-index blocks after a failing block, and single indices.
+    Returns the walker's blocks."""
+    fn, _, scalar = _compile(node)
+    walked = list(_walked_blocks(fn, 130))
+    blocks = list(walked)
+    for n in INDICES:
+        try:
+            blocks.append(_at(fn, n))
+        except (ArithmeticError, ValueError):
+            pass
+    for p1s, p2s in blocks:
+        assert (p1s is p2s) is scalar, render(node)
+    return walked
+
+
+def test_scalar_closures_give_one_list_as_both_components():
+    # the passes read only p1s on the scalar lane
+    rng = np.random.default_rng(2525)
+    walked = 0
+    for _ in range(300):
+        node = _random_scalar_ast(rng, int(rng.integers(1, 6)))
+        walked += bool(_assert_one_list_on_the_scalar_lane(node))
+    # most trees give values; some fail at every index
+    assert walked > 200
+    for text in LANE_NAMED:
+        _assert_one_list_on_the_scalar_lane(parse(text))
+    for text in LANE_FALLBACKS:
+        node = parse(text)
+        assert _compile(node)[2], text
+        blocks = _assert_one_list_on_the_scalar_lane(node)
+        if text == "2*pi - i1/3":
+            assert _compile(node)[1] is not None
+        else:
+            # a block of several indices failed, and its indices came alone
+            assert sum(len(p1s) == 1 for p1s, _ in blocks[1:]) > 0, text
+
+
+def test_equal_slots_stay_on_the_pair_lane_with_distinct_lists():
+    for text in ("[n | n]", "[2 | 2]"):
+        for node in (parse(text), parse(f"{text}*n + 1/{text}")):
+            fn, _, scalar = _compile(node)
+            assert not scalar, text
+            for ns in (range(1, 2), range(3, 40)):
+                p1s, p2s = fn(ns)
+                assert p1s is not p2s and p1s == p2s, (render(node), ns)
+        scalar, blocks = _lane_blocks(parse(text))
+        p1s, p2s = next(blocks)
+        assert not scalar and p1s is not p2s, text
+
+
 # -- blocks: a block of indices against each index alone --
 
 # indices scanned for failures: the small ones where n - c vanishes, and
@@ -485,16 +556,16 @@ def test_scalar_constants_have_equal_components():
 BLOCK_SCAN = list(range(1, 130)) + list(range(690, 760))
 
 
-def _block_hex(block, scalar: bool) -> list[tuple]:
+def _block_hex(block) -> list[tuple]:
     """The bits of a block's values, one tuple per index."""
-    p1s, p2s = (block, block) if scalar else block
+    p1s, p2s = block
     return [
         ("value", p1.real.hex(), p1.imag.hex(), p2.real.hex(), p2.imag.hex())
         for p1, p2 in zip(p1s, p2s)
     ]
 
 
-def _assert_blocks_match_one_index(fn, scalar: bool, rng, label) -> set:
+def _assert_blocks_match_one_index(fn, rng, label) -> set:
     """Blocks of 1..70 indices, from starts on both sides of the failing
     indices, against each index evaluated alone: a block gives the same
     bits, or fails where an index does, with that index's error; the
@@ -505,7 +576,7 @@ def _assert_blocks_match_one_index(fn, scalar: bool, rng, label) -> set:
     def one(n):
         if n not in alone:
             try:
-                alone[n] = _block_hex(_at(fn, n), scalar)[0]
+                alone[n] = _block_hex(_at(fn, n))[0]
             except (ArithmeticError, ValueError) as err:
                 alone[n] = ("raised", type(err), str(err), n)
         return alone[n]
@@ -519,7 +590,7 @@ def _assert_blocks_match_one_index(fn, scalar: bool, rng, label) -> set:
         k = int(rng.integers(1, 71))
         want = [one(n) for n in range(start, start + k)]
         try:
-            got = _block_hex(fn(range(start, start + k)), scalar)
+            got = _block_hex(fn(range(start, start + k)))
         except (ArithmeticError, ValueError) as err:
             errors = {w[1:3] for w in want if w[0] == "raised"}
             assert (type(err), str(err)) in errors, (label, start, k)
@@ -528,8 +599,8 @@ def _assert_blocks_match_one_index(fn, scalar: bool, rng, label) -> set:
             assert got == want, (label, start, k)
         walked = []
         try:
-            for value in flat_terms(_blocks(fn, start, start + k), scalar):
-                walked += _block_hex([value] if scalar else ([value[0]], [value[1]]), scalar)
+            for p1, p2 in flat_terms(_blocks(fn, start, start + k)):
+                walked += _block_hex(([p1], [p2]))
         except (ArithmeticError, ValueError) as err:
             walked.append(("raised", type(err), str(err), err.term_index))
             seen.add("prefix then error" if len(walked) > 1 else "error")
@@ -539,9 +610,8 @@ def _assert_blocks_match_one_index(fn, scalar: bool, rng, label) -> set:
 
 
 def _assert_lanes_block_match(node, rng) -> set:
-    fn, _, scalar = _compile(node)
-    seen = _assert_blocks_match_one_index(fn, scalar, rng, render(node))
-    return seen | _assert_blocks_match_one_index(_pair_lane(node), False, rng, render(node))
+    seen = _assert_blocks_match_one_index(_compile(node)[0], rng, render(node))
+    return seen | _assert_blocks_match_one_index(_pair_lane(node), rng, render(node))
 
 
 def test_blocks_match_one_index_on_random_asts():

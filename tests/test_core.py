@@ -220,6 +220,26 @@ def test_division():
         ONE / E1
 
 
+def test_nan_tolerance_is_refused():
+    # a NaN tolerance would make every comparison false: nothing singular
+    from bicomplex import evaluate_product
+
+    nan = math.nan
+    calls = [
+        lambda: ZERO.is_singular(nan),
+        lambda: ZERO.inverse(tol=nan),
+        lambda: log_principal(ZERO, nan),
+        lambda: evaluate_product([ZERO, ONE], singularity_tol=nan),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^tolerance must be nonnegative$"):
+            call()
+    for p in (0j, 1 + 0j, complex(1e300, 1e300)):
+        for test in (lambda t: _zero_divisor_test(p, t), lambda t: _pair_zero_divisor_test(p, p, t)):
+            with pytest.raises(ValueError, match="^tolerance must be nonnegative$"):
+                test(nan)
+
+
 def test_singularity_verdict_fields():
     v = Bicomplex(3.0, 4.0).is_singular()
     assert not v.is_singular

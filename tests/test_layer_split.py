@@ -1,7 +1,8 @@
 """tools/layer_split.py runs on a small term budget and prints one row
 per long workload, with its lane, term count, evaluated indices, two
 costs and the share of terms the block step screened, then one row per
-public analyzer on prebuilt terms, with its term count and cost.
+public analyzer on prebuilt terms, with its term count and cost, then
+one row per expression of eval_term's one-index cost.
 
 The tool is run as a script, as it is used.
 """
@@ -54,7 +55,7 @@ def test_layer_split_prints_one_row_per_long_workload():
 
     assert lines[5:8] == ["", "| analyzer | terms | ns/term |", "|---|---:|---:|"]
     analyzers = [re.fullmatch(r'\| `(\w+)` on "(.+)" \| ([\d,]+) \| ([\d,]+) \|', line)
-                 for line in lines[8:]]
+                 for line in lines[8:11]]
     assert all(analyzers), lines
     got = [(m[1], m[2], int(m[3].replace(",", ""))) for m in analyzers]
     # the prebuilt terms are capped too, and no verdict comes within 2,000
@@ -64,6 +65,24 @@ def test_layer_split_prints_one_row_per_long_workload():
         ("analyze_series", "1/n^2", 2000),
     ]
     assert all(int(m[4].replace(",", "")) > 0 for m in analyzers)
+
+    assert lines[11:14] == [
+        "",
+        "| eval_term at one index | calls | AST µs | compiled µs |",
+        "|---|---:|---:|---:|",
+    ]
+    one_index = [re.fullmatch(r'\| "(.+)" \| ([\d,]+) \| ([\d.]+) \| ([\d.]+) \|', line)
+                 for line in lines[14:]]
+    assert all(one_index), lines
+    # the three workload expressions, and one that mixes pair and scalar
+    # subtrees; a cap of 2,000 leaves the 1,000 calls as they are
+    assert [(m[1], m[2]) for m in one_index] == [
+        ("1 + (3/10 + 2/5*i2)/n^2", "1,000"),
+        ("1+1/n", "1,000"),
+        ("1/n^2", "1,000"),
+        ("(1 + i2/n)^-3 + sqrt(2 - e1/n)*n^2/(n+3)", "1,000"),
+    ]
+    assert all(float(m[3]) > 0 and float(m[4]) > 0 for m in one_index)
 
 
 def test_layer_split_refuses_bad_sizes():

@@ -530,8 +530,9 @@ def test_cli_passes_take_the_lane_of_the_expression(monkeypatch, argv, scalar):
 
 def _lane_reports(text, tol, window, n_max):
     """The series and product reports of the CLI's passes over a scalar
-    expression, on the scalar lane and on the pair lane (each value read
-    as both components), field by field in bits, or the error raised."""
+    expression, on the scalar lane and on the pair lane (each block's one
+    list read as both components), field by field in bits, or the error
+    raised."""
     node = seqspec.parse(text)
     scalar, _ = seqspec._lane_blocks(node)
     assert scalar, text
@@ -539,8 +540,6 @@ def _lane_reports(text, tol, window, n_max):
     for lane in (True, False):
         for run in (series._analyze_pairs, _analyze_product_pairs):
             blocks = seqspec._lane_blocks(node, 1, n_max + 1)[1]
-            if not lane:
-                blocks = ((xs, xs) for xs in blocks)
             try:
                 outcomes.append(_bits(run(blocks, tol, window, n_max, lane)))
             except (ArithmeticError, ValueError) as err:

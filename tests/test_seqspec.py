@@ -382,7 +382,8 @@ def test_index_past_the_float_range():
 def test_index_converts_to_complex_as_complex_does():
     # the compiled ``n`` adds 0j to each index: the same bits as complex(n)
     ns = [*range(1, 5001), 2**53 - 1, 2**53 + 1, 2**1023, 10**308]
-    got = seqspec._var(parse("n"))(ns)
+    got, same = seqspec._var(parse("n"))(ns)
+    assert same is got
     for n, z in zip(ns, got, strict=True):
         assert (z.real.hex(), z.imag.hex()) == (complex(n).real.hex(), complex(n).imag.hex()), n
 
@@ -429,8 +430,8 @@ OVERFLOW_AT_2 = [
     ("1e308*n", True),                         # _ring(*)
     ("i2*1e308*n", False),
     ("[1e308 | 1]/[1/n | 1]", False),          # pair division through _ring(*)
-    ("1e308/(1/n)", True),                     # _div_scalar
-    ("[1e308 | 1]/(1/n)", False),              # _div_scaled
+    ("1e308/(1/n)", True),                     # _div, on one list
+    ("[1e308 | 1]/(1/n)", False),              # _div, each component times one inverse
     ("(1e200*n)^2", True),                     # _power, squaring
     ("[1e200*n | 1]^2", False),
     ("(1e120*n)^3", True),                     # _power, multiplying
@@ -484,7 +485,8 @@ def test_inverse_of_a_finite_value_is_finite_or_singular():
         inverted += 1
         assert cmath.isfinite(r) and abs(r) < 1e6, p
         # the block route scans no reciprocal either
-        assert seqspec._inverses([p] * 16) == [r] * 16, p
+        ps = [p] * 16
+        assert seqspec._inverses(ps, ps) == ([r] * 16, [r] * 16), p
     assert 0 < inverted < len(values)
 
 

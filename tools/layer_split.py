@@ -27,6 +27,13 @@ read and its ns/term on 20,000 prebuilt ``Bicomplex`` terms fed as
 These reach the passes one term per block, so the per-term body reads
 every term.
 
+A third table gives the cost of ``eval_term`` at one index, in µs per
+call, for the three workload expressions and for ``(1 + i2/n)^-3 +
+sqrt(2 - e1/n)*n^2/(n+3)``, which mixes pair and scalar subtrees: on the
+AST, which compiles the term for each call as the CLI's ``eval`` does,
+and on a term compiled once. Each figure is one pass of 1,000 calls, at
+indices 1 to 1,000.
+
 Each time is the minimum of ``--repeats`` runs, in-process. Compare
 figures taken on one machine in one session: the speed of a shared box
 drifts between runs.
@@ -35,9 +42,9 @@ Usage, from any directory (the checkout is the parent of ``tools/``)::
 
     python tools/layer_split.py [--repeats K] [--max-terms N]
 
-``--max-terms`` lowers every workload's term budget, and the number of
-prebuilt terms, to at most N, for a quick run. Only the standard library
-and ``src/`` are used.
+``--max-terms`` lowers every workload's term budget, the number of
+prebuilt terms and the calls per ``eval_term`` figure to at most N, for
+a quick run. Only the standard library and ``src/`` are used.
 """
 
 from __future__ import annotations
@@ -70,6 +77,12 @@ ANALYZERS = (
     (series.analyze_series, WORKLOADS[2][1]),
 )
 PREBUILT_TERMS = 20_000
+# the expressions of the one-index table: the workloads' and one that
+# mixes pair and scalar subtrees
+ONE_INDEX = tuple(text for _, text, _ in WORKLOADS) + (
+    "(1 + i2/n)^-3 + sqrt(2 - e1/n)*n^2/(n+3)",
+)
+ONE_INDEX_CALLS = 1000
 
 
 def _min_ns(run, repeats: int) -> int:
@@ -177,6 +190,26 @@ def analyzer_cost(analyzer, text: str, n: int, repeats: int) -> tuple[int, float
     return count, _min_ns(run, repeats) / count
 
 
+def one_index_cost(text: str, calls: int, repeats: int) -> tuple[float, float]:
+    """``(AST µs, compiled µs)``: ``eval_term`` per call at one index, on
+    the AST and on the term compiled once, over indices 1 to ``calls``."""
+    node = seqspec.parse(text)
+    term = seqspec.compile_term(node)
+    eval_term = seqspec.eval_term
+    indices = range(1, calls + 1)
+
+    def on_ast():
+        for n in indices:
+            eval_term(node, n)
+
+    def on_compiled():
+        for n in indices:
+            eval_term(term, n)
+
+    return (_min_ns(on_ast, repeats) / calls / 1000.0,
+            _min_ns(on_compiled, repeats) / calls / 1000.0)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=3, help="runs per figure (min taken)")
@@ -207,6 +240,14 @@ def main(argv=None) -> int:
     for analyzer, text in ANALYZERS:
         count, ns = analyzer_cost(analyzer, text, n, args.repeats)
         print(f'| `{analyzer.__name__}` on "{text}" | {count:,} | {ns:,.0f} |')
+
+    calls = ONE_INDEX_CALLS if args.max_terms is None else min(ONE_INDEX_CALLS, args.max_terms)
+    print()
+    print("| eval_term at one index | calls | AST µs | compiled µs |")
+    print("|---|---:|---:|---:|")
+    for text in ONE_INDEX:
+        ast_us, compiled_us = one_index_cost(text, calls, args.repeats)
+        print(f'| "{text}" | {calls:,} | {ast_us:.2f} | {compiled_us:.2f} |')
     return 0
 
 
