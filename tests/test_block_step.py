@@ -9,13 +9,16 @@ the same reports, bit for bit, on every decision site.
 
 import json
 import math
+from itertools import repeat
 
 import numpy as np
 import pytest
 
-from bicomplex import analyze_series, evaluate_product, products, series
+from bicomplex import analyze_series, evaluate_product, products, seqspec, series
+from bicomplex.seqspec import Add, Div, Num, Pow, Var
 from helpers import one_term_blocks, run_cli, walker_blocks
 from test_products import _bits
+from test_seqspec import _random_ast
 
 # the first index of each block the walker hands on
 BLOCK_STARTS = {1, 2, 4, 8, 16, 32, 64, 128, 256, 512} | set(range(1024, 10**6, 1024))
@@ -196,6 +199,62 @@ def test_series_block_step_matches_the_per_term_body(monkeypatch, case):
         if name == "rms_split" and scalar:
             assert report.absolute_component_verdicts == ("inconclusive", "inconclusive")
             assert report.absolute is True
+
+
+# -- a seeded differential over random terms --------------------------
+
+def _random_term(rng):
+    """A random AST as it stands, or as ``x/n^k`` or ``1 + x/n^k``, which
+    decay toward 0 or 1 and so give the passes long runs to take."""
+    ast = _random_ast(rng, int(rng.integers(1, 4)))
+    kind = int(rng.integers(0, 3))
+    if kind == 0:
+        return ast
+    scaled = Div(ast, Pow(Var(), int(rng.integers(1, 4))))
+    return scaled if kind == 1 else Add(Num(1.0), scaled)
+
+
+def _terms_read(report) -> int:
+    """The terms a pass read: a product's is the largest ``terms_used`` of
+    its reports."""
+    if isinstance(report, tuple):
+        return max(part.terms_used for part in report if part is not None)
+    return report.terms_used
+
+
+def test_passes_match_on_random_terms(monkeypatch):
+    # both passes over the walker's blocks of a compiled term against
+    # one-index blocks of the same closure: every report float in bits,
+    # every error by type, message and term index
+    rng = np.random.default_rng(2626)
+    lanes = {True: 0, False: 0}
+    past_2048 = screened = 0
+    for _ in range(200):
+        node = _random_term(rng)
+        fn, _, scalar = seqspec._compile(node)
+        tol = float(rng.choice([1e-6, 1e-8, 1e-10]))
+        window = int(rng.integers(2, 11))
+        n_max = int(rng.integers(2049, 3001) if rng.random() < 0.4 else rng.integers(1, 2049))
+        lanes[scalar] += 1
+        past_2048 += n_max > 2048
+        for command, run in PASSES.items():
+            one_index = map(seqspec._at, repeat(fn), range(1, n_max + 1))
+            single = _outcome(run, one_index, tol, window, n_max, scalar)
+            count = _per_term_reads(monkeypatch)
+            try:
+                report = run(
+                    seqspec._lane_blocks(node, 1, n_max + 1)[1], tol, window, n_max, scalar
+                )
+            except (ArithmeticError, ValueError) as err:
+                walker = ("raised", type(err).__name__, str(err), getattr(err, "term_index", None))
+            else:
+                walker = _bits(report)
+                screened += count[0] < _terms_read(report)
+            monkeypatch.undo()
+            assert walker == single, (seqspec.render(node), command, tol, window, n_max)
+    # both lanes, budgets past 2,048, and runs the block step took
+    assert min(lanes.values()) >= 15, lanes
+    assert past_2048 >= 15 and screened >= 30, (past_2048, screened)
 
 
 # -- the public analyzers read no term past the one that decides ------
