@@ -558,37 +558,23 @@ def _pair_zero_divisor_test(p1: complex, p2: complex, tol: float):
     return cn_mag <= threshold, cn_mag, threshold, m1 if m1 < m2 else m2
 
 
-def _zero_divisor_test(p: complex, tol: float):
-    """``_pair_zero_divisor_test(p, p, tol)`` bit for bit, from one modulus
-    ``m``: while ``m*m < 2**1023``, the pair's ``(m*m + m*m)/2.0`` is ``m*m``
-    exactly. Elsewhere, and for a ``tol`` below 0 or NaN, the pair test
-    itself runs."""
-    try:
-        m = abs(p)
-    except OverflowError:
-        m = math.inf
-    cn_mag = m * m
-    if not tol >= 0 or not cn_mag < 2.0**1023:
-        return _pair_zero_divisor_test(p, p, tol)
-    threshold = tol * (cn_mag if cn_mag > 1.0 else 1.0)
-    return cn_mag <= threshold, cn_mag, threshold, m
-
-
 def _none_singular(ps, tol: float) -> bool:
-    """Whether ``_zero_divisor_test(p, tol)`` passes every ``p`` in ``ps``,
-    for ``0 <= tol < 1``, in one scan: ``min(m*m) > tol`` over the moduli.
+    """Whether ``_pair_zero_divisor_test(p, p, tol)`` passes every ``p`` in
+    ``ps``, for ``0 <= tol < 1``, in one scan: ``min(m*m) > tol`` over the
+    moduli.
 
-    Exact: a square ``cn = m*m`` below ``2**1023`` is singular when
+    Exact: on ``(p, p)`` the test's ``(m*m + m*m)/2.0`` is ``m*m`` while
+    ``m*m < 2**1023``, so a square ``cn = m*m`` there is singular when
     ``cn <= tol*max(1, cn)``, which is ``cn <= tol`` for ``cn <= 1``, and
     never holds for ``cn > 1``, where ``tol*cn`` rounds below ``cn``; a
-    larger square goes to the pair test, whose scaled copies are never
+    larger square takes the test's scaled branch, whose copies are never
     singular for ``tol < 1`` either. Where a modulus leaves the float
-    range, the per-element test decides.
+    range, the test itself decides.
     """
     try:
         ms = list(map(abs, ps))
     except OverflowError:
-        return not any(_zero_divisor_test(p, tol)[0] for p in ps)
+        return not any(_pair_zero_divisor_test(p, p, tol)[0] for p in ps)
     return min(map(operator.mul, ms, ms)) > tol
 
 
@@ -608,6 +594,8 @@ def _pairs_none_singular(p1s, p2s, tol: float) -> bool:
     takes the test's scaled branch. Where a modulus leaves the float
     range, it fails too, and the per-element test decides.
     """
+    if not tol >= 0.0:  # NaN too: the test itself raises
+        return False
     try:
         m1s = list(map(abs, p1s))
         m2s = list(map(abs, p2s))
@@ -632,16 +620,6 @@ def _pair_inverse(p1: complex, p2: complex, tol: float = SINGULARITY_TOLERANCE):
     return r1, r2
 
 
-def _inverse(p: complex) -> complex:
-    """One component of ``_pair_inverse(p, p)``, with its errors."""
-    singular, cn_mag, threshold, _ = _zero_divisor_test(p, SINGULARITY_TOLERANCE)
-    if singular:
-        raise _zero_divisor_error(cn_mag, threshold)
-    # finite, with no check: a finite p that passes the test has |p| > 1e-6,
-    # so |1/p| < 1e6, and no closure or Bicomplex holds a NaN
-    return 1.0 / p
-
-
 def _pair_power(p1: complex, p2: complex, exponent: int):
     """Components of ``w**exponent``: a negative exponent inverts the
     pair first, then each component is raised by :func:`_power`."""
@@ -652,19 +630,15 @@ def _pair_power(p1: complex, p2: complex, exponent: int):
 
 
 def _power(p: complex, exponent: int) -> complex:
-    """``p**exponent`` by square-and-multiply from 1, a negative exponent
-    inverting first. Each product into the result is checked for
-    finiteness, as the ring operations check theirs; no message names a
-    component."""
-    if exponent < 0:
-        p = _inverse(p)
-        exponent = -exponent
+    """``p**exponent`` by square-and-multiply from 1, for ``exponent >= 0``.
+    Each product into the result is checked for finiteness, as the ring
+    operations check theirs; no message names a component."""
     r = 1 + 0j
     while exponent:
         if exponent & 1:
             r *= p
             if not _isfinite(r):
-                _check_finite_one(r)
+                _check_finite(r, r)
         exponent >>= 1
         if exponent:
             # skip the last squaring so w**1 never overflows via base*base.
@@ -678,12 +652,6 @@ def _power(p: complex, exponent: int) -> complex:
 def _check_finite(a: complex, b: complex) -> None:
     if not (_isfinite(a) and _isfinite(b)):
         raise NonFiniteError("bicomplex components must be finite")
-
-
-def _check_finite_one(p: complex) -> None:
-    """``_check_finite(p, p)`` with one ``isfinite``."""
-    if not _isfinite(p):
-        _check_finite(p, p)
 
 
 def _coerce(value) -> Bicomplex | None:

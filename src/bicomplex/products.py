@@ -33,21 +33,18 @@ swapping one criterion for the other for small deviations.
 
 ``analyze_product`` gives the product report, the absolute check and
 the log-sum identity from one pass that reads each term once, as its
-idempotent components ``(p1, p2)``, and computes its logarithms and
-deviation norm once. Each report freezes at its own stop rule: the
-product at its verdict or the budget ``n_max``; the absolute check at
-the first term with a component real part <= 0 (tested before the term
-counts) or once both norm series, which the product report shares,
-have decided; the identity after ``min(n_max, LOG_SUM_CAP)`` terms.
-``evaluate_product``, ``absolute_convergence_check`` and
-``log_sum_equivalence`` run the same pass for one report each. The
-pass reads its terms in blocks: the public analyzers hand it the pair a
-Bicomplex term stores, one term per block, as each is read; the CLI's
-``product`` hands it the index walker's blocks of compiled terms, with
-no ``Bicomplex``, and a scalar term's block as one list, both components.
-A run of terms where no rule can fire is taken in one block step
-(``_product_pass``). Zero divisors are found with the zero-divisor test
-on the pair.
+idempotent components ``(p1, p2)``, and forms its logarithms and
+deviation norm once; ``evaluate_product``, ``absolute_convergence_check``
+and ``log_sum_equivalence`` run it for one report each. Each report is
+a consumer of the pass and freezes at its own stop rule: the product at
+its verdict or the budget ``n_max``; the absolute check at the first
+term with a component real part <= 0 or once both norm series have
+decided; the identity after ``min(n_max, LOG_SUM_CAP)`` terms. The
+public analyzers hand the pass one term per block, as each is read; the
+CLI's ``product`` hands it the index walker's blocks of compiled terms,
+a scalar term's block as one list, both components. A run of terms
+where no consumer's rule can fire is taken in one block step
+(``_product_pass``).
 
 The paper's decomposition: the product of ``[a | b]`` converges exactly
 when the complex products of ``a`` and of ``b`` both converge to nonzero
@@ -79,19 +76,18 @@ from __future__ import annotations
 import cmath
 import math
 from collections import deque, namedtuple
-from functools import reduce
 from itertools import pairwise, repeat
-from operator import add, mul, sub
+from operator import add, attrgetter, mul, ne, or_, sub, truediv
 
 from .core import (
     SINGULARITY_TOLERANCE, Bicomplex, NonFiniteError, SingularTerm, _none_singular,
-    _pair_zero_divisor_test, _pairs_none_singular, _Record, _validate, _zero_divisor_test,
+    _pair_zero_divisor_test, _pairs_none_singular, _Record, _validate,
 )
 from .seqspec import _TERM_ERRORS
 from .series import (
     _EXACT_RMS_MAX, _EXACT_RMS_MIN, _FLAT_RATIO, _FLOOR_FACTOR, _HARMONIC_RATIO,
-    _MIN_RUN, OVERFLOW_GUARD, _Checkpoints, _diameter, _gaps, _modulus, _pair_or_none,
-    _partials, _rms_moduli, _running, _runs, _term_pairs, _Tracker,
+    OVERFLOW_GUARD, _Checkpoints, _diameter, _drive, _gaps, _modulus, _pair_or_none,
+    _partials, _rms_moduli, _run_sums, _running, _term_pairs, _Tracker,
 )
 from .transcendental import TWO_PI, BoundCheck, log1p, log_bound_check
 
@@ -116,9 +112,11 @@ __all__ = [
 # a legitimately convergent product passes through.
 ZERO_COLLAPSE = 1e-30
 
-# the identity diagnostic is quadratic-feeling in practice (an exp per
-# step), so it gets its own cap
+# The identity runs over at most this many terms: its terms_used in
+# analyze_product's report is min(n_max, LOG_SUM_CAP).
 LOG_SUM_CAP = 1000
+# the branch offset of a log is its difference from the principal log over this
+_TURN = complex(0.0, TWO_PI)
 
 class ProductReport(_Record):
     """Outcome of an infinite-product evaluation.
@@ -200,352 +198,399 @@ def _shrinking(pnorms: deque[float]) -> bool:
     return all(b <= a * (1.0 + 1e-12) for a, b in pairwise(pnorms))
 
 
-# the norm series' verdicts: "converged", "diverged", or None while open
-def _product_report(
-    verdict, q1, q2, l1, l2, used, nc_ok, log_verdict, dev_verdict
-) -> ProductReport:
-    return ProductReport(
-        verdict=verdict,
-        limit_estimate=_pair_or_none(q1, q2),
-        terms_used=used,
-        necessary_condition_ok=nc_ok and verdict != "diverged_to_zero",
-        absolute=log_verdict == "converged",
-        log_sum=_pair_or_none(l1, l2),
-        criteria_agreement=log_verdict == dev_verdict,
-        singular_index=used if verdict == "singular_term" else None,
-    )
+class _Consumer:
+    """One report of the product pass, ``open`` until frozen or ended.
+    ``push(w1, w2, q1, q2, lg1, lg2, l1, l2, dev, qnorm, used)`` reads
+    term ``used``, the partial products, its logs, the log sums,
+    ``||w - 1||`` and the partial product's norm, and tells whether the
+    report is open; ``screen(run, used)`` clears a run of those values as
+    lists (None where a rule could fire) for ``take``, which advances by
+    the float operations of ``push``; ``finish`` reports at the end of
+    the terms. It reads terms while ``live``."""
+
+    __slots__ = ("open", "report")
+
+    def __init__(self):
+        self.open = True
+        self.report = None
+
+    @property
+    def live(self) -> bool:
+        return self.open
+
+    def end(self) -> None:
+        self.open = False
 
 
-def _absolute_report(log_verdict, dev_verdict, used) -> AbsoluteReport:
-    return AbsoluteReport(
-        via_log_norms=log_verdict or "inconclusive",
-        via_deviation_norms=dev_verdict or "inconclusive",
-        agree=log_verdict == dev_verdict,
-        hypothesis_violation_index=None,
-        terms_used=used,
-    )
+class _Absolute(_Consumer):
+    """The absolute check: the norm series of ``||log w_n||`` and of
+    ``||w_n - 1||`` on two ``series._Tracker``, and the hypothesis that
+    every component real part is positive, to the first term that breaks
+    it or until both series decide. The series read on while undecided,
+    for the product verdict's report; with ``open=False``, for it alone."""
+
+    __slots__ = ("log", "dev", "scalar")
+
+    def __init__(self, tol, window, scalar, open=True):
+        super().__init__()
+        self.open = open
+        self.log = _Tracker(tol, window, _HARMONIC_RATIO)
+        self.dev = _Tracker(tol, window, _HARMONIC_RATIO)
+        self.scalar = scalar
+
+    @property
+    def live(self) -> bool:
+        return self.open or self.log.verdict is None or self.dev.verdict is None
+
+    def push(self, w1, w2, q1, q2, lg1, lg2, l1, l2, dev, qnorm, used) -> bool:
+        if self.open and (w1.real <= 0.0 or w2.real <= 0.0):
+            self._freeze("hypothesis_violated", "hypothesis_violated", True, used, used)
+        self.dev.push(dev, dev)
+        log = self.log
+        if log.verdict is None:
+            log_norm = _rms(lg1, lg2)
+            log.push(log_norm, log_norm)
+            if log.verdict is None:
+                return self.open
+        if self.open and self.dev.verdict is not None:
+            self.finish(q1, q2, l1, l2, used)
+        return self.open
+
+    def screen(self, run, used):
+        # |w - 1| < 1 in each component makes every real part positive
+        p1s, p2s, _, _, lg1s, lg2s = run[:6]
+        scalar = self.scalar
+        steps = []
+        if self.open or self.dev.verdict is None:
+            d1s = list(map(abs, map(sub, p1s, repeat(1.0))))
+            d2s = d1s if scalar else list(map(abs, map(sub, p2s, repeat(1.0))))
+            if self.open and (max(d1s) >= 1.0 or max(d2s) >= 1.0):
+                return None
+            devs = _norms(d1s, d2s, scalar)
+            steps.append((self.dev, devs, devs, True))
+        if self.log.verdict is None:
+            lm1s = list(map(abs, lg1s))
+            log_norms = _norms(lm1s, lm1s if scalar else list(map(abs, lg2s)), scalar)
+            steps.append((self.log, log_norms, log_norms, True))
+        return _run_sums(steps)
+
+    def take(self, runs) -> None:
+        for tracker, totals, mags in runs:
+            tracker.take(totals, mags)
+
+    def finish(self, q1, q2, l1, l2, used) -> None:
+        if self.open:
+            log, dev = self.log.verdict, self.dev.verdict
+            self._freeze(log or "inconclusive", dev or "inconclusive", log == dev, None, used)
+
+    def _freeze(self, via_log, via_dev, agree, violation, used) -> None:
+        self.open = False
+        self.report = AbsoluteReport(via_log, via_dev, agree, violation, used)
 
 
-def _identity_step(q1, q2, l1, l2, used) -> tuple[float, tuple[int, int]]:
-    """Discrepancy between exp(log sum) and the partial product, and the
-    branch offset between the log sum and the principal log of the
-    product, after ``used`` terms."""
-    try:
-        e1 = cmath.exp(l1)
-        e2 = cmath.exp(l2)
-    except OverflowError:
-        raise NonFiniteError(
-            "exponential of log sum overflowed", term_index=used
-        ) from None
-    den = _rms(q1, q2)
-    if den == 0.0:
-        raise NonFiniteError("partial product underflowed to zero", term_index=used)
-    if den == math.inf:
-        raise NonFiniteError("partial product overflowed", term_index=used)
-    if q1 == 0.0 or q2 == 0.0:
-        raise NonFiniteError(
-            "partial product component underflowed to zero", term_index=used
-        )
-    disc = _rms(e1 - q1, e2 - q2) / den
-    a = (l1 - cmath.log(q1)) / complex(0.0, TWO_PI)
-    b = (l2 - cmath.log(q2)) / complex(0.0, TWO_PI)
-    return disc, (round(a.real), round(b.real))
+class _Verdict(_Consumer):
+    """The product verdict: the rules of the module docstring over the
+    partial products, their norms and a window of each, and the dyadic
+    checkpoints over the deviation norms, in a deque of their own, read
+    past the deviation series' verdict; its report reads ``norms``'."""
 
+    __slots__ = ("tol", "window", "singularity_tol", "norms", "win1", "win2", "pnorms",
+                 "checks", "nc_ok")
 
-def _identity_report(q1, q2, l1, l2, max_disc, offset, changes, used) -> LogSumReport:
-    # cannot overflow: built before any term (sums 0) or just after
-    # _identity_step took cmath.exp of the same sums
-    return LogSumReport(
-        product_limit=_pair_or_none(q1, q2),
-        exp_of_log_sum=_pair_or_none(cmath.exp(l1), cmath.exp(l2)),
-        max_discrepancy=max_disc,
-        branch_offset=offset,
-        branch_offset_changes=changes,
-        terms_used=used,
-    )
+    def __init__(self, tol, window, singularity_tol, scalar, norms):
+        super().__init__()
+        self.tol = tol
+        self.window = window
+        self.singularity_tol = singularity_tol
+        self.norms = norms
+        self.win1: deque[complex] = deque(maxlen=window)
+        self.win2 = self.win1 if scalar else deque(maxlen=window)
+        self.pnorms: deque[float] = deque(maxlen=window)
+        self.checks = _Checkpoints(tol, window, _FLAT_RATIO)
+        self.nc_ok = True
 
-
-def _product_pass(
-    blocks,
-    n_max: int,
-    singularity_tol: float,
-    *,
-    tol: float = 1e-10,
-    window: int = 8,
-    product: bool = False,
-    absolute: bool = False,
-    identity_terms: int = 0,
-    scalar: bool = False,
-) -> ProductAnalysis:
-    """The one loop over the terms, given in blocks ``(p1s, p2s)``, behind
-    every product analysis.
-
-    With ``scalar``, each block's components are one list, read through
-    ``p1s``: one accumulator, log sum and window run, and the
-    zero-divisor tests read the one component.
-
-    The norm series of the absolute check, of ``||log w_n||`` and of
-    ``||w_n - 1||``, run on two ``series._Tracker``s in lockstep. The
-    product verdict's checkpoints keep their own deque of the deviations,
-    which they read after the deviation series has decided.
-
-    The block step: once the identity is over, a run of ``_MIN_RUN`` or
-    more terms, none of them a checkpoint (``series._runs``), is taken at
-    once where C-level scans show that no rule can fire at any of its
-    terms:
-
-    * no zero divisor (``_none_singular``, ``_pairs_none_singular``; both
-      need ``0 <= singularity_tol < 1``, which the CLI's tolerance is);
-    * while the absolute check is live, every ``|w - 1| < 1`` in each
-      component, which makes every real part positive;
-    * the norm series' trackers clear the run (``_Tracker.run_sums``);
-    * while the product is live, its norms lie inside the overflow guard
-      and above the zero-collapse floor, bounded by the component moduli
-      on the pair lane, and no window pre-test passes.
-
-    Accumulators, windows and magnitude deques then advance with the
-    float operations of the per-term body, in its order (``_Tracker.take``
-    for the norm series); the deques take only the last ``window``
-    values, which is all they keep. Any other run is read one term at a
-    time by the per-term body, which with ``_Tracker.push`` is the one
-    spelling of every rule.
-
-    Feeds the requested consumers (the identity over the first
-    ``identity_terms <= n_max`` terms) while any is live. With the
-    product consumer, failures are routed as ``analyze_product`` states;
-    without it, they propagate and a singular term raises SingularTerm.
-    """
-    prod_live, abs_live, id_live = product, absolute, identity_terms > 0
-    prod_report = abs_report = id_report = verdict = None
-    # shared accumulators: partial products and log sums
-    q1 = 1.0 + 0j
-    q2 = 1.0 + 0j
-    l1 = 0j
-    l2 = 0j
-    # the norm series: each reads every term up to its verdict, so its
-    # count is ``used``
-    log_track = _Tracker(tol, window, _HARMONIC_RATIO)
-    dev_track = _Tracker(tol, window, _HARMONIC_RATIO)
-    # product verdict state
-    win1: deque[complex] = deque(maxlen=window)
-    win2 = win1 if scalar else deque(maxlen=window)
-    pnorms: deque[float] = deque(maxlen=window)
-    # over the deviations, in a deque of its own: the product reads them
-    # past the deviation tracker's verdict
-    checks = _Checkpoints(tol, window, _FLAT_RATIO)
-    nc_ok = True
-    # identity state
-    max_disc = 0.0
-    offset = (0, 0)
-    changes = 0
-    used = 0
-    log_push, dev_push, dev_mag_push = log_track.push, dev_track.push, checks.mags.append
-    win1_push, win2_push, pnorm_push = win1.append, win2.append, pnorms.append
-
-    try:
-        for p1s, p2s in _runs(blocks, n_max):
-            if len(p1s) >= _MIN_RUN and not id_live and (
-                _none_singular(p1s, singularity_tol) if scalar
-                else _pairs_none_singular(p1s, p2s, singularity_tol)
-            ):
-                # the block step
-                try:
-                    q1s = _partials(p1s, mul, q1)
-                    lg1s = list(map(cmath.log, p1s))
-                    if scalar:
-                        q2s, lg2s = q1s, lg1s
-                    else:
-                        q2s = _partials(p2s, mul, q2)
-                        lg2s = list(map(cmath.log, p2s))
-                    # the deviations: all of them while the deviation series
-                    # or the absolute check is open (|w - 1| < 1 makes the
-                    # real part positive: the hypothesis screen), else the
-                    # last window, all that the checkpoints keep
-                    tail = (slice(None) if dev_track.verdict is None or abs_live
-                            else slice(-window, None))
-                    d1s = list(map(abs, map(sub, p1s[tail], repeat(1.0))))
-                    d2s = d1s if scalar else list(map(abs, map(sub, p2s[tail], repeat(1.0))))
-                    devs = _norms(d1s, d2s, scalar)
-                    quiet = not (abs_live and (max(d1s) >= 1.0 or max(d2s) >= 1.0))
-                    if quiet and dev_track.verdict is None:
-                        dev_totals = dev_track.run_sums(devs, True)
-                        quiet = dev_totals is not None
-                    if quiet and log_track.verdict is None:
-                        lm1s = list(map(abs, lg1s))
-                        log_norms = _norms(lm1s, lm1s if scalar else list(map(abs, lg2s)), scalar)
-                        log_totals = log_track.run_sums(log_norms, True)
-                        quiet = log_totals is not None
-                    if quiet and prod_live:
-                        m1s = list(map(abs, q1s))
-                        if scalar:
-                            # inside the guard and the floor, the norms are
-                            # the moduli: the exact-RMS range holds both
-                            quiet = ZERO_COLLAPSE <= min(m1s) and max(m1s) <= OVERFLOW_GUARD
-                            qnorms = m1s
-                        else:
-                            # m/sqrt(2) <= _rms(a, b) <= m, m the larger
-                            # modulus, up to a few ulps: halve the margins
-                            m2s = list(map(abs, q2s))
-                            quiet = (2.0 * ZERO_COLLAPSE <= max(min(m1s), min(m2s))
-                                     and max(max(m1s), max(m2s)) <= 0.5 * OVERFLOW_GUARD)
-                            qnorms = list(map(_rms, q1s[-window:], q2s[-window:]))
-                        # no window pre-test passes: one component moves by
-                        # tol or more across every window
-                        quiet = quiet and (
-                            min(map(abs, _gaps(win1, q1s, window)), default=math.inf) >= tol
-                            or not scalar
-                            and min(map(abs, _gaps(win2, q2s, window)), default=math.inf) >= tol
-                        )
-                except OverflowError:
-                    quiet = False
-                if quiet:
-                    used += len(p1s)
-                    q1 = q1s[-1]
-                    q2 = q2s[-1]
-                    l1 = reduce(add, lg1s, l1)
-                    l2 = l1 if scalar else reduce(add, lg2s, l2)
-                    checks.mags.extend(devs[-window:])
-                    if dev_track.verdict is None:
-                        dev_track.take(dev_totals, devs)
-                    if log_track.verdict is None:
-                        log_track.take(log_totals, log_norms)
-                    if prod_live:
-                        win1.extend(q1s[-window:])
-                        if not scalar:
-                            win2.extend(q2s[-window:])
-                        pnorms.extend(qnorms[-window:])
-                    continue
-
-            # on the scalar lane wp2 is wp1, and so lg2 is lg1 and q2 is q1
-            for wp1, wp2 in zip(p1s, p2s):
-                used += 1
-                if (
-                    _zero_divisor_test(wp1, singularity_tol) if scalar
-                    else _pair_zero_divisor_test(wp1, wp2, singularity_tol)
-                )[0]:
-                    if not product:
-                        raise SingularTerm(f"singular term at position {used}", index=used)
-                    if prod_live:
-                        verdict = "singular_term"
-                        abs_report = id_report = None
-                    abs_live = id_live = False
-                    break
-
-                if abs_live and (wp1.real <= 0.0 or wp2.real <= 0.0):
-                    abs_report = AbsoluteReport(
-                        via_log_norms="hypothesis_violated",
-                        via_deviation_norms="hypothesis_violated",
-                        agree=True,
-                        hypothesis_violation_index=used,
-                        terms_used=used,
-                    )
-                    abs_live = False
-                q1 *= wp1
-                lg1 = cmath.log(wp1)
-                l1 += lg1
-                if scalar:
-                    q2, lg2, l2 = q1, lg1, l1
+    def push(self, w1, w2, q1, q2, lg1, lg2, l1, l2, dev, pnorm, used) -> bool:
+        if not self.open:
+            return False
+        win1, win2, pnorms, checks = self.win1, self.win2, self.pnorms, self.checks
+        checks.mags.append(dev)
+        win1.append(q1)
+        if win2 is not win1:
+            win2.append(q2)
+        pnorms.append(pnorm)
+        verdict = None
+        if pnorm > OVERFLOW_GUARD:
+            verdict = "diverged"
+        elif pnorm < ZERO_COLLAPSE and _shrinking(pnorms):
+            verdict = "diverged_to_zero"
+        elif (
+            used >= self.window
+            and abs(q1 - win1[0]) < (tol := self.tol)
+            and abs(q2 - win2[0]) < tol
+            and _diameter(win1) < tol
+            and _diameter(win2) < tol
+        ):
+            # stable; classification depends on whether the recent terms
+            # actually sit near 1
+            if max(checks.mags) < _FLOOR_FACTOR * tol:
+                if _pair_zero_divisor_test(q1, q2, self.singularity_tol)[0]:
+                    verdict = "diverged"
                 else:
-                    q2 *= wp2
-                    lg2 = cmath.log(wp2)
-                    l2 += lg2
+                    verdict = "converged_nonsingular"
+            elif pnorm < _FLOOR_FACTOR * tol and _shrinking(pnorms):
+                verdict = "diverged_to_zero"
+            # stable partial products under far-from-1 terms with no drain
+            # toward zero: keep consuming evidence
+        if verdict is None and used == checks.due and checks.stalled():
+            self.nc_ok = False
+            if pnorms[-1] >= pnorms[0] * (1.0 - 1e-12):
+                verdict = "diverged"
+        if verdict is None:
+            return True
+        self.close(verdict, q1, q2, l1, l2, used)
+        return False
 
-                if prod_live or abs_live:
-                    dev = _rms(wp1 - 1.0, wp2 - 1.0)
-                    dev_mag_push(dev)
-                    dev_push(dev, dev)
-                    if log_track.verdict is None:
-                        log_norm = _rms(lg1, lg2)
-                        log_push(log_norm, log_norm)
-                    if abs_live and log_track.verdict is not None and dev_track.verdict is not None:
-                        abs_report = _absolute_report(log_track.verdict, dev_track.verdict, used)
-                        abs_live = False
+    def screen(self, run, used):
+        # inside the guard and the floor, and no window pre-test passes:
+        # one component moves by tol or more across every window
+        p1s, p2s, q1s, q2s = run[:4]
+        window, tol = self.window, self.tol
+        scalar = self.win2 is self.win1
+        m1s = list(map(abs, q1s))
+        if scalar:
+            # the norms are the moduli: the exact-RMS range holds both
+            if not (ZERO_COLLAPSE <= min(m1s) and max(m1s) <= OVERFLOW_GUARD):
+                return None
+            qnorms = m1s[-window:]
+        else:
+            # m/sqrt(2) <= _rms(a, b) <= m, m the larger modulus, up to a
+            # few ulps: halve the margins
+            m2s = list(map(abs, q2s))
+            if not (2.0 * ZERO_COLLAPSE <= max(min(m1s), min(m2s))
+                    and max(max(m1s), max(m2s)) <= 0.5 * OVERFLOW_GUARD):
+                return None
+            qnorms = list(map(_rms, q1s[-window:], q2s[-window:]))
+        if not (
+            min(map(abs, _gaps(self.win1, q1s, window)), default=math.inf) >= tol
+            or not scalar
+            and min(map(abs, _gaps(self.win2, q2s, window)), default=math.inf) >= tol
+        ):
+            return None
+        d1s = list(map(abs, map(sub, p1s[-window:], repeat(1.0))))
+        d2s = d1s if scalar else list(map(abs, map(sub, p2s[-window:], repeat(1.0))))
+        return q1s[-window:], q2s[-window:], qnorms, _norms(d1s, d2s, scalar)
 
-                if prod_live:
-                    pnorm = _rms(q1, q2)
-                    win1_push(q1)
-                    if not scalar:
-                        win2_push(q2)
-                    pnorm_push(pnorm)
-                    if pnorm > OVERFLOW_GUARD:
-                        verdict = "diverged"
-                    elif pnorm < ZERO_COLLAPSE and _shrinking(pnorms):
-                        verdict = "diverged_to_zero"
-                    elif (
-                        used >= window
-                        and abs(q1 - win1[0]) < tol
-                        and abs(q2 - win2[0]) < tol
-                        and _diameter(win1) < tol
-                        and _diameter(win2) < tol
-                    ):
-                        # stable; classification depends on whether the recent
-                        # terms actually sit near 1
-                        if max(checks.mags) < _FLOOR_FACTOR * tol:
-                            if (
-                                _zero_divisor_test(q1, singularity_tol) if scalar
-                                else _pair_zero_divisor_test(q1, q2, singularity_tol)
-                            )[0]:
-                                verdict = "diverged"
-                            else:
-                                verdict = "converged_nonsingular"
-                        elif pnorm < _FLOOR_FACTOR * tol and _shrinking(pnorms):
-                            verdict = "diverged_to_zero"
-                        # stable partial products under far-from-1 terms with no
-                        # drain toward zero: keep consuming evidence
-                    if verdict is None and used == checks.due and checks.stalled():
-                        nc_ok = False
-                        if pnorms[-1] >= pnorms[0] * (1.0 - 1e-12):
-                            verdict = "diverged"
-                    if verdict is not None:
-                        prod_report = _product_report(
-                            verdict, q1, q2, l1, l2, used, nc_ok,
-                            log_track.verdict, dev_track.verdict,
-                        )
-                        prod_live = False
+    def take(self, state) -> None:
+        q1s, q2s, qnorms, devs = state
+        self.win1.extend(q1s)
+        if self.win2 is not self.win1:
+            self.win2.extend(q2s)
+        self.pnorms.extend(qnorms)
+        self.checks.mags.extend(devs)
 
-                if id_live:
-                    try:
-                        disc, current = _identity_step(q1, q2, l1, l2, used)
-                    except NonFiniteError:
-                        if not product:
-                            raise
-                        id_live = False
-                    else:
-                        if disc > max_disc:
-                            max_disc = disc
-                        if current != offset:
-                            changes += 1
-                            offset = current
-                        if used == identity_terms:
-                            id_report = _identity_report(
-                                q1, q2, l1, l2, max_disc, offset, changes, used
-                            )
-                            id_live = False
-                if not (prod_live or abs_live or id_live):
-                    break
-            else:
-                continue
-            break
+    def close(self, verdict, q1, q2, l1, l2, used) -> None:
+        if self.open:
+            self.open = False
+            log, dev = self.norms.log.verdict, self.norms.dev.verdict
+            self.report = ProductReport(
+                verdict, _pair_or_none(q1, q2), used, self.nc_ok and verdict != "diverged_to_zero",
+                log == "converged", _pair_or_none(l1, l2), log == dev,
+                used if verdict == "singular_term" else None,
+            )
+
+    def finish(self, q1, q2, l1, l2, used) -> None:
+        self.close("inconclusive" if self.nc_ok else "diverged", q1, q2, l1, l2, used)
+
+
+class _Identity(_Consumer):
+    """The log-sum identity over the first ``cap`` terms: the discrepancy
+    between exp(log sum) and the partial product, and the branch offset
+    between the log sum and the product's principal log. NonFiniteError
+    where a partial product leaves the finite range or has a 0 component."""
+
+    __slots__ = ("cap", "scalar", "max_disc", "offset", "changes")
+
+    def __init__(self, cap, scalar):
+        super().__init__()
+        self.cap = cap
+        self.scalar = scalar
+        self.max_disc = 0.0
+        self.offset = (0, 0)
+        self.changes = 0
+
+    def push(self, w1, w2, q1, q2, lg1, lg2, l1, l2, dev, den, used) -> bool:
+        if not self.open:
+            return False
+        try:
+            e1 = cmath.exp(l1)
+            e2 = cmath.exp(l2)
+        except OverflowError:
+            raise NonFiniteError("exponential of log sum overflowed", term_index=used) from None
+        if den == 0.0:
+            raise NonFiniteError("partial product underflowed to zero", term_index=used)
+        if den == math.inf:
+            raise NonFiniteError("partial product overflowed", term_index=used)
+        if q1 == 0.0 or q2 == 0.0:
+            raise NonFiniteError("partial product component underflowed to zero", term_index=used)
+        disc = _rms(e1 - q1, e2 - q2) / den
+        if disc > self.max_disc:
+            self.max_disc = disc
+        a = (l1 - cmath.log(q1)) / _TURN
+        b = (l2 - cmath.log(q2)) / _TURN
+        current = (round(a.real), round(b.real))
+        if current != self.offset:
+            self.changes += 1
+            self.offset = current
+        if used == self.cap:
+            self.finish(q1, q2, l1, l2, used)
+        return self.open
+
+    def screen(self, run, used):
+        # the terms up to the cap, where every step of push is defined:
+        # no exp overflows (OverflowError), every norm is positive and
+        # finite (a NaN fails the sum), and no component is 0
+        k = self.cap - used
+        q1s, q2s, ls1s, ls2s = run[2], run[3], run[6], run[7]
+        if k < len(q1s):
+            q1s, q2s, ls1s, ls2s = q1s[:k], q2s[:k], ls1s[:k], ls2s[:k]
+        scalar = self.scalar
+        e1s = list(map(cmath.exp, ls1s))
+        e2s = e1s if scalar else list(map(cmath.exp, ls2s))
+        m1s = list(map(abs, q1s))
+        m2s = m1s if scalar else list(map(abs, q2s))
+        dens = _norms(m1s, m2s, scalar)
+        if not (0.0 < min(dens) and sum(dens) < math.inf and 0.0 < min(m1s) and 0.0 < min(m2s)):
+            return None
+        g1s = list(map(abs, map(sub, e1s, q1s)))
+        g2s = g1s if scalar else list(map(abs, map(sub, e2s, q2s)))
+        discs = list(map(truediv, _norms(g1s, g2s, scalar), dens))
+        turn, real = repeat(_TURN), attrgetter("real")
+        r1s = list(map(round, map(real, map(truediv, map(sub, ls1s, map(cmath.log, q1s)), turn))))
+        r2s = r1s if scalar else list(
+            map(round, map(real, map(truediv, map(sub, ls2s, map(cmath.log, q2s)), turn)))
+        )
+        o1, o2 = self.offset
+        changes = sum(map(or_, map(ne, r1s, [o1, *r1s[:-1]]), map(ne, r2s, [o2, *r2s[:-1]])))
+        last = (q1s[-1], q2s[-1], ls1s[-1], ls2s[-1], self.cap) if used + len(q1s) == self.cap else None
+        return max(discs), (r1s[-1], r2s[-1]), changes, last
+
+    def take(self, state) -> None:
+        disc, offset, changes, last = state
+        if disc > self.max_disc:
+            self.max_disc = disc
+        self.offset = offset
+        self.changes += changes
+        if last is not None:
+            self.finish(*last)
+
+    def finish(self, q1, q2, l1, l2, used) -> None:
+        # no exp overflows: the sums are 0, or push or screen took their exp
+        if self.open:
+            self.open = False
+            self.report = LogSumReport(
+                _pair_or_none(q1, q2), _pair_or_none(cmath.exp(l1), cmath.exp(l2)),
+                self.max_disc, self.offset, self.changes, used,
+            )
+
+
+def _accumulated(ps, q, l):
+    """The partial products from ``q``, the logs and the log sums from
+    ``l`` over the values ``ps``, as lists."""
+    logs = list(map(cmath.log, ps))
+    return _partials(ps, mul, q), logs, _partials(logs, add, l)
+
+
+def _product_pass(blocks, n_max: int, singularity_tol: float, consumers, scalar=False) -> None:
+    """The one loop over the terms, given in blocks ``(p1s, p2s)``, behind
+    every product analysis: ``series._drive`` feeds the ``consumers`` (the
+    absolute check before the product verdict, which reads its series)
+    while any is open. With ``scalar``, each block's components are one
+    list, read through ``p1s``. The pass forms what they read; the block
+    step forms it as lists and takes a run that the zero-divisor screen
+    (``_none_singular``, exact for the CLI's tolerance on the scalar lane;
+    ``_pairs_none_singular``) and every live consumer's screen clear.
+
+    With the product verdict among the consumers, failures are routed as
+    ``analyze_product`` states: a singular term freezes it as
+    singular_term and ends the others; a term that cannot be evaluated
+    once it is frozen, or the identity's NonFiniteError, ends each
+    consumer it reaches. Without it, they propagate, and a singular term
+    raises SingularTerm.
+    """
+    verdict = next((c for c in consumers if type(c) is _Verdict), None)
+    feeds = [(consumer, consumer.push) for consumer in consumers]
+    q1 = q2 = 1.0 + 0j
+    l1 = l2 = 0j
+
+    def clear(p1s, p2s):
+        if scalar:
+            return _none_singular(p1s, singularity_tol)
+        return _pairs_none_singular(p1s, p2s, singularity_tol)
+
+    def step(p1s, p2s, used):
+        nonlocal q1, q2, l1, l2
+        taken = []
+        try:
+            q1s, lg1s, ls1s = _accumulated(p1s, q1, l1)
+            q2s, lg2s, ls2s = (q1s, lg1s, ls1s) if scalar else _accumulated(p2s, q2, l2)
+            run = (p1s, p2s, q1s, q2s, lg1s, lg2s, ls1s, ls2s)
+            for consumer in consumers:
+                if consumer.live:
+                    state = consumer.screen(run, used)
+                    if state is None:
+                        return None
+                    taken.append((consumer, state))
+        except OverflowError:
+            return None
+        for consumer, state in taken:
+            consumer.take(state)
+        q1, q2, l1, l2 = q1s[-1], q2s[-1], ls1s[-1], ls2s[-1]
+        return any(consumer.open for consumer in consumers)
+
+    def read(w1, w2, used, cleared):
+        nonlocal q1, q2, l1, l2
+        if not cleared and _pair_zero_divisor_test(w1, w2, singularity_tol)[0]:
+            if verdict is None:
+                raise SingularTerm(f"singular term at position {used}", index=used)
+            verdict.close("singular_term", q1, q2, l1, l2, used)
+            for consumer in consumers:
+                consumer.end()
+            return False
+        q1 *= w1
+        lg1 = cmath.log(w1)
+        l1 += lg1
+        if scalar:
+            q2, lg2, l2 = q1, lg1, l1
+        else:
+            q2 *= w2
+            lg2 = cmath.log(w2)
+            l2 += lg2
+        dev = _rms(w1 - 1.0, w2 - 1.0)
+        qnorm = _rms(q1, q2)
+        reading = False
+        for consumer, push in feeds:
+            try:
+                if push(w1, w2, q1, q2, lg1, lg2, l1, l2, dev, qnorm, used):
+                    reading = True
+            except NonFiniteError:
+                if verdict is None:
+                    raise
+                consumer.end()
+        return reading
+
+    try:
+        # the scalar screen is exact, so it decides every run
+        used = _drive(blocks, n_max, step, read, clear, every=scalar)
     except _TERM_ERRORS:
         # once the product verdict is frozen, a term that cannot be
-        # evaluated ends the consumers still live without a report
-        if prod_live or not product:
+        # evaluated ends the consumers still open without a report
+        if verdict is None or verdict.open:
             raise
-        abs_live = id_live = False
-
-    # a singular term, or the terms ran out: every consumer still live
-    # reports what it has
-    if prod_live:
-        if verdict is None:
-            verdict = "diverged" if not nc_ok else "inconclusive"
-        prod_report = _product_report(
-            verdict, q1, q2, l1, l2, used, nc_ok, log_track.verdict, dev_track.verdict
-        )
-    if abs_live:
-        abs_report = _absolute_report(log_track.verdict, dev_track.verdict, used)
-    if id_live:
-        id_report = _identity_report(q1, q2, l1, l2, max_disc, offset, changes, used)
-    return ProductAnalysis(prod_report, abs_report, id_report)
+        for consumer in consumers:
+            consumer.end()
+        return
+    for consumer in consumers:
+        consumer.finish(q1, q2, l1, l2, used)
 
 
 def analyze_product(
@@ -570,13 +615,14 @@ def analyze_product(
 
 def _analyze_product_pairs(pairs, tol, window, n_max, scalar=False) -> ProductAnalysis:
     """analyze_product over blocks of (p1, p2) term pairs, one list as
-    both components with ``scalar``, with arguments already checked by
-    _validate; the CLI's ``product`` enters here."""
-    return _product_pass(
-        pairs, n_max, SINGULARITY_TOLERANCE, tol=tol, window=window,
-        product=True, absolute=True, identity_terms=min(n_max, LOG_SUM_CAP),
-        scalar=scalar,
-    )
+    both with ``scalar``, arguments checked; the CLI's ``product``."""
+    absolute = _Absolute(tol, window, scalar)
+    verdict = _Verdict(tol, window, SINGULARITY_TOLERANCE, scalar, absolute)
+    identity = _Identity(min(n_max, LOG_SUM_CAP), scalar)
+    _product_pass(pairs, n_max, SINGULARITY_TOLERANCE, (absolute, verdict, identity), scalar)
+    if verdict.report.verdict == "singular_term":
+        return ProductAnalysis(verdict.report, None, None)
+    return ProductAnalysis(verdict.report, absolute.report, identity.report)
 
 
 def evaluate_product(
@@ -595,9 +641,10 @@ def evaluate_product(
     itself is non-finite.
     """
     _validate(tol, window, n_max)
-    return _product_pass(
-        _term_pairs(terms), n_max, singularity_tol, tol=tol, window=window, product=True
-    ).product
+    norms = _Absolute(tol, window, False, open=False)
+    verdict = _Verdict(tol, window, singularity_tol, False, norms)
+    _product_pass(_term_pairs(terms), n_max, singularity_tol, (norms, verdict))
+    return verdict.report
 
 
 def log_sum_equivalence(
@@ -620,9 +667,9 @@ def log_sum_equivalence(
     product underflows to zero; both carry the 1-based index.
     """
     _validate(1.0, 2, n_max)
-    return _product_pass(
-        _term_pairs(terms), n_max, singularity_tol, identity_terms=n_max
-    ).identity
+    identity = _Identity(n_max, False)
+    _product_pass(_term_pairs(terms), n_max, singularity_tol, (identity,))
+    return identity.report
 
 
 def absolute_convergence_check(
@@ -643,6 +690,6 @@ def absolute_convergence_check(
     records the index. Raises SingularTerm for singular terms.
     """
     _validate(tol, window, n_max)
-    return _product_pass(
-        _term_pairs(terms), n_max, singularity_tol, tol=tol, window=window, absolute=True
-    ).absolute
+    absolute = _Absolute(tol, window, False)
+    _product_pass(_term_pairs(terms), n_max, singularity_tol, (absolute,))
+    return absolute.report

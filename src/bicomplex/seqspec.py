@@ -72,9 +72,8 @@ from .core import (
     Bicomplex,
     NonFiniteError,
     SingularOperand,
-    _check_finite_one,
+    _check_finite,
     _fmt_real,
-    _inverse,
     _isfinite,
     _none_singular,
     _pair_inverse,
@@ -399,8 +398,8 @@ def _compile(node):
     component but for inversion, in the same order, each as one C-level
     ``map`` over the block, so values are bit for bit those of the ring
     operations. Each check is one scan per block; where a scan fails, the
-    node runs the per-element helper (``core._check_finite_one``,
-    ``_inverse``, ``_pair_inverse``, ``_power`` and the like) over the
+    node runs the per-element helper (``core._check_finite``,
+    ``_pair_inverse``, ``_power`` and the like) over the
     block in element order, so a block of one index raises exactly the
     ring operation's error. A division, negative power or
     ``log``/``sqrt`` makes the zero-divisor test on the pair
@@ -415,9 +414,8 @@ def _compile(node):
     applies the same float operations to equal components), and its
     closure returns one list object as both components: where its
     operands' components are the same lists, a closure does its work and
-    its checks once, on the one list (``_zero_divisor_test`` and
-    ``_check_finite_one`` give the bits and errors of the pair checks on
-    ``(x, x)``). A scalar operand beside a pair one is ``(xs, xs)`` as it
+    its checks once, on the one list, and a check that fails runs the
+    pair rule on ``(x, x)``. A scalar operand beside a pair one is ``(xs, xs)`` as it
     stands, so a pair over a scalar divides by one list of inverses. The
     lane is read from the tree, since the passes choose their state
     before the first block, and read only ``p1s`` on the scalar lane.
@@ -449,32 +447,32 @@ def _constant(v1, v2, scalar):
 
 
 def _checked(ps):
-    """``ps`` after one finiteness scan; where it fails, ``_check_finite_one``
+    """``ps`` after one finiteness scan; where it fails, ``_check_finite``
     raises at the first value that is not finite."""
     if not all(map(_isfinite, ps)):
         for p in ps:
-            _check_finite_one(p)
+            _check_finite(p, p)
     return ps
 
 
 def _inverses(p1s, p2s):
     """``_pair_inverse`` of each pair, as the lists of ``r1`` and of ``r2``,
     its zero-divisor test one scan; where ``p1s is p2s``, one list of
-    ``_inverse`` of each value, as both components."""
+    inverses, as both components."""
     if p1s is p2s:
         if _none_singular(p1s, SINGULARITY_TOLERANCE):
-            # no finiteness scan, for the reason in ``_inverse``
+            # no finiteness scan: a finite p that passes the test has
+            # |p| > 1e-6, so |1/p| < 1e6, and no closure holds a NaN
             rs = list(map(operator.truediv, repeat(1.0), p1s))
-        else:
-            rs = list(map(_inverse, p1s))
-        return rs, rs
-    if _pairs_none_singular(p1s, p2s, SINGULARITY_TOLERANCE):
+            return rs, rs
+    elif _pairs_none_singular(p1s, p2s, SINGULARITY_TOLERANCE):
         r1s = list(map(operator.truediv, repeat(1.0), p1s))
         r2s = list(map(operator.truediv, repeat(1.0), p2s))
         if all(map(_isfinite, r1s)) and all(map(_isfinite, r2s)):
             return r1s, r2s
     pairs = list(map(_pair_inverse, p1s, p2s))
-    return [r1 for r1, _ in pairs], [r2 for _, r2 in pairs]
+    r1s = [r1 for r1, _ in pairs]
+    return (r1s, r1s) if p1s is p2s else (r1s, [r2 for _, r2 in pairs])
 
 
 def _powers(ps, k: int):
@@ -528,8 +526,8 @@ def _ring(op):
         def fn(ns):
             a1s, a2s = left(ns)
             b1s, b2s = right(ns)
-            # each component checked alone: _check_finite_one raises the
-            # error of _check_finite(p1, p2)
+            # each component checked alone, with the error of
+            # _check_finite(p1, p2)
             r1s = _checked(list(map(op, a1s, b1s)))
             if a1s is a2s and b1s is b2s:
                 return r1s, r1s
@@ -579,7 +577,6 @@ def _call(node, arg):
             _none_singular(p1s, SINGULARITY_TOLERANCE) if shared
             else _pairs_none_singular(p1s, p2s, SINGULARITY_TOLERANCE)
         ):
-            # on (x, x), the verdict and message of _zero_divisor_test(x)
             for p1, p2 in zip(p1s, p2s):
                 _invertible_pair(p1, p2, SINGULARITY_TOLERANCE, what)
         r1s = list(map(func, p1s))

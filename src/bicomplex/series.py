@@ -230,22 +230,23 @@ class _Tracker(_Checkpoints):
         """Add ``term``; ``mag`` is ``abs(term)``, which the caller holds."""
         if self.verdict is not None:
             return
-        self.count += 1
-        self.total += term
-        self.sums.append(self.total)
+        self.count = count = self.count + 1
+        self.total = total = self.total + term
+        sums = self.sums
+        sums.append(total)
         self.mags.append(mag)
         try:
-            overflowed = abs(self.total) > OVERFLOW_GUARD
+            overflowed = abs(total) > OVERFLOW_GUARD
         except OverflowError:  # the modulus is past the float range
             overflowed = True
         if overflowed:
             self.verdict = "diverged"
             return
-        if len(self.sums) == self.window:
-            if abs(self.total - self.sums[0]) < self.tol and _diameter(self.sums) < self.tol:
+        if len(sums) == self.window:
+            if abs(total - sums[0]) < self.tol and _diameter(sums) < self.tol:
                 self.verdict = "converged"
                 return
-        if self.count == self.due and self.stalled():
+        if count == self.due and self.stalled():
             self.verdict = "diverged"
 
     def run_sums(self, terms, rising: bool):
@@ -273,20 +274,48 @@ class _Tracker(_Checkpoints):
         self.mags.extend(mags[-self.window :])
 
 
-def _take_run(steps) -> bool:
-    """The block step over one run: ``steps`` holds ``(tracker, terms,
-    mags, rising)`` for each tracker. Where ``run_sums`` clears the run
-    for every live tracker, each takes it; else none changes."""
+def _run_sums(steps):
+    """The block step's screen over trackers: ``steps`` holds ``(tracker,
+    terms, mags, rising)`` for each. Where ``run_sums`` clears the run for
+    every live tracker, the ``(tracker, totals, mags)`` that each takes it
+    with (``_Tracker.take``); else None."""
     runs = []
     for tracker, terms, mags, rising in steps:
         if tracker.verdict is None:
             totals = tracker.run_sums(terms, rising)
             if totals is None:
-                return False
+                return None
             runs.append((tracker, totals, mags))
-    for tracker, totals, mags in runs:
-        tracker.take(totals, mags)
-    return True
+    return runs
+
+
+def _drive(blocks, n_max: int, step, read, clear=None, every=False) -> int:
+    """The one loop of a pass over ``blocks``, each the lists ``(p1s,
+    p2s)``, cut into runs by ``_runs``; returns the number of terms read.
+
+    ``clear(p1s, p2s)``, where given, is the zero-divisor screen, True only
+    where no term of the run is singular, on each run of ``_MIN_RUN`` or
+    more terms (with ``every``, each run). A long run it clears goes to the
+    block step ``step(p1s, p2s, used)``, ``used`` the terms before it: None
+    where a rule could fire in the run, else it took the run and tells
+    whether the pass reads on, as ``read(p1, p2, used, cleared)`` does for
+    each term of any other run.
+    """
+    used = 0
+    for p1s, p2s in _runs(blocks, n_max):
+        long = len(p1s) >= _MIN_RUN
+        cleared = clear is None or (long or every) and clear(p1s, p2s)
+        on = step(p1s, p2s, used) if long and cleared else None
+        if on is not None:
+            used += len(p1s)
+            if not on:
+                return used
+            continue
+        for p1, p2 in zip(p1s, p2s):
+            used += 1
+            if not read(p1, p2, used, cleared):
+                return used
+    return used
 
 
 def partial_sums(terms, n_max: int = 10**6) -> list[Bicomplex]:
@@ -355,19 +384,14 @@ def _analyze_pairs(blocks, tol, window, n_max, scalar=False) -> SeriesReport:
     the CLI's ``series``, with arguments already checked by _validate.
 
     With ``scalar``, each block's components are one list, read through
-    ``p1s``: one component tracker and one modulus tracker run,
-    and the report reads each for both components. The RMS tracker ``ae``
-    is the modulus tracker while every modulus lies in the exact-RMS range
-    [_EXACT_RMS_MIN, _EXACT_RMS_MAX]; at the first term outside, it splits
-    off as a copy.
+    ``p1s``: one component tracker and one modulus tracker run, and the
+    report reads each for both components. The RMS tracker ``ae`` is the
+    modulus tracker while every modulus lies in the exact-RMS range; at
+    the first term outside, it splits off as a copy.
 
-    The block step: a run of ``_MIN_RUN`` or more terms, none of them a
-    checkpoint (``_runs``), advances every live tracker at once (``_Tracker.take``)
-    where the screens show that no rule fires at any of its terms
-    (``_Tracker.run_sums``; on the scalar lane, while ``ae`` is the
-    modulus tracker, every modulus in the exact-RMS range too). Any other
-    run is read one term at a time by the per-term body, the one spelling
-    of every rule.
+    It runs on ``_drive``: the block step advances every live tracker over
+    a run that ``_Tracker.run_sums`` clears (and, while ``ae`` is the
+    modulus tracker, whose moduli lie in the exact-RMS range).
     """
     c1 = _Tracker(tol, window)
     a1 = _Tracker(tol, window, _HARMONIC_RATIO)
@@ -378,67 +402,67 @@ def _analyze_pairs(blocks, tol, window, n_max, scalar=False) -> SeriesReport:
         c2 = _Tracker(tol, window)
         a2 = _Tracker(tol, window, _HARMONIC_RATIO)
         ae = _Tracker(tol, window, _HARMONIC_RATIO)
-    used = 0
-    for p1s, p2s in _runs(blocks, n_max):
-        if len(p1s) >= _MIN_RUN:
+
+    def step(p1s, p2s, used):
+        try:
+            m1s = m2s = list(map(abs, p1s))
+            steps = [(c1, p1s, m1s, False), (a1, m1s, m1s, True)]
+            if not scalar:
+                m2s = list(map(abs, p2s))
+                steps += [(c2, p2s, m2s, False), (a2, m2s, m2s, True)]
+            if ae is not a1:
+                mes = _rms_moduli(m1s, m2s)
+                steps.append((ae, mes, mes, True))
+            elif not (_EXACT_RMS_MIN <= min(m1s) and max(m1s) <= _EXACT_RMS_MAX):
+                return None
+            runs = _run_sums(steps)
+        except OverflowError:
+            return None
+        if runs is None:
+            return None
+        for tracker, totals, mags in runs:
+            tracker.take(totals, mags)
+        return True
+
+    def read(p1, p2, used, cleared):
+        nonlocal ae
+        if scalar:
             try:
-                m1s = m2s = list(map(abs, p1s))
-                steps = [(c1, p1s, m1s, False), (a1, m1s, m1s, True)]
-                if not scalar:
-                    m2s = list(map(abs, p2s))
-                    steps += [(c2, p2s, m2s, False), (a2, m2s, m2s, True)]
-                if ae is not a1:
-                    mes = _rms_moduli(m1s, m2s)
-                    steps.append((ae, mes, mes, True))
-                cleared = (
-                    ae is not a1 or _EXACT_RMS_MIN <= min(m1s) and max(m1s) <= _EXACT_RMS_MAX
-                ) and _take_run(steps)
+                m1 = abs(p1)
             except OverflowError:
-                cleared = False
-            if cleared:
-                used += len(p1s)
-                continue
-        for p1, p2 in zip(p1s, p2s):
-            used += 1
-            if scalar:
-                try:
-                    m1 = abs(p1)
-                except OverflowError:
-                    m1 = math.inf
-                if ae is a1 and not _EXACT_RMS_MIN <= m1 <= _EXACT_RMS_MAX:
-                    import copy  # once per pass at most: not worth start-up time
-                    ae = copy.deepcopy(a1)
-                c1.push(p1, m1)
-                a1.push(m1, m1)
-                if ae is not a1:
-                    me = math.sqrt((m1 * m1 + m1 * m1) / 2.0)
-                    ae.push(me, me)
-            else:
-                try:
-                    m1 = abs(p1)
-                    m2 = abs(p2)
-                except OverflowError:
-                    m1, m2 = _modulus(p1), _modulus(p2)
-                me = math.sqrt((m1 * m1 + m2 * m2) / 2.0)
-                c1.push(p1, m1)
-                c2.push(p2, m2)
-                a1.push(m1, m1)
-                a2.push(m2, m2)
+                m1 = math.inf
+            if ae is a1 and not _EXACT_RMS_MIN <= m1 <= _EXACT_RMS_MAX:
+                import copy  # once per pass at most: not worth start-up time
+                ae = copy.deepcopy(a1)
+            c1.push(p1, m1)
+            a1.push(m1, m1)
+            if ae is not a1:
+                me = math.sqrt((m1 * m1 + m1 * m1) / 2.0)
                 ae.push(me, me)
-            main_done = (
-                c1.verdict == "diverged"
-                or c2.verdict == "diverged"
-                or (c1.verdict is not None and c2.verdict is not None)
-            )
-            if main_done and (
-                a1.verdict == "diverged"
-                or a2.verdict == "diverged"
-                or (a1.verdict is not None and a2.verdict is not None and ae.verdict is not None)
-            ):
-                break
         else:
-            continue
-        break
+            try:
+                m1 = abs(p1)
+                m2 = abs(p2)
+            except OverflowError:
+                m1, m2 = _modulus(p1), _modulus(p2)
+            me = math.sqrt((m1 * m1 + m2 * m2) / 2.0)
+            c1.push(p1, m1)
+            c2.push(p2, m2)
+            a1.push(m1, m1)
+            a2.push(m2, m2)
+            ae.push(me, me)
+        main_done = (
+            c1.verdict == "diverged"
+            or c2.verdict == "diverged"
+            or (c1.verdict is not None and c2.verdict is not None)
+        )
+        return not main_done or not (
+            a1.verdict == "diverged"
+            or a2.verdict == "diverged"
+            or (a1.verdict is not None and a2.verdict is not None and ae.verdict is not None)
+        )
+
+    used = _drive(blocks, n_max, step, read)
 
     v1 = c1.verdict or "inconclusive"
     v2 = c2.verdict or "inconclusive"

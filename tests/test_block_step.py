@@ -7,6 +7,7 @@ hand them one-term blocks, which the per-term body reads. Both must give
 the same reports, bit for bit, on every decision site.
 """
 
+import cmath
 import json
 import math
 from itertools import repeat
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from bicomplex import analyze_series, evaluate_product, products, seqspec, series
+from bicomplex.core import SINGULARITY_TOLERANCE
 from bicomplex.seqspec import Add, Div, Num, Pow, Var
 from helpers import one_term_blocks, run_cli, walker_blocks
 from test_products import _bits
@@ -153,10 +155,58 @@ def test_product_block_step_norm_series_decide_in_mid_block(monkeypatch):
     assert _mid_block(analysis.absolute.terms_used)
 
 
+def _identity_alone(blocks, n_max, scalar):
+    """The log-sum identity's report, the only consumer of the product
+    pass, as ``log_sum_equivalence`` runs it: its failures propagate."""
+    identity = products._Identity(min(n_max, products.LOG_SUM_CAP), scalar)
+    products._product_pass(blocks, n_max, SINGULARITY_TOLERANCE, (identity,), scalar)
+    return identity.report
+
+
+def _compare_identity(monkeypatch, terms, scalar, n_max):
+    """The identity's outcome alone over ``terms`` as walker blocks, after
+    checking that one-term blocks give it bit for bit (errors by type,
+    message and index), and the number of terms the per-term body read on
+    the walker blocks; the full analysis must match too."""
+    _compare(monkeypatch, "product", terms, scalar, 1e-10, n_max)
+    single = _outcome(_identity_alone, one_term_blocks(terms, scalar), n_max, scalar)
+    count = _per_term_reads(monkeypatch)
+    walker = _outcome(_identity_alone, walker_blocks(terms, scalar), n_max, scalar)
+    monkeypatch.undo()
+    assert walker == single, scalar
+    return walker, count[0]
+
+
+# the terms read one at a time before the run 513-1,023: 1 to 32 and the
+# checkpoints 64, 128, 256 and 512
+BEFORE_513 = 36
+
+
+def test_identity_block_step_exp_of_the_log_sum_overflows_in_mid_run(monkeypatch):
+    # 1e10 up to term 14, near 1 after but for 1e200 at term 700: the
+    # partial product overflows there, inside the run 513-1,023, and the
+    # exp of the log sum, which is tested first, overflows with it
+    for scalar in (True, False):
+        terms = [1e10 + 0j if n <= 14 else 1e200 + 0j if n == 700 else 1 + 0.3 / n**2 + 0j
+                 for n in range(1, 1001)]
+        if not scalar:
+            terms = [(w, w * (1 + 0.5j) / abs(1 + 0.5j)) for w in terms]
+        outcome, per_term = _compare_identity(monkeypatch, terms, scalar, 1000)
+        kind, name, message, index = outcome
+        assert (kind, name, message) == (
+            "raised", "NonFiniteError", "exponential of log sum overflowed"
+        ), outcome
+        assert index == 700
+        # the runs before were taken whole; this one is read up to the term
+        assert per_term <= BEFORE_513 + index - 512, (scalar, per_term)
+
+
 def test_product_block_step_after_the_identity_fails():
-    # the second component's partial product underflows at about term
-    # 108, which ends the identity with its NonFiniteError; the block step
-    # takes over from there and the limit is a zero divisor
+    # the second component's partial product underflows to 0 at about term
+    # 108, inside the run 65-127, which ends the identity with its
+    # NonFiniteError; the block step takes over from there and the limit
+    # is a zero divisor. On the scalar lane the squared modulus underflows
+    # first, inside the run 33-63
     pair = [(1 + SHRINKING / n**2, 1e-3 if n <= 110 else 1 + C2 / n**2) for n in range(1, 5001)]
     single = _outcome(PASSES["product"], one_term_blocks(pair, False), 1e-6, 8, 5000, False)
     walker = _outcome(PASSES["product"], walker_blocks(pair, False), 1e-6, 8, 5000, False)
@@ -164,6 +214,67 @@ def test_product_block_step_after_the_identity_fails():
     analysis = PASSES["product"](walker_blocks(pair, False), 1e-6, 8, 5000, False)
     assert analysis.identity is None
     assert analysis.product.verdict == "diverged" and analysis.product.terms_used > 1000
+
+    scalar = [1e-3 + 0j if n <= 110 else 1 + 0.3 / n**2 for n in range(1, 1001)]
+    cases = (
+        (pair[:1000], False, "partial product component underflowed to zero", 64),
+        (scalar, True, "partial product underflowed to zero", 32),
+    )
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for terms, lane, message, before in cases:
+            outcome, per_term = _compare_identity(monkeypatch, terms, lane, 1000)
+            assert outcome[:3] == ("raised", "NonFiniteError", message), outcome
+            index = outcome[3]
+            assert before + 1 < index < 2 * before, (lane, index)
+            assert per_term <= 33 + index - before, (lane, per_term)
+
+
+def test_identity_block_step_counts_a_branch_offset_change_in_mid_run(monkeypatch):
+    # terms on the unit circle whose angles a/n sum past pi inside the run
+    # 513-1,023, near term 706 (and the second component's past -pi near
+    # term 602): the branch offset changes there, once in each component
+    for scalar in (True, False):
+        terms = [cmath.exp(0.44j / n) for n in range(1, 1001)]
+        if not scalar:
+            terms = [(w, cmath.exp(-0.45j / n)) for n, w in enumerate(terms, start=1)]
+        report, per_term = _compare_identity(monkeypatch, terms, scalar, 1000)
+        assert report[0] == "LogSumReport"
+        before = _identity_alone(one_term_blocks(terms[:600], scalar), 600, scalar)
+        after = _identity_alone(one_term_blocks(terms, scalar), 1000, scalar)
+        assert before.branch_offset_changes == 0
+        assert after.branch_offset_changes == (1 if scalar else 2)
+        assert after.branch_offset == ((1, 1) if scalar else (1, -1))
+        assert per_term <= BEFORE_513, (scalar, per_term)
+
+
+def test_identity_block_step_reaches_its_cap_in_mid_run(monkeypatch):
+    # the identity stops at term 1,000, inside the run 513-1,023, with the
+    # partial product and log sum of that term; alone, the pass stops there
+    for scalar in (True, False):
+        terms = [1 + 0.3 / n**2 + 0j for n in range(1, 3001)]
+        if not scalar:
+            terms = [_near_one(n) for n in range(1, 3001)]
+        report, per_term = _compare_identity(monkeypatch, terms, scalar, 3000)
+        assert report[0] == "LogSumReport"
+        alone = _identity_alone(walker_blocks(terms, scalar), 3000, scalar)
+        assert alone.terms_used == products.LOG_SUM_CAP
+        first = _identity_alone(one_term_blocks(terms[:1000], scalar), 1000, scalar)
+        assert _bits(alone) == _bits(first)
+        assert per_term <= BEFORE_513, (scalar, per_term)
+
+
+def test_product_pass_reads_few_of_its_first_1000_terms_one_at_a_time(monkeypatch):
+    # the identity is live over the first 1,000 terms and screens its runs
+    # with the rest: the per-term body reads terms 1 to 32 and the
+    # checkpoints, on the default product at the CLI's budget (fed its
+    # blocks up to term 1,023, which hold those runs whole) and on 1+1/n
+    for text, n_max in (("1 + (3/10 + 2/5*i2)/n^2", 10**6), ("1+1/n", 1000)):
+        scalar, blocks = seqspec._lane_blocks(seqspec.parse(text), 1, 1024)
+        count = _per_term_reads(monkeypatch)
+        analysis = PASSES["product"](blocks, 1e-10, 8, n_max, scalar)
+        monkeypatch.undo()
+        assert analysis.identity.terms_used == 1000
+        assert count[0] <= 40, (text, count[0])
 
 
 # -- series: overflow, convergence, checkpoints and the RMS tracker ---

@@ -1,8 +1,10 @@
 """tools/layer_split.py runs on a small term budget and prints one row
 per long workload, with its lane, term count, evaluated indices, two
 costs and the share of terms the block step screened, then one row per
-public analyzer on prebuilt terms, with its term count and cost, then
-one row per expression of eval_term's one-index cost.
+short-budget product run, with its lane, budget, cost and per-term
+reads, then one row per public analyzer on prebuilt terms, with its
+term count and cost, then one row per expression of eval_term's
+one-index cost.
 
 The tool is run as a script, as it is used.
 """
@@ -46,16 +48,33 @@ def test_layer_split_prints_one_row_per_long_workload():
         # read-ahead reaches at most to the end of the last term's block
         assert terms <= evaluated < terms + 1024
         assert eval_ns > 0 and pass_ns > 0
-    # the block step takes runs of every workload; the product pass reads
-    # the identity's 1,000 terms one at a time, and every pass the
-    # checkpoint terms
+    # the block step takes most runs of every workload, the identity's
+    # first 1,000 terms among them; every pass reads the checkpoint terms
+    # and the first 32 one at a time
     screened = [float(m[7]) for m in rows]
-    assert 0.0 < screened[0] <= 50.0 and 0.0 < screened[1] <= 50.0
-    assert 0.0 < screened[2] < 100.0
+    assert all(95.0 <= share < 100.0 for share in screened), screened
 
-    assert lines[5:8] == ["", "| analyzer | terms | ns/term |", "|---|---:|---:|"]
+    assert lines[5:8] == [
+        "",
+        "| short product | lane | n_max | pass ns/term | per-term reads |",
+        "|---|---|---:|---:|---:|",
+    ]
+    shorts = [re.fullmatch(r'\| `product "(.+)"` \| (\w+) \| ([\d,]+) \| ([\d,]+) \| (\d+) \|',
+                           line) for line in lines[8:12]]
+    assert all(shorts), lines
+    assert [(m[1], m[2], m[3]) for m in shorts] == [
+        ("1 + (3/10 + 2/5*i2)/n^2", "pair", "128"),
+        ("1 + (3/10 + 2/5*i2)/n^2", "pair", "1,000"),
+        ("1+1/n", "scalar", "128"),
+        ("1+1/n", "scalar", "1,000"),
+    ]
+    assert all(int(m[4].replace(",", "")) > 0 for m in shorts)
+    # the per-term body reads terms 1 to 32 and the checkpoints after
+    assert [int(m[5]) for m in shorts] == [34, 36, 34, 36]
+
+    assert lines[12:15] == ["", "| analyzer | terms | ns/term |", "|---|---:|---:|"]
     analyzers = [re.fullmatch(r'\| `(\w+)` on "(.+)" \| ([\d,]+) \| ([\d,]+) \|', line)
-                 for line in lines[8:11]]
+                 for line in lines[15:18]]
     assert all(analyzers), lines
     got = [(m[1], m[2], int(m[3].replace(",", ""))) for m in analyzers]
     # the prebuilt terms are capped too, and no verdict comes within 2,000
@@ -66,13 +85,13 @@ def test_layer_split_prints_one_row_per_long_workload():
     ]
     assert all(int(m[4].replace(",", "")) > 0 for m in analyzers)
 
-    assert lines[11:14] == [
+    assert lines[18:21] == [
         "",
         "| eval_term at one index | calls | AST µs | compiled µs |",
         "|---|---:|---:|---:|",
     ]
     one_index = [re.fullmatch(r'\| "(.+)" \| ([\d,]+) \| ([\d.]+) \| ([\d.]+) \|', line)
-                 for line in lines[14:]]
+                 for line in lines[21:]]
     assert all(one_index), lines
     # the three workload expressions, and one that mixes pair and scalar
     # subtrees; a cap of 2,000 leaves the 1,000 calls as they are

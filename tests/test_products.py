@@ -491,10 +491,14 @@ def test_cli_scalar_lane_makes_no_pair_zero_divisor_test(monkeypatch):
         code, _, _ = run_cli(argv)
         assert code == 0
         assert calls == [], argv
-    # the pair lane tests each term as a pair
-    code, _, _ = run_cli(["product", "1 + (3/10 + 2/5*i2)/n^2", "--max-terms", "100"])
+    # the pair lane tests as a pair each term that its per-term body reads:
+    # terms 1 to 32 and the checkpoint 64, around the runs 33-63 and 65-100
+    # that the block step takes
+    text = "1 + (3/10 + 2/5*i2)/n^2"
+    code, _, _ = run_cli(["product", text, "--max-terms", "100"])
     assert code == 0
-    assert len(calls) >= 100
+    terms = [seqspec.eval_term(seqspec.parse(text), n) for n in (*range(1, 33), 64)]
+    assert calls == [(w.p1, w.p2, 1e-12) for w in terms]
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,15 @@ For each of the three long workloads -- ``product "1 + (3/10 +
   a run at a time. The rest went through its per-term body, which reads
   a run through ``zip``; the tool counts them there.
 
-A second table gives one row per public analyzer --
+A second table gives the product pass on short budgets, where the
+log-sum identity's first ``LOG_SUM_CAP`` terms are most of the run: the
+CLI's pass (``_analyze_product_pairs``) over the index walker's blocks
+of the default product (pair lane) and of ``1+1/n`` (scalar lane),
+prebuilt in a list, at ``n_max`` 128 and 1,000, with its ns/term and the
+terms its per-term body read. Each short time is the minimum of 20
+times ``--repeats`` runs.
+
+A third table gives one row per public analyzer --
 ``evaluate_product`` and ``absolute_convergence_check`` on the default
 product's terms, ``analyze_series`` on ``1/n^2``'s -- with the terms it
 read and its ns/term on 20,000 prebuilt ``Bicomplex`` terms fed as
@@ -27,7 +35,7 @@ read and its ns/term on 20,000 prebuilt ``Bicomplex`` terms fed as
 These reach the passes one term per block, so the per-term body reads
 every term.
 
-A third table gives the cost of ``eval_term`` at one index, in µs per
+A fourth table gives the cost of ``eval_term`` at one index, in µs per
 call, for the three workload expressions and for ``(1 + i2/n)^-3 +
 sqrt(2 - e1/n)*n^2/(n+3)``, which mixes pair and scalar subtrees: on the
 AST, which compiles the term for each call as the CLI's ``eval`` does,
@@ -77,6 +85,9 @@ ANALYZERS = (
     (series.analyze_series, WORKLOADS[2][1]),
 )
 PREBUILT_TERMS = 20_000
+# the expressions and term budgets of the short-budget product table
+SHORT_PRODUCTS = (WORKLOADS[0][1], WORKLOADS[1][1])
+SHORT_BUDGETS = (128, 1000)
 # the expressions of the one-index table: the workloads' and one that
 # mixes pair and scalar subtrees
 ONE_INDEX = tuple(text for _, text, _ in WORKLOADS) + (
@@ -177,6 +188,20 @@ def split(
     return lane, count, evaluated, eval_ns / count, pass_ns / count, screened
 
 
+def short_product(text: str, n_max: int, repeats: int) -> tuple[str, float, int]:
+    """``(lane, pass ns/term, per-term reads)`` of the CLI's product pass
+    over the prebuilt walker blocks of ``text``'s first ``n_max`` terms."""
+    scalar, blocks = seqspec._lane_blocks(seqspec.parse(text), 1, n_max + 1)
+    blocks = list(blocks)
+
+    def run():
+        return products._analyze_product_pairs(iter(blocks), TOL, WINDOW, n_max, scalar)
+
+    count = _terms_read(run())
+    pass_ns = _min_ns(run, 20 * repeats)
+    return "scalar" if scalar else "pair", pass_ns / count, _per_term(run)
+
+
 def analyzer_cost(analyzer, text: str, n: int, repeats: int) -> tuple[int, float]:
     """``(terms, ns/term)`` of ``analyzer`` on the first ``n`` terms of
     ``text``, prebuilt as ``Bicomplex`` values and fed as ``iter(list)``."""
@@ -232,6 +257,15 @@ def main(argv=None) -> int:
             f"| `{term}` | {lane} | {count:,} | {evaluated:,}"
             f" | {eval_ns:,.0f} | {pass_ns:,.0f} | {screened:.1%} |"
         )
+
+    print()
+    print("| short product | lane | n_max | pass ns/term | per-term reads |")
+    print("|---|---|---:|---:|---:|")
+    for text in SHORT_PRODUCTS:
+        for budget in SHORT_BUDGETS:
+            n_max = budget if args.max_terms is None else min(budget, args.max_terms)
+            lane, pass_ns, reads = short_product(text, n_max, args.repeats)
+            print(f'| `product "{text}"` | {lane} | {n_max:,} | {pass_ns:,.0f} | {reads:,} |')
 
     n = PREBUILT_TERMS if args.max_terms is None else min(PREBUILT_TERMS, args.max_terms)
     print()
