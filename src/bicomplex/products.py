@@ -76,6 +76,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import deque, namedtuple
+from functools import reduce
 from itertools import pairwise, repeat
 from operator import add, attrgetter, mul, ne, or_, sub, truediv
 
@@ -200,13 +201,13 @@ def _shrinking(pnorms: deque[float]) -> bool:
 
 class _Consumer:
     """One report of the product pass, ``open`` until frozen or ended.
-    ``push(w1, w2, q1, q2, lg1, lg2, l1, l2, dev, qnorm, used)`` reads
-    term ``used``, the partial products, its logs, the log sums,
-    ``||w - 1||`` and the partial product's norm, and tells whether the
-    report is open; ``screen(run, used)`` clears a run of those values as
-    lists (None where a rule could fire) for ``take``, which advances by
-    the float operations of ``push``; ``finish`` reports at the end of
-    the terms. It reads terms while ``live``."""
+    ``push(w1, w2, q1, q2, lg1, lg2, l1, l2, dev, used)`` reads term
+    ``used``, the partial products, its logs, the log sums and
+    ``||w - 1||``, and tells whether the report is open; ``screen(run, used)`` clears a run ``(p1s, p2s, q1s,
+    q2s, lg1s, lg2s, l1, l2)``, the log sums those before it, or gives
+    None where a rule could fire, for ``take``, which advances by the
+    float operations of ``push``; ``finish`` reports at the end of the
+    terms. It reads terms while ``live``."""
 
     __slots__ = ("open", "report")
 
@@ -242,7 +243,7 @@ class _Absolute(_Consumer):
     def live(self) -> bool:
         return self.open or self.log.verdict is None or self.dev.verdict is None
 
-    def push(self, w1, w2, q1, q2, lg1, lg2, l1, l2, dev, qnorm, used) -> bool:
+    def push(self, w1, w2, q1, q2, lg1, lg2, l1, l2, dev, used) -> bool:
         if self.open and (w1.real <= 0.0 or w2.real <= 0.0):
             self._freeze("hypothesis_violated", "hypothesis_violated", True, used, used)
         self.dev.push(dev, dev)
@@ -309,11 +310,12 @@ class _Verdict(_Consumer):
         self.checks = _Checkpoints(tol, window, _FLAT_RATIO)
         self.nc_ok = True
 
-    def push(self, w1, w2, q1, q2, lg1, lg2, l1, l2, dev, pnorm, used) -> bool:
+    def push(self, w1, w2, q1, q2, lg1, lg2, l1, l2, dev, used) -> bool:
         if not self.open:
             return False
         win1, win2, pnorms, checks = self.win1, self.win2, self.pnorms, self.checks
         checks.mags.append(dev)
+        pnorm = _rms(q1, q2)
         win1.append(q1)
         if win2 is not win1:
             win2.append(q2)
@@ -418,7 +420,7 @@ class _Identity(_Consumer):
         self.offset = (0, 0)
         self.changes = 0
 
-    def push(self, w1, w2, q1, q2, lg1, lg2, l1, l2, dev, den, used) -> bool:
+    def push(self, w1, w2, q1, q2, lg1, lg2, l1, l2, dev, used) -> bool:
         if not self.open:
             return False
         try:
@@ -426,6 +428,7 @@ class _Identity(_Consumer):
             e2 = cmath.exp(l2)
         except OverflowError:
             raise NonFiniteError("exponential of log sum overflowed", term_index=used) from None
+        den = _rms(q1, q2)
         if den == 0.0:
             raise NonFiniteError("partial product underflowed to zero", term_index=used)
         if den == math.inf:
@@ -450,10 +453,12 @@ class _Identity(_Consumer):
         # no exp overflows (OverflowError), every norm is positive and
         # finite (a NaN fails the sum), and no component is 0
         k = self.cap - used
-        q1s, q2s, ls1s, ls2s = run[2], run[3], run[6], run[7]
+        q1s, q2s, lg1s, lg2s, l1, l2 = run[2:]
         if k < len(q1s):
-            q1s, q2s, ls1s, ls2s = q1s[:k], q2s[:k], ls1s[:k], ls2s[:k]
+            q1s, q2s, lg1s, lg2s = q1s[:k], q2s[:k], lg1s[:k], lg2s[:k]
         scalar = self.scalar
+        ls1s = _partials(lg1s, add, l1)
+        ls2s = ls1s if scalar else _partials(lg2s, add, l2)
         e1s = list(map(cmath.exp, ls1s))
         e2s = e1s if scalar else list(map(cmath.exp, ls2s))
         m1s = list(map(abs, q1s))
@@ -493,13 +498,6 @@ class _Identity(_Consumer):
             )
 
 
-def _accumulated(ps, q, l):
-    """The partial products from ``q``, the logs and the log sums from
-    ``l`` over the values ``ps``, as lists."""
-    logs = list(map(cmath.log, ps))
-    return _partials(ps, mul, q), logs, _partials(logs, add, l)
-
-
 def _product_pass(blocks, n_max: int, singularity_tol: float, consumers, scalar=False) -> None:
     """The one loop over the terms, given in blocks ``(p1s, p2s)``, behind
     every product analysis: ``series._drive`` feeds the ``consumers`` (the
@@ -531,9 +529,10 @@ def _product_pass(blocks, n_max: int, singularity_tol: float, consumers, scalar=
         nonlocal q1, q2, l1, l2
         taken = []
         try:
-            q1s, lg1s, ls1s = _accumulated(p1s, q1, l1)
-            q2s, lg2s, ls2s = (q1s, lg1s, ls1s) if scalar else _accumulated(p2s, q2, l2)
-            run = (p1s, p2s, q1s, q2s, lg1s, lg2s, ls1s, ls2s)
+            q1s, lg1s = _partials(p1s, mul, q1), list(map(cmath.log, p1s))
+            q2s, lg2s = (q1s, lg1s) if scalar else (
+                _partials(p2s, mul, q2), list(map(cmath.log, p2s)))
+            run = (p1s, p2s, q1s, q2s, lg1s, lg2s, l1, l2)
             for consumer in consumers:
                 if consumer.live:
                     state = consumer.screen(run, used)
@@ -544,7 +543,9 @@ def _product_pass(blocks, n_max: int, singularity_tol: float, consumers, scalar=
             return None
         for consumer, state in taken:
             consumer.take(state)
-        q1, q2, l1, l2 = q1s[-1], q2s[-1], ls1s[-1], ls2s[-1]
+        q1, q2 = q1s[-1], q2s[-1]
+        l1 = reduce(add, lg1s, l1)
+        l2 = l1 if scalar else reduce(add, lg2s, l2)
         return any(consumer.open for consumer in consumers)
 
     def read(w1, w2, used, cleared):
@@ -566,11 +567,10 @@ def _product_pass(blocks, n_max: int, singularity_tol: float, consumers, scalar=
             lg2 = cmath.log(w2)
             l2 += lg2
         dev = _rms(w1 - 1.0, w2 - 1.0)
-        qnorm = _rms(q1, q2)
         reading = False
         for consumer, push in feeds:
             try:
-                if push(w1, w2, q1, q2, lg1, lg2, l1, l2, dev, qnorm, used):
+                if push(w1, w2, q1, q2, lg1, lg2, l1, l2, dev, used):
                     reading = True
             except NonFiniteError:
                 if verdict is None:

@@ -357,7 +357,7 @@ def _term_pairs(terms):
     components, each term lifted to Bicomplex first when it is read: how
     the analyzers' Bicomplex terms reach the passes, which read blocks."""
     for k, term in enumerate(terms, start=1):
-        w = _coerce_term(term, k)
+        w = term if type(term) is Bicomplex else _coerce_term(term, k)
         yield [w.p1], [w.p2]
 
 
