@@ -86,9 +86,9 @@ from .core import (
 )
 from .seqspec import _TERM_ERRORS
 from .series import (
-    _EXACT_RMS_MAX, _EXACT_RMS_MIN, _FLAT_RATIO, _FLOOR_FACTOR, _HARMONIC_RATIO,
-    OVERFLOW_GUARD, _Checkpoints, _diameter, _drive, _gaps, _modulus, _pair_or_none,
-    _partials, _rms_moduli, _run_sums, _running, _term_pairs, _Tracker,
+    _FLAT_RATIO, _FLOOR_FACTOR, _HARMONIC_RATIO, OVERFLOW_GUARD, _Checkpoints, _diameter,
+    _drive, _gaps, _modulus, _norms, _pair_or_none, _partials, _run_sums, _running,
+    _term_pairs, _Tracker,
 )
 from .transcendental import TWO_PI, BoundCheck, log1p, log_bound_check
 
@@ -176,14 +176,30 @@ def _rms(a: complex, b: complex) -> float:
     return math.sqrt((m1 * m1 + m2 * m2) / 2.0)
 
 
-def _norms(m1s, m2s, scalar: bool):
-    """``_rms(a, b)`` of each pair of values whose moduli are ``m1s`` and
-    ``m2s``, at C speed with the same float operations; with ``scalar``
-    (``m2s`` is ``m1s``), the moduli themselves where all lie in the
-    exact-RMS range."""
-    if scalar and _EXACT_RMS_MIN <= min(m1s) and max(m1s) <= _EXACT_RMS_MAX:
-        return m1s
-    return _rms_moduli(m1s, m2s)
+def _moduli_within(q1: complex, q2: complex, dmax: float, k: int) -> bool:
+    """The pair lane's range screen on a run of ``k`` terms whose first
+    partial products are ``q1`` and ``q2`` and whose deviations are at most
+    ``dmax``, from those alone: True only where ``dmax < 1/2`` and the
+    bound of ``_Verdict.screen`` puts every partial product inside the
+    guard and the floor."""
+    if not dmax < 0.5:
+        return False
+    m = max(abs(q1), abs(q2))
+    step = dmax + 1e-15
+    try:
+        grown = 2.0 * m * (1.0 + step) ** k
+    except OverflowError:
+        return False
+    return 2.0 * ZERO_COLLAPSE <= 0.5 * m * (1.0 - step) ** k and grown <= 0.5 * OVERFLOW_GUARD
+
+
+def _deviations(p1s, p2s):
+    """``(d1s, d2s, dmax)``: ``|p - 1|`` of each term of both components,
+    one list where ``p2s`` is ``p1s``, and the largest. Raises
+    OverflowError where a modulus leaves the float range."""
+    d1s = list(map(abs, map(sub, p1s, repeat(1.0))))
+    d2s = d1s if p2s is p1s else list(map(abs, map(sub, p2s, repeat(1.0))))
+    return d1s, d2s, max(max(d1s), max(d2s))
 
 
 def partial_products(terms, n_max: int = 10**6) -> list[Bicomplex]:
@@ -203,11 +219,13 @@ class _Consumer:
     """One report of the product pass, ``open`` until frozen or ended.
     ``push(w1, w2, q1, q2, lg1, lg2, l1, l2, dev, used)`` reads term
     ``used``, the partial products, its logs, the log sums and
-    ``||w - 1||``, and tells whether the report is open; ``screen(run, used)`` clears a run ``(p1s, p2s, q1s,
-    q2s, lg1s, lg2s, l1, l2)``, the log sums those before it, or gives
-    None where a rule could fire, for ``take``, which advances by the
-    float operations of ``push``; ``finish`` reports at the end of the
-    terms. It reads terms while ``live``."""
+    ``||w - 1||``, and tells whether the report is open; ``screen(run,
+    used)`` clears a run ``(p1s, p2s, q1s, q2s, lg1s, lg2s, l1, l2,
+    devs)``, the log sums those before it and ``devs`` the run's
+    ``_deviations`` (None on the scalar lane), or gives None where a rule
+    could fire, for ``take``, which advances by the float operations of
+    ``push``; ``finish`` reports at the end of the terms. It reads terms
+    while ``live``."""
 
     __slots__ = ("open", "report")
 
@@ -230,14 +248,13 @@ class _Absolute(_Consumer):
     it or until both series decide. The series read on while undecided,
     for the product verdict's report; with ``open=False``, for it alone."""
 
-    __slots__ = ("log", "dev", "scalar")
+    __slots__ = ("log", "dev")
 
-    def __init__(self, tol, window, scalar, open=True):
+    def __init__(self, tol, window, open=True):
         super().__init__()
         self.open = open
         self.log = _Tracker(tol, window, _HARMONIC_RATIO)
         self.dev = _Tracker(tol, window, _HARMONIC_RATIO)
-        self.scalar = scalar
 
     @property
     def live(self) -> bool:
@@ -259,19 +276,17 @@ class _Absolute(_Consumer):
 
     def screen(self, run, used):
         # |w - 1| < 1 in each component makes every real part positive
-        p1s, p2s, _, _, lg1s, lg2s = run[:6]
-        scalar = self.scalar
+        p1s, p2s, _, _, lg1s, lg2s, _, _, devs = run
         steps = []
         if self.open or self.dev.verdict is None:
-            d1s = list(map(abs, map(sub, p1s, repeat(1.0))))
-            d2s = d1s if scalar else list(map(abs, map(sub, p2s, repeat(1.0))))
-            if self.open and (max(d1s) >= 1.0 or max(d2s) >= 1.0):
+            d1s, d2s, dmax = devs or _deviations(p1s, p2s)
+            if self.open and dmax >= 1.0:
                 return None
-            devs = _norms(d1s, d2s, scalar)
-            steps.append((self.dev, devs, devs, True))
+            dev_norms = _norms(d1s, d2s)
+            steps.append((self.dev, dev_norms, dev_norms, True))
         if self.log.verdict is None:
             lm1s = list(map(abs, lg1s))
-            log_norms = _norms(lm1s, lm1s if scalar else list(map(abs, lg2s)), scalar)
+            log_norms = _norms(lm1s, lm1s if lg2s is lg1s else list(map(abs, lg2s)))
             steps.append((self.log, log_norms, log_norms, True))
         return _run_sums(steps)
 
@@ -353,34 +368,61 @@ class _Verdict(_Consumer):
         return False
 
     def screen(self, run, used):
-        # inside the guard and the floor, and no window pre-test passes:
-        # one component moves by tol or more across every window
-        p1s, p2s, q1s, q2s = run[:4]
+        """The run's partial products lie inside the guard and the floor,
+        and no window pre-test passes: one component moves by tol or more
+        across every window.
+
+        The range needs no scan of ``|q|`` where the run's ``dmax < 1/2``
+        (``_moduli_within``). With ``D = dmax + 1e-15``, ``k`` the run's
+        length and ``m1``, ``m2`` the computed moduli of its first partial
+        products ``q1s[0]`` and ``q2s[0]``, each component's ``|q|`` over
+        the run lies in ``[m*(1 - D)**k/2, 2*m*(1 + D)**k]``, ``m`` its own
+        first modulus: so the larger least modulus is at least the lower
+        end for ``max(m1, m2)``, and every modulus at most its upper end.
+        The computed ``d`` is within 3u of ``|p - 1|`` (u = 2**-53: one
+        rounding in the real part of ``p - 1``, at most two in ``abs``),
+        so ``|p - 1| <= d + 1e-15`` for ``d < 1/2``, and each term moves
+        ``|q|`` by a factor in ``[1 - D, 1 + D]``. Python's complex product
+        has relative error at most ``sqrt(5)*u`` (Brent, Percival and
+        Zimmermann, 2007), and ``abs`` and ``**`` add a few u: over ``k``
+        terms a factor ``(1 ± 3u)**k`` at most, which the factor-2 margin
+        covers for any run that fits in memory. Where ``dmax >= 1/2``,
+        where the bound leaves the range, and on the scalar lane, the
+        moduli are scanned.
+        """
+        q1s, q2s = run[2:4]
+        devs = run[8]
         window, tol = self.window, self.tol
         scalar = self.win2 is self.win1
-        m1s = list(map(abs, q1s))
-        if scalar:
-            # the norms are the moduli: the exact-RMS range holds both
-            if not (ZERO_COLLAPSE <= min(m1s) and max(m1s) <= OVERFLOW_GUARD):
-                return None
-            qnorms = m1s[-window:]
-        else:
-            # m/sqrt(2) <= _rms(a, b) <= m, m the larger modulus, up to a
-            # few ulps: halve the margins
-            m2s = list(map(abs, q2s))
-            if not (2.0 * ZERO_COLLAPSE <= max(min(m1s), min(m2s))
-                    and max(max(m1s), max(m2s)) <= 0.5 * OVERFLOW_GUARD):
-                return None
-            qnorms = list(map(_rms, q1s[-window:], q2s[-window:]))
+        if not (devs and _moduli_within(q1s[0], q2s[0], devs[2], len(q1s))):
+            m1s = list(map(abs, q1s))
+            if scalar:
+                # the norms are the moduli: the exact-RMS range holds both
+                if not (ZERO_COLLAPSE <= min(m1s) and max(m1s) <= OVERFLOW_GUARD):
+                    return None
+            else:
+                # m/sqrt(2) <= _rms(a, b) <= m, m the larger modulus, up to
+                # a few ulps: halve the margins
+                m2s = list(map(abs, q2s))
+                if not (2.0 * ZERO_COLLAPSE <= max(min(m1s), min(m2s))
+                        and max(max(m1s), max(m2s)) <= 0.5 * OVERFLOW_GUARD):
+                    return None
         if not (
             min(map(abs, _gaps(self.win1, q1s, window)), default=math.inf) >= tol
             or not scalar
             and min(map(abs, _gaps(self.win2, q2s, window)), default=math.inf) >= tol
         ):
             return None
-        d1s = list(map(abs, map(sub, p1s[-window:], repeat(1.0))))
-        d2s = d1s if scalar else list(map(abs, map(sub, p2s[-window:], repeat(1.0))))
-        return q1s[-window:], q2s[-window:], qnorms, _norms(d1s, d2s, scalar)
+        last1, last2 = q1s[-window:], q2s[-window:]
+        if scalar:
+            qnorms = list(map(abs, last1))
+        else:
+            qnorms = list(map(_rms, last1, last2))
+        if devs:
+            d1s, d2s = devs[0][-window:], devs[1][-window:]
+        else:
+            d1s = d2s = list(map(abs, map(sub, run[0][-window:], repeat(1.0))))
+        return last1, last2, qnorms, _norms(d1s, d2s)
 
     def take(self, state) -> None:
         q1s, q2s, qnorms, devs = state
@@ -453,7 +495,7 @@ class _Identity(_Consumer):
         # no exp overflows (OverflowError), every norm is positive and
         # finite (a NaN fails the sum), and no component is 0
         k = self.cap - used
-        q1s, q2s, lg1s, lg2s, l1, l2 = run[2:]
+        q1s, q2s, lg1s, lg2s, l1, l2 = run[2:8]
         if k < len(q1s):
             q1s, q2s, lg1s, lg2s = q1s[:k], q2s[:k], lg1s[:k], lg2s[:k]
         scalar = self.scalar
@@ -463,12 +505,12 @@ class _Identity(_Consumer):
         e2s = e1s if scalar else list(map(cmath.exp, ls2s))
         m1s = list(map(abs, q1s))
         m2s = m1s if scalar else list(map(abs, q2s))
-        dens = _norms(m1s, m2s, scalar)
+        dens = _norms(m1s, m2s)
         if not (0.0 < min(dens) and sum(dens) < math.inf and 0.0 < min(m1s) and 0.0 < min(m2s)):
             return None
         g1s = list(map(abs, map(sub, e1s, q1s)))
         g2s = g1s if scalar else list(map(abs, map(sub, e2s, q2s)))
-        discs = list(map(truediv, _norms(g1s, g2s, scalar), dens))
+        discs = list(map(truediv, _norms(g1s, g2s), dens))
         turn, real = repeat(_TURN), attrgetter("real")
         r1s = list(map(round, map(real, map(truediv, map(sub, ls1s, map(cmath.log, q1s)), turn))))
         r2s = r1s if scalar else list(
@@ -505,8 +547,24 @@ def _product_pass(blocks, n_max: int, singularity_tol: float, consumers, scalar=
     while any is open. With ``scalar``, each block's components are one
     list, read through ``p1s``. The pass forms what they read; the block
     step forms it as lists and takes a run that the zero-divisor screen
-    (``_none_singular``, exact for the CLI's tolerance on the scalar lane;
-    ``_pairs_none_singular``) and every live consumer's screen clear.
+    and every live consumer's screen clear.
+
+    The scalar lane's zero-divisor screen is ``_none_singular``, exact. On
+    the pair lane the screen forms each long run's ``_deviations``
+    ``|p - 1|`` once, with their largest ``dmax``, and hands them to the
+    block step, whose screens read them. Where ``dmax < 1/2`` and ``0 <=
+    singularity_tol < 1/9``, no term of the run is singular, with no scan;
+    elsewhere ``_pairs_none_singular`` decides. Its bound from the run's
+    extremes gives the 1/9: ``|p1||p2| >= 1/4`` against a threshold of at
+    most ``tol*(3/2)**2``. The rounding slack: a computed ``d`` is within
+    3u of ``|p - 1|`` (u = 2**-53: one rounding in the real part of ``p -
+    1``, at most two in ``abs``), so each computed modulus ``m`` lies in
+    ``[1/2 - 4u, 3/2 + 4u]``. The test's own pair then leaves a wide
+    margin: where its ``(m1*m1 + m2*m2)/2.0`` is at most 1, the threshold
+    is ``tol < 1/9`` against ``m1*m2 >= 1/4 - 5u``; elsewhere ``m1*m2``
+    over that mean is ``2r/(1 + r*r)`` for the ratio ``r <= 3 + 40u`` of
+    the moduli, at least ``3/5 - 8u``, and each side of the test rounds by
+    a factor ``(1 ± u)**3`` at most.
 
     With the product verdict among the consumers, failures are routed as
     ``analyze_product`` states: a singular term freezes it as
@@ -523,16 +581,26 @@ def _product_pass(blocks, n_max: int, singularity_tol: float, consumers, scalar=
     def clear(p1s, p2s):
         if scalar:
             return _none_singular(p1s, singularity_tol)
-        return _pairs_none_singular(p1s, p2s, singularity_tol)
+        try:
+            devs = _deviations(p1s, p2s)
+        except OverflowError:
+            return False
+        if devs[2] < 0.5 and 0.0 <= singularity_tol < 1.0 / 9.0 or _pairs_none_singular(
+            p1s, p2s, singularity_tol
+        ):
+            return devs
+        return False
 
-    def step(p1s, p2s, used):
+    def step(p1s, p2s, used, devs):
         nonlocal q1, q2, l1, l2
         taken = []
         try:
             q1s, lg1s = _partials(p1s, mul, q1), list(map(cmath.log, p1s))
-            q2s, lg2s = (q1s, lg1s) if scalar else (
-                _partials(p2s, mul, q2), list(map(cmath.log, p2s)))
-            run = (p1s, p2s, q1s, q2s, lg1s, lg2s, l1, l2)
+            if scalar:
+                p2s, q2s, lg2s, devs = p1s, q1s, lg1s, None
+            else:
+                q2s, lg2s = _partials(p2s, mul, q2), list(map(cmath.log, p2s))
+            run = (p1s, p2s, q1s, q2s, lg1s, lg2s, l1, l2, devs)
             for consumer in consumers:
                 if consumer.live:
                     state = consumer.screen(run, used)
@@ -616,7 +684,7 @@ def analyze_product(
 def _analyze_product_pairs(pairs, tol, window, n_max, scalar=False) -> ProductAnalysis:
     """analyze_product over blocks of (p1, p2) term pairs, one list as
     both with ``scalar``, arguments checked; the CLI's ``product``."""
-    absolute = _Absolute(tol, window, scalar)
+    absolute = _Absolute(tol, window)
     verdict = _Verdict(tol, window, SINGULARITY_TOLERANCE, scalar, absolute)
     identity = _Identity(min(n_max, LOG_SUM_CAP), scalar)
     _product_pass(pairs, n_max, SINGULARITY_TOLERANCE, (absolute, verdict, identity), scalar)
@@ -641,7 +709,7 @@ def evaluate_product(
     itself is non-finite.
     """
     _validate(tol, window, n_max)
-    norms = _Absolute(tol, window, False, open=False)
+    norms = _Absolute(tol, window, open=False)
     verdict = _Verdict(tol, window, singularity_tol, False, norms)
     _product_pass(_term_pairs(terms), n_max, singularity_tol, (norms, verdict))
     return verdict.report
@@ -690,6 +758,6 @@ def absolute_convergence_check(
     records the index. Raises SingularTerm for singular terms.
     """
     _validate(tol, window, n_max)
-    absolute = _Absolute(tol, window, False)
+    absolute = _Absolute(tol, window)
     _product_pass(_term_pairs(terms), n_max, singularity_tol, (absolute,))
     return absolute.report

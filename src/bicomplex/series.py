@@ -128,6 +128,17 @@ def _rms_moduli(m1s, m2s) -> list[float]:
     return list(map(math.sqrt, map(truediv, squares, repeat(2.0))))
 
 
+def _norms(m1s, m2s) -> list[float]:
+    """``_rms_moduli(m1s, m2s)``, or ``m1s`` itself where the two lists are
+    equal and every modulus lies in the exact-RMS range: there each RMS is
+    its modulus, as doubling and halving are exact and a correctly rounded
+    ``sqrt(m*m)`` is ``m``. Equal moduli come from every term whose
+    components are conjugate, one built from reals, ``n`` and ``i2``."""
+    if (m1s is m2s or m1s == m2s) and _EXACT_RMS_MIN <= min(m1s) and max(m1s) <= _EXACT_RMS_MAX:
+        return m1s
+    return _rms_moduli(m1s, m2s)
+
+
 def _diameter(values) -> float:
     """Largest pairwise distance among a window of complex values; inf
     where a distance is past the float range."""
@@ -293,10 +304,11 @@ def _drive(blocks, n_max: int, step, read, clear=None, every=False) -> int:
     """The one loop of a pass over ``blocks``, each the lists ``(p1s,
     p2s)``, cut into runs by ``_runs``; returns the number of terms read.
 
-    ``clear(p1s, p2s)``, where given, is the zero-divisor screen, True only
+    ``clear(p1s, p2s)``, where given, is the zero-divisor screen, true only
     where no term of the run is singular, on each run of ``_MIN_RUN`` or
     more terms (with ``every``, each run). A long run it clears goes to the
-    block step ``step(p1s, p2s, used)``, ``used`` the terms before it: None
+    block step ``step(p1s, p2s, used, cleared)``, ``used`` the terms before
+    it and ``cleared`` what the screen returned (True without one): None
     where a rule could fire in the run, else it took the run and tells
     whether the pass reads on, as ``read(p1, p2, used, cleared)`` does for
     each term of any other run.
@@ -305,7 +317,7 @@ def _drive(blocks, n_max: int, step, read, clear=None, every=False) -> int:
     for p1s, p2s in _runs(blocks, n_max):
         long = len(p1s) >= _MIN_RUN
         cleared = clear is None or (long or every) and clear(p1s, p2s)
-        on = step(p1s, p2s, used) if long and cleared else None
+        on = step(p1s, p2s, used, cleared) if long and cleared else None
         if on is not None:
             used += len(p1s)
             if not on:
@@ -391,7 +403,9 @@ def _analyze_pairs(blocks, tol, window, n_max, scalar=False) -> SeriesReport:
 
     It runs on ``_drive``: the block step advances every live tracker over
     a run that ``_Tracker.run_sums`` clears (and, while ``ae`` is the
-    modulus tracker, whose moduli lie in the exact-RMS range).
+    modulus tracker, whose moduli lie in the exact-RMS range); ``ae``'s
+    terms there are ``_norms`` of the moduli, which skips the RMS for equal
+    moduli, as of conjugate components.
     """
     c1 = _Tracker(tol, window)
     a1 = _Tracker(tol, window, _HARMONIC_RATIO)
@@ -403,7 +417,7 @@ def _analyze_pairs(blocks, tol, window, n_max, scalar=False) -> SeriesReport:
         a2 = _Tracker(tol, window, _HARMONIC_RATIO)
         ae = _Tracker(tol, window, _HARMONIC_RATIO)
 
-    def step(p1s, p2s, used):
+    def step(p1s, p2s, used, cleared):
         try:
             m1s = m2s = list(map(abs, p1s))
             steps = [(c1, p1s, m1s, False), (a1, m1s, m1s, True)]
@@ -411,7 +425,7 @@ def _analyze_pairs(blocks, tol, window, n_max, scalar=False) -> SeriesReport:
                 m2s = list(map(abs, p2s))
                 steps += [(c2, p2s, m2s, False), (a2, m2s, m2s, True)]
             if ae is not a1:
-                mes = _rms_moduli(m1s, m2s)
+                mes = _norms(m1s, m2s)
                 steps.append((ae, mes, mes, True))
             elif not (_EXACT_RMS_MIN <= min(m1s) and max(m1s) <= _EXACT_RMS_MAX):
                 return None

@@ -10,6 +10,7 @@ the same reports, bit for bit, on every decision site.
 import cmath
 import json
 import math
+import sys
 from itertools import repeat
 
 import numpy as np
@@ -86,6 +87,32 @@ def _near_one(n):
     return 1 + C1 / n**2, 1 + C2 / n**2
 
 
+# scattered indices past 1,024 where a term lies 0.6 from 1, the next
+# undoing it: the long runs that hold them take the zero-divisor scan and
+# the verdict's scan of the partial products' moduli
+SPIKES = set(range(1100, 8000, 337))
+
+
+def _spiked(n):
+    if n in SPIKES:
+        return 1.6 + 0j, 0.625 + 0j
+    if n - 1 in SPIKES:
+        return 0.625 + 0j, 1.6 + 0j
+    return _near_one(n)
+
+
+def _dyadic(n):
+    """C1/n**2 rounded to a multiple of 2**-50, so that 1 plus it and
+    minus 1 again is exact."""
+    return complex(*(math.ldexp(round(math.ldexp(x / n**2, 50)), -50) for x in (0.3, -0.4)))
+
+
+def _rotated(n):
+    # [1 + x | 1 + i*x]: equal deviation moduli, not conjugate
+    x = _dyadic(n)
+    return 1 + x, 1 + x * 1j
+
+
 # (name, pair-lane terms by index, scalar-lane terms by index, tol,
 # n_max, the product verdict)
 PRODUCT_CASES = [
@@ -111,6 +138,11 @@ PRODUCT_CASES = [
      lambda n: 1 + 1 / math.sqrt(n) if n < 1024 else 1.03125 + 0j, 1e-10, 3000, "diverged"),
     ("budget_exhausted",
      lambda n: (1 + 1 / n, 1 + 0.5j / n), lambda n: 1 + 1 / n, 1e-10, 2500, "inconclusive"),
+    ("deviation_spikes", _spiked,
+     lambda n: 1.6 + 0j if n in SPIKES else 0.625 + 0j if n - 1 in SPIKES else 1 + C1 / n**2,
+     1e-7, 8000, "converged_nonsingular"),
+    ("equal_moduli_not_conjugate", _rotated, lambda n: 1 + _dyadic(n), 1e-7, 9000,
+     "converged_nonsingular"),
 ]
 
 
@@ -131,6 +163,66 @@ def test_product_block_step_matches_the_per_term_body(monkeypatch, case):
         # the block step took runs of at least 500 terms in all
         read = max(part.terms_used for part in analysis if part is not None)
         assert per_term <= read - 500, (name, scalar, per_term)
+
+
+def _analysis_at(blocks, singularity_tol, n_max):
+    """The three reports of the product pass at a zero-divisor tolerance
+    of its own, as analyze_product gives them at the CLI's."""
+    absolute = products._Absolute(1e-10, 8)
+    verdict = products._Verdict(1e-10, 8, singularity_tol, False, absolute)
+    identity = products._Identity(min(n_max, products.LOG_SUM_CAP), False)
+    products._product_pass(blocks, n_max, singularity_tol, (absolute, verdict, identity))
+    return products.ProductAnalysis(verdict.report, absolute.report, identity.report)
+
+
+def test_product_block_step_zero_divisor_clearance_at_and_above_one_ninth(monkeypatch):
+    # every term lies within 1/2 of 1, and term 2,500 is (0.55, 1.45):
+    # singular from a tolerance of 0.6632 on. Below 1/9 the deviations
+    # clear each long run; from 1/9 on, _pairs_none_singular decides
+    terms = [(0.55 + 0j, 1.45 + 0j) if n == 2500 else _near_one(n) for n in range(1, 4001)]
+    scans = []
+    scan = products._pairs_none_singular
+    for tol, singular in ((1e-12, False), (1.0 / 9.0, False), (0.2, False), (0.7, True)):
+        single = _outcome(_analysis_at, one_term_blocks(terms, False), tol, 4000)
+        monkeypatch.setattr(products, "_pairs_none_singular",
+                            lambda *args: scans.append(args[2]) or scan(*args))
+        count = _per_term_reads(monkeypatch)
+        walker = _outcome(_analysis_at, walker_blocks(terms, False), tol, 4000)
+        monkeypatch.undo()
+        assert walker == single, tol
+        analysis = _analysis_at(walker_blocks(terms, False), tol, 4000)
+        if singular:
+            assert analysis.product.verdict == "singular_term"
+            assert analysis.product.singular_index == 2500
+        else:
+            assert analysis.product.terms_used == 4000
+            assert count[0] <= 100, (tol, count[0])
+    assert 1e-12 not in scans and {1.0 / 9.0, 0.2, 0.7} <= set(scans)
+
+
+def test_partial_product_range_bound_implies_the_scan():
+    # the verdict's range screen from the run's first partial products and
+    # its largest deviation: it holds only below 1/2, and wherever it
+    # holds, the scan of every modulus does, on seeded runs whose moduli
+    # start near the floor and the guard, with deviations on both sides
+    rng = np.random.default_rng(2727)
+    held = 0
+    for _ in range(1000):
+        k = int(rng.integers(16, 1025))
+        spread = float(rng.choice([1e-6, 0.01, 0.3, 0.499, 0.9, 1.5, 3.0]))
+        start = 10.0 ** rng.uniform(-31, 151, 2) * np.exp(1j * rng.uniform(-np.pi, np.pi, 2))
+        angles = np.exp(1j * rng.uniform(-np.pi, np.pi, (2, k)))
+        p1s, p2s = (1 + spread * rng.random((2, k)) * angles).tolist()
+        q1s = series._partials(p1s, complex.__mul__, complex(start[0]))
+        q2s = series._partials(p2s, complex.__mul__, complex(start[1]))
+        dmax = products._deviations(p1s, p2s)[2]
+        if products._moduli_within(q1s[0], q2s[0], dmax, k):
+            held += 1
+            assert dmax < 0.5
+            m1s, m2s = list(map(abs, q1s)), list(map(abs, q2s))
+            assert 2.0 * products.ZERO_COLLAPSE <= max(min(m1s), min(m2s)), (spread, k)
+            assert max(max(m1s), max(m2s)) <= 0.5 * products.OVERFLOW_GUARD, (spread, k)
+    assert held > 200, held
 
 
 def test_product_block_step_stops_the_absolute_check_in_mid_block(monkeypatch):
@@ -275,6 +367,35 @@ def test_product_pass_reads_few_of_its_first_1000_terms_one_at_a_time(monkeypatc
         monkeypatch.undo()
         assert analysis.identity.terms_used == 1000
         assert count[0] <= 40, (text, count[0])
+
+
+def test_default_product_pair_lane_scans_its_deviations_once(monkeypatch):
+    # the default product's terms stay within 1/2 of 1 and have conjugate
+    # components: the deviations clear each long run of zero divisors with
+    # no _pairs_none_singular scan, and the deviation and log-norm series
+    # take the equal moduli with no RMS
+    singular_scans = []
+    rms_callers = []
+    pairs_none_singular, rms_moduli = products._pairs_none_singular, series._rms_moduli
+
+    def spy_scan(p1s, p2s, tol):
+        singular_scans.append(len(p1s))
+        return pairs_none_singular(p1s, p2s, tol)
+
+    def spy_rms(m1s, m2s):
+        # the consumer whose screen called _norms
+        rms_callers.append(type(sys._getframe(2).f_locals.get("self")))
+        return rms_moduli(m1s, m2s)
+
+    monkeypatch.setattr(products, "_pairs_none_singular", spy_scan)
+    monkeypatch.setattr(series, "_rms_moduli", spy_rms)
+    scalar, blocks = seqspec._lane_blocks(seqspec.parse("1 + (3/10 + 2/5*i2)/n^2"), 1, 20001)
+    analysis = PASSES["product"](blocks, 1e-10, 8, 20_000, scalar)
+    assert not scalar and analysis.product.terms_used == 20_000
+    assert singular_scans == []
+    assert [c for c in rms_callers if c in (products._Absolute, products._Verdict)] == []
+    # the identity's discrepancies, equal but 0 at some terms, still do
+    assert rms_callers
 
 
 # -- series: overflow, convergence, checkpoints and the RMS tracker ---

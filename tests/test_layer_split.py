@@ -4,7 +4,8 @@ costs and the share of terms the block step screened, then one row per
 short-budget product run, with its lane, budget, cost and per-term
 reads, then one row per public analyzer on prebuilt terms, with its
 term count and cost, then one row per expression of eval_term's
-one-index cost.
+one-index cost, then one row per piece of the default product's
+pair-lane block step.
 
 The tool is run as a script, as it is used.
 """
@@ -91,7 +92,7 @@ def test_layer_split_prints_one_row_per_long_workload():
         "|---|---:|---:|---:|",
     ]
     one_index = [re.fullmatch(r'\| "(.+)" \| ([\d,]+) \| ([\d.]+) \| ([\d.]+) \|', line)
-                 for line in lines[21:]]
+                 for line in lines[21:25]]
     assert all(one_index), lines
     # the three workload expressions, and one that mixes pair and scalar
     # subtrees; a cap of 2,000 leaves the 1,000 calls as they are
@@ -102,6 +103,24 @@ def test_layer_split_prints_one_row_per_long_workload():
         ("(1 + i2/n)^-3 + sqrt(2 - e1/n)*n^2/(n+3)", "1,000"),
     ]
     assert all(float(m[3]) > 0 and float(m[4]) > 0 for m in one_index)
+
+    assert lines[25:28] == [
+        "",
+        '| pair-lane block step of `product "1 + (3/10 + 2/5*i2)/n^2"` | terms | ns/term |',
+        "|---|---:|---:|",
+    ]
+    pieces = [re.fullmatch(r"\| (.+) \| ([\d,]+) \| ([\d,]+) \|", line) for line in lines[28:]]
+    assert all(pieces), lines
+    # the clearance, the three screens and the rest of the step, each
+    # over the 2,000 terms the pass reads
+    assert [(m[1], m[2]) for m in pieces] == [
+        ("deviation scan and clearance", "2,000"),
+        ("`_Absolute.screen`", "2,000"),
+        ("`_Verdict.screen`", "2,000"),
+        ("`_Identity.screen`", "2,000"),
+        ("partial products, logs and takes", "2,000"),
+    ]
+    assert all(int(m[3].replace(",", "")) > 0 for m in pieces)
 
 
 def test_layer_split_refuses_bad_sizes():

@@ -31,8 +31,9 @@ from bicomplex import (
     term_generator,
 )
 from bicomplex.core import _pair_zero_divisor_test, _Record
-from bicomplex.products import LOG_SUM_CAP, _analyze_product_pairs, _norms, _rms
+from bicomplex.products import LOG_SUM_CAP, _analyze_product_pairs, _rms
 from bicomplex.seqspec import IdempotentSlotError
+from bicomplex.series import _norms
 from helpers import (
     C,
     assert_close,
@@ -612,10 +613,38 @@ def test_rms_of_equal_components_is_the_modulus_in_the_exact_range():
     inside = [x for x in values if series._EXACT_RMS_MIN <= abs(x) <= series._EXACT_RMS_MAX]
     assert len(inside) > 99_000
     assert [x for x in inside if _rms(x, x) != abs(x)] == []
-    # the scalar block step's norms are _rms(x, x) inside the range and
-    # outside it; a modulus past the float range gives inf
-    for x in inside[:1000] + [0j, 5e-324j, 1e-160 + 0j, 1e155 + 0j, complex(math.inf, 0.0)]:
-        assert _norms([abs(x)], [abs(x)], True)[0].hex() == _rms(x, x).hex(), x
+    # the block steps' norms are _rms(a, b) of each pair, inside the range
+    # and outside it, wherever _norms skips the RMS for equal moduli; a
+    # modulus past the float range gives inf
+    def check(pairs):
+        m1s = [series._modulus(a) for a, _ in pairs]
+        m2s = [series._modulus(b) for _, b in pairs]
+        want = [_rms(a, b).hex() for a, b in pairs]
+        assert [m.hex() for m in _norms(m1s, m2s)] == want, pairs
+        if m1s == m2s:
+            assert [m.hex() for m in _norms(m1s, m1s)] == want, pairs
+
+    # seeded conjugate pairs, as of a term built from reals, n and i2
+    conjugate = [(x, x.conjugate()) for x in inside[:2000]]
+    # equal moduli that are not conjugate: [a | b] with |a| = |b|
+    rotated = [(x, y) for x in inside[:2000]
+               for y in (x * 1j, -x, complex(x.imag, x.real)) if abs(y) == abs(x)]
+    assert len(rotated) > 5000
+    check(conjugate)
+    check(rotated)
+    # the exact-range edges, their float neighbours, subnormals, 0 and inf,
+    # each alone and in a run of values inside the range
+    edges = [0.0, 5e-324, 2.0**-1070, 1e-160, 1e155, 1.5e308, math.inf]
+    for bound in (series._EXACT_RMS_MIN, series._EXACT_RMS_MAX):
+        edges += [math.nextafter(bound, 0.0), bound, math.nextafter(bound, math.inf)]
+    for m in edges:
+        for x in (complex(m), complex(0.0, m), cmath.rect(m, 0.7) if m < math.inf else complex(m)):
+            check([(x, x.conjugate())])
+            check(conjugate[:20] + [(x, x.conjugate())] + conjugate[20:40])
+    # lists that differ only in their last element
+    for tail in ((inside[0], inside[1]), (1.5, 1.5 * (1 + 2**-52)), (1.5, 2.0**-600)):
+        assert abs(tail[0]) != abs(tail[1])
+        check(conjugate[:100] + [tail])
     assert _rms(complex(1.5e308, 1.5e308), 0j) == math.inf
 
 
