@@ -172,8 +172,8 @@ def _series_json(report) -> dict:
 
 def _cmd_series(args: argparse.Namespace, node) -> int:
     from .series import _analyze_pairs
-    scalar, blocks = seqspec._lane_blocks(node, 1, args.max_terms + 1)
-    report = _analyze_pairs(blocks, args.tol, args.window, args.max_terms, scalar)
+    blocks = seqspec._lane_blocks(node, 1, args.max_terms + 1)
+    report = _analyze_pairs(blocks, args.tol, args.window, args.max_terms)
     lines = [
         f"verdict: {report.verdict}",
         f"terms used: {report.terms_used}",
@@ -190,9 +190,9 @@ def _cmd_series(args: argparse.Namespace, node) -> int:
 
 def _cmd_product(args: argparse.Namespace, node) -> int:
     from .products import _analyze_product_pairs
-    scalar, blocks = seqspec._lane_blocks(node, 1, args.max_terms + 1)
+    blocks = seqspec._lane_blocks(node, 1, args.max_terms + 1)
     report, absolute_check, identity = _analyze_product_pairs(
-        blocks, args.tol, args.window, args.max_terms, scalar
+        blocks, args.tol, args.window, args.max_terms
     )
     lines = [
         f"verdict: {report.verdict}",

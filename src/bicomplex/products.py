@@ -20,6 +20,13 @@ that set has no usable limit even when the values stabilize.
 * singular_term         -- a term was singular; reported with its index.
 * inconclusive          -- budget exhausted without any of the above.
 
+converged_nonsingular certifies only that the last ``window`` partial
+products lie within ``tol`` of each other. ``limit_estimate``, the last
+partial product, misses the tail ``prod_{n>N}(1 + u_n)``, N = terms_used:
+for ``1 + a/n^2`` by about ``|a|/N`` relative, 2.1e-5 for ``1 + (3/10 +
+2/5*i2)/n^2`` at ``tol=1e-8`` (N = 24,065), 2.1e-6 at ``1e-10`` (N =
+240,623), within ``exp(sum_{n>N} |u_n|) - 1``.
+
 The companion checks relate the product to the series of term
 logarithms: ``log_sum_equivalence`` verifies exp(sum of logs) against
 the partial products and tracks the branch offset between the two,
@@ -313,14 +320,14 @@ class _Verdict(_Consumer):
     __slots__ = ("tol", "window", "singularity_tol", "norms", "win1", "win2", "pnorms",
                  "checks", "nc_ok")
 
-    def __init__(self, tol, window, singularity_tol, scalar, norms):
+    def __init__(self, tol, window, singularity_tol, norms):
         super().__init__()
         self.tol = tol
         self.window = window
         self.singularity_tol = singularity_tol
         self.norms = norms
         self.win1: deque[complex] = deque(maxlen=window)
-        self.win2 = self.win1 if scalar else deque(maxlen=window)
+        self.win2: deque[complex] = deque(maxlen=window)
         self.pnorms: deque[float] = deque(maxlen=window)
         self.checks = _Checkpoints(tol, window, _FLAT_RATIO)
         self.nc_ok = True
@@ -332,8 +339,7 @@ class _Verdict(_Consumer):
         checks.mags.append(dev)
         pnorm = _rms(q1, q2)
         win1.append(q1)
-        if win2 is not win1:
-            win2.append(q2)
+        win2.append(q2)
         pnorms.append(pnorm)
         verdict = None
         if pnorm > OVERFLOW_GUARD:
@@ -387,13 +393,13 @@ class _Verdict(_Consumer):
         Zimmermann, 2007), and ``abs`` and ``**`` add a few u: over ``k``
         terms a factor ``(1 ± 3u)**k`` at most, which the factor-2 margin
         covers for any run that fits in memory. Where ``dmax >= 1/2``,
-        where the bound leaves the range, and on the scalar lane, the
-        moduli are scanned.
+        where the bound leaves the range, and on the scalar lane (``q2s is
+        q1s``, where ``win2`` holds ``win1``'s values), the moduli are scanned.
         """
         q1s, q2s = run[2:4]
         devs = run[8]
         window, tol = self.window, self.tol
-        scalar = self.win2 is self.win1
+        scalar = q2s is q1s
         if not (devs and _moduli_within(q1s[0], q2s[0], devs[2], len(q1s))):
             m1s = list(map(abs, q1s))
             if scalar:
@@ -414,10 +420,7 @@ class _Verdict(_Consumer):
         ):
             return None
         last1, last2 = q1s[-window:], q2s[-window:]
-        if scalar:
-            qnorms = list(map(abs, last1))
-        else:
-            qnorms = list(map(_rms, last1, last2))
+        qnorms = list(map(abs, last1)) if scalar else list(map(_rms, last1, last2))
         if devs:
             d1s, d2s = devs[0][-window:], devs[1][-window:]
         else:
@@ -427,8 +430,7 @@ class _Verdict(_Consumer):
     def take(self, state) -> None:
         q1s, q2s, qnorms, devs = state
         self.win1.extend(q1s)
-        if self.win2 is not self.win1:
-            self.win2.extend(q2s)
+        self.win2.extend(q2s)
         self.pnorms.extend(qnorms)
         self.checks.mags.extend(devs)
 
@@ -452,12 +454,11 @@ class _Identity(_Consumer):
     between the log sum and the product's principal log. NonFiniteError
     where a partial product leaves the finite range or has a 0 component."""
 
-    __slots__ = ("cap", "scalar", "max_disc", "offset", "changes")
+    __slots__ = ("cap", "max_disc", "offset", "changes")
 
-    def __init__(self, cap, scalar):
+    def __init__(self, cap):
         super().__init__()
         self.cap = cap
-        self.scalar = scalar
         self.max_disc = 0.0
         self.offset = (0, 0)
         self.changes = 0
@@ -496,9 +497,9 @@ class _Identity(_Consumer):
         # finite (a NaN fails the sum), and no component is 0
         k = self.cap - used
         q1s, q2s, lg1s, lg2s, l1, l2 = run[2:8]
+        scalar = q2s is q1s
         if k < len(q1s):
             q1s, q2s, lg1s, lg2s = q1s[:k], q2s[:k], lg1s[:k], lg2s[:k]
-        scalar = self.scalar
         ls1s = _partials(lg1s, add, l1)
         ls2s = ls1s if scalar else _partials(lg2s, add, l2)
         e1s = list(map(cmath.exp, ls1s))
@@ -540,31 +541,34 @@ class _Identity(_Consumer):
             )
 
 
-def _product_pass(blocks, n_max: int, singularity_tol: float, consumers, scalar=False) -> None:
+def _product_pass(blocks, n_max: int, singularity_tol: float, consumers) -> None:
     """The one loop over the terms, given in blocks ``(p1s, p2s)``, behind
     every product analysis: ``series._drive`` feeds the ``consumers`` (the
     absolute check before the product verdict, which reads its series)
-    while any is open. With ``scalar``, each block's components are one
-    list, read through ``p1s``. The pass forms what they read; the block
-    step forms it as lists and takes a run that the zero-divisor screen
-    and every live consumer's screen clear.
+    while any is open. The pass forms what they read; the block step forms
+    it as lists and takes a run that the zero-divisor screen and every live
+    consumer's screen clear.
 
-    The scalar lane's zero-divisor screen is ``_none_singular``, exact. On
-    the pair lane the screen forms each long run's ``_deviations``
-    ``|p - 1|`` once, with their largest ``dmax``, and hands them to the
-    block step, whose screens read them. Where ``dmax < 1/2`` and ``0 <=
-    singularity_tol < 1/9``, no term of the run is singular, with no scan;
-    elsewhere ``_pairs_none_singular`` decides. Its bound from the run's
-    extremes gives the 1/9: ``|p1||p2| >= 1/4`` against a threshold of at
-    most ``tol*(3/2)**2``. The rounding slack: a computed ``d`` is within
-    3u of ``|p - 1|`` (u = 2**-53: one rounding in the real part of ``p -
-    1``, at most two in ``abs``), so each computed modulus ``m`` lies in
-    ``[1/2 - 4u, 3/2 + 4u]``. The test's own pair then leaves a wide
-    margin: where its ``(m1*m1 + m2*m2)/2.0`` is at most 1, the threshold
-    is ``tol < 1/9`` against ``m1*m2 >= 1/4 - 5u``; elsewhere ``m1*m2``
-    over that mean is ``2r/(1 + r*r)`` for the ratio ``r <= 3 + 40u`` of
-    the moduli, at least ``3/5 - 8u``, and each side of the test rounds by
-    a factor ``(1 ± u)**3`` at most.
+    A run whose two lists are one is on the scalar lane, as is every run of
+    its term, so the partial products and log sums have equal components:
+    the block step forms one list of each for both, and the per-term body's
+    second component is a bit-identical copy. The scalar zero-divisor
+    screen, ``_none_singular``, is exact. On the pair lane the screen forms
+    each long run's ``_deviations`` ``|p - 1|`` once, with their largest
+    ``dmax``, and hands them to the block step, whose screens read them.
+    Where ``dmax < 1/2`` and ``0 <= singularity_tol < 1/9``, no term of the
+    run is singular, with no scan; elsewhere ``_pairs_none_singular``
+    decides. Its bound from the run's extremes gives the 1/9: ``|p1||p2| >=
+    1/4`` against a threshold of at most ``tol*(3/2)**2``. The rounding
+    slack: a computed ``d`` is within 3u of ``|p - 1|`` (u = 2**-53: one
+    rounding in the real part of ``p - 1``, at most two in ``abs``), so
+    each computed modulus ``m`` lies in ``[1/2 - 4u, 3/2 + 4u]``. The
+    test's own pair then leaves a wide margin: where its ``(m1*m1 +
+    m2*m2)/2.0`` is at most 1, the threshold is ``tol < 1/9`` against
+    ``m1*m2 >= 1/4 - 5u``; elsewhere ``m1*m2`` over that mean is ``2r/(1 +
+    r*r)`` for the ratio ``r <= 3 + 40u`` of the moduli, at least ``3/5 -
+    8u``, and each side of the test rounds by a factor ``(1 ± u)**3`` at
+    most.
 
     With the product verdict among the consumers, failures are routed as
     ``analyze_product`` states: a singular term freezes it as
@@ -579,7 +583,7 @@ def _product_pass(blocks, n_max: int, singularity_tol: float, consumers, scalar=
     l1 = l2 = 0j
 
     def clear(p1s, p2s):
-        if scalar:
+        if p2s is p1s:
             return _none_singular(p1s, singularity_tol)
         try:
             devs = _deviations(p1s, p2s)
@@ -596,8 +600,8 @@ def _product_pass(blocks, n_max: int, singularity_tol: float, consumers, scalar=
         taken = []
         try:
             q1s, lg1s = _partials(p1s, mul, q1), list(map(cmath.log, p1s))
-            if scalar:
-                p2s, q2s, lg2s, devs = p1s, q1s, lg1s, None
+            if p2s is p1s:
+                q2s, lg2s, devs = q1s, lg1s, None
             else:
                 q2s, lg2s = _partials(p2s, mul, q2), list(map(cmath.log, p2s))
             run = (p1s, p2s, q1s, q2s, lg1s, lg2s, l1, l2, devs)
@@ -613,7 +617,7 @@ def _product_pass(blocks, n_max: int, singularity_tol: float, consumers, scalar=
             consumer.take(state)
         q1, q2 = q1s[-1], q2s[-1]
         l1 = reduce(add, lg1s, l1)
-        l2 = l1 if scalar else reduce(add, lg2s, l2)
+        l2 = l1 if lg2s is lg1s else reduce(add, lg2s, l2)
         return any(consumer.open for consumer in consumers)
 
     def read(w1, w2, used, cleared):
@@ -628,12 +632,9 @@ def _product_pass(blocks, n_max: int, singularity_tol: float, consumers, scalar=
         q1 *= w1
         lg1 = cmath.log(w1)
         l1 += lg1
-        if scalar:
-            q2, lg2, l2 = q1, lg1, l1
-        else:
-            q2 *= w2
-            lg2 = cmath.log(w2)
-            l2 += lg2
+        q2 *= w2
+        lg2 = cmath.log(w2)
+        l2 += lg2
         dev = _rms(w1 - 1.0, w2 - 1.0)
         reading = False
         for consumer, push in feeds:
@@ -647,8 +648,7 @@ def _product_pass(blocks, n_max: int, singularity_tol: float, consumers, scalar=
         return reading
 
     try:
-        # the scalar screen is exact, so it decides every run
-        used = _drive(blocks, n_max, step, read, clear, every=scalar)
+        used = _drive(blocks, n_max, step, read, clear)
     except _TERM_ERRORS:
         # once the product verdict is frozen, a term that cannot be
         # evaluated ends the consumers still open without a report
@@ -681,13 +681,13 @@ def analyze_product(
     return _analyze_product_pairs(_term_pairs(terms), tol, window, n_max)
 
 
-def _analyze_product_pairs(pairs, tol, window, n_max, scalar=False) -> ProductAnalysis:
-    """analyze_product over blocks of (p1, p2) term pairs, one list as
-    both with ``scalar``, arguments checked; the CLI's ``product``."""
+def _analyze_product_pairs(pairs, tol, window, n_max) -> ProductAnalysis:
+    """analyze_product over blocks of (p1, p2) term pairs, arguments
+    checked; the CLI's ``product``."""
     absolute = _Absolute(tol, window)
-    verdict = _Verdict(tol, window, SINGULARITY_TOLERANCE, scalar, absolute)
-    identity = _Identity(min(n_max, LOG_SUM_CAP), scalar)
-    _product_pass(pairs, n_max, SINGULARITY_TOLERANCE, (absolute, verdict, identity), scalar)
+    verdict = _Verdict(tol, window, SINGULARITY_TOLERANCE, absolute)
+    identity = _Identity(min(n_max, LOG_SUM_CAP))
+    _product_pass(pairs, n_max, SINGULARITY_TOLERANCE, (absolute, verdict, identity))
     if verdict.report.verdict == "singular_term":
         return ProductAnalysis(verdict.report, None, None)
     return ProductAnalysis(verdict.report, absolute.report, identity.report)
@@ -710,7 +710,7 @@ def evaluate_product(
     """
     _validate(tol, window, n_max)
     norms = _Absolute(tol, window, open=False)
-    verdict = _Verdict(tol, window, singularity_tol, False, norms)
+    verdict = _Verdict(tol, window, singularity_tol, norms)
     _product_pass(_term_pairs(terms), n_max, singularity_tol, (norms, verdict))
     return verdict.report
 
@@ -735,7 +735,7 @@ def log_sum_equivalence(
     product underflows to zero; both carry the 1-based index.
     """
     _validate(1.0, 2, n_max)
-    identity = _Identity(n_max, False)
+    identity = _Identity(n_max)
     _product_pass(_term_pairs(terms), n_max, singularity_tol, (identity,))
     return identity.report
 

@@ -26,12 +26,13 @@ per expression, to nested block closures over the idempotent components
 indices and does its node's float operations over the whole block with
 C-level iterators, one complex operation per component, so values and
 errors are bit for bit those of the ``Bicomplex`` operations. Each node
-type has one closure builder. A scalar subtree (the lane rule is in
-``_compile``) has ``p1 == p2``, and its closures return one list
-object as both components, each operation doing its work once. Each
-check is one scan per block; where a scan fails, the node's per-element
-helper runs over the block in element order, so a block of one index
-raises exactly the ring operation's error.
+type has one closure builder. A scalar subtree (``n``, numbers, ``pi``,
+``i1`` and operations but ``[a | b]`` on them) has ``p1 == p2``, and its
+closures return one list object as both components, each operation doing
+its work once: that identity is the lane. Each check is one scan per
+block; where a scan fails, the node's per-element helper runs over the
+block in element order, so a block of one index raises exactly the ring
+operation's error.
 
 One index walker, ``_blocks``, runs every evaluation and attaches the
 term index to its failures (``_at``, its one-index step, evaluates
@@ -47,9 +48,9 @@ evaluated ahead of the last term read never does.
   each value a ``Bicomplex``; both evaluate one index at a time. The
   library and the CLI's ``eval`` and ``check-bounds`` use them.
 * ``_lane_blocks`` gives the walker's blocks of bare values, the lists
-  of ``p1`` and of ``p2`` (one list twice for a scalar term); the CLI's
-  ``series`` and ``product`` feed them straight to the analysis passes
-  on that lane, with the term budget as the walker's ``stop``.
+  of ``p1`` and of ``p2`` (one list twice for a scalar term, the lane);
+  the CLI's ``series`` and ``product`` feed them straight to the
+  analysis passes, with the term budget as the walker's ``stop``.
 """
 
 from __future__ import annotations
@@ -99,8 +100,6 @@ _FUNCTIONS = {
     "log": (cmath.log, "logarithm"),
     "sqrt": (cmath.sqrt, "square root"),
 }
-# the constants whose two idempotent components are equal bit for bit
-_SCALAR_CONSTANTS = ("pi", "i1")
 CONSTANT_NAMES = tuple(_CONSTANTS)
 FUNCTION_NAMES = tuple(_FUNCTIONS)
 
@@ -386,9 +385,8 @@ def compile_term(node) -> CompiledTerm:
 
 
 def _compile(node):
-    """``(closure, value, scalar)``: ``value`` is the pair ``(p1, p2)`` the
-    closure always gives at one index, or None when it depends on ``n`` or
-    raises.
+    """``(closure, value)``: ``value`` is the pair ``(p1, p2)`` the closure
+    always gives at one index, or None when it depends on ``n`` or raises.
 
     Each closure is a block closure: given a ``range`` of indices, it
     returns the node's values there, the lists ``(p1s, p2s)`` of the
@@ -407,37 +405,33 @@ def _compile(node):
     are evaluated here, at one index, except those that raise: they stay
     in place, so their error comes from every evaluation.
 
-    The lane rule: a node is scalar when it is ``n``, a number, ``pi``
-    or ``i1``, or an operation other than ``[a | b]`` on scalar operands.
-    Its value has ``p1 == p2`` bit for bit (``n`` and numbers are
-    ``(x, x)``, ``pi`` and ``i1`` are stored so, and every operation
-    applies the same float operations to equal components), and its
-    closure returns one list object as both components: where its
-    operands' components are the same lists, a closure does its work and
-    its checks once, on the one list, and a check that fails runs the
-    pair rule on ``(x, x)``. A scalar operand beside a pair one is ``(xs, xs)`` as it
-    stands, so a pair over a scalar divides by one list of inverses. The
-    lane is read from the tree, since the passes choose their state
-    before the first block, and read only ``p1s`` on the scalar lane.
+    The scalar lane is list identity. ``n``, numbers, ``pi`` and ``i1``
+    have ``p1 == p2`` bit for bit (``n`` and numbers are ``(x, x)``,
+    ``pi`` and ``i1`` are stored so), and their closures return one list
+    object as both components. Where its operands' components are the
+    same lists, a closure does its work and its checks once, on the one
+    list, and returns one list, since every operation applies the same
+    float operations to equal components; a check that fails runs the
+    pair rule on ``(x, x)``. ``[a | b]`` gives its slots' lists, two
+    objects, and a scalar operand beside a pair one is ``(xs, xs)`` as it
+    stands, so a pair over a scalar divides by one list of inverses. A
+    folded subtree keeps the lane of the block it was folded from.
     """
     operands, build = _node_row(node)[:2]
     compiled = [_compile(getattr(node, name)) for name, _ in operands]
-    fn = build(node, *(closure for closure, _, _ in compiled))
-    if type(node) is Const:
-        scalar = node.name in _SCALAR_CONSTANTS
-    else:
-        scalar = type(node) is not Idem and all(lane for _, _, lane in compiled)
-    if type(node) is Var or any(value is None for _, value, _ in compiled):
-        return fn, None, scalar
+    fn = build(node, *(closure for closure, _ in compiled))
+    if type(node) is Var or any(value is None for _, value in compiled):
+        return fn, None
     try:
-        (p1,), (p2,) = fn(range(1, 2))
+        p1s, p2s = fn(range(1, 2))
     except (ArithmeticError, ValueError):
-        return fn, None, scalar
-    return _constant(p1, p2, scalar), (p1, p2), scalar
+        return fn, None
+    (p1,), (p2,) = p1s, p2s
+    return _constant(p1, p2, p1s is p2s), (p1, p2)
 
 
-def _constant(v1, v2, scalar):
-    if scalar:
+def _constant(v1, v2, shared):
+    if shared:
         def fn(ns):
             xs = [v1] * len(ns)
             return xs, xs
@@ -515,7 +509,7 @@ def _num(node):
 
 def _const(node):
     w = _CONSTANTS[node.name]
-    return _constant(w.p1, w.p2, node.name in _SCALAR_CONSTANTS)
+    return _constant(w.p1, w.p2, w.p1 == w.p2)  # pi and i1: one list
 
 
 def _ring(op):
@@ -661,13 +655,12 @@ def _check_index(n, what: str) -> None:
 
 
 def _lane_blocks(node, start: int = 1, stop: int | None = None):
-    """``(scalar, blocks)``: the lane of an AST compiled once, and the
-    walker's blocks of its values at n = start, start+1, ..., short of
-    ``stop`` if given, each the lists ``(p1s, p2s)``, one list object
-    twice on the scalar lane; a block that fails comes as one-index
-    blocks. Errors carry ``term_index=n``, as eval_term's do."""
-    fn, _, scalar = _compile(node)
-    return scalar, _blocks(fn, start, stop)
+    """The walker's blocks of an AST compiled once, its values at n =
+    start, start+1, ..., short of ``stop`` if given, each the lists
+    ``(p1s, p2s)``, one list object twice on the scalar lane; a block that
+    fails comes as one-index blocks. Errors carry ``term_index=n``, as
+    eval_term's do."""
+    return _blocks(_compile(node)[0], start, stop)
 
 
 # The largest block the walker evaluates at once. Blocks double from one

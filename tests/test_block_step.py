@@ -11,7 +11,7 @@ import cmath
 import json
 import math
 import sys
-from itertools import repeat
+from itertools import accumulate, repeat
 
 import numpy as np
 import pytest
@@ -20,6 +20,7 @@ from bicomplex import analyze_series, evaluate_product, products, seqspec, serie
 from bicomplex.core import SINGULARITY_TOLERANCE
 from bicomplex.seqspec import Add, Div, Num, Pow, Var
 from helpers import one_term_blocks, run_cli, walker_blocks
+from test_compiled import _tree_lane
 from test_products import _bits
 from test_seqspec import _random_ast
 
@@ -58,9 +59,9 @@ def _compare(monkeypatch, command, terms, scalar, tol, n_max, window=8):
     after checking that one-term blocks give it bit for bit, and the
     number of terms the per-term body read on the walker blocks."""
     run = PASSES[command]
-    single = _outcome(run, one_term_blocks(terms, scalar), tol, window, n_max, scalar)
+    single = _outcome(run, one_term_blocks(terms, scalar), tol, window, n_max)
     count = _per_term_reads(monkeypatch)
-    report = run(walker_blocks(terms, scalar), tol, window, n_max, scalar)
+    report = run(walker_blocks(terms, scalar), tol, window, n_max)
     monkeypatch.undo()
     assert _bits(report) == single, (command, scalar)
     return report, count[0]
@@ -79,6 +80,35 @@ def _mid_block(index: int) -> bool:
     """Past term 2,048, so that the run of terms 1,025 to 2,047 lies
     before the deciding one, and not the first term of a block."""
     return index > 2048 and index not in BLOCK_STARTS
+
+
+# -- runs: the blocks cut at the checkpoints and at the budget --------
+
+def test_runs_keep_the_lane_of_their_blocks():
+    # a block whose two lists are one is cut into runs of one list twice,
+    # at each checkpoint and at n_max, and a pair block into two lists:
+    # the passes read the lane off each run. Walker blocks start at the
+    # checkpoints, which blocks of ten terms cut in mid-block
+    values = [complex(n) for n in range(1, 3001)]
+
+    def tens(lane):
+        for i in range(0, len(values), 10):
+            xs = values[i : i + 10]
+            yield (xs, xs) if lane else (xs, list(xs))
+
+    for n_max in (16, 100, 1000, 2047, 3000):
+        for lane in (True, False):
+            pairs = values if lane else [(x, x) for x in values]
+            for blocks in (walker_blocks(pairs, lane), tens(lane)):
+                runs = list(series._runs(blocks, n_max))
+                assert {p1s is p2s for p1s, p2s in runs} == {lane}, (n_max, lane)
+                for side in (0, 1):
+                    assert [x for run in runs for x in run[side]] == values[:n_max]
+                # each checkpoint is a run of its own
+                ends = set(accumulate(len(p1s) for p1s, _ in runs))
+                for due in (16, 32, 64, 128, 256, 512, 1024, 2048):
+                    if due <= n_max:
+                        assert {due - 1, due} <= ends, (n_max, lane, due)
 
 
 # -- products: every decision site ------------------------------------
@@ -169,8 +199,8 @@ def _analysis_at(blocks, singularity_tol, n_max):
     """The three reports of the product pass at a zero-divisor tolerance
     of its own, as analyze_product gives them at the CLI's."""
     absolute = products._Absolute(1e-10, 8)
-    verdict = products._Verdict(1e-10, 8, singularity_tol, False, absolute)
-    identity = products._Identity(min(n_max, products.LOG_SUM_CAP), False)
+    verdict = products._Verdict(1e-10, 8, singularity_tol, absolute)
+    identity = products._Identity(min(n_max, products.LOG_SUM_CAP))
     products._product_pass(blocks, n_max, singularity_tol, (absolute, verdict, identity))
     return products.ProductAnalysis(verdict.report, absolute.report, identity.report)
 
@@ -247,11 +277,11 @@ def test_product_block_step_norm_series_decide_in_mid_block(monkeypatch):
     assert _mid_block(analysis.absolute.terms_used)
 
 
-def _identity_alone(blocks, n_max, scalar):
+def _identity_alone(blocks, n_max):
     """The log-sum identity's report, the only consumer of the product
     pass, as ``log_sum_equivalence`` runs it: its failures propagate."""
-    identity = products._Identity(min(n_max, products.LOG_SUM_CAP), scalar)
-    products._product_pass(blocks, n_max, SINGULARITY_TOLERANCE, (identity,), scalar)
+    identity = products._Identity(min(n_max, products.LOG_SUM_CAP))
+    products._product_pass(blocks, n_max, SINGULARITY_TOLERANCE, (identity,))
     return identity.report
 
 
@@ -261,9 +291,9 @@ def _compare_identity(monkeypatch, terms, scalar, n_max):
     message and index), and the number of terms the per-term body read on
     the walker blocks; the full analysis must match too."""
     _compare(monkeypatch, "product", terms, scalar, 1e-10, n_max)
-    single = _outcome(_identity_alone, one_term_blocks(terms, scalar), n_max, scalar)
+    single = _outcome(_identity_alone, one_term_blocks(terms, scalar), n_max)
     count = _per_term_reads(monkeypatch)
-    walker = _outcome(_identity_alone, walker_blocks(terms, scalar), n_max, scalar)
+    walker = _outcome(_identity_alone, walker_blocks(terms, scalar), n_max)
     monkeypatch.undo()
     assert walker == single, scalar
     return walker, count[0]
@@ -300,10 +330,10 @@ def test_product_block_step_after_the_identity_fails():
     # is a zero divisor. On the scalar lane the squared modulus underflows
     # first, inside the run 33-63
     pair = [(1 + SHRINKING / n**2, 1e-3 if n <= 110 else 1 + C2 / n**2) for n in range(1, 5001)]
-    single = _outcome(PASSES["product"], one_term_blocks(pair, False), 1e-6, 8, 5000, False)
-    walker = _outcome(PASSES["product"], walker_blocks(pair, False), 1e-6, 8, 5000, False)
+    single = _outcome(PASSES["product"], one_term_blocks(pair, False), 1e-6, 8, 5000)
+    walker = _outcome(PASSES["product"], walker_blocks(pair, False), 1e-6, 8, 5000)
     assert walker == single
-    analysis = PASSES["product"](walker_blocks(pair, False), 1e-6, 8, 5000, False)
+    analysis = PASSES["product"](walker_blocks(pair, False), 1e-6, 8, 5000)
     assert analysis.identity is None
     assert analysis.product.verdict == "diverged" and analysis.product.terms_used > 1000
 
@@ -331,8 +361,8 @@ def test_identity_block_step_counts_a_branch_offset_change_in_mid_run(monkeypatc
             terms = [(w, cmath.exp(-0.45j / n)) for n, w in enumerate(terms, start=1)]
         report, per_term = _compare_identity(monkeypatch, terms, scalar, 1000)
         assert report[0] == "LogSumReport"
-        before = _identity_alone(one_term_blocks(terms[:600], scalar), 600, scalar)
-        after = _identity_alone(one_term_blocks(terms, scalar), 1000, scalar)
+        before = _identity_alone(one_term_blocks(terms[:600], scalar), 600)
+        after = _identity_alone(one_term_blocks(terms, scalar), 1000)
         assert before.branch_offset_changes == 0
         assert after.branch_offset_changes == (1 if scalar else 2)
         assert after.branch_offset == ((1, 1) if scalar else (1, -1))
@@ -348,9 +378,9 @@ def test_identity_block_step_reaches_its_cap_in_mid_run(monkeypatch):
             terms = [_near_one(n) for n in range(1, 3001)]
         report, per_term = _compare_identity(monkeypatch, terms, scalar, 3000)
         assert report[0] == "LogSumReport"
-        alone = _identity_alone(walker_blocks(terms, scalar), 3000, scalar)
+        alone = _identity_alone(walker_blocks(terms, scalar), 3000)
         assert alone.terms_used == products.LOG_SUM_CAP
-        first = _identity_alone(one_term_blocks(terms[:1000], scalar), 1000, scalar)
+        first = _identity_alone(one_term_blocks(terms[:1000], scalar), 1000)
         assert _bits(alone) == _bits(first)
         assert per_term <= BEFORE_513, (scalar, per_term)
 
@@ -361,9 +391,9 @@ def test_product_pass_reads_few_of_its_first_1000_terms_one_at_a_time(monkeypatc
     # checkpoints, on the default product at the CLI's budget (fed its
     # blocks up to term 1,023, which hold those runs whole) and on 1+1/n
     for text, n_max in (("1 + (3/10 + 2/5*i2)/n^2", 10**6), ("1+1/n", 1000)):
-        scalar, blocks = seqspec._lane_blocks(seqspec.parse(text), 1, 1024)
+        blocks = seqspec._lane_blocks(seqspec.parse(text), 1, 1024)
         count = _per_term_reads(monkeypatch)
-        analysis = PASSES["product"](blocks, 1e-10, 8, n_max, scalar)
+        analysis = PASSES["product"](blocks, 1e-10, 8, n_max)
         monkeypatch.undo()
         assert analysis.identity.terms_used == 1000
         assert count[0] <= 40, (text, count[0])
@@ -389,9 +419,10 @@ def test_default_product_pair_lane_scans_its_deviations_once(monkeypatch):
 
     monkeypatch.setattr(products, "_pairs_none_singular", spy_scan)
     monkeypatch.setattr(series, "_rms_moduli", spy_rms)
-    scalar, blocks = seqspec._lane_blocks(seqspec.parse("1 + (3/10 + 2/5*i2)/n^2"), 1, 20001)
-    analysis = PASSES["product"](blocks, 1e-10, 8, 20_000, scalar)
-    assert not scalar and analysis.product.terms_used == 20_000
+    blocks = list(seqspec._lane_blocks(seqspec.parse("1 + (3/10 + 2/5*i2)/n^2"), 1, 20001))
+    assert all(p1s is not p2s for p1s, p2s in blocks)
+    analysis = PASSES["product"](iter(blocks), 1e-10, 8, 20_000)
+    assert analysis.product.terms_used == 20_000
     assert singular_scans == []
     assert [c for c in rms_callers if c in (products._Absolute, products._Verdict)] == []
     # the identity's discrepancies, equal but 0 at some terms, still do
@@ -463,7 +494,8 @@ def test_passes_match_on_random_terms(monkeypatch):
     past_2048 = screened = 0
     for _ in range(200):
         node = _random_term(rng)
-        fn, _, scalar = seqspec._compile(node)
+        fn = seqspec._compile(node)[0]
+        scalar = _tree_lane(node)
         tol = float(rng.choice([1e-6, 1e-8, 1e-10]))
         window = int(rng.integers(2, 11))
         n_max = int(rng.integers(2049, 3001) if rng.random() < 0.4 else rng.integers(1, 2049))
@@ -471,12 +503,10 @@ def test_passes_match_on_random_terms(monkeypatch):
         past_2048 += n_max > 2048
         for command, run in PASSES.items():
             one_index = map(seqspec._at, repeat(fn), range(1, n_max + 1))
-            single = _outcome(run, one_index, tol, window, n_max, scalar)
+            single = _outcome(run, one_index, tol, window, n_max)
             count = _per_term_reads(monkeypatch)
             try:
-                report = run(
-                    seqspec._lane_blocks(node, 1, n_max + 1)[1], tol, window, n_max, scalar
-                )
+                report = run(seqspec._lane_blocks(node, 1, n_max + 1), tol, window, n_max)
             except (ArithmeticError, ValueError) as err:
                 walker = ("raised", type(err).__name__, str(err), getattr(err, "term_index", None))
             else:

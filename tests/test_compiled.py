@@ -31,7 +31,6 @@ from bicomplex.seqspec import (
     _CONSTANTS,
     _NODES,
     _FUNCTIONS,
-    _SCALAR_CONSTANTS,
     Add,
     Call,
     Const,
@@ -256,7 +255,7 @@ def _pair_outcome(evaluate, node, n: int):
 def _pair_terms(node, start: int = 1):
     """The values of the CLI's compiled route from index ``start``, each
     read as a pair: a scalar-lane block's one list is both components."""
-    return flat_terms(_lane_blocks(node, start)[1])
+    return flat_terms(_lane_blocks(node, start))
 
 
 def _compiled_pairs(node, n: int) -> tuple[complex, complex]:
@@ -347,6 +346,19 @@ def test_pair_route_no_less_accurate_on_random_asts():
 
 # -- lanes: scalar closures against the pair closures of the same tree --
 
+
+def _tree_lane(node) -> bool:
+    """The lane rule, as a reference: a tree is scalar when it is ``n``, a
+    number, ``pi`` or ``i1``, or an operation other than ``[a | b]`` on
+    scalar operands. The compiler spells no such rule: its closures give
+    one list as both components where their operands do."""
+    if type(node) is Const:
+        return node.name in ("pi", "i1")
+    if type(node) is Idem:
+        return False
+    return all(_tree_lane(getattr(node, name)) for name, _ in _NODES[type(node)][0])
+
+
 SCALAR_LEAVES = (0.0, 0.5, 1.0, 3.0, 1e-160, 1e155, 1e200)
 
 
@@ -415,7 +427,7 @@ def test_scalar_closures_match_pair_closures_on_random_scalar_asts():
     signed_zeros = 0
     for _ in range(1500):
         node = _random_scalar_ast(rng, int(rng.integers(1, 6)))
-        assert _compile(node)[2], render(node)
+        assert _tree_lane(node), render(node)
         kinds |= _assert_lanes_agree(node, INDICES)
         value = _closure_outcome(_compile(node)[0], 2)
         signed_zeros += value[0] == "value" and "-0x0.0p+0" in value
@@ -466,13 +478,21 @@ def test_lanes_match_pair_closures_on_named_expressions(text):
     ],
 )
 def test_lane_classification(text, scalar):
-    assert _compile(parse(text))[2] is scalar
+    node = parse(text)
+    assert _tree_lane(node) is scalar
+    # the compiled block is on that lane
+    p1s, p2s = _compile(node)[0](range(1, 4))
+    assert (p1s is p2s) is scalar, text
 
 
 def test_scalar_constants_have_equal_components():
+    # a constant's closure gives one list exactly where its components
+    # are equal bit for bit: pi and i1
     for name, w in _CONSTANTS.items():
         same = (w.p1.real.hex(), w.p1.imag.hex()) == (w.p2.real.hex(), w.p2.imag.hex())
-        assert same is (name in _SCALAR_CONSTANTS), name
+        assert same is (name in ("pi", "i1")), name
+        p1s, p2s = _compile(Const(name))[0](range(1, 3))
+        assert (p1s is p2s) is same, name
 
 
 # -- the lane invariant: a scalar closure gives one list as both components --
@@ -501,7 +521,8 @@ def _assert_one_list_on_the_scalar_lane(node) -> list:
     lane, two lists on the pair lane: the walker's blocks of 1 to 64
     indices, one-index blocks after a failing block, and single indices.
     Returns the walker's blocks."""
-    fn, _, scalar = _compile(node)
+    fn = _compile(node)[0]
+    scalar = _tree_lane(node)
     walked = list(_walked_blocks(fn, 130))
     blocks = list(walked)
     for n in INDICES:
@@ -515,7 +536,7 @@ def _assert_one_list_on_the_scalar_lane(node) -> list:
 
 
 def test_scalar_closures_give_one_list_as_both_components():
-    # the passes read only p1s on the scalar lane
+    # the passes read the lane off the lists, and only p1s on the scalar lane
     rng = np.random.default_rng(2525)
     walked = 0
     for _ in range(300):
@@ -523,11 +544,19 @@ def test_scalar_closures_give_one_list_as_both_components():
         walked += bool(_assert_one_list_on_the_scalar_lane(node))
     # most trees give values; some fail at every index
     assert walked > 200
+    # random trees over every constant and [a | b]: a pair tree's blocks
+    # are two lists, its walker blocks, fallback blocks and single indices
+    pair_walked = 0
+    for _ in range(300):
+        node = _random_ast(rng, int(rng.integers(1, 6)))
+        blocks = _assert_one_list_on_the_scalar_lane(node)
+        pair_walked += bool(blocks) and not _tree_lane(node)
+    assert pair_walked > 60
     for text in LANE_NAMED:
         _assert_one_list_on_the_scalar_lane(parse(text))
     for text in LANE_FALLBACKS:
         node = parse(text)
-        assert _compile(node)[2], text
+        assert _tree_lane(node), text
         blocks = _assert_one_list_on_the_scalar_lane(node)
         if text == "2*pi - i1/3":
             assert _compile(node)[1] is not None
@@ -539,14 +568,13 @@ def test_scalar_closures_give_one_list_as_both_components():
 def test_equal_slots_stay_on_the_pair_lane_with_distinct_lists():
     for text in ("[n | n]", "[2 | 2]"):
         for node in (parse(text), parse(f"{text}*n + 1/{text}")):
-            fn, _, scalar = _compile(node)
-            assert not scalar, text
+            fn = _compile(node)[0]
+            assert not _tree_lane(node), text
             for ns in (range(1, 2), range(3, 40)):
                 p1s, p2s = fn(ns)
                 assert p1s is not p2s and p1s == p2s, (render(node), ns)
-        scalar, blocks = _lane_blocks(parse(text))
-        p1s, p2s = next(blocks)
-        assert not scalar and p1s is not p2s, text
+        p1s, p2s = next(_lane_blocks(parse(text)))
+        assert p1s is not p2s, text
 
 
 # -- blocks: a block of indices against each index alone --

@@ -512,12 +512,18 @@ def test_cli_scalar_lane_makes_no_pair_zero_divisor_test(monkeypatch):
     ],
 )
 def test_cli_passes_take_the_lane_of_the_expression(monkeypatch, argv, scalar):
-    lanes = []
+    # the lane is the identity of the lists the CLI hands the pass
+    calls, lanes = [], set()
 
     def recording(original):
-        def run(terms, tol, window, n_max, lane):
-            lanes.append(lane)
-            return original(terms, tol, window, n_max, lane)
+        def run(blocks, tol, window, n_max):
+            def seen():
+                for p1s, p2s in blocks:
+                    lanes.add(p1s is p2s)
+                    yield p1s, p2s
+
+            calls.append(original.__name__)
+            return original(seen(), tol, window, n_max)
 
         return run
 
@@ -527,7 +533,7 @@ def test_cli_passes_take_the_lane_of_the_expression(monkeypatch, argv, scalar):
                         recording(products._analyze_product_pairs))
     code, _, _ = run_cli(argv)
     assert code == 0
-    assert lanes == [scalar]
+    assert len(calls) == 1 and lanes == {scalar}
 
 
 # -- lanes: the scalar passes against the pair passes on the same terms --
@@ -536,17 +542,20 @@ def test_cli_passes_take_the_lane_of_the_expression(monkeypatch, argv, scalar):
 def _lane_reports(text, tol, window, n_max):
     """The series and product reports of the CLI's passes over a scalar
     expression, on the scalar lane and on the pair lane (each block's one
-    list read as both components), field by field in bits, or the error
-    raised."""
+    list copied, so that the copy is the second component), field by field
+    in bits, or the error raised."""
+    from test_compiled import _tree_lane
+
     node = seqspec.parse(text)
-    scalar, _ = seqspec._lane_blocks(node)
-    assert scalar, text
+    assert _tree_lane(node), text
     outcomes = []
     for lane in (True, False):
         for run in (series._analyze_pairs, _analyze_product_pairs):
-            blocks = seqspec._lane_blocks(node, 1, n_max + 1)[1]
+            blocks = seqspec._lane_blocks(node, 1, n_max + 1)
+            if not lane:
+                blocks = ((p1s, list(p2s)) for p1s, p2s in blocks)
             try:
-                outcomes.append(_bits(run(blocks, tol, window, n_max, lane)))
+                outcomes.append(_bits(run(blocks, tol, window, n_max)))
             except (ArithmeticError, ValueError) as err:
                 outcomes.append(
                     ("raised", type(err).__name__, str(err), getattr(err, "term_index", None))
@@ -595,7 +604,7 @@ def test_scalar_lane_rms_tracker_splits_where_squares_leave_the_float_range():
     # zeros and converges at tol 1e-300 while both modulus trackers stay
     # open: read as the modulus tracker, it would report absolute False
     report = series._analyze_pairs(
-        seqspec._lane_blocks(seqspec.parse("1e-160/n^2"))[1], 1e-300, 8, 3000, True
+        seqspec._lane_blocks(seqspec.parse("1e-160/n^2")), 1e-300, 8, 3000
     )
     assert report.absolute_component_verdicts == ("inconclusive", "inconclusive")
     assert report.absolute is True
@@ -832,7 +841,7 @@ def test_product_pass_norm_series_match_the_tracker():
                           for _ in range(2))
                 terms = list(_norm_family(family, c1, c2, scalar, n_max))
                 case = (family, scalar, c1, c2)
-                report = _analyze_product_pairs(walker_blocks(terms, scalar), tol, 8, n_max, scalar)
+                report = _analyze_product_pairs(walker_blocks(terms, scalar), tol, 8, n_max)
                 absolute, (log_verdict, dev_verdict) = _tracked_norm_series(
                     terms, scalar, tol, 8, report.product.terms_used
                 )
@@ -853,3 +862,44 @@ def test_product_pass_norm_series_match_the_tracker():
                     assert not report.product.criteria_agreement, case
                 if family == "converge":
                     assert report.product.absolute, case
+
+
+# -- closed forms: what a converged product's limit estimate is worth --
+
+# (expression, the coefficient a of 1 + a/n^2 in each idempotent
+# component): each component product is sinh(pi*sqrt(a))/(pi*sqrt(a)).
+# The first three run on the scalar lane, the last two on the pair lane.
+CLOSED_FORMS = [
+    ("1 + 1/n^2", (1.0, 1.0)),
+    ("1 - 1/(4*n^2)", (-0.25, -0.25)),
+    ("1 + (1/2 + i1)/n^2", (0.5 + 1j, 0.5 + 1j)),
+    ("1 + (3/10 + 2/5*i2)/n^2", (0.3 - 0.4j, 0.3 + 0.4j)),
+    ("[1 + 1/n^2 | 1 - 1/(4*n^2)]", (1.0, -0.25)),
+]
+
+
+@pytest.mark.parametrize("text, coefficients", CLOSED_FORMS)
+def test_converged_products_lie_within_the_tail_bound_of_their_closed_form(
+    text, coefficients
+):
+    # converged_nonsingular certifies only that the last window of partial
+    # products agree within tol; the estimate misses the tail. The paper's
+    # absolute-convergence bound |prod_{n>N}(1 + u_n) - 1| <= exp(sum_{n>N}
+    # |u_n|) - 1, with sum_{n>N} |a|/n^2 < |a|/N, puts each component's
+    # limit within |q|*expm1(|a|/N) of the component q of the estimate
+    # after N terms. At --tol 1e-8 that bound is 13 to 1,400 times the
+    # rounding of N partial products; at the default 1e-10 it shrinks to
+    # the size of that rounding, and the test would prove nothing.
+    import mpmath as mp
+
+    code, out, err = run_cli(["product", "--json", "--tol", "1e-8", "--", text])
+    assert code == 0, err
+    report = json.loads(out)["product"]
+    assert report["verdict"] == "converged_nonsingular", text
+    n = report["terms_used"]
+    with mp.workdps(30):
+        for (re, im), a in zip(report["limit_estimate"]["idempotent"], coefficients):
+            q = complex(re, im)
+            root = mp.pi * mp.sqrt(mp.mpc(a))
+            gap = abs(mp.mpc(q) - mp.sinh(root) / root)
+            assert gap <= abs(q) * math.expm1(abs(a) / n), (text, n, float(gap))

@@ -4,7 +4,8 @@ For each of the three long workloads -- ``product "1 + (3/10 +
 2/5*i2)/n^2"``, ``product --max-terms 100000 "1+1/n"`` and ``series
 "1/n^2"``, at the CLI's default tolerance and window -- prints one row:
 
-* the lane the CLI runs the expression on (scalar or pair);
+* the lane the CLI runs the expression on (scalar or pair), read off
+  the first block the pass reads: one list as both components, or two;
 * the number of terms its pass reads;
 * the number of indices the index walker evaluates in that run, its
   read-ahead to the end of the block that holds the last term read
@@ -172,6 +173,12 @@ def _terms_read(report) -> int:
     return report.terms_used
 
 
+def _lane(blocks) -> str:
+    """The lane of the first of ``blocks``, as the passes read it."""
+    p1s, p2s = blocks[0]
+    return "scalar" if p1s is p2s else "pair"
+
+
 def split(
     command: str, text: str, n_max: int, repeats: int
 ) -> tuple[str, int, int, float, float, float]:
@@ -179,42 +186,39 @@ def split(
     one CLI run."""
     node = seqspec.parse(text)
     run_pass = PASSES[command]
-    scalar = seqspec._lane_blocks(node)[0]
     # the pass reads exactly the blocks it needs: keep those
     read = []
 
     def cli_run():
-        blocks = seqspec._lane_blocks(node, 1, n_max + 1)[1]
-        run_pass((read.append(block) or block for block in blocks), TOL, WINDOW, n_max, scalar)
+        blocks = seqspec._lane_blocks(node, 1, n_max + 1)
+        run_pass((read.append(block) or block for block in blocks), TOL, WINDOW, n_max)
 
     evaluated = _evaluated(cli_run)
 
     def evaluate():
-        deque(islice(seqspec._lane_blocks(node, 1, n_max + 1)[1], len(read)), maxlen=0)
+        deque(islice(seqspec._lane_blocks(node, 1, n_max + 1), len(read)), maxlen=0)
 
     def run_read():
-        return run_pass(iter(read), TOL, WINDOW, n_max, scalar)
+        return run_pass(iter(read), TOL, WINDOW, n_max)
 
     count = _terms_read(run_read())
     eval_ns = _min_ns(evaluate, repeats)
     pass_ns = _min_ns(run_read, repeats)
     screened = 1.0 - _per_term(run_read) / count
-    lane = "scalar" if scalar else "pair"
-    return lane, count, evaluated, eval_ns / count, pass_ns / count, screened
+    return _lane(read), count, evaluated, eval_ns / count, pass_ns / count, screened
 
 
 def short_product(text: str, n_max: int, repeats: int) -> tuple[str, float, int]:
     """``(lane, pass ns/term, per-term reads)`` of the CLI's product pass
     over the prebuilt walker blocks of ``text``'s first ``n_max`` terms."""
-    scalar, blocks = seqspec._lane_blocks(seqspec.parse(text), 1, n_max + 1)
-    blocks = list(blocks)
+    blocks = list(seqspec._lane_blocks(seqspec.parse(text), 1, n_max + 1))
 
     def run():
-        return products._analyze_product_pairs(iter(blocks), TOL, WINDOW, n_max, scalar)
+        return products._analyze_product_pairs(iter(blocks), TOL, WINDOW, n_max)
 
     count = _terms_read(run())
     pass_ns = _min_ns(run, 20 * repeats)
-    return "scalar" if scalar else "pair", pass_ns / count, _per_term(run)
+    return _lane(blocks), pass_ns / count, _per_term(run)
 
 
 def analyzer_cost(analyzer, text: str, n: int, repeats: int) -> tuple[int, float]:
@@ -237,10 +241,10 @@ def block_step_split(text: str, n_max: int, repeats: int) -> tuple[int, list[flo
     that ``_product_pass`` hands ``_drive`` and on the consumers'
     ``screen``; each piece's time is its minimum over ``repeats`` runs."""
     node = seqspec.parse(text)
-    scalar, blocks = seqspec._lane_blocks(node, 1, n_max + 1)
+    blocks = seqspec._lane_blocks(node, 1, n_max + 1)
     read = []
     products._analyze_product_pairs(
-        (read.append(block) or block for block in blocks), TOL, WINDOW, n_max, scalar
+        (read.append(block) or block for block in blocks), TOL, WINDOW, n_max
     )
     spent = {}
 
@@ -256,8 +260,8 @@ def block_step_split(text: str, n_max: int, repeats: int) -> tuple[int, list[flo
 
     drive = products._drive
 
-    def timed_drive(blocks, n_max, step, read, clear=None, every=False):
-        return drive(blocks, n_max, timed(step, "step"), read, timed(clear, "clear"), every)
+    def timed_drive(blocks, n_max, step, read, clear=None):
+        return drive(blocks, n_max, timed(step, "step"), read, timed(clear, "clear"))
 
     screens = {kind: kind.screen for kind in STEP_SCREENS}
     products._drive = timed_drive
@@ -268,7 +272,7 @@ def block_step_split(text: str, n_max: int, repeats: int) -> tuple[int, list[flo
         for _ in range(repeats):
             spent.clear()
             count = _terms_read(
-                products._analyze_product_pairs(iter(read), TOL, WINDOW, n_max, scalar)
+                products._analyze_product_pairs(iter(read), TOL, WINDOW, n_max)
             )
             screen_ns = [spent.get(kind, 0) for kind in STEP_SCREENS]
             pieces = [spent.get("clear", 0), *screen_ns, spent.get("step", 0) - sum(screen_ns)]
