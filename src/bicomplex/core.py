@@ -526,6 +526,11 @@ def _zero_divisor_error(cn_mag: float, threshold: float) -> SingularOperand:
 # -- the ring operations that are not one complex operation per component
 
 
+def _check_tolerance(tol: float) -> None:
+    if not tol >= 0:  # NaN too: every comparison false, nothing singular
+        raise ValueError("tolerance must be nonnegative")
+
+
 def _pair_zero_divisor_test(p1: complex, p2: complex, tol: float):
     """The zero-divisor test on the idempotent components:
     ``|p1|*|p2| <= tol*max(1, (|p1|**2 + |p2|**2)/2)``, the right side
@@ -537,8 +542,7 @@ def _pair_zero_divisor_test(p1: complex, p2: complex, tol: float):
     two ``_unit_scale(p1, p2)``, so the verdict does not depend on the
     overall scale of the value.
     """
-    if not tol >= 0:  # NaN too
-        raise ValueError("tolerance must be nonnegative")
+    _check_tolerance(tol)
     try:
         m1, m2 = abs(p1), abs(p2)
     except OverflowError:
@@ -580,9 +584,9 @@ def _none_singular(ps, tol: float) -> bool:
 
 def _pairs_none_singular(p1s, p2s, tol: float) -> bool:
     """True only when ``_pair_zero_divisor_test(p1, p2, tol)`` passes every
-    pair of ``p1s`` and ``p2s``, for ``tol >= 0``, from the extremes of the
-    moduli: ``min(m1s)*min(m2s) > tol*max(1, (M1*M1 + M2*M2)/2.0)``, where
-    ``M1`` and ``M2`` are the largest moduli.
+    pair of ``p1s`` and ``p2s``, for ``tol >= 0`` (unchecked here), from the
+    extremes of the moduli: ``min(m1s)*min(m2s) > tol*max(1, (M1*M1 +
+    M2*M2)/2.0)``, where ``M1`` and ``M2`` are the largest moduli.
 
     A sufficient bound, because rounding is monotone: each float
     operation of the test gives a result no smaller for operands no
@@ -594,8 +598,6 @@ def _pairs_none_singular(p1s, p2s, tol: float) -> bool:
     takes the test's scaled branch. Where a modulus leaves the float
     range, it fails too, and the per-element test decides.
     """
-    if not tol >= 0.0:  # NaN too: the test itself raises
-        return False
     try:
         m1s = list(map(abs, p1s))
         m2s = list(map(abs, p2s))

@@ -88,8 +88,8 @@ from itertools import pairwise, repeat
 from operator import add, attrgetter, mul, ne, or_, sub, truediv
 
 from .core import (
-    SINGULARITY_TOLERANCE, Bicomplex, NonFiniteError, SingularTerm, _none_singular,
-    _pair_zero_divisor_test, _pairs_none_singular, _Record, _validate,
+    SINGULARITY_TOLERANCE, Bicomplex, NonFiniteError, SingularTerm, _check_tolerance,
+    _none_singular, _pair_zero_divisor_test, _pairs_none_singular, _Record, _validate,
 )
 from .seqspec import _TERM_ERRORS
 from .series import (
@@ -218,8 +218,8 @@ def partial_products(terms, n_max: int = 10**6) -> list[Bicomplex]:
     return _running(terms, n_max, Bicomplex(1.0), Bicomplex.__mul__)
 
 
-def _shrinking(pnorms: deque[float]) -> bool:
-    return all(b <= a * (1.0 + 1e-12) for a, b in pairwise(pnorms))
+def _shrinking(win1: deque[complex], win2: deque[complex]) -> bool:
+    return all(b <= a * (1.0 + 1e-12) for a, b in pairwise(map(_rms, win1, win2)))
 
 
 class _Consumer:
@@ -253,13 +253,12 @@ class _Absolute(_Consumer):
     ``||w_n - 1||`` on two ``series._Tracker``, and the hypothesis that
     every component real part is positive, to the first term that breaks
     it or until both series decide. The series read on while undecided,
-    for the product verdict's report; with ``open=False``, for it alone."""
+    for the product verdict's report; after ``end``, for it alone."""
 
     __slots__ = ("log", "dev")
 
-    def __init__(self, tol, window, open=True):
+    def __init__(self, tol, window):
         super().__init__()
-        self.open = open
         self.log = _Tracker(tol, window, _HARMONIC_RATIO)
         self.dev = _Tracker(tol, window, _HARMONIC_RATIO)
 
@@ -313,12 +312,12 @@ class _Absolute(_Consumer):
 
 class _Verdict(_Consumer):
     """The product verdict: the rules of the module docstring over the
-    partial products, their norms and a window of each, and the dyadic
-    checkpoints over the deviation norms, in a deque of their own, read
-    past the deviation series' verdict; its report reads ``norms``'."""
+    partial products, a window of each component's (whose norms a rule
+    maps ``_rms`` over) and the dyadic checkpoints over the deviation
+    norms, in a deque of their own, read past the deviation series'
+    verdict; its report reads ``norms``'."""
 
-    __slots__ = ("tol", "window", "singularity_tol", "norms", "win1", "win2", "pnorms",
-                 "checks", "nc_ok")
+    __slots__ = ("tol", "window", "singularity_tol", "norms", "win1", "win2", "checks", "nc_ok")
 
     def __init__(self, tol, window, singularity_tol, norms):
         super().__init__()
@@ -328,23 +327,21 @@ class _Verdict(_Consumer):
         self.norms = norms
         self.win1: deque[complex] = deque(maxlen=window)
         self.win2: deque[complex] = deque(maxlen=window)
-        self.pnorms: deque[float] = deque(maxlen=window)
         self.checks = _Checkpoints(tol, window, _FLAT_RATIO)
         self.nc_ok = True
 
     def push(self, w1, w2, q1, q2, lg1, lg2, l1, l2, dev, used) -> bool:
         if not self.open:
             return False
-        win1, win2, pnorms, checks = self.win1, self.win2, self.pnorms, self.checks
+        win1, win2, checks = self.win1, self.win2, self.checks
         checks.mags.append(dev)
         pnorm = _rms(q1, q2)
         win1.append(q1)
         win2.append(q2)
-        pnorms.append(pnorm)
         verdict = None
         if pnorm > OVERFLOW_GUARD:
             verdict = "diverged"
-        elif pnorm < ZERO_COLLAPSE and _shrinking(pnorms):
+        elif pnorm < ZERO_COLLAPSE and _shrinking(win1, win2):
             verdict = "diverged_to_zero"
         elif (
             used >= self.window
@@ -360,13 +357,13 @@ class _Verdict(_Consumer):
                     verdict = "diverged"
                 else:
                     verdict = "converged_nonsingular"
-            elif pnorm < _FLOOR_FACTOR * tol and _shrinking(pnorms):
+            elif pnorm < _FLOOR_FACTOR * tol and _shrinking(win1, win2):
                 verdict = "diverged_to_zero"
             # stable partial products under far-from-1 terms with no drain
             # toward zero: keep consuming evidence
         if verdict is None and used == checks.due and checks.stalled():
             self.nc_ok = False
-            if pnorms[-1] >= pnorms[0] * (1.0 - 1e-12):
+            if pnorm >= _rms(win1[0], win2[0]) * (1.0 - 1e-12):
                 verdict = "diverged"
         if verdict is None:
             return True
@@ -396,14 +393,13 @@ class _Verdict(_Consumer):
         where the bound leaves the range, and on the scalar lane (``q2s is
         q1s``, where ``win2`` holds ``win1``'s values), the moduli are scanned.
         """
-        q1s, q2s = run[2:4]
-        devs = run[8]
+        p1s, p2s, q1s, q2s, _, _, _, _, devs = run
         window, tol = self.window, self.tol
         scalar = q2s is q1s
         if not (devs and _moduli_within(q1s[0], q2s[0], devs[2], len(q1s))):
             m1s = list(map(abs, q1s))
             if scalar:
-                # the norms are the moduli: the exact-RMS range holds both
+                # the norms _rms(q, q) are the moduli: the exact-RMS range holds both
                 if not (ZERO_COLLAPSE <= min(m1s) and max(m1s) <= OVERFLOW_GUARD):
                     return None
             else:
@@ -419,19 +415,13 @@ class _Verdict(_Consumer):
             and min(map(abs, _gaps(self.win2, q2s, window)), default=math.inf) >= tol
         ):
             return None
-        last1, last2 = q1s[-window:], q2s[-window:]
-        qnorms = list(map(abs, last1)) if scalar else list(map(_rms, last1, last2))
-        if devs:
-            d1s, d2s = devs[0][-window:], devs[1][-window:]
-        else:
-            d1s = d2s = list(map(abs, map(sub, run[0][-window:], repeat(1.0))))
-        return last1, last2, qnorms, _norms(d1s, d2s)
+        d1s, d2s, _ = _deviations(p1s[-window:], p2s[-window:])
+        return q1s[-window:], q2s[-window:], _norms(d1s, d2s)
 
     def take(self, state) -> None:
-        q1s, q2s, qnorms, devs = state
+        q1s, q2s, devs = state
         self.win1.extend(q1s)
         self.win2.extend(q2s)
-        self.pnorms.extend(qnorms)
         self.checks.mags.extend(devs)
 
     def close(self, verdict, q1, q2, l1, l2, used) -> None:
@@ -556,19 +546,19 @@ def _product_pass(blocks, n_max: int, singularity_tol: float, consumers) -> None
     screen, ``_none_singular``, is exact. On the pair lane the screen forms
     each long run's ``_deviations`` ``|p - 1|`` once, with their largest
     ``dmax``, and hands them to the block step, whose screens read them.
-    Where ``dmax < 1/2`` and ``0 <= singularity_tol < 1/9``, no term of the
-    run is singular, with no scan; elsewhere ``_pairs_none_singular``
-    decides. Its bound from the run's extremes gives the 1/9: ``|p1||p2| >=
-    1/4`` against a threshold of at most ``tol*(3/2)**2``. The rounding
-    slack: a computed ``d`` is within 3u of ``|p - 1|`` (u = 2**-53: one
-    rounding in the real part of ``p - 1``, at most two in ``abs``), so
-    each computed modulus ``m`` lies in ``[1/2 - 4u, 3/2 + 4u]``. The
-    test's own pair then leaves a wide margin: where its ``(m1*m1 +
-    m2*m2)/2.0`` is at most 1, the threshold is ``tol < 1/9`` against
-    ``m1*m2 >= 1/4 - 5u``; elsewhere ``m1*m2`` over that mean is ``2r/(1 +
-    r*r)`` for the ratio ``r <= 3 + 40u`` of the moduli, at least ``3/5 -
-    8u``, and each side of the test rounds by a factor ``(1 ± u)**3`` at
-    most.
+    Where ``dmax < 1/2`` and ``singularity_tol < 1/9`` (nonnegative: the
+    analyzers check it on entry), no term of the run is singular, with no
+    scan; elsewhere ``_pairs_none_singular`` decides. Its bound from the
+    run's extremes gives the 1/9: ``|p1||p2| >= 1/4`` against a threshold of
+    at most ``tol*(3/2)**2``. The rounding slack: a computed ``d`` is within
+    3u of ``|p - 1|`` (u = 2**-53: one rounding in the real part of
+    ``p - 1``, at most two in ``abs``), so each computed modulus ``m`` lies
+    in ``[1/2 - 4u, 3/2 + 4u]``. The test's own pair then leaves a wide
+    margin: where its ``(m1*m1 + m2*m2)/2.0`` is at most 1, the threshold is
+    ``tol < 1/9`` against ``m1*m2 >= 1/4 - 5u``; elsewhere ``m1*m2`` over
+    that mean is ``2r/(1 + r*r)`` for the ratio ``r <= 3 + 40u`` of the
+    moduli, at least ``3/5 - 8u``, and each side of the test rounds by a
+    factor ``(1 ± u)**3`` at most.
 
     With the product verdict among the consumers, failures are routed as
     ``analyze_product`` states: a singular term freezes it as
@@ -589,7 +579,7 @@ def _product_pass(blocks, n_max: int, singularity_tol: float, consumers) -> None
             devs = _deviations(p1s, p2s)
         except OverflowError:
             return False
-        if devs[2] < 0.5 and 0.0 <= singularity_tol < 1.0 / 9.0 or _pairs_none_singular(
+        if devs[2] < 0.5 and singularity_tol < 1.0 / 9.0 or _pairs_none_singular(
             p1s, p2s, singularity_tol
         ):
             return devs
@@ -709,7 +699,9 @@ def evaluate_product(
     itself is non-finite.
     """
     _validate(tol, window, n_max)
-    norms = _Absolute(tol, window, open=False)
+    _check_tolerance(singularity_tol)
+    norms = _Absolute(tol, window)
+    norms.end()
     verdict = _Verdict(tol, window, singularity_tol, norms)
     _product_pass(_term_pairs(terms), n_max, singularity_tol, (norms, verdict))
     return verdict.report
@@ -735,6 +727,7 @@ def log_sum_equivalence(
     product underflows to zero; both carry the 1-based index.
     """
     _validate(1.0, 2, n_max)
+    _check_tolerance(singularity_tol)
     identity = _Identity(n_max)
     _product_pass(_term_pairs(terms), n_max, singularity_tol, (identity,))
     return identity.report
@@ -758,6 +751,7 @@ def absolute_convergence_check(
     records the index. Raises SingularTerm for singular terms.
     """
     _validate(tol, window, n_max)
+    _check_tolerance(singularity_tol)
     absolute = _Absolute(tol, window)
     _product_pass(_term_pairs(terms), n_max, singularity_tol, (absolute,))
     return absolute.report

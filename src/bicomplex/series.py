@@ -541,8 +541,10 @@ def eval_power_series(
     position if a coefficient is non-finite.
     """
     _validate(tol, window, n_max)
-    w = _coerce_term(w, 0)
-    w1, w2 = w.p1, w.p2
+    value = _coerce(w)
+    if value is None:
+        raise TypeError(f"cannot interpret argument as Bicomplex: {w!r}")
+    w1, w2 = value.p1, value.p2
 
     def pairs():
         wp1 = 1.0 + 0j

@@ -429,6 +429,27 @@ def test_default_product_pair_lane_scans_its_deviations_once(monkeypatch):
     assert rms_callers
 
 
+def test_a_modulus_past_the_float_range_sends_its_run_to_the_per_term_body(monkeypatch):
+    # term 40, whose components' moduli are past the float range, lies in
+    # the 31-term run 33..63 of the walker's 32-term block, and is no
+    # checkpoint: the product's zero-divisor screen cannot form the run's
+    # deviations and the series block step cannot take its moduli, so both
+    # passes read the run term by term, as they read one-term blocks
+    big = complex(1.5e308, 1.5e308)
+
+    def spiked(term):
+        return [(big, big) if n == 40 else term(n) for n in range(1, 101)]
+
+    analysis, per_term = _compare(monkeypatch, "product", spiked(_near_one), False, 1e-10, 100)
+    assert (analysis.product.verdict, analysis.product.terms_used) == ("diverged", 40)
+    # the absolute check reads on to n_max: the block step takes 65..100
+    assert analysis.absolute.terms_used == 100 and per_term == 64
+    report, per_term = _compare(
+        monkeypatch, "series", spiked(lambda n: (C1 / n**2, C2 / n**2)), False, 1e-10, 100
+    )
+    assert (report.verdict, report.terms_used, per_term) == ("diverged", 40, 40)
+
+
 # -- series: overflow, convergence, checkpoints and the RMS tracker ---
 
 # (name, terms by index (complex; the pair lane reads two components),

@@ -221,7 +221,7 @@ def test_division():
 
 def test_nan_tolerance_is_refused():
     # a NaN tolerance would make every comparison false: nothing singular
-    from bicomplex import evaluate_product
+    from bicomplex import absolute_convergence_check, evaluate_product, log_sum_equivalence
 
     nan = math.nan
     calls = [
@@ -236,6 +236,11 @@ def test_nan_tolerance_is_refused():
     for p in (0j, 1 + 0j, complex(1e300, 1e300)):
         with pytest.raises(ValueError, match="^tolerance must be nonnegative$"):
             _pair_zero_divisor_test(p, p, nan)
+    # the analyzers refuse it on entry, before any term is read
+    for analyzer in (evaluate_product, absolute_convergence_check, log_sum_equivalence):
+        for tol in (nan, -1.0):
+            with pytest.raises(ValueError, match="^tolerance must be nonnegative$"):
+                analyzer([], singularity_tol=tol)
 
 
 def test_singularity_verdict_fields():

@@ -282,6 +282,8 @@ def test_log_bound_check_basics():
         log_bound_check(Bicomplex(0.5))
     with pytest.raises(ValueError):
         log_bound_check(ONE + I1)
+    with pytest.raises(TypeError, match="^cannot interpret argument as Bicomplex: 'x'$"):
+        log_bound_check("x")
 
 
 def test_log_bound_check_lower_holds_on_half_ball():

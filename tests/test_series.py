@@ -42,6 +42,10 @@ def test_partial_sums_tags_bad_term():
     with pytest.raises(NonFiniteError) as info:
         partial_sums(terms())
     assert info.value.term_index == 3
+    # two finite terms whose sum overflows: the second is tagged
+    with pytest.raises(NonFiniteError) as info:
+        partial_sums([Bicomplex(1e308), Bicomplex(1e308)])
+    assert info.value.term_index == 2
 
 
 def test_geometric_series_converges():
@@ -222,11 +226,26 @@ def test_power_series_tags_bad_coefficient():
     assert info.value.term_index == 2
 
 
+def test_power_series_argument_is_no_term():
+    # w is the argument: a non-finite one carries no term index, and a
+    # non-number is named as the argument
+    for w in (complex(math.inf, 0.0), math.nan):
+        with pytest.raises(NonFiniteError) as info:
+            eval_power_series([ONE], w)
+        assert info.value.term_index is None
+    with pytest.raises(TypeError, match="^cannot interpret argument as Bicomplex: 'x'$"):
+        eval_power_series([ONE], "x")
+
+
 def test_power_series_survives_power_overflow():
     # |w| > 1 with unit coefficients: powers eventually overflow the
     # float range; the verdict must still resolve from earlier evidence
     report = eval_power_series((ONE for _ in range(10**4)), Bicomplex(10.0))
     assert report.verdict == "diverged"
+    # each term c_k*w**k is 1 until w**31 = 1e310 leaves the float range:
+    # the terms end there, with no evidence either way
+    report = eval_power_series((10.0 ** (-10 * k) for k in range(100)), Bicomplex(1e10))
+    assert (report.verdict, report.terms_used) == ("inconclusive", 31)
 
 
 def test_power_series_past_the_float_range_diverges():
