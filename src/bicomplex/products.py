@@ -184,20 +184,22 @@ def _rms(a: complex, b: complex) -> float:
 
 
 def _moduli_within(q1: complex, q2: complex, dmax: float, k: int) -> bool:
-    """The pair lane's range screen on a run of ``k`` terms whose first
-    partial products are ``q1`` and ``q2`` and whose deviations are at most
-    ``dmax``, from those alone: True only where ``dmax < 1/2`` and the
-    bound of ``_Verdict.screen`` puts every partial product inside the
-    guard and the floor."""
+    """The product verdict's range screen on a run of ``k`` terms whose
+    first partial products are ``q1`` and ``q2`` and whose deviations are
+    at most ``dmax``, from those alone: True only where ``dmax < 1/2`` and
+    the bound of ``_Verdict.screen`` puts every partial product inside the
+    guard and the floor. The lower side ``(1 - D)**k``, ``D = dmax +
+    1e-15``, goes first: it only underflows, and holds only where
+    ``k*(-log(1 - D)) <= log(m/(4*ZERO_COLLAPSE))``, ``m`` the larger
+    modulus, at most 413.8 as ``m < 1.5*sqrt(2)*OVERFLOW_GUARD`` while the
+    verdict is open. As ``log(1 + D) <= -log(1 - D)``, ``(1 + D)**k`` is
+    then at most ``e**413.8``, and never overflows (``e**709.8``)."""
     if not dmax < 0.5:
         return False
     m = max(abs(q1), abs(q2))
     step = dmax + 1e-15
-    try:
-        grown = 2.0 * m * (1.0 + step) ** k
-    except OverflowError:
-        return False
-    return 2.0 * ZERO_COLLAPSE <= 0.5 * m * (1.0 - step) ** k and grown <= 0.5 * OVERFLOW_GUARD
+    return (2.0 * ZERO_COLLAPSE <= 0.5 * m * (1.0 - step) ** k
+            and 2.0 * m * (1.0 + step) ** k <= 0.5 * OVERFLOW_GUARD)
 
 
 def _deviations(p1s, p2s):
@@ -206,7 +208,7 @@ def _deviations(p1s, p2s):
     OverflowError where a modulus leaves the float range."""
     d1s = list(map(abs, map(sub, p1s, repeat(1.0))))
     d2s = d1s if p2s is p1s else list(map(abs, map(sub, p2s, repeat(1.0))))
-    return d1s, d2s, max(max(d1s), max(d2s))
+    return d1s, d2s, max(d1s) if d2s is d1s else max(max(d1s), max(d2s))
 
 
 def partial_products(terms, n_max: int = 10**6) -> list[Bicomplex]:
@@ -227,12 +229,11 @@ class _Consumer:
     ``push(w1, w2, q1, q2, lg1, lg2, l1, l2, dev, used)`` reads term
     ``used``, the partial products, its logs, the log sums and
     ``||w - 1||``, and tells whether the report is open; ``screen(run,
-    used)`` clears a run ``(p1s, p2s, q1s, q2s, lg1s, lg2s, l1, l2,
-    devs)``, the log sums those before it and ``devs`` the run's
-    ``_deviations`` (None on the scalar lane), or gives None where a rule
-    could fire, for ``take``, which advances by the float operations of
-    ``push``; ``finish`` reports at the end of the terms. It reads terms
-    while ``live``."""
+    used)`` clears a run ``(q1s, q2s, lg1s, lg2s, l1, l2, devs)``, the log
+    sums those before it and ``devs`` the run's ``_deviations`` on either
+    lane, or gives None where a rule could fire, for ``take``, which
+    advances by the float operations of ``push``; ``finish`` reports at
+    the end of the terms. It reads terms while ``live``."""
 
     __slots__ = ("open", "report")
 
@@ -282,10 +283,9 @@ class _Absolute(_Consumer):
 
     def screen(self, run, used):
         # |w - 1| < 1 in each component makes every real part positive
-        p1s, p2s, _, _, lg1s, lg2s, _, _, devs = run
+        _, _, lg1s, lg2s, _, _, (d1s, d2s, dmax) = run
         steps = []
         if self.open or self.dev.verdict is None:
-            d1s, d2s, dmax = devs or _deviations(p1s, p2s)
             if self.open and dmax >= 1.0:
                 return None
             dev_norms = _norms(d1s, d2s)
@@ -389,34 +389,26 @@ class _Verdict(_Consumer):
         has relative error at most ``sqrt(5)*u`` (Brent, Percival and
         Zimmermann, 2007), and ``abs`` and ``**`` add a few u: over ``k``
         terms a factor ``(1 ± 3u)**k`` at most, which the factor-2 margin
-        covers for any run that fits in memory. Where ``dmax >= 1/2``,
-        where the bound leaves the range, and on the scalar lane (``q2s is
-        q1s``, where ``win2`` holds ``win1``'s values), the moduli are scanned.
+        covers for any run that fits in memory. Where ``dmax >= 1/2`` or
+        the bound leaves the range, the moduli are scanned with halved
+        margins, which on the scalar lane only refuse more runs.
         """
-        p1s, p2s, q1s, q2s, _, _, _, _, devs = run
+        q1s, q2s, _, _, _, _, (d1s, d2s, dmax) = run
         window, tol = self.window, self.tol
-        scalar = q2s is q1s
-        if not (devs and _moduli_within(q1s[0], q2s[0], devs[2], len(q1s))):
+        if not _moduli_within(q1s[0], q2s[0], dmax, len(q1s)):
+            # m/sqrt(2) <= _rms(a, b) <= m, m the larger modulus, up to
+            # a few ulps: halve the margins
             m1s = list(map(abs, q1s))
-            if scalar:
-                # the norms _rms(q, q) are the moduli: the exact-RMS range holds both
-                if not (ZERO_COLLAPSE <= min(m1s) and max(m1s) <= OVERFLOW_GUARD):
-                    return None
-            else:
-                # m/sqrt(2) <= _rms(a, b) <= m, m the larger modulus, up to
-                # a few ulps: halve the margins
-                m2s = list(map(abs, q2s))
-                if not (2.0 * ZERO_COLLAPSE <= max(min(m1s), min(m2s))
-                        and max(max(m1s), max(m2s)) <= 0.5 * OVERFLOW_GUARD):
-                    return None
+            m2s = m1s if q2s is q1s else list(map(abs, q2s))
+            if not (2.0 * ZERO_COLLAPSE <= max(min(m1s), min(m2s))
+                    and max(max(m1s), max(m2s)) <= 0.5 * OVERFLOW_GUARD):
+                return None
         if not (
             min(map(abs, _gaps(self.win1, q1s, window)), default=math.inf) >= tol
-            or not scalar
-            and min(map(abs, _gaps(self.win2, q2s, window)), default=math.inf) >= tol
+            or min(map(abs, _gaps(self.win2, q2s, window)), default=math.inf) >= tol
         ):
             return None
-        d1s, d2s, _ = _deviations(p1s[-window:], p2s[-window:])
-        return q1s[-window:], q2s[-window:], _norms(d1s, d2s)
+        return q1s[-window:], q2s[-window:], _norms(d1s[-window:], d2s[-window:])
 
     def take(self, state) -> None:
         q1s, q2s, devs = state
@@ -486,7 +478,7 @@ class _Identity(_Consumer):
         # no exp overflows (OverflowError), every norm is positive and
         # finite (a NaN fails the sum), and no component is 0
         k = self.cap - used
-        q1s, q2s, lg1s, lg2s, l1, l2 = run[2:8]
+        q1s, q2s, lg1s, lg2s, l1, l2 = run[:6]
         scalar = q2s is q1s
         if k < len(q1s):
             q1s, q2s, lg1s, lg2s = q1s[:k], q2s[:k], lg1s[:k], lg2s[:k]
@@ -542,14 +534,14 @@ def _product_pass(blocks, n_max: int, singularity_tol: float, consumers) -> None
     A run whose two lists are one is on the scalar lane, as is every run of
     its term, so the partial products and log sums have equal components:
     the block step forms one list of each for both, and the per-term body's
-    second component is a bit-identical copy. The scalar zero-divisor
-    screen, ``_none_singular``, is exact. On the pair lane the screen forms
-    each long run's ``_deviations`` ``|p - 1|`` once, with their largest
-    ``dmax``, and hands them to the block step, whose screens read them.
-    Where ``dmax < 1/2`` and ``singularity_tol < 1/9`` (nonnegative: the
-    analyzers check it on entry), no term of the run is singular, with no
-    scan; elsewhere ``_pairs_none_singular`` decides. Its bound from the
-    run's extremes gives the 1/9: ``|p1||p2| >= 1/4`` against a threshold of
+    second component is a bit-identical copy. On both lanes the zero-divisor
+    screen forms each run's ``_deviations`` ``|p - 1|`` once, with their
+    largest ``dmax``, and hands them to the block step, whose screens read
+    them. Where ``dmax < 1/2`` and ``singularity_tol < 1/9`` (nonnegative:
+    the analyzers check it on entry), no term of the run is singular, with
+    no scan; elsewhere ``_none_singular`` (exact) decides on the scalar lane
+    and ``_pairs_none_singular`` on the pair lane. The 1/9, ``p1 == p2``
+    included: ``|p1||p2| >= 1/4`` against a threshold of
     at most ``tol*(3/2)**2``. The rounding slack: a computed ``d`` is within
     3u of ``|p - 1|`` (u = 2**-53: one rounding in the real part of
     ``p - 1``, at most two in ``abs``), so each computed modulus ``m`` lies
@@ -573,14 +565,13 @@ def _product_pass(blocks, n_max: int, singularity_tol: float, consumers) -> None
     l1 = l2 = 0j
 
     def clear(p1s, p2s):
-        if p2s is p1s:
-            return _none_singular(p1s, singularity_tol)
         try:
             devs = _deviations(p1s, p2s)
         except OverflowError:
             return False
-        if devs[2] < 0.5 and singularity_tol < 1.0 / 9.0 or _pairs_none_singular(
-            p1s, p2s, singularity_tol
+        if devs[2] < 0.5 and singularity_tol < 1.0 / 9.0 or (
+            _none_singular(p1s, singularity_tol) if p2s is p1s
+            else _pairs_none_singular(p1s, p2s, singularity_tol)
         ):
             return devs
         return False
@@ -591,10 +582,10 @@ def _product_pass(blocks, n_max: int, singularity_tol: float, consumers) -> None
         try:
             q1s, lg1s = _partials(p1s, mul, q1), list(map(cmath.log, p1s))
             if p2s is p1s:
-                q2s, lg2s, devs = q1s, lg1s, None
+                q2s, lg2s = q1s, lg1s
             else:
                 q2s, lg2s = _partials(p2s, mul, q2), list(map(cmath.log, p2s))
-            run = (p1s, p2s, q1s, q2s, lg1s, lg2s, l1, l2, devs)
+            run = (q1s, q2s, lg1s, lg2s, l1, l2, devs)
             for consumer in consumers:
                 if consumer.live:
                     state = consumer.screen(run, used)

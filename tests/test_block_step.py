@@ -253,6 +253,11 @@ def test_partial_product_range_bound_implies_the_scan():
             assert 2.0 * products.ZERO_COLLAPSE <= max(min(m1s), min(m2s)), (spread, k)
             assert max(max(m1s), max(m2s)) <= 0.5 * products.OVERFLOW_GUARD, (spread, k)
     assert held > 200, held
+    # 1.45**1951 overflows, but the lower side 0.55**1951 underflows to 0
+    # first: the bound is False and raises nothing
+    with pytest.raises(OverflowError):
+        1.45**1951
+    assert products._moduli_within(1.0, 1.0, 0.45, 1951) is False
 
 
 def test_product_block_step_stops_the_absolute_check_in_mid_block(monkeypatch):
@@ -403,30 +408,49 @@ def test_default_product_pair_lane_scans_its_deviations_once(monkeypatch):
     # the default product's terms stay within 1/2 of 1 and have conjugate
     # components: the deviations clear each long run of zero divisors with
     # no _pairs_none_singular scan, and the deviation and log-norm series
-    # take the equal moduli with no RMS
-    singular_scans = []
-    rms_callers = []
-    pairs_none_singular, rms_moduli = products._pairs_none_singular, series._rms_moduli
+    # take the equal moduli with no RMS. 1+1/n's long runs, on the scalar
+    # lane, take the same route: the deviations clear them with no
+    # _none_singular scan, and on every run the verdict screens, its range
+    # bound holds from the run's deviations, with no scan of the moduli
+    pairs_none_singular, none_singular = products._pairs_none_singular, products._none_singular
+    moduli_within, rms_moduli = products._moduli_within, series._rms_moduli
+    for text, pair in (("1 + (3/10 + 2/5*i2)/n^2", True), ("1+1/n", False)):
+        singular_scans = []
+        bounds = []
+        rms_callers = []
 
-    def spy_scan(p1s, p2s, tol):
-        singular_scans.append(len(p1s))
-        return pairs_none_singular(p1s, p2s, tol)
+        def spy_scan(scan):
+            def spy(p1s, *args):
+                singular_scans.append(len(p1s))
+                return scan(p1s, *args)
 
-    def spy_rms(m1s, m2s):
-        # the consumer whose screen called _norms
-        rms_callers.append(type(sys._getframe(2).f_locals.get("self")))
-        return rms_moduli(m1s, m2s)
+            return spy
 
-    monkeypatch.setattr(products, "_pairs_none_singular", spy_scan)
-    monkeypatch.setattr(series, "_rms_moduli", spy_rms)
-    blocks = list(seqspec._lane_blocks(seqspec.parse("1 + (3/10 + 2/5*i2)/n^2"), 1, 20001))
-    assert all(p1s is not p2s for p1s, p2s in blocks)
-    analysis = PASSES["product"](iter(blocks), 1e-10, 8, 20_000)
-    assert analysis.product.terms_used == 20_000
-    assert singular_scans == []
-    assert [c for c in rms_callers if c in (products._Absolute, products._Verdict)] == []
-    # the identity's discrepancies, equal but 0 at some terms, still do
-    assert rms_callers
+        def spy_bound(*args):
+            bounds.append(moduli_within(*args))
+            return bounds[-1]
+
+        def spy_rms(m1s, m2s):
+            # the consumer whose screen called _norms
+            rms_callers.append(type(sys._getframe(2).f_locals.get("self")))
+            return rms_moduli(m1s, m2s)
+
+        monkeypatch.setattr(products, "_pairs_none_singular", spy_scan(pairs_none_singular))
+        monkeypatch.setattr(products, "_none_singular", spy_scan(none_singular))
+        monkeypatch.setattr(products, "_moduli_within", spy_bound)
+        monkeypatch.setattr(series, "_rms_moduli", spy_rms)
+        blocks = list(seqspec._lane_blocks(seqspec.parse(text), 1, 20001))
+        assert all((p1s is not p2s) == pair for p1s, p2s in blocks)
+        analysis = PASSES["product"](iter(blocks), 1e-10, 8, 20_000)
+        monkeypatch.undo()
+        assert analysis.product.terms_used == 20_000
+        assert [k for k in singular_scans if k >= series._MIN_RUN] == [], text
+        assert bounds and all(bounds), text
+        assert [c for c in rms_callers if c in (products._Absolute, products._Verdict)] == [], text
+        if pair:
+            assert singular_scans == []
+            # the identity's discrepancies, equal but 0 at some terms, still do
+            assert rms_callers
 
 
 def test_a_modulus_past_the_float_range_sends_its_run_to_the_per_term_body(monkeypatch):

@@ -4,8 +4,8 @@ costs and the share of terms the block step screened, then one row per
 short-budget product run, with its lane, budget, cost and per-term
 reads, then one row per public analyzer on prebuilt terms, with its
 term count and cost, then one row per expression of eval_term's
-one-index cost, then one row per piece of the default product's
-pair-lane block step.
+one-index cost, then one row per piece of the block step of the
+default product, on the pair lane, and of 1+1/n, on the scalar lane.
 
 The tool is run as a script, as it is used.
 """
@@ -109,18 +109,33 @@ def test_layer_split_prints_one_row_per_long_workload():
         '| pair-lane block step of `product "1 + (3/10 + 2/5*i2)/n^2"` | terms | ns/term |',
         "|---|---:|---:|",
     ]
-    pieces = [re.fullmatch(r"\| (.+) \| ([\d,]+) \| ([\d,]+) \|", line) for line in lines[28:]]
-    assert all(pieces), lines
-    # the clearance, the three screens and the rest of the step, each
-    # over the 2,000 terms the pass reads
-    assert [(m[1], m[2]) for m in pieces] == [
-        ("deviation scan and clearance", "2,000"),
-        ("`_Absolute.screen`", "2,000"),
-        ("`_Verdict.screen`", "2,000"),
-        ("`_Identity.screen`", "2,000"),
-        ("partial products, logs and takes", "2,000"),
+    # the same pieces on the scalar lane, for 1+1/n
+    assert lines[33:36] == [
+        "",
+        '| scalar-lane block step of `product "1+1/n"` | terms | ns/term |',
+        "|---|---:|---:|",
     ]
-    assert all(int(m[3].replace(",", "")) > 0 for m in pieces)
+    assert len(lines) == 41, lines
+    for start in (28, 36):
+        pieces = [re.fullmatch(r"\| (.+) \| ([\d,]+) \| ([\d,]+) \|", line)
+                  for line in lines[start:start + 5]]
+        assert all(pieces), lines
+        # the clearance, the three screens and the rest of the step, each
+        # over the 2,000 terms the pass reads
+        assert [(m[1], m[2]) for m in pieces] == [
+            ("deviation scan and clearance", "2,000"),
+            ("`_Absolute.screen`", "2,000"),
+            ("`_Verdict.screen`", "2,000"),
+            ("`_Identity.screen`", "2,000"),
+            ("partial products, logs and takes", "2,000"),
+        ]
+        ns = [int(m[3].replace(",", "")) for m in pieces]
+        if start == 28:
+            assert all(n > 0 for n in ns), ns
+        else:
+            # 1+1/n's absolute check decides at term 32, before the first
+            # long run, so its screen never runs
+            assert ns[1] == 0 and all(n > 0 for n in ns[:1] + ns[2:]), ns
 
 
 def test_layer_split_refuses_bad_sizes():

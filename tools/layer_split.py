@@ -43,14 +43,15 @@ AST, which compiles the term for each call as the CLI's ``eval`` does,
 and on a term compiled once. Each figure is one pass of 1,000 calls, at
 indices 1 to 1,000.
 
-A fifth table splits the pass column of the first row, the default
-product on the pair lane, by the pieces of its block step, in ns per
-term read: the deviation scan with the zero-divisor clearance (the
-screen ``_drive`` runs on each long run), the screens of the absolute
-check, the product verdict and the log-sum identity, and the rest of the
-step: its partial products, logs and the consumers' takes. Each piece is
-timed around its call, once per run; the per-term body and the cutting
-of blocks into runs are in no piece.
+A fifth and a sixth table split the pass column of the first two rows,
+the default product on the pair lane and ``1+1/n`` on the scalar lane,
+by the pieces of the block step, which are the same on both lanes, in
+ns per term read: the deviation scan with the zero-divisor clearance
+(the screen ``_drive`` runs on each long run), the screens of the
+absolute check, the product verdict and the log-sum identity, and the
+rest of the step: its partial products, logs and the consumers' takes.
+Each piece is timed around its call, once per run; the per-term body
+and the cutting of blocks into runs are in no piece.
 
 Each time is the minimum of ``--repeats`` runs, in-process. Compare
 figures taken on one machine in one session: the speed of a shared box
@@ -104,8 +105,9 @@ ONE_INDEX = tuple(text for _, text, _ in WORKLOADS) + (
     "(1 + i2/n)^-3 + sqrt(2 - e1/n)*n^2/(n+3)",
 )
 ONE_INDEX_CALLS = 1000
-# the block-step pieces of the fifth table: the clearance, the consumers'
-# screens, and the step's own work, all of the step that is no screen
+# the block-step pieces of the fifth and sixth tables: the clearance, the
+# consumers' screens, and the step's own work, all of the step that is no
+# screen
 STEP_SCREENS = (products._Absolute, products._Verdict, products._Identity)
 STEP_PIECES = ("deviation scan and clearance",
                *(f"`{kind.__name__}.screen`" for kind in STEP_SCREENS),
@@ -234,8 +236,8 @@ def analyzer_cost(analyzer, text: str, n: int, repeats: int) -> tuple[int, float
     return count, _min_ns(run, repeats) / count
 
 
-def block_step_split(text: str, n_max: int, repeats: int) -> tuple[int, list[float]]:
-    """``(terms, ns/term of each of STEP_PIECES)``: the CLI's product pass
+def block_step_split(text: str, n_max: int, repeats: int) -> tuple[str, int, list[float]]:
+    """``(lane, terms, ns/term of each of STEP_PIECES)``: the CLI's product pass
     over the prebuilt walker blocks of ``text`` that it reads, its block
     step timed by piece through wrappers on the ``clear`` and ``step``
     that ``_product_pass`` hands ``_drive`` and on the consumers'
@@ -281,7 +283,7 @@ def block_step_split(text: str, n_max: int, repeats: int) -> tuple[int, list[flo
         products._drive = drive
         for kind in STEP_SCREENS:
             kind.screen = screens[kind]
-    return count, [ns / count for ns in best]
+    return _lane(read), count, [ns / count for ns in best]
 
 
 def one_index_cost(text: str, calls: int, repeats: int) -> tuple[float, float]:
@@ -352,14 +354,14 @@ def main(argv=None) -> int:
         ast_us, compiled_us = one_index_cost(text, calls, args.repeats)
         print(f'| "{text}" | {calls:,} | {ast_us:.2f} | {compiled_us:.2f} |')
 
-    command, text, budget = WORKLOADS[0]
-    n_max = budget if args.max_terms is None else min(budget, args.max_terms)
-    count, pieces = block_step_split(text, n_max, args.repeats)
-    print()
-    print(f'| pair-lane block step of `{command} "{text}"` | terms | ns/term |')
-    print("|---|---:|---:|")
-    for piece, ns in zip(STEP_PIECES, pieces):
-        print(f"| {piece} | {count:,} | {ns:,.0f} |")
+    for command, text, budget in WORKLOADS[:2]:
+        n_max = budget if args.max_terms is None else min(budget, args.max_terms)
+        lane, count, pieces = block_step_split(text, n_max, args.repeats)
+        print()
+        print(f'| {lane}-lane block step of `{command} "{text}"` | terms | ns/term |')
+        print("|---|---:|---:|")
+        for piece, ns in zip(STEP_PIECES, pieces):
+            print(f"| {piece} | {count:,} | {ns:,.0f} |")
     return 0
 
 
