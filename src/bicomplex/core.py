@@ -562,47 +562,42 @@ def _pair_zero_divisor_test(p1: complex, p2: complex, tol: float):
     return cn_mag <= threshold, cn_mag, threshold, m1 if m1 < m2 else m2
 
 
-def _none_singular(ps, tol: float) -> bool:
-    """Whether ``_pair_zero_divisor_test(p, p, tol)`` passes every ``p`` in
-    ``ps``, for ``0 <= tol < 1``, in one scan: ``min(m*m) > tol`` over the
-    moduli.
-
-    Exact: on ``(p, p)`` the test's ``(m*m + m*m)/2.0`` is ``m*m`` while
-    ``m*m < 2**1023``, so a square ``cn = m*m`` there is singular when
-    ``cn <= tol*max(1, cn)``, which is ``cn <= tol`` for ``cn <= 1``, and
-    never holds for ``cn > 1``, where ``tol*cn`` rounds below ``cn``; a
-    larger square takes the test's scaled branch, whose copies are never
-    singular for ``tol < 1`` either. Where a modulus leaves the float
-    range, the test itself decides.
-    """
-    try:
-        ms = list(map(abs, ps))
-    except OverflowError:
-        return not any(_pair_zero_divisor_test(p, p, tol)[0] for p in ps)
-    return min(map(operator.mul, ms, ms)) > tol
-
-
-def _pairs_none_singular(p1s, p2s, tol: float) -> bool:
+def _none_singular(p1s, p2s, tol: float) -> bool:
     """True only when ``_pair_zero_divisor_test(p1, p2, tol)`` passes every
-    pair of ``p1s`` and ``p2s``, for ``tol >= 0`` (unchecked here), from the
-    extremes of the moduli: ``min(m1s)*min(m2s) > tol*max(1, (M1*M1 +
-    M2*M2)/2.0)``, where ``M1`` and ``M2`` are the largest moduli.
+    pair of ``p1s`` and ``p2s``, for ``tol >= 0`` (unchecked here), in one
+    scan of the moduli: the zero-divisor screen of a block of terms. The
+    lane is list identity, and the function reads it.
 
-    A sufficient bound, because rounding is monotone: each float
-    operation of the test gives a result no smaller for operands no
+    One list (``p2s is p1s``) and ``tol < 1``: ``min(m*m) > tol``, exact.
+    On ``(p, p)`` the test's ``(m*m + m*m)/2.0`` is ``m*m`` while ``m*m <
+    2**1023``, so a square ``cn = m*m`` there is singular when ``cn <=
+    tol*max(1, cn)``, which is ``cn <= tol`` for ``cn <= 1``, and never
+    holds for ``cn > 1``, where ``tol*cn`` rounds below ``cn``; a larger
+    square takes the test's scaled branch, whose copies are never singular
+    for ``tol < 1`` either.
+
+    Otherwise the extremes of the moduli decide: ``min(m1s)*min(m2s) >
+    tol*max(1, (M1*M1 + M2*M2)/2.0)``, where ``M1`` and ``M2`` are the
+    largest moduli. A sufficient bound, because rounding is monotone: each
+    float operation of the test gives a result no smaller for operands no
     smaller. So each pair's ``|p1|*|p2|`` rounds to at least the product
     of the smallest moduli, and its threshold, built from moduli no larger
     than ``M1`` and ``M2`` by the same operations, to at most the right
     side. Where the right side is inf (``M1*M1 + M2*M2`` overflows), the
     bound fails; elsewhere no pair's products overflow either, so no pair
-    takes the test's scaled branch. Where a modulus leaves the float
-    range, it fails too, and the per-element test decides.
+    takes the test's scaled branch. On one list at ``tol >= 1`` it never
+    holds, as ``min*min <= M*M``; there the test fires on every ``(p, p)``
+    but a NaN one, and the caller's per-element test decides.
+
+    Where a modulus leaves the float range, the test decides on each pair.
     """
     try:
         m1s = list(map(abs, p1s))
-        m2s = list(map(abs, p2s))
+        m2s = m1s if p2s is p1s else list(map(abs, p2s))
     except OverflowError:
-        return False
+        return not any(_pair_zero_divisor_test(p1, p2, tol)[0] for p1, p2 in zip(p1s, p2s))
+    if m2s is m1s and tol < 1.0:
+        return min(map(operator.mul, m1s, m1s)) > tol
     big1 = max(m1s)
     big2 = max(m2s)
     norm_sq = (big1 * big1 + big2 * big2) / 2.0

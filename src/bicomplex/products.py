@@ -89,7 +89,7 @@ from operator import add, attrgetter, mul, ne, or_, sub, truediv
 
 from .core import (
     SINGULARITY_TOLERANCE, Bicomplex, NonFiniteError, SingularTerm, _check_tolerance,
-    _none_singular, _pair_zero_divisor_test, _pairs_none_singular, _Record, _validate,
+    _none_singular, _pair_zero_divisor_test, _Record, _validate,
 )
 from .seqspec import _TERM_ERRORS
 from .series import (
@@ -539,13 +539,13 @@ def _product_pass(blocks, n_max: int, singularity_tol: float, consumers) -> None
     largest ``dmax``, and hands them to the block step, whose screens read
     them. Where ``dmax < 1/2`` and ``singularity_tol < 1/9`` (nonnegative:
     the analyzers check it on entry), no term of the run is singular, with
-    no scan; elsewhere ``_none_singular`` (exact) decides on the scalar lane
-    and ``_pairs_none_singular`` on the pair lane. The 1/9, ``p1 == p2``
-    included: ``|p1||p2| >= 1/4`` against a threshold of
-    at most ``tol*(3/2)**2``. The rounding slack: a computed ``d`` is within
-    3u of ``|p - 1|`` (u = 2**-53: one rounding in the real part of
-    ``p - 1``, at most two in ``abs``), so each computed modulus ``m`` lies
-    in ``[1/2 - 4u, 3/2 + 4u]``. The test's own pair then leaves a wide
+    no scan; elsewhere ``core._none_singular``, the one zero-divisor screen
+    of a block, decides on either lane (exact on the scalar lane below a
+    tolerance of 1). The 1/9, ``p1 == p2`` included: ``|p1||p2| >= 1/4``
+    against a threshold of at most ``tol*(3/2)**2``. The rounding slack: a
+    computed ``d`` is within 3u of ``|p - 1|`` (u = 2**-53: one rounding in
+    the real part of ``p - 1``, at most two in ``abs``), so each computed
+    modulus ``m`` lies in ``[1/2 - 4u, 3/2 + 4u]``. The test's own pair then leaves a wide
     margin: where its ``(m1*m1 + m2*m2)/2.0`` is at most 1, the threshold is
     ``tol < 1/9`` against ``m1*m2 >= 1/4 - 5u``; elsewhere ``m1*m2`` over
     that mean is ``2r/(1 + r*r)`` for the ratio ``r <= 3 + 40u`` of the
@@ -569,9 +569,8 @@ def _product_pass(blocks, n_max: int, singularity_tol: float, consumers) -> None
             devs = _deviations(p1s, p2s)
         except OverflowError:
             return False
-        if devs[2] < 0.5 and singularity_tol < 1.0 / 9.0 or (
-            _none_singular(p1s, singularity_tol) if p2s is p1s
-            else _pairs_none_singular(p1s, p2s, singularity_tol)
+        if devs[2] < 0.5 and singularity_tol < 1.0 / 9.0 or _none_singular(
+            p1s, p2s, singularity_tol
         ):
             return devs
         return False

@@ -78,7 +78,6 @@ from .core import (
     _isfinite,
     _none_singular,
     _pair_inverse,
-    _pairs_none_singular,
     _power,
     _Record,
 )
@@ -401,7 +400,8 @@ def _compile(node):
     block in element order, so a block of one index raises exactly the
     ring operation's error. A division, negative power or
     ``log``/``sqrt`` makes the zero-divisor test on the pair
-    (``core._pair_zero_divisor_test``). Subtrees that do not use ``n``
+    (``core._pair_zero_divisor_test``), its scan the one block screen
+    ``core._none_singular`` on either lane. Subtrees that do not use ``n``
     are evaluated here, at one index, except those that raise: they stay
     in place, so their error comes from every evaluation.
 
@@ -451,16 +451,14 @@ def _checked(ps):
 
 def _inverses(p1s, p2s):
     """``_pair_inverse`` of each pair, as the lists of ``r1`` and of ``r2``,
-    its zero-divisor test one scan; where ``p1s is p2s``, one list of
-    inverses, as both components."""
-    if p1s is p2s:
-        if _none_singular(p1s, SINGULARITY_TOLERANCE):
+    its zero-divisor test one ``_none_singular`` scan; where ``p1s is p2s``,
+    one list of inverses, as both components."""
+    if _none_singular(p1s, p2s, SINGULARITY_TOLERANCE):
+        r1s = list(map(operator.truediv, repeat(1.0), p1s))
+        if p1s is p2s:
             # no finiteness scan: a finite p that passes the test has
             # |p| > 1e-6, so |1/p| < 1e6, and no closure holds a NaN
-            rs = list(map(operator.truediv, repeat(1.0), p1s))
-            return rs, rs
-    elif _pairs_none_singular(p1s, p2s, SINGULARITY_TOLERANCE):
-        r1s = list(map(operator.truediv, repeat(1.0), p1s))
+            return r1s, r1s
         r2s = list(map(operator.truediv, repeat(1.0), p2s))
         if all(map(_isfinite, r1s)) and all(map(_isfinite, r2s)):
             return r1s, r2s
@@ -566,15 +564,11 @@ def _call(node, arg):
 
     def fn(ns):
         p1s, p2s = arg(ns)
-        shared = p1s is p2s
-        if what is not None and not (
-            _none_singular(p1s, SINGULARITY_TOLERANCE) if shared
-            else _pairs_none_singular(p1s, p2s, SINGULARITY_TOLERANCE)
-        ):
+        if what is not None and not _none_singular(p1s, p2s, SINGULARITY_TOLERANCE):
             for p1, p2 in zip(p1s, p2s):
                 _invertible_pair(p1, p2, SINGULARITY_TOLERANCE, what)
         r1s = list(map(func, p1s))
-        return (r1s, r1s) if shared else (r1s, list(map(func, p2s)))
+        return (r1s, r1s) if p1s is p2s else (r1s, list(map(func, p2s)))
 
     return fn
 

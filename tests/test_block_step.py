@@ -208,13 +208,13 @@ def _analysis_at(blocks, singularity_tol, n_max):
 def test_product_block_step_zero_divisor_clearance_at_and_above_one_ninth(monkeypatch):
     # every term lies within 1/2 of 1, and term 2,500 is (0.55, 1.45):
     # singular from a tolerance of 0.6632 on. Below 1/9 the deviations
-    # clear each long run; from 1/9 on, _pairs_none_singular decides
+    # clear each long run; from 1/9 on, _none_singular decides
     terms = [(0.55 + 0j, 1.45 + 0j) if n == 2500 else _near_one(n) for n in range(1, 4001)]
     scans = []
-    scan = products._pairs_none_singular
+    scan = products._none_singular
     for tol, singular in ((1e-12, False), (1.0 / 9.0, False), (0.2, False), (0.7, True)):
         single = _outcome(_analysis_at, one_term_blocks(terms, False), tol, 4000)
-        monkeypatch.setattr(products, "_pairs_none_singular",
+        monkeypatch.setattr(products, "_none_singular",
                             lambda *args: scans.append(args[2]) or scan(*args))
         count = _per_term_reads(monkeypatch)
         walker = _outcome(_analysis_at, walker_blocks(terms, False), tol, 4000)
@@ -228,6 +228,17 @@ def test_product_block_step_zero_divisor_clearance_at_and_above_one_ninth(monkey
             assert analysis.product.terms_used == 4000
             assert count[0] <= 100, (tol, count[0])
     assert 1e-12 not in scans and {1.0 / 9.0, 0.2, 0.7} <= set(scans)
+
+
+def test_product_pass_screen_does_not_depend_on_the_lane():
+    # 2 is singular from a tolerance of 1 on: the same 20 terms, as one list
+    # and as two, give the same reports at every tolerance
+    for tol, verdict in ((0.5, "inconclusive"), (1.0, "singular_term"), (2.0, "singular_term")):
+        ps = [2 + 0j] * 20
+        scalar = _bits(_analysis_at([(ps, ps)], tol, 20))
+        pair = _analysis_at([(ps, list(ps))], tol, 20)
+        assert _bits(pair) == scalar, tol
+        assert pair.product.verdict == verdict, tol
 
 
 def test_partial_product_range_bound_implies_the_scan():
@@ -407,12 +418,12 @@ def test_product_pass_reads_few_of_its_first_1000_terms_one_at_a_time(monkeypatc
 def test_default_product_pair_lane_scans_its_deviations_once(monkeypatch):
     # the default product's terms stay within 1/2 of 1 and have conjugate
     # components: the deviations clear each long run of zero divisors with
-    # no _pairs_none_singular scan, and the deviation and log-norm series
+    # no _none_singular scan, and the deviation and log-norm series
     # take the equal moduli with no RMS. 1+1/n's long runs, on the scalar
-    # lane, take the same route: the deviations clear them with no
-    # _none_singular scan, and on every run the verdict screens, its range
+    # lane, take the same route: the deviations clear them with no scan
+    # either, and on every run the verdict screens, its range
     # bound holds from the run's deviations, with no scan of the moduli
-    pairs_none_singular, none_singular = products._pairs_none_singular, products._none_singular
+    none_singular = products._none_singular
     moduli_within, rms_moduli = products._moduli_within, series._rms_moduli
     for text, pair in (("1 + (3/10 + 2/5*i2)/n^2", True), ("1+1/n", False)):
         singular_scans = []
@@ -435,7 +446,6 @@ def test_default_product_pair_lane_scans_its_deviations_once(monkeypatch):
             rms_callers.append(type(sys._getframe(2).f_locals.get("self")))
             return rms_moduli(m1s, m2s)
 
-        monkeypatch.setattr(products, "_pairs_none_singular", spy_scan(pairs_none_singular))
         monkeypatch.setattr(products, "_none_singular", spy_scan(none_singular))
         monkeypatch.setattr(products, "_moduli_within", spy_bound)
         monkeypatch.setattr(series, "_rms_moduli", spy_rms)

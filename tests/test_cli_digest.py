@@ -5,6 +5,7 @@ The tool is run as a script, as it is used.
 """
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -46,6 +47,27 @@ def test_digest_repeats_and_compare_names_the_changed_job(tmp_path):
     assert lines[0] == "40 jobs compared, 1 differ"
     assert lines[1] == "stdout: 1 jobs"
     assert lines[2].startswith(f"  seed 1 job {changed['job']}: ")
+
+
+def test_compare_exits_quietly_when_its_reader_closes_stdout(tmp_path):
+    # as under `--compare OLD NEW | head`: stdout is a pipe whose read end
+    # is closed before the tool writes to it
+    dump, altered = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    assert _tool("--seeds", "1", "--jobs", "10", "--dump", str(dump)).returncode == 0
+    records = [json.loads(line) for line in dump.read_text().splitlines()]
+    altered.write_text("".join(
+        json.dumps({**r, "stdout": r["stdout"] + "x"}, sort_keys=True) + "\n" for r in records
+    ))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        run = subprocess.run(
+            [sys.executable, str(TOOL), "--compare", str(dump), str(altered)],
+            stdout=write, stderr=subprocess.PIPE, text=True, timeout=300,
+        )
+    finally:
+        os.close(write)
+    assert run.returncode == 1 and run.stderr == ""
 
 
 # sha256 over argv, exit code, stdout and stderr of the first 300 jobs of

@@ -22,7 +22,6 @@ from bicomplex.core import (
     _join,
     _none_singular,
     _pair_zero_divisor_test,
-    _pairs_none_singular,
     _split,
 )
 from bicomplex.transcendental import trig_form
@@ -592,10 +591,12 @@ def _screen_block(rng, groups, size: int) -> list[complex]:
 
 
 def test_block_zero_divisor_screens_against_the_tests():
-    # _none_singular is exact; _pairs_none_singular may refuse a block
-    # the per-element test passes, never the reverse
+    # the one block screen reads the lane: on one list it is exact below a
+    # tolerance of 1, and from 1 on, where the test finds every (p, p)
+    # singular, it clears no block; on two lists it may refuse a block the
+    # per-element test passes, never the reverse
     rng = np.random.default_rng(2020)
-    for tol in (1e-12, 1e-6, 0.5):
+    for tol in (1e-12, 1e-6, 0.5, 1.0, 2.0):
         groups = _screen_moduli(tol)
         scalar_outcomes = set()
         pair_cleared = pair_refused = 0
@@ -603,20 +604,27 @@ def test_block_zero_divisor_screens_against_the_tests():
             size = int(rng.integers(1, 9))
             ps = _screen_block(rng, groups, size)
             every = not any(_pair_zero_divisor_test(p, p, tol)[0] for p in ps)
-            assert _none_singular(ps, tol) == every, (ps, tol)
+            assert _none_singular(ps, ps, tol) == every, (ps, tol)
             scalar_outcomes.add(every)
 
             p1s, p2s = _screen_block(rng, groups, size), _screen_block(rng, groups, size)
-            if _pairs_none_singular(p1s, p2s, tol):
+            if _none_singular(p1s, p2s, tol):
                 pair_cleared += 1
                 assert not any(
                     _pair_zero_divisor_test(a, b, tol)[0] for a, b in zip(p1s, p2s)
                 ), (p1s, p2s, tol)
             else:
                 pair_refused += 1
-        # both outcomes are reached at every tolerance
-        assert scalar_outcomes == {True, False}, tol
-        assert pair_cleared > 20 and pair_refused > 20, (tol, pair_cleared, pair_refused)
+        if tol < 1.0:
+            # both outcomes are reached below 1
+            assert scalar_outcomes == {True, False}, tol
+            assert pair_cleared > 20 and pair_refused > 20, (tol, pair_cleared, pair_refused)
+        else:
+            assert scalar_outcomes == {False}, tol
+    # 2 is singular at a tolerance of 2, as one list and as two
+    assert _pair_zero_divisor_test(2 + 0j, 2 + 0j, 2.0)[0]
+    for ps in ([2 + 0j], [2 + 0j] * 20):
+        assert not _none_singular(ps, ps, 2.0) and not _none_singular(ps, list(ps), 2.0)
 
 
 def test_negation_keeps_zero_parts_positive():

@@ -905,3 +905,33 @@ def test_converged_products_lie_within_the_tail_bound_of_their_closed_form(
             root = mp.pi * mp.sqrt(mp.mpc(a))
             gap = abs(mp.mpc(q) - mp.sinh(root) / root)
             assert gap <= abs(q) * math.expm1(abs(a) / n), (text, n, float(gap))
+
+
+# the divisors of the known-truth families, with the exponent p of each
+# as n^p: a component product of 1 + a/d converges where sum |a|/d does,
+# which is where p > 1
+DIVISORS = (("n", 1.0), ("n^2", 2.0), ("n^3", 3.0), ("sqrt(n)", 0.5), ("n*sqrt(n)", 1.5))
+
+
+def _coefficient(rng) -> str:
+    """A complex ``a`` with ``|a|`` log-uniform in [1e-7, 1) and a random
+    phase, as text in ``i1``."""
+    a = cmath.rect(10.0 ** rng.uniform(-7.0, 0.0), rng.uniform(-math.pi, math.pi))
+    return f"({a.real!r} {'-' if a.imag < 0 else '+'} {abs(a.imag)!r}*i1)"
+
+
+def test_no_convergent_known_truth_product_is_called_divergent():
+    # [1 + a/d1 | 1 + b/d2] on seeded draws, through the CLI's pass at the
+    # CLI's tol and window: |a|, |b| < 1, so no term vanishes, and the
+    # bicomplex product converges where both component products do. The
+    # rules promise no divergence verdict there; they do not promise the
+    # reverse, as a window that settles on a slowly divergent product says
+    # converged_nonsingular
+    rng = np.random.default_rng(3131)
+    for _ in range(40):
+        (d1, p1), (d2, p2) = (DIVISORS[i] for i in rng.integers(0, len(DIVISORS), size=2))
+        text = f"[1 + {_coefficient(rng)}/({d1}) | 1 + {_coefficient(rng)}/({d2})]"
+        blocks = seqspec._lane_blocks(seqspec.parse(text), 1, 20_001)
+        verdict = _analyze_product_pairs(blocks, 1e-10, 8, 20_000).product.verdict
+        if p1 > 1 and p2 > 1:
+            assert verdict not in ("diverged", "diverged_to_zero"), text

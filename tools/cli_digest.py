@@ -6,7 +6,8 @@ over every job's argv, exit code, stdout and stderr. Two checkouts that
 print the same digest behave identically on those jobs; ``--dump PATH``
 also writes one JSON record per job, and ``--compare OLD NEW`` lists the
 jobs that differ between two dumps, grouped by which of exit code,
-stdout and stderr changed (exit status 1 when any differ). Jobs whose
+stdout and stderr changed (exit status 1 when any differ, or when the
+reader closes stdout first, which stops the tool quietly). Jobs whose
 stdout differs only in the sign of zeros (``-0.0`` and ``0.0``, ``- 0*``
 and ``+ 0*``) form a group of their own.
 
@@ -24,6 +25,7 @@ import argparse
 import hashlib
 import io
 import json
+import os
 import re
 import shlex
 import sys
@@ -137,4 +139,13 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (``--compare OLD NEW | head``): stop
+        # quietly, and point stdout at devnull so the flush at exit does not
+        # fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
