@@ -19,6 +19,7 @@ digits.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import seqspec
@@ -107,6 +108,22 @@ def _bc_json(w: Bicomplex | None):
     }
 
 
+# the report fields that hold a bicomplex value
+_VALUE_FIELDS = ("limit_estimate", "log_sum", "product_limit", "exp_of_log_sum")
+
+
+def _report_json(report) -> dict | None:
+    """The JSON object of a report record, None for a missing report: the
+    record's fields in order, its bicomplex values last."""
+    if report is None:
+        return None
+    doc = {}
+    for field in sorted(report._fields, key=_VALUE_FIELDS.__contains__):
+        value = getattr(report, field)
+        doc[field] = _bc_json(value) if field in _VALUE_FIELDS else value
+    return doc
+
+
 def _bc_lines(label: str, w: Bicomplex | None) -> list[str]:
     if w is None:
         return [f"{label}: non-finite"]
@@ -158,18 +175,6 @@ def _cmd_eval(args: argparse.Namespace, node) -> int:
     return 0
 
 
-def _series_json(report) -> dict:
-    return {
-        "verdict": report.verdict,
-        "terms_used": report.terms_used,
-        "tail_delta": report.tail_delta,
-        "absolute": report.absolute,
-        "component_verdicts": list(report.component_verdicts),
-        "absolute_component_verdicts": list(report.absolute_component_verdicts),
-        "limit_estimate": _bc_json(report.limit_estimate),
-    }
-
-
 def _cmd_series(args: argparse.Namespace, node) -> int:
     from .series import _analyze_pairs
     blocks = seqspec._lane_blocks(node, 1, args.max_terms + 1)
@@ -182,7 +187,7 @@ def _cmd_series(args: argparse.Namespace, node) -> int:
         "component verdicts: " + ", ".join(report.component_verdicts),
     ]
     lines += _bc_lines("limit estimate", report.limit_estimate)
-    _emit(args, {"report": _series_json(report)}, lines)
+    _emit(args, {"report": _report_json(report)}, lines)
     if args.strict and report.verdict != "converged":
         return 1
     return 0
@@ -224,31 +229,9 @@ def _cmd_product(args: argparse.Namespace, node) -> int:
         )
 
     payload = {
-        "product": {
-            "verdict": report.verdict,
-            "terms_used": report.terms_used,
-            "necessary_condition_ok": report.necessary_condition_ok,
-            "absolute": report.absolute,
-            "criteria_agreement": report.criteria_agreement,
-            "singular_index": report.singular_index,
-            "limit_estimate": _bc_json(report.limit_estimate),
-            "log_sum": _bc_json(report.log_sum),
-        },
-        "absolute_check": None if absolute_check is None else {
-            "via_log_norms": absolute_check.via_log_norms,
-            "via_deviation_norms": absolute_check.via_deviation_norms,
-            "agree": absolute_check.agree,
-            "hypothesis_violation_index": absolute_check.hypothesis_violation_index,
-            "terms_used": absolute_check.terms_used,
-        },
-        "log_sum_identity": None if identity is None else {
-            "max_discrepancy": identity.max_discrepancy,
-            "branch_offset": list(identity.branch_offset),
-            "branch_offset_changes": identity.branch_offset_changes,
-            "terms_used": identity.terms_used,
-            "product_limit": _bc_json(identity.product_limit),
-            "exp_of_log_sum": _bc_json(identity.exp_of_log_sum),
-        },
+        "product": _report_json(report),
+        "absolute_check": _report_json(absolute_check),
+        "log_sum_identity": _report_json(identity),
     }
     _emit(args, payload, lines)
     if report.verdict == "singular_term":
@@ -299,7 +282,14 @@ def main(argv=None) -> int:
         print(f"parse error: {err}", file=sys.stderr)
         return 2
     try:
-        return args.run(args, node)
+        code = args.run(args, node)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: stop quietly, and point stdout at
+        # devnull so the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (SingularOperand, SingularTerm) as err:
         print(f"singular abort: {err}", file=sys.stderr)
         return 3

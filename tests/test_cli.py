@@ -1,13 +1,16 @@
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 import bicomplex
+from bicomplex.cli import main
 from helpers import GOLDEN_DIR, run_cli
 
 GOLDEN_CASES = {
@@ -296,6 +299,63 @@ def test_product_json_sections_present():
     assert doc["product"]["necessary_condition_ok"] is False
     assert doc["absolute_check"]["agree"] in (True, False)
     assert doc["log_sum_identity"]["terms_used"] <= 1000
+
+
+def test_product_past_the_float_range_prints_a_non_finite_value():
+    code, out, err = run_cli(["product", "exp(300*n)"])
+    assert code == 0 and err == ""
+    assert "limit estimate: non-finite" in out.splitlines()
+    code, out, err = run_cli(["product", "exp(300*n)", "--json"])
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["product"]["limit_estimate"] is None
+    assert doc["product"]["log_sum"]["four_reals"] == [900.0, 0.0, 0.0, 0.0]
+    assert doc["absolute_check"] is None and doc["log_sum_identity"] is None
+
+
+def test_a_closed_stdout_exits_1_quietly():
+    src = Path(bicomplex.__file__).resolve().parents[1]
+    for extra in ([], ["--json"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            child = subprocess.run(
+                [sys.executable, "-m", "bicomplex.cli", "series", "1/n^2",
+                 "--max-terms", "100", *extra],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+                env={**os.environ, "PYTHONPATH": str(src)},
+            )
+        finally:
+            os.close(write_end)
+        assert (child.returncode, child.stderr) == (1, ""), extra
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone, on a file descriptor of its own."""
+
+    def __init__(self, fd: int):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_a_closed_stdout_points_stdout_at_devnull():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        err = io.StringIO()
+        with redirect_stdout(_ClosedPipe(write_end)), redirect_stderr(err):
+            code = main(["series", "1/n^2", "--max-terms", "100"])
+        assert (code, err.getvalue()) == (1, "")
+        # the descriptor now writes to devnull, so no later flush can fail
+        os.write(write_end, b"ignored")
+    finally:
+        os.close(write_end)
 
 
 def _one_line(err: str) -> bool:

@@ -370,6 +370,21 @@ def test_scalar_coercion():
     assert Duplex(0.0, 1.0) + ZERO == J
 
 
+def test_operands_of_other_types_are_refused():
+    w = Bicomplex(1.0, 2.0)
+    for operation in (
+        lambda: w + "a",
+        lambda: "a" - w,
+        lambda: w - "a",
+        lambda: w * object(),
+        lambda: w / "a",
+        lambda: "a" / w,
+    ):
+        with pytest.raises(TypeError):
+            operation()
+    assert +w is w
+
+
 def test_pow():
     rng = np.random.default_rng(59)
     w = gauss_bicomplex(rng)

@@ -35,6 +35,8 @@ def test_startup_prints_one_row_per_command():
         ('bicomplex eval "1+i2"', "cli, core, seqspec, transcendental"),
         ('bicomplex check-bounds "(1+i1)/10"', "cli, core, seqspec, transcendental"),
         ('bicomplex series --max-terms 64 "1/n^2"', "cli, core, seqspec, series, transcendental"),
+        ('bicomplex product --max-terms 64 "1+1/n^2"',
+         "cli, core, products, seqspec, series, transcendental"),
     ]
     for m in rows:
         # one process per row: its minimum is its median

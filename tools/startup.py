@@ -1,15 +1,15 @@
 """Wall time of whole ``bicomplex`` processes, start-up included.
 
 Prints one row per command -- a bare interpreter, ``eval``,
-``check-bounds`` and a short ``series`` run -- with the minimum and the
-median wall time, in ms, of ``--repeats`` fresh processes, and the
-``bicomplex`` modules that command loaded (``-`` for none). Each process
-is ``python -S`` under ``PYTHONDONTWRITEBYTECODE=1``, on a copy of
-``src/`` with no ``__pycache__``, so that every run compiles the
-package's source as it does where no ``.pyc`` is kept. A command runs as
-the ``bicomplex`` console script does: it imports ``bicomplex.cli`` and
-calls ``main``. The rows alternate, one process each in turn, so that a
-drift in the machine's speed reaches all of them alike.
+``check-bounds`` and short ``series`` and ``product`` runs -- with the
+minimum and the median wall time, in ms, of ``--repeats`` fresh
+processes, and the ``bicomplex`` modules that command loaded (``-`` for
+none). Each process is ``python -S`` under ``PYTHONDONTWRITEBYTECODE=1``,
+on a copy of ``src/`` with no ``__pycache__``, so that every run compiles
+the package's source as it does where no ``.pyc`` is kept. A command runs
+as the ``bicomplex`` console script does: it imports ``bicomplex.cli``
+and calls ``main``. The rows alternate, one process each in turn, so that
+a drift in the machine's speed reaches all of them alike.
 
 Usage, from any directory (the checkout is the parent of ``tools/``)::
 
@@ -48,6 +48,8 @@ ROWS = (
     ('bicomplex check-bounds "(1+i1)/10"', ["-c", RUN_CLI, "check-bounds", "(1+i1)/10"]),
     ('bicomplex series --max-terms 64 "1/n^2"',
      ["-c", RUN_CLI, "series", "--max-terms", "64", "1/n^2"]),
+    ('bicomplex product --max-terms 64 "1+1/n^2"',
+     ["-c", RUN_CLI, "product", "--max-terms", "64", "1+1/n^2"]),
 )
 
 
