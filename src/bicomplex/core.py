@@ -413,6 +413,7 @@ class Bicomplex:
         ``tol * max(1, ||w||**2)`` so the test is relative at large scale
         and absolute near zero (see _pair_zero_divisor_test).
         """
+        _check_tolerance(tol)
         return SingularityVerdict(*_pair_zero_divisor_test(self.p1, self.p2, tol))
 
     def inverse(self, tol: float = SINGULARITY_TOLERANCE) -> "Bicomplex":
@@ -421,6 +422,7 @@ class Bicomplex:
 
         Raises SingularOperand when the zero-divisor test fires.
         """
+        _check_tolerance(tol)
         return Bicomplex._make(*_pair_inverse(self.p1, self.p2, tol))
 
     def norms(self) -> NormInfo:
@@ -540,9 +542,9 @@ def _pair_zero_divisor_test(p1: complex, p2: complex, tol: float):
     min_component_modulus)``, as in :class:`SingularityVerdict`. Where a
     side overflows, both are compared for copies scaled by the power of
     two ``_unit_scale(p1, p2)``, so the verdict does not depend on the
-    overall scale of the value.
+    overall scale of the value. ``tol`` is unchecked here: each public
+    route runs ``_check_tolerance`` on entry.
     """
-    _check_tolerance(tol)
     try:
         m1, m2 = abs(p1), abs(p2)
     except OverflowError:
@@ -566,7 +568,9 @@ def _none_singular(p1s, p2s, tol: float) -> bool:
     """True only when ``_pair_zero_divisor_test(p1, p2, tol)`` passes every
     pair of ``p1s`` and ``p2s``, for ``tol >= 0`` (unchecked here), in one
     scan of the moduli: the zero-divisor screen of a block of terms. The
-    lane is list identity, and the function reads it.
+    lane is list identity, and the function reads it. Where it says False,
+    its callers run the pair test on each term, so no verdict rests on it:
+    its exactness on one list buys speed only.
 
     One list (``p2s is p1s``) and ``tol < 1``: ``min(m*m) > tol``, exact.
     On ``(p, p)`` the test's ``(m*m + m*m)/2.0`` is ``m*m`` while ``m*m <

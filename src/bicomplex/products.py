@@ -229,7 +229,7 @@ class _Consumer:
     ``push(w1, w2, q1, q2, lg1, lg2, l1, l2, dev, used)`` reads term
     ``used``, the partial products, its logs, the log sums and
     ``||w - 1||``, and tells whether the report is open; ``screen(run,
-    used)`` clears a run ``(q1s, q2s, lg1s, lg2s, l1, l2, devs)``, the log
+    used)`` passes a run ``(q1s, q2s, lg1s, lg2s, l1, l2, devs)``, the log
     sums those before it and ``devs`` the run's ``_deviations`` on either
     lane, or gives None where a rule could fire, for ``take``, which
     advances by the float operations of ``push``; ``finish`` reports at
@@ -528,29 +528,30 @@ def _product_pass(blocks, n_max: int, singularity_tol: float, consumers) -> None
     every product analysis: ``series._drive`` feeds the ``consumers`` (the
     absolute check before the product verdict, which reads its series)
     while any is open. The pass forms what they read; the block step forms
-    it as lists and takes a run that the zero-divisor screen and every live
-    consumer's screen clear.
+    it as lists and takes a run that its zero-divisor screen and every live
+    consumer's screen pass. Every other term goes to the per-term body,
+    which makes the pair zero-divisor test on it: a screen only routes.
 
     A run whose two lists are one is on the scalar lane, as is every run of
     its term, so the partial products and log sums have equal components:
     the block step forms one list of each for both, and the per-term body's
-    second component is a bit-identical copy. On both lanes the zero-divisor
-    screen forms each run's ``_deviations`` ``|p - 1|`` once, with their
-    largest ``dmax``, and hands them to the block step, whose screens read
-    them. Where ``dmax < 1/2`` and ``singularity_tol < 1/9`` (nonnegative:
-    the analyzers check it on entry), no term of the run is singular, with
-    no scan; elsewhere ``core._none_singular``, the one zero-divisor screen
-    of a block, decides on either lane (exact on the scalar lane below a
-    tolerance of 1). The 1/9, ``p1 == p2`` included: ``|p1||p2| >= 1/4``
-    against a threshold of at most ``tol*(3/2)**2``. The rounding slack: a
-    computed ``d`` is within 3u of ``|p - 1|`` (u = 2**-53: one rounding in
-    the real part of ``p - 1``, at most two in ``abs``), so each computed
-    modulus ``m`` lies in ``[1/2 - 4u, 3/2 + 4u]``. The test's own pair then leaves a wide
-    margin: where its ``(m1*m1 + m2*m2)/2.0`` is at most 1, the threshold is
-    ``tol < 1/9`` against ``m1*m2 >= 1/4 - 5u``; elsewhere ``m1*m2`` over
-    that mean is ``2r/(1 + r*r)`` for the ratio ``r <= 3 + 40u`` of the
-    moduli, at least ``3/5 - 8u``, and each side of the test rounds by a
-    factor ``(1 ± u)**3`` at most.
+    second component is a bit-identical copy. On both lanes the block step
+    first forms the run's ``_deviations`` ``|p - 1|`` once, with their
+    largest ``dmax``, which its screens read. Where ``dmax < 1/2`` and
+    ``singularity_tol < 1/9`` (nonnegative: the analyzers check it on
+    entry), no term of the run is singular, with no scan; elsewhere
+    ``core._none_singular``, the one zero-divisor screen of a block,
+    decides on either lane. The 1/9, ``p1 == p2`` included: ``|p1||p2| >=
+    1/4`` against a threshold of at most ``tol*(3/2)**2``. The rounding
+    slack: a computed ``d`` is within 3u of ``|p - 1|`` (u = 2**-53: one
+    rounding in the real part of ``p - 1``, at most two in ``abs``), so
+    each computed modulus ``m`` lies in ``[1/2 - 4u, 3/2 + 4u]``. The
+    test's own pair then leaves a wide margin: where its ``(m1*m1 +
+    m2*m2)/2.0`` is at most 1, the threshold is ``tol < 1/9`` against
+    ``m1*m2 >= 1/4 - 5u``; elsewhere ``m1*m2`` over that mean is ``2r/(1 +
+    r*r)`` for the ratio ``r <= 3 + 40u`` of the moduli, at least ``3/5 -
+    8u``, and each side of the test rounds by a factor ``(1 ± u)**3`` at
+    most.
 
     With the product verdict among the consumers, failures are routed as
     ``analyze_product`` states: a singular term freezes it as
@@ -564,21 +565,14 @@ def _product_pass(blocks, n_max: int, singularity_tol: float, consumers) -> None
     q1 = q2 = 1.0 + 0j
     l1 = l2 = 0j
 
-    def clear(p1s, p2s):
-        try:
-            devs = _deviations(p1s, p2s)
-        except OverflowError:
-            return False
-        if devs[2] < 0.5 and singularity_tol < 1.0 / 9.0 or _none_singular(
-            p1s, p2s, singularity_tol
-        ):
-            return devs
-        return False
-
-    def step(p1s, p2s, used, devs):
+    def step(p1s, p2s, used):
         nonlocal q1, q2, l1, l2
         taken = []
         try:
+            devs = _deviations(p1s, p2s)
+            if not (devs[2] < 0.5 and singularity_tol < 1.0 / 9.0
+                    or _none_singular(p1s, p2s, singularity_tol)):
+                return None
             q1s, lg1s = _partials(p1s, mul, q1), list(map(cmath.log, p1s))
             if p2s is p1s:
                 q2s, lg2s = q1s, lg1s
@@ -600,9 +594,9 @@ def _product_pass(blocks, n_max: int, singularity_tol: float, consumers) -> None
         l2 = l1 if lg2s is lg1s else reduce(add, lg2s, l2)
         return any(consumer.open for consumer in consumers)
 
-    def read(w1, w2, used, cleared):
+    def read(w1, w2, used):
         nonlocal q1, q2, l1, l2
-        if not cleared and _pair_zero_divisor_test(w1, w2, singularity_tol)[0]:
+        if _pair_zero_divisor_test(w1, w2, singularity_tol)[0]:
             if verdict is None:
                 raise SingularTerm(f"singular term at position {used}", index=used)
             verdict.close("singular_term", q1, q2, l1, l2, used)
@@ -628,7 +622,7 @@ def _product_pass(blocks, n_max: int, singularity_tol: float, consumers) -> None
         return reading
 
     try:
-        used = _drive(blocks, n_max, step, read, clear)
+        used = _drive(blocks, n_max, step, read)
     except _TERM_ERRORS:
         # once the product verdict is frozen, a term that cannot be
         # evaluated ends the consumers still open without a report

@@ -290,7 +290,7 @@ class _Tracker(_Checkpoints):
         return totals if quiet else None
 
     def take(self, totals, mags) -> None:
-        """Advance over a run that ``run_sums`` cleared, as ``push`` would."""
+        """Advance over a run that ``run_sums`` passed, as ``push`` would."""
         self.count += len(totals)
         self.total = totals[-1]
         self.sums.extend(totals[-self.window :])
@@ -299,7 +299,7 @@ class _Tracker(_Checkpoints):
 
 def _run_sums(steps):
     """The block step's screen over trackers: ``steps`` holds ``(tracker,
-    terms, mags, rising)`` for each. Where ``run_sums`` clears the run for
+    terms, mags, rising)`` for each. Where ``run_sums`` passes the run for
     every live tracker, the ``(tracker, totals, mags)`` that each takes it
     with (``_Tracker.take``); else None."""
     runs = []
@@ -312,24 +312,18 @@ def _run_sums(steps):
     return runs
 
 
-def _drive(blocks, n_max: int, step, read, clear=None) -> int:
+def _drive(blocks, n_max: int, step, read) -> int:
     """The one loop of a pass over ``blocks``, each the lists ``(p1s,
     p2s)``, cut into runs by ``_runs``; returns the number of terms read.
 
-    ``clear(p1s, p2s)``, where given, is the zero-divisor screen, true only
-    where no term of the run is singular, on each run of ``_MIN_RUN`` or
-    more terms or whose two lists are one. A long run it clears goes to the
-    block step ``step(p1s, p2s, used, cleared)``, ``used`` the terms before
-    it and ``cleared`` what the screen returned (True without one): None
-    where a rule could fire in the run, else it took the run and tells
-    whether the pass reads on, as ``read(p1, p2, used, cleared)`` does for
-    each term of any other run.
+    A run of ``_MIN_RUN`` or more terms goes to the block step ``step(p1s,
+    p2s, used)``, ``used`` the terms before it: None where it refuses the
+    run, else it took the run and tells whether the pass reads on, as
+    ``read(p1, p2, used)`` does for each term of a shorter or refused run.
     """
     used = 0
     for p1s, p2s in _runs(blocks, n_max):
-        long = len(p1s) >= _MIN_RUN
-        cleared = clear is None or (long or p1s is p2s) and clear(p1s, p2s)
-        on = step(p1s, p2s, used, cleared) if long and cleared else None
+        on = step(p1s, p2s, used) if len(p1s) >= _MIN_RUN else None
         if on is not None:
             used += len(p1s)
             if not on:
@@ -337,7 +331,7 @@ def _drive(blocks, n_max: int, step, read, clear=None) -> int:
             continue
         for p1, p2 in zip(p1s, p2s):
             used += 1
-            if not read(p1, p2, used, cleared):
+            if not read(p1, p2, used):
                 return used
     return used
 
@@ -415,7 +409,7 @@ def _analyze_pairs(blocks, tol, window, n_max) -> SeriesReport:
     term outside, it splits off as a copy.
 
     It runs on ``_drive``: the block step advances every live tracker over
-    a run that ``_Tracker.run_sums`` clears (and, while ``ae`` is the
+    a run that ``_Tracker.run_sums`` passes (and, while ``ae`` is the
     modulus tracker, whose moduli lie in the exact-RMS range); ``ae``'s
     terms there are ``_norms`` of the moduli, which skips the RMS for equal
     moduli, as of conjugate components.
@@ -432,7 +426,7 @@ def _analyze_pairs(blocks, tol, window, n_max) -> SeriesReport:
         a2 = _Tracker(tol, window, _HARMONIC_RATIO)
         ae = _Tracker(tol, window, _HARMONIC_RATIO)
 
-    def step(p1s, p2s, used, cleared):
+    def step(p1s, p2s, used):
         try:
             m1s = m2s = list(map(abs, p1s))
             steps = [(c1, p1s, m1s, False), (a1, m1s, m1s, True)]
@@ -453,7 +447,7 @@ def _analyze_pairs(blocks, tol, window, n_max) -> SeriesReport:
             tracker.take(totals, mags)
         return True
 
-    def read(p1, p2, used, cleared):
+    def read(p1, p2, used):
         nonlocal ae
         try:
             m1 = abs(p1)

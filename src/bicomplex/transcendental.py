@@ -25,6 +25,7 @@ from .core import (
     Bicomplex,
     NonFiniteError,
     SingularOperand,
+    _check_tolerance,
     _coerce,
     _pair_zero_divisor_test,
     _Record,
@@ -87,6 +88,7 @@ class TrigForm(_Record):
 def _invertible_pair(p1: complex, p2: complex, tol: float, what: str) -> tuple[complex, complex]:
     """``(p1, p2)`` unchanged, or SingularOperand ("``what`` requires an
     invertible value") when the pair is a zero divisor within ``tol``."""
+    _check_tolerance(tol)
     if _pair_zero_divisor_test(p1, p2, tol)[0]:
         raise _not_invertible(what)
     return p1, p2

@@ -24,7 +24,7 @@ from bicomplex.core import (
     _pair_zero_divisor_test,
     _split,
 )
-from bicomplex.transcendental import trig_form
+from bicomplex.transcendental import log_branch, log_principal_direct, sqrt, trig_form
 from helpers import (
     assert_close,
     gauss_bicomplex,
@@ -218,23 +218,33 @@ def test_division():
         ONE / E1
 
 
+def _tolerance_routes(w):
+    """Each public route of ``w`` that takes a zero-divisor tolerance, as
+    a function of that tolerance."""
+    return [
+        w.is_singular,
+        lambda tol: w.inverse(tol=tol),
+        lambda tol: sqrt(w, tol),
+        lambda tol: trig_form(w, tol),
+        lambda tol: log_principal(w, tol),
+        lambda tol: log_principal_direct(w, tol),
+        lambda tol: log_branch(w, (1, 0), tol),
+    ]
+
+
 def test_nan_tolerance_is_refused():
     # a NaN tolerance would make every comparison false: nothing singular
     from bicomplex import absolute_convergence_check, evaluate_product, log_sum_equivalence
 
     nan = math.nan
-    calls = [
-        lambda: ZERO.is_singular(nan),
-        lambda: ZERO.inverse(tol=nan),
-        lambda: log_principal(ZERO, nan),
-        lambda: evaluate_product([ZERO, ONE], singularity_tol=nan),
-    ]
-    for call in calls:
-        with pytest.raises(ValueError, match="^tolerance must be nonnegative$"):
-            call()
+    with pytest.raises(ValueError, match="^tolerance must be nonnegative$"):
+        evaluate_product([ZERO, ONE], singularity_tol=nan)
+    # the pair test itself is unchecked: every public route that takes a
+    # tolerance checks it on entry, on a zero, a unit and a large value
     for p in (0j, 1 + 0j, complex(1e300, 1e300)):
-        with pytest.raises(ValueError, match="^tolerance must be nonnegative$"):
-            _pair_zero_divisor_test(p, p, nan)
+        for call in _tolerance_routes(Bicomplex.from_idempotent(p, p)):
+            with pytest.raises(ValueError, match="^tolerance must be nonnegative$"):
+                call(nan)
     # the analyzers refuse it on entry, before any term is read
     for analyzer in (evaluate_product, absolute_convergence_check, log_sum_equivalence):
         for tol in (nan, -1.0):
@@ -560,12 +570,13 @@ def test_pair_zero_divisor_verdict_does_not_depend_on_scale():
     assert _pair_zero_divisor_test(c, c * 1e-300, 1e-12)[0]
 
 
-def test_pair_zero_divisor_test_rejects_a_negative_tolerance():
-    # on equal components, on both sides of the scaled branch
+def test_a_negative_tolerance_is_refused_on_both_sides_of_the_scaled_branch():
+    # on equal components, on both sides of the pair test's scaled branch
     below = math.nextafter(math.sqrt(2.0**1023), 0.0)
     for x in (0j, 1 + 0j, complex(below), complex(1.5e308, 1.5e308)):
-        with pytest.raises(ValueError, match="^tolerance must be nonnegative$"):
-            _pair_zero_divisor_test(x, x, -1e-12)
+        for call in _tolerance_routes(Bicomplex.from_idempotent(x, x)):
+            with pytest.raises(ValueError, match="^tolerance must be nonnegative$"):
+                call(-1e-12)
 
 
 def _screen_moduli(tol: float) -> list[list[float]]:

@@ -75,24 +75,25 @@ def test_layer_split_prints_one_row_per_long_workload():
 
     assert lines[12:15] == ["", "| analyzer | terms | ns/term |", "|---|---:|---:|"]
     analyzers = [re.fullmatch(r'\| `(\w+)` on "(.+)" \| ([\d,]+) \| ([\d,]+) \|', line)
-                 for line in lines[15:18]]
+                 for line in lines[15:19]]
     assert all(analyzers), lines
     got = [(m[1], m[2], int(m[3].replace(",", ""))) for m in analyzers]
     # the prebuilt terms are capped too, and no verdict comes within 2,000
     assert got == [
         ("evaluate_product", "1 + (3/10 + 2/5*i2)/n^2", 2000),
         ("absolute_convergence_check", "1 + (3/10 + 2/5*i2)/n^2", 2000),
+        ("analyze_product", "1 + (3/10 + 2/5*i2)/n^2", 2000),
         ("analyze_series", "1/n^2", 2000),
     ]
     assert all(int(m[4].replace(",", "")) > 0 for m in analyzers)
 
-    assert lines[18:21] == [
+    assert lines[19:22] == [
         "",
         "| eval_term at one index | calls | AST µs | compiled µs |",
         "|---|---:|---:|---:|",
     ]
     one_index = [re.fullmatch(r'\| "(.+)" \| ([\d,]+) \| ([\d.]+) \| ([\d.]+) \|', line)
-                 for line in lines[21:25]]
+                 for line in lines[22:26]]
     assert all(one_index), lines
     # the three workload expressions, and one that mixes pair and scalar
     # subtrees; a cap of 2,000 leaves the 1,000 calls as they are
@@ -104,19 +105,19 @@ def test_layer_split_prints_one_row_per_long_workload():
     ]
     assert all(float(m[3]) > 0 and float(m[4]) > 0 for m in one_index)
 
-    assert lines[25:28] == [
+    assert lines[26:29] == [
         "",
         '| pair-lane block step of `product "1 + (3/10 + 2/5*i2)/n^2"` | terms | ns/term |',
         "|---|---:|---:|",
     ]
     # the same pieces on the scalar lane, for 1+1/n
-    assert lines[33:36] == [
+    assert lines[34:37] == [
         "",
         '| scalar-lane block step of `product "1+1/n"` | terms | ns/term |',
         "|---|---:|---:|",
     ]
-    assert len(lines) == 41, lines
-    for start in (28, 36):
+    assert len(lines) == 42, lines
+    for start in (29, 37):
         pieces = [re.fullmatch(r"\| (.+) \| ([\d,]+) \| ([\d,]+) \|", line)
                   for line in lines[start:start + 5]]
         assert all(pieces), lines
@@ -130,7 +131,7 @@ def test_layer_split_prints_one_row_per_long_workload():
             ("partial products, logs and takes", "2,000"),
         ]
         ns = [int(m[3].replace(",", "")) for m in pieces]
-        if start == 28:
+        if start == 29:
             assert all(n > 0 for n in ns), ns
         else:
             # 1+1/n's absolute check decides at term 32, before the first

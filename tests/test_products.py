@@ -485,23 +485,21 @@ def _count_pair_zero_divisor_tests(monkeypatch) -> list[tuple]:
     return calls
 
 
-def test_cli_scalar_lane_makes_no_pair_zero_divisor_test(monkeypatch):
+def test_cli_per_term_body_tests_each_product_term_it_reads(monkeypatch):
     calls = _count_pair_zero_divisor_tests(monkeypatch)
-    for argv in (
-        ["series", "1/n^2", "--max-terms", "5000"],
-        ["product", "1+1/n", "--max-terms", "3000"],
-    ):
-        code, _, _ = run_cli(argv)
-        assert code == 0
-        assert calls == [], argv
-    # the pair lane tests as a pair each term that its per-term body reads:
-    # terms 1 to 32 and the checkpoint 64, around the runs 33-63 and 65-100
-    # that the block step takes
-    text = "1 + (3/10 + 2/5*i2)/n^2"
-    code, _, _ = run_cli(["product", text, "--max-terms", "100"])
+    # a series makes no zero-divisor test
+    code, _, _ = run_cli(["series", "1/n^2", "--max-terms", "5000"])
     assert code == 0
-    terms = [seqspec.eval_term(seqspec.parse(text), n) for n in (*range(1, 33), 64)]
-    assert calls == [(w.p1, w.p2, 1e-12) for w in terms]
+    assert calls == []
+    # on either lane the product's per-term body tests as a pair each term
+    # it reads: terms 1 to 32 and the checkpoint 64, around the runs 33-63
+    # and 65-100 that the block step takes
+    for text in ("1+1/n", "1 + (3/10 + 2/5*i2)/n^2"):
+        calls.clear()
+        code, _, _ = run_cli(["product", text, "--max-terms", "100"])
+        assert code == 0
+        terms = [seqspec.eval_term(seqspec.parse(text), n) for n in (*range(1, 33), 64)]
+        assert calls == [(w.p1, w.p2, 1e-12) for w in terms], text
 
 
 @pytest.mark.parametrize(

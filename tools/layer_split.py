@@ -29,12 +29,13 @@ terms its per-term body read. Each short time is the minimum of 20
 times ``--repeats`` runs.
 
 A third table gives one row per public analyzer --
-``evaluate_product`` and ``absolute_convergence_check`` on the default
-product's terms, ``analyze_series`` on ``1/n^2``'s -- with the terms it
-read and its ns/term on 20,000 prebuilt ``Bicomplex`` terms fed as
-``iter(list)``, the inputs of the harness's prebuilt analyzer rows.
-These reach the passes one term per block, so the per-term body reads
-every term.
+``evaluate_product``, ``absolute_convergence_check`` and
+``analyze_product`` on the default product's terms, ``analyze_series``
+on ``1/n^2``'s -- with the terms it read (for ``analyze_product``, the
+most any of its three reports read) and its ns/term on 20,000 prebuilt
+``Bicomplex`` terms fed as ``iter(list)``, the inputs of the harness's
+prebuilt analyzer rows. These reach the passes one term per block, so
+the per-term body reads every term.
 
 A fourth table gives the cost of ``eval_term`` at one index, in µs per
 call, for the three workload expressions and for ``(1 + i2/n)^-3 +
@@ -47,9 +48,10 @@ A fifth and a sixth table split the pass column of the first two rows,
 the default product on the pair lane and ``1+1/n`` on the scalar lane,
 by the pieces of the block step, which are the same on both lanes, in
 ns per term read: the deviation scan with the zero-divisor clearance
-(the screen ``_drive`` runs on each long run), the screens of the
-absolute check, the product verdict and the log-sum identity, and the
-rest of the step: its partial products, logs and the consumers' takes.
+(``_deviations`` and ``_none_singular``, which the step runs first on
+each run ``_drive`` hands it), the screens of the absolute check, the
+product verdict and the log-sum identity, and the rest of the step: its
+partial products, logs and the consumers' takes.
 Each piece is timed around its call, once per run; the per-term body
 and the cutting of blocks into runs are in no piece.
 
@@ -93,6 +95,7 @@ PASSES = {"product": products._analyze_product_pairs, "series": series._analyze_
 ANALYZERS = (
     (products.evaluate_product, WORKLOADS[0][1]),
     (products.absolute_convergence_check, WORKLOADS[0][1]),
+    (products.analyze_product, WORKLOADS[0][1]),
     (series.analyze_series, WORKLOADS[2][1]),
 )
 PREBUILT_TERMS = 20_000
@@ -105,9 +108,10 @@ ONE_INDEX = tuple(text for _, text, _ in WORKLOADS) + (
     "(1 + i2/n)^-3 + sqrt(2 - e1/n)*n^2/(n+3)",
 )
 ONE_INDEX_CALLS = 1000
-# the block-step pieces of the fifth and sixth tables: the clearance, the
-# consumers' screens, and the step's own work, all of the step that is no
-# screen
+# the block-step pieces of the fifth and sixth tables: the clearance (the
+# functions the step calls first), the consumers' screens, and the step's
+# own work, all of the step that is no screen
+CLEARANCE = ("_deviations", "_none_singular")
 STEP_SCREENS = (products._Absolute, products._Verdict, products._Identity)
 STEP_PIECES = ("deviation scan and clearance",
                *(f"`{kind.__name__}.screen`" for kind in STEP_SCREENS),
@@ -232,16 +236,18 @@ def analyzer_cost(analyzer, text: str, n: int, repeats: int) -> tuple[int, float
     def run():
         return analyzer(iter(terms), n_max=n)
 
-    count = run().terms_used
+    count = _terms_read(run())
     return count, _min_ns(run, repeats) / count
 
 
 def block_step_split(text: str, n_max: int, repeats: int) -> tuple[str, int, list[float]]:
     """``(lane, terms, ns/term of each of STEP_PIECES)``: the CLI's product pass
     over the prebuilt walker blocks of ``text`` that it reads, its block
-    step timed by piece through wrappers on the ``clear`` and ``step``
-    that ``_product_pass`` hands ``_drive`` and on the consumers'
-    ``screen``; each piece's time is its minimum over ``repeats`` runs."""
+    step timed by piece through wrappers on the ``step`` that
+    ``_product_pass`` hands ``_drive``, on the ``_deviations`` and
+    ``_none_singular`` that the step looks up in ``products`` and on the
+    consumers' ``screen``; each piece's time is its minimum over
+    ``repeats`` runs."""
     node = seqspec.parse(text)
     blocks = seqspec._lane_blocks(node, 1, n_max + 1)
     read = []
@@ -261,12 +267,15 @@ def block_step_split(text: str, n_max: int, repeats: int) -> tuple[str, int, lis
         return run
 
     drive = products._drive
+    clearance = {name: getattr(products, name) for name in CLEARANCE}
 
-    def timed_drive(blocks, n_max, step, read, clear=None):
-        return drive(blocks, n_max, timed(step, "step"), read, timed(clear, "clear"))
+    def timed_drive(blocks, n_max, step, read):
+        return drive(blocks, n_max, timed(step, "step"), read)
 
     screens = {kind: kind.screen for kind in STEP_SCREENS}
     products._drive = timed_drive
+    for name, fn in clearance.items():
+        setattr(products, name, timed(fn, "clearance"))
     for kind in STEP_SCREENS:
         kind.screen = timed(screens[kind], kind)
     best = None
@@ -276,11 +285,13 @@ def block_step_split(text: str, n_max: int, repeats: int) -> tuple[str, int, lis
             count = _terms_read(
                 products._analyze_product_pairs(iter(read), TOL, WINDOW, n_max)
             )
-            screen_ns = [spent.get(kind, 0) for kind in STEP_SCREENS]
-            pieces = [spent.get("clear", 0), *screen_ns, spent.get("step", 0) - sum(screen_ns)]
+            inner = [spent.get("clearance", 0), *(spent.get(kind, 0) for kind in STEP_SCREENS)]
+            pieces = [*inner, spent.get("step", 0) - sum(inner)]
             best = pieces if best is None else list(map(min, best, pieces))
     finally:
         products._drive = drive
+        for name, fn in clearance.items():
+            setattr(products, name, fn)
         for kind in STEP_SCREENS:
             kind.screen = screens[kind]
     return _lane(read), count, [ns / count for ns in best]
