@@ -229,11 +229,14 @@ class _Consumer:
     ``push(w1, w2, q1, q2, lg1, lg2, l1, l2, dev, used)`` reads term
     ``used``, the partial products, its logs, the log sums and
     ``||w - 1||``, and tells whether the report is open; ``screen(run,
-    used)`` passes a run ``(q1s, q2s, lg1s, lg2s, l1, l2, devs)``, the log
-    sums those before it and ``devs`` the run's ``_deviations`` on either
-    lane, or gives None where a rule could fire, for ``take``, which
+    used)`` passes a run ``(q1s, q2s, lg1s, lg2s, l1, l2, devs, mirror)``,
+    the log sums those before it and ``devs`` the run's ``_deviations`` on
+    either lane, or gives None where a rule could fire, for ``take``, which
     advances by the float operations of ``push``; ``finish`` reports at
-    the end of the terms. It reads terms while ``live``."""
+    the end of the terms. It reads terms while ``live``. On a ``mirror``
+    run (``_product_pass``) ``q2s`` and ``lg2s`` are ``q1s`` and ``lg1s``:
+    the second component's values are their conjugates, up to the sign of
+    a zero part."""
 
     __slots__ = ("open", "report")
 
@@ -283,7 +286,7 @@ class _Absolute(_Consumer):
 
     def screen(self, run, used):
         # |w - 1| < 1 in each component makes every real part positive
-        _, _, lg1s, lg2s, _, _, (d1s, d2s, dmax) = run
+        _, _, lg1s, lg2s, _, _, (d1s, d2s, dmax), _ = run
         steps = []
         if self.open or self.dev.verdict is None:
             if self.open and dmax >= 1.0:
@@ -392,8 +395,12 @@ class _Verdict(_Consumer):
         covers for any run that fits in memory. Where ``dmax >= 1/2`` or
         the bound leaves the range, the moduli are scanned with halved
         margins, which on the scalar lane only refuse more runs.
+
+        On a mirror run the second component's gaps are the conjugates of
+        the first's, so the first pre-test decides, and the take extends
+        ``win2`` with the conjugates of the last window.
         """
-        q1s, q2s, _, _, _, _, (d1s, d2s, dmax) = run
+        q1s, q2s, _, _, _, _, (d1s, d2s, dmax), mirror = run
         window, tol = self.window, self.tol
         if not _moduli_within(q1s[0], q2s[0], dmax, len(q1s)):
             # m/sqrt(2) <= _rms(a, b) <= m, m the larger modulus, up to
@@ -405,10 +412,13 @@ class _Verdict(_Consumer):
                 return None
         if not (
             min(map(abs, _gaps(self.win1, q1s, window)), default=math.inf) >= tol
-            or min(map(abs, _gaps(self.win2, q2s, window)), default=math.inf) >= tol
+            or not mirror
+            and min(map(abs, _gaps(self.win2, q2s, window)), default=math.inf) >= tol
         ):
             return None
-        return q1s[-window:], q2s[-window:], _norms(d1s[-window:], d2s[-window:])
+        tail = q1s[-window:]
+        return (tail, [q.conjugate() for q in tail] if mirror else q2s[-window:],
+                _norms(d1s[-window:], d2s[-window:]))
 
     def take(self, state) -> None:
         q1s, q2s, devs = state
@@ -553,6 +563,34 @@ def _product_pass(blocks, n_max: int, singularity_tol: float, consumers) -> None
     8u``, and each side of the test rounds by a factor ``(1 ± u)**3`` at
     most.
 
+    A pair-lane run is a mirror run where its second component is the
+    conjugate of its first, as for a term ``z1 + z2*i2`` with ``z1`` and
+    ``z2`` real: the log-sum identity is closed; the carried state mirrors
+    (``q2 == conj(q1)``, ``l2 == conj(l1)`` and, while the verdict is open,
+    ``win2`` equals the conjugates of ``win1`` element by element);
+    ``p2s`` equals the conjugates of ``p1s``, tested after its first term;
+    and ``dmax < 1/2``. Each test is by value, which ignores only the sign
+    of a zero. Complex ``*`` and ``+`` keep that relation: conjugating both
+    operands negates each product or sum that makes up the result's
+    imaginary part and leaves its real part, and rounding to nearest is
+    symmetric, except that an exact zero is ``+0.0`` either way
+    (``conj((1+1j)*(1-1j))`` is ``2-0j``, ``conj(1+1j)*conj(1-1j)`` is
+    ``2+0j``). ``abs`` reads the magnitudes of the parts alone, and
+    ``cmath.log`` keeps the relation where ``Re p > 0``, which ``dmax <
+    1/2`` gives: off the negative real axis no sign of a zero turns into
+    ``±pi``. So each second-component value of a mirror run equals the
+    conjugate of the first's up to the sign of its zero parts, and the
+    step forms the first alone: ``d2s`` is ``d1s`` (also where ``dmax``
+    ends the route), the log moduli are ``|log p1|``, and the verdict's
+    screen reads ``q1s`` and ``win1`` alone; none of these reads a sign of
+    a zero. At the end of the run ``q2`` and ``l2`` are the conjugates of
+    ``q1`` and ``l1`` where both parts are nonzero, where value and bits
+    agree; elsewhere the step forms them from ``p2s`` as on any other run,
+    so every carried bit stays the per-term body's. The identity is left
+    out because it reads ``log(q2)`` bit for bit, and ``q`` can reach the
+    negative real axis. ``tests/test_products.py`` checks the premises on
+    the platform.
+
     With the product verdict among the consumers, failures are routed as
     ``analyze_product`` states: a singular term freezes it as
     singular_term and ends the others; a term that cannot be evaluated
@@ -561,6 +599,7 @@ def _product_pass(blocks, n_max: int, singularity_tol: float, consumers) -> None
     raises SingularTerm.
     """
     verdict = next((c for c in consumers if type(c) is _Verdict), None)
+    identity = next((c for c in consumers if type(c) is _Identity), None)
     feeds = [(consumer, consumer.push) for consumer in consumers]
     q1 = q2 = 1.0 + 0j
     l1 = l2 = 0j
@@ -568,17 +607,28 @@ def _product_pass(blocks, n_max: int, singularity_tol: float, consumers) -> None
     def step(p1s, p2s, used):
         nonlocal q1, q2, l1, l2
         taken = []
+        # the mirror-run tests but dmax's, the carried state's first
+        mirror = (
+            p2s is not p1s
+            and (identity is None or not identity.open)
+            and q2 == q1.conjugate() and l2 == l1.conjugate()
+            and (verdict is None or not verdict.open
+                 or list(verdict.win2) == [q.conjugate() for q in verdict.win1])
+            and p2s[0] == p1s[0].conjugate()
+            and p2s == [p.conjugate() for p in p1s]
+        )
         try:
-            devs = _deviations(p1s, p2s)
+            devs = _deviations(p1s, p1s if mirror else p2s)
             if not (devs[2] < 0.5 and singularity_tol < 1.0 / 9.0
                     or _none_singular(p1s, p2s, singularity_tol)):
                 return None
+            mirror = mirror and devs[2] < 0.5
             q1s, lg1s = _partials(p1s, mul, q1), list(map(cmath.log, p1s))
-            if p2s is p1s:
+            if p2s is p1s or mirror:
                 q2s, lg2s = q1s, lg1s
             else:
                 q2s, lg2s = _partials(p2s, mul, q2), list(map(cmath.log, p2s))
-            run = (q1s, q2s, lg1s, lg2s, l1, l2, devs)
+            run = (q1s, q2s, lg1s, lg2s, l1, l2, devs, mirror)
             for consumer in consumers:
                 if consumer.live:
                     state = consumer.screen(run, used)
@@ -589,9 +639,14 @@ def _product_pass(blocks, n_max: int, singularity_tol: float, consumers) -> None
             return None
         for consumer, state in taken:
             consumer.take(state)
-        q1, q2 = q1s[-1], q2s[-1]
+        q1 = q1s[-1]
         l1 = reduce(add, lg1s, l1)
-        l2 = l1 if lg2s is lg1s else reduce(add, lg2s, l2)
+        if mirror:
+            q2 = q1.conjugate() if q1.real and q1.imag else reduce(mul, p2s, q2)
+            l2 = l1.conjugate() if l1.real and l1.imag else reduce(add, map(cmath.log, p2s), l2)
+        else:
+            q2 = q2s[-1]
+            l2 = l1 if lg2s is lg1s else reduce(add, lg2s, l2)
         return any(consumer.open for consumer in consumers)
 
     def read(w1, w2, used):

@@ -143,6 +143,46 @@ def _rotated(n):
     return 1 + x, 1 + x * 1j
 
 
+# a term whose components are conjugate, and not exactly real
+A = 0.99 + 0.1j
+
+
+def _alternating(n):
+    """1, then A and conj(A) in turn, and their conjugates as the second
+    component: past term 1,024 every run ends after an odd term, where the
+    log sums come out exactly real, and some partial products do."""
+    if n == 1:
+        return 1.0 + 0j, 1.0 + 0j
+    return (A, A.conjugate()) if n % 2 == 0 else (A.conjugate(), A)
+
+
+def _through_the_cut(n):
+    """Conjugate components, with terms on the negative real axis at 5,000
+    and 5,001, whose logs are +pi*i in both components; term 1 ends the
+    absolute check, which would refuse that run."""
+    if n == 1:
+        return -1 + 1j, -1 - 1j
+    if n in (5000, 5001):
+        x = -2 + 0j if n == 5000 else -0.5 + 0j
+        return x, x
+    return _near_one(n)
+
+
+# three terms whose log sums in the two orders, (a + b) + c and
+# conj((c + b) + a), are conjugate bit for bit, and whose products are not
+REORDERED = (1.07047151227967 - 0.22398046046983816j, 0.7010649173215209 + 0.22284284683456929j,
+             0.8256738294970707 - 0.17071129846516064j)
+
+
+def _reordered(n):
+    """The three REORDERED terms, the second component taking their
+    conjugates in the other order, then conjugate components: the log sums
+    mirror from term 3 on, the partial products miss it by a rounding."""
+    if n <= 3:
+        return REORDERED[n - 1], REORDERED[3 - n].conjugate()
+    return _near_one(n)
+
+
 # (name, pair-lane terms by index, scalar-lane terms by index, tol,
 # n_max, the product verdict)
 PRODUCT_CASES = [
@@ -173,6 +213,22 @@ PRODUCT_CASES = [
      1e-7, 8000, "converged_nonsingular"),
     ("equal_moduli_not_conjugate", _rotated, lambda n: 1 + _dyadic(n), 1e-7, 9000,
      "converged_nonsingular"),
+    # mirror runs past the identity's cap, whose zero parts are formed from
+    # the second component's terms (a budget of 3,071 ends the pass with
+    # the run 2,049-3,071, so the reports read its end); the log of -2 at
+    # term 1 is +pi*i in both components, so the log sums never mirror;
+    # float components, whose partial products and log sums stay real; a
+    # run through the branch cut, which dmax keeps off the mirror route;
+    # partial products that do not mirror, which keep the runs off it
+    ("mirror_zero_parts", _alternating, lambda n: _alternating(n)[0], 1e-10, 3071, "diverged"),
+    ("mirror_branch_offset", lambda n: (-2 + 0j, -2 + 0j) if n == 1 else _near_one(n),
+     lambda n: -2 + 0j if n == 1 else 1 + C1 / n**2, 2e-7, 8000, "converged_nonsingular"),
+    ("mirror_float_components", lambda n: (1 + 0.3 / n**2, 1 + 0.3 / n**2),
+     lambda n: 1 + 0.3 / n**2, 1e-7, 3071, "inconclusive"),
+    ("mirror_branch_cut", _through_the_cut, lambda n: _through_the_cut(n)[1], 1e-7, 8000,
+     "converged_nonsingular"),
+    ("mirror_rounding", _reordered, lambda n: _reordered(n)[0], 1e-7, 8000,
+     "converged_nonsingular"),
 ]
 
 
@@ -193,6 +249,49 @@ def test_product_block_step_matches_the_per_term_body(monkeypatch, case):
         # the block step took runs of at least 500 terms in all
         read = max(part.terms_used for part in analysis if part is not None)
         assert per_term <= read - 500, (name, scalar, per_term)
+
+
+def _carried(monkeypatch, blocks, tol, n_max):
+    """The partial products and log sums ``(q1, q2, l1, l2)`` that the
+    product pass hands its consumers' ``close`` and ``finish``, every part
+    by ``.hex()``, signed zeros included, and the mirror flag of each run
+    the product verdict screened."""
+    handed, mirrors = [], []
+
+    def spy(method):
+        def run(self, *args):
+            state = args[-5:-1]
+            handed.append((method.__qualname__, *(x.hex() for z in state for x in (z.real, z.imag))))
+            return method(self, *args)
+
+        return run
+
+    for kind in (products._Absolute, products._Verdict, products._Identity):
+        monkeypatch.setattr(kind, "finish", spy(kind.finish))
+    monkeypatch.setattr(products._Verdict, "close", spy(products._Verdict.close))
+    screen = products._Verdict.screen
+    monkeypatch.setattr(products._Verdict, "screen",
+                        lambda self, run, used: mirrors.append(run[-1]) or screen(self, run, used))
+    PASSES["product"](blocks, tol, 8, n_max)
+    monkeypatch.undo()
+    return handed, mirrors
+
+
+@pytest.mark.parametrize("name", ["mirror_zero_parts", "mirror_branch_offset",
+                                  "mirror_float_components", "mirror_branch_cut",
+                                  "mirror_rounding", "cauchy_window"])
+def test_mirror_runs_carry_the_per_term_bits(monkeypatch, name):
+    # the step takes mirror runs where the carried log sums mirror, and
+    # where they do not (the log of -2 at term 1) it forms the second
+    # component, as on a run through the branch cut: either way the state
+    # it carries is the per-term body's
+    _, pair_term, _, tol, n_max, _ = next(c for c in PRODUCT_CASES if c[0] == name)
+    terms = _family(n_max, pair_term)
+    single, _ = _carried(monkeypatch, one_term_blocks(terms, False), tol, n_max)
+    walker, mirrors = _carried(monkeypatch, walker_blocks(terms, False), tol, n_max)
+    assert walker == single
+    assert len(single) >= 3
+    assert any(mirrors) == (name not in ("mirror_branch_offset", "mirror_rounding")), mirrors
 
 
 def _analysis_at(blocks, singularity_tol, n_max):
@@ -461,6 +560,49 @@ def test_default_product_pair_lane_scans_its_deviations_once(monkeypatch):
             assert singular_scans == []
             # the identity's discrepancies, equal but 0 at some terms, still do
             assert rms_callers
+
+
+def test_default_product_mirror_runs_form_no_second_component(monkeypatch):
+    # past the identity's cap the default product's long runs are mirror
+    # runs: the block step takes its logs and partial products from the
+    # first component's terms alone, with no cmath.log or _partials call
+    # on a second-component list, and so does each run's end
+    logs, partials = [], []
+    log, partial = cmath.log, products._partials
+
+    def step_frame():
+        frame = sys._getframe(2)
+        return frame if frame.f_code.co_name == "step" else None
+
+    def spy_log(z):
+        frame = step_frame()
+        if frame is not None:
+            p1s, p2s = frame.f_locals["p1s"], frame.f_locals["p2s"]
+            # a map over a list starts at its first term
+            for side, ps in ((1, p1s), (2, p2s)):
+                if z is ps[0]:
+                    logs.append((side, frame.f_locals["used"]))
+        return log(z)
+
+    def spy_partials(terms, op, start):
+        frame = step_frame()
+        if frame is not None:
+            side = 1 if terms is frame.f_locals["p1s"] else 2
+            partials.append((side, frame.f_locals["used"]))
+        return partial(terms, op, start)
+
+    blocks = list(seqspec._lane_blocks(seqspec.parse("1 + (3/10 + 2/5*i2)/n^2"), 1, 20001))
+    monkeypatch.setattr(cmath, "log", spy_log)
+    monkeypatch.setattr(products, "_partials", spy_partials)
+    analysis = PASSES["product"](iter(blocks), 1e-10, 8, 20_000)
+    monkeypatch.undo()
+    assert analysis.product.terms_used == 20_000
+    cap = products.LOG_SUM_CAP
+    for calls in (logs, partials):
+        # both components' inside the cap, the first's alone past it
+        assert {side for side, used in calls if used < cap} == {1, 2}
+        assert {side for side, used in calls if used >= cap} == {1}
+        assert sum(used >= cap for _, used in calls) >= 15
 
 
 def test_a_modulus_past_the_float_range_sends_its_run_to_the_per_term_body(monkeypatch):

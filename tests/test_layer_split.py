@@ -5,7 +5,8 @@ short-budget product run, with its lane, budget, cost and per-term
 reads, then one row per public analyzer on prebuilt terms, with its
 term count and cost, then one row per expression of eval_term's
 one-index cost, then one row per piece of the block step of the
-default product, on the pair lane, and of 1+1/n, on the scalar lane.
+default product, on the pair lane, and of 1+1/n, on the scalar lane,
+each with the share of terms the step took on mirror runs.
 
 The tool is run as a script, as it is used.
 """
@@ -111,13 +112,17 @@ def test_layer_split_prints_one_row_per_long_workload():
         "|---|---:|---:|",
     ]
     # the same pieces on the scalar lane, for 1+1/n
-    assert lines[34:37] == [
+    assert lines[35:38] == [
         "",
         '| scalar-lane block step of `product "1+1/n"` | terms | ns/term |',
         "|---|---:|---:|",
     ]
-    assert len(lines) == 42, lines
-    for start in (29, 37):
+    assert len(lines) == 44, lines
+    # past the identity's cap the default product's runs are mirror runs:
+    # 1,025 to 2,000, 976 of the 2,000 terms; the scalar lane has none
+    assert lines[34] == "| share taken on mirror runs | 2,000 | 48.8% |"
+    assert lines[43] == "| share taken on mirror runs | 2,000 | 0.0% |"
+    for start in (29, 38):
         pieces = [re.fullmatch(r"\| (.+) \| ([\d,]+) \| ([\d,]+) \|", line)
                   for line in lines[start:start + 5]]
         assert all(pieces), lines

@@ -657,6 +657,56 @@ def test_rms_of_equal_components_is_the_modulus_in_the_exact_range():
     assert _rms(complex(1.5e308, 1.5e308), 0j) == math.inf
 
 
+def _parts(z) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+def test_mirror_run_premises_hold_bit_for_bit():
+    # a mirror run of the product pass takes the second component's logs,
+    # log moduli and deviations from the first's, and its partial products
+    # and log sums as conjugates where no part is zero
+    # (products._product_pass); these are the premises, on this platform
+    rng = np.random.default_rng(3434)
+    k = 20_000
+    # right half plane: positive real parts and imaginary parts of either
+    # sign across the float range, subnormals included, and values within
+    # 1/2 of 1, as the run's terms are
+    parts = np.ldexp(rng.uniform(1.0, 2.0, (2, k)), rng.integers(-1074, 1000, (2, k)))
+    signs = rng.choice([-1.0, 1.0], k)
+    right = [complex(x, y) for x, y in zip(parts[0].tolist(), (parts[1] * signs).tolist())]
+    near = 1.0 + 0.5 * rng.random(k) * np.exp(1j * rng.uniform(-np.pi, np.pi, k))
+    right += near.tolist()
+    edges = [5e-324, 2.0**-1070, 1e-300, 0.5, 1.0, 1e300]
+    right += [complex(x, s * y) for x in edges for y in [0.0, *edges] for s in (1.0, -1.0)]
+    assert sum(z.imag == 0.0 for z in right) == 2 * len(edges)
+    assert [z for z in right
+            if _parts(cmath.log(z.conjugate())) != _parts(cmath.log(z).conjugate())
+            or abs(z.conjugate()).hex() != abs(z).hex()
+            or abs(z.conjugate() - 1.0).hex() != abs(z - 1.0).hex()] == []
+
+    # * and + on seeded operands near 1, as of partial products and log
+    # sums, and across scales that neither overflow nor underflow
+    scales = np.ldexp(1.0, rng.integers(-400, 400, (2, k)))
+    angles = np.exp(1j * rng.uniform(-np.pi, np.pi, (2, k)))
+    operands = [(scales * angles).tolist(), (1.0 + 0.5 * rng.random((2, k)) * angles).tolist()]
+    checked = 0
+    for a_s, b_s in operands:
+        for a, b in zip(a_s, b_s):
+            for result, mirrored in ((a * b, a.conjugate() * b.conjugate()),
+                                     (a + b, a.conjugate() + b.conjugate())):
+                if result.real and result.imag:
+                    checked += 1
+                    assert _parts(mirrored) == _parts(result.conjugate()), (a, b)
+    assert checked > 3.9 * k
+    # where a part cancels to an exact zero, the mirror has +0.0: equal by
+    # value only, which is why the step conjugates only nonzero parts
+    for a, b, op in ((1 + 1j, 1 - 1j, complex.__mul__), (1 + 1j, 1 - 1j, complex.__add__)):
+        result, mirrored = op(a, b), op(a.conjugate(), b.conjugate())
+        assert mirrored == result.conjugate()
+        assert _parts(result.conjugate()) == ("0x1.0000000000000p+1", "-0x0.0p+0")
+        assert _parts(mirrored) == ("0x1.0000000000000p+1", "0x0.0p+0")
+
+
 def test_rms_is_no_less_accurate_than_squaring_with_pow():
     # _rms squares each modulus as m*m, which rounds correctly; the C pow
     # behind abs(a) ** 2 need not. Against mpmath, on moduli inside the

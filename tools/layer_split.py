@@ -53,7 +53,11 @@ each run ``_drive`` hands it), the screens of the absolute check, the
 product verdict and the log-sum identity, and the rest of the step: its
 partial products, logs and the consumers' takes.
 Each piece is timed around its call, once per run; the per-term body
-and the cutting of blocks into runs are in no piece.
+and the cutting of blocks into runs are in no piece. A last row gives
+the share of the terms read that the step took on mirror runs, where
+the second component is the conjugate of the first and the step forms
+the first alone (``_product_pass``); it reads the flag the consumers'
+screens are handed, and is 0 on the scalar lane.
 
 Each time is the minimum of ``--repeats`` runs, in-process. Compare
 figures taken on one machine in one session: the speed of a shared box
@@ -240,14 +244,17 @@ def analyzer_cost(analyzer, text: str, n: int, repeats: int) -> tuple[int, float
     return count, _min_ns(run, repeats) / count
 
 
-def block_step_split(text: str, n_max: int, repeats: int) -> tuple[str, int, list[float]]:
-    """``(lane, terms, ns/term of each of STEP_PIECES)``: the CLI's product pass
-    over the prebuilt walker blocks of ``text`` that it reads, its block
-    step timed by piece through wrappers on the ``step`` that
-    ``_product_pass`` hands ``_drive``, on the ``_deviations`` and
+def block_step_split(
+    text: str, n_max: int, repeats: int
+) -> tuple[str, int, list[float], float]:
+    """``(lane, terms, ns/term of each of STEP_PIECES, mirror share)``: the
+    CLI's product pass over the prebuilt walker blocks of ``text`` that it
+    reads, its block step timed by piece through wrappers on the ``step``
+    that ``_product_pass`` hands ``_drive``, on the ``_deviations`` and
     ``_none_singular`` that the step looks up in ``products`` and on the
     consumers' ``screen``; each piece's time is its minimum over
-    ``repeats`` runs."""
+    ``repeats`` runs. The mirror share counts the runs the step took whose
+    screens were handed a run flagged ``mirror`` (its last field)."""
     node = seqspec.parse(text)
     blocks = seqspec._lane_blocks(node, 1, n_max + 1)
     read = []
@@ -255,6 +262,8 @@ def block_step_split(text: str, n_max: int, repeats: int) -> tuple[str, int, lis
         (read.append(block) or block for block in blocks), TOL, WINDOW, n_max
     )
     spent = {}
+    mirrored = 0
+    flags = []
 
     def timed(fn, piece):
         def run(*args):
@@ -270,18 +279,36 @@ def block_step_split(text: str, n_max: int, repeats: int) -> tuple[str, int, lis
     clearance = {name: getattr(products, name) for name in CLEARANCE}
 
     def timed_drive(blocks, n_max, step, read):
-        return drive(blocks, n_max, timed(step, "step"), read)
+        timed_step = timed(step, "step")
+
+        def counted(p1s, p2s, used):
+            nonlocal mirrored
+            flags.clear()
+            on = timed_step(p1s, p2s, used)
+            if on is not None and flags[0]:
+                mirrored += len(p1s)
+            return on
+
+        return drive(blocks, n_max, counted, read)
+
+    def flagged(screen):
+        def noted(self, run, used):
+            flags.append(run[-1])
+            return screen(self, run, used)
+
+        return noted
 
     screens = {kind: kind.screen for kind in STEP_SCREENS}
     products._drive = timed_drive
     for name, fn in clearance.items():
         setattr(products, name, timed(fn, "clearance"))
     for kind in STEP_SCREENS:
-        kind.screen = timed(screens[kind], kind)
+        kind.screen = timed(flagged(screens[kind]), kind)
     best = None
     try:
         for _ in range(repeats):
             spent.clear()
+            mirrored = 0
             count = _terms_read(
                 products._analyze_product_pairs(iter(read), TOL, WINDOW, n_max)
             )
@@ -294,7 +321,7 @@ def block_step_split(text: str, n_max: int, repeats: int) -> tuple[str, int, lis
             setattr(products, name, fn)
         for kind in STEP_SCREENS:
             kind.screen = screens[kind]
-    return _lane(read), count, [ns / count for ns in best]
+    return _lane(read), count, [ns / count for ns in best], mirrored / count
 
 
 def one_index_cost(text: str, calls: int, repeats: int) -> tuple[float, float]:
@@ -367,12 +394,13 @@ def main(argv=None) -> int:
 
     for command, text, budget in WORKLOADS[:2]:
         n_max = budget if args.max_terms is None else min(budget, args.max_terms)
-        lane, count, pieces = block_step_split(text, n_max, args.repeats)
+        lane, count, pieces, mirror_share = block_step_split(text, n_max, args.repeats)
         print()
         print(f'| {lane}-lane block step of `{command} "{text}"` | terms | ns/term |')
         print("|---|---:|---:|")
         for piece, ns in zip(STEP_PIECES, pieces):
             print(f"| {piece} | {count:,} | {ns:,.0f} |")
+        print(f"| share taken on mirror runs | {count:,} | {mirror_share:.1%} |")
     return 0
 
 
