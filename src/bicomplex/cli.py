@@ -22,7 +22,7 @@ import argparse
 import os
 import sys
 
-from . import seqspec
+from . import _HOME, seqspec
 from .core import Bicomplex, NonFiniteError, SingularOperand, SingularTerm, _validate
 from .seqspec import IdempotentSlotError, ParseError
 from .transcendental import log_bound_check, log_branch
@@ -30,16 +30,17 @@ from .transcendental import log_bound_check, log_branch
 __all__ = ["main"]
 
 # The library analyzers stay readable here, as bench/tracer.py wraps them
-# by name on this module. Each loads its home module on first read only
-# (PEP 562), so eval and check-bounds load neither products nor series.
-_ANALYZERS = {"evaluate_product": "products", "absolute_convergence_check": "products",
-              "log_sum_equivalence": "products", "analyze_series": "series"}
+# by name on this module. Each loads its home module, the package's
+# ``_HOME`` entry, on first read only (PEP 562), so eval and check-bounds
+# load neither products nor series.
+_ANALYZERS = ("evaluate_product", "absolute_convergence_check", "log_sum_equivalence",
+              "analyze_series")
 
 
 def __getattr__(name):
     if name not in _ANALYZERS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(__import__(_ANALYZERS[name], globals(), level=1), name)
+    return getattr(__import__(_HOME[name], globals(), level=1), name)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -93,11 +93,11 @@ from .core import (
 )
 from .seqspec import _TERM_ERRORS
 from .series import (
-    _FLAT_RATIO, _FLOOR_FACTOR, _HARMONIC_RATIO, OVERFLOW_GUARD, _Checkpoints, _diameter,
-    _drive, _gaps, _modulus, _norms, _pair_or_none, _partials, _run_sums, _running,
-    _term_pairs, _Tracker,
+    _FLAT_RATIO, _FLOOR_FACTOR, _HARMONIC_RATIO, OVERFLOW_GUARD, _checkpoint, _Checkpoints,
+    _diameter, _drive, _gaps, _modulus, _norms, _pair_or_none, _partials, _run_sums,
+    _running, _term_pairs, _Tracker,
 )
-from .transcendental import TWO_PI, BoundCheck, log1p, log_bound_check
+from .transcendental import TWO_PI, BoundCheck, log_bound_check
 
 __all__ = [
     "SingularTerm",
@@ -273,11 +273,11 @@ class _Absolute(_Consumer):
     def push(self, w1, w2, q1, q2, lg1, lg2, l1, l2, dev, used) -> bool:
         if self.open and (w1.real <= 0.0 or w2.real <= 0.0):
             self._freeze("hypothesis_violated", "hypothesis_violated", True, used, used)
-        self.dev.push(dev, dev)
+        self.dev.push(dev, dev, used)
         log = self.log
         if log.verdict is None:
             log_norm = _rms(lg1, lg2)
-            log.push(log_norm, log_norm)
+            log.push(log_norm, log_norm, used)
             if log.verdict is None:
                 return self.open
         if self.open and self.dev.verdict is not None:
@@ -292,11 +292,11 @@ class _Absolute(_Consumer):
             if self.open and dmax >= 1.0:
                 return None
             dev_norms = _norms(d1s, d2s)
-            steps.append((self.dev, dev_norms, dev_norms, True))
+            steps.append((self.dev, dev_norms, dev_norms))
         if self.log.verdict is None:
             lm1s = list(map(abs, lg1s))
             log_norms = _norms(lm1s, lm1s if lg2s is lg1s else list(map(abs, lg2s)))
-            steps.append((self.log, log_norms, log_norms, True))
+            steps.append((self.log, log_norms, log_norms))
         return _run_sums(steps)
 
     def take(self, runs) -> None:
@@ -364,7 +364,7 @@ class _Verdict(_Consumer):
                 verdict = "diverged_to_zero"
             # stable partial products under far-from-1 terms with no drain
             # toward zero: keep consuming evidence
-        if verdict is None and used == checks.due and checks.stalled():
+        if verdict is None and _checkpoint(used) and checks.stalled():
             self.nc_ok = False
             if pnorm >= _rms(win1[0], win2[0]) * (1.0 - 1e-12):
                 verdict = "diverged"
@@ -378,41 +378,34 @@ class _Verdict(_Consumer):
         and no window pre-test passes: one component moves by tol or more
         across every window.
 
-        The range needs no scan of ``|q|`` where the run's ``dmax < 1/2``
-        (``_moduli_within``). With ``D = dmax + 1e-15``, ``k`` the run's
-        length and ``m1``, ``m2`` the computed moduli of its first partial
-        products ``q1s[0]`` and ``q2s[0]``, each component's ``|q|`` over
-        the run lies in ``[m*(1 - D)**k/2, 2*m*(1 + D)**k]``, ``m`` its own
-        first modulus: so the larger least modulus is at least the lower
-        end for ``max(m1, m2)``, and every modulus at most its upper end.
-        The computed ``d`` is within 3u of ``|p - 1|`` (u = 2**-53: one
-        rounding in the real part of ``p - 1``, at most two in ``abs``),
-        so ``|p - 1| <= d + 1e-15`` for ``d < 1/2``, and each term moves
-        ``|q|`` by a factor in ``[1 - D, 1 + D]``. Python's complex product
-        has relative error at most ``sqrt(5)*u`` (Brent, Percival and
-        Zimmermann, 2007), and ``abs`` and ``**`` add a few u: over ``k``
-        terms a factor ``(1 ± 3u)**k`` at most, which the factor-2 margin
-        covers for any run that fits in memory. Where ``dmax >= 1/2`` or
-        the bound leaves the range, the moduli are scanned with halved
-        margins, which on the scalar lane only refuse more runs.
+        The one range rule is ``_moduli_within``, which scans no ``|q|``; a
+        run it refuses goes to the per-term body. With ``D = dmax + 1e-15``,
+        ``k`` the run's length and ``m1``, ``m2`` the computed moduli of its
+        first partial products ``q1s[0]`` and ``q2s[0]``, each component's
+        ``|q|`` over the run lies in ``[m*(1 - D)**k/2, 2*m*(1 + D)**k]``,
+        ``m`` its own first modulus: so the larger least modulus is at least
+        the lower end for ``max(m1, m2)``, and every modulus at most its
+        upper end. The computed ``d`` is within 3u of ``|p - 1|`` (u =
+        2**-53: one rounding in the real part of ``p - 1``, at most two in
+        ``abs``), so ``|p - 1| <= d + 1e-15`` for ``d < 1/2``, and each term
+        moves ``|q|`` by a factor in ``[1 - D, 1 + D]``. Python's complex
+        product has relative error at most ``sqrt(5)*u`` (Brent, Percival
+        and Zimmermann, 2007), and ``abs`` and ``**`` add a few u: over
+        ``k`` terms a factor ``(1 ± 3u)**k`` at most, which the factor-2
+        margin covers for any run that fits in memory.
 
-        On a mirror run the second component's gaps are the conjugates of
-        the first's, so the first pre-test decides, and the take extends
-        ``win2`` with the conjugates of the last window.
+        The second pre-test runs where ``q2s`` is not ``q1s``: on the scalar
+        lane it would repeat the first bit for bit, and on a mirror run it
+        could only pass more runs, as the window rule needs both components
+        still. The take extends ``win2`` with the last window's conjugates.
         """
         q1s, q2s, _, _, _, _, (d1s, d2s, dmax), mirror = run
         window, tol = self.window, self.tol
         if not _moduli_within(q1s[0], q2s[0], dmax, len(q1s)):
-            # m/sqrt(2) <= _rms(a, b) <= m, m the larger modulus, up to
-            # a few ulps: halve the margins
-            m1s = list(map(abs, q1s))
-            m2s = m1s if q2s is q1s else list(map(abs, q2s))
-            if not (2.0 * ZERO_COLLAPSE <= max(min(m1s), min(m2s))
-                    and max(max(m1s), max(m2s)) <= 0.5 * OVERFLOW_GUARD):
-                return None
+            return None
         if not (
             min(map(abs, _gaps(self.win1, q1s, window)), default=math.inf) >= tol
-            or not mirror
+            or q2s is not q1s
             and min(map(abs, _gaps(self.win2, q2s, window)), default=math.inf) >= tol
         ):
             return None
@@ -566,9 +559,8 @@ def _product_pass(blocks, n_max: int, singularity_tol: float, consumers) -> None
     A pair-lane run is a mirror run where its second component is the
     conjugate of its first, as for a term ``z1 + z2*i2`` with ``z1`` and
     ``z2`` real: the log-sum identity is closed; the carried state mirrors
-    (``q2 == conj(q1)``, ``l2 == conj(l1)`` and, while the verdict is open,
-    ``win2`` equals the conjugates of ``win1`` element by element);
-    ``p2s`` equals the conjugates of ``p1s``, tested after its first term;
+    (``q2 == conj(q1)`` and ``l2 == conj(l1)``); ``p2s`` equals the
+    conjugates of ``p1s``, tested after its first term;
     and ``dmax < 1/2``. Each test is by value, which ignores only the sign
     of a zero. Complex ``*`` and ``+`` keep that relation: conjugating both
     operands negates each product or sum that makes up the result's
@@ -583,13 +575,16 @@ def _product_pass(blocks, n_max: int, singularity_tol: float, consumers) -> None
     step forms the first alone: ``d2s`` is ``d1s`` (also where ``dmax``
     ends the route), the log moduli are ``|log p1|``, and the verdict's
     screen reads ``q1s`` and ``win1`` alone; none of these reads a sign of
-    a zero. At the end of the run ``q2`` and ``l2`` are the conjugates of
-    ``q1`` and ``l1`` where both parts are nonzero, where value and bits
-    agree; elsewhere the step forms them from ``p2s`` as on any other run,
-    so every carried bit stays the per-term body's. The identity is left
-    out because it reads ``log(q2)`` bit for bit, and ``q`` can reach the
-    negative real axis. ``tests/test_products.py`` checks the premises on
-    the platform.
+    a zero. ``win2`` needs no test: the take appends the conjugates of the
+    run's last ``q1`` values, the per-term ``q2`` values up to zero signs,
+    which no reader of ``win2`` sees (each takes ``abs`` or ``_rms``), and
+    keeps its older, per-term entries. At the end of the run ``q2`` and
+    ``l2`` are the conjugates of ``q1`` and ``l1`` where both parts are
+    nonzero, where value and bits agree; elsewhere the step forms them
+    from ``p2s`` as on any other run, so every carried bit stays the
+    per-term body's. The identity is left out because it reads
+    ``log(q2)`` bit for bit, and ``q`` can reach the negative real axis.
+    ``tests/test_products.py`` checks the premises on the platform.
 
     With the product verdict among the consumers, failures are routed as
     ``analyze_product`` states: a singular term freezes it as
@@ -612,8 +607,6 @@ def _product_pass(blocks, n_max: int, singularity_tol: float, consumers) -> None
             p2s is not p1s
             and (identity is None or not identity.open)
             and q2 == q1.conjugate() and l2 == l1.conjugate()
-            and (verdict is None or not verdict.open
-                 or list(verdict.win2) == [q.conjugate() for q in verdict.win1])
             and p2s[0] == p1s[0].conjugate()
             and p2s == [p.conjugate() for p in p1s]
         )

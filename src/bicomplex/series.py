@@ -79,6 +79,12 @@ _EXACT_RMS_MAX = 2.0**511
 _MIN_RUN = 16
 
 
+def _checkpoint(n: int) -> bool:
+    """Whether term ``n`` is a checkpoint, ``16*2**k``: the one schedule of
+    both passes' rules, and the indices ``_runs`` cuts as runs of their own."""
+    return n >= _FIRST_CHECKPOINT and not n & (n - 1)
+
+
 def _partials(terms, op, start) -> list:
     """The running values after each of ``terms``: ``start`` combined with
     each in turn by ``op``, the float operations of ``start = op(start,
@@ -100,25 +106,25 @@ def _gaps(sums, totals, window: int):
 def _runs(blocks, n_max: int):
     """The terms of ``blocks``, each the lists ``(p1s, p2s)``, as runs for a
     pass to read in order: at most ``n_max`` terms in all, and each
-    checkpoint index (16, 32, 64, ...) a run of its own, so that a run of
+    checkpoint index (``_checkpoint``) a run of its own, so that a run of
     several terms holds none; a one-list block gives one-list runs. No
     block is read past the run that ends the pass."""
     used = 0
-    due = _FIRST_CHECKPOINT
+    check = _FIRST_CHECKPOINT  # the next checkpoint
     for block in blocks:
         k = len(block[0])
         if k > n_max - used:
             k = n_max - used
             block = _cut(block, 0, k)
-        while used + k >= due:
-            cut = due - used - 1  # the checkpoint term's place in the block
+        while used + k >= check:
+            cut = check - used - 1  # the checkpoint term's place in the block
             if cut:
                 yield _cut(block, 0, cut)
             yield _cut(block, cut, cut + 1)
             block = _cut(block, cut + 1, k)
             k -= cut + 1
-            used = due
-            due += due
+            used = check
+            check += check
         if k:
             yield block
             used += k
@@ -194,25 +200,23 @@ class SeriesReport(_Record):
 
 class _Checkpoints:
     """The dyadic checkpoint rule over the last ``window`` term
-    magnitudes ``mags``; its owner counts the terms and calls
-    ``stalled`` at term ``due``."""
+    magnitudes ``mags``; its owner calls ``stalled`` where the pass's
+    term index is a ``_checkpoint``."""
 
-    __slots__ = ("tol", "ratio", "mags", "due", "prev_floor")
+    __slots__ = ("tol", "ratio", "mags", "prev_floor")
 
     def __init__(self, tol: float, window: int, ratio: float):
         self.tol = tol
         self.ratio = ratio
         self.mags: deque[float] = deque(maxlen=window)
-        self.due = _FIRST_CHECKPOINT
         self.prev_floor: float | None = None
 
     def stalled(self) -> bool:
         """The checkpoint test: the floor of ``mags`` is above the
         evidence floor and at least ``ratio`` times the floor at the
-        previous checkpoint. Moves ``due`` to the next checkpoint."""
+        previous checkpoint."""
         floor = min(self.mags)
         prev_floor, self.prev_floor = self.prev_floor, floor
-        self.due *= 2
         return (
             prev_floor is not None
             and floor >= max(_FLOOR_FACTOR * self.tol, _DIVERGENCE_FLOOR)
@@ -227,19 +231,20 @@ class _Tracker(_Checkpoints):
     Converged once the last ``window`` partial sums lie within ``tol``
     of each other. Diverged when a partial sum passes the overflow
     guard, or when ``stalled`` holds at a checkpoint with ``ratio``:
-    _FLAT_RATIO for a general series, _HARMONIC_RATIO for a norm series.
-    Partial sums of a norm series are monotone, so there the window
+    _FLAT_RATIO for a general series, _HARMONIC_RATIO for a norm series
+    alone. Partial sums of a norm series are monotone, so there the window
     test comes down to the gap between newest and oldest. The series
     pass runs its component and modulus series on trackers, and the
     product pass its two norm series, of ``||log w_n||`` and of
-    ``||w_n - 1||``.
+    ``||w_n - 1||``. An undecided tracker reads every term, by ``push`` or
+    ``take``, so it counts none: ``push`` is handed the pass's index.
 
     ``run_sums`` and ``take`` are the block step: the first screens a run
     of terms that holds no checkpoint, the second advances the tracker
     over it with the sums ``push`` would make, in the same order.
     """
 
-    __slots__ = ("window", "total", "sums", "verdict", "count")
+    __slots__ = ("window", "total", "sums", "verdict")
 
     def __init__(self, tol: float, window: int, ratio: float = _FLAT_RATIO):
         super().__init__(tol, window, ratio)
@@ -247,13 +252,11 @@ class _Tracker(_Checkpoints):
         self.total = 0.0
         self.sums: deque = deque(maxlen=window)
         self.verdict: str | None = None
-        self.count = 0
 
-    def push(self, term, mag: float) -> None:
-        """Add ``term``; ``mag`` is ``abs(term)``, which the caller holds."""
+    def push(self, term, mag: float, used: int) -> None:
+        """Add ``term``, the pass's term ``used``; ``mag`` is ``abs(term)``."""
         if self.verdict is not None:
             return
-        self.count = count = self.count + 1
         self.total = total = self.total + term
         sums = self.sums
         sums.append(total)
@@ -269,19 +272,19 @@ class _Tracker(_Checkpoints):
             if abs(total - sums[0]) < self.tol and _diameter(sums) < self.tol:
                 self.verdict = "converged"
                 return
-        if count == self.due and self.stalled():
+        if _checkpoint(used) and self.stalled():
             self.verdict = "diverged"
 
-    def run_sums(self, terms, rising: bool):
+    def run_sums(self, terms):
         """The partial sums after each of ``terms``, or None where a rule
-        of ``push`` could fire at one of them. ``rising``: the terms are
-        nonnegative, so the sums rise: the last is the largest (a NaN
+        of ``push`` could fire at one of them. On a norm series the terms
+        are nonnegative, so the sums rise: the last is the largest (a NaN
         there fails the screen, and it stays in every later sum), and a
         window's spread is newest minus oldest. Raises OverflowError where
         a modulus leaves the float range."""
         totals = _partials(terms, add, self.total)
         gaps = _gaps(self.sums, totals, self.window)
-        if rising:
+        if self.ratio == _HARMONIC_RATIO:
             quiet = totals[-1] <= OVERFLOW_GUARD and min(gaps, default=math.inf) >= self.tol
         else:
             quiet = max(map(abs, totals)) <= OVERFLOW_GUARD and min(
@@ -291,7 +294,6 @@ class _Tracker(_Checkpoints):
 
     def take(self, totals, mags) -> None:
         """Advance over a run that ``run_sums`` passed, as ``push`` would."""
-        self.count += len(totals)
         self.total = totals[-1]
         self.sums.extend(totals[-self.window :])
         self.mags.extend(mags[-self.window :])
@@ -299,13 +301,13 @@ class _Tracker(_Checkpoints):
 
 def _run_sums(steps):
     """The block step's screen over trackers: ``steps`` holds ``(tracker,
-    terms, mags, rising)`` for each. Where ``run_sums`` passes the run for
-    every live tracker, the ``(tracker, totals, mags)`` that each takes it
-    with (``_Tracker.take``); else None."""
+    terms, mags)`` for each. Where ``run_sums`` passes the run for every
+    live tracker, the ``(tracker, totals, mags)`` that each takes it with
+    (``_Tracker.take``); else None."""
     runs = []
-    for tracker, terms, mags, rising in steps:
+    for tracker, terms, mags in steps:
         if tracker.verdict is None:
-            totals = tracker.run_sums(terms, rising)
+            totals = tracker.run_sums(terms)
             if totals is None:
                 return None
             runs.append((tracker, totals, mags))
@@ -429,13 +431,13 @@ def _analyze_pairs(blocks, tol, window, n_max) -> SeriesReport:
     def step(p1s, p2s, used):
         try:
             m1s = m2s = list(map(abs, p1s))
-            steps = [(c1, p1s, m1s, False), (a1, m1s, m1s, True)]
+            steps = [(c1, p1s, m1s), (a1, m1s, m1s)]
             if c2 is not c1:
                 m2s = list(map(abs, p2s))
-                steps += [(c2, p2s, m2s, False), (a2, m2s, m2s, True)]
+                steps += [(c2, p2s, m2s), (a2, m2s, m2s)]
             if ae is not a1:
                 mes = _norms(m1s, m2s)
-                steps.append((ae, mes, mes, True))
+                steps.append((ae, mes, mes))
             elif not (_EXACT_RMS_MIN <= min(m1s) and max(m1s) <= _EXACT_RMS_MAX):
                 return None
             runs = _run_sums(steps)
@@ -457,14 +459,14 @@ def _analyze_pairs(blocks, tol, window, n_max) -> SeriesReport:
         if ae is a1 and not _EXACT_RMS_MIN <= m1 <= _EXACT_RMS_MAX:
             import copy  # once per pass at most: not worth start-up time
             ae = copy.deepcopy(a1)
-        c1.push(p1, m1)
-        a1.push(m1, m1)
+        c1.push(p1, m1, used)
+        a1.push(m1, m1, used)
         if c2 is not c1:
-            c2.push(p2, m2)
-            a2.push(m2, m2)
+            c2.push(p2, m2, used)
+            a2.push(m2, m2, used)
         if ae is not a1:
             me = math.sqrt((m1 * m1 + m2 * m2) / 2.0)
-            ae.push(me, me)
+            ae.push(me, me, used)
         main_done = (
             c1.verdict == "diverged"
             or c2.verdict == "diverged"

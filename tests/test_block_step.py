@@ -111,6 +111,25 @@ def test_runs_keep_the_lane_of_their_blocks():
                         assert {due - 1, due} <= ends, (n_max, lane, due)
 
 
+def test_the_checkpoint_rule_reads_the_indices_the_runs_cut():
+    # blocks of ten terms never start at a checkpoint, as 16*2**k is not
+    # 1 mod 10: the one-term runs cut in mid-block are the checkpoints,
+    # which both passes' rules read off the term index alone
+    values = [complex(n) for n in range(1, 3001)]
+    blocks = ((xs, xs) for xs in (values[i : i + 10] for i in range(0, 3000, 10)))
+    used, cut = 0, set()
+    for p1s, _ in series._runs(blocks, 3000):
+        if len(p1s) == 1 and used % 10:
+            cut.add(used + 1)
+        used += len(p1s)
+    assert used == 3000
+    assert cut == {n for n in range(3001) if series._checkpoint(n)} == {
+        16, 32, 64, 128, 256, 512, 1024, 2048
+    }
+    assert series._checkpoint(2**62)
+    assert not series._checkpoint(2**62 - 1) and not series._checkpoint(2**62 + 1)
+
+
 # -- products: every decision site ------------------------------------
 
 def _near_one(n):
@@ -118,8 +137,9 @@ def _near_one(n):
 
 
 # scattered indices past 1,024 where a term lies 0.6 from 1, the next
-# undoing it: the long runs that hold them take the zero-divisor scan and
-# the verdict's scan of the partial products' moduli
+# undoing it: the long runs that hold them take the zero-divisor scan,
+# and their dmax of 0.6 sends them past the verdict's range bound to the
+# per-term body
 SPIKES = set(range(1100, 8000, 337))
 
 
@@ -307,7 +327,9 @@ def _analysis_at(blocks, singularity_tol, n_max):
 def test_product_block_step_zero_divisor_clearance_at_and_above_one_ninth(monkeypatch):
     # every term lies within 1/2 of 1, and term 2,500 is (0.55, 1.45):
     # singular from a tolerance of 0.6632 on. Below 1/9 the deviations
-    # clear each long run; from 1/9 on, _none_singular decides
+    # clear each long run; from 1/9 on, _none_singular decides. The run
+    # 2,049-3,071 that holds it is read term by term: its dmax of 0.45
+    # over 1,023 terms leaves the verdict's range bound
     terms = [(0.55 + 0j, 1.45 + 0j) if n == 2500 else _near_one(n) for n in range(1, 4001)]
     scans = []
     scan = products._none_singular
@@ -325,7 +347,7 @@ def test_product_block_step_zero_divisor_clearance_at_and_above_one_ninth(monkey
             assert analysis.product.singular_index == 2500
         else:
             assert analysis.product.terms_used == 4000
-            assert count[0] <= 100, (tol, count[0])
+            assert count[0] <= 1023 + 100, (tol, count[0])
     assert 1e-12 not in scans and {1.0 / 9.0, 0.2, 0.7} <= set(scans)
 
 
@@ -654,7 +676,10 @@ def test_series_block_step_matches_the_per_term_body(monkeypatch, case):
         report, per_term = _compare(monkeypatch, "series", terms, scalar, tol, n_max)
         assert report.verdict == verdict, (name, scalar)
         assert per_term < report.terms_used - 500, (name, scalar, per_term)
-        if name not in ("flat_checkpoint", "rms_split"):
+        if name == "flat_checkpoint":
+            # decided at a checkpoint, which is a run of its own
+            assert report.terms_used == 2048
+        elif name != "rms_split":
             assert _mid_block(report.terms_used), report.terms_used
         if name == "rms_split" and scalar:
             assert report.absolute_component_verdicts == ("inconclusive", "inconclusive")

@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import math
@@ -579,3 +580,33 @@ def test_exports_resolve_to_their_home_modules():
     assert set(dir(bicomplex)) >= {"__all__", *PUBLIC_NAMES, *MODULES}
     with pytest.raises(AttributeError, match="'no_such_name'"):
         bicomplex.no_such_name
+
+
+def _unread_imports(source: str) -> list[str]:
+    """The names ``source``'s imports bind that it never reads and does
+    not list in ``__all__``; ``__future__`` imports bind none."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    exported = {
+        e.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__"
+        for e in getattr(node.value, "elts", ())
+        if isinstance(e, ast.Constant)
+    }
+    return sorted(imported - read - exported)
+
+
+def test_every_imported_name_is_read_or_exported():
+    package = Path(bicomplex.__file__).parent
+    unread = {path.name: _unread_imports(path.read_text()) for path in package.glob("*.py")}
+    assert {name: names for name, names in unread.items() if names} == {}
+    assert len(unread) == len(MODULES) + 2  # __init__ and cli
+    # the scan sees an unread import, a re-export and a read one
+    assert _unread_imports("from a import b, c\nimport d.e as f\n__all__ = ['c']\nf\n") == ["b"]

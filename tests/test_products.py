@@ -866,8 +866,8 @@ def _tracked_norm_series(terms, scalar, tol, window, product_used):
         w1, w2 = (term, term) if scalar else term
         log_norm = _rms(cmath.log(w1), cmath.log(w2))
         dev = _rms(w1 - 1.0, w2 - 1.0)
-        log_track.push(log_norm, log_norm)
-        dev_track.push(dev, dev)
+        log_track.push(log_norm, log_norm, used)
+        dev_track.push(dev, dev, used)
         if used == product_used:
             at_product = (log_track.verdict, dev_track.verdict)
         if absolute is None and None not in (log_track.verdict, dev_track.verdict):
