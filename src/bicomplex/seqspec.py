@@ -29,10 +29,12 @@ errors are bit for bit those of the ``Bicomplex`` operations. Each node
 type has one closure builder. A scalar subtree (``n``, numbers, ``pi``,
 ``i1`` and operations but ``[a | b]`` on them) has ``p1 == p2``, and its
 closures return one list object as both components, each operation doing
-its work once: that identity is the lane. Each check is one scan per
-block; where a scan fails, the node's per-element helper runs over the
-block in element order, so a block of one index raises exactly the ring
-operation's error.
+its work once: that identity is the lane. Beside each closure a bound
+on the moduli of its values over the block lets a node skip each check
+the bound proves will pass (``_compile``); each other check is one scan
+per block, and where a scan fails, the node's per-element helper runs
+over the block in element order, so a block of one index raises exactly
+the ring operation's error.
 
 One index walker, ``_blocks``, runs every evaluation and attaches the
 term index to its failures (``_at``, its one-index step, evaluates
@@ -394,16 +396,34 @@ def _compile(node):
     ``Bicomplex`` operation it stands for, one complex operation per
     component but for inversion, in the same order, each as one C-level
     ``map`` over the block, so values are bit for bit those of the ring
-    operations. Each check is one scan per block; where a scan fails, the
-    node runs the per-element helper (``core._check_finite``,
-    ``_pair_inverse``, ``_power`` and the like) over the
-    block in element order, so a block of one index raises exactly the
-    ring operation's error. A division, negative power or
+    operations. A node skips each check that its bound proves will pass;
+    each other check is one scan per block, and where a scan fails, the
+    node runs the per-element helper
+    (``core._check_finite``, ``_pair_inverse``, ``_power`` and the like)
+    over the block in element order, so a block of one index raises
+    exactly the ring operation's error. A division, negative power or
     ``log``/``sqrt`` makes the zero-divisor test on the pair
     (``core._pair_zero_divisor_test``), its scan the one block screen
-    ``core._none_singular`` on either lane. Subtrees that do not use ``n``
+    ``core._none_singular`` on either lane. A passing scan changes no
+    value, so skipping it moves no bit. Subtrees that do not use ``n``
     are evaluated here, at one index, except those that raise: they stay
     in place, so their error comes from every evaluation.
+
+    The bound of a node's values over a block is formed once per block
+    from its operands' bounds: ``n`` gives ``[start, stop - 1]``, a
+    constant its own moduli, ``+`` and ``-`` give ``[max(0, lo_a - hi_b,
+    lo_b - hi_a), hi_a + hi_b]``, ``*`` gives ``[lo_a*lo_b, hi_a*hi_b]``,
+    an inverse ``[1/hi, 1/lo]`` where ``lo > 0``, ``^k`` the k-th powers.
+    A function, ``[a | b]``, a block that is no ``range`` or reaches
+    ``2**53`` (where ``n + 0j`` stops being exact) or a bound past 1e300
+    gives none. Each complex operation, and each bound's own arithmetic,
+    rounds by a few units of 2**-53; each node widens by a relative 1e-12
+    (per multiplication of the chain for ``^k``), and below the normal
+    range, where rounding is absolute, ``lo`` under 1e-290 becomes 0 and
+    ``hi`` grows by 1e-290. A ring operation skips its finiteness scans,
+    and ``^k`` its per-multiply scans, where its bound is known; an
+    inverse, ``log`` and ``sqrt`` skip the zero-divisor screen where
+    their operand's bound passes ``_clear``.
 
     The scalar lane is list identity. ``n``, numbers, ``pi`` and ``i1``
     have ``p1 == p2`` bit for bit (``n`` and numbers are ``(x, x)``,
@@ -427,17 +447,51 @@ def _compile(node):
     except (ArithmeticError, ValueError):
         return fn, None
     (p1,), (p2,) = p1s, p2s
-    return _constant(p1, p2, p1s is p2s), (p1, p2)
+    # a leaf's closure is a constant already
+    return (_constant(p1, p2, p1s is p2s) if operands else fn), (p1, p2)
+
+
+# A closure ``fn`` that bounds its values keeps ``fn.bound``, a one-item
+# list: each call puts there ``(ns, lo, hi)``, every component modulus of
+# its values over the block ``ns`` in ``[lo, hi]``, or None, unknown. A
+# parent reads a bound only where it carries the parent's own ``ns``, so
+# a call another thread made in between costs a skip, never a wrong one.
+def _cell(fn):
+    return getattr(fn, "bound", [None])
+
+
+def _widen(ns, lo, hi, margin=1e-12):
+    """The bound ``(ns, lo, hi)`` widened by a relative ``margin`` and, for
+    rounding below the normal range, by 1e-290; None where ``hi`` is not
+    below 1e300 (see ``_compile``)."""
+    hi = hi * (1.0 + margin) + 1e-290
+    if hi < 1e300:
+        lo *= 1.0 - margin
+        return ns, (lo if lo > 1e-290 else 0.0), hi
+    return None
+
+
+def _clear(ns, a):
+    """True where the bound ``a`` proves that ``_none_singular`` passes the
+    block at SINGULARITY_TOLERANCE: ``lo*lo > tol*max(1, hi*hi)``, widened
+    by the margin, is its extremes rule on moduli within ``[lo, hi]``, and
+    ``hi < 1e150`` keeps every sum of squares the test forms finite."""
+    return bool(a) and a[0] is ns and a[2] < 1e150 and (
+        a[1] * a[1] > SINGULARITY_TOLERANCE * (1.0 + 1e-12) * max(1.0, a[2] * a[2]))
 
 
 def _constant(v1, v2, shared):
-    if shared:
-        def fn(ns):
-            xs = [v1] * len(ns)
-            return xs, xs
+    # inf, where abs would raise, leaves the bound unknown
+    m1, m2 = math.hypot(v1.real, v1.imag), math.hypot(v2.real, v2.imag)
+    known, out = _widen(None, *((m1, m2) if m1 < m2 else (m2, m1))), [None]
 
-        return fn
-    return lambda ns: ([v1] * len(ns), [v2] * len(ns))
+    def fn(ns):
+        out[0] = known and (ns, known[1], known[2])
+        xs = [v1] * len(ns)
+        return xs, (xs if shared else [v2] * len(ns))
+
+    fn.bound = out
+    return fn
 
 
 def _checked(ps):
@@ -449,33 +503,42 @@ def _checked(ps):
     return ps
 
 
-def _inverses(p1s, p2s):
-    """``_pair_inverse`` of each pair, as the lists of ``r1`` and of ``r2``,
-    its zero-divisor test one ``_none_singular`` scan; where ``p1s is p2s``,
-    one list of inverses, as both components."""
-    if _none_singular(p1s, p2s, SINGULARITY_TOLERANCE):
+def _inverses(p1s, p2s, clear=False):
+    """``_pair_inverse`` of each pair, as the lists of ``r1`` and of ``r2``;
+    where ``p1s is p2s``, one list of inverses, as both components. Its
+    zero-divisor test is one ``_none_singular`` scan, or none where
+    ``clear`` (``_clear``) proves that the scan passes.
+
+    No reciprocal is scanned for finiteness. The operands are finite, as
+    every closure's values are, and the tolerance is ``tol`` = 1e-12. On
+    one list a pass means ``|p| > 1e-6``, so ``|1/p| < 1e6``, and so does
+    ``clear`` (``lo*lo > tol``) on either lane. On a pair a pass
+    means ``min1*min2 > tol*max(1, (M1*M1 + M2*M2)/2)`` over the smallest
+    and largest moduli of each component, so ``min1*M2 > tol*max(1,
+    M2*M2/2)``: ``min1 > tol/M2 >= tol/sqrt(2)`` where ``M2 <= sqrt(2)``,
+    ``min1 > tol*M2/2 > tol/sqrt(2)`` elsewhere, and so for ``min2``. So
+    every ``|1/p| < sqrt(2)/tol < 1.5e12``, finite. Where ``abs``
+    overflows, the pair test on each pair gives the same bound.
+    """
+    if clear or _none_singular(p1s, p2s, SINGULARITY_TOLERANCE):
         r1s = list(map(operator.truediv, repeat(1.0), p1s))
-        if p1s is p2s:
-            # no finiteness scan: a finite p that passes the test has
-            # |p| > 1e-6, so |1/p| < 1e6, and no closure holds a NaN
-            return r1s, r1s
-        r2s = list(map(operator.truediv, repeat(1.0), p2s))
-        if all(map(_isfinite, r1s)) and all(map(_isfinite, r2s)):
-            return r1s, r2s
+        return r1s, (r1s if p1s is p2s else list(map(operator.truediv, repeat(1.0), p2s)))
     pairs = list(map(_pair_inverse, p1s, p2s))
     r1s = [r1 for r1, _ in pairs]
     return (r1s, r1s) if p1s is p2s else (r1s, [r2 for _, r2 in pairs])
 
 
-def _powers(ps, k: int):
+def _powers(ps, k: int, clear):
     """``_power(p, k)`` of each value, for ``k >= 0``: square-and-multiply
-    list-wise, each product into the result scanned once."""
+    list-wise, each product into the result scanned once, unless ``clear``,
+    a bound on the result below 1e300, proves every product finite: each
+    square and partial product has modulus at most ``max(1, |p|)**k``."""
     base, exponent = ps, k
     rs = [1 + 0j] * len(ps)
     while k:
         if k & 1:
             rs = list(map(operator.mul, rs, base))
-            if not all(map(_isfinite, rs)):
+            if not clear and not all(map(_isfinite, rs)):
                 return list(map(_power, ps, repeat(exponent)))
         k >>= 1
         if k:
@@ -484,25 +547,28 @@ def _powers(ps, k: int):
 
 
 def _var(node):
+    out = [None]
+
     def fn(ns):
         try:
             # n + 0j is complex(n) in bits, at about half the cost
             xs = list(map(operator.add, ns, repeat(0j)))
         except OverflowError:
             raise NonFiniteError("term index n is past the float range") from None
+        # and exact below 2**53; a range of a positive step (start < stop)
+        # lies in [start, stop - 1]
+        out[0] = (ns, float(ns.start), ns.stop - 1.0) if (
+            type(ns) is range and 0 <= ns.start < ns.stop <= 2**53) else None
         return xs, xs
 
+    fn.bound = out
     return fn
 
 
 def _num(node):
-    value = node.value
-
-    def fn(ns):
-        xs = _checked([complex(value)]) * len(ns)
-        return xs, xs
-
-    return fn
+    x = complex(node.value)
+    # a literal past the float range raises at every evaluation
+    return _constant(x, x, True) if _isfinite(x) else lambda ns: _checked([x])
 
 
 def _const(node):
@@ -510,29 +576,41 @@ def _const(node):
     return _constant(w.p1, w.p2, w.p1 == w.p2)  # pi and i1: one list
 
 
-def _ring(op):
+def _ring(op, rule):
     """The builder of a ring operation that is ``op`` on each idempotent
-    component."""
+    component; ``rule`` gives its bound from its operands' bounds."""
 
     def build(node, left, right):
+        lcell, rcell, out = _cell(left), _cell(right), [None]
+
         def fn(ns):
             a1s, a2s = left(ns)
             b1s, b2s = right(ns)
+            a, b = lcell[0], rcell[0]
+            bound = out[0] = a and b and a[0] is ns is b[0] and rule(ns, a, b) or None
             # each component checked alone, with the error of
-            # _check_finite(p1, p2)
-            r1s = _checked(list(map(op, a1s, b1s)))
+            # _check_finite(p1, p2), where no bound proves it finite
+            r1s = list(map(op, a1s, b1s))
+            if not bound:
+                _checked(r1s)
             if a1s is a2s and b1s is b2s:
                 return r1s, r1s
-            return r1s, _checked(list(map(op, a2s, b2s)))
+            r2s = list(map(op, a2s, b2s))
+            return r1s, (r2s if bound else _checked(r2s))
 
+        fn.bound = out
         return fn
 
     return build
 
 
-_ADD = _ring(operator.add)
-_SUB = _ring(operator.sub)
-_MUL = _ring(operator.mul)
+def _gap(ns, a, b):
+    return _widen(ns, max(0.0, a[1] - b[2], b[1] - a[2]), a[2] + b[2])
+
+
+_ADD = _ring(operator.add, _gap)
+_SUB = _ring(operator.sub, _gap)
+_MUL = _ring(operator.mul, lambda ns, a, b: _widen(ns, a[1] * b[1], a[2] * b[2]))
 _ZERO = _constant(0j, 0j, True)
 
 
@@ -542,29 +620,54 @@ def _neg(node, arg):
 
 
 def _div(node, left, right):
-    return _MUL(node, left, lambda ns: _inverses(*right(ns)))
+    return _MUL(node, left, _inverse(right))
+
+
+def _inverse(arg):
+    """The block closure of ``1/arg``."""
+    cell, out = _cell(arg), [None]
+
+    def fn(ns):
+        p1s, p2s = arg(ns)
+        a = cell[0]
+        out[0] = a and a[0] is ns and a[1] > 0.0 and _widen(ns, 1.0 / a[2], 1.0 / a[1]) or None
+        return _inverses(p1s, p2s, _clear(ns, a))
+
+    fn.bound = out
+    return fn
 
 
 def _pow(node, base):
-    exponent = node.exponent
-    k = abs(exponent)
+    k = abs(node.exponent)
+    if node.exponent < 0:
+        base = _inverse(base)
+    # 1e-12 per multiplication of the chain, at most two per bit of k
+    cell, out, margin = _cell(base), [None], 2e-12 * k.bit_length()
 
     def fn(ns):
         p1s, p2s = base(ns)
-        if exponent < 0:
-            p1s, p2s = _inverses(p1s, p2s)
-        r1s = _powers(p1s, k)
-        return (r1s, r1s) if p1s is p2s else (r1s, _powers(p2s, k))
+        a = cell[0]
+        try:
+            bound = a and a[0] is ns and _widen(ns, a[1] ** k, a[2] ** k, margin) or None
+        except OverflowError:
+            bound = None   # past the float range: unknown
+        out[0] = bound
+        r1s = _powers(p1s, k, bound)
+        return (r1s, r1s) if p1s is p2s else (r1s, _powers(p2s, k, bound))
 
+    fn.bound = out
     return fn
 
 
 def _call(node, arg):
     func, what = _FUNCTIONS[node.func]
+    cell = _cell(arg)
 
     def fn(ns):
         p1s, p2s = arg(ns)
-        if what is not None and not _none_singular(p1s, p2s, SINGULARITY_TOLERANCE):
+        if what is not None and not _clear(ns, cell[0]) and not _none_singular(
+            p1s, p2s, SINGULARITY_TOLERANCE
+        ):
             for p1, p2 in zip(p1s, p2s):
                 _invertible_pair(p1, p2, SINGULARITY_TOLERANCE, what)
         r1s = list(map(func, p1s))

@@ -10,7 +10,8 @@ checks that evaluation over the pair is no less accurate than the
 evaluation over the components (z1, z2) that it replaced. Scalar-lane
 closures, which return one list for both components, must agree bit for
 bit with the closures the same tree gets when every node takes its pair
-path.
+path. Each closure's bound on its values' moduli must hold wherever it
+is known, and the scans it lets a node skip must change no bit.
 """
 
 import statistics
@@ -18,9 +19,10 @@ import statistics
 import numpy as np
 import pytest
 
-from bicomplex import Bicomplex, NonFiniteError, SingularOperand, transcendental
+from bicomplex import Bicomplex, NonFiniteError, SingularOperand, seqspec, transcendental
 from bicomplex.core import (
     SINGULARITY_TOLERANCE,
+    _Record,
     _check_finite,
     _pair_inverse,
     _pair_power,
@@ -655,3 +657,183 @@ def test_blocks_match_one_index_on_random_asts():
 @pytest.mark.parametrize("text", LANE_NAMED)
 def test_blocks_match_one_index_on_named_expressions(text):
     _assert_lanes_block_match(parse(text), np.random.default_rng(2020))
+
+
+# -- bounds: each closure's bound on the moduli of its values --
+
+EXTREME_LEAVES = (1e-300, 1e150, 1e299)
+# exponents k whose 1e150**(1/k) lies below 2**53, where a bound can hold
+POWER_EXPONENTS = (10, 16, 19)
+
+
+def _extreme_ast(rng: np.random.Generator):
+    """A random tree, about a third of its numbers replaced by 1e-300,
+    1e150 or 1e299, and one in four raised to a power of POWER_EXPONENTS."""
+
+    def swap(node):
+        if type(node) is Num and rng.random() < 0.35:
+            return Num(float(rng.choice(EXTREME_LEAVES)))
+        return type(node)(*(swap(v) if isinstance(v, _Record) else v for v in node._values()))
+
+    node = swap(_random_ast(rng, int(rng.integers(1, 5))))
+    return Pow(node, int(rng.choice(POWER_EXPONENTS))) if rng.random() < 0.25 else node
+
+
+def _subtrees(node):
+    yield node
+    for name, _ in _NODES[type(node)][0]:
+        yield from _subtrees(getattr(node, name))
+
+
+def _bound_blocks(rng: np.random.Generator) -> list[range]:
+    """Blocks of 1 to 1,024 indices: from 1, up to the last index exact as
+    a float (2**53), across it, and near each 1e150**(1/k), where a k-th
+    power's bound crosses 1e150."""
+    starts = [1, 2**53 - int(rng.integers(1, 1024))]
+    starts += [int(1e150 ** (1 / k)) - int(rng.integers(0, 1024)) for k in POWER_EXPONENTS]
+    first, *sizes = rng.integers(1, 1025, len(starts) + 1).tolist()
+    return [range(2**53 - first, 2**53)] + [range(n, n + k) for n, k in zip(starts, sizes)]
+
+
+def test_bounds_hold_on_every_subtree_of_random_asts():
+    rng = np.random.default_rng(3636)
+    known = unknown = 0
+    least, most = 1.0, 1.0
+    for _ in range(200):
+        node = _extreme_ast(rng)
+        for ns in _bound_blocks(rng):
+            for sub in _subtrees(node):
+                fn = _compile(sub)[0]
+                try:
+                    p1s, p2s = fn(ns)
+                except (ArithmeticError, ValueError):
+                    continue
+                bound = seqspec._cell(fn)[0]
+                if bound is None:
+                    unknown += 1
+                    continue
+                tag, lo, hi = bound
+                assert tag is ns, render(sub)
+                moduli = [*map(abs, p1s), *map(abs, p2s)]
+                assert lo <= min(moduli) and max(moduli) <= hi, (render(sub), ns, lo, hi)
+                known += 1
+                least, most = min(least, lo or 1.0), max(most, hi)
+    # the sample reaches bounds near both ends of the float range, and
+    # leaves some unknown
+    assert known > 3000 and unknown > 300, (known, unknown)
+    assert least < 1e-100 and most > 1e250, (least, most)
+
+
+def _unbounded(node):
+    """``node``'s closure with every bound unknown: each node scans."""
+    cell = seqspec._cell
+    seqspec._cell = lambda fn: [None]
+    try:
+        return _compile(node)[0]
+    finally:
+        seqspec._cell = cell
+
+
+def _walked_outcomes(fn, start: int, stop: int) -> list[tuple]:
+    """Each index's outcome through the walker, from ``start`` short of
+    ``stop``, the walk started again past each failing index."""
+    outcomes = []
+    while start < stop:
+        try:
+            for block in _blocks(fn, start, stop):
+                outcomes += _block_hex(block)
+                start += len(block[0])
+        except (ArithmeticError, ValueError) as err:
+            index = getattr(err, "term_index", None)
+            outcomes.append(("raised", type(err), str(err), index))
+            if index is None:
+                break
+            start = index + 1
+    return outcomes
+
+
+# near-singular divisors (LANE_NAMED holds 1/(n - 3)), whose bounds clear
+# the zero-divisor screen only just past the singular indices, and powers
+# near the float range
+BOUND_NAMED = LANE_NAMED + [
+    "1/(1e-7*n - 1e-6)",
+    "(1e-7*n - 1e-6)^-2 + i2",
+    "log(1e-7*n - 1e-6)",
+    "sqrt([1e-7*n - 1e-6 | n])",
+    "1/(n - 3 + 1e-6*j)",
+    "(1e-15*n)^20",
+    "(1e15/n)^20",
+    "1e150*n*n - 1e151*n",
+]
+
+
+@pytest.mark.parametrize("text", BOUND_NAMED)
+def test_bounds_change_no_bit_on_named_expressions(text):
+    node = parse(text)
+    built, unbounded = _compile(node)[0], _unbounded(node)
+    for start, stop in ((1, 3000), (2**53 - 1500, 2**53 + 500)):
+        assert _walked_outcomes(built, start, stop) == _walked_outcomes(unbounded, start, stop)
+
+
+def test_bounds_change_no_bit_on_random_asts():
+    rng = np.random.default_rng(3737)
+    kinds = set()
+    for i in range(400):
+        node = _extreme_ast(rng) if i % 2 else _random_ast(rng, int(rng.integers(1, 6)))
+        built, unbounded = _compile(node)[0], _unbounded(node)
+        for start in (1, 2**53 - int(rng.integers(1, 300))):
+            got = _walked_outcomes(built, start, start + 300)
+            assert got == _walked_outcomes(unbounded, start, start + 300), render(node)
+            kinds |= {outcome[1].__name__ if outcome[0] == "raised" else "value"
+                      for outcome in got}
+    assert kinds == {"value", "SingularOperand", "NonFiniteError", "IdempotentSlotError"}
+
+
+def test_workload_terms_scan_nothing_past_their_first_block(monkeypatch):
+    # the long runs' bounds prove every finiteness scan and zero-divisor
+    # screen of the closures will pass, so none runs; _isfinite counts
+    # the scans of _powers too
+    calls = dict.fromkeys(("_checked", "_none_singular", "_isfinite"), 0)
+
+    def counted(name):
+        fn = getattr(seqspec, name)
+
+        def count(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(seqspec, name, count)
+
+    for name in calls:
+        counted(name)
+    for text in ("1 + (3/10 + 2/5*i2)/n^2", "1+1/n", "1/n^2"):
+        blocks = seqspec._lane_blocks(parse(text), 1, 20_001)
+        next(blocks)
+        calls.update(dict.fromkeys(calls, 0))
+        assert sum(len(p1s) for p1s, _ in blocks) == 20_000 - 1
+        assert calls == dict.fromkeys(calls, 0), (text, calls)
+
+
+def test_a_bound_tagged_with_another_block_is_not_read(monkeypatch):
+    # each call leaves its bound tagged with its block; a parent reads an
+    # operand's bound only under its own block, so one left by a call in
+    # between (another thread's, on a shared compiled term) skips nothing
+    var = seqspec._var(Var())
+
+    def interleaved(ns):
+        values = var(ns)
+        var(range(5, 9))
+        return values
+
+    interleaved.bound = var.bound
+    scans = []
+    checked = seqspec._checked
+    monkeypatch.setattr(seqspec, "_checked", lambda ps: scans.append(ps) or checked(ps))
+    three = _compile(Num(3.0))[0]
+    for left, known in ((var, True), (interleaved, False)):
+        scans.clear()
+        fn = seqspec._MUL(None, left, three)
+        p1s, p2s = fn(range(1, 4))
+        assert p1s is p2s and [p.real for p in p1s] == [3.0, 6.0, 9.0]
+        assert (seqspec._cell(fn)[0] is not None) is known
+        assert len(scans) == (0 if known else 1)

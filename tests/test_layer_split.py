@@ -6,7 +6,8 @@ reads, then one row per public analyzer on prebuilt terms, with its
 term count and cost, then one row per expression of eval_term's
 one-index cost, then one row per piece of the block step of the
 default product, on the pair lane, and of 1+1/n, on the scalar lane,
-each with the share of terms the step took on mirror runs.
+each with the share of terms the step took on mirror runs, then one row
+per long workload with the closures' scans per 1,000 terms read.
 
 The tool is run as a script, as it is used.
 """
@@ -117,7 +118,7 @@ def test_layer_split_prints_one_row_per_long_workload():
         '| scalar-lane block step of `product "1+1/n"` | terms | ns/term |',
         "|---|---:|---:|",
     ]
-    assert len(lines) == 44, lines
+    assert len(lines) == 50, lines
     # past the identity's cap the default product's runs are mirror runs:
     # 1,025 to 2,000, 976 of the 2,000 terms; the scalar lane has none
     assert lines[34] == "| share taken on mirror runs | 2,000 | 48.8% |"
@@ -142,6 +143,18 @@ def test_layer_split_prints_one_row_per_long_workload():
             # 1+1/n's absolute check decides at term 32, before the first
             # long run, so its screen never runs
             assert ns[1] == 0 and all(n > 0 for n in ns[:1] + ns[2:]), ns
+
+    assert lines[44:47] == [
+        "",
+        "| scans per 1,000 terms read | terms | `_checked` | `_none_singular` |",
+        "|---|---:|---:|---:|",
+    ]
+    # every workload term's bounds prove its closures' scans will pass
+    assert lines[47:50] == [
+        '| `product "1 + (3/10 + 2/5*i2)/n^2"` | 2,000 | 0.0 | 0.0 |',
+        '| `product "1+1/n"` | 2,000 | 0.0 | 0.0 |',
+        '| `series "1/n^2"` | 2,000 | 0.0 | 0.0 |',
+    ]
 
 
 def test_layer_split_refuses_bad_sizes():

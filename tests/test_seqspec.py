@@ -492,6 +492,63 @@ def test_inverse_of_a_finite_value_is_finite_or_singular():
     assert 0 < inverted < len(values)
 
 
+def _pair_inverse_outcome(p1, p2):
+    try:
+        r1, r2 = seqspec._pair_inverse(p1, p2)
+    except (ArithmeticError, ValueError) as err:
+        return ("raised", type(err), str(err))
+    return ("value", r1.real.hex(), r1.imag.hex(), r2.real.hex(), r2.imag.hex())
+
+
+def test_pair_inverses_match_the_pair_inverse_at_extreme_components():
+    # why the pair lane checks no reciprocal for finiteness either: where
+    # the screen passes, every component modulus is above about
+    # tol/sqrt(2), so every reciprocal is below 1.5e12. Blocks of divisors
+    # with components from 1e-320 to 1e308, and blocks built to pass the
+    # screen at its edge: a block gives each pair's _pair_inverse bits,
+    # or the error of its first pair that fails
+    rng = np.random.default_rng(2424)
+
+    def component(exponent):
+        m = math.ldexp(rng.uniform(1.0, 2.0), int(exponent))
+        t = rng.uniform(-math.pi, math.pi)
+        return complex(m * math.cos(t), m * math.sin(t))
+
+    seen = set()
+    for i in range(600):
+        size = int(rng.integers(1, 17))
+        if i % 2:
+            # anywhere in the float range
+            exponents = rng.integers(-1063, 1023, (2, size))
+        else:
+            # one component near tol/sqrt(2), the other near sqrt(2), so
+            # the pair passes or fails the screen by a hair
+            exponents = np.array([rng.integers(-41, -39, size), np.zeros(size, int)])
+            if i % 4:
+                exponents = exponents[::-1]
+        p1s = [component(e) for e in exponents[0]]
+        p2s = [component(e) for e in exponents[1]]
+        want = [_pair_inverse_outcome(p1, p2) for p1, p2 in zip(p1s, p2s)]
+        first = next((w for w in want if w[0] == "raised"), None)
+        try:
+            r1s, r2s = seqspec._inverses(p1s, p2s)
+        except (ArithmeticError, ValueError) as err:
+            assert first is not None and ("raised", type(err), str(err)) == first, i
+            seen.add("raised")
+            continue
+        assert first is None, i
+        got = [("value", r1.real.hex(), r1.imag.hex(), r2.real.hex(), r2.imag.hex())
+               for r1, r2 in zip(r1s, r2s)]
+        assert got == want, i
+        screened = seqspec._none_singular(p1s, p2s, seqspec.SINGULARITY_TOLERANCE)
+        largest = max(map(abs, r1s + r2s))
+        assert largest < 1.5e12
+        seen.add(("screened" if screened else "per pair", largest > 1e12))
+    # blocks that raise, blocks the screen passes with reciprocals above
+    # 1e12, and blocks it refuses whose pairs all invert
+    assert {"raised", ("screened", True), ("per pair", False)} <= seen, seen
+
+
 def test_small_component_beside_a_large_one_keeps_its_bits():
     # the pair is evaluated and stored as such, so no split of large
     # components (z1, z2) cancels the small one

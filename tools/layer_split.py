@@ -59,6 +59,13 @@ the second component is the conjugate of the first and the step forms
 the first alone (``_product_pass``); it reads the flag the consumers'
 screens are handed, and is 0 on the scalar lane.
 
+A last table gives, for each long workload, the scans the compiled
+term's closures run per 1,000 terms read in the CLI's run: calls of
+``seqspec._checked``, the finiteness scan of a ring operation, and of
+``seqspec._none_singular``, the zero-divisor screen of an inverse,
+``log`` or ``sqrt``. A node skips each scan that its bound on its
+values' moduli proves will pass.
+
 Each time is the minimum of ``--repeats`` runs, in-process. Compare
 figures taken on one machine in one session: the speed of a shared box
 drifts between runs.
@@ -117,6 +124,8 @@ ONE_INDEX_CALLS = 1000
 # own work, all of the step that is no screen
 CLEARANCE = ("_deviations", "_none_singular")
 STEP_SCREENS = (products._Absolute, products._Verdict, products._Identity)
+# the closures' scans the last table counts
+SCANS = ("_checked", "_none_singular")
 STEP_PIECES = ("deviation scan and clearance",
                *(f"`{kind.__name__}.screen`" for kind in STEP_SCREENS),
                "partial products, logs and takes")
@@ -324,6 +333,32 @@ def block_step_split(
     return _lane(read), count, [ns / count for ns in best], mirrored / count
 
 
+def scans(command: str, text: str, n_max: int) -> tuple[int, float, float]:
+    """``(terms, _checked, _none_singular)``: the terms the CLI's pass
+    reads, and the calls of each scan the closures make in that run, per
+    1,000 terms read, counted at the names the closures look up in
+    ``seqspec``."""
+    calls = dict.fromkeys(SCANS, 0)
+    originals = {name: getattr(seqspec, name) for name in SCANS}
+
+    def counted(name):
+        def run(*args):
+            calls[name] += 1
+            return originals[name](*args)
+
+        return run
+
+    for name in SCANS:
+        setattr(seqspec, name, counted(name))
+    try:
+        blocks = seqspec._lane_blocks(seqspec.parse(text), 1, n_max + 1)
+        count = _terms_read(PASSES[command](blocks, TOL, WINDOW, n_max))
+    finally:
+        for name, fn in originals.items():
+            setattr(seqspec, name, fn)
+    return count, *(1000.0 * calls[name] / count for name in SCANS)
+
+
 def one_index_cost(text: str, calls: int, repeats: int) -> tuple[float, float]:
     """``(AST µs, compiled µs)``: ``eval_term`` per call at one index, on
     the AST and on the term compiled once, over indices 1 to ``calls``."""
@@ -401,6 +436,14 @@ def main(argv=None) -> int:
         for piece, ns in zip(STEP_PIECES, pieces):
             print(f"| {piece} | {count:,} | {ns:,.0f} |")
         print(f"| share taken on mirror runs | {count:,} | {mirror_share:.1%} |")
+
+    print()
+    print("| scans per 1,000 terms read | terms | `_checked` | `_none_singular` |")
+    print("|---|---:|---:|---:|")
+    for command, text, budget in WORKLOADS:
+        n_max = budget if args.max_terms is None else min(budget, args.max_terms)
+        count, checked, screened = scans(command, text, n_max)
+        print(f'| `{command} "{text}"` | {count:,} | {checked:.1f} | {screened:.1f} |')
     return 0
 
 
