@@ -23,27 +23,29 @@ recursion of ``compile_term``, ``eval_term`` and ``render``.
 canonical text (round-trips through ``parse``). An AST compiles, once
 per expression, to nested block closures over the idempotent components
 ``(p1, p2)``, the pair a ``Bicomplex`` stores: each takes a ``range`` of
-indices and does its node's float operations over the whole block with
+indices, does its node's float operations over the whole block with
 C-level iterators, one complex operation per component, so values and
-errors are bit for bit those of the ``Bicomplex`` operations. Each node
-type has one closure builder. A scalar subtree (``n``, numbers, ``pi``,
-``i1`` and operations but ``[a | b]`` on them) has ``p1 == p2``, and its
-closures return one list object as both components, each operation doing
-its work once: that identity is the lane. Beside each closure a bound
-on the moduli of its values over the block lets a node skip each check
-the bound proves will pass (``_compile``); each other check is one scan
-per block, and where a scan fails, the node's per-element helper runs
-over the block in element order, so a block of one index raises exactly
-the ring operation's error.
+errors are bit for bit those of the ``Bicomplex`` operations, and
+returns ``(p1s, p2s, bound)``. Each node type has one closure builder.
+A scalar subtree (``n``, numbers, ``pi``, ``i1`` and operations but
+``[a | b]`` on them) has ``p1 == p2``, and its closures return one list
+object as both components, each operation doing its work once: that
+identity is the lane. The ``bound``, ``(lo, hi)`` or None, bounds the
+moduli of the values beside it, and lets their parent skip each check it
+proves will pass (``_compile``); each other check is one scan per block,
+and where a scan fails, the node's per-element helper runs over the
+block in element order, so a block of one index raises exactly the ring
+operation's error.
 
 One index walker, ``_blocks``, runs every evaluation and attaches the
 term index to its failures (``_at``, its one-index step, evaluates
 ``eval_term``'s index). It evaluates blocks of 1, 2, 4, ... indices,
 at most ``_BLOCK_CAP`` (1,024) and never past the ``stop`` its caller
-gives. Where a block of several indices raises, it evaluates that block
-again one index at a time as its terms are read, so a failure surfaces
-only when its term is read: one among the at most 1,023 indices
-evaluated ahead of the last term read never does.
+gives, and hands on each block's values without their bound. Where a
+block of several indices raises, it evaluates that block again one index
+at a time as its terms are read, so a failure surfaces only when its
+term is read: one among the at most 1,023 indices evaluated ahead of the
+last term read never does.
 
 * ``eval_term`` substitutes a concrete index into an AST or a compiled
   term (``compile_term``), and ``term_generator`` walks the indices,
@@ -363,8 +365,9 @@ class CompiledTerm:
     ``components(n)`` gives the idempotent components ``(p1, p2)`` of
     the term at index ``n``; :func:`eval_term` validates ``n`` around it
     and wraps the pair in a ``Bicomplex``. ``values`` is the compiled
-    block closure: given a ``range`` of indices, the lists ``(p1s, p2s)``
-    of their components.
+    block closure: given a ``range`` of indices, ``(p1s, p2s, bound)``,
+    the lists of their components and a bound on their moduli, ``(lo,
+    hi)`` or None (see :func:`_compile`).
     """
 
     __slots__ = ("node", "values")
@@ -374,7 +377,7 @@ class CompiledTerm:
         self.values = values
 
     def components(self, n: int) -> tuple[complex, complex]:
-        (p1,), (p2,) = self.values(range(n, n + 1))
+        (p1,), (p2,), _ = self.values(range(n, n + 1))
         return p1, p2
 
 
@@ -390,15 +393,16 @@ def _compile(node):
     always gives at one index, or None when it depends on ``n`` or raises.
 
     Each closure is a block closure: given a ``range`` of indices, it
-    returns the node's values there, the lists ``(p1s, p2s)`` of the
-    ``p1`` and of the ``p2`` of each index. Each node type has one closure
-    builder (``_NODES``). A closure does the float operations of the
-    ``Bicomplex`` operation it stands for, one complex operation per
-    component but for inversion, in the same order, each as one C-level
-    ``map`` over the block, so values are bit for bit those of the ring
-    operations. A node skips each check that its bound proves will pass;
-    each other check is one scan per block, and where a scan fails, the
-    node runs the per-element helper
+    returns ``(p1s, p2s, bound)``, the node's values there, the lists of
+    the ``p1`` and of the ``p2`` of each index, and ``bound``, ``(lo,
+    hi)`` with every component modulus of those values in ``[lo, hi]``,
+    or None, unknown. Each node type has one closure builder (``_NODES``).
+    A closure does the float operations of the ``Bicomplex`` operation it
+    stands for, one complex operation per component but for inversion, in
+    the same order, each as one C-level ``map`` over the block, so values
+    are bit for bit those of the ring operations. A node skips each check
+    that its bound proves will pass; each other check is one scan per
+    block, and where a scan fails, the node runs the per-element helper
     (``core._check_finite``, ``_pair_inverse``, ``_power`` and the like)
     over the block in element order, so a block of one index raises
     exactly the ring operation's error. A division, negative power or
@@ -409,8 +413,8 @@ def _compile(node):
     are evaluated here, at one index, except those that raise: they stay
     in place, so their error comes from every evaluation.
 
-    The bound of a node's values over a block is formed once per block
-    from its operands' bounds: ``n`` gives ``[start, stop - 1]``, a
+    A node forms its bound once per block from the bounds its operands
+    returned beside their values: ``n`` gives ``[start, stop - 1]``, a
     constant its own moduli, ``+`` and ``-`` give ``[max(0, lo_a - hi_b,
     lo_b - hi_a), hi_a + hi_b]``, ``*`` gives ``[lo_a*lo_b, hi_a*hi_b]``,
     an inverse ``[1/hi, 1/lo]`` where ``lo > 0``, ``^k`` the k-th powers.
@@ -443,7 +447,7 @@ def _compile(node):
     if type(node) is Var or any(value is None for _, value in compiled):
         return fn, None
     try:
-        p1s, p2s = fn(range(1, 2))
+        p1s, p2s, _ = fn(range(1, 2))
     except (ArithmeticError, ValueError):
         return fn, None
     (p1,), (p2,) = p1s, p2s
@@ -451,46 +455,36 @@ def _compile(node):
     return (_constant(p1, p2, p1s is p2s) if operands else fn), (p1, p2)
 
 
-# A closure ``fn`` that bounds its values keeps ``fn.bound``, a one-item
-# list: each call puts there ``(ns, lo, hi)``, every component modulus of
-# its values over the block ``ns`` in ``[lo, hi]``, or None, unknown. A
-# parent reads a bound only where it carries the parent's own ``ns``, so
-# a call another thread made in between costs a skip, never a wrong one.
-def _cell(fn):
-    return getattr(fn, "bound", [None])
-
-
-def _widen(ns, lo, hi, margin=1e-12):
-    """The bound ``(ns, lo, hi)`` widened by a relative ``margin`` and, for
+def _widen(lo, hi, margin=1e-12):
+    """The bound ``(lo, hi)`` widened by a relative ``margin`` and, for
     rounding below the normal range, by 1e-290; None where ``hi`` is not
     below 1e300 (see ``_compile``)."""
     hi = hi * (1.0 + margin) + 1e-290
     if hi < 1e300:
         lo *= 1.0 - margin
-        return ns, (lo if lo > 1e-290 else 0.0), hi
+        return (lo if lo > 1e-290 else 0.0), hi
     return None
 
 
-def _clear(ns, a):
-    """True where the bound ``a`` proves that ``_none_singular`` passes the
-    block at SINGULARITY_TOLERANCE: ``lo*lo > tol*max(1, hi*hi)``, widened
-    by the margin, is its extremes rule on moduli within ``[lo, hi]``, and
-    ``hi < 1e150`` keeps every sum of squares the test forms finite."""
-    return bool(a) and a[0] is ns and a[2] < 1e150 and (
-        a[1] * a[1] > SINGULARITY_TOLERANCE * (1.0 + 1e-12) * max(1.0, a[2] * a[2]))
+def _clear(a):
+    """True where the bound ``a``, ``(lo, hi)`` or None, proves that
+    ``_none_singular`` passes the block at SINGULARITY_TOLERANCE:
+    ``lo*lo > tol*max(1, hi*hi)``, widened by the margin, is its extremes
+    rule on moduli within ``[lo, hi]``, and ``hi < 1e150`` keeps every sum
+    of squares the test forms finite."""
+    return a is not None and a[1] < 1e150 and (
+        a[0] * a[0] > SINGULARITY_TOLERANCE * (1.0 + 1e-12) * max(1.0, a[1] * a[1]))
 
 
 def _constant(v1, v2, shared):
     # inf, where abs would raise, leaves the bound unknown
     m1, m2 = math.hypot(v1.real, v1.imag), math.hypot(v2.real, v2.imag)
-    known, out = _widen(None, *((m1, m2) if m1 < m2 else (m2, m1))), [None]
+    bound = _widen(*((m1, m2) if m1 < m2 else (m2, m1)))
 
     def fn(ns):
-        out[0] = known and (ns, known[1], known[2])
         xs = [v1] * len(ns)
-        return xs, (xs if shared else [v2] * len(ns))
+        return xs, (xs if shared else [v2] * len(ns)), bound
 
-    fn.bound = out
     return fn
 
 
@@ -503,7 +497,7 @@ def _checked(ps):
     return ps
 
 
-def _inverses(p1s, p2s, clear=False):
+def _inverses(p1s, p2s, clear):
     """``_pair_inverse`` of each pair, as the lists of ``r1`` and of ``r2``;
     where ``p1s is p2s``, one list of inverses, as both components. Its
     zero-divisor test is one ``_none_singular`` scan, or none where
@@ -547,8 +541,6 @@ def _powers(ps, k: int, clear):
 
 
 def _var(node):
-    out = [None]
-
     def fn(ns):
         try:
             # n + 0j is complex(n) in bits, at about half the cost
@@ -557,18 +549,17 @@ def _var(node):
             raise NonFiniteError("term index n is past the float range") from None
         # and exact below 2**53; a range of a positive step (start < stop)
         # lies in [start, stop - 1]
-        out[0] = (ns, float(ns.start), ns.stop - 1.0) if (
+        bound = (float(ns.start), ns.stop - 1.0) if (
             type(ns) is range and 0 <= ns.start < ns.stop <= 2**53) else None
-        return xs, xs
+        return xs, xs, bound
 
-    fn.bound = out
     return fn
 
 
 def _num(node):
     x = complex(node.value)
     # a literal past the float range raises at every evaluation
-    return _constant(x, x, True) if _isfinite(x) else lambda ns: _checked([x])
+    return _constant(x, x, True) if _isfinite(x) else lambda ns: _check_finite(x, x)
 
 
 def _const(node):
@@ -581,36 +572,32 @@ def _ring(op, rule):
     component; ``rule`` gives its bound from its operands' bounds."""
 
     def build(node, left, right):
-        lcell, rcell, out = _cell(left), _cell(right), [None]
-
         def fn(ns):
-            a1s, a2s = left(ns)
-            b1s, b2s = right(ns)
-            a, b = lcell[0], rcell[0]
-            bound = out[0] = a and b and a[0] is ns is b[0] and rule(ns, a, b) or None
+            a1s, a2s, a = left(ns)
+            b1s, b2s, b = right(ns)
+            bound = a and b and rule(a, b)
             # each component checked alone, with the error of
             # _check_finite(p1, p2), where no bound proves it finite
             r1s = list(map(op, a1s, b1s))
             if not bound:
                 _checked(r1s)
             if a1s is a2s and b1s is b2s:
-                return r1s, r1s
+                return r1s, r1s, bound
             r2s = list(map(op, a2s, b2s))
-            return r1s, (r2s if bound else _checked(r2s))
+            return r1s, (r2s if bound else _checked(r2s)), bound
 
-        fn.bound = out
         return fn
 
     return build
 
 
-def _gap(ns, a, b):
-    return _widen(ns, max(0.0, a[1] - b[2], b[1] - a[2]), a[2] + b[2])
+def _gap(a, b):
+    return _widen(max(0.0, a[0] - b[1], b[0] - a[1]), a[1] + b[1])
 
 
 _ADD = _ring(operator.add, _gap)
 _SUB = _ring(operator.sub, _gap)
-_MUL = _ring(operator.mul, lambda ns, a, b: _widen(ns, a[1] * b[1], a[2] * b[2]))
+_MUL = _ring(operator.mul, lambda a, b: _widen(a[0] * b[0], a[1] * b[1]))
 _ZERO = _constant(0j, 0j, True)
 
 
@@ -625,15 +612,11 @@ def _div(node, left, right):
 
 def _inverse(arg):
     """The block closure of ``1/arg``."""
-    cell, out = _cell(arg), [None]
-
     def fn(ns):
-        p1s, p2s = arg(ns)
-        a = cell[0]
-        out[0] = a and a[0] is ns and a[1] > 0.0 and _widen(ns, 1.0 / a[2], 1.0 / a[1]) or None
-        return _inverses(p1s, p2s, _clear(ns, a))
+        p1s, p2s, a = arg(ns)
+        r1s, r2s = _inverses(p1s, p2s, _clear(a))
+        return r1s, r2s, a and a[0] > 0.0 and _widen(1.0 / a[1], 1.0 / a[0]) or None
 
-    fn.bound = out
     return fn
 
 
@@ -642,36 +625,32 @@ def _pow(node, base):
     if node.exponent < 0:
         base = _inverse(base)
     # 1e-12 per multiplication of the chain, at most two per bit of k
-    cell, out, margin = _cell(base), [None], 2e-12 * k.bit_length()
+    margin = 2e-12 * k.bit_length()
 
     def fn(ns):
-        p1s, p2s = base(ns)
-        a = cell[0]
+        p1s, p2s, a = base(ns)
         try:
-            bound = a and a[0] is ns and _widen(ns, a[1] ** k, a[2] ** k, margin) or None
+            bound = a and _widen(a[0] ** k, a[1] ** k, margin)
         except OverflowError:
             bound = None   # past the float range: unknown
-        out[0] = bound
         r1s = _powers(p1s, k, bound)
-        return (r1s, r1s) if p1s is p2s else (r1s, _powers(p2s, k, bound))
+        return (r1s, r1s, bound) if p1s is p2s else (r1s, _powers(p2s, k, bound), bound)
 
-    fn.bound = out
     return fn
 
 
 def _call(node, arg):
     func, what = _FUNCTIONS[node.func]
-    cell = _cell(arg)
 
     def fn(ns):
-        p1s, p2s = arg(ns)
-        if what is not None and not _clear(ns, cell[0]) and not _none_singular(
+        p1s, p2s, a = arg(ns)
+        if what is not None and not _clear(a) and not _none_singular(
             p1s, p2s, SINGULARITY_TOLERANCE
         ):
             for p1, p2 in zip(p1s, p2s):
                 _invertible_pair(p1, p2, SINGULARITY_TOLERANCE, what)
         r1s = list(map(func, p1s))
-        return (r1s, r1s) if p1s is p2s else (r1s, list(map(func, p2s)))
+        return (r1s, r1s, None) if p1s is p2s else (r1s, list(map(func, p2s)), None)
 
     return fn
 
@@ -679,13 +658,13 @@ def _call(node, arg):
 def _idem(node, first, second):
     # a slot value has no second complex part when its components agree
     def fn(ns):
-        f1s, f2s = first(ns)
-        s1s, s2s = second(ns)
+        f1s, f2s, _ = first(ns)
+        s1s, s2s, _ = second(ns)
         if f1s != f2s or s1s != s2s:
             raise IdempotentSlotError(
                 "idempotent slot values must have no second complex part"
             )
-        return f1s, s1s
+        return f1s, s1s, None
 
     return fn
 
@@ -771,7 +750,7 @@ def _blocks(fn, n: int, stop: int | None):
     short of ``stop`` if given: the one index walker.
 
     It evaluates blocks of 1, 2, 4, ... indices, at most ``_BLOCK_CAP``
-    and never past ``stop``, and hands each on as ``fn`` returns it. Where
+    and never past ``stop``, and hands on each block's ``(p1s, p2s)``. Where
     a block of several indices raises, it is evaluated again one index at
     a time, each index a block of its own, as its terms are read: the
     terms before the failing index are read as usual, and the failure,
@@ -791,15 +770,15 @@ def _blocks(fn, n: int, stop: int | None):
         if values is None:
             yield from map(_at, repeat(fn), range(n, end))
         else:
-            yield values
+            yield values[:2]
         n = end
         size = min(size + size, _BLOCK_CAP)
 
 
 def _at(fn, n: int):
-    """``fn`` on the one index ``n``; a term's failure is re-raised
-    carrying ``term_index=n``."""
+    """``(p1s, p2s)`` of ``fn`` on the one index ``n``; a term's failure is
+    re-raised carrying ``term_index=n``."""
     try:
-        return fn(range(n, n + 1))
+        return fn(range(n, n + 1))[:2]
     except _TERM_ERRORS as err:
         raise type(err)(str(err), term_index=n) from None

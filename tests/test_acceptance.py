@@ -2,6 +2,8 @@
 
 Each test prints a single PASS/FAIL line (bypassing capture) and then
 asserts, so a full run leaves a ten-line scoreboard in the output.
+Criteria 1, 2 and 5 gate their own run time and are marked
+``wallclock``, which ``tools/line_trace.py`` runs untraced.
 """
 
 import json
@@ -67,6 +69,7 @@ def report(capsys):
     return _report
 
 
+@pytest.mark.wallclock
 def test_criterion_1_exponential_identities(report):
     failures = []
     t0 = time.perf_counter()
@@ -93,6 +96,7 @@ def test_criterion_1_exponential_identities(report):
     report(1, "exponential identities and lattice periodicity", failures)
 
 
+@pytest.mark.wallclock
 def test_criterion_2_ring_and_idempotent_laws(report):
     failures = []
     t0 = time.perf_counter()
@@ -201,6 +205,7 @@ def _log1p_majorant(s: float) -> float:
     return -math.log1p(-s) / s if s else 1.0
 
 
+@pytest.mark.wallclock
 def test_criterion_5_log1p_two_sided_bound(report):
     # The paper states (1/2)||w|| <= ||log(1+w)|| <= (3/2)||w|| for
     # ||w|| < 1/2. Its upper half borrows the complex lemma, which needs

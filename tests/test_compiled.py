@@ -15,6 +15,8 @@ is known, and the scans it lets a node skip must change no bit.
 """
 
 import statistics
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -392,15 +394,16 @@ def _random_scalar_ast(rng: np.random.Generator, depth: int):
 def _pair_lane(node):
     """The closure the builders give a tree with every node on the pair
     lane: each node's component lists are copied, so no operation sees one
-    list as both components and each takes its pair path; nothing folded."""
+    list as both components and each takes its pair path; nothing folded,
+    and no bound handed on, so each node scans."""
     operands, build = _NODES[type(node)][:2]
     fn = build(node, *(_pair_lane(getattr(node, name)) for name, _ in operands))
-    return lambda ns: tuple(map(list, fn(ns)))
+    return lambda ns: (*map(list, fn(ns)[:2]), None)
 
 
 def _at(fn, n: int):
     """A block closure's values at the one index ``n``."""
-    return fn(range(n, n + 1))
+    return fn(range(n, n + 1))[:2]
 
 
 def _closure_outcome(fn, n: int):
@@ -483,7 +486,7 @@ def test_lane_classification(text, scalar):
     node = parse(text)
     assert _tree_lane(node) is scalar
     # the compiled block is on that lane
-    p1s, p2s = _compile(node)[0](range(1, 4))
+    p1s, p2s, _ = _compile(node)[0](range(1, 4))
     assert (p1s is p2s) is scalar, text
 
 
@@ -493,7 +496,7 @@ def test_scalar_constants_have_equal_components():
     for name, w in _CONSTANTS.items():
         same = (w.p1.real.hex(), w.p1.imag.hex()) == (w.p2.real.hex(), w.p2.imag.hex())
         assert same is (name in ("pi", "i1")), name
-        p1s, p2s = _compile(Const(name))[0](range(1, 3))
+        p1s, p2s, _ = _compile(Const(name))[0](range(1, 3))
         assert (p1s is p2s) is same, name
 
 
@@ -573,7 +576,7 @@ def test_equal_slots_stay_on_the_pair_lane_with_distinct_lists():
             fn = _compile(node)[0]
             assert not _tree_lane(node), text
             for ns in (range(1, 2), range(3, 40)):
-                p1s, p2s = fn(ns)
+                p1s, p2s, _ = fn(ns)
                 assert p1s is not p2s and p1s == p2s, (render(node), ns)
         p1s, p2s = next(_lane_blocks(parse(text)))
         assert p1s is not p2s, text
@@ -588,7 +591,7 @@ BLOCK_SCAN = list(range(1, 130)) + list(range(690, 760))
 
 def _block_hex(block) -> list[tuple]:
     """The bits of a block's values, one tuple per index."""
-    p1s, p2s = block
+    p1s, p2s = block[:2]
     return [
         ("value", p1.real.hex(), p1.imag.hex(), p2.real.hex(), p2.imag.hex())
         for p1, p2 in zip(p1s, p2s)
@@ -705,15 +708,13 @@ def test_bounds_hold_on_every_subtree_of_random_asts():
             for sub in _subtrees(node):
                 fn = _compile(sub)[0]
                 try:
-                    p1s, p2s = fn(ns)
+                    p1s, p2s, bound = fn(ns)
                 except (ArithmeticError, ValueError):
                     continue
-                bound = seqspec._cell(fn)[0]
                 if bound is None:
                     unknown += 1
                     continue
-                tag, lo, hi = bound
-                assert tag is ns, render(sub)
+                lo, hi = bound
                 moduli = [*map(abs, p1s), *map(abs, p2s)]
                 assert lo <= min(moduli) and max(moduli) <= hi, (render(sub), ns, lo, hi)
                 known += 1
@@ -725,13 +726,22 @@ def test_bounds_hold_on_every_subtree_of_random_asts():
 
 
 def _unbounded(node):
-    """``node``'s closure with every bound unknown: each node scans."""
-    cell = seqspec._cell
-    seqspec._cell = lambda fn: [None]
+    """``node``'s closure with every operand's bound dropped where the
+    builders of ``_NODES`` are handed it: each node scans."""
+    builders = dict(_NODES)
+
+    def boundless(fn):
+        return lambda ns: (*fn(ns)[:2], None)
+
+    for kind, (operands, build, *rest) in builders.items():
+        def unbounded(node, *args, build=build):
+            return build(node, *map(boundless, args))
+
+        _NODES[kind] = (operands, unbounded, *rest)
     try:
         return _compile(node)[0]
     finally:
-        seqspec._cell = cell
+        _NODES.update(builders)
 
 
 def _walked_outcomes(fn, start: int, stop: int) -> list[tuple]:
@@ -812,12 +822,19 @@ def test_workload_terms_scan_nothing_past_their_first_block(monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
         assert sum(len(p1s) for p1s, _ in blocks) == 20_000 - 1
         assert calls == dict.fromkeys(calls, 0), (text, calls)
+    # the reference of the bounds-change-no-bit tests does scan: each of
+    # the two ring nodes of 1 + 1/n, once per block
+    blocks = _blocks(_unbounded(parse("1+1/n")), 1, 20_001)
+    next(blocks)
+    calls.update(dict.fromkeys(calls, 0))
+    assert sum(1 for _ in blocks) == 28
+    assert calls["_checked"] == 2 * 28, calls
 
 
-def test_a_bound_tagged_with_another_block_is_not_read(monkeypatch):
-    # each call leaves its bound tagged with its block; a parent reads an
-    # operand's bound only under its own block, so one left by a call in
-    # between (another thread's, on a shared compiled term) skips nothing
+def test_a_bound_is_read_from_the_call_that_returned_it(monkeypatch):
+    # a parent reads an operand's bound off the values that operand's call
+    # returned, so a call in between (another thread's, on a shared
+    # compiled term) leaves it the bound of its own block
     var = seqspec._var(Var())
 
     def interleaved(ns):
@@ -825,15 +842,40 @@ def test_a_bound_tagged_with_another_block_is_not_read(monkeypatch):
         var(range(5, 9))
         return values
 
-    interleaved.bound = var.bound
     scans = []
     checked = seqspec._checked
     monkeypatch.setattr(seqspec, "_checked", lambda ps: scans.append(ps) or checked(ps))
     three = _compile(Num(3.0))[0]
-    for left, known in ((var, True), (interleaved, False)):
+    for left in (var, interleaved):
         scans.clear()
-        fn = seqspec._MUL(None, left, three)
-        p1s, p2s = fn(range(1, 4))
+        p1s, p2s, bound = seqspec._MUL(None, left, three)(range(1, 4))
         assert p1s is p2s and [p.real for p in p1s] == [3.0, 6.0, 9.0]
-        assert (seqspec._cell(fn)[0] is not None) is known
-        assert len(scans) == (0 if known else 1)
+        assert bound is not None and bound[0] <= 3.0 and 9.0 <= bound[1], bound
+        assert not scans
+
+
+def test_threads_walking_one_compiled_term_see_what_one_thread_sees():
+    # two threads walk overlapping index ranges of one compiled term,
+    # switching as often as the interpreter lets them: each gets the
+    # values and errors of a walk on one thread
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for text in ("1 + (3/10 + 2/5*i2)/n^2", "1/(n - 3)"):
+            fn = compile_term(parse(text)).values
+            spans = ((1, 6000), (2500, 8500))
+            alone = [_walked_outcomes(fn, *span) for span in spans]
+            walked = [None, None]
+
+            def walk(k):
+                walked[k] = _walked_outcomes(fn, *spans[k])
+
+            threads = [threading.Thread(target=walk, args=(k,)) for k in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive(), text
+            assert walked == alone, text
+    finally:
+        sys.setswitchinterval(interval)

@@ -23,6 +23,23 @@ def test_partial_sums_then_fail():
 '''
 
 
+# a test marked wallclock runs untraced, and the tests around it traced
+UNTRACED = '''
+import sys
+
+import pytest
+
+
+@pytest.mark.wallclock
+def test_marked_runs_untraced():
+    assert sys.gettrace() is None
+
+
+def test_unmarked_runs_traced():
+    assert sys.gettrace() is not None
+'''
+
+
 def _tool(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, str(TOOL), "-q", "-p", "no:cacheprovider", *args],
@@ -64,3 +81,11 @@ def test_line_trace_reports_nothing_where_pytest_cannot_run():
     run = _tool("--no-such-option")
     assert run.returncode == 4
     assert not any(map(ROW.fullmatch, run.stdout.splitlines()))
+
+
+def test_line_trace_runs_wallclock_tests_untraced(tmp_path):
+    untraced = tmp_path / "test_untraced.py"
+    untraced.write_text(UNTRACED)
+    run = _tool("-c", str(ROOT / "pyproject.toml"), str(untraced))
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "2 passed" in run.stdout and "warning" not in run.stdout, run.stdout

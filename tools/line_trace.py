@@ -14,10 +14,12 @@ from any directory (the checkout is the parent of ``tools/``)::
     python tools/line_trace.py -q
     python tools/line_trace.py -q tests/test_series.py
 
-The report is printed whatever the tests' outcome: the trace slows the
-code several times over, so time gates, such as those of acceptance
-criteria 2 and 5, fail under it. Tests that run the CLI in a subprocess
-are not traced: a line that only they reach is reported as not run.
+The report is printed whatever the tests' outcome. The trace slows the
+code several times over, so a test marked ``wallclock`` (one that gates
+its own run time, such as acceptance criteria 1, 2 and 5) runs its call
+phase untraced, at full speed; its set-up and tear-down stay traced.
+Lines that only such tests reach are reported as not run, as are lines
+that only tests running the CLI in a subprocess reach.
 
 Exit status: 0 where every executable line ran, 1 where some did not;
 where pytest could not run the tests (interrupted, internal error, usage
@@ -71,10 +73,22 @@ def trace(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
 
         return local
 
+    class Untraced:
+        """Suspends the trace for the call phase of ``wallclock`` tests."""
+
+        @pytest.hookimpl(hookwrapper=True)
+        def pytest_runtest_call(self, item):
+            marked = item.get_closest_marker("wallclock") is not None
+            if marked:
+                sys.settrace(None)
+            yield
+            if marked:
+                sys.settrace(start)
+
     sys.path.insert(0, str(ROOT / "src"))
     sys.settrace(start)
     try:
-        status = pytest.main(pytest_args)
+        status = pytest.main(pytest_args, plugins=[Untraced()])
     finally:
         sys.settrace(None)
     return int(status), hits
