@@ -65,17 +65,23 @@ _isfinite = cmath.isfinite
 _set_field = object.__setattr__
 
 
-class SingularOperand(ArithmeticError):
-    """Raised when an operation needs an invertible value but the operand
-    lies on (or numerically near) the null cone of zero divisors.
-
-    ``term_index`` is set when the operand came from an indexed sequence
-    term (1-based), else None.
-    """
+class _TermError(Exception):
+    """Base of the errors that evaluating a sequence term may raise:
+    :class:`SingularOperand`, :class:`NonFiniteError` and
+    ``seqspec.IdempotentSlotError``. ``term_index`` is the 1-based index
+    of the term that raised, set where the error is re-raised for it,
+    else None."""
 
     def __init__(self, message: str, term_index: int | None = None):
         super().__init__(message)
         self.term_index = term_index
+
+
+class SingularOperand(_TermError, ArithmeticError):
+    """Raised when an operation needs an invertible value but the operand
+    lies on (or numerically near) the null cone of zero divisors;
+    ``term_index`` as in ``_TermError``.
+    """
 
 
 class SingularTerm(ArithmeticError):
@@ -86,16 +92,10 @@ class SingularTerm(ArithmeticError):
         self.index = index
 
 
-class NonFiniteError(ArithmeticError):
-    """Raised when an operation would produce NaN or infinite components.
-
-    ``term_index`` is set when the failure is attributable to an indexed
-    sequence term (1-based), else None.
+class NonFiniteError(_TermError, ArithmeticError):
+    """Raised when an operation would produce NaN or infinite components;
+    ``term_index`` as in ``_TermError``.
     """
-
-    def __init__(self, message: str, term_index: int | None = None):
-        super().__init__(message)
-        self.term_index = term_index
 
 
 class _RecordType(type):
@@ -623,30 +623,32 @@ def _pair_inverse(p1: complex, p2: complex, tol: float = SINGULARITY_TOLERANCE):
 
 def _pair_power(p1: complex, p2: complex, exponent: int):
     """Components of ``w**exponent``: a negative exponent inverts the
-    pair first, then each component is raised by :func:`_power`."""
+    pair first, then each component is raised by :func:`_power`. Nothing
+    here checks finiteness: ``Bicomplex._make`` does, on the result."""
     if exponent < 0:
         p1, p2 = _pair_inverse(p1, p2)
         exponent = -exponent
-    return _power(p1, exponent), _power(p2, exponent)
+    return _power(p1, exponent, operator.mul, 1 + 0j), _power(p2, exponent, operator.mul, 1 + 0j)
 
 
-def _power(p: complex, exponent: int) -> complex:
-    """``p**exponent`` by square-and-multiply from 1, for ``exponent >= 0``.
-    Each product into the result is checked for finiteness, as the ring
-    operations check theirs; no message names a component."""
-    r = 1 + 0j
-    while exponent:
-        if exponent & 1:
-            r *= p
-            if not _isfinite(r):
-                _check_finite(r, r)
-        exponent >>= 1
-        if exponent:
-            # skip the last squaring so w**1 never overflows via base*base.
-            # A square is not checked: each one reaches r through a later
-            # r *= p, whose check raises the same NonFiniteError, and inf
-            # or nan never turns finite under multiplication
-            p *= p
+def _power(base, k: int, mul, one):
+    """``base**k`` by square-and-multiply from ``one``, for ``k >= 0``, with
+    ``mul`` the product: of complex values (``operator.mul``, ``1 + 0j``),
+    or of a block's lists, element by element.
+
+    No product is checked here; the caller checks the result once. That
+    raises where some product would have: inf or nan never turns finite
+    under multiplication, and every square reaches the result through a
+    later product.
+    """
+    r = one
+    while k:
+        if k & 1:
+            r = mul(r, base)
+        k >>= 1
+        if k:
+            # skip the last squaring so w**1 never overflows via base*base
+            base = mul(base, base)
     return r
 
 

@@ -89,9 +89,8 @@ from operator import add, attrgetter, mul, ne, or_, sub, truediv
 
 from .core import (
     SINGULARITY_TOLERANCE, Bicomplex, NonFiniteError, SingularTerm, _check_tolerance,
-    _none_singular, _pair_zero_divisor_test, _Record, _validate,
+    _none_singular, _pair_zero_divisor_test, _Record, _TermError, _validate,
 )
-from .seqspec import _TERM_ERRORS
 from .series import (
     _FLAT_RATIO, _FLOOR_FACTOR, _HARMONIC_RATIO, OVERFLOW_GUARD, _checkpoint, _Checkpoints,
     _diameter, _drive, _gaps, _modulus, _norms, _pair_or_none, _partials, _run_sums,
@@ -671,7 +670,7 @@ def _product_pass(blocks, n_max: int, singularity_tol: float, consumers) -> None
 
     try:
         used = _drive(blocks, n_max, step, read)
-    except _TERM_ERRORS:
+    except _TermError:
         # once the product verdict is frozen, a term that cannot be
         # evaluated ends the consumers still open without a report
         if verdict is None or verdict.open:

@@ -76,7 +76,6 @@ from .core import (
     SINGULARITY_TOLERANCE,
     Bicomplex,
     NonFiniteError,
-    SingularOperand,
     _check_finite,
     _fmt_real,
     _isfinite,
@@ -84,6 +83,7 @@ from .core import (
     _pair_inverse,
     _power,
     _Record,
+    _TermError,
 )
 from .transcendental import _invertible_pair
 
@@ -125,19 +125,10 @@ class ParseError(ValueError):
         super().__init__(detail)
 
 
-class IdempotentSlotError(ValueError):
+class IdempotentSlotError(_TermError, ValueError):
     """A slot of ``[a | b]`` evaluated to a value with a second complex
-    part. ``term_index`` is set when the value came from an indexed term.
+    part; ``term_index`` as in ``core._TermError``.
     """
-
-    def __init__(self, message: str, term_index: int | None = None):
-        super().__init__(message)
-        self.term_index = term_index
-
-
-# What evaluating a term may raise; _blocks re-raises each with the
-# term's index.
-_TERM_ERRORS = (SingularOperand, NonFiniteError, IdempotentSlotError)
 
 
 class Num(_Record):
@@ -403,8 +394,8 @@ def _compile(node):
     are bit for bit those of the ring operations. A node skips each check
     that its bound proves will pass; each other check is one scan per
     block, and where a scan fails, the node runs the per-element helper
-    (``core._check_finite``, ``_pair_inverse``, ``_power`` and the like)
-    over the block in element order, so a block of one index raises
+    (``core._check_finite``, ``_pair_inverse`` and the like) over the
+    block in element order, so a block of one index raises
     exactly the ring operation's error. A division, negative power or
     ``log``/``sqrt`` makes the zero-divisor test on the pair
     (``core._pair_zero_divisor_test``), its scan the one block screen
@@ -425,7 +416,7 @@ def _compile(node):
     (per multiplication of the chain for ``^k``), and below the normal
     range, where rounding is absolute, ``lo`` under 1e-290 becomes 0 and
     ``hi`` grows by 1e-290. A ring operation skips its finiteness scans,
-    and ``^k`` its per-multiply scans, where its bound is known; an
+    and ``^k`` the one scan of its result, where its bound is known; an
     inverse, ``log`` and ``sqrt`` skip the zero-divisor screen where
     their operand's bound passes ``_clear``.
 
@@ -522,22 +513,14 @@ def _inverses(p1s, p2s, clear):
     return (r1s, r1s) if p1s is p2s else (r1s, [r2 for _, r2 in pairs])
 
 
-def _powers(ps, k: int, clear):
-    """``_power(p, k)`` of each value, for ``k >= 0``: square-and-multiply
-    list-wise, each product into the result scanned once, unless ``clear``,
-    a bound on the result below 1e300, proves every product finite: each
-    square and partial product has modulus at most ``max(1, |p|)**k``."""
-    base, exponent = ps, k
-    rs = [1 + 0j] * len(ps)
-    while k:
-        if k & 1:
-            rs = list(map(operator.mul, rs, base))
-            if not clear and not all(map(_isfinite, rs)):
-                return list(map(_power, ps, repeat(exponent)))
-        k >>= 1
-        if k:
-            base = list(map(operator.mul, base, base))
-    return rs
+def _powers(ps, k: int, bound):
+    """``p**k`` of each value, for ``k >= 0``: ``core._power`` on the list,
+    its products element by element, and one finiteness scan of the result
+    (``_checked``), unless ``bound``, a bound on the result below 1e300,
+    proves every product finite: each square and partial product has
+    modulus at most ``max(1, |p|)**k``."""
+    rs = _power(ps, k, lambda xs, ys: list(map(operator.mul, xs, ys)), [1 + 0j] * len(ps))
+    return rs if bound else _checked(rs)
 
 
 def _var(node):
@@ -621,6 +604,8 @@ def _inverse(arg):
 
 
 def _pow(node, base):
+    """The block closure of ``base^k``: ``_powers`` of each component, of
+    the inverse's for ``k < 0``."""
     k = abs(node.exponent)
     if node.exponent < 0:
         base = _inverse(base)
@@ -780,5 +765,5 @@ def _at(fn, n: int):
     re-raised carrying ``term_index=n``."""
     try:
         return fn(range(n, n + 1))[:2]
-    except _TERM_ERRORS as err:
+    except _TermError as err:
         raise type(err)(str(err), term_index=n) from None

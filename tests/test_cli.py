@@ -3,8 +3,10 @@ import io
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -54,6 +56,23 @@ def test_eval_text_output():
     lines = out.splitlines()
     assert lines[0] == "value (four-real): 0 + 0*i1 + 0*i2 + 1*j"
     assert lines[1] == "value (idempotent): [1 | -1]"
+
+
+def test_module_run_as_main_exits_with_the_status_of_main(monkeypatch, capsys):
+    # python -m bicomplex.cli, in-process: runpy warns that the module is
+    # imported already, and runs a fresh copy of it as __main__
+    monkeypatch.setattr(sys, "argv", ["bicomplex", "eval", "1+i2"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(SystemExit) as info:
+            runpy.run_module("bicomplex.cli", run_name="__main__")
+    assert info.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines() == [
+        "value (four-real): 1 + 0*i1 + 1*i2 + 0*j",
+        "value (idempotent): [1 - 1*i1 | 1 + 1*i1]",
+    ]
 
 
 def test_eval_at_index():
@@ -578,6 +597,10 @@ def test_exports_resolve_to_their_home_modules():
             assert home in MODULES, name
             assert namespace[name] is getattr(sys.modules[f"bicomplex.{home}"], name), name
     assert set(dir(bicomplex)) >= {"__all__", *PUBLIC_NAMES, *MODULES}
+    # the hook that a first read of a submodule's name reaches; which
+    # read comes first depends on the order the tests import modules in
+    for module in MODULES:
+        assert bicomplex.__getattr__(module) is sys.modules[f"bicomplex.{module}"]
     with pytest.raises(AttributeError, match="'no_such_name'"):
         bicomplex.no_such_name
 

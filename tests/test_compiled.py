@@ -209,7 +209,10 @@ def _walk_pairs(node, n: int) -> tuple[complex, complex]:
         a1, a2 = _walk_pairs(node.operand, n)
         return 0j - a1, 0j - a2
     if isinstance(node, Pow):
-        return _pair_power(*_walk_pairs(node.base, n), node.exponent)
+        # checked as Bicomplex._make checks w**k
+        p1, p2 = _pair_power(*_walk_pairs(node.base, n), node.exponent)
+        _check_finite(p1, p2)
+        return p1, p2
     if isinstance(node, Call):
         p1, p2 = _walk_pairs(node.arg, n)
         func, what = _FUNCTIONS[node.func]
@@ -801,15 +804,19 @@ def test_bounds_change_no_bit_on_random_asts():
 
 def test_workload_terms_scan_nothing_past_their_first_block(monkeypatch):
     # the long runs' bounds prove every finiteness scan and zero-divisor
-    # screen of the closures will pass, so none runs; _isfinite counts
-    # the scans of _powers too
+    # screen of the closures will pass, so none runs; a power's one scan
+    # of its result is a _checked call too, and _isfinite would count a
+    # scan made outside _checked
     calls = dict.fromkeys(("_checked", "_none_singular", "_isfinite"), 0)
+    scanned = []
 
     def counted(name):
         fn = getattr(seqspec, name)
 
         def count(*args):
             calls[name] += 1
+            if name == "_checked":
+                scanned.append(args[0])
             return fn(*args)
 
         monkeypatch.setattr(seqspec, name, count)
@@ -829,6 +836,16 @@ def test_workload_terms_scan_nothing_past_their_first_block(monkeypatch):
     calls.update(dict.fromkeys(calls, 0))
     assert sum(1 for _ in blocks) == 28
     assert calls["_checked"] == 2 * 28, calls
+    # and that of 1/n^2 scans its power once per block, beside its
+    # product: past n = 1 the power's values n^2 are 4 or more, the
+    # product's 1/n^2 below 1
+    blocks = _blocks(_unbounded(parse("1/n^2")), 1, 20_001)
+    next(blocks)
+    calls.update(dict.fromkeys(calls, 0))
+    scanned.clear()
+    assert sum(1 for _ in blocks) == 28
+    assert calls["_checked"] == 2 * 28, calls
+    assert sum(1 for ps in scanned if ps[0].real >= 4.0) == 28
 
 
 def test_a_bound_is_read_from_the_call_that_returned_it(monkeypatch):

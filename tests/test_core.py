@@ -18,12 +18,15 @@ from bicomplex import (
     SingularOperand,
     log_principal,
 )
+from bicomplex import seqspec
 from bicomplex.core import (
     _join,
     _none_singular,
+    _pair_inverse,
     _pair_zero_divisor_test,
     _split,
 )
+from bicomplex.seqspec import Pow, Var
 from bicomplex.transcendental import log_branch, log_principal_direct, sqrt, trig_form
 from helpers import (
     assert_close,
@@ -405,6 +408,86 @@ def test_pow():
     assert_close(v**-2, (v.inverse()) * (v.inverse()), rel=1e-11)
     with pytest.raises(TypeError):
         w**0.5
+
+
+def _checked_power(p: complex, k: int) -> complex:
+    """``p**k`` for ``k >= 0`` by square-and-multiply from 1, each product
+    into the result checked for finiteness: the reference for
+    ``core._power``, which checks nothing and leaves one check of the
+    result to its caller."""
+    r = 1 + 0j
+    while k:
+        if k & 1:
+            r *= p
+            if not cmath.isfinite(r):
+                raise NonFiniteError("bicomplex components must be finite")
+        k >>= 1
+        if k:
+            p *= p
+    return r
+
+
+def _reference_power(p1s, p2s, k: int) -> list:
+    """The lists of ``p1**k`` and of ``p2**k`` by ``_checked_power``, a
+    negative ``k`` inverting each pair first, in element order."""
+    if k < 0:
+        pairs = [_pair_inverse(p1, p2) for p1, p2 in zip(p1s, p2s)]
+        p1s, p2s, k = [r1 for r1, _ in pairs], [r2 for _, r2 in pairs], -k
+    return [_checked_power(p, k) for p in p1s] + [_checked_power(p, k) for p in p2s]
+
+
+def _power_outcome(power, *args):
+    try:
+        values = power(*args)
+    except (ArithmeticError, ValueError) as err:
+        return type(err), str(err)
+    return [(v.real.hex(), v.imag.hex()) for v in values]
+
+
+# moduli near 1e154, whose squares overflow, near 1e-160, whose squares
+# go subnormal or to 0, and signed zeros
+POWER_FAMILIES = (
+    [cmath.rect(r, t) for r in (0.9e154, 1e154, 1.34e154, 1.5e154) for t in (0.0, 0.7, 2.0)]
+    + [complex(-1e154, -0.0), complex(-0.0, 1.2e154)],
+    [cmath.rect(r, t) for r in (1e-160, 3e-162, 1e-170) for t in (0.0, 1.1, -2.5)]
+    + [complex(-1e-160, -0.0)],
+    [complex(-2, -0.0), complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 2.0),
+     complex(-1.0, 0.0), complex(1.5, -0.0), complex(0.5, -0.5), 1 + 0j],
+)
+POWER_BASES = [p for family in POWER_FAMILIES for p in family]
+
+
+def test_value_powers_match_the_per_multiply_checked_loop():
+    def power(p1, p2, k):
+        w = Bicomplex.from_idempotent(p1, p2) ** k
+        return w.p1, w.p2
+
+    kinds = set()
+    for p1 in POWER_BASES:
+        for p2 in POWER_BASES:
+            for k in range(-64, 65):
+                got = _power_outcome(power, p1, p2, k)
+                assert got == _power_outcome(_reference_power, [p1], [p2], k), (p1, p2, k)
+                kinds.add(got[0] if isinstance(got, tuple) else "value")
+    assert kinds == {"value", NonFiniteError, SingularOperand}
+
+
+def test_block_powers_match_the_per_multiply_checked_loop():
+    def compiled(p1s, p2s, k):
+        r1s, r2s, _ = seqspec._pow(Pow(Var(), k), lambda ns: (p1s, p2s, None))(
+            range(1, len(p1s) + 1))
+        assert (r1s is r2s) == (p1s is p2s)
+        return r1s + r2s
+
+    lists = [[p] for p in POWER_BASES] + [*POWER_FAMILIES, POWER_BASES]
+    for ps in lists:
+        for k in range(-64, 65):
+            if k >= 0:
+                got = _power_outcome(seqspec._powers, ps, k, None)
+                assert got == _power_outcome(_reference_power, ps, [], k), (ps, k)
+            for qs in (ps, ps[::-1]):
+                got = _power_outcome(compiled, ps, qs, k)
+                assert got == _power_outcome(_reference_power, ps, qs, k), (ps, qs, k)
 
 
 def test_eq_and_hash():

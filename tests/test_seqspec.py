@@ -1,5 +1,6 @@
 import cmath
 import math
+import pickle
 import sys
 
 import numpy as np
@@ -24,7 +25,7 @@ from bicomplex import (
     term_generator,
 )
 from bicomplex import seqspec
-from bicomplex.core import _Record
+from bicomplex.core import _Record, _TermError
 from bicomplex.seqspec import (
     CONSTANT_NAMES,
     FUNCTION_NAMES,
@@ -359,6 +360,27 @@ def test_eval_error_carries_term_index():
     assert info.value.term_index == 6
 
 
+@pytest.mark.parametrize("cls, public", [
+    (SingularOperand, ArithmeticError),
+    (NonFiniteError, ArithmeticError),
+    (IdempotentSlotError, ValueError),
+])
+def test_term_errors_share_one_indexed_base(cls, public):
+    assert issubclass(cls, _TermError) and issubclass(cls, public)
+    err = cls("went wrong")
+    assert err.args == ("went wrong",) and err.term_index is None
+
+    def fail(ns):
+        raise cls("went wrong")
+
+    with pytest.raises(cls) as info:
+        seqspec._at(fail, 12)
+    assert type(info.value) is cls
+    assert str(info.value) == "went wrong" and info.value.term_index == 12
+    copy = pickle.loads(pickle.dumps(info.value))
+    assert type(copy) is cls and copy.args == ("went wrong",) and copy.term_index == 12
+
+
 def test_eval_index_validation():
     node = parse("n")
     with pytest.raises(ValueError):
@@ -415,8 +437,8 @@ def test_term_generator_checks_its_start_and_indexes_its_errors():
 
 
 # (text, scalar lane): each overflows at n = 2 inside the closure named,
-# whose finiteness guard must raise (an overflowing square raises at the
-# product into the result that reads it); a literal 1e999 parses to
+# whose finiteness guard must raise (an overflowing square reaches the
+# power's result, whose one scan raises); a literal 1e999 parses to
 # Num(inf)
 OVERFLOW_AT_2 = [
     ("n + 1e999", True),                       # _num
@@ -432,11 +454,11 @@ OVERFLOW_AT_2 = [
     ("[1e308 | 1]/[1/n | 1]", False),          # pair division through _ring(*)
     ("1e308/(1/n)", True),                     # _div, on one list
     ("[1e308 | 1]/(1/n)", False),              # _div, each component times one inverse
-    ("(1e200*n)^2", True),                     # _power, squaring
+    ("(1e200*n)^2", True),                     # _pow, squaring
     ("[1e200*n | 1]^2", False),
-    ("(1e120*n)^3", True),                     # _power, multiplying
+    ("(1e120*n)^3", True),                     # _pow, multiplying
     ("[1e120*n | 1]^3", False),
-    ("(1e77*n)^4", True),                      # _power, two squarings
+    ("(1e77*n)^4", True),                      # _pow, two squarings
     ("(1e77*n + 0*i2)^4", False),
 ]
 

@@ -61,8 +61,8 @@ screens are handed, and is 0 on the scalar lane.
 
 A last table gives, for each long workload, the scans the compiled
 term's closures run per 1,000 terms read in the CLI's run: calls of
-``seqspec._checked``, the finiteness scan of a ring operation, and of
-``seqspec._none_singular``, the zero-divisor screen of an inverse,
+``seqspec._checked``, the finiteness scan of a ring operation or of a
+power's result, and of ``seqspec._none_singular``, the zero-divisor screen of an inverse,
 ``log`` or ``sqrt``. A node skips each scan that its bound on its
 values' moduli proves will pass.
 

@@ -11,6 +11,10 @@ as the ``bicomplex`` console script does: it imports ``bicomplex.cli``
 and calls ``main``. The rows alternate, one process each in turn, so that
 a drift in the machine's speed reaches all of them alike.
 
+A second table times one step inside those processes: the minimum and
+the median, in µs, of ``PARSER_CALLS`` calls of ``cli._build_parser()``,
+which every command pays once, in one more fresh ``python -S`` process.
+
 Usage, from any directory (the checkout is the parent of ``tools/``)::
 
     python tools/startup.py [--repeats K]
@@ -52,6 +56,20 @@ ROWS = (
      ["-c", RUN_CLI, "product", "--max-terms", "64", "1+1/n^2"]),
 )
 
+# calls of cli._build_parser() timed one by one in one process, which
+# prints the minimum and the median in µs
+PARSER_CALLS = 200
+TIME_PARSER = (
+    "import statistics, time\n"
+    "from bicomplex.cli import _build_parser\n"
+    "samples = []\n"
+    f"for _ in range({PARSER_CALLS}):\n"
+    "    t0 = time.perf_counter_ns()\n"
+    "    _build_parser()\n"
+    "    samples.append(time.perf_counter_ns() - t0)\n"
+    "print(min(samples) / 1e3, statistics.median(samples) / 1e3)\n"
+)
+
 
 def _run(args: list[str], env: dict) -> tuple[float, str]:
     """Wall seconds of one fresh ``python -S`` process, and the modules
@@ -64,6 +82,17 @@ def _run(args: list[str], env: dict) -> tuple[float, str]:
         raise RuntimeError(f"{args[-1]!r} exited {child.returncode}:\n{child.stderr}")
     lines = child.stderr.splitlines()
     return elapsed, lines[-1] if lines else ""
+
+
+def _parser_us(env: dict) -> tuple[float, float]:
+    """The minimum and the median µs of a ``cli._build_parser()`` call,
+    over ``PARSER_CALLS`` calls in one fresh ``python -S`` process."""
+    child = subprocess.run([sys.executable, "-S", "-c", TIME_PARSER], env=env,
+                           capture_output=True, text=True, timeout=120)
+    if child.returncode != 0:
+        raise RuntimeError(f"_build_parser timing exited {child.returncode}:\n{child.stderr}")
+    low, median = map(float, child.stdout.split())
+    return low, median
 
 
 def main(argv=None) -> int:
@@ -83,12 +112,17 @@ def main(argv=None) -> int:
             for i, (_, row_args) in enumerate(ROWS):
                 elapsed, modules[i] = _run(row_args, env)
                 times[i].append(elapsed)
+        parser_low, parser_median = _parser_us(env)
 
     print("| command | min ms | median ms | bicomplex modules |")
     print("|---|---:|---:|---|")
     for (label, _), samples, loaded in zip(ROWS, times, modules):
         print(f"| `{label}` | {1e3 * min(samples):.1f} | {1e3 * statistics.median(samples):.1f}"
               f" | {loaded.replace(' ', ', ') or '-'} |")
+    print()
+    print("| call | min µs | median µs | calls |")
+    print("|---|---:|---:|---:|")
+    print(f"| `cli._build_parser()` | {parser_low:.1f} | {parser_median:.1f} | {PARSER_CALLS} |")
     return 0
 
 
