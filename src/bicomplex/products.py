@@ -349,8 +349,8 @@ class _Verdict(_Consumer):
             used >= self.window
             and abs(q1 - win1[0]) < (tol := self.tol)
             and abs(q2 - win2[0]) < tol
-            and _diameter(win1) < tol
-            and _diameter(win2) < tol
+            and _diameter(win1, tol) < tol
+            and _diameter(win2, tol) < tol
         ):
             # stable; classification depends on whether the recent terms
             # actually sit near 1

@@ -33,9 +33,9 @@ object as both components, each operation doing its work once: that
 identity is the lane. The ``bound``, ``(lo, hi)`` or None, bounds the
 moduli of the values beside it, and lets their parent skip each check it
 proves will pass (``_compile``); each other check is one scan per block,
-and where a scan fails, the node's per-element helper runs over the
-block in element order, so a block of one index raises exactly the ring
-operation's error.
+and where a scan fails, the node's per-element helper runs over the block
+in element order only to raise, so a block of one index raises exactly
+the ring operation's error.
 
 One index walker, ``_blocks``, runs every evaluation and attaches the
 term index to its failures (``_at``, its one-index step, evaluates
@@ -354,11 +354,11 @@ class CompiledTerm:
     """A term expression compiled by :func:`compile_term`.
 
     ``components(n)`` gives the idempotent components ``(p1, p2)`` of
-    the term at index ``n``; :func:`eval_term` validates ``n`` around it
-    and wraps the pair in a ``Bicomplex``. ``values`` is the compiled
-    block closure: given a ``range`` of indices, ``(p1s, p2s, bound)``,
-    the lists of their components and a bound on their moduli, ``(lo,
-    hi)`` or None (see :func:`_compile`).
+    the term at index ``n``, its errors carrying ``term_index=n``;
+    :func:`eval_term` validates ``n`` and wraps them in a ``Bicomplex``.
+    ``values`` is the compiled block closure: given a ``range`` of
+    indices, ``(p1s, p2s, bound)``, their components' lists and a bound
+    on their moduli (see :func:`_compile`).
     """
 
     __slots__ = ("node", "values")
@@ -368,7 +368,7 @@ class CompiledTerm:
         self.values = values
 
     def components(self, n: int) -> tuple[complex, complex]:
-        (p1,), (p2,), _ = self.values(range(n, n + 1))
+        (p1,), (p2,) = _at(self.values, n)
         return p1, p2
 
 
@@ -394,13 +394,13 @@ def _compile(node):
     are bit for bit those of the ring operations. A node skips each check
     that its bound proves will pass; each other check is one scan per
     block, and where a scan fails, the node runs the per-element helper
-    (``core._check_finite``, ``_pair_inverse`` and the like) over the
-    block in element order, so a block of one index raises
-    exactly the ring operation's error. A division, negative power or
-    ``log``/``sqrt`` makes the zero-divisor test on the pair
-    (``core._pair_zero_divisor_test``), its scan the one block screen
-    ``core._none_singular`` on either lane. A passing scan changes no
-    value, so skipping it moves no bit. Subtrees that do not use ``n``
+    (``core._check_finite``, ``_pair_inverse``, ``_invertible_pair``)
+    over the block in element order only to raise, so a block of one
+    index raises exactly the ring operation's error; values come from the
+    maps. A division, negative power or ``log``/``sqrt`` makes the
+    zero-divisor test on the pair in ``_guard``, its scan the one block
+    screen ``core._none_singular`` on either lane. A passing scan changes
+    no value, so skipping it moves no bit. Subtrees that do not use ``n``
     are evaluated here, at one index, except those that raise: they stay
     in place, so their error comes from every evaluation.
 
@@ -488,29 +488,13 @@ def _checked(ps):
     return ps
 
 
-def _inverses(p1s, p2s, clear):
-    """``_pair_inverse`` of each pair, as the lists of ``r1`` and of ``r2``;
-    where ``p1s is p2s``, one list of inverses, as both components. Its
-    zero-divisor test is one ``_none_singular`` scan, or none where
-    ``clear`` (``_clear``) proves that the scan passes.
-
-    No reciprocal is scanned for finiteness. The operands are finite, as
-    every closure's values are, and the tolerance is ``tol`` = 1e-12. On
-    one list a pass means ``|p| > 1e-6``, so ``|1/p| < 1e6``, and so does
-    ``clear`` (``lo*lo > tol``) on either lane. On a pair a pass
-    means ``min1*min2 > tol*max(1, (M1*M1 + M2*M2)/2)`` over the smallest
-    and largest moduli of each component, so ``min1*M2 > tol*max(1,
-    M2*M2/2)``: ``min1 > tol/M2 >= tol/sqrt(2)`` where ``M2 <= sqrt(2)``,
-    ``min1 > tol*M2/2 > tol/sqrt(2)`` elsewhere, and so for ``min2``. So
-    every ``|1/p| < sqrt(2)/tol < 1.5e12``, finite. Where ``abs``
-    overflows, the pair test on each pair gives the same bound.
-    """
-    if clear or _none_singular(p1s, p2s, SINGULARITY_TOLERANCE):
-        r1s = list(map(operator.truediv, repeat(1.0), p1s))
-        return r1s, (r1s if p1s is p2s else list(map(operator.truediv, repeat(1.0), p2s)))
-    pairs = list(map(_pair_inverse, p1s, p2s))
-    r1s = [r1 for r1, _ in pairs]
-    return (r1s, r1s) if p1s is p2s else (r1s, [r2 for _, r2 in pairs])
+def _guard(p1s, p2s, a, rule):
+    """The one zero-divisor guard: nothing where the bound ``a`` passes
+    ``_clear`` or the block screen ``core._none_singular`` passes, else
+    ``rule(p1, p2)`` on each pair in element order, only to raise."""
+    if not _clear(a) and not _none_singular(p1s, p2s, SINGULARITY_TOLERANCE):
+        for p1, p2 in zip(p1s, p2s):
+            rule(p1, p2)
 
 
 def _powers(ps, k: int, bound):
@@ -594,10 +578,25 @@ def _div(node, left, right):
 
 
 def _inverse(arg):
-    """The block closure of ``1/arg``."""
+    """The block closure of ``1/arg``: ``_guard`` with the rule
+    ``_pair_inverse``, then ``1.0/p`` by one ``map`` per list, with no
+    finiteness scan of the reciprocals. The operands are finite, as
+    every closure's values are, and the tolerance is ``tol`` = 1e-12. On
+    one list a pass means ``|p| > 1e-6``, so ``|1/p| < 1e6``, and so does
+    ``_clear`` (``lo*lo > tol``) on either lane. On a pair a pass of the
+    screen means ``min1*min2 > tol*max(1, (M1*M1 + M2*M2)/2)`` over the
+    smallest and largest moduli of each component, so ``min1*M2 >
+    tol*max(1, M2*M2/2)``: ``min1 > tol/M2 >= tol/sqrt(2)`` where ``M2 <=
+    sqrt(2)``, ``min1 > tol*M2/2 > tol/sqrt(2)`` elsewhere, and so for
+    ``min2``. So every ``|1/p| < sqrt(2)/tol < 1.5e12``, finite. A pair
+    the pair test passes is such a block of one, and where ``abs``
+    overflows, the pair test gives the same bound.
+    """
     def fn(ns):
         p1s, p2s, a = arg(ns)
-        r1s, r2s = _inverses(p1s, p2s, _clear(a))
+        _guard(p1s, p2s, a, _pair_inverse)
+        r1s = list(map(operator.truediv, repeat(1.0), p1s))
+        r2s = r1s if p1s is p2s else list(map(operator.truediv, repeat(1.0), p2s))
         return r1s, r2s, a and a[0] > 0.0 and _widen(1.0 / a[1], 1.0 / a[0]) or None
 
     return fn
@@ -625,15 +624,15 @@ def _pow(node, base):
 
 
 def _call(node, arg):
+    """The block closure of ``func(arg)``; ``log`` and ``sqrt`` pass
+    ``_guard`` first, with an ``_invertible_pair`` rule built here."""
     func, what = _FUNCTIONS[node.func]
+    rule = what and (lambda p1, p2: _invertible_pair(p1, p2, SINGULARITY_TOLERANCE, what))
 
     def fn(ns):
         p1s, p2s, a = arg(ns)
-        if what is not None and not _clear(a) and not _none_singular(
-            p1s, p2s, SINGULARITY_TOLERANCE
-        ):
-            for p1, p2 in zip(p1s, p2s):
-                _invertible_pair(p1, p2, SINGULARITY_TOLERANCE, what)
+        if rule:
+            _guard(p1s, p2s, a, rule)
         r1s = list(map(func, p1s))
         return (r1s, r1s, None) if p1s is p2s else (r1s, list(map(func, p2s)), None)
 

@@ -157,9 +157,10 @@ def _norms(m1s, m2s) -> list[float]:
     return _rms_moduli(m1s, m2s)
 
 
-def _diameter(values) -> float:
-    """Largest pairwise distance among a window of complex values; inf
-    where a distance is past the float range."""
+def _diameter(values, stop=math.inf) -> float:
+    """Largest pairwise distance among a window of complex values, inf
+    where one is past the float range, or the first distance of ``stop``
+    or more, so ``_diameter(w, tol) < tol`` decides as the full scan."""
     items = list(values)
     worst = 0.0
     try:
@@ -168,6 +169,8 @@ def _diameter(values) -> float:
             for vj in items[i + 1 :]:
                 d = abs(vi - vj)
                 if d > worst:
+                    if d >= stop:
+                        return d
                     worst = d
     except OverflowError:
         return math.inf
@@ -269,7 +272,7 @@ class _Tracker(_Checkpoints):
             self.verdict = "diverged"
             return
         if len(sums) == self.window:
-            if abs(total - sums[0]) < self.tol and _diameter(sums) < self.tol:
+            if abs(total - sums[0]) < (tol := self.tol) and _diameter(sums, tol) < tol:
                 self.verdict = "converged"
                 return
         if _checkpoint(used) and self.stalled():
@@ -493,7 +496,7 @@ def _analyze_pairs(blocks, tol, window, n_max) -> SeriesReport:
         verdict=verdict,
         limit_estimate=_pair_or_none(c1.total, c2.total),
         terms_used=used,
-        tail_delta=max(_diameter(c1.sums), _diameter(c2.sums)),
+        tail_delta=max(_diameter(c1.sums), 0.0 if c2 is c1 else _diameter(c2.sums)),
         absolute=ae.verdict == "converged",
         component_verdicts=(v1, v2),
         absolute_component_verdicts=(

@@ -6,6 +6,7 @@ import os
 import runpy
 import subprocess
 import sys
+import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -331,6 +332,26 @@ def test_product_past_the_float_range_prints_a_non_finite_value():
     assert doc["product"]["limit_estimate"] is None
     assert doc["product"]["log_sum"]["four_reals"] == [900.0, 0.0, 0.0, 0.0]
     assert doc["absolute_check"] is None and doc["log_sum_identity"] is None
+
+
+@pytest.mark.wallclock
+@pytest.mark.parametrize("argv, section, verdict, used", [
+    (["series", "--window", "1000", "--json", "--", "exp(i1*n)/n^3"],
+     "report", "converged", 22044),
+    (["product", "--window", "1000", "--json", "--", "1+exp(i1*n)/n^3"],
+     "product", "converged_nonsingular", 4221),
+])
+def test_wide_windows_over_oscillating_sums_end_quickly(argv, section, verdict, used):
+    # oscillating partial sums pass the newest-oldest pre-test on many
+    # pushes while the window is still wider than tol; each window scan
+    # stops at its first distance of tol or more
+    t0 = time.perf_counter()
+    code, out, err = run_cli(argv)
+    elapsed = time.perf_counter() - t0
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert (doc[section]["verdict"], doc[section]["terms_used"]) == (verdict, used)
+    assert elapsed < 5.0, elapsed
 
 
 def test_a_closed_stdout_exits_1_quietly():

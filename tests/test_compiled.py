@@ -236,7 +236,10 @@ def _walk_pairs(node, n: int) -> tuple[complex, complex]:
     elif isinstance(node, Mul):
         p1, p2 = a1 * b1, a2 * b2
     elif isinstance(node, Div):
+        # inverted as Bicomplex.inverse inverts: the pair test, then
+        # Bicomplex._make's finiteness check on the reciprocals
         b1, b2 = _pair_inverse(b1, b2)
+        _check_finite(b1, b2)
         p1, p2 = a1 * b1, a2 * b2
     else:
         raise TypeError(f"not an expression node: {node!r}")

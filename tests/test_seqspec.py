@@ -26,6 +26,7 @@ from bicomplex import (
 )
 from bicomplex import seqspec
 from bicomplex.core import _Record, _TermError
+from bicomplex.transcendental import _invertible_pair
 from bicomplex.seqspec import (
     CONSTANT_NAMES,
     FUNCTION_NAMES,
@@ -360,6 +361,15 @@ def test_eval_error_carries_term_index():
     assert info.value.term_index == 6
 
 
+def test_components_errors_carry_term_index():
+    # components(n) goes through the walker's one-index step, as eval_term does
+    term = compile_term(parse("1/(n - 3)"))
+    assert term.components(4) == (1 + 0j, 1 + 0j)
+    with pytest.raises(SingularOperand) as info:
+        term.components(3)
+    assert info.value.term_index == 3
+
+
 @pytest.mark.parametrize("cls, public", [
     (SingularOperand, ArithmeticError),
     (NonFiniteError, ArithmeticError),
@@ -485,6 +495,12 @@ def test_render_writes_an_overflowing_literal_back():
     assert render(Num(math.inf)) == "1e999"
 
 
+def _block_reciprocals(p1s, p2s):
+    """The components of ``1/x`` from the inverse closure over one block of
+    ``x`` with no bound, so its zero-divisor screen runs."""
+    return seqspec._inverse(lambda ns: (p1s, p2s, None))(range(1, len(p1s) + 1))[:2]
+
+
 def test_inverse_of_a_finite_value_is_finite_or_singular():
     # why the inverse checks no reciprocal for finiteness: at the default
     # tolerance a finite operand that passes the zero-divisor test has
@@ -510,7 +526,7 @@ def test_inverse_of_a_finite_value_is_finite_or_singular():
         assert cmath.isfinite(r) and abs(r) < 1e6, p
         # the block route scans no reciprocal either
         ps = [p] * 16
-        assert seqspec._inverses(ps, ps, False) == ([r] * 16, [r] * 16), p
+        assert _block_reciprocals(ps, ps) == ([r] * 16, [r] * 16), p
     assert 0 < inverted < len(values)
 
 
@@ -553,7 +569,7 @@ def test_pair_inverses_match_the_pair_inverse_at_extreme_components():
         want = [_pair_inverse_outcome(p1, p2) for p1, p2 in zip(p1s, p2s)]
         first = next((w for w in want if w[0] == "raised"), None)
         try:
-            r1s, r2s = seqspec._inverses(p1s, p2s, False)
+            r1s, r2s = _block_reciprocals(p1s, p2s)
         except (ArithmeticError, ValueError) as err:
             assert first is not None and ("raised", type(err), str(err)) == first, i
             seen.add("raised")
@@ -569,6 +585,63 @@ def test_pair_inverses_match_the_pair_inverse_at_extreme_components():
     # blocks that raise, blocks the screen passes with reciprocals above
     # 1e12, and blocks it refuses whose pairs all invert
     assert {"raised", ("screened", True), ("per pair", False)} <= seen, seen
+
+
+def _call_outcome(name, p1s, p2s):
+    """``name`` of each pair through its compiled closure over one block
+    with no bound: the error, or the bits of every value."""
+    closure = seqspec._call(Call(name, Var()), lambda ns: (p1s, p2s, None))
+    try:
+        r1s, r2s, _ = closure(range(1, len(p1s) + 1))
+    except (ArithmeticError, ValueError) as err:
+        return ("raised", type(err), str(err))
+    return [(r.real.hex(), r.imag.hex()) for r in r1s + r2s]
+
+
+def _walked_call_outcome(name, p1s, p2s):
+    """The same, pair by pair: ``_invertible_pair`` on each pair in
+    element order, then ``cmath`` on each component."""
+    func, what = seqspec._FUNCTIONS[name]
+    try:
+        for p1, p2 in zip(p1s, p2s):
+            _invertible_pair(p1, p2, seqspec.SINGULARITY_TOLERANCE, what)
+    except (ArithmeticError, ValueError) as err:
+        return ("raised", type(err), str(err))
+    return [(r.real.hex(), r.imag.hex()) for r in map(func, p1s + p2s)]
+
+
+@pytest.mark.parametrize("name", ["log", "sqrt"])
+def test_log_and_sqrt_blocks_the_screen_refuses(name):
+    # where the block screen refuses, the guard runs the pair rule on
+    # each pair only to raise: the error is the first singular pair's,
+    # and a block whose pairs all pass gets cmath's values from the maps
+    rng = np.random.default_rng(4141)
+
+    def component(exponent):
+        m = math.ldexp(rng.uniform(1.0, 2.0), int(exponent))
+        t = rng.uniform(-math.pi, math.pi)
+        return complex(m * math.cos(t), m * math.sin(t))
+
+    seen = set()
+    for i in range(400):
+        size = int(rng.integers(1, 17))
+        # each pair lopsided, one component near 1 and the other small,
+        # so the screen's product of the smallest moduli fails; a pair
+        # with both components small is singular
+        small = rng.integers(-60, -15, size)
+        first_small = rng.random(size) < 0.5
+        both = rng.random(size) < (0.1 if i % 2 else 0.0)
+        p1s = [component(e if f or b else 0) for e, f, b in zip(small, first_small, both)]
+        p2s = [component(0 if f and not b else e) for e, f, b in zip(small, first_small, both)]
+        if i % 5 == 0:
+            p2s = p1s   # the scalar lane: one list, refused only where singular
+            p1s[int(rng.integers(size))] = component(-30)
+        if seqspec._none_singular(p1s, p2s, seqspec.SINGULARITY_TOLERANCE):
+            continue
+        got = _call_outcome(name, p1s, p2s)
+        assert got == _walked_call_outcome(name, p1s, p2s), i
+        seen.add(("raised" if got[0] == "raised" else "values", p1s is p2s))
+    assert seen == {("raised", True), ("raised", False), ("values", False)}, seen
 
 
 def test_small_component_beside_a_large_one_keeps_its_bits():

@@ -1,3 +1,4 @@
+import cmath
 import math
 import sys
 
@@ -17,6 +18,7 @@ from bicomplex import (
     exp,
     partial_sums,
 )
+from bicomplex.series import _diameter
 from helpers import C, assert_close, gauss_bicomplex
 
 
@@ -254,3 +256,71 @@ def test_power_series_past_the_float_range_diverges():
     assert report.verdict == "diverged"
     # 1 + w, in which the 1 is lost to rounding
     assert report.limit_estimate == Bicomplex(1.5e308, -1.5e308)
+
+
+def _diameter_oracle(values) -> float:
+    """The window rules' full pair loop, kept as the oracle of the scan
+    that stops at its answer."""
+    items = list(values)
+    worst = 0.0
+    try:
+        for i in range(len(items)):
+            for vj in items[i + 1 :]:
+                d = abs(items[i] - vj)
+                if d > worst:
+                    worst = d
+    except OverflowError:
+        return math.inf
+    return worst
+
+
+def _assert_diameter_decides_as_the_oracle(window, tol):
+    want = _diameter_oracle(window)
+    got = _diameter(window, tol)
+    assert (got < tol) == (want < tol), (window, tol)
+    if want < tol:
+        assert got.hex() == want.hex(), (window, tol)
+    # with no stop, the scan is the full loop: tail_delta's value
+    assert _diameter(window).hex() == want.hex(), window
+
+
+def _spread_tols(d: float):
+    """Tolerances at and around the spread ``d``: ``d*(1 ± 4u)``, the
+    neighbouring floats and far from it."""
+    u = 2.0**-53
+    return [d, d * (1 + 4 * u), d * (1 - 4 * u), math.nextafter(d, math.inf),
+            math.nextafter(d, 0.0), d / 2, d * 2, 1e-10, math.inf]
+
+
+def test_diameter_with_a_stop_decides_as_the_full_pair_loop():
+    rng = np.random.default_rng(6060)
+    windows = []
+    for _ in range(300):
+        size = int(rng.integers(2, 24))
+        scale = 10.0 ** rng.uniform(-12, 3)
+        centre = complex(*rng.normal(size=2)) * 10.0 ** rng.uniform(-3, 3)
+        windows.append([centre + scale * complex(*xy) for xy in rng.normal(size=(size, 2))])
+    for _ in range(60):
+        size = int(rng.integers(2, 24))
+        # collinear, co-circular and repeated points
+        a, b = complex(*rng.normal(size=2)), complex(*rng.normal(size=2)) * 1e-9
+        windows.append([a + t * b for t in rng.uniform(-1, 1, size)])
+        r = 10.0 ** rng.uniform(-11, 0)
+        windows.append([a + r * cmath.exp(1j * t) for t in rng.uniform(-math.pi, math.pi, size)])
+        windows.append([a] * size)
+        windows.append([a] * (size - 1) + [a + b])
+    # parts near ±1e308: a difference whose part is inf, and one whose
+    # parts are finite but whose modulus abs refuses (OverflowError)
+    big = sys.float_info.max
+    windows += [
+        [complex(big, 0.0), complex(-big, 0.0)],
+        [0j, complex(big, big)],
+        [complex(1e308, -1e308), 1 + 1j, complex(-1e308, 1e308)],
+        [1 + 1j, 1 + 1j, complex(big / 2, big / 2), complex(-big / 2, -big / 2)],
+    ]
+    for window in windows:
+        for tol in _spread_tols(_diameter_oracle(window)):
+            if tol > 0.0:
+                _assert_diameter_decides_as_the_oracle(window, tol)
+    assert _diameter([complex(big, 0.0), complex(-big, 0.0)], 1.0) == math.inf
+    assert _diameter([0j, complex(big, big)], 1.0) == math.inf
