@@ -43,14 +43,36 @@ def __getattr__(name):
     return getattr(__import__(_HOME[name], globals(), level=1), name)
 
 
+class _Formatter(argparse.HelpFormatter):
+    """argparse's default formatter, its default width read as
+    ``shutil.get_terminal_size`` reads it: ``COLUMNS``, then the terminal
+    of ``sys.__stdout__``, then 80. argparse imports ``shutil`` for it, and
+    with it ``bz2``, ``lzma`` and ``fnmatch``, on every run."""
+
+    def __init__(self, prog, indent_increment=2, max_help_position=24, width=None):
+        if width is None:
+            try:
+                width = int(os.environ["COLUMNS"])
+            except (KeyError, ValueError):
+                width = 0
+            if width <= 0:
+                try:
+                    width = os.get_terminal_size(sys.__stdout__.fileno()).columns
+                except (AttributeError, ValueError, OSError):
+                    width = 0
+            width = (width or 80) - 2
+        super().__init__(prog, indent_increment, max_help_position, width)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bicomplex",
         description="Bicomplex sequence evaluation and convergence reports.",
+        formatter_class=_Formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
+    common = argparse.ArgumentParser(add_help=False, formatter_class=_Formatter)
     common.add_argument("expr", help="term expression in the sequence variable n")
     common.add_argument("--tol", type=float, default=1e-10,
                         help="convergence tolerance (default 1e-10)")
@@ -70,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("product", _cmd_product, "convergence report for the infinite product"),
         ("check-bounds", _cmd_check_bounds, "two-sided log/norm comparison for one term value"),
     ):
-        command = sub.add_parser(name, parents=[common], help=text)
+        command = sub.add_parser(name, parents=[common], help=text, formatter_class=_Formatter)
         command.set_defaults(run=run)
         if name in ("eval", "check-bounds"):
             command.add_argument("--at", type=int, default=1, metavar="N",

@@ -30,7 +30,12 @@ returns ``(p1s, p2s, bound)``. Each node type has one closure builder.
 A scalar subtree (``n``, numbers, ``pi``, ``i1`` and operations but
 ``[a | b]`` on them) has ``p1 == p2``, and its closures return one list
 object as both components, each operation doing its work once: that
-identity is the lane. The ``bound``, ``(lo, hi)`` or None, bounds the
+identity is the lane. A nonnegative real subtree (``n``, finite
+nonnegative numbers and ``pi``, by ``+``, ``*``, ``/`` and ``^k``) is on
+the float lane too: its closures give floats, each the real part of the
+complex value, whose imaginary part is +0.0 (``_compile``), and a
+difference, ``exp``, ``log``, ``sqrt`` and ``[a | b]`` turn them into
+complex values. The ``bound``, ``(lo, hi)`` or None, bounds the
 moduli of the values beside it, and lets their parent skip each check it
 proves will pass (``_compile``); each other check is one scan per block,
 and where a scan fails, the node's per-element helper runs over the block
@@ -49,12 +54,14 @@ last term read never does.
 
 * ``eval_term`` substitutes a concrete index into an AST or a compiled
   term (``compile_term``), and ``term_generator`` walks the indices,
-  each value a ``Bicomplex``; both evaluate one index at a time. The
+  each value a ``Bicomplex``; both evaluate one index at a time, and a
+  compiled term's ``values`` and ``components`` are complex. The
   library and the CLI's ``eval`` and ``check-bounds`` use them.
 * ``_lane_blocks`` gives the walker's blocks of bare values, the lists
-  of ``p1`` and of ``p2`` (one list twice for a scalar term, the lane);
-  the CLI's ``series`` and ``product`` feed them straight to the
-  analysis passes, with the term budget as the walker's ``stop``.
+  of ``p1`` and of ``p2`` (one list twice for a scalar term, the lane;
+  one list of floats on the float lane); the CLI's ``series`` and
+  ``product`` feed them straight to the analysis passes, with the term
+  budget as the walker's ``stop``.
 """
 
 from __future__ import annotations
@@ -376,7 +383,7 @@ def compile_term(node) -> CompiledTerm:
     """Compile an AST once into nested block closures (see
     :func:`_compile`) whose root gives the idempotent components
     ``(p1, p2)``."""
-    return CompiledTerm(node, _compile(node)[0])
+    return CompiledTerm(node, _exit(_compile(node)[0]))
 
 
 def _compile(node):
@@ -431,6 +438,33 @@ def _compile(node):
     objects, and a scalar operand beside a pair one is ``(xs, xs)`` as it
     stands, so a pair over a scalar divides by one list of inverses. A
     folded subtree keeps the lane of the block it was folded from.
+
+    The float lane holds the values ``(x, +0.0)`` with ``x`` finite and
+    ``+0.0`` or more (never -0.0), as the float ``x``, one list on the
+    scalar lane: ``n`` (``float(n)``, the real part of ``complex(n)``) and
+    every such constant (``_constant``), numbers and ``pi`` among them.
+    ``+``, ``*``, ``1/x`` and ``^k`` keep it, each float the real part of
+    the complex route's value, whose imaginary part is +0.0 again, so the
+    lane closes under them: a sum's is ``+0 + +0``; a product's real part
+    is ``x*y - (+0)*(+0)``, which is ``x*y``, and its imaginary part ``x*(+0)
+    + (+0)*y``, which is +0 for ``x, y >= +0``; ``_Py_c_quot`` of ``(1, 0)``
+    by ``(x, +0)`` with ``x > 0`` (the guard refuses 0) takes its first
+    branch, ratio 0, and gives ``(1/x, +0/x)``; a power is products. A
+    float beside a complex operand needs no conversion: CPython's complex
+    operations turn it into ``complex(x, 0.0)``, the complex route's own
+    operand, as ``cmath`` functions do (through 3.13; 3.14's mixed-mode
+    rules skip the zero part, which can move the sign of a zero). A
+    product by the literal 1 (``1*x``, and the ``1*`` of a compiled
+    ``1/x``) and ``_power``'s first product by one are skipped on floats,
+    where ``1.0*x`` is ``x`` in every bit; a complex value keeps them,
+    since ``(1+0j)*z`` turns a -0.0 imaginary part into +0.0. Values
+    leave the lane as ``x + 0j``, which is exact for an ``x`` that is never
+    -0.0 (``_complex``): at a difference, which can be negative, while
+    ``(a, +0)*(b, +0)`` with ``a, b < 0`` has a -0.0 imaginary part; at
+    ``exp``, ``log`` and ``sqrt``, whose ``cmath`` value is complex; at
+    ``[a | b]``; and at ``CompiledTerm.values``, so ``components`` and
+    ``eval_term`` stay complex. ``_lane_blocks`` hands the floats to the
+    passes, where every float is nonnegative.
     """
     operands, build = _node_row(node)[:2]
     compiled = [_compile(getattr(node, name)) for name, _ in operands]
@@ -468,6 +502,11 @@ def _clear(a):
 
 
 def _constant(v1, v2, shared):
+    # (x, +0.0) with x >= +0.0 stands on the float lane as x; every
+    # constant is finite
+    sign = math.copysign
+    if shared and v1.imag == 0.0 and sign(1.0, v1.real) == sign(1.0, v1.imag) == 1.0:
+        v1 = v2 = v1.real
     # inf, where abs would raise, leaves the bound unknown
     m1, m2 = math.hypot(v1.real, v1.imag), math.hypot(v2.real, v2.imag)
     bound = _widen(*((m1, m2) if m1 < m2 else (m2, m1)))
@@ -497,21 +536,45 @@ def _guard(p1s, p2s, a, rule):
             rule(p1, p2)
 
 
+def _floats(xs) -> bool:
+    """Whether the list ``xs`` of a block's values is on the float lane."""
+    return bool(xs) and type(xs[0]) is float
+
+
+def _complex(xs):
+    """The list ``xs`` as complex values: a float ``x`` of the float lane is
+    ``x + 0j``, which is ``(x, +0.0)`` exactly, as ``x`` is never -0.0."""
+    return list(map(operator.add, xs, repeat(0j))) if _floats(xs) else xs
+
+
+def _exit(fn):
+    """The block closure ``fn`` with its values off the float lane
+    (``_complex``), one list staying one list."""
+    def values(ns):
+        p1s, p2s, bound = fn(ns)
+        r1s = _complex(p1s)
+        return r1s, (r1s if p2s is p1s else _complex(p2s)), bound
+
+    return values
+
+
 def _powers(ps, k: int, bound):
     """``p**k`` of each value, for ``k >= 0``: ``core._power`` on the list,
     its products element by element, and one finiteness scan of the result
     (``_checked``), unless ``bound``, a bound on the result below 1e300,
     proves every product finite: each square and partial product has
-    modulus at most ``max(1, |p|)**k``."""
-    rs = _power(ps, k, lambda xs, ys: list(map(operator.mul, xs, ys)), [1 + 0j] * len(ps))
+    modulus at most ``max(1, |p|)**k``. Floats start from the first factor
+    (``1.0*x`` is ``x``), and their ``p**0`` is 1.0."""
+    one = None if _floats(ps) else [1 + 0j] * len(ps)
+    rs = _power(ps, k, lambda xs, ys: list(map(operator.mul, xs, ys)), one) or [1.0] * len(ps)
     return rs if bound else _checked(rs)
 
 
 def _var(node):
     def fn(ns):
         try:
-            # n + 0j is complex(n) in bits, at about half the cost
-            xs = list(map(operator.add, ns, repeat(0j)))
+            # on the float lane: float(n) is the real part of complex(n)
+            xs = list(map(float, ns))
         except OverflowError:
             raise NonFiniteError("term index n is past the float range") from None
         # and exact below 2**53; a range of a positive step (start < stop)
@@ -536,12 +599,18 @@ def _const(node):
 
 def _ring(op, rule):
     """The builder of a ring operation that is ``op`` on each idempotent
-    component; ``rule`` gives its bound from its operands' bounds."""
+    component; ``rule`` gives its bound from its operands' bounds. A
+    product whose left operand is the literal 1, as in ``1*x`` and the
+    compiled ``1/x``, returns a float right operand as it stands."""
 
     def build(node, left, right):
+        one = type(node) in (Mul, Div) and type(node.left) is Num and node.left.value == 1.0
+
         def fn(ns):
             a1s, a2s, a = left(ns)
             b1s, b2s, b = right(ns)
+            if one and _floats(b1s):
+                return b1s, b2s, b
             bound = a and b and rule(a, b)
             # each component checked alone, with the error of
             # _check_finite(p1, p2), where no bound proves it finite
@@ -563,14 +632,19 @@ def _gap(a, b):
 
 
 _ADD = _ring(operator.add, _gap)
-_SUB = _ring(operator.sub, _gap)
+_DIFF = _ring(operator.sub, _gap)
 _MUL = _ring(operator.mul, lambda a, b: _widen(a[0] * b[0], a[1] * b[1]))
 _ZERO = _constant(0j, 0j, True)
 
 
+def _sub(node, left, right):
+    # a difference can be negative: it leaves the float lane
+    return _exit(_DIFF(node, left, right))
+
+
 def _neg(node, arg):
     # 0 - x, which keeps a zero part +0.0 where -x would flip it
-    return _SUB(node, _ZERO, arg)
+    return _sub(node, _ZERO, arg)
 
 
 def _div(node, left, right):
@@ -648,7 +722,7 @@ def _idem(node, first, second):
             raise IdempotentSlotError(
                 "idempotent slot values must have no second complex part"
             )
-        return f1s, s1s, None
+        return _complex(f1s), _complex(s1s), None
 
     return fn
 
@@ -662,7 +736,7 @@ _NODES = {
     Var: ((), _var, 9, "n"),
     Neg: ((("operand", 3),), _neg, 3, "-{0}"),
     Add: ((("left", 1), ("right", 2)), _ADD, 1, "{0} + {1}"),
-    Sub: ((("left", 1), ("right", 2)), _SUB, 1, "{0} - {1}"),
+    Sub: ((("left", 1), ("right", 2)), _sub, 1, "{0} - {1}"),
     Mul: ((("left", 2), ("right", 3)), _MUL, 2, "{0}*{1}"),
     Div: ((("left", 2), ("right", 3)), _div, 2, "{0}/{1}"),
     Pow: ((("base", 9),), _pow, 4, "{0}^{node.exponent}"),

@@ -43,6 +43,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import deque
+from functools import reduce
 from itertools import accumulate, chain, islice, repeat
 from operator import add, mul, sub, truediv
 
@@ -177,6 +178,12 @@ def _diameter(values, stop=math.inf) -> float:
     return worst
 
 
+def _spread(sums, stop=math.inf) -> float:
+    """``_diameter(sums, stop)``; for float sums, which rise, newest minus
+    oldest (see ``_Tracker.push``)."""
+    return abs(sums[-1] - sums[0]) if sums and type(sums[-1]) is float else _diameter(sums, stop)
+
+
 class SeriesReport(_Record):
     """Outcome of a series analysis.
 
@@ -257,7 +264,15 @@ class _Tracker(_Checkpoints):
         self.verdict: str | None = None
 
     def push(self, term, mag: float, used: int) -> None:
-        """Add ``term``, the pass's term ``used``; ``mag`` is ``abs(term)``."""
+        """Add ``term``, the pass's term ``used``; ``mag`` is ``abs(term)``.
+
+        Float sums are those of nonnegative terms (a norm series, or the
+        float lane's values), and they rise: ``s + t`` rounds to ``s`` or
+        more for ``t >= 0``, as rounding is monotone. So for ``i < j``
+        the exact ``s_j - s_i`` is at most ``newest - oldest`` exactly,
+        and its rounding at most that of ``newest - oldest``: the window's
+        computed diameter is ``newest - oldest``, and the pre-test alone
+        decides (``_spread``). Complex sums take ``_diameter``."""
         if self.verdict is not None:
             return
         self.total = total = self.total + term
@@ -272,28 +287,66 @@ class _Tracker(_Checkpoints):
             self.verdict = "diverged"
             return
         if len(sums) == self.window:
-            if abs(total - sums[0]) < (tol := self.tol) and _diameter(sums, tol) < tol:
+            if abs(total - sums[0]) < (tol := self.tol) and _spread(sums, tol) < tol:
                 self.verdict = "converged"
                 return
         if _checkpoint(used) and self.stalled():
             self.verdict = "diverged"
 
-    def run_sums(self, terms):
-        """The partial sums after each of ``terms``, or None where a rule
-        of ``push`` could fire at one of them. On a norm series the terms
-        are nonnegative, so the sums rise: the last is the largest (a NaN
-        there fails the screen, and it stays in every later sum), and a
-        window's spread is newest minus oldest. Raises OverflowError where
-        a modulus leaves the float range."""
+    def run_sums(self, terms, mags):
+        """The partial sums after each of ``terms``, whose moduli are
+        ``mags``, or None where a rule of ``push`` could fire at one of
+        them; float terms get the last ``window`` sums only. Raises
+        OverflowError where a modulus leaves the float range.
+
+        Float terms are nonnegative (see ``push``), so the sums rise, and
+        ``T``, the run's last sum, is the largest (a NaN fails the test,
+        and stays in every later sum); one ``reduce(add, ...)`` makes the
+        sums before the last window, and ``_partials`` that window, by the
+        adds of ``push`` in its order, so every bit is ``push``'s (never
+        ``sum``, which compensates floats from Python 3.12). A window's
+        spread is ``newest - oldest``, over the ``window - 1`` terms added
+        after its oldest sum. Let ``t`` be the least of the run's terms and
+        of ``mags`` (the terms before it) and u = 2**-53. Each computed sum
+        ``s_k = fl(s_{k-1} + t_k)`` errs by at most ``u*s_k <= u*T`` (a
+        rounded sum is ``x/(1 + d)`` with ``|d| <= u``, also below the
+        normal range), so ``s_j - s_i >= (window - 1)*(t - u*T)``, and its
+        computed difference is at least ``(window - 1)*(t - u*T)*(1 - u)``.
+        The test takes ``2u*T`` for ``u*T``: at least ``u*T`` where ``T >=
+        2**-1022``, and below that every sum is exact, so each spread is at
+        least ``(window - 1)*t``; and ``1 - 4u`` for ``1 - u``, which covers
+        the test's own three roundings, ``(1 + u)**3*(1 - 4u) < 1 - u``,
+        while below the normal range they err by less than 2**-1074 in all,
+        less than the step between ``tol`` and the float below it. So where
+        it holds, no spread is below ``tol``. Where it fails, every sum is
+        formed and each window's exact gap decides, as for every run
+        before.
+
+        On complex terms, ``|total| + k*max(mags) <= OVERFLOW_GUARD/2``
+        bounds every modulus of the run's ``k`` sums: each rounds by a
+        factor ``1 + u`` at most per part, ``(1 + u)**k`` stays far below
+        2 for any run that fits in memory, and the moduli and the bound's
+        own arithmetic err by a few ``u`` more. Elsewhere the moduli of
+        the sums are scanned."""
+        window, tol = self.window, self.tol
+        if type(terms[0]) is float:
+            k = max(len(terms) - window, 0)
+            head = reduce(add, islice(terms, k), self.total)
+            totals = _partials(islice(terms, k, None), add, head)
+            if not totals[-1] <= OVERFLOW_GUARD:
+                return None
+            least = min(min(terms), min(self.mags, default=math.inf))
+            if (window - 1) * (least - totals[-1] * 2**-52) * (1.0 - 2**-51) >= tol:
+                return totals
+            totals = _partials(terms, add, self.total)
+            gaps = _gaps(self.sums, totals, window)
+            return totals if min(gaps, default=math.inf) >= tol else None
         totals = _partials(terms, add, self.total)
-        gaps = _gaps(self.sums, totals, self.window)
-        if self.ratio == _HARMONIC_RATIO:
-            quiet = totals[-1] <= OVERFLOW_GUARD and min(gaps, default=math.inf) >= self.tol
-        else:
-            quiet = max(map(abs, totals)) <= OVERFLOW_GUARD and min(
-                map(abs, gaps), default=math.inf
-            ) >= self.tol
-        return totals if quiet else None
+        if not (abs(self.total) + len(terms) * max(mags) <= OVERFLOW_GUARD / 2
+                or max(map(abs, totals)) <= OVERFLOW_GUARD):
+            return None
+        gaps = map(abs, _gaps(self.sums, totals, window))
+        return totals if min(gaps, default=math.inf) >= tol else None
 
     def take(self, totals, mags) -> None:
         """Advance over a run that ``run_sums`` passed, as ``push`` would."""
@@ -310,7 +363,7 @@ def _run_sums(steps):
     runs = []
     for tracker, terms, mags in steps:
         if tracker.verdict is None:
-            totals = tracker.run_sums(terms)
+            totals = tracker.run_sums(terms, mags)
             if totals is None:
                 return None
             runs.append((tracker, totals, mags))
@@ -417,7 +470,10 @@ def _analyze_pairs(blocks, tol, window, n_max) -> SeriesReport:
     a run that ``_Tracker.run_sums`` passes (and, while ``ae`` is the
     modulus tracker, whose moduli lie in the exact-RMS range); ``ae``'s
     terms there are ``_norms`` of the moduli, which skips the RMS for equal
-    moduli, as of conjugate components.
+    moduli, as of conjugate components. On the float lane (``seqspec``) a
+    term is a nonnegative float, its own modulus: no ``abs`` is taken, and
+    every tracker screens its runs as a nonnegative series
+    (``_Tracker.run_sums``).
     """
     blocks = iter(blocks)
     head = list(islice(blocks, 1))
@@ -433,7 +489,8 @@ def _analyze_pairs(blocks, tol, window, n_max) -> SeriesReport:
 
     def step(p1s, p2s, used):
         try:
-            m1s = m2s = list(map(abs, p1s))
+            # a float term is its own modulus
+            m1s = m2s = p1s if type(p1s[0]) is float else list(map(abs, p1s))
             steps = [(c1, p1s, m1s), (a1, m1s, m1s)]
             if c2 is not c1:
                 m2s = list(map(abs, p2s))
@@ -496,7 +553,7 @@ def _analyze_pairs(blocks, tol, window, n_max) -> SeriesReport:
         verdict=verdict,
         limit_estimate=_pair_or_none(c1.total, c2.total),
         terms_used=used,
-        tail_delta=max(_diameter(c1.sums), 0.0 if c2 is c1 else _diameter(c2.sums)),
+        tail_delta=max(_spread(c1.sums), 0.0 if c2 is c1 else _spread(c2.sums)),
         absolute=ae.verdict == "converged",
         component_verdicts=(v1, v2),
         absolute_component_verdicts=(

@@ -16,7 +16,7 @@ from itertools import accumulate, repeat
 import numpy as np
 import pytest
 
-from bicomplex import analyze_series, evaluate_product, products, seqspec, series
+from bicomplex import Bicomplex, analyze_series, evaluate_product, products, seqspec, series
 from bicomplex.core import SINGULARITY_TOLERANCE
 from bicomplex.seqspec import Add, Div, Num, Pow, Var
 from helpers import one_term_blocks, run_cli, walker_blocks
@@ -820,3 +820,56 @@ def test_product_verdict_decomposes_into_component_verdicts():
         rows.add(row)
     # the families reach the singular-limit row and nine of the ten
     assert (CONVERGED, TO_ZERO) in rows and len(rows) >= 9, rows
+
+
+# -- the float lane: float blocks against complex blocks of the same values --
+
+def _value_bits(value):
+    """``_bits``, with each bicomplex value's idempotent parts too."""
+    if isinstance(value, Bicomplex):
+        return _bits(value), tuple(x.hex() for p in (value.p1, value.p2) for x in (p.real, p.imag))
+    if isinstance(value, tuple) and not isinstance(value, str):
+        return tuple(map(_value_bits, value))
+    if hasattr(value, "_fields") and not isinstance(value, tuple):
+        return tuple(_value_bits(getattr(value, name)) for name in value._fields)
+    return _bits(value)
+
+
+def _lane_outcome(run, terms, tol, window, n_max):
+    try:
+        report = run(walker_blocks(terms, True), tol, window, n_max)
+    except (ArithmeticError, ValueError) as err:
+        return ("raised", type(err).__name__, str(err), getattr(err, "term_index", None))
+    return repr(report), _value_bits(report)
+
+
+def _nonnegative_families(rng):
+    """Nonnegative real term sequences, as the float lane gives them."""
+    for p in (1.0, 1.5, 2.0, 3.0):
+        yield [1.0 / n**p for n in range(1, 6001)]
+        yield [1.0 + 1.0 / n**p for n in range(1, 6001)]
+    yield [1.0 + 1e-6 / n for n in range(1, 6001)]
+    yield [0.0] * 100 + [1.0 / (n * n) for n in range(101, 3001)]
+    yield [5e-324 * (n % 7) for n in range(1, 3001)]
+    yield [1e149 / n for n in range(1, 3001)]
+    yield [float(n) for n in range(1, 3001)]
+    for _ in range(6):
+        yield list(map(float, 10.0 ** rng.uniform(-12, 1, 4000) / np.arange(1, 4001) ** 2))
+
+
+def test_float_blocks_give_the_reports_of_complex_blocks():
+    # the passes over one list of floats and over one list of the same
+    # values as complex numbers, (x, +0.0): the reports agree by repr and
+    # in every bit, for both passes
+    rng = np.random.default_rng(4545)
+    verdicts = set()
+    for terms in _nonnegative_families(rng):
+        as_complex = [complex(x) for x in terms]
+        for command, run in PASSES.items():
+            for tol, window, n_max in ((1e-10, 8, len(terms)), (1e-6, 2, 3000),
+                                       (1e-8, 50, len(terms))):
+                got = _lane_outcome(run, terms, tol, window, n_max)
+                assert got == _lane_outcome(run, as_complex, tol, window, n_max), (
+                    command, terms[:3], tol, window, n_max)
+                verdicts.add(got[0].split("(")[0] if got[0] != "raised" else got[1])
+    assert {"SeriesReport", "ProductAnalysis"} <= verdicts, verdicts

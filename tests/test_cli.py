@@ -1,3 +1,4 @@
+import argparse
 import ast
 import io
 import json
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import bicomplex
+from bicomplex import cli
 from bicomplex.cli import main
 from helpers import GOLDEN_DIR, run_cli
 
@@ -352,6 +354,57 @@ def test_wide_windows_over_oscillating_sums_end_quickly(argv, section, verdict, 
     doc = json.loads(out)
     assert (doc[section]["verdict"], doc[section]["terms_used"]) == (verdict, used)
     assert elapsed < 5.0, elapsed
+
+
+@pytest.mark.wallclock
+@pytest.mark.parametrize("argv, verdict, used, tail_delta", [
+    (["series", "--window", "8000", "--json", "--", "1/n^3"],
+     "converged", 47334, 9.99955673819386e-11),
+    (["series", "--window", "100000", "--max-terms", "200000", "--json", "--", "1/n^2"],
+     "inconclusive", 200000, 4.999862501131602e-06),
+])
+def test_wide_windows_over_rising_sums_end_quickly(argv, verdict, used, tail_delta):
+    # nonnegative terms give rising sums, whose window diameter is newest
+    # minus oldest: no push and no tail_delta scans the window's pairs
+    t0 = time.perf_counter()
+    code, out, err = run_cli(argv)
+    elapsed = time.perf_counter() - t0
+    assert (code, err) == (0, "")
+    report = json.loads(out)["report"]
+    assert (report["verdict"], report["terms_used"]) == (verdict, used)
+    assert report["tail_delta"] == tail_delta
+    assert elapsed < 5.0, elapsed
+
+
+HELP_AND_ERRORS = [
+    [], ["--help"], ["eval", "--help"], ["series", "--help"], ["product", "--help"],
+    ["check-bounds", "--help"], ["series"], ["eval", "--b", "1", "n"],
+    ["series", "--window", "x", "n"], ["bogus"],
+]
+
+
+@pytest.mark.parametrize("columns", [None, "50", "200", "0", "abc"])
+def test_help_and_usage_errors_match_the_default_formatter(monkeypatch, columns):
+    # the CLI's formatter reads the width as shutil does, without it
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    got = [run_cli(argv) for argv in HELP_AND_ERRORS]
+    monkeypatch.setattr(cli, "_Formatter", argparse.HelpFormatter)
+    assert got == [run_cli(argv) for argv in HELP_AND_ERRORS]
+    assert {code for code, _, _ in got} == {0, 2}
+
+
+def test_an_eval_process_imports_no_shutil():
+    src = Path(bicomplex.__file__).resolve().parents[1]
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); from bicomplex.cli import main; "
+            "main(['eval', '1/n^2']); "
+            "print(sorted(m for m in ('shutil', 'lzma', 'bz2', 'fnmatch') if m in sys.modules))")
+    child = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                           timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines()[-1] == "[]"
 
 
 def test_a_closed_stdout_exits_1_quietly():

@@ -17,6 +17,7 @@ is known, and the scans it lets a node skip must change no bit.
 import statistics
 import sys
 import threading
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -832,22 +833,22 @@ def test_workload_terms_scan_nothing_past_their_first_block(monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
         assert sum(len(p1s) for p1s, _ in blocks) == 20_000 - 1
         assert calls == dict.fromkeys(calls, 0), (text, calls)
-    # the reference of the bounds-change-no-bit tests does scan: each of
-    # the two ring nodes of 1 + 1/n, once per block
+    # the reference of the bounds-change-no-bit tests does scan: the one
+    # ring node of 1 + 1/n, once per block (on the float lane the 1* of
+    # 1/n is no product)
     blocks = _blocks(_unbounded(parse("1+1/n")), 1, 20_001)
     next(blocks)
     calls.update(dict.fromkeys(calls, 0))
     assert sum(1 for _ in blocks) == 28
-    assert calls["_checked"] == 2 * 28, calls
-    # and that of 1/n^2 scans its power once per block, beside its
-    # product: past n = 1 the power's values n^2 are 4 or more, the
-    # product's 1/n^2 below 1
+    assert calls["_checked"] == 28, calls
+    # and that of 1/n^2 scans its power once per block: past n = 1 the
+    # power's values n^2 are 4 or more
     blocks = _blocks(_unbounded(parse("1/n^2")), 1, 20_001)
     next(blocks)
     calls.update(dict.fromkeys(calls, 0))
     scanned.clear()
     assert sum(1 for _ in blocks) == 28
-    assert calls["_checked"] == 2 * 28, calls
+    assert calls["_checked"] == 28, calls
     assert sum(1 for ps in scanned if ps[0].real >= 4.0) == 28
 
 
@@ -899,3 +900,174 @@ def test_threads_walking_one_compiled_term_see_what_one_thread_sees():
             assert walked == alone, text
     finally:
         sys.setswitchinterval(interval)
+
+
+# -- the float lane: nonnegative real subtrees as floats --
+
+REAL_LEAVES = (0.0, 0.5, 1.0, 3.0, 1e-160, 1e-310, 1e155, 1e200)
+# the small indices, 2**53 - 1, and indices where n^16, n^20 or n itself
+# leaves the float range
+REAL_INDICES = INDICES + (2**53 - 1, 10**16, 10**20, 10**400)
+
+
+def _random_real_ast(rng: np.random.Generator, depth: int):
+    """A random tree over n, finite nonnegative numbers and pi, by +, *, /
+    and ^k, k from -4 to 4 or a power that overflows at large n: on the
+    float lane throughout."""
+    if depth <= 0:
+        leaf = rng.integers(0, 4)
+        if leaf == 0:
+            return Num(float(rng.choice(REAL_LEAVES)))
+        if leaf == 1:
+            return Num(round(float(rng.uniform(0, 5)), 3))
+        return Var() if leaf == 2 else Const("pi")
+    kind = rng.integers(0, 5)
+    if kind < 3:
+        ctor = (Add, Mul, Div)[kind]
+        return ctor(_random_real_ast(rng, depth - 1), _random_real_ast(rng, depth - 1))
+    k = int(rng.integers(-4, 5)) if kind == 3 else int(rng.choice([16, 20]))
+    return Pow(_random_real_ast(rng, depth - 1), k)
+
+
+def _complex_route(node):
+    """The closure the builders give the tree with every node's values
+    turned into complex values, ``complex(x)`` of a float ``x`` being ``(x,
+    +0.0)``, and copied: no closure sees a float or one list as both
+    components, nothing is folded and no bound is handed on."""
+    operands, build = _NODES[type(node)][:2]
+    fn = build(node, *(_complex_route(getattr(node, name)) for name, _ in operands))
+    return lambda ns: (*(list(map(complex, xs)) for xs in fn(ns)[:2]), None)
+
+
+def _indexed_outcome(fn, n: int):
+    """A block closure's value at ``n``, both parts of both components in
+    bits, or its error with the term index the walker attaches."""
+    try:
+        (p1,), (p2,) = seqspec._at(fn, n)
+    except (ArithmeticError, ValueError) as err:
+        return ("raised", type(err), str(err), getattr(err, "term_index", None))
+    return ("value", p1.real.hex(), p1.imag.hex(), p2.real.hex(), p2.imag.hex())
+
+
+def _assert_float_lane_matches_complex_route(node, indices) -> set:
+    """The compiled closure against the complex route, index by index;
+    returns the kinds of outcome and whether the values were floats."""
+    fn, reference = _compile(node)[0], _complex_route(node)
+    seen = set()
+    for n in indices:
+        got = _indexed_outcome(fn, n)
+        assert got == _indexed_outcome(reference, n), (render(node), n)
+        if got[0] == "raised":
+            seen.add(got[1].__name__)
+        else:
+            p1s, p2s = seqspec._at(fn, n)
+            seen.add(type(p1s[0]).__name__)
+            # floats come as one list, both components
+            assert type(p1s[0]) is not float or p1s is p2s, render(node)
+    return seen
+
+
+def test_float_lane_matches_the_complex_route_on_random_real_asts():
+    rng = np.random.default_rng(4141)
+    seen = set()
+    for _ in range(600):
+        node = _random_real_ast(rng, int(rng.integers(1, 5)))
+        kinds = _assert_float_lane_matches_complex_route(node, REAL_INDICES)
+        # every value of a nonnegative real tree is a float
+        assert "complex" not in kinds, render(node)
+        seen |= kinds
+    assert seen == {"float", "SingularOperand", "NonFiniteError"}, seen
+
+
+def test_float_lane_matches_the_complex_route_on_mixed_asts():
+    # trees over every node type, where real subtrees sit under a
+    # difference, a function, a bracket or a complex operand
+    rng = np.random.default_rng(4242)
+    seen = set()
+    for _ in range(400):
+        for node in (_random_ast(rng, int(rng.integers(1, 5))),
+                     _random_scalar_ast(rng, int(rng.integers(1, 5)))):
+            seen |= _assert_float_lane_matches_complex_route(node, REAL_INDICES[:8])
+    assert {"float", "complex", "SingularOperand", "NonFiniteError"} <= seen, seen
+
+
+@pytest.mark.parametrize("node", [
+    Div(Num(1.0), Num(0.0)),
+    Div(Var(), Num(0.0)),
+    Pow(Num(0.0), -1),
+    Pow(Var(), -3),
+    Div(Num(1.0), Pow(Var(), -2)),
+    Mul(Num(1.0), Var()),
+    Pow(Var(), 0),
+    Mul(Num(-0.0), Var()),
+    Add(Num(-2.0), Var()),
+    Mul(Num(-0.0), Num(-0.0)),
+    Div(Num(1.0), Mul(Num(-0.0), Var())),
+    Mul(Num(-2.0), Div(Num(1.0), Var())),
+    Mul(Sub(Num(1.0), Var()), Sub(Num(1.0), Var())),
+    # products of two negative values, whose imaginary part is -0.0
+    Mul(Num(-2.0), Mul(Num(-2.0), Var())),
+    Mul(Sub(Num(1.0), Num(2.0)), Mul(Sub(Num(1.0), Num(2.0)), Var())),
+    # 1*z of a complex z whose imaginary part is -0.0 turns it to +0.0
+    Mul(Num(1.0), Mul(Sub(Num(1.0), Var()), Sub(Num(1.0), Var()))),
+])
+def test_float_lane_edges_match_the_complex_route(node):
+    _assert_float_lane_matches_complex_route(node, REAL_INDICES)
+
+
+@pytest.mark.parametrize("text", [
+    "(1 - n)*(1 - n)", "1*((1 - n)*(1 - n))", "(1 - 2)*((1 - 2)*n)", "(-2)*((-2)*n)",
+    "1/((1 - n)*(1 - n))", "(n - 3)^2*(n - 5)^3", "1*(-n)", "-(1/n^2)", "[1/n | n^2]*(1 - n)",
+])
+def test_float_lane_exits_match_the_bicomplex_operations(text):
+    # eval_term against the Bicomplex operations node by node, which share
+    # no builder with the closures, both parts of both components in bits
+    node = parse(text)
+    for n in INDICES:
+        assert _component_outcome(eval_term, node, n) == _component_outcome(
+            _reference_eval, node, n), (text, n)
+
+
+def _component_outcome(evaluate, node, n: int):
+    try:
+        w = evaluate(node, n)
+    except (ArithmeticError, ValueError) as err:
+        return ("raised", type(err), str(err), getattr(err, "term_index", None))
+    return ("value",) + tuple(x.hex() for p in (w.p1, w.p2) for x in (p.real, p.imag))
+
+
+def test_negative_and_negative_zero_literals_stay_off_the_float_lane():
+    for value in (-0.0, -2.0):
+        p1s, p2s, _ = _compile(Num(value))[0](range(1, 4))
+        assert p1s is p2s and all(type(p) is complex for p in p1s), value
+        assert [p.real.hex() for p in p1s] == [value.hex()] * 3
+    for value in (0.0, 2.0):
+        p1s, _, _ = _compile(Num(value))[0](range(1, 4))
+        assert p1s == [value] * 3 and type(p1s[0]) is float
+
+
+def test_lane_exits_keep_the_signs_of_zeros():
+    for n in (1, 2, 5, 10**6):
+        w = eval_term(parse("n - n"), n)
+        assert [p.imag.hex() for p in (w.p1, w.p2)] == ["0x0.0p+0"] * 2
+        # (1 - n, +0)*(1 - n, +0) has the imaginary part -0.0 for n > 1
+        w = eval_term(parse("(1 - n)*(1 - n)"), n)
+        want = _reference_eval(parse("(1 - n)*(1 - n)"), n)
+        assert (w.p1.real.hex(), w.p1.imag.hex()) == (want.p1.real.hex(), want.p1.imag.hex())
+        assert w.p1.imag.hex() == ("0x0.0p+0" if n == 1 else "-0x0.0p+0")
+
+
+@pytest.mark.parametrize("text", ["1/n^2", "n", "pi", "2.5", "1+1/n", "n^0", "1*n",
+                                  "[n | 2]", "n - n", "sqrt(n)"])
+def test_public_values_stay_complex(text):
+    node = parse(text)
+    term = compile_term(node)
+    w = eval_term(node, 3)
+    assert type(w.p1) is complex and type(w.p2) is complex
+    assert all(type(p) is complex for value in islice(term_generator(text), 5)
+               for p in (value.p1, value.p2))
+    p1s, p2s, _ = term.values(range(1, 6))
+    assert all(type(p) is complex for p in p1s + p2s)
+    assert all(type(p) is complex for p in term.components(4))
+    # the same bits as the walker's floats
+    assert _block_hex((p1s, p2s)) == _block_hex(_compile(node)[0](range(1, 6)))

@@ -5,7 +5,7 @@ short-budget product run, with its lane, budget, cost and per-term
 reads, then one row per public analyzer on prebuilt terms, with its
 term count and cost, then one row per expression of eval_term's
 one-index cost, then one row per piece of the block step of the
-default product, on the pair lane, and of 1+1/n, on the scalar lane,
+default product, on the pair lane, and of 1+1/n, on the real lane,
 each with the share of terms the step took on mirror runs, then one row
 per long workload with the closures' scans per 1,000 terms read.
 
@@ -43,8 +43,8 @@ def test_layer_split_prints_one_row_per_long_workload():
     # on 2,000 terms no verdict is reached: each pass reads the whole budget
     assert got == [
         ('product "1 + (3/10 + 2/5*i2)/n^2"', "pair", 2000),
-        ('product "1+1/n"', "scalar", 2000),
-        ('series "1/n^2"', "scalar", 2000),
+        ('product "1+1/n"', "real", 2000),
+        ('series "1/n^2"', "real", 2000),
     ]
     for m in rows:
         terms, evaluated, eval_ns, pass_ns = (int(m[i].replace(",", "")) for i in range(3, 7))
@@ -68,8 +68,8 @@ def test_layer_split_prints_one_row_per_long_workload():
     assert [(m[1], m[2], m[3]) for m in shorts] == [
         ("1 + (3/10 + 2/5*i2)/n^2", "pair", "128"),
         ("1 + (3/10 + 2/5*i2)/n^2", "pair", "1,000"),
-        ("1+1/n", "scalar", "128"),
-        ("1+1/n", "scalar", "1,000"),
+        ("1+1/n", "real", "128"),
+        ("1+1/n", "real", "1,000"),
     ]
     assert all(int(m[4].replace(",", "")) > 0 for m in shorts)
     # the per-term body reads terms 1 to 32 and the checkpoints after
@@ -112,15 +112,15 @@ def test_layer_split_prints_one_row_per_long_workload():
         '| pair-lane block step of `product "1 + (3/10 + 2/5*i2)/n^2"` | terms | ns/term |',
         "|---|---:|---:|",
     ]
-    # the same pieces on the scalar lane, for 1+1/n
+    # the same pieces on the real lane, for 1+1/n
     assert lines[35:38] == [
         "",
-        '| scalar-lane block step of `product "1+1/n"` | terms | ns/term |',
+        '| real-lane block step of `product "1+1/n"` | terms | ns/term |',
         "|---|---:|---:|",
     ]
     assert len(lines) == 50, lines
     # past the identity's cap the default product's runs are mirror runs:
-    # 1,025 to 2,000, 976 of the 2,000 terms; the scalar lane has none
+    # 1,025 to 2,000, 976 of the 2,000 terms; the real lane has none
     assert lines[34] == "| share taken on mirror runs | 2,000 | 48.8% |"
     assert lines[43] == "| share taken on mirror runs | 2,000 | 0.0% |"
     for start in (29, 38):

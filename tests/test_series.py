@@ -1,6 +1,7 @@
 import cmath
 import math
 import sys
+from operator import add
 
 import numpy as np
 import pytest
@@ -17,8 +18,11 @@ from bicomplex import (
     eval_power_series,
     exp,
     partial_sums,
+    series,
 )
-from bicomplex.series import _diameter
+from bicomplex.series import (
+    _HARMONIC_RATIO, OVERFLOW_GUARD, _diameter, _gaps, _partials, _spread, _Tracker,
+)
 from helpers import C, assert_close, gauss_bicomplex
 
 
@@ -324,3 +328,159 @@ def test_diameter_with_a_stop_decides_as_the_full_pair_loop():
                 _assert_diameter_decides_as_the_oracle(window, tol)
     assert _diameter([complex(big, 0.0), complex(-big, 0.0)], 1.0) == math.inf
     assert _diameter([0j, complex(big, big)], 1.0) == math.inf
+
+
+# -- nonnegative float series: the least-term screen and the monotone diameter --
+
+U = 2.0**-53
+
+
+def _run_sums_oracle(tracker, terms):
+    """The block step's screen as every run took it before the least-term
+    screen: all partial sums, the overflow guard on each, and each full
+    window's exact newest-minus-oldest gap."""
+    totals = _partials(terms, add, tracker.total)
+    gaps = _gaps(tracker.sums, totals, tracker.window)
+    quiet = max(map(abs, totals)) <= OVERFLOW_GUARD and min(
+        map(abs, gaps), default=math.inf) >= tracker.tol
+    return totals if quiet else None
+
+
+def _tracker(tol, window, prefix, ratio=_HARMONIC_RATIO):
+    """A tracker that has read ``prefix``, as ``take`` leaves it."""
+    tracker = _Tracker(tol, window, ratio)
+    if prefix:
+        tracker.take(_partials(prefix, add, tracker.total), list(map(abs, prefix)))
+    return tracker
+
+
+def _assert_run_sums_match(tracker, terms):
+    """``run_sums`` refuses the run exactly where the oracle does, and
+    hands ``take`` the oracle's last sums bit for bit; returns whether it
+    passed the run."""
+    got = tracker.run_sums(terms, list(map(abs, terms)))
+    want = _run_sums_oracle(tracker, terms)
+    assert (got is None) == (want is None), (tracker.tol, tracker.window, terms)
+    if got is None:
+        return False
+    tail = tracker.window
+    assert list(map(_hex, got[-tail:])) == list(map(_hex, want[-tail:]))
+    return True
+
+
+def _hex(z) -> tuple:
+    return z.real.hex(), z.imag.hex()
+
+
+def _float_runs(rng):
+    """Runs of nonnegative floats with the tolerance and window to screen
+    them at, and the terms read before each run."""
+    tiny = 5e-324
+    for _ in range(1500):
+        window = int(rng.choice([2, 3, 8, 50]))
+        kind = rng.integers(0, 5)
+        k = int(rng.integers(1, 120))
+        if kind == 0:
+            # terms across many binades, zeros and subnormals among them
+            terms = list(10.0 ** rng.uniform(-320, 140, k))
+            for i in rng.integers(0, k, int(rng.integers(0, 3))):
+                terms[i] = float(rng.choice([0.0, tiny, 3 * tiny, 2.0**-1022]))
+            tol = float(10.0 ** rng.uniform(-320, 10))
+        elif kind == 1:
+            # window gaps at tol*(1 ± 4u) and the floats next to it
+            tol = float(10.0 ** rng.uniform(-300, 0))
+            step = tol / (window - 1)
+            choices = [step * (1 + 4 * U), step * (1 - 4 * U), math.nextafter(step, 0.0),
+                       math.nextafter(step, math.inf), step * (1 + 64 * U), step]
+            terms = [float(rng.choice(choices)) for _ in range(k)]
+        elif kind == 2:
+            # sums near the overflow guard, and past it
+            tol = 1e-10
+            terms = list(OVERFLOW_GUARD * 10.0 ** rng.uniform(-30, 0, k) / k)
+            if rng.random() < 0.5:
+                terms[int(rng.integers(0, k))] = OVERFLOW_GUARD * float(rng.uniform(0.5, 2.0))
+        elif kind == 3:
+            # subnormal terms at a subnormal tolerance
+            tol = tiny * float(rng.integers(1, 40))
+            terms = [tiny * float(m) for m in rng.integers(0, 60, k)]
+        else:
+            # decaying terms, as a convergent series gives
+            n0 = int(rng.integers(1, 10**6))
+            terms = [1.0 / (n * n) for n in range(n0, n0 + k)]
+            tol = float(rng.choice([1e-10, 1e-14, 1e-16]))
+        # the terms before the run: none, of the run's size, or far
+        # smaller, so that a window across the run's start has a gap
+        # below tol where every term of the run passes
+        shrink = float(rng.choice([1.0, 1.0, 1e-6, 0.0]))
+        prefix = [] if rng.random() < 0.3 else list(
+            terms[0] * shrink * rng.uniform(0.5, 2.0, int(rng.integers(1, 2 * window))))
+        scale = float(rng.choice([0.0, 1.0, 1e6])) if kind != 2 else 0.0
+        if scale:
+            prefix = [scale] + prefix
+        yield tol, window, [float(x) for x in prefix], terms
+
+
+def test_the_least_term_screen_passes_no_run_whose_exact_gaps_fail(monkeypatch):
+    rng = np.random.default_rng(4242)
+    gapless = passed = refused = 0
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return _gaps(*args)
+
+    monkeypatch.setattr(series, "_gaps", counted)
+    for tol, window, prefix, terms in _float_runs(rng):
+        tracker = _tracker(tol, window, prefix)
+        calls[0] = 0
+        if _assert_run_sums_match(tracker, terms):
+            passed += 1
+            gapless += calls[0] == 0
+        else:
+            refused += 1
+    # the sample reaches runs the screen alone passes, runs the exact gaps
+    # pass after it fails, and refused runs
+    assert gapless > 100 and passed - gapless > 100 and refused > 500, (gapless, passed, refused)
+
+
+def test_complex_runs_skip_the_modulus_scan_only_where_the_bound_holds():
+    rng = np.random.default_rng(4343)
+    for _ in range(800):
+        window = int(rng.choice([2, 8, 30]))
+        k = int(rng.integers(1, 80))
+        scale = OVERFLOW_GUARD * 10.0 ** rng.uniform(-4, 0.5)
+        terms = [complex(*xy) * scale / k for xy in rng.normal(size=(k, 2))]
+        prefix = [complex(*xy) * scale for xy in rng.normal(size=(int(rng.integers(0, 9)), 2))]
+        tracker = _tracker(float(10.0 ** rng.uniform(-10, 150)), window, prefix, 0.99)
+        _assert_run_sums_match(tracker, terms)
+
+
+def test_complex_sums_keep_the_pair_scan():
+    # sums 1, 1 + 1j, 1: newest minus oldest is 0, the window's diameter 1
+    tracker = _Tracker(1e-10, 3)
+    for used, term in enumerate((1 + 0j, 1j, -1j), start=1):
+        tracker.push(term, abs(term), used)
+    assert tracker.verdict is None and _spread(tracker.sums) == 1.0
+
+
+def test_rising_float_sums_decide_by_newest_minus_oldest():
+    # a float tracker's window rule and the report's tail_delta read
+    # newest minus oldest; the same terms as complex values take the pair
+    # loop: every verdict and every window diameter agree in bits
+    rng = np.random.default_rng(4444)
+    for _ in range(200):
+        window = int(rng.choice([2, 3, 8, 40]))
+        tol = float(10.0 ** rng.uniform(-14, -2))
+        start = int(rng.integers(1, 10**5))
+        power = float(rng.uniform(1.0, 3.0))
+        terms = [float(n) ** -power for n in range(start, start + 400)]
+        real = _Tracker(tol, window, 0.99)
+        pair = _Tracker(tol, window, 0.99)
+        for used, term in enumerate(terms, start=1):
+            real.push(term, term, used)
+            pair.push(term + 0j, term, used)
+            assert real.verdict == pair.verdict, (tol, window, used)
+            assert _spread(real.sums).hex() == _diameter_oracle(real.sums).hex()
+            assert _spread(pair.sums).hex() == _spread(real.sums).hex()
+            if real.verdict:
+                break

@@ -4,8 +4,10 @@ For each of the three long workloads -- ``product "1 + (3/10 +
 2/5*i2)/n^2"``, ``product --max-terms 100000 "1+1/n"`` and ``series
 "1/n^2"``, at the CLI's default tolerance and window -- prints one row:
 
-* the lane the CLI runs the expression on (scalar or pair), read off
-  the first block the pass reads: one list as both components, or two;
+* the lane the CLI runs the expression on (real, scalar or pair), read
+  off the first block the pass reads: one list of floats as both
+  components (the float lane of a nonnegative real term), one list of
+  complex values, or two;
 * the number of terms its pass reads;
 * the number of indices the index walker evaluates in that run, its
   read-ahead to the end of the block that holds the last term read
@@ -23,7 +25,7 @@ For each of the three long workloads -- ``product "1 + (3/10 +
 A second table gives the product pass on short budgets, where the
 log-sum identity's first ``LOG_SUM_CAP`` terms are most of the run: the
 CLI's pass (``_analyze_product_pairs``) over the index walker's blocks
-of the default product (pair lane) and of ``1+1/n`` (scalar lane),
+of the default product (pair lane) and of ``1+1/n`` (real lane),
 prebuilt in a list, at ``n_max`` 128 and 1,000, with its ns/term and the
 terms its per-term body read. Each short time is the minimum of 20
 times ``--repeats`` runs.
@@ -45,7 +47,7 @@ and on a term compiled once. Each figure is one pass of 1,000 calls, at
 indices 1 to 1,000.
 
 A fifth and a sixth table split the pass column of the first two rows,
-the default product on the pair lane and ``1+1/n`` on the scalar lane,
+the default product on the pair lane and ``1+1/n`` on the real lane,
 by the pieces of the block step, which are the same on both lanes, in
 ns per term read: the deviation scan with the zero-divisor clearance
 (``_deviations`` and ``_none_singular``, which the step runs first on
@@ -57,7 +59,7 @@ and the cutting of blocks into runs are in no piece. A last row gives
 the share of the terms read that the step took on mirror runs, where
 the second component is the conjugate of the first and the step forms
 the first alone (``_product_pass``); it reads the flag the consumers'
-screens are handed, and is 0 on the scalar lane.
+screens are handed, and is 0 on the real and scalar lanes.
 
 A last table gives, for each long workload, the scans the compiled
 term's closures run per 1,000 terms read in the CLI's run: calls of
@@ -195,7 +197,9 @@ def _terms_read(report) -> int:
 def _lane(blocks) -> str:
     """The lane of the first of ``blocks``, as the passes read it."""
     p1s, p2s = blocks[0]
-    return "scalar" if p1s is p2s else "pair"
+    if p1s is not p2s:
+        return "pair"
+    return "real" if type(p1s[0]) is float else "scalar"
 
 
 def split(
