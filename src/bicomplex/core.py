@@ -631,9 +631,7 @@ def _pair_power(p1: complex, p2: complex, exponent: int):
 def _power(base, k: int, mul, one):
     """``base**k`` by square-and-multiply from ``one``, for ``k >= 0``, with
     ``mul`` the product: of complex values (``operator.mul``, ``1 + 0j``),
-    or of a block's lists, element by element. ``one`` None starts from
-    the first factor, for values whose product by one is exact (a block of
-    floats, where ``1.0*x`` is ``x``); ``base**0`` is then None.
+    or of a block's lists, element by element.
 
     No product is checked here; the caller checks the result once. That
     raises where some product would have: inf or nan never turns finite
@@ -643,7 +641,7 @@ def _power(base, k: int, mul, one):
     r = one
     while k:
         if k & 1:
-            r = base if r is None else mul(r, base)
+            r = mul(r, base)
         k >>= 1
         if k:
             # skip the last squaring so w**1 never overflows via base*base

@@ -537,9 +537,14 @@ def _product_pass(blocks, n_max: int, singularity_tol: float, consumers) -> None
     A run whose two lists are one is on the scalar lane, as is every run of
     its term, so the partial products and log sums have equal components:
     the block step forms one list of each for both, and the per-term body's
-    second component is a bit-identical copy. On both lanes the block step
-    first forms the run's ``_deviations`` ``|p - 1|`` once, with their
-    largest ``dmax``, which its screens read. Where ``dmax < 1/2`` and
+    second component is a bit-identical copy. A run of floats (the float
+    lane of ``seqspec``) holds finite nonnegative terms, and every carried
+    product is ``(a, +0.0)`` with ``0 <= a`` below the overflow guard, so
+    ``q*x`` is ``(a*x, +0.0)`` whether CPython takes ``x`` as ``complex(x,
+    0.0)``, as through 3.13, or by the mixed-mode rule of 3.14, ``(a*x,
+    (+0.0)*x)``. On both lanes the block step first forms the run's
+    ``_deviations`` ``|p - 1|`` once, with their largest ``dmax``, which
+    its screens read. Where ``dmax < 1/2`` and
     ``singularity_tol < 1/9`` (nonnegative: the analyzers check it on
     entry), no term of the run is singular, with no scan; elsewhere
     ``core._none_singular``, the one zero-divisor screen of a block,

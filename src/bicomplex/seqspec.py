@@ -449,22 +449,20 @@ def _compile(node):
     is ``x*y - (+0)*(+0)``, which is ``x*y``, and its imaginary part ``x*(+0)
     + (+0)*y``, which is +0 for ``x, y >= +0``; ``_Py_c_quot`` of ``(1, 0)``
     by ``(x, +0)`` with ``x > 0`` (the guard refuses 0) takes its first
-    branch, ratio 0, and gives ``(1/x, +0/x)``; a power is products. A
-    float beside a complex operand needs no conversion: CPython's complex
-    operations turn it into ``complex(x, 0.0)``, the complex route's own
-    operand, as ``cmath`` functions do (through 3.13; 3.14's mixed-mode
-    rules skip the zero part, which can move the sign of a zero). A
-    product by the literal 1 (``1*x``, and the ``1*`` of a compiled
-    ``1/x``) and ``_power``'s first product by one are skipped on floats,
-    where ``1.0*x`` is ``x`` in every bit; a complex value keeps them,
-    since ``(1+0j)*z`` turns a -0.0 imaginary part into +0.0. Values
-    leave the lane as ``x + 0j``, which is exact for an ``x`` that is never
-    -0.0 (``_complex``): at a difference, which can be negative, while
-    ``(a, +0)*(b, +0)`` with ``a, b < 0`` has a -0.0 imaginary part; at
-    ``exp``, ``log`` and ``sqrt``, whose ``cmath`` value is complex; at
-    ``[a | b]``; and at ``CompiledTerm.values``, so ``components`` and
-    ``eval_term`` stay complex. ``_lane_blocks`` hands the floats to the
-    passes, where every float is nonnegative.
+    branch, ratio 0, and gives ``(1/x, +0/x)``; a power is products, less
+    its product by one on floats (``_powers``), where ``1.0*x`` is ``x`` in
+    every bit, while ``(1+0j)*z`` turns a -0.0 imaginary part into +0.0.
+    Values leave the lane as ``x + 0j``, which is exact for an ``x``
+    that is never -0.0 (``_complex``): at a ring operation whose other
+    operand is complex, so that the float goes in as ``complex(x, 0.0)``,
+    the complex route's operand, and not by CPython's mixed-mode rules,
+    which from 3.14 skip its zero part and can move the sign of a zero; at
+    a difference, which can be negative, while ``(a, +0)*(b, +0)`` with
+    ``a, b < 0`` has a -0.0 imaginary part; at ``exp``, ``log`` and
+    ``sqrt``, whose ``cmath`` value is complex (``cmath`` takes a float as
+    ``complex(x, 0.0)``); at ``[a | b]``; and at ``CompiledTerm.values``,
+    so ``components`` and ``eval_term`` stay complex. ``_lane_blocks``
+    hands the floats to the passes, where every float is nonnegative.
     """
     operands, build = _node_row(node)[:2]
     compiled = [_compile(getattr(node, name)) for name, _ in operands]
@@ -547,13 +545,18 @@ def _complex(xs):
     return list(map(operator.add, xs, repeat(0j))) if _floats(xs) else xs
 
 
+def _lift(p1s, p2s):
+    """The lists ``(p1s, p2s)`` off the float lane (``_complex``), one list
+    staying one list."""
+    r1s = _complex(p1s)
+    return r1s, (r1s if p2s is p1s else _complex(p2s))
+
+
 def _exit(fn):
-    """The block closure ``fn`` with its values off the float lane
-    (``_complex``), one list staying one list."""
+    """The block closure ``fn`` with its values off the float lane."""
     def values(ns):
         p1s, p2s, bound = fn(ns)
-        r1s = _complex(p1s)
-        return r1s, (r1s if p2s is p1s else _complex(p2s)), bound
+        return (*_lift(p1s, p2s), bound)
 
     return values
 
@@ -563,10 +566,21 @@ def _powers(ps, k: int, bound):
     its products element by element, and one finiteness scan of the result
     (``_checked``), unless ``bound``, a bound on the result below 1e300,
     proves every product finite: each square and partial product has
-    modulus at most ``max(1, |p|)**k``. Floats start from the first factor
-    (``1.0*x`` is ``x``), and their ``p**0`` is 1.0."""
-    one = None if _floats(ps) else [1 + 0j] * len(ps)
-    rs = _power(ps, k, lambda xs, ys: list(map(operator.mul, xs, ys)), one) or [1.0] * len(ps)
+    modulus at most ``max(1, |p|)**k``.
+
+    Floats, for ``k >= 1``, take ``_power`` of ``k - 1`` from ``ps``, whose
+    result is that of ``k`` from ones in every bit, less its product by
+    one. Let ``j`` be the lowest set bit of ``k``: ``k - 1`` has the bits
+    of ``k`` above ``j`` and every bit below it, so its first ``j``
+    products, ``p*p``, ``p**2*p**2``, ..., give ``b = p**(2**j)`` by the
+    squarings that make ``k``'s ``b``, where ``k`` takes ``1.0*b``, which
+    is ``b`` in every bit; the bits above ``j`` follow as for ``k``. Their
+    ``p**0`` is 1.0."""
+    mul = lambda xs, ys: list(map(operator.mul, xs, ys))
+    if _floats(ps):
+        rs = _power(ps, k - 1, mul, ps) if k else [1.0] * len(ps)
+    else:
+        rs = _power(ps, k, mul, [1 + 0j] * len(ps))
     return rs if bound else _checked(rs)
 
 
@@ -599,18 +613,16 @@ def _const(node):
 
 def _ring(op, rule):
     """The builder of a ring operation that is ``op`` on each idempotent
-    component; ``rule`` gives its bound from its operands' bounds. A
-    product whose left operand is the literal 1, as in ``1*x`` and the
-    compiled ``1/x``, returns a float right operand as it stands."""
+    component; ``rule`` gives its bound from its operands' bounds."""
 
     def build(node, left, right):
-        one = type(node) in (Mul, Div) and type(node.left) is Num and node.left.value == 1.0
-
         def fn(ns):
             a1s, a2s, a = left(ns)
             b1s, b2s, b = right(ns)
-            if one and _floats(b1s):
-                return b1s, b2s, b
+            if _floats(a1s) is not _floats(b1s):
+                # a float beside a complex operand goes in as complex(x,
+                # 0.0), on any CPython (see _compile)
+                (a1s, a2s), (b1s, b2s) = _lift(a1s, a2s), _lift(b1s, b2s)
             bound = a and b and rule(a, b)
             # each component checked alone, with the error of
             # _check_finite(p1, p2), where no bound proves it finite

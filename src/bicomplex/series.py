@@ -178,10 +178,20 @@ def _diameter(values, stop=math.inf) -> float:
     return worst
 
 
+def _rising(xs) -> bool:
+    """Whether ``xs``, a nonempty run of terms or of partial sums, holds
+    floats. Floats here are nonnegative, as ``seqspec._lane_blocks`` and
+    the norm series make them (see ``_analyze_pairs``), so their sums
+    rise; the least-term screen of ``_Tracker.run_sums`` and the
+    newest-minus-oldest diameter of ``_spread`` hold only under that
+    rule."""
+    return type(xs[-1]) is float
+
+
 def _spread(sums, stop=math.inf) -> float:
     """``_diameter(sums, stop)``; for float sums, which rise, newest minus
     oldest (see ``_Tracker.push``)."""
-    return abs(sums[-1] - sums[0]) if sums and type(sums[-1]) is float else _diameter(sums, stop)
+    return abs(sums[-1] - sums[0]) if sums and _rising(sums) else _diameter(sums, stop)
 
 
 class SeriesReport(_Record):
@@ -293,11 +303,11 @@ class _Tracker(_Checkpoints):
         if _checkpoint(used) and self.stalled():
             self.verdict = "diverged"
 
-    def run_sums(self, terms, mags):
-        """The partial sums after each of ``terms``, whose moduli are
-        ``mags``, or None where a rule of ``push`` could fire at one of
-        them; float terms get the last ``window`` sums only. Raises
-        OverflowError where a modulus leaves the float range.
+    def run_sums(self, terms):
+        """The partial sums after each of ``terms``, or None where a rule
+        of ``push`` could fire at one of them; float terms get the last
+        ``window`` sums only. Raises OverflowError where a modulus leaves
+        the float range.
 
         Float terms are nonnegative (see ``push``), so the sums rise, and
         ``T``, the run's last sum, is the largest (a NaN fails the test,
@@ -307,8 +317,8 @@ class _Tracker(_Checkpoints):
         ``sum``, which compensates floats from Python 3.12). A window's
         spread is ``newest - oldest``, over the ``window - 1`` terms added
         after its oldest sum. Let ``t`` be the least of the run's terms and
-        of ``mags`` (the terms before it) and u = 2**-53. Each computed sum
-        ``s_k = fl(s_{k-1} + t_k)`` errs by at most ``u*s_k <= u*T`` (a
+        of ``self.mags`` (the terms before it) and u = 2**-53. Each computed
+        sum ``s_k = fl(s_{k-1} + t_k)`` errs by at most ``u*s_k <= u*T`` (a
         rounded sum is ``x/(1 + d)`` with ``|d| <= u``, also below the
         normal range), so ``s_j - s_i >= (window - 1)*(t - u*T)``, and its
         computed difference is at least ``(window - 1)*(t - u*T)*(1 - u)``.
@@ -320,16 +330,9 @@ class _Tracker(_Checkpoints):
         less than the step between ``tol`` and the float below it. So where
         it holds, no spread is below ``tol``. Where it fails, every sum is
         formed and each window's exact gap decides, as for every run
-        before.
-
-        On complex terms, ``|total| + k*max(mags) <= OVERFLOW_GUARD/2``
-        bounds every modulus of the run's ``k`` sums: each rounds by a
-        factor ``1 + u`` at most per part, ``(1 + u)**k`` stays far below
-        2 for any run that fits in memory, and the moduli and the bound's
-        own arithmetic err by a few ``u`` more. Elsewhere the moduli of
-        the sums are scanned."""
+        before. Complex sums are scanned by their moduli."""
         window, tol = self.window, self.tol
-        if type(terms[0]) is float:
+        if _rising(terms):
             k = max(len(terms) - window, 0)
             head = reduce(add, islice(terms, k), self.total)
             totals = _partials(islice(terms, k, None), add, head)
@@ -342,8 +345,7 @@ class _Tracker(_Checkpoints):
             gaps = _gaps(self.sums, totals, window)
             return totals if min(gaps, default=math.inf) >= tol else None
         totals = _partials(terms, add, self.total)
-        if not (abs(self.total) + len(terms) * max(mags) <= OVERFLOW_GUARD / 2
-                or max(map(abs, totals)) <= OVERFLOW_GUARD):
+        if not max(map(abs, totals)) <= OVERFLOW_GUARD:
             return None
         gaps = map(abs, _gaps(self.sums, totals, window))
         return totals if min(gaps, default=math.inf) >= tol else None
@@ -363,7 +365,7 @@ def _run_sums(steps):
     runs = []
     for tracker, terms, mags in steps:
         if tracker.verdict is None:
-            totals = tracker.run_sums(terms, mags)
+            totals = tracker.run_sums(terms)
             if totals is None:
                 return None
             runs.append((tracker, totals, mags))
@@ -470,10 +472,12 @@ def _analyze_pairs(blocks, tol, window, n_max) -> SeriesReport:
     a run that ``_Tracker.run_sums`` passes (and, while ``ae`` is the
     modulus tracker, whose moduli lie in the exact-RMS range); ``ae``'s
     terms there are ``_norms`` of the moduli, which skips the RMS for equal
-    moduli, as of conjugate components. On the float lane (``seqspec``) a
-    term is a nonnegative float, its own modulus: no ``abs`` is taken, and
-    every tracker screens its runs as a nonnegative series
-    (``_Tracker.run_sums``).
+    moduli, as of conjugate components.
+
+    The blocks' floats must be nonnegative (``_rising``): the float lane
+    of ``seqspec`` gives no other. Such a term is its own modulus, so no
+    ``abs`` is taken, and every tracker screens its runs as a nonnegative
+    series (``_Tracker.run_sums``).
     """
     blocks = iter(blocks)
     head = list(islice(blocks, 1))
@@ -490,7 +494,7 @@ def _analyze_pairs(blocks, tol, window, n_max) -> SeriesReport:
     def step(p1s, p2s, used):
         try:
             # a float term is its own modulus
-            m1s = m2s = p1s if type(p1s[0]) is float else list(map(abs, p1s))
+            m1s = m2s = p1s if _rising(p1s) else list(map(abs, p1s))
             steps = [(c1, p1s, m1s), (a1, m1s, m1s)]
             if c2 is not c1:
                 m2s = list(map(abs, p2s))

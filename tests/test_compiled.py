@@ -14,6 +14,7 @@ path. Each closure's bound on its values' moduli must hold wherever it
 is known, and the scans it lets a node skip must change no bit.
 """
 
+import operator
 import statistics
 import sys
 import threading
@@ -833,22 +834,22 @@ def test_workload_terms_scan_nothing_past_their_first_block(monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
         assert sum(len(p1s) for p1s, _ in blocks) == 20_000 - 1
         assert calls == dict.fromkeys(calls, 0), (text, calls)
-    # the reference of the bounds-change-no-bit tests does scan: the one
-    # ring node of 1 + 1/n, once per block (on the float lane the 1* of
-    # 1/n is no product)
+    # the reference of the bounds-change-no-bit tests does scan: each of
+    # the two ring nodes of 1 + 1/n, once per block
     blocks = _blocks(_unbounded(parse("1+1/n")), 1, 20_001)
     next(blocks)
     calls.update(dict.fromkeys(calls, 0))
     assert sum(1 for _ in blocks) == 28
-    assert calls["_checked"] == 28, calls
-    # and that of 1/n^2 scans its power once per block: past n = 1 the
-    # power's values n^2 are 4 or more
+    assert calls["_checked"] == 2 * 28, calls
+    # and that of 1/n^2 scans its power once per block, beside its
+    # product: past n = 1 the power's values n^2 are 4 or more, the
+    # product's 1/n^2 below 1
     blocks = _blocks(_unbounded(parse("1/n^2")), 1, 20_001)
     next(blocks)
     calls.update(dict.fromkeys(calls, 0))
     scanned.clear()
     assert sum(1 for _ in blocks) == 28
-    assert calls["_checked"] == 28, calls
+    assert calls["_checked"] == 2 * 28, calls
     assert sum(1 for ps in scanned if ps[0].real >= 4.0) == 28
 
 
@@ -1018,6 +1019,8 @@ def test_float_lane_edges_match_the_complex_route(node):
 @pytest.mark.parametrize("text", [
     "(1 - n)*(1 - n)", "1*((1 - n)*(1 - n))", "(1 - 2)*((1 - 2)*n)", "(-2)*((-2)*n)",
     "1/((1 - n)*(1 - n))", "(n - 3)^2*(n - 5)^3", "1*(-n)", "-(1/n^2)", "[1/n | n^2]*(1 - n)",
+    # a float beside a complex value whose imaginary part is -0.0
+    "n*((1 - n)*(1 - n))", "n + (1 - n)*(1 - n)", "((1 - n)*(1 - n))/n^2",
 ])
 def test_float_lane_exits_match_the_bicomplex_operations(text):
     # eval_term against the Bicomplex operations node by node, which share
@@ -1026,6 +1029,28 @@ def test_float_lane_exits_match_the_bicomplex_operations(text):
     for n in INDICES:
         assert _component_outcome(eval_term, node, n) == _component_outcome(
             _reference_eval, node, n), (text, n)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_ring_operations_never_mix_floats_with_complex_values(op):
+    # the values must not rest on CPython's mixed-mode arithmetic, which
+    # from 3.14 takes a float beside a complex value without its zero
+    # imaginary part: a ring node lifts its float operand first
+    seen = []
+
+    def recorded(a, b):
+        seen.append((type(a), type(b)))
+        return op(a, b)
+
+    build = seqspec._ring(recorded, seqspec._gap)
+    for left, right in (("n", "(1 - n)*(1 - n)"), ("(1 - n)*(1 - n)", "n^2"),
+                        ("2.5", "[n | 1]"), ("i1", "1/n"), ("n", "n^2")):
+        closures = [_compile(parse(text))[0] for text in (left, right)]
+        for a, b in (closures, closures[::-1]):
+            seen.clear()
+            p1s, p2s, _ = build(None, a, b)(range(1, 6))
+            assert all(ta is tb for ta, tb in seen), (left, right, set(seen))
+            assert len(seen) == 5 * (1 if p1s is p2s else 2)
 
 
 def _component_outcome(evaluate, node, n: int):

@@ -358,7 +358,7 @@ def _assert_run_sums_match(tracker, terms):
     """``run_sums`` refuses the run exactly where the oracle does, and
     hands ``take`` the oracle's last sums bit for bit; returns whether it
     passed the run."""
-    got = tracker.run_sums(terms, list(map(abs, terms)))
+    got = tracker.run_sums(terms)
     want = _run_sums_oracle(tracker, terms)
     assert (got is None) == (want is None), (tracker.tol, tracker.window, terms)
     if got is None:
@@ -443,7 +443,8 @@ def test_the_least_term_screen_passes_no_run_whose_exact_gaps_fail(monkeypatch):
     assert gapless > 100 and passed - gapless > 100 and refused > 500, (gapless, passed, refused)
 
 
-def test_complex_runs_skip_the_modulus_scan_only_where_the_bound_holds():
+def test_complex_runs_refuse_sums_past_the_guard_as_the_oracle_does():
+    # sums near and past OVERFLOW_GUARD: the modulus scan decides
     rng = np.random.default_rng(4343)
     for _ in range(800):
         window = int(rng.choice([2, 8, 30]))
