@@ -305,9 +305,9 @@ class _Tracker(_Checkpoints):
 
     def run_sums(self, terms):
         """The partial sums after each of ``terms``, or None where a rule
-        of ``push`` could fire at one of them; float terms get the last
-        ``window`` sums only. Raises OverflowError where a modulus leaves
-        the float range.
+        of ``push`` could fire at one of them; float terms that pass the
+        least-term screen get the last ``window`` sums only. Raises
+        OverflowError where a modulus leaves the float range.
 
         Float terms are nonnegative (see ``push``), so the sums rise, and
         ``T``, the run's last sum, is the largest (a NaN fails the test,
@@ -328,9 +328,11 @@ class _Tracker(_Checkpoints):
         the test's own three roundings, ``(1 + u)**3*(1 - 4u) < 1 - u``,
         while below the normal range they err by less than 2**-1074 in all,
         less than the step between ``tol`` and the float below it. So where
-        it holds, no spread is below ``tol``. Where it fails, every sum is
-        formed and each window's exact gap decides, as for every run
-        before. Complex sums are scanned by their moduli."""
+        it holds, no spread is below ``tol``. Where it fails, the run takes
+        the route of complex sums: every sum is formed, the overflow guard
+        reads their moduli and each window's exact gap decides. On
+        nonnegative floats ``abs`` is the identity, and the largest of
+        rising sums is the last."""
         window, tol = self.window, self.tol
         if _rising(terms):
             k = max(len(terms) - window, 0)
@@ -341,9 +343,6 @@ class _Tracker(_Checkpoints):
             least = min(min(terms), min(self.mags, default=math.inf))
             if (window - 1) * (least - totals[-1] * 2**-52) * (1.0 - 2**-51) >= tol:
                 return totals
-            totals = _partials(terms, add, self.total)
-            gaps = _gaps(self.sums, totals, window)
-            return totals if min(gaps, default=math.inf) >= tol else None
         totals = _partials(terms, add, self.total)
         if not max(map(abs, totals)) <= OVERFLOW_GUARD:
             return None
@@ -361,13 +360,29 @@ def _run_sums(steps):
     """The block step's screen over trackers: ``steps`` holds ``(tracker,
     terms, mags)`` for each. Where ``run_sums`` passes the run for every
     live tracker, the ``(tracker, totals, mags)`` that each takes it with
-    (``_Tracker.take``); else None."""
+    (``_Tracker.take``); else None.
+
+    A live tracker handed the same list of terms as an earlier live
+    tracker, and whose ``total``, ``sums`` and ``mags`` equal that one's,
+    takes that one's totals and runs no ``run_sums``. ``run_sums`` reads
+    only the terms and those fields, besides ``tol`` and ``window``, which
+    the trackers of one pass share. Only float lists are ever handed
+    twice: a complex list holds one component's terms, which only that
+    component's tracker reads (the series pass's scalar lane has ``c2 is
+    c1``). The passes' floats are never -0.0 or NaN, so equal by ``==``
+    means equal bits, and the totals are those the tracker's own
+    ``run_sums`` would give."""
     runs = []
+    first = {}  # id of a list of terms: the first live tracker handed it, and its totals
     for tracker, terms, mags in steps:
         if tracker.verdict is None:
-            totals = tracker.run_sums(terms)
-            if totals is None:
-                return None
+            other, totals = first.get(id(terms), (None, None))
+            if other is None or (other.total, other.sums, other.mags) != (
+                    tracker.total, tracker.sums, tracker.mags):
+                totals = tracker.run_sums(terms)
+                if totals is None:
+                    return None
+                first.setdefault(id(terms), (tracker, totals))
             runs.append((tracker, totals, mags))
     return runs
 
@@ -464,15 +479,17 @@ def _analyze_pairs(blocks, tol, window, n_max) -> SeriesReport:
     The lane is read off the first block, term 1's, which the pass reads
     first anyway. Where its two lists are one, the scalar lane: one
     component tracker and one modulus tracker run, and the report reads
-    each for both components. The RMS tracker ``ae`` is the modulus
-    tracker while every modulus lies in the exact-RMS range; at the first
-    term outside, it splits off as a copy.
+    each for both components. The RMS tracker ``ae`` runs on every lane;
+    its terms are ``sqrt((m1*m1 + m2*m2)/2)``, which is ``m1`` where the
+    moduli are equal and in the exact-RMS range.
 
     It runs on ``_drive``: the block step advances every live tracker over
-    a run that ``_Tracker.run_sums`` passes (and, while ``ae`` is the
-    modulus tracker, whose moduli lie in the exact-RMS range); ``ae``'s
-    terms there are ``_norms`` of the moduli, which skips the RMS for equal
-    moduli, as of conjugate components.
+    a run that ``_Tracker.run_sums`` passes. ``ae``'s terms there are
+    ``_norms`` of the moduli, the moduli list itself for equal moduli in
+    range, as of conjugate components or on the scalar lane. Where ``ae``
+    holds the state of the modulus tracker ``a1``, ``_run_sums`` hands it
+    ``a1``'s totals, and on the float lane it hands ``a1`` those of the
+    component tracker ``c1``, whose terms are their own moduli.
 
     The blocks' floats must be nonnegative (``_rising``): the float lane
     of ``seqspec`` gives no other. Such a term is its own modulus, so no
@@ -483,13 +500,12 @@ def _analyze_pairs(blocks, tol, window, n_max) -> SeriesReport:
     head = list(islice(blocks, 1))
     c1 = _Tracker(tol, window)
     a1 = _Tracker(tol, window, _HARMONIC_RATIO)
+    ae = _Tracker(tol, window, _HARMONIC_RATIO)
     if head and head[0][0] is head[0][1]:
-        c2 = c1
-        a2 = ae = a1
+        c2, a2 = c1, a1
     else:
         c2 = _Tracker(tol, window)
         a2 = _Tracker(tol, window, _HARMONIC_RATIO)
-        ae = _Tracker(tol, window, _HARMONIC_RATIO)
 
     def step(p1s, p2s, used):
         try:
@@ -499,11 +515,8 @@ def _analyze_pairs(blocks, tol, window, n_max) -> SeriesReport:
             if c2 is not c1:
                 m2s = list(map(abs, p2s))
                 steps += [(c2, p2s, m2s), (a2, m2s, m2s)]
-            if ae is not a1:
-                mes = _norms(m1s, m2s)
-                steps.append((ae, mes, mes))
-            elif not (_EXACT_RMS_MIN <= min(m1s) and max(m1s) <= _EXACT_RMS_MAX):
-                return None
+            mes = _norms(m1s, m2s)
+            steps.append((ae, mes, mes))
             runs = _run_sums(steps)
         except OverflowError:
             return None
@@ -514,23 +527,18 @@ def _analyze_pairs(blocks, tol, window, n_max) -> SeriesReport:
         return True
 
     def read(p1, p2, used):
-        nonlocal ae
         try:
             m1 = abs(p1)
             m2 = abs(p2)
         except OverflowError:
             m1, m2 = _modulus(p1), _modulus(p2)
-        if ae is a1 and not _EXACT_RMS_MIN <= m1 <= _EXACT_RMS_MAX:
-            import copy  # once per pass at most: not worth start-up time
-            ae = copy.deepcopy(a1)
         c1.push(p1, m1, used)
         a1.push(m1, m1, used)
         if c2 is not c1:
             c2.push(p2, m2, used)
             a2.push(m2, m2, used)
-        if ae is not a1:
-            me = math.sqrt((m1 * m1 + m2 * m2) / 2.0)
-            ae.push(me, me, used)
+        me = math.sqrt((m1 * m1 + m2 * m2) / 2.0)
+        ae.push(me, me, used)
         main_done = (
             c1.verdict == "diverged"
             or c2.verdict == "diverged"

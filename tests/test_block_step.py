@@ -657,13 +657,16 @@ SERIES_CASES = [
     ("cauchy_window", lambda n: (1 + 0.5j) / n**2, 1e-6, 5000, "converged"),
     ("flat_checkpoint", lambda n: 1 / math.sqrt(n) if n < 1024 else 0.03125 + 0j,
      1e-10, 3000, "diverged"),
-    # moduli below the exact-RMS range from 2500 on: the RMS tracker splits
-    # off the scalar lane's modulus tracker in mid-block. The square of
-    # 1e-161 is subnormal, so the RMS value is 9.94e-162, and only the RMS
-    # tracker's seven increments stay below tol
+    # moduli below the exact-RMS range from 2500 on: from there the RMS
+    # tracker no longer holds the modulus tracker's sums, in mid-block. The
+    # square of 1e-161 is subnormal, so the RMS value is 9.94e-162, and
+    # only the RMS tracker's seven increments stay below tol
     ("rms_split", lambda n: complex(2.0**-510) if n < 2500 else 1e-161 + 0j,
      6.99e-161, 3500, "inconclusive"),
     ("budget_exhausted", lambda n: 1 / n, 1e-10, 2500, "inconclusive"),
+    # a first term of 0, whose RMS sqrt(0) == 0 is exact: the RMS tracker
+    # holds the modulus tracker's sums throughout
+    ("zero_first_term", lambda n: complex((1 - 1 / n) / n**2), 1e-6, 4000, "converged"),
 ]
 
 
@@ -684,6 +687,67 @@ def test_series_block_step_matches_the_per_term_body(monkeypatch, case):
         if name == "rms_split" and scalar:
             assert report.absolute_component_verdicts == ("inconclusive", "inconclusive")
             assert report.absolute is True
+
+
+def _series_steps(monkeypatch) -> list[tuple[int, int, bool, int]]:
+    """Record each run the series pass hands its block step, as ``(used,
+    terms, taken, run_sums calls)``."""
+    steps = []
+    drive, run_sums = series._drive, series._Tracker.run_sums
+    calls = [0]
+
+    def counted(tracker, terms):
+        calls[0] += 1
+        return run_sums(tracker, terms)
+
+    def spied(blocks, n_max, step, read):
+        def recorded(p1s, p2s, used):
+            calls[0] = 0
+            on = step(p1s, p2s, used)
+            steps.append((used, len(p1s), on is not None, calls[0]))
+            return on
+
+        return drive(blocks, n_max, recorded, read)
+
+    monkeypatch.setattr(series._Tracker, "run_sums", counted)
+    monkeypatch.setattr(series, "_drive", spied)
+    return steps
+
+
+def test_each_series_makes_one_run_sums_per_run(monkeypatch):
+    # 1/n^2 is on the float lane, where a term is its own modulus: the
+    # component, modulus and RMS trackers hold one series, and the first
+    # makes the one run_sums of each run the block step takes.
+    # (1 - 1/n)/n^2 is on the scalar lane, from a first term of 0: the
+    # component tracker sums complex terms, and the RMS tracker takes the
+    # modulus tracker's totals
+    for text, calls in (("1/n^2", 1), ("(1 - 1/n)/n^2", 2)):
+        steps = _series_steps(monkeypatch)
+        blocks = seqspec._lane_blocks(seqspec.parse(text), 1, 10**6 + 1)
+        report = series._analyze_pairs(blocks, 1e-10, 8, 10**6)
+        monkeypatch.undo()
+        assert report.verdict == "converged" and report.absolute, text
+        taken = [k for _, _, on, k in steps if on]
+        assert len(taken) > 100 and set(taken) == {calls}, (text, len(taken), set(taken))
+
+
+def test_the_rms_tracker_past_the_exact_range_runs_in_the_block_step(monkeypatch):
+    # rms_split on the scalar lane: from term 2,500 the RMS tracker's
+    # terms are RMS values, not the moduli, and the run 2,049 to 3,071
+    # that holds term 2,500 goes through the three trackers' screens. At
+    # the case's tol the RMS tracker converges in it, at term 2,506, so the
+    # screens refuse it; at 6.9e-161 no rule fires in it, and the block
+    # step takes it
+    _, term, case_tol, n_max, _ = next(case for case in SERIES_CASES if case[0] == "rms_split")
+    values = _family(n_max, term)
+    for tol, taken, absolute in ((case_tol, False, True), (6.9e-161, True, False)):
+        single = _outcome(series._analyze_pairs, one_term_blocks(values, True), tol, 8, n_max)
+        steps = _series_steps(monkeypatch)
+        report = series._analyze_pairs(walker_blocks(values, True), tol, 8, n_max)
+        monkeypatch.undo()
+        assert _bits(report) == single, tol
+        assert report.absolute is absolute and report.terms_used == n_max, tol
+        assert (2048, 1023, taken, 3) in steps, (tol, steps)
 
 
 # -- a seeded differential over random terms --------------------------

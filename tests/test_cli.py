@@ -553,6 +553,15 @@ def test_series_term_past_the_float_range_diverges():
     assert "verdict: diverged" in out
 
 
+def test_series_whose_squared_moduli_underflow_is_absolutely_convergent():
+    # every m*m of 1e-160/n^2 underflows, so the RMS tracker's terms
+    # sqrt((m*m + m*m)/2) fall to 0 where the moduli do not: its norm
+    # series converges while the component series reads its whole budget
+    code, out, err = run_cli(["series", "--tol", "1e-300", "--", "1e-160/n^2"])
+    assert code == 0 and err == ""
+    assert "verdict: inconclusive" in out and "absolute: yes" in out
+
+
 def _fresh_python(code: str) -> str:
     """Run ``code`` in a fresh ``python -S`` process on this source tree;
     returns its stdout."""

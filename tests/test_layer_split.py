@@ -1,13 +1,14 @@
 """tools/layer_split.py runs on a small term budget and prints one row
-per long workload, with its lane, term count, evaluated indices, two
-costs and the share of terms the block step screened, then one row per
-short-budget product run, with its lane, budget, cost and per-term
-reads, then one row per public analyzer on prebuilt terms, with its
-term count and cost, then one row per expression of eval_term's
-one-index cost, then one row per piece of the block step of the
-default product, on the pair lane, and of 1+1/n, on the real lane,
-each with the share of terms the step took on mirror runs, then one row
-per long workload with the closures' scans per 1,000 terms read.
+per long workload and one for a pair-lane series, with its lane, term
+count, evaluated indices, two costs and the share of terms the block
+step screened, then one row per short-budget product run, with its
+lane, budget, cost and per-term reads, then one row per public
+analyzer on prebuilt terms, with its term count and cost, then one row
+per expression of eval_term's one-index cost, then one row per piece
+of the block step of the default product, on the pair lane, and of
+1+1/n, on the real lane, each with the share of terms the step took on
+mirror runs, then one row per long workload with the closures' scans
+per 1,000 terms read.
 
 The tool is run as a script, as it is used.
 """
@@ -36,15 +37,17 @@ def test_layer_split_prints_one_row_per_long_workload():
     ]
     rows = [
         re.fullmatch(r"\| `(.+)` \| (\w+)" + r" \| ([\d,]+)" * 4 + r" \| ([\d.]+)% \|", line)
-        for line in lines[2:5]
+        for line in lines[2:6]
     ]
     assert all(rows), lines
     got = [(m[1], m[2], int(m[3].replace(",", ""))) for m in rows]
-    # on 2,000 terms no verdict is reached: each pass reads the whole budget
+    # on 2,000 terms no verdict is reached: each pass reads the whole
+    # budget; the last row is a series on the pair lane
     assert got == [
         ('product "1 + (3/10 + 2/5*i2)/n^2"', "pair", 2000),
         ('product "1+1/n"', "real", 2000),
         ('series "1/n^2"', "real", 2000),
+        ('series "(3/10 + 2/5*i2)/n^2"', "pair", 2000),
     ]
     for m in rows:
         terms, evaluated, eval_ns, pass_ns = (int(m[i].replace(",", "")) for i in range(3, 7))
@@ -57,13 +60,13 @@ def test_layer_split_prints_one_row_per_long_workload():
     screened = [float(m[7]) for m in rows]
     assert all(95.0 <= share < 100.0 for share in screened), screened
 
-    assert lines[5:8] == [
+    assert lines[6:9] == [
         "",
         "| short product | lane | n_max | pass ns/term | per-term reads |",
         "|---|---|---:|---:|---:|",
     ]
     shorts = [re.fullmatch(r'\| `product "(.+)"` \| (\w+) \| ([\d,]+) \| ([\d,]+) \| (\d+) \|',
-                           line) for line in lines[8:12]]
+                           line) for line in lines[9:13]]
     assert all(shorts), lines
     assert [(m[1], m[2], m[3]) for m in shorts] == [
         ("1 + (3/10 + 2/5*i2)/n^2", "pair", "128"),
@@ -75,9 +78,9 @@ def test_layer_split_prints_one_row_per_long_workload():
     # the per-term body reads terms 1 to 32 and the checkpoints after
     assert [int(m[5]) for m in shorts] == [34, 36, 34, 36]
 
-    assert lines[12:15] == ["", "| analyzer | terms | ns/term |", "|---|---:|---:|"]
+    assert lines[13:16] == ["", "| analyzer | terms | ns/term |", "|---|---:|---:|"]
     analyzers = [re.fullmatch(r'\| `(\w+)` on "(.+)" \| ([\d,]+) \| ([\d,]+) \|', line)
-                 for line in lines[15:19]]
+                 for line in lines[16:20]]
     assert all(analyzers), lines
     got = [(m[1], m[2], int(m[3].replace(",", ""))) for m in analyzers]
     # the prebuilt terms are capped too, and no verdict comes within 2,000
@@ -89,13 +92,13 @@ def test_layer_split_prints_one_row_per_long_workload():
     ]
     assert all(int(m[4].replace(",", "")) > 0 for m in analyzers)
 
-    assert lines[19:22] == [
+    assert lines[20:23] == [
         "",
         "| eval_term at one index | calls | AST µs | compiled µs |",
         "|---|---:|---:|---:|",
     ]
     one_index = [re.fullmatch(r'\| "(.+)" \| ([\d,]+) \| ([\d.]+) \| ([\d.]+) \|', line)
-                 for line in lines[22:26]]
+                 for line in lines[23:27]]
     assert all(one_index), lines
     # the three workload expressions, and one that mixes pair and scalar
     # subtrees; a cap of 2,000 leaves the 1,000 calls as they are
@@ -107,23 +110,23 @@ def test_layer_split_prints_one_row_per_long_workload():
     ]
     assert all(float(m[3]) > 0 and float(m[4]) > 0 for m in one_index)
 
-    assert lines[26:29] == [
+    assert lines[27:30] == [
         "",
         '| pair-lane block step of `product "1 + (3/10 + 2/5*i2)/n^2"` | terms | ns/term |',
         "|---|---:|---:|",
     ]
     # the same pieces on the real lane, for 1+1/n
-    assert lines[35:38] == [
+    assert lines[36:39] == [
         "",
         '| real-lane block step of `product "1+1/n"` | terms | ns/term |',
         "|---|---:|---:|",
     ]
-    assert len(lines) == 50, lines
+    assert len(lines) == 51, lines
     # past the identity's cap the default product's runs are mirror runs:
     # 1,025 to 2,000, 976 of the 2,000 terms; the real lane has none
-    assert lines[34] == "| share taken on mirror runs | 2,000 | 48.8% |"
-    assert lines[43] == "| share taken on mirror runs | 2,000 | 0.0% |"
-    for start in (29, 38):
+    assert lines[35] == "| share taken on mirror runs | 2,000 | 48.8% |"
+    assert lines[44] == "| share taken on mirror runs | 2,000 | 0.0% |"
+    for start in (30, 39):
         pieces = [re.fullmatch(r"\| (.+) \| ([\d,]+) \| ([\d,]+) \|", line)
                   for line in lines[start:start + 5]]
         assert all(pieces), lines
@@ -137,20 +140,20 @@ def test_layer_split_prints_one_row_per_long_workload():
             ("partial products, logs and takes", "2,000"),
         ]
         ns = [int(m[3].replace(",", "")) for m in pieces]
-        if start == 29:
+        if start == 30:
             assert all(n > 0 for n in ns), ns
         else:
             # 1+1/n's absolute check decides at term 32, before the first
             # long run, so its screen never runs
             assert ns[1] == 0 and all(n > 0 for n in ns[:1] + ns[2:]), ns
 
-    assert lines[44:47] == [
+    assert lines[45:48] == [
         "",
         "| scans per 1,000 terms read | terms | `_checked` | `_none_singular` |",
         "|---|---:|---:|---:|",
     ]
     # every workload term's bounds prove its closures' scans will pass
-    assert lines[47:50] == [
+    assert lines[48:51] == [
         '| `product "1 + (3/10 + 2/5*i2)/n^2"` | 2,000 | 0.0 | 0.0 |',
         '| `product "1+1/n"` | 2,000 | 0.0 | 0.0 |',
         '| `series "1/n^2"` | 2,000 | 0.0 | 0.0 |',

@@ -443,6 +443,50 @@ def test_the_least_term_screen_passes_no_run_whose_exact_gaps_fail(monkeypatch):
     assert gapless > 100 and passed - gapless > 100 and refused > 500, (gapless, passed, refused)
 
 
+def test_trackers_handed_one_float_list_share_totals_only_from_equal_states(monkeypatch):
+    # two live trackers handed one run: the second takes the first's
+    # totals exactly where it is handed the same list and its total, sums
+    # and mags equal the first's, and those totals are its own run_sums'
+    # bit for bit; one float of its state moved up, or a copy of the list,
+    # gets a run_sums of its own
+    rng = np.random.default_rng(4545)
+    run_sums = _Tracker.run_sums
+    callers = []
+
+    def counted(tracker, terms):
+        callers.append(tracker)
+        return run_sums(tracker, terms)
+
+    shared = own = 0
+    for tol, window, prefix, terms in _float_runs(rng):
+        first = _tracker(tol, window, prefix)
+        second = _tracker(tol, window, prefix, 0.99)
+        listed = terms
+        change = int(rng.integers(0, 5))
+        if change == 1:
+            second.total = math.nextafter(second.total, math.inf)
+        elif change == 2 and second.sums:
+            second.sums[0] = math.nextafter(second.sums[0], math.inf)
+        elif change == 3 and second.mags:
+            second.mags[-1] = math.nextafter(second.mags[-1], math.inf)
+        elif change == 4:
+            listed = list(terms)
+        equal = (first.total, *first.sums, *first.mags) == (second.total, *second.sums, *second.mags)
+        callers.clear()
+        monkeypatch.setattr(_Tracker, "run_sums", counted)
+        runs = series._run_sums([(first, terms, terms), (second, listed, listed)])
+        monkeypatch.undo()
+        if runs is None:
+            continue
+        took = callers == [first]
+        assert took == (equal and listed is terms), (change, equal)
+        want = run_sums(second, listed)
+        assert want is not None and list(map(float.hex, runs[1][1])) == list(map(float.hex, want))
+        shared += took
+        own += not took
+    assert shared > 100 and own > 100, (shared, own)
+
+
 def test_complex_runs_refuse_sums_past_the_guard_as_the_oracle_does():
     # sums near and past OVERFLOW_GUARD: the modulus scan decides
     rng = np.random.default_rng(4343)
