@@ -564,6 +564,30 @@ def _pair_zero_divisor_test(p1: complex, p2: complex, tol: float):
     return cn_mag <= threshold, cn_mag, threshold, m1 if m1 < m2 else m2
 
 
+def _floats(xs) -> bool:
+    """Whether the nonempty list ``xs`` (a block's values, a run of terms or
+    a window of partial sums) is on the float lane: the one test of it. A
+    float ``x`` there is finite, nonnegative and never -0.0, the complex
+    ``(x, +0.0)`` (``seqspec._compile``; a norm series is moduli), so sums
+    of such terms rise, as rounding is monotone: ``series._diameter`` and
+    ``_Tracker.run_sums`` rest on that."""
+    return type(xs[0]) is float
+
+
+def _each(f, p1s, p2s):
+    """``(f(p1s), f(p2s))``, the per-list function ``f`` on each component's
+    list of a block. Where the two lists are one object (the scalar lane),
+    ``f`` runs once and its one result stands for both, so one list stays
+    one list. ``f(p1s)`` runs first, and so raises first."""
+    r1s = f(p1s)
+    return r1s, (r1s if p2s is p1s else f(p2s))
+
+
+def _moduli(xs) -> list[float]:
+    """``abs`` of each of ``xs``; OverflowError past the float range."""
+    return list(map(abs, xs))
+
+
 def _none_singular(p1s, p2s, tol: float) -> bool:
     """True only when ``_pair_zero_divisor_test(p1, p2, tol)`` passes every
     pair of ``p1s`` and ``p2s``, for ``tol >= 0`` (unchecked here), in one
@@ -596,8 +620,7 @@ def _none_singular(p1s, p2s, tol: float) -> bool:
     Where a modulus leaves the float range, the test decides on each pair.
     """
     try:
-        m1s = list(map(abs, p1s))
-        m2s = m1s if p2s is p1s else list(map(abs, p2s))
+        m1s, m2s = _each(_moduli, p1s, p2s)
     except OverflowError:
         return not any(_pair_zero_divisor_test(p1, p2, tol)[0] for p1, p2 in zip(p1s, p2s))
     if m2s is m1s and tol < 1.0:

@@ -88,12 +88,12 @@ from itertools import pairwise, repeat
 from operator import add, attrgetter, mul, ne, or_, sub, truediv
 
 from .core import (
-    SINGULARITY_TOLERANCE, Bicomplex, NonFiniteError, SingularTerm, _check_tolerance,
-    _none_singular, _pair_zero_divisor_test, _Record, _TermError, _validate,
+    SINGULARITY_TOLERANCE, Bicomplex, NonFiniteError, SingularTerm, _check_tolerance, _each,
+    _moduli, _none_singular, _pair_zero_divisor_test, _Record, _TermError, _validate,
 )
 from .series import (
     _FLAT_RATIO, _FLOOR_FACTOR, _HARMONIC_RATIO, OVERFLOW_GUARD, _checkpoint, _Checkpoints,
-    _diameter, _drive, _gaps, _modulus, _norms, _pair_or_none, _partials, _run_sums,
+    _cut, _diameter, _drive, _gaps, _modulus, _norms, _pair_or_none, _partials, _run_sums,
     _running, _term_pairs, _Tracker,
 )
 from .transcendental import TWO_PI, BoundCheck, log_bound_check
@@ -205,9 +205,8 @@ def _deviations(p1s, p2s):
     """``(d1s, d2s, dmax)``: ``|p - 1|`` of each term of both components,
     one list where ``p2s`` is ``p1s``, and the largest. Raises
     OverflowError where a modulus leaves the float range."""
-    d1s = list(map(abs, map(sub, p1s, repeat(1.0))))
-    d2s = d1s if p2s is p1s else list(map(abs, map(sub, p2s, repeat(1.0))))
-    return d1s, d2s, max(d1s) if d2s is d1s else max(max(d1s), max(d2s))
+    d1s, d2s = _each(lambda ps: list(map(abs, map(sub, ps, repeat(1.0)))), p1s, p2s)
+    return d1s, d2s, max(_each(max, d1s, d2s))
 
 
 def partial_products(terms, n_max: int = 10**6) -> list[Bicomplex]:
@@ -293,8 +292,7 @@ class _Absolute(_Consumer):
             dev_norms = _norms(d1s, d2s)
             steps.append((self.dev, dev_norms, dev_norms))
         if self.log.verdict is None:
-            lm1s = list(map(abs, lg1s))
-            log_norms = _norms(lm1s, lm1s if lg2s is lg1s else list(map(abs, lg2s)))
+            log_norms = _norms(*_each(_moduli, lg1s, lg2s))
             steps.append((self.log, log_norms, log_norms))
         return _run_sums(steps)
 
@@ -483,13 +481,11 @@ class _Identity(_Consumer):
         q1s, q2s, lg1s, lg2s, l1, l2 = run[:6]
         scalar = q2s is q1s
         if k < len(q1s):
-            q1s, q2s, lg1s, lg2s = q1s[:k], q2s[:k], lg1s[:k], lg2s[:k]
+            (q1s, q2s), (lg1s, lg2s) = _cut((q1s, q2s), 0, k), _cut((lg1s, lg2s), 0, k)
         ls1s = _partials(lg1s, add, l1)
         ls2s = ls1s if scalar else _partials(lg2s, add, l2)
-        e1s = list(map(cmath.exp, ls1s))
-        e2s = e1s if scalar else list(map(cmath.exp, ls2s))
-        m1s = list(map(abs, q1s))
-        m2s = m1s if scalar else list(map(abs, q2s))
+        e1s, e2s = _each(lambda ls: list(map(cmath.exp, ls)), ls1s, ls2s)
+        m1s, m2s = _each(_moduli, q1s, q2s)
         dens = _norms(m1s, m2s)
         if not (0.0 < min(dens) and sum(dens) < math.inf and 0.0 < min(m1s) and 0.0 < min(m2s)):
             return None

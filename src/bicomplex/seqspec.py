@@ -84,6 +84,8 @@ from .core import (
     Bicomplex,
     NonFiniteError,
     _check_finite,
+    _each,
+    _floats,
     _fmt_real,
     _isfinite,
     _none_singular,
@@ -427,16 +429,17 @@ def _compile(node):
     inverse, ``log`` and ``sqrt`` skip the zero-divisor screen where
     their operand's bound passes ``_clear``.
 
-    The scalar lane is list identity. ``n``, numbers, ``pi`` and ``i1``
-    have ``p1 == p2`` bit for bit (``n`` and numbers are ``(x, x)``,
-    ``pi`` and ``i1`` are stored so), and their closures return one list
-    object as both components. Where its operands' components are the
-    same lists, a closure does its work and its checks once, on the one
-    list, and returns one list, since every operation applies the same
-    float operations to equal components; a check that fails runs the
-    pair rule on ``(x, x)``. ``[a | b]`` gives its slots' lists, two
-    objects, and a scalar operand beside a pair one is ``(xs, xs)`` as it
-    stands, so a pair over a scalar divides by one list of inverses. A
+    The scalar lane is list identity. ``n`` is ``(x, x)``, and so is a
+    constant whose components agree in every bit (``_fixed``): ``pi``,
+    ``i1`` and every number but -0.0, which ``Bicomplex`` splits into
+    ``(-0.0 + 0j, 0j)``; their closures return one list object as both
+    components. Where its operands' components are the same lists, a
+    closure does its work and its checks once, on the one list
+    (``core._each``), and returns one list, since every operation applies
+    the same float operations to equal components; a check that fails
+    runs the pair rule on ``(x, x)``. ``[a | b]`` gives its slots' lists,
+    two objects, and a scalar operand beside a pair one is ``(xs, xs)`` as
+    it stands, so a pair over a scalar divides by one list of inverses. A
     folded subtree keeps the lane of the block it was folded from.
 
     The float lane holds the values ``(x, +0.0)`` with ``x`` finite and
@@ -534,29 +537,17 @@ def _guard(p1s, p2s, a, rule):
             rule(p1, p2)
 
 
-def _floats(xs) -> bool:
-    """Whether the list ``xs`` of a block's values is on the float lane."""
-    return bool(xs) and type(xs[0]) is float
-
-
 def _complex(xs):
     """The list ``xs`` as complex values: a float ``x`` of the float lane is
     ``x + 0j``, which is ``(x, +0.0)`` exactly, as ``x`` is never -0.0."""
     return list(map(operator.add, xs, repeat(0j))) if _floats(xs) else xs
 
 
-def _lift(p1s, p2s):
-    """The lists ``(p1s, p2s)`` off the float lane (``_complex``), one list
-    staying one list."""
-    r1s = _complex(p1s)
-    return r1s, (r1s if p2s is p1s else _complex(p2s))
-
-
 def _exit(fn):
     """The block closure ``fn`` with its values off the float lane."""
     def values(ns):
         p1s, p2s, bound = fn(ns)
-        return (*_lift(p1s, p2s), bound)
+        return (*_each(_complex, p1s, p2s), bound)
 
     return values
 
@@ -603,12 +594,18 @@ def _var(node):
 def _num(node):
     x = complex(node.value)
     # a literal past the float range raises at every evaluation
-    return _constant(x, x, True) if _isfinite(x) else lambda ns: _check_finite(x, x)
+    return _fixed(Bicomplex(x)) if _isfinite(x) else lambda ns: _check_finite(x, x)
 
 
 def _const(node):
-    w = _CONSTANTS[node.name]
-    return _constant(w.p1, w.p2, w.p1 == w.p2)  # pi and i1: one list
+    return _fixed(_CONSTANTS[node.name])  # pi and i1: one list
+
+
+def _fixed(w):
+    """The closure of the constant ``w``, one list where its components
+    agree in every bit, zero signs included: ``repr`` writes each part of
+    a finite value exactly."""
+    return _constant(w.p1, w.p2, repr(w.p1) == repr(w.p2))
 
 
 def _ring(op, rule):
@@ -622,7 +619,7 @@ def _ring(op, rule):
             if _floats(a1s) is not _floats(b1s):
                 # a float beside a complex operand goes in as complex(x,
                 # 0.0), on any CPython (see _compile)
-                (a1s, a2s), (b1s, b2s) = _lift(a1s, a2s), _lift(b1s, b2s)
+                (a1s, a2s), (b1s, b2s) = _each(_complex, a1s, a2s), _each(_complex, b1s, b2s)
             bound = a and b and rule(a, b)
             # each component checked alone, with the error of
             # _check_finite(p1, p2), where no bound proves it finite
@@ -678,11 +675,12 @@ def _inverse(arg):
     the pair test passes is such a block of one, and where ``abs``
     overflows, the pair test gives the same bound.
     """
+    reciprocals = lambda ps: list(map(operator.truediv, repeat(1.0), ps))
+
     def fn(ns):
         p1s, p2s, a = arg(ns)
         _guard(p1s, p2s, a, _pair_inverse)
-        r1s = list(map(operator.truediv, repeat(1.0), p1s))
-        r2s = r1s if p1s is p2s else list(map(operator.truediv, repeat(1.0), p2s))
+        r1s, r2s = _each(reciprocals, p1s, p2s)
         return r1s, r2s, a and a[0] > 0.0 and _widen(1.0 / a[1], 1.0 / a[0]) or None
 
     return fn
@@ -703,8 +701,7 @@ def _pow(node, base):
             bound = a and _widen(a[0] ** k, a[1] ** k, margin)
         except OverflowError:
             bound = None   # past the float range: unknown
-        r1s = _powers(p1s, k, bound)
-        return (r1s, r1s, bound) if p1s is p2s else (r1s, _powers(p2s, k, bound), bound)
+        return (*_each(lambda ps: _powers(ps, k, bound), p1s, p2s), bound)
 
     return fn
 
@@ -714,13 +711,13 @@ def _call(node, arg):
     ``_guard`` first, with an ``_invertible_pair`` rule built here."""
     func, what = _FUNCTIONS[node.func]
     rule = what and (lambda p1, p2: _invertible_pair(p1, p2, SINGULARITY_TOLERANCE, what))
+    mapped = lambda ps: list(map(func, ps))
 
     def fn(ns):
         p1s, p2s, a = arg(ns)
         if rule:
             _guard(p1s, p2s, a, rule)
-        r1s = list(map(func, p1s))
-        return (r1s, r1s, None) if p1s is p2s else (r1s, list(map(func, p2s)), None)
+        return (*_each(mapped, p1s, p2s), None)
 
     return fn
 

@@ -45,9 +45,9 @@ import math
 from collections import deque
 from functools import reduce
 from itertools import accumulate, chain, islice, repeat
-from operator import add, mul, sub, truediv
+from operator import add, itemgetter, mul, sub, truediv
 
-from .core import Bicomplex, NonFiniteError, _coerce, _Record, _validate
+from .core import Bicomplex, NonFiniteError, _coerce, _each, _floats, _moduli, _Record, _validate
 
 __all__ = [
     "SeriesReport",
@@ -135,33 +135,35 @@ def _runs(blocks, n_max: int):
 
 def _cut(block, start: int, stop: int):
     """``block``'s terms ``start`` to ``stop``; one list stays one list."""
-    p1s, p2s = block
-    xs = p1s[start:stop]
-    return (xs, xs) if p2s is p1s else (xs, p2s[start:stop])
-
-
-def _rms_moduli(m1s, m2s) -> list[float]:
-    """``sqrt((m1*m1 + m2*m2)/2.0)`` of each pair of moduli, the RMS tracker's
-    term, at C speed."""
-    squares = map(add, map(mul, m1s, m1s), map(mul, m2s, m2s))
-    return list(map(math.sqrt, map(truediv, squares, repeat(2.0))))
+    return _each(itemgetter(slice(start, stop)), *block)
 
 
 def _norms(m1s, m2s) -> list[float]:
-    """``_rms_moduli(m1s, m2s)``, or ``m1s`` itself where the two lists are
+    """``sqrt((m1*m1 + m2*m2)/2.0)`` of each pair of moduli, the RMS
+    tracker's term, at C speed; or ``m1s`` itself where the two lists are
     equal and every modulus lies in the exact-RMS range: there each RMS is
     its modulus, as doubling and halving are exact and a correctly rounded
     ``sqrt(m*m)`` is ``m``. Equal moduli come from every term whose
     components are conjugate, one built from reals, ``n`` and ``i2``."""
     if (m1s is m2s or m1s == m2s) and _EXACT_RMS_MIN <= min(m1s) and max(m1s) <= _EXACT_RMS_MAX:
         return m1s
-    return _rms_moduli(m1s, m2s)
+    squares = map(add, map(mul, m1s, m1s), map(mul, m2s, m2s))
+    return list(map(math.sqrt, map(truediv, squares, repeat(2.0))))
 
 
 def _diameter(values, stop=math.inf) -> float:
-    """Largest pairwise distance among a window of complex values, inf
-    where one is past the float range, or the first distance of ``stop``
-    or more, so ``_diameter(w, tol) < tol`` decides as the full scan."""
+    """Largest pairwise distance among a window of partial sums, 0.0 for
+    an empty one, inf where one is past the float range, or the first
+    distance of ``stop`` or more, so ``_diameter(w, tol) < tol`` decides
+    as the full scan.
+
+    Float sums (``core._floats``) are those of nonnegative terms, and they
+    rise. So for ``i < j`` the exact ``s_j - s_i`` is at most ``newest -
+    oldest`` exactly, and its rounding at most that of ``newest -
+    oldest``: the window's computed diameter is ``newest - oldest``, with
+    no pair scan. Complex sums take the pair scan."""
+    if values and _floats(values):
+        return abs(values[-1] - values[0])
     items = list(values)
     worst = 0.0
     try:
@@ -176,22 +178,6 @@ def _diameter(values, stop=math.inf) -> float:
     except OverflowError:
         return math.inf
     return worst
-
-
-def _rising(xs) -> bool:
-    """Whether ``xs``, a nonempty run of terms or of partial sums, holds
-    floats. Floats here are nonnegative, as ``seqspec._lane_blocks`` and
-    the norm series make them (see ``_analyze_pairs``), so their sums
-    rise; the least-term screen of ``_Tracker.run_sums`` and the
-    newest-minus-oldest diameter of ``_spread`` hold only under that
-    rule."""
-    return type(xs[-1]) is float
-
-
-def _spread(sums, stop=math.inf) -> float:
-    """``_diameter(sums, stop)``; for float sums, which rise, newest minus
-    oldest (see ``_Tracker.push``)."""
-    return abs(sums[-1] - sums[0]) if sums and _rising(sums) else _diameter(sums, stop)
 
 
 class SeriesReport(_Record):
@@ -275,14 +261,8 @@ class _Tracker(_Checkpoints):
 
     def push(self, term, mag: float, used: int) -> None:
         """Add ``term``, the pass's term ``used``; ``mag`` is ``abs(term)``.
-
-        Float sums are those of nonnegative terms (a norm series, or the
-        float lane's values), and they rise: ``s + t`` rounds to ``s`` or
-        more for ``t >= 0``, as rounding is monotone. So for ``i < j``
-        the exact ``s_j - s_i`` is at most ``newest - oldest`` exactly,
-        and its rounding at most that of ``newest - oldest``: the window's
-        computed diameter is ``newest - oldest``, and the pre-test alone
-        decides (``_spread``). Complex sums take ``_diameter``."""
+        Float sums (a norm series, or the float lane's values) rise, so
+        there the pre-test alone decides (``_diameter``)."""
         if self.verdict is not None:
             return
         self.total = total = self.total + term
@@ -297,7 +277,7 @@ class _Tracker(_Checkpoints):
             self.verdict = "diverged"
             return
         if len(sums) == self.window:
-            if abs(total - sums[0]) < (tol := self.tol) and _spread(sums, tol) < tol:
+            if abs(total - sums[0]) < (tol := self.tol) and _diameter(sums, tol) < tol:
                 self.verdict = "converged"
                 return
         if _checkpoint(used) and self.stalled():
@@ -334,7 +314,7 @@ class _Tracker(_Checkpoints):
         nonnegative floats ``abs`` is the identity, and the largest of
         rising sums is the last."""
         window, tol = self.window, self.tol
-        if _rising(terms):
+        if _floats(terms):
             k = max(len(terms) - window, 0)
             head = reduce(add, islice(terms, k), self.total)
             totals = _partials(islice(terms, k, None), add, head)
@@ -491,7 +471,7 @@ def _analyze_pairs(blocks, tol, window, n_max) -> SeriesReport:
     ``a1``'s totals, and on the float lane it hands ``a1`` those of the
     component tracker ``c1``, whose terms are their own moduli.
 
-    The blocks' floats must be nonnegative (``_rising``): the float lane
+    The blocks' floats must be nonnegative (``core._floats``): the float lane
     of ``seqspec`` gives no other. Such a term is its own modulus, so no
     ``abs`` is taken, and every tracker screens its runs as a nonnegative
     series (``_Tracker.run_sums``).
@@ -510,10 +490,9 @@ def _analyze_pairs(blocks, tol, window, n_max) -> SeriesReport:
     def step(p1s, p2s, used):
         try:
             # a float term is its own modulus
-            m1s = m2s = p1s if _rising(p1s) else list(map(abs, p1s))
+            m1s, m2s = (p1s, p2s) if _floats(p1s) else _each(_moduli, p1s, p2s)
             steps = [(c1, p1s, m1s), (a1, m1s, m1s)]
             if c2 is not c1:
-                m2s = list(map(abs, p2s))
                 steps += [(c2, p2s, m2s), (a2, m2s, m2s)]
             mes = _norms(m1s, m2s)
             steps.append((ae, mes, mes))
@@ -565,7 +544,7 @@ def _analyze_pairs(blocks, tol, window, n_max) -> SeriesReport:
         verdict=verdict,
         limit_estimate=_pair_or_none(c1.total, c2.total),
         terms_used=used,
-        tail_delta=max(_spread(c1.sums), 0.0 if c2 is c1 else _spread(c2.sums)),
+        tail_delta=max(_diameter(c1.sums), 0.0 if c2 is c1 else _diameter(c2.sums)),
         absolute=ae.verdict == "converged",
         component_verdicts=(v1, v2),
         absolute_component_verdicts=(

@@ -545,7 +545,7 @@ def test_default_product_pair_lane_scans_its_deviations_once(monkeypatch):
     # either, and on every run the verdict screens, its range
     # bound holds from the run's deviations, with no scan of the moduli
     none_singular = products._none_singular
-    moduli_within, rms_moduli = products._moduli_within, series._rms_moduli
+    moduli_within, norms = products._moduli_within, products._norms
     for text, pair in (("1 + (3/10 + 2/5*i2)/n^2", True), ("1+1/n", False)):
         singular_scans = []
         bounds = []
@@ -562,14 +562,16 @@ def test_default_product_pair_lane_scans_its_deviations_once(monkeypatch):
             bounds.append(moduli_within(*args))
             return bounds[-1]
 
-        def spy_rms(m1s, m2s):
-            # the consumer whose screen called _norms
-            rms_callers.append(type(sys._getframe(2).f_locals.get("self")))
-            return rms_moduli(m1s, m2s)
+        def spy_norms(m1s, m2s):
+            rms = norms(m1s, m2s)
+            if rms is not m1s:
+                # an RMS was formed: the consumer whose screen called _norms
+                rms_callers.append(type(sys._getframe(1).f_locals.get("self")))
+            return rms
 
         monkeypatch.setattr(products, "_none_singular", spy_scan(none_singular))
         monkeypatch.setattr(products, "_moduli_within", spy_bound)
-        monkeypatch.setattr(series, "_rms_moduli", spy_rms)
+        monkeypatch.setattr(products, "_norms", spy_norms)
         blocks = list(seqspec._lane_blocks(seqspec.parse(text), 1, 20001))
         assert all((p1s is not p2s) == pair for p1s, p2s in blocks)
         analysis = PASSES["product"](iter(blocks), 1e-10, 8, 20_000)

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -716,3 +717,28 @@ def test_every_imported_name_is_read_or_exported():
     assert len(unread) == len(MODULES) + 2  # __init__ and cli
     # the scan sees an unread import, a re-export and a read one
     assert _unread_imports("from a import b, c\nimport d.e as f\n__all__ = ['c']\nf\n") == ["b"]
+
+
+def _float_tests(source: str) -> list[str]:
+    """The innermost function around each ``type(...) is float`` or ``is
+    not float`` that ``source`` writes, by name, sorted; "" outside any."""
+    tree = ast.parse(source)
+    functions = [f for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.Lambda))]
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and re.fullmatch(
+                r"type\(.+\) is (not )?float", ast.unparse(node)):
+            around = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+            inner = max(around, key=lambda f: f.lineno, default=None)
+            found.append(getattr(inner, "name", "<lambda>") if inner else "")
+    return sorted(found)
+
+
+def test_the_float_lane_has_one_test():
+    # every module reads the float lane through core._floats
+    package = Path(bicomplex.__file__).parent
+    found = {path.name: _float_tests(path.read_text()) for path in package.glob("*.py")}
+    assert {name: names for name, names in found.items() if names} == {"core.py": ["_floats"]}
+    # the scan sees the test in a function, in a lambda and at module level
+    source = "def f(xs):\n    return type(xs[0]) is float\ng = lambda x: type(x) is not float\n"
+    assert _float_tests(source + "y = type(1.0) is float\n") == ["", "<lambda>", "f"]

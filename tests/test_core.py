@@ -20,6 +20,7 @@ from bicomplex import (
 )
 from bicomplex import seqspec
 from bicomplex.core import (
+    _each,
     _join,
     _none_singular,
     _pair_inverse,
@@ -734,6 +735,35 @@ def test_block_zero_divisor_screens_against_the_tests():
     assert _pair_zero_divisor_test(2 + 0j, 2 + 0j, 2.0)[0]
     for ps in ([2 + 0j], [2 + 0j] * 20):
         assert not _none_singular(ps, ps, 2.0) and not _none_singular(ps, list(ps), 2.0)
+
+
+def test_each_calls_once_on_one_list_and_first_on_the_first_list():
+    calls = []
+
+    def f(xs):
+        calls.append(xs)
+        if not xs:
+            raise OverflowError("empty")
+        return [2.0 * x for x in xs]
+
+    # one list: one call, one result object for both components
+    xs = [1.0, 2.5]
+    r1s, r2s = _each(f, xs, xs)
+    assert len(calls) == 1 and calls[0] is xs
+    assert r1s is r2s and r1s == [2.0, 5.0]
+    # a pair, equal lists too: p1s, then p2s, two results
+    for ys in ([3.0], list(xs)):
+        calls.clear()
+        r1s, r2s = _each(f, xs, ys)
+        assert len(calls) == 2 and calls[0] is xs and calls[1] is ys
+        assert r1s == [2.0, 5.0] and r2s == [2.0 * y for y in ys] and r2s is not r1s
+    # the first list's error comes first, with no call on the second
+    calls.clear()
+    with pytest.raises(OverflowError):
+        _each(f, [], [])
+    with pytest.raises(OverflowError):
+        _each(f, [], xs)
+    assert calls == [[], []]
 
 
 def test_negation_keeps_zero_parts_positive():

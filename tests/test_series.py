@@ -21,7 +21,7 @@ from bicomplex import (
     series,
 )
 from bicomplex.series import (
-    _HARMONIC_RATIO, OVERFLOW_GUARD, _diameter, _gaps, _partials, _spread, _Tracker,
+    _HARMONIC_RATIO, OVERFLOW_GUARD, _diameter, _gaps, _partials, _Tracker,
 )
 from helpers import C, assert_close, gauss_bicomplex
 
@@ -321,6 +321,8 @@ def test_diameter_with_a_stop_decides_as_the_full_pair_loop():
         [0j, complex(big, big)],
         [complex(1e308, -1e308), 1 + 1j, complex(-1e308, 1e308)],
         [1 + 1j, 1 + 1j, complex(big / 2, big / 2), complex(-big / 2, -big / 2)],
+        # the window of a series with no terms
+        [],
     ]
     for window in windows:
         for tol in _spread_tols(_diameter_oracle(window)):
@@ -328,6 +330,7 @@ def test_diameter_with_a_stop_decides_as_the_full_pair_loop():
                 _assert_diameter_decides_as_the_oracle(window, tol)
     assert _diameter([complex(big, 0.0), complex(-big, 0.0)], 1.0) == math.inf
     assert _diameter([0j, complex(big, big)], 1.0) == math.inf
+    assert analyze_series([]).tail_delta == 0.0
 
 
 # -- nonnegative float series: the least-term screen and the monotone diameter --
@@ -505,7 +508,7 @@ def test_complex_sums_keep_the_pair_scan():
     tracker = _Tracker(1e-10, 3)
     for used, term in enumerate((1 + 0j, 1j, -1j), start=1):
         tracker.push(term, abs(term), used)
-    assert tracker.verdict is None and _spread(tracker.sums) == 1.0
+    assert tracker.verdict is None and _diameter(tracker.sums) == 1.0
 
 
 def test_rising_float_sums_decide_by_newest_minus_oldest():
@@ -525,7 +528,7 @@ def test_rising_float_sums_decide_by_newest_minus_oldest():
             real.push(term, term, used)
             pair.push(term + 0j, term, used)
             assert real.verdict == pair.verdict, (tol, window, used)
-            assert _spread(real.sums).hex() == _diameter_oracle(real.sums).hex()
-            assert _spread(pair.sums).hex() == _spread(real.sums).hex()
+            assert _diameter(real.sums).hex() == _diameter_oracle(real.sums).hex()
+            assert _diameter(pair.sums).hex() == _diameter(real.sums).hex()
             if real.verdict:
                 break

@@ -95,7 +95,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from bicomplex import products, seqspec, series  # noqa: E402
+from bicomplex import core, products, seqspec, series  # noqa: E402
 
 TOL = 1e-10
 WINDOW = 8
@@ -204,7 +204,7 @@ def _lane(blocks) -> str:
     p1s, p2s = blocks[0]
     if p1s is not p2s:
         return "pair"
-    return "real" if type(p1s[0]) is float else "scalar"
+    return "real" if core._floats(p1s) else "scalar"
 
 
 def split(
