@@ -631,6 +631,21 @@ def _none_singular(p1s, p2s, tol: float) -> bool:
     return min(m1s) * min(m2s) > tol * (norm_sq if norm_sq > 1.0 else 1.0)
 
 
+def _clear(bound, tol: float) -> bool:
+    """True where ``bound``, ``(lo, hi)`` with ``lo >= 0``, or None, proves
+    that ``_none_singular(p1s, p2s, tol)``, ``tol >= 0``, passes a block
+    whose computed component moduli lie in ``[lo, hi]``: the bound form of
+    the zero-divisor screen, ``lo*lo > tol*(1 + 1e-12)*max(1, hi*hi)`` and
+    ``hi < 1e150``. Rounding is monotone, so the screen's least product or
+    square rounds to at least ``lo*lo``, and its mean of squares, of finite
+    moduli at most ``hi``, to at most ``(hi*hi + hi*hi)/2.0``, exactly
+    ``hi*hi``: the right side, whose factor rounds above 1, is at least the
+    screen's (``tol`` on one list). ``m >= lo`` gives ``m*m >= lo*lo`` only
+    for ``lo >= 0``; at ``lo = 0`` the test fails for every ``tol``."""
+    return bound is not None and bound[1] < 1e150 and (
+        bound[0] * bound[0] > tol * (1.0 + 1e-12) * max(1.0, bound[1] * bound[1]))
+
+
 def _pair_inverse(p1: complex, p2: complex, tol: float = SINGULARITY_TOLERANCE):
     """Components ``(1/p1, 1/p2)`` of the inverse. Raises SingularOperand
     when the pair test fires; ``Bicomplex._make`` checks the reciprocals,

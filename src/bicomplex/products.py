@@ -49,9 +49,9 @@ term with a component real part <= 0 or once both norm series have
 decided; the identity after ``min(n_max, LOG_SUM_CAP)`` terms. The
 public analyzers hand the pass one term per block, as each is read; the
 CLI's ``product`` hands it the index walker's blocks of compiled terms,
-a scalar term's block as one list, both components. A run of terms
-where no consumer's rule can fire is taken in one block step
-(``_product_pass``).
+a scalar term's block as one list, both components. A run cleared of
+zero divisors (``core._clear``) where no consumer's rule can fire is
+taken in one block step (``_product_pass``).
 
 The paper's decomposition: the product of ``[a | b]`` converges exactly
 when the complex products of ``a`` and of ``b`` both converge to nonzero
@@ -88,8 +88,8 @@ from itertools import pairwise, repeat
 from operator import add, attrgetter, mul, ne, or_, sub, truediv
 
 from .core import (
-    SINGULARITY_TOLERANCE, Bicomplex, NonFiniteError, SingularTerm, _check_tolerance, _each,
-    _moduli, _none_singular, _pair_zero_divisor_test, _Record, _TermError, _validate,
+    SINGULARITY_TOLERANCE, Bicomplex, NonFiniteError, SingularTerm, _check_tolerance, _clear,
+    _each, _moduli, _none_singular, _pair_zero_divisor_test, _Record, _TermError, _validate,
 )
 from .series import (
     _FLAT_RATIO, _FLOOR_FACTOR, _HARMONIC_RATIO, OVERFLOW_GUARD, _checkpoint, _Checkpoints,
@@ -182,31 +182,37 @@ def _rms(a: complex, b: complex) -> float:
     return math.sqrt((m1 * m1 + m2 * m2) / 2.0)
 
 
-def _moduli_within(q1: complex, q2: complex, dmax: float, k: int) -> bool:
-    """The product verdict's range screen on a run of ``k`` terms whose
-    first partial products are ``q1`` and ``q2`` and whose deviations are
-    at most ``dmax``, from those alone: True only where ``dmax < 1/2`` and
-    the bound of ``_Verdict.screen`` puts every partial product inside the
-    guard and the floor. The lower side ``(1 - D)**k``, ``D = dmax +
-    1e-15``, goes first: it only underflows, and holds only where
-    ``k*(-log(1 - D)) <= log(m/(4*ZERO_COLLAPSE))``, ``m`` the larger
-    modulus, at most 413.8 as ``m < 1.5*sqrt(2)*OVERFLOW_GUARD`` while the
-    verdict is open. As ``log(1 + D) <= -log(1 - D)``, ``(1 + D)**k`` is
-    then at most ``e**413.8``, and never overflows (``e**709.8``)."""
-    if not dmax < 0.5:
-        return False
+def _moduli_within(q1: complex, q2: complex, bound, k: int) -> bool:
+    """The product verdict's range screen on a run of ``k`` terms, from its
+    first partial products ``q1`` and ``q2`` and the bound ``(lo, hi)`` on
+    its term moduli (``_deviations``) alone: True only where the bound of
+    ``_Verdict.screen`` puts every partial product inside the guard and the
+    floor. The lower side ``lo**k`` goes first: it only underflows, fails
+    at ``lo = 0``, and holds only where ``-k*log(lo)`` is at most
+    ``log(m/(4*ZERO_COLLAPSE))``, ``m`` the larger modulus, at most 413.8
+    as ``m < 1.5*sqrt(2)*OVERFLOW_GUARD`` while the verdict is open. Then
+    ``hi = 1 + D`` for ``lo = 1 - D``, and as ``log(1 + D) <= -log(1 - D)``,
+    ``hi**k`` is at most ``e**413.8`` and never overflows."""
     m = max(abs(q1), abs(q2))
-    step = dmax + 1e-15
-    return (2.0 * ZERO_COLLAPSE <= 0.5 * m * (1.0 - step) ** k
-            and 2.0 * m * (1.0 + step) ** k <= 0.5 * OVERFLOW_GUARD)
+    return (2.0 * ZERO_COLLAPSE <= 0.5 * m * bound[0] ** k
+            and 2.0 * m * bound[1] ** k <= 0.5 * OVERFLOW_GUARD)
 
 
 def _deviations(p1s, p2s):
-    """``(d1s, d2s, dmax)``: ``|p - 1|`` of each term of both components,
-    one list where ``p2s`` is ``p1s``, and the largest. Raises
+    """``(d1s, d2s, dmax, bound)``: ``|p - 1|`` of each term of both
+    components, one list where ``p2s`` is ``p1s``, the largest, and
+    ``(max(0, 1 - D), 1 + D)``, ``D = dmax + 1e-15``, a bound on every true
+    and computed ``|p|`` of the run where ``D < 1``: a computed ``d`` is
+    within 3u of ``|p - 1|`` (u = 2**-53: one rounding in the real part of
+    ``p - 1``, at most two in ``abs``) and ``abs(p)`` adds 2u of ``|p| <
+    2``, about 7u in all, and rounding ``D`` and ``1 ± D`` leaves more than
+    that of the slack's 9u. Else the lower end is 0, which fails
+    ``core._clear`` and ``_moduli_within`` before they read the upper end;
+    unclamped, ``(1 - D)**2`` would clear a zero divisor. Raises
     OverflowError where a modulus leaves the float range."""
     d1s, d2s = _each(lambda ps: list(map(abs, map(sub, ps, repeat(1.0)))), p1s, p2s)
-    return d1s, d2s, max(_each(max, d1s, d2s))
+    step = (dmax := max(_each(max, d1s, d2s))) + 1e-15
+    return d1s, d2s, dmax, (max(0.0, 1.0 - step), 1.0 + step)
 
 
 def partial_products(terms, n_max: int = 10**6) -> list[Bicomplex]:
@@ -284,7 +290,7 @@ class _Absolute(_Consumer):
 
     def screen(self, run, used):
         # |w - 1| < 1 in each component makes every real part positive
-        _, _, lg1s, lg2s, _, _, (d1s, d2s, dmax), _ = run
+        _, _, lg1s, lg2s, _, _, (d1s, d2s, dmax, _), _ = run
         steps = []
         if self.open or self.dev.verdict is None:
             if self.open and dmax >= 1.0:
@@ -376,29 +382,25 @@ class _Verdict(_Consumer):
         across every window.
 
         The one range rule is ``_moduli_within``, which scans no ``|q|``; a
-        run it refuses goes to the per-term body. With ``D = dmax + 1e-15``,
-        ``k`` the run's length and ``m1``, ``m2`` the computed moduli of its
-        first partial products ``q1s[0]`` and ``q2s[0]``, each component's
-        ``|q|`` over the run lies in ``[m*(1 - D)**k/2, 2*m*(1 + D)**k]``,
-        ``m`` its own first modulus: so the larger least modulus is at least
-        the lower end for ``max(m1, m2)``, and every modulus at most its
-        upper end. The computed ``d`` is within 3u of ``|p - 1|`` (u =
-        2**-53: one rounding in the real part of ``p - 1``, at most two in
-        ``abs``), so ``|p - 1| <= d + 1e-15`` for ``d < 1/2``, and each term
-        moves ``|q|`` by a factor in ``[1 - D, 1 + D]``. Python's complex
-        product has relative error at most ``sqrt(5)*u`` (Brent, Percival
-        and Zimmermann, 2007), and ``abs`` and ``**`` add a few u: over
-        ``k`` terms a factor ``(1 ± 3u)**k`` at most, which the factor-2
-        margin covers for any run that fits in memory.
+        run it refuses goes to the per-term body. Each term moves ``|q|`` by
+        a factor in the run's bound ``[lo, hi]`` (``_deviations``), so over
+        a run of ``k`` terms each component's ``|q|`` lies in
+        ``[m*lo**k/2, 2*m*hi**k]``, ``m`` the computed modulus of its first
+        partial product: the larger least modulus is at least the lower end
+        for the larger ``m``, and every modulus at most its upper end.
+        Python's complex product has relative error at most ``sqrt(5)*u``
+        (Brent, Percival and Zimmermann, 2007), and ``abs`` and ``**`` add a
+        few u: over ``k`` terms a factor ``(1 ± 3u)**k`` at most, which the
+        factor-2 margin covers for any run that fits in memory.
 
         The second pre-test runs where ``q2s`` is not ``q1s``: on the scalar
         lane it would repeat the first bit for bit, and on a mirror run it
         could only pass more runs, as the window rule needs both components
         still. The take extends ``win2`` with the last window's conjugates.
         """
-        q1s, q2s, _, _, _, _, (d1s, d2s, dmax), mirror = run
+        q1s, q2s, _, _, _, _, (d1s, d2s, _, bound), mirror = run
         window, tol = self.window, self.tol
-        if not _moduli_within(q1s[0], q2s[0], dmax, len(q1s)):
+        if not _moduli_within(q1s[0], q2s[0], bound, len(q1s)):
             return None
         if not (
             min(map(abs, _gaps(self.win1, q1s, window)), default=math.inf) >= tol
@@ -539,22 +541,12 @@ def _product_pass(blocks, n_max: int, singularity_tol: float, consumers) -> None
     ``q*x`` is ``(a*x, +0.0)`` whether CPython takes ``x`` as ``complex(x,
     0.0)``, as through 3.13, or by the mixed-mode rule of 3.14, ``(a*x,
     (+0.0)*x)``. On both lanes the block step first forms the run's
-    ``_deviations`` ``|p - 1|`` once, with their largest ``dmax``, which
-    its screens read. Where ``dmax < 1/2`` and
-    ``singularity_tol < 1/9`` (nonnegative: the analyzers check it on
-    entry), no term of the run is singular, with no scan; elsewhere
-    ``core._none_singular``, the one zero-divisor screen of a block,
-    decides on either lane. The 1/9, ``p1 == p2`` included: ``|p1||p2| >=
-    1/4`` against a threshold of at most ``tol*(3/2)**2``. The rounding
-    slack: a computed ``d`` is within 3u of ``|p - 1|`` (u = 2**-53: one
-    rounding in the real part of ``p - 1``, at most two in ``abs``), so
-    each computed modulus ``m`` lies in ``[1/2 - 4u, 3/2 + 4u]``. The
-    test's own pair then leaves a wide margin: where its ``(m1*m1 +
-    m2*m2)/2.0`` is at most 1, the threshold is ``tol < 1/9`` against
-    ``m1*m2 >= 1/4 - 5u``; elsewhere ``m1*m2`` over that mean is ``2r/(1 +
-    r*r)`` for the ratio ``r <= 3 + 40u`` of the moduli, at least ``3/5 -
-    8u``, and each side of the test rounds by a factor ``(1 ± u)**3`` at
-    most.
+    ``_deviations`` ``|p - 1|`` once, with their largest ``dmax`` and the
+    bound they give the run's moduli, which its screens read. Where
+    ``core._clear`` passes that bound at ``singularity_tol`` (nonnegative:
+    the analyzers check it on entry), no term of the run is singular, with
+    no scan; elsewhere ``core._none_singular``, the one zero-divisor screen
+    of a block, decides on either lane.
 
     A pair-lane run is a mirror run where its second component is the
     conjugate of its first, as for a term ``z1 + z2*i2`` with ``z1`` and
@@ -612,7 +604,7 @@ def _product_pass(blocks, n_max: int, singularity_tol: float, consumers) -> None
         )
         try:
             devs = _deviations(p1s, p1s if mirror else p2s)
-            if not (devs[2] < 0.5 and singularity_tol < 1.0 / 9.0
+            if not (_clear(devs[3], singularity_tol)
                     or _none_singular(p1s, p2s, singularity_tol)):
                 return None
             mirror = mirror and devs[2] < 0.5

@@ -84,6 +84,7 @@ from .core import (
     Bicomplex,
     NonFiniteError,
     _check_finite,
+    _clear,
     _each,
     _floats,
     _fmt_real,
@@ -427,7 +428,7 @@ def _compile(node):
     ``hi`` grows by 1e-290. A ring operation skips its finiteness scans,
     and ``^k`` the one scan of its result, where its bound is known; an
     inverse, ``log`` and ``sqrt`` skip the zero-divisor screen where
-    their operand's bound passes ``_clear``.
+    their operand's bound passes ``core._clear``.
 
     The scalar lane is list identity. ``n`` is ``(x, x)``, and so is a
     constant whose components agree in every bit (``_fixed``): ``pi``,
@@ -492,16 +493,6 @@ def _widen(lo, hi, margin=1e-12):
     return None
 
 
-def _clear(a):
-    """True where the bound ``a``, ``(lo, hi)`` or None, proves that
-    ``_none_singular`` passes the block at SINGULARITY_TOLERANCE:
-    ``lo*lo > tol*max(1, hi*hi)``, widened by the margin, is its extremes
-    rule on moduli within ``[lo, hi]``, and ``hi < 1e150`` keeps every sum
-    of squares the test forms finite."""
-    return a is not None and a[1] < 1e150 and (
-        a[0] * a[0] > SINGULARITY_TOLERANCE * (1.0 + 1e-12) * max(1.0, a[1] * a[1]))
-
-
 def _constant(v1, v2, shared):
     # (x, +0.0) with x >= +0.0 stands on the float lane as x; every
     # constant is finite
@@ -529,10 +520,10 @@ def _checked(ps):
 
 
 def _guard(p1s, p2s, a, rule):
-    """The one zero-divisor guard: nothing where the bound ``a`` passes
-    ``_clear`` or the block screen ``core._none_singular`` passes, else
-    ``rule(p1, p2)`` on each pair in element order, only to raise."""
-    if not _clear(a) and not _none_singular(p1s, p2s, SINGULARITY_TOLERANCE):
+    """The one zero-divisor guard, at SINGULARITY_TOLERANCE: nothing where
+    ``core._clear`` passes the bound ``a`` or ``_none_singular`` the block,
+    else ``rule(p1, p2)`` on each pair in element order, only to raise."""
+    if not (_clear(a, SINGULARITY_TOLERANCE) or _none_singular(p1s, p2s, SINGULARITY_TOLERANCE)):
         for p1, p2 in zip(p1s, p2s):
             rule(p1, p2)
 
@@ -663,16 +654,16 @@ def _div(node, left, right):
 def _inverse(arg):
     """The block closure of ``1/arg``: ``_guard`` with the rule
     ``_pair_inverse``, then ``1.0/p`` by one ``map`` per list, with no
-    finiteness scan of the reciprocals. The operands are finite, as
-    every closure's values are, and the tolerance is ``tol`` = 1e-12. On
-    one list a pass means ``|p| > 1e-6``, so ``|1/p| < 1e6``, and so does
-    ``_clear`` (``lo*lo > tol``) on either lane. On a pair a pass of the
-    screen means ``min1*min2 > tol*max(1, (M1*M1 + M2*M2)/2)`` over the
-    smallest and largest moduli of each component, so ``min1*M2 >
-    tol*max(1, M2*M2/2)``: ``min1 > tol/M2 >= tol/sqrt(2)`` where ``M2 <=
-    sqrt(2)``, ``min1 > tol*M2/2 > tol/sqrt(2)`` elsewhere, and so for
-    ``min2``. So every ``|1/p| < sqrt(2)/tol < 1.5e12``, finite. A pair
-    the pair test passes is such a block of one, and where ``abs``
+    finiteness scan of the reciprocals. The operands are finite, as every
+    closure's values are, and the tolerance is ``tol`` = 1e-12. On one list
+    a pass means ``|p| > 1e-6``, so ``|1/p| < 1e6``, and so does
+    ``core._clear`` (``lo*lo > tol``) on either lane. On a pair a pass of
+    the screen means ``min1*min2 > tol*max(1, (M1*M1 + M2*M2)/2)`` over the
+    smallest and largest moduli of each component, so
+    ``min1*M2 > tol*max(1, M2*M2/2)``: ``min1 > tol/M2 >= tol/sqrt(2)``
+    where ``M2 <= sqrt(2)``, ``min1 > tol*M2/2 > tol/sqrt(2)`` elsewhere,
+    and so for ``min2``. So every ``|1/p| < sqrt(2)/tol < 1.5e12``, finite.
+    A pair the pair test passes is such a block of one, and where ``abs``
     overflows, the pair test gives the same bound.
     """
     reciprocals = lambda ps: list(map(operator.truediv, repeat(1.0), ps))

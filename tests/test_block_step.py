@@ -16,7 +16,7 @@ from itertools import accumulate, repeat
 import numpy as np
 import pytest
 
-from bicomplex import Bicomplex, analyze_series, evaluate_product, products, seqspec, series
+from bicomplex import Bicomplex, analyze_series, core, evaluate_product, products, seqspec, series
 from bicomplex.core import SINGULARITY_TOLERANCE
 from bicomplex.seqspec import Add, Div, Num, Pow, Var
 from helpers import one_term_blocks, run_cli, walker_blocks
@@ -137,8 +137,9 @@ def _near_one(n):
 
 
 # scattered indices past 1,024 where a term lies 0.6 from 1, the next
-# undoing it: the long runs that hold them take the zero-divisor scan,
-# and their dmax of 0.6 sends them past the verdict's range bound to the
+# undoing it: the bound (0.4, 1.6) on the moduli clears the long runs
+# that hold them of zero divisors with no scan, and the verdict's range
+# screen, whose lower side 0.4**k underflows on them, sends them to the
 # per-term body
 SPIKES = set(range(1100, 8000, 337))
 
@@ -148,6 +149,23 @@ def _spiked(n):
         return 1.6 + 0j, 0.625 + 0j
     if n - 1 in SPIKES:
         return 0.625 + 0j, 1.6 + 0j
+    return _near_one(n)
+
+
+def _spike_at_40(n):
+    # the run 33-63 holds the spike: its lower side 0.4**31 is far above
+    # the floor, so the block step takes it
+    if n in (40, 41):
+        return (1.6 + 0j, 0.625 + 0j) if n == 40 else (0.625 + 0j, 1.6 + 0j)
+    return _near_one(n)
+
+
+def _far_zero_divisor(n):
+    """A zero divisor at 2,500 and a term 2.5 from 1 at 2,505, in the run
+    2,049-3,071: ``1 - D`` is -1.5 there, so only the bound's lower end,
+    clamped at 0, keeps the run from being cleared."""
+    if n in (2500, 2505):
+        return (1 + C1 / n**2, 0j) if n == 2500 else (3.5 + 0j, 1 + C2 / n**2)
     return _near_one(n)
 
 
@@ -231,6 +249,11 @@ PRODUCT_CASES = [
     ("deviation_spikes", _spiked,
      lambda n: 1.6 + 0j if n in SPIKES else 0.625 + 0j if n - 1 in SPIKES else 1 + C1 / n**2,
      1e-7, 8000, "converged_nonsingular"),
+    ("spike_run_taken", _spike_at_40, lambda n: _spike_at_40(n)[0], 1e-7, 8000,
+     "converged_nonsingular"),
+    ("zero_divisor_far_from_one", _far_zero_divisor,
+     lambda n: 0j if n == 2500 else 3.5 + 0j if n == 2505 else 1 + 0.3 / n**2,
+     1e-10, 4000, "singular_term"),
     ("equal_moduli_not_conjugate", _rotated, lambda n: 1 + _dyadic(n), 1e-7, 9000,
      "converged_nonsingular"),
     # mirror runs past the identity's cap, whose zero parts are formed from
@@ -324,12 +347,13 @@ def _analysis_at(blocks, singularity_tol, n_max):
     return products.ProductAnalysis(verdict.report, absolute.report, identity.report)
 
 
-def test_product_block_step_zero_divisor_clearance_at_and_above_one_ninth(monkeypatch):
+def test_product_block_step_zero_divisor_clearance_by_the_bound_or_the_scan(monkeypatch):
     # every term lies within 1/2 of 1, and term 2,500 is (0.55, 1.45):
-    # singular from a tolerance of 0.6632 on. Below 1/9 the deviations
-    # clear each long run; from 1/9 on, _none_singular decides. The run
-    # 2,049-3,071 that holds it is read term by term: its dmax of 0.45
-    # over 1,023 terms leaves the verdict's range bound
+    # singular from a tolerance of 0.6632 on. At 1e-12 and 1/9 the run's
+    # bound (0.55, 1.45) clears each long run, as 0.55**2 > tol*1.45**2;
+    # at 0.2 and 0.7, _none_singular decides. The run 2,049-3,071 that
+    # holds it is read term by term: its dmax of 0.45 over 1,023 terms
+    # leaves the verdict's range bound
     terms = [(0.55 + 0j, 1.45 + 0j) if n == 2500 else _near_one(n) for n in range(1, 4001)]
     scans = []
     scan = products._none_singular
@@ -348,7 +372,7 @@ def test_product_block_step_zero_divisor_clearance_at_and_above_one_ninth(monkey
         else:
             assert analysis.product.terms_used == 4000
             assert count[0] <= 1023 + 100, (tol, count[0])
-    assert 1e-12 not in scans and {1.0 / 9.0, 0.2, 0.7} <= set(scans)
+    assert not {1e-12, 1.0 / 9.0} & set(scans) and {0.2, 0.7} <= set(scans)
 
 
 def test_product_pass_screen_does_not_depend_on_the_lane():
@@ -364,9 +388,10 @@ def test_product_pass_screen_does_not_depend_on_the_lane():
 
 def test_partial_product_range_bound_implies_the_scan():
     # the verdict's range screen from the run's first partial products and
-    # its largest deviation: it holds only below 1/2, and wherever it
-    # holds, the scan of every modulus does, on seeded runs whose moduli
-    # start near the floor and the guard, with deviations on both sides
+    # the bound on its moduli: it holds only where the bound's lower end is
+    # positive, and wherever it holds, the scan of every modulus does, on
+    # seeded runs whose moduli start near the floor and the guard, with
+    # deviations on both sides
     rng = np.random.default_rng(2727)
     held = 0
     for _ in range(1000):
@@ -377,10 +402,10 @@ def test_partial_product_range_bound_implies_the_scan():
         p1s, p2s = (1 + spread * rng.random((2, k)) * angles).tolist()
         q1s = series._partials(p1s, complex.__mul__, complex(start[0]))
         q2s = series._partials(p2s, complex.__mul__, complex(start[1]))
-        dmax = products._deviations(p1s, p2s)[2]
-        if products._moduli_within(q1s[0], q2s[0], dmax, k):
+        bound = products._deviations(p1s, p2s)[3]
+        if products._moduli_within(q1s[0], q2s[0], bound, k):
             held += 1
-            assert dmax < 0.5
+            assert bound[0] > 0
             m1s, m2s = list(map(abs, q1s)), list(map(abs, q2s))
             assert 2.0 * products.ZERO_COLLAPSE <= max(min(m1s), min(m2s)), (spread, k)
             assert max(max(m1s), max(m2s)) <= 0.5 * products.OVERFLOW_GUARD, (spread, k)
@@ -389,7 +414,88 @@ def test_partial_product_range_bound_implies_the_scan():
     # first: the bound is False and raises nothing
     with pytest.raises(OverflowError):
         1.45**1951
-    assert products._moduli_within(1.0, 1.0, 0.45, 1951) is False
+    bound = products._deviations([1.45 + 0j], [0.55 + 0j])[3]
+    assert products._moduli_within(1.0, 1.0, bound, 1951) is False
+
+
+def test_a_run_far_from_one_has_a_zero_lower_end():
+    # dmax 2.5: 1 - D is -1.5, whose square would clear the zero divisor
+    # 0j; clamped at 0, the lower end fails the clearance at every
+    # tolerance and the range screen before 3.5**1951 overflows
+    d1s, d2s, dmax, bound = products._deviations([1 + 1e-3j, 3.5 + 0j], [0j, 1 - 1e-3j])
+    assert dmax == 2.5 and bound == (0.0, 3.5 + 1e-15)
+    for tol in (0.0, 1e-300, 1e-12, 0.5, 2.0):
+        assert not core._clear(bound, tol), tol
+        assert not core._clear((0.0, 1.0), tol), tol
+    with pytest.raises(OverflowError):
+        bound[1] ** 1951
+    assert products._moduli_within(1.0, 1.0, bound, 1951) is False
+
+
+def test_deviation_bound_holds_every_computed_modulus():
+    # seeded runs on both lanes whose largest deviation is the spread, in
+    # every direction from 1; past a spread of 1 the lower end is 0
+    rng = np.random.default_rng(4545)
+    for spread in (1e-6, 1e-3, 0.1, 0.499, 0.5, 0.9, 0.999999, 1.0, 1.5, 4.0):
+        for _ in range(40):
+            k = int(rng.integers(1, 200))
+            radii = spread * rng.random((2, k)) ** 0.05
+            radii[:, 0] = spread
+            angles = rng.uniform(-np.pi, np.pi, (2, k))
+            # a few terms on the real axis, where |p| is 1 +- |p - 1| exactly
+            angles[:, : k // 4] = rng.choice([0.0, np.pi], (2, k // 4))
+            p1s, p2s = (1 + radii * np.exp(1j * angles)).tolist()
+            for ps, qs in ((p1s, p2s), (p1s, p1s)):
+                _, _, dmax, (lo, hi) = products._deviations(ps, qs)
+                moduli = [abs(p) for p in ps + qs]
+                assert lo <= min(moduli) and max(moduli) <= hi, (spread, dmax, lo, hi)
+                assert (lo == 0.0) == (dmax + 1e-15 >= 1.0), (spread, dmax, lo)
+
+
+def test_spiked_run_is_taken_in_one_step(monkeypatch):
+    # the run 33-63 holds the spike of 1.6 and 0.625: its bound (0.4, 1.6)
+    # clears it with no scan and passes the verdict's range screen, so the
+    # per-term body reads only terms 1-32
+    terms = _family(63, _spike_at_40)
+    for ts, scalar in ((terms, False), ([t[0] for t in terms], True)):
+        _, per_term = _compare(monkeypatch, "product", ts, scalar, 1e-7, 63)
+        assert per_term == 32, scalar
+
+
+@pytest.mark.parametrize("text", ["1 + 0.6*exp(i1*n)", "1 + (0.3 + 0.4*i2)*exp(i1*n)"])
+def test_terms_0_6_and_0_5_from_one_clear_without_a_scan(monkeypatch, text):
+    # every term lies 0.6 (or, in each component, 0.5) from 1: the run's
+    # bound clears each long run of zero divisors, where a test on dmax < 1/2
+    # would call _none_singular on 5 of them. The step takes the same runs,
+    # 987 terms of the identity's 1,023, and the reports are those of
+    # one-term blocks
+    blocks = list(seqspec._lane_blocks(seqspec.parse(text), 1, 2001))
+    single = []
+    for p1s, p2s in blocks:
+        for i in range(len(p1s)):
+            xs = [p1s[i]]
+            single.append((xs, xs) if p2s is p1s else (xs, [p2s[i]]))
+    expected = _bits(PASSES["product"](iter(single), 1e-10, 8, 2000))
+    scans, taken = [], []
+    none_singular, drive = products._none_singular, products._drive
+
+    def counted_drive(blocks, n_max, step, read):
+        def counted(p1s, p2s, used):
+            on = step(p1s, p2s, used)
+            if on is not None:
+                taken.append(len(p1s))
+            return on
+
+        return drive(blocks, n_max, counted, read)
+
+    monkeypatch.setattr(products, "_none_singular",
+                        lambda p1s, *args: scans.append(len(p1s)) or none_singular(p1s, *args))
+    monkeypatch.setattr(products, "_drive", counted_drive)
+    analysis = PASSES["product"](iter(blocks), 1e-10, 8, 2000)
+    monkeypatch.undo()
+    assert _bits(analysis) == expected
+    assert [k for k in scans if k >= series._MIN_RUN] == []
+    assert sum(taken) == 987
 
 
 def test_product_block_step_stops_the_absolute_check_in_mid_block(monkeypatch):

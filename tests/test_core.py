@@ -20,6 +20,7 @@ from bicomplex import (
 )
 from bicomplex import seqspec
 from bicomplex.core import (
+    _clear,
     _each,
     _join,
     _none_singular,
@@ -735,6 +736,62 @@ def test_block_zero_divisor_screens_against_the_tests():
     assert _pair_zero_divisor_test(2 + 0j, 2 + 0j, 2.0)[0]
     for ps in ([2 + 0j], [2 + 0j] * 20):
         assert not _none_singular(ps, ps, 2.0) and not _none_singular(ps, list(ps), 2.0)
+
+
+def _clearance_bounds(rng, tol: float) -> list[tuple[float, float]]:
+    """Bounds ``(lo, hi)`` to try ``_clear`` on at ``tol``: seeded ones, a
+    0 lower end, lower ends within two ulps of the square root of the
+    test's threshold, so that ``lo*lo`` lies within 4u of it, and upper
+    ends just under 1e150 and at it."""
+    bounds = [(0.0, 0.0), (0.0, 1.0), (0.0, 1e100)]
+    for _ in range(40):
+        lo = 10.0 ** rng.uniform(-170.0, 150.0)
+        bounds.append((lo, min(lo * 10.0 ** rng.uniform(0.0, 4.0), 1.5e150)))
+    for hi in (0.5, 1.0, 3.0, 1e100, math.nextafter(1e150, 0.0), 1e150):
+        root = max(math.sqrt(tol * (1.0 + 1e-12) * max(1.0, hi * hi)), 5e-324)
+        for steps in range(-2, 3):
+            lo = root
+            for _ in range(abs(steps)):
+                lo = math.nextafter(lo, math.copysign(math.inf, steps))
+            if lo <= hi:
+                bounds.append((lo, hi))
+    return bounds
+
+
+def _block_within(rng, lo: float, hi: float) -> list[complex]:
+    """A block of 1 to 8 values whose computed moduli lie in ``[lo, hi]``,
+    its ends among them."""
+    values = [complex(lo, 0.0), complex(0.0, -hi)]
+    for _ in range(int(rng.integers(0, 7))):
+        m = lo * (hi / lo) ** rng.random() if lo > 0.0 else hi * rng.random()
+        z = cmath.rect(min(max(m, lo), hi), float(rng.uniform(-math.pi, math.pi)))
+        values.append(z if lo <= abs(z) <= hi else complex(min(max(m, lo), hi), 0.0))
+    rng.shuffle(values)
+    return values[: int(rng.integers(1, len(values) + 1))]
+
+
+def test_bound_clearance_implies_the_block_screen():
+    # wherever the bound clears a block, on one list or on two, the block
+    # screen passes it at the same tolerance; a 0 lower end clears
+    # nothing, and from a tolerance of 1 on nothing is cleared
+    rng = np.random.default_rng(4646)
+    for tol in (0.0, 1e-300, 1e-12, 0.1, 1.0 / 9.0, 0.2, 0.5, 0.99, 1.0, 2.0):
+        cleared = refused = 0
+        for lo, hi in _clearance_bounds(rng, tol):
+            if not _clear((lo, hi), tol):
+                refused += 1
+                continue
+            cleared += 1
+            assert lo > 0.0 and hi < 1e150 and tol < 1.0, (lo, hi, tol)
+            for _ in range(5):
+                ps = _block_within(rng, lo, hi)
+                p1s, p2s = _block_within(rng, lo, hi), _block_within(rng, lo, hi)
+                p2s = (p2s * len(p1s))[: len(p1s)]
+                assert _none_singular(ps, ps, tol), (ps, lo, hi, tol)
+                assert _none_singular(p1s, p2s, tol), (p1s, p2s, lo, hi, tol)
+        assert refused > 0, tol
+        assert (cleared > 0) == (tol < 1.0), (tol, cleared)
+    assert not _clear(None, 0.0)
 
 
 def test_each_calls_once_on_one_list_and_first_on_the_first_list():

@@ -53,10 +53,10 @@ A fifth and a sixth table split the pass column of the first two rows,
 the default product on the pair lane and ``1+1/n`` on the real lane,
 by the pieces of the block step, which are the same on both lanes, in
 ns per term read: the deviation scan with the zero-divisor clearance
-(``_deviations`` and ``_none_singular``, which the step runs first on
-each run ``_drive`` hands it), the screens of the absolute check, the
-product verdict and the log-sum identity, and the rest of the step: its
-partial products, logs and the consumers' takes.
+(``_deviations``, ``core._clear`` and ``_none_singular``, which the step
+runs first on each run ``_drive`` hands it), the screens of the absolute
+check, the product verdict and the log-sum identity, and the rest of the
+step: its partial products, logs and the consumers' takes.
 Each piece is timed around its call, once per run; the per-term body
 and the cutting of blocks into runs are in no piece. A last row gives
 the share of the terms read that the step took on mirror runs, where
@@ -129,7 +129,7 @@ ONE_INDEX_CALLS = 1000
 # the block-step pieces of the fifth and sixth tables: the clearance (the
 # functions the step calls first), the consumers' screens, and the step's
 # own work, all of the step that is no screen
-CLEARANCE = ("_deviations", "_none_singular")
+CLEARANCE = ("_deviations", "_clear", "_none_singular")
 STEP_SCREENS = (products._Absolute, products._Verdict, products._Identity)
 # the closures' scans the last table counts
 SCANS = ("_checked", "_none_singular")
@@ -268,11 +268,11 @@ def block_step_split(
     """``(lane, terms, ns/term of each of STEP_PIECES, mirror share)``: the
     CLI's product pass over the prebuilt walker blocks of ``text`` that it
     reads, its block step timed by piece through wrappers on the ``step``
-    that ``_product_pass`` hands ``_drive``, on the ``_deviations`` and
-    ``_none_singular`` that the step looks up in ``products`` and on the
-    consumers' ``screen``; each piece's time is its minimum over
-    ``repeats`` runs. The mirror share counts the runs the step took whose
-    screens were handed a run flagged ``mirror`` (its last field)."""
+    that ``_product_pass`` hands ``_drive``, on the ``_deviations``,
+    ``_clear`` and ``_none_singular`` that the step looks up in ``products``
+    and on the consumers' ``screen``; each piece's time is its minimum
+    over ``repeats`` runs. The mirror share counts the runs the step took
+    whose screens were handed a run flagged ``mirror`` (its last field)."""
     node = seqspec.parse(text)
     blocks = seqspec._lane_blocks(node, 1, n_max + 1)
     read = []
