@@ -64,7 +64,35 @@ class _Formatter(argparse.HelpFormatter):
         super().__init__(prog, indent_increment, max_help_position, width)
 
 
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    """The arguments every command takes."""
+    parser.add_argument("expr", help="term expression in the sequence variable n")
+    parser.add_argument("--tol", type=float, default=1e-10,
+                        help="convergence tolerance (default 1e-10)")
+    parser.add_argument("--window", type=int, default=8,
+                        help="stability window length (default 8)")
+    parser.add_argument("--max-terms", type=int, default=10**6,
+                        help="term budget (default 1000000)")
+    parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
+    parser.add_argument("--strict", action="store_true",
+                        help="exit 1 unless the verdict is a clean convergence")
+    # the JSON envelope reports both for every command
+    parser.set_defaults(at=1, branch=None)
+
+
+def _add_own(parser: argparse.ArgumentParser, name: str) -> None:
+    """The handler and the arguments of the command ``name`` alone."""
+    parser.set_defaults(run=_COMMANDS[name][0])
+    if name in ("eval", "check-bounds"):
+        parser.add_argument("--at", type=int, default=1, metavar="N",
+                            help="term index (default 1)")
+    if name == "eval":
+        parser.add_argument("--branch", type=int, nargs=2, metavar=("M", "N"),
+                            help="also print the (M, N) branch logarithm of the value")
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """The whole tree: a top-level parser with one subparser per command."""
     parser = argparse.ArgumentParser(
         prog="bicomplex",
         description="Bicomplex sequence evaluation and convergence reports.",
@@ -73,34 +101,35 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False, formatter_class=_Formatter)
-    common.add_argument("expr", help="term expression in the sequence variable n")
-    common.add_argument("--tol", type=float, default=1e-10,
-                        help="convergence tolerance (default 1e-10)")
-    common.add_argument("--window", type=int, default=8,
-                        help="stability window length (default 8)")
-    common.add_argument("--max-terms", type=int, default=10**6,
-                        help="term budget (default 1000000)")
-    common.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    common.add_argument("--strict", action="store_true",
-                        help="exit 1 unless the verdict is a clean convergence")
-    # the JSON envelope reports both for every command
-    common.set_defaults(at=1, branch=None)
-
-    for name, run, text in (
-        ("eval", _cmd_eval, "evaluate the expression at one index"),
-        ("series", _cmd_series, "convergence report for the term series"),
-        ("product", _cmd_product, "convergence report for the infinite product"),
-        ("check-bounds", _cmd_check_bounds, "two-sided log/norm comparison for one term value"),
-    ):
-        command = sub.add_parser(name, parents=[common], help=text, formatter_class=_Formatter)
-        command.set_defaults(run=run)
-        if name in ("eval", "check-bounds"):
-            command.add_argument("--at", type=int, default=1, metavar="N",
-                                 help="term index (default 1)")
-        if name == "eval":
-            command.add_argument("--branch", type=int, nargs=2, metavar=("M", "N"),
-                                 help="also print the (M, N) branch logarithm of the value")
+    _add_common(common)
+    for name, (_, text) in _COMMANDS.items():
+        _add_own(sub.add_parser(name, parents=[common], help=text, formatter_class=_Formatter),
+                 name)
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The run configuration of ``argv``: what
+    ``_build_parser().parse_args(argv)`` gives, from one parser where
+    ``argv[0]`` names a command.
+
+    The tree hands every string after a command's name to that command's
+    subparser, an ``ArgumentParser(prog="bicomplex " + name)`` with the
+    arguments of the one built here. That parser prints the command's
+    help and usage errors; the tree adds only the report of strings left
+    over. So the tree is built where argv names no command or leaves a
+    string over, and its parse prints the help or the error.
+    """
+    if argv and argv[0] in _COMMANDS:
+        command = argparse.ArgumentParser(prog="bicomplex " + argv[0],
+                                          formatter_class=_Formatter)
+        _add_common(command)
+        _add_own(command, argv[0])
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return _build_parser().parse_args(argv)
 
 
 # parameter of core._validate -> the option that sets it
@@ -291,9 +320,17 @@ def _cmd_check_bounds(args: argparse.Namespace, node) -> int:
     return 0
 
 
+# command -> (handler, help line)
+_COMMANDS = {
+    "eval": (_cmd_eval, "evaluate the expression at one index"),
+    "series": (_cmd_series, "convergence report for the term series"),
+    "product": (_cmd_product, "convergence report for the infinite product"),
+    "check-bounds": (_cmd_check_bounds, "two-sided log/norm comparison for one term value"),
+}
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         _check_args(args)
     except ValueError as err:

@@ -93,6 +93,7 @@ from .core import (
     _pair_inverse,
     _power,
     _Record,
+    _split,
     _TermError,
 )
 from .transcendental import _invertible_pair
@@ -432,7 +433,7 @@ def _compile(node):
 
     The scalar lane is list identity. ``n`` is ``(x, x)``, and so is a
     constant whose components agree in every bit (``_fixed``): ``pi``,
-    ``i1`` and every number but -0.0, which ``Bicomplex`` splits into
+    ``i1`` and every number but -0.0, which ``core._split`` splits into
     ``(-0.0 + 0j, 0j)``; their closures return one list object as both
     components. Where its operands' components are the same lists, a
     closure does its work and its checks once, on the one list
@@ -585,18 +586,21 @@ def _var(node):
 def _num(node):
     x = complex(node.value)
     # a literal past the float range raises at every evaluation
-    return _fixed(Bicomplex(x)) if _isfinite(x) else lambda ns: _check_finite(x, x)
+    return _fixed(*_split(x, 0j)) if _isfinite(x) else lambda ns: _check_finite(x, x)
 
 
 def _const(node):
-    return _fixed(_CONSTANTS[node.name])  # pi and i1: one list
+    w = _CONSTANTS[node.name]
+    return _fixed(w.p1, w.p2)  # pi and i1: one list
 
 
-def _fixed(w):
-    """The closure of the constant ``w``, one list where its components
-    agree in every bit, zero signs included: ``repr`` writes each part of
-    a finite value exactly."""
-    return _constant(w.p1, w.p2, repr(w.p1) == repr(w.p2))
+def _fixed(p1, p2):
+    """The closure of the finite constant with components ``(p1, p2)``,
+    one list where they agree in every bit: finite floats that compare
+    equal differ at most in the sign of a zero."""
+    sign = math.copysign
+    return _constant(p1, p2, p1 == p2 and sign(1.0, p1.real) == sign(1.0, p2.real)
+                     and sign(1.0, p1.imag) == sign(1.0, p2.imag))
 
 
 def _ring(op, rule):

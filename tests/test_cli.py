@@ -397,6 +397,102 @@ def test_help_and_usage_errors_match_the_default_formatter(monkeypatch, columns)
     assert {code for code, _, _ in got} == {0, 2}
 
 
+# argv at the edges of the two parse routes: top-level help and errors,
+# each command's help, prefixes, '=' values, repeated options, options
+# before the command, leftover strings, bad types, an expression that
+# looks like an option, and '--' in each place
+EDGE_ARGV = [
+    [], ["-h"], ["--help"], ["--he"], ["eval", "-h"], ["series", "--help"],
+    ["product", "--hel"], ["check-bounds", "-h"], ["bogus"], ["bogus", "n"], ["eva", "n"],
+    ["product", "--t", "1e-6", "--w", "4", "--m", "64", "1+1/n^2"],
+    ["series", "--tol=1e-6", "--max-terms=64", "1/n^2"],
+    ["series", "--max-terms", "32", "--max-terms", "64", "--json", "--json", "1/n^2"],
+    ["--json", "eval", "n"], ["eval", "n", "2"], ["series", "n", "--at", "3"],
+    ["product", "1/n", "-n"], ["eval", "n", "--bogus"], ["eval", "--at", "x", "n"],
+    ["series", "--window", "1.5", "n"], ["series", "--tol", "n"], ["eval", "--branch", "1", "n"],
+    ["eval", "j", "--branch", "1"], ["eval", "-n"], ["eval", "--", "-n"], ["--", "eval", "n"],
+    ["eval", "n", "--"], ["eval", "--at", "-3", "n"], ["check-bounds", "--s", "--a", "2", "n/9"],
+    ["eval", "--j", "--b", "0", "1", "1+i2"], ["product"],
+]
+
+
+def test_the_named_command_route_matches_the_full_tree(monkeypatch):
+    # main parses an argv that names a command with that command's parser
+    # alone; every argv must give what the full tree gives
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from bench import jobs
+
+    stream = jobs.generate(1)
+    argvs = HELP_AND_ERRORS + EDGE_ARGV + [next(stream).argv for _ in range(300)]
+    got = [run_cli(argv) for argv in argvs]
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli._build_parser().parse_args(argv))
+    want = [run_cli(argv) for argv in argvs]
+    for argv, g, w in zip(argvs, got, want):
+        assert g == w, argv
+    assert {code for code, _, _ in got} == {0, 1, 2, 3}
+
+
+def _built_parsers(monkeypatch, argv) -> tuple[list, list]:
+    """The progs of the parsers a run of ``argv`` builds, and those of
+    the full tree."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._build_parser()
+    tree = built[:]
+    del built[:]
+    run_cli(argv)
+    return built, tree
+
+
+def test_a_named_command_builds_one_parser(monkeypatch):
+    built, tree = _built_parsers(monkeypatch, ["product", "--max-terms", "64", "--", "1+1/n^2"])
+    assert built == ["bicomplex product"]
+    assert len(tree) == 6
+
+
+def test_a_leftover_string_builds_the_full_tree(monkeypatch):
+    built, tree = _built_parsers(monkeypatch, ["series", "n", "--at", "3"])
+    assert built == ["bicomplex series", *tree]
+
+
+# each option's shortest unique prefix: every prefix from it up to the
+# full name parses as the full name. An option added later that shares
+# one (--timings would share --t with --tol) fails by that prefix's name.
+SHORTEST_PREFIX = {
+    "--tol": "--t", "--window": "--w", "--max-terms": "--m", "--json": "--j",
+    "--strict": "--s", "--at": "--a", "--branch": "--b",
+}
+# option -> (its values, unlike its default; the commands that take it)
+OPTION_USE = {
+    "--tol": (["1e-6"], cli._COMMANDS), "--window": (["4"], cli._COMMANDS),
+    "--max-terms": (["64"], cli._COMMANDS), "--json": ([], cli._COMMANDS),
+    "--strict": ([], cli._COMMANDS), "--at": (["3"], ("eval", "check-bounds")),
+    "--branch": (["0", "2"], ("eval",)),
+}
+
+
+@pytest.mark.parametrize("option, prefix", [
+    (option, option[:end])
+    for option, shortest in SHORTEST_PREFIX.items()
+    for end in range(len(shortest), len(option))
+])
+def test_option_prefixes_parse_as_the_full_name_on_both_routes(monkeypatch, option, prefix):
+    values, commands = OPTION_USE[option]
+    tree = cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", None)  # the named route builds no tree
+    for command in commands:
+        full = tree.parse_args([command, option, *values, "n"])
+        assert full != tree.parse_args([command, "n"])
+        argv = [command, prefix, *values, "n"]
+        assert cli._parse(argv) == tree.parse_args(argv) == full, argv
+
+
 def test_an_eval_process_imports_no_shutil():
     src = Path(bicomplex.__file__).resolve().parents[1]
     code = (f"import sys; sys.path.insert(0, {str(src)!r}); from bicomplex.cli import main; "

@@ -508,6 +508,24 @@ def test_scalar_constants_have_equal_components():
         assert (p1s is p2s) is same, name
 
 
+def _value_bits(v) -> tuple:
+    z = complex(v)
+    return type(v), z.real.hex(), z.imag.hex()
+
+
+@pytest.mark.parametrize("x", [-0.0, 0.0, 1.0, 2.5, 1e308, 5e-324])
+def test_a_literal_keeps_the_lane_and_bits_of_its_bicomplex_value(x):
+    # the reference is the closure a literal got from its Bicomplex, its
+    # components compared by repr; only -0.0 splits into two lists
+    w = Bicomplex(x)
+    want = seqspec._constant(w.p1, w.p2, repr(w.p1) == repr(w.p2))(range(1, 4))
+    got = _compile(Num(x))[0](range(1, 4))
+    assert (got[0] is got[1]) is (want[0] is want[1]) is (repr(x) != "-0.0")
+    for gs, ws in zip(got[:2], want[:2]):
+        assert list(map(_value_bits, gs)) == list(map(_value_bits, ws))
+    assert got[2] == want[2]
+
+
 # -- the lane invariant: a scalar closure gives one list as both components --
 
 # blocks that fail at some index, and come again one index at a time: a

@@ -1,6 +1,7 @@
 """tools/startup.py times whole processes and prints one row per command,
 with the minimum and median wall time and the bicomplex modules that
-command loaded, then one row timing ``cli._build_parser()`` calls.
+command loaded, then one row timing ``cli._build_parser()`` calls and one
+timing the parse that ``main`` makes of the product row's argv.
 
 The tool is run as a script, as it is used.
 """
@@ -28,7 +29,7 @@ def test_startup_prints_one_row_per_command():
         "|---|---:|---:|---|",
     ]
     rows = [re.fullmatch(r"\| `(.+)` \| ([\d.]+) \| ([\d.]+) \| (.+) \|", line)
-            for line in lines[2:-4]]
+            for line in lines[2:-5]]
     assert all(rows), lines
     assert [(m[1], m[4]) for m in rows] == [
         ("python -S -c pass", "-"),
@@ -41,11 +42,15 @@ def test_startup_prints_one_row_per_command():
     for m in rows:
         # one process per row: its minimum is its median
         assert 0.0 < float(m[2]) == float(m[3])
-    assert lines[-4:-1] == ["", "| call | min µs | median µs | calls |", "|---|---:|---:|---:|"]
-    parser = re.fullmatch(r"\| `cli\._build_parser\(\)` \| ([\d.]+) \| ([\d.]+) \| 200 \|",
-                          lines[-1])
-    assert parser, lines[-1]
-    assert 0.0 < float(parser[1]) <= float(parser[2])
+    assert lines[-5:-2] == ["", "| call | min µs | median µs | calls |", "|---|---:|---:|---:|"]
+    calls = [re.fullmatch(r"\| `(.+)` \| ([\d.]+) \| ([\d.]+) \| 200 \|", line)
+             for line in lines[-2:]]
+    assert all(calls), lines[-2:]
+    assert [m[1] for m in calls] == [
+        "cli._build_parser()", "cli._parse(product --max-terms 64 -- 1+1/n^2)",
+    ]
+    for m in calls:
+        assert 0.0 < float(m[2]) <= float(m[3])
 
 
 def test_startup_refuses_bad_repeats():

@@ -11,9 +11,12 @@ as the ``bicomplex`` console script does: it imports ``bicomplex.cli``
 and calls ``main``. The rows alternate, one process each in turn, so that
 a drift in the machine's speed reaches all of them alike.
 
-A second table times one step inside those processes: the minimum and
-the median, in µs, of ``PARSER_CALLS`` calls of ``cli._build_parser()``,
-which every command pays once, in one more fresh ``python -S`` process.
+A second table times two steps inside those processes, in one more
+fresh ``python -S`` process: the minimum and the median, in µs, of
+``PARSER_CALLS`` calls each of ``cli._build_parser()``, the full
+argparse tree, and of ``cli._parse`` on the ``product`` row's argv, the
+route ``main`` takes to parse it (one parser for the named command,
+built and run).
 
 Usage, from any directory (the checkout is the parent of ``tools/``)::
 
@@ -56,18 +59,22 @@ ROWS = (
      ["-c", RUN_CLI, "product", "--max-terms", "64", "1+1/n^2"]),
 )
 
-# calls of cli._build_parser() timed one by one in one process, which
-# prints the minimum and the median in µs
+# the product row's argv, as main parses it
+PARSE_ARGV = ["product", "--max-terms", "64", "--", "1+1/n^2"]
+# calls of cli._build_parser(), then of cli._parse(PARSE_ARGV), each timed
+# one by one in one process, which prints the minimum and the median in
+# µs of each on a line of its own
 PARSER_CALLS = 200
 TIME_PARSER = (
     "import statistics, time\n"
-    "from bicomplex.cli import _build_parser\n"
-    "samples = []\n"
-    f"for _ in range({PARSER_CALLS}):\n"
-    "    t0 = time.perf_counter_ns()\n"
-    "    _build_parser()\n"
-    "    samples.append(time.perf_counter_ns() - t0)\n"
-    "print(min(samples) / 1e3, statistics.median(samples) / 1e3)\n"
+    "from bicomplex.cli import _build_parser, _parse\n"
+    f"for call, args in ((_build_parser, ()), (_parse, ({PARSE_ARGV!r},))):\n"
+    "    samples = []\n"
+    f"    for _ in range({PARSER_CALLS}):\n"
+    "        t0 = time.perf_counter_ns()\n"
+    "        call(*args)\n"
+    "        samples.append(time.perf_counter_ns() - t0)\n"
+    "    print(min(samples) / 1e3, statistics.median(samples) / 1e3)\n"
 )
 
 
@@ -84,15 +91,15 @@ def _run(args: list[str], env: dict) -> tuple[float, str]:
     return elapsed, lines[-1] if lines else ""
 
 
-def _parser_us(env: dict) -> tuple[float, float]:
-    """The minimum and the median µs of a ``cli._build_parser()`` call,
-    over ``PARSER_CALLS`` calls in one fresh ``python -S`` process."""
+def _parser_us(env: dict) -> list[tuple[float, float]]:
+    """The minimum and the median µs of a ``cli._build_parser()`` call and
+    of a ``cli._parse(PARSE_ARGV)`` call, over ``PARSER_CALLS`` calls each
+    in one fresh ``python -S`` process."""
     child = subprocess.run([sys.executable, "-S", "-c", TIME_PARSER], env=env,
                            capture_output=True, text=True, timeout=120)
     if child.returncode != 0:
-        raise RuntimeError(f"_build_parser timing exited {child.returncode}:\n{child.stderr}")
-    low, median = map(float, child.stdout.split())
-    return low, median
+        raise RuntimeError(f"parser timing exited {child.returncode}:\n{child.stderr}")
+    return [tuple(map(float, line.split())) for line in child.stdout.splitlines()]
 
 
 def main(argv=None) -> int:
@@ -112,7 +119,7 @@ def main(argv=None) -> int:
             for i, (_, row_args) in enumerate(ROWS):
                 elapsed, modules[i] = _run(row_args, env)
                 times[i].append(elapsed)
-        parser_low, parser_median = _parser_us(env)
+        (build_low, build_median), (parse_low, parse_median) = _parser_us(env)
 
     print("| command | min ms | median ms | bicomplex modules |")
     print("|---|---:|---:|---|")
@@ -122,7 +129,9 @@ def main(argv=None) -> int:
     print()
     print("| call | min µs | median µs | calls |")
     print("|---|---:|---:|---:|")
-    print(f"| `cli._build_parser()` | {parser_low:.1f} | {parser_median:.1f} | {PARSER_CALLS} |")
+    print(f"| `cli._build_parser()` | {build_low:.1f} | {build_median:.1f} | {PARSER_CALLS} |")
+    print(f"| `cli._parse({' '.join(PARSE_ARGV)})` | {parse_low:.1f} | {parse_median:.1f}"
+          f" | {PARSER_CALLS} |")
     return 0
 
 
