@@ -432,17 +432,17 @@ def _compile(node):
     their operand's bound passes ``core._clear``.
 
     The scalar lane is list identity. ``n`` is ``(x, x)``, and so is a
-    constant whose components agree in every bit (``_fixed``): ``pi``,
-    ``i1`` and every number but -0.0, which ``core._split`` splits into
-    ``(-0.0 + 0j, 0j)``; their closures return one list object as both
-    components. Where its operands' components are the same lists, a
-    closure does its work and its checks once, on the one list
-    (``core._each``), and returns one list, since every operation applies
-    the same float operations to equal components; a check that fails
-    runs the pair rule on ``(x, x)``. ``[a | b]`` gives its slots' lists,
-    two objects, and a scalar operand beside a pair one is ``(xs, xs)`` as
-    it stands, so a pair over a scalar divides by one list of inverses. A
-    folded subtree keeps the lane of the block it was folded from.
+    constant whose components agree in every bit (``_constant``): ``pi``,
+    ``i1``, every number but -0.0, which ``core._split`` splits into
+    ``(-0.0 + 0j, 0j)``, and every folded subtree of such a value; their
+    closures return one list object as both components. Where its
+    operands' components are the same lists, a closure does its work and
+    its checks once, on the one list (``core._each``), and returns one
+    list, since every operation applies the same float operations to
+    equal components; a check that fails runs the pair rule on ``(x,
+    x)``. ``[a | b]`` gives its slots' lists, two objects, and a scalar
+    operand beside a pair one is ``(xs, xs)`` as it stands, so a pair over
+    a scalar divides by one list of inverses.
 
     The float lane holds the values ``(x, +0.0)`` with ``x`` finite and
     ``+0.0`` or more (never -0.0), as the float ``x``, one list on the
@@ -480,7 +480,7 @@ def _compile(node):
         return fn, None
     (p1,), (p2,) = p1s, p2s
     # a leaf's closure is a constant already
-    return (_constant(p1, p2, p1s is p2s) if operands else fn), (p1, p2)
+    return (_constant(p1, p2) if operands else fn), (p1, p2)
 
 
 def _widen(lo, hi, margin=1e-12):
@@ -494,19 +494,24 @@ def _widen(lo, hi, margin=1e-12):
     return None
 
 
-def _constant(v1, v2, shared):
-    # (x, +0.0) with x >= +0.0 stands on the float lane as x; every
-    # constant is finite
+def _constant(p1, p2):
+    """The closure of the finite constant with components ``(p1, p2)``,
+    one list where they agree in every bit: finite floats that compare
+    equal differ at most in the sign of a zero. That one value stands on
+    the float lane as ``x`` where it is ``(x, +0.0)`` with ``x >= +0.0``;
+    a float ``x``, as a fold of the float lane gives, is ``(x, +0.0)``."""
     sign = math.copysign
-    if shared and v1.imag == 0.0 and sign(1.0, v1.real) == sign(1.0, v1.imag) == 1.0:
-        v1 = v2 = v1.real
+    signs = sign(1.0, p1.real), sign(1.0, p1.imag)
+    shared = p1 == p2 and signs == (sign(1.0, p2.real), sign(1.0, p2.imag))
+    if shared and p1.imag == 0.0 and signs == (1.0, 1.0):
+        p1 = p2 = p1.real
     # inf, where abs would raise, leaves the bound unknown
-    m1, m2 = math.hypot(v1.real, v1.imag), math.hypot(v2.real, v2.imag)
+    m1, m2 = math.hypot(p1.real, p1.imag), math.hypot(p2.real, p2.imag)
     bound = _widen(*((m1, m2) if m1 < m2 else (m2, m1)))
 
     def fn(ns):
-        xs = [v1] * len(ns)
-        return xs, (xs if shared else [v2] * len(ns)), bound
+        xs = [p1] * len(ns)
+        return xs, (xs if shared else [p2] * len(ns)), bound
 
     return fn
 
@@ -586,21 +591,12 @@ def _var(node):
 def _num(node):
     x = complex(node.value)
     # a literal past the float range raises at every evaluation
-    return _fixed(*_split(x, 0j)) if _isfinite(x) else lambda ns: _check_finite(x, x)
+    return _constant(*_split(x, 0j)) if _isfinite(x) else lambda ns: _check_finite(x, x)
 
 
 def _const(node):
     w = _CONSTANTS[node.name]
-    return _fixed(w.p1, w.p2)  # pi and i1: one list
-
-
-def _fixed(p1, p2):
-    """The closure of the finite constant with components ``(p1, p2)``,
-    one list where they agree in every bit: finite floats that compare
-    equal differ at most in the sign of a zero."""
-    sign = math.copysign
-    return _constant(p1, p2, p1 == p2 and sign(1.0, p1.real) == sign(1.0, p2.real)
-                     and sign(1.0, p1.imag) == sign(1.0, p2.imag))
+    return _constant(w.p1, w.p2)  # pi and i1: one list
 
 
 def _ring(op, rule):
@@ -638,7 +634,7 @@ def _gap(a, b):
 _ADD = _ring(operator.add, _gap)
 _DIFF = _ring(operator.sub, _gap)
 _MUL = _ring(operator.mul, lambda a, b: _widen(a[0] * b[0], a[1] * b[1]))
-_ZERO = _constant(0j, 0j, True)
+_ZERO = _constant(0j, 0j)
 
 
 def _sub(node, left, right):

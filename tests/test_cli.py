@@ -572,6 +572,21 @@ def test_real_slot_values_on_either_side_of_the_cut():
     assert out.startswith("norm: ")
 
 
+@pytest.mark.parametrize("expr, twin", [
+    ("[2|2]/n^2", "2/n^2"),
+    ("1+[1.001|1.001]/n^2", "1+1.001/n^2"),
+    ("[1|1]+1/n", "1+1/n"),
+])
+def test_equal_slots_give_the_output_of_their_scalar_twin(expr, twin):
+    # [x | x] is the value x: both passes print what they print for x,
+    # but for the expression text itself
+    for argv in (["series"], ["product"], ["series", "--json"], ["product", "--json"]):
+        code, out, err = run_cli([*argv, "--", expr])
+        out = out.replace(f'"expr": {json.dumps(expr)}', f'"expr": {json.dumps(twin)}')
+        assert (code, out, err) == run_cli([*argv, "--", twin]), (argv, expr)
+        assert code == 0 and out
+
+
 def test_deep_expressions_exit_2():
     for text in ("(" * 3000 + "1" + ")" * 3000, "+".join(["1"] * 5000)):
         for command in ("eval", "product"):

@@ -360,15 +360,32 @@ def test_pair_route_no_less_accurate_on_random_asts():
 
 
 def _tree_lane(node) -> bool:
-    """The lane rule, as a reference: a tree is scalar when it is ``n``, a
-    number, ``pi`` or ``i1``, or an operation other than ``[a | b]`` on
-    scalar operands. The compiler spells no such rule: its closures give
-    one list as both components where their operands do."""
-    if type(node) is Const:
-        return node.name in ("pi", "i1")
+    """The lane rule, as a reference: a subtree without ``n`` that
+    evaluates is one list where the components of its value (the walker's
+    ``Bicomplex``) agree in every bit; any other tree is scalar when it is
+    ``n``, a number, or an operation other than ``[a | b]`` on scalar
+    operands. The compiler spells no such rule: a constant's closure gives
+    one list where its components agree, and other closures give one list
+    as both components where their operands do."""
+    if not _uses_n(node):
+        try:
+            w = _walk(node, 1)
+        except (ArithmeticError, ValueError):
+            pass  # it raises at every index, on either lane
+        else:
+            return _bits(w.p1) == _bits(w.p2)
     if type(node) is Idem:
         return False
     return all(_tree_lane(getattr(node, name)) for name, _ in _NODES[type(node)][0])
+
+
+def _uses_n(node) -> bool:
+    return type(node) is Var or any(
+        _uses_n(getattr(node, name)) for name, _ in _NODES[type(node)][0])
+
+
+def _bits(p) -> tuple:
+    return p.real.hex(), p.imag.hex()
 
 
 SCALAR_LEAVES = (0.0, 0.5, 1.0, 3.0, 1e-160, 1e155, 1e200)
@@ -484,7 +501,7 @@ def test_lanes_match_pair_closures_on_named_expressions(text):
         ("e1", False),
         ("e2", False),
         ("[n | 1]", False),
-        ("[1 | 1]", False),
+        ("[1 | 1]", True),
         ("n + i2", False),
         ("exp(j*n)", False),
         ("1 + (3/10 + 2/5*i2)/n^2", False),
@@ -515,15 +532,19 @@ def _value_bits(v) -> tuple:
 
 @pytest.mark.parametrize("x", [-0.0, 0.0, 1.0, 2.5, 1e308, 5e-324])
 def test_a_literal_keeps_the_lane_and_bits_of_its_bicomplex_value(x):
-    # the reference is the closure a literal got from its Bicomplex, its
-    # components compared by repr; only -0.0 splits into two lists
+    # the reference is built from the bits of the literal's Bicomplex: one
+    # list where its components agree in every bit, floats where that
+    # value is (x, +0.0) with x >= +0.0; only -0.0 splits into two lists
     w = Bicomplex(x)
-    want = seqspec._constant(w.p1, w.p2, repr(w.p1) == repr(w.p2))(range(1, 4))
+    one = _bits(w.p1) == _bits(w.p2)
+    floats = one and _bits(w.p1)[1] == "0x0.0p+0" and not _bits(w.p1)[0].startswith("-")
+    p1, p2 = (w.p1.real, w.p1.real) if floats else (w.p1, w.p2)
+    want = [p1] * 3, [p2] * 3
     got = _compile(Num(x))[0](range(1, 4))
-    assert (got[0] is got[1]) is (want[0] is want[1]) is (repr(x) != "-0.0")
-    for gs, ws in zip(got[:2], want[:2]):
+    assert (got[0] is got[1]) is one is (repr(x) != "-0.0")
+    for gs, ws in zip(got[:2], want):
         assert list(map(_value_bits, gs)) == list(map(_value_bits, ws))
-    assert got[2] == want[2]
+    assert got[2] == seqspec._widen(abs(x), abs(x))
 
 
 # -- the lane invariant: a scalar closure gives one list as both components --
@@ -596,16 +617,29 @@ def test_scalar_closures_give_one_list_as_both_components():
             assert sum(len(p1s) == 1 for p1s, _ in blocks[1:]) > 0, text
 
 
-def test_equal_slots_stay_on_the_pair_lane_with_distinct_lists():
-    for text in ("[n | n]", "[2 | 2]"):
-        for node in (parse(text), parse(f"{text}*n + 1/{text}")):
-            fn = _compile(node)[0]
-            assert not _tree_lane(node), text
-            for ns in (range(1, 2), range(3, 40)):
-                p1s, p2s, _ = fn(ns)
-                assert p1s is not p2s and p1s == p2s, (render(node), ns)
-        p1s, p2s = next(_lane_blocks(parse(text)))
-        assert p1s is not p2s, text
+def test_equal_slots_of_n_stay_a_pair_and_equal_constant_slots_fold_to_floats():
+    # [n | n] is built at every block from its slots: two lists
+    for node in (parse("[n | n]"), parse("[n | n]*n + 1/[n | n]")):
+        fn = _compile(node)[0]
+        assert not _tree_lane(node), render(node)
+        for ns in (range(1, 2), range(3, 40)):
+            p1s, p2s, _ = fn(ns)
+            assert p1s is not p2s and p1s == p2s, (render(node), ns)
+    p1s, p2s = next(_lane_blocks(parse("[n | n]")))
+    assert p1s is not p2s
+    # a folded [2 | 2] is a constant whose components agree in every bit:
+    # one list of floats, with the walker's bits
+    for node in (parse("[2 | 2]"), parse("[2 | 2]*n + 1/[2 | 2]")):
+        fn = _compile(node)[0]
+        assert _tree_lane(node), render(node)
+        for ns in (range(1, 2), range(3, 40)):
+            p1s, p2s, _ = fn(ns)
+            assert p1s is p2s and {type(p) for p in p1s} == {float}, (render(node), ns)
+            want = [_walk(node, n) for n in ns]
+            assert _block_hex((p1s, p2s)) == _block_hex(
+                ([w.p1 for w in want], [w.p2 for w in want])), (render(node), ns)
+        p1s, p2s = next(_lane_blocks(node))
+        assert p1s is p2s, render(node)
 
 
 # -- blocks: a block of indices against each index alone --
@@ -1041,6 +1075,9 @@ def test_float_lane_edges_match_the_complex_route(node):
     "n*((1 - n)*(1 - n))", "n + (1 - n)*(1 - n)", "((1 - n)*(1 - n))/n^2",
     # a literal the parser never makes, whose components differ in a zero sign
     Num(-0.0),
+    # slots that agree in every bit, folded to one list
+    "[2 | 2]*n + 1/[2 | 2]", "[2|2]/n^2", "1+[1.001|1.001]/n^2", "[1|1]+1/n",
+    "[0.5 | 0.5]^-3*n", "[i1|i1]/n^2", "1 - [3|3]/n^2", "exp([pi|pi]*i1/n)", "[1.5|1.5]",
 ])
 def test_float_lane_exits_match_the_bicomplex_operations(text):
     # eval_term against the Bicomplex operations node by node, which share

@@ -469,7 +469,9 @@ OVERFLOW_AT_2 = [
     ("(1e120*n)^3", True),                     # _pow, multiplying
     ("[1e120*n | 1]^3", False),
     ("(1e77*n)^4", True),                      # _pow, two squarings
-    ("(1e77*n + 0*i2)^4", False),
+    # 0*i2 folds to (0, 0), components that agree in every bit: one list
+    ("(1e77*n + 0*i2)^4", True),
+    ("(1e77*n + 1e-300*i2)^4", False),
 ]
 
 
